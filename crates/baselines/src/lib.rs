@@ -19,6 +19,11 @@
 //!   stand-in for the Cray-2 number (0.5 µs/particle/step) that the CM-2's
 //!   7.2 µs is compared against.
 //!
+//! * [`two_step`] — not a competitor but the engine's test oracle: the
+//!   same time step run as four separate whole-population phases through
+//!   `dsmc-core`'s per-phase reference kernels, bit-identical to the
+//!   engine's fused step for the same seed.
+//!
 //! The schemes share the 5-vector collision kernel and the [`UniformBox`]
 //! harness so comparisons isolate the *selection* policy.
 
@@ -30,9 +35,11 @@
 pub mod bird;
 pub mod harness;
 pub mod nanbu;
+pub mod two_step;
 pub mod vectorized;
 
 pub use bird::BirdBox;
 pub use harness::UniformBox;
 pub use nanbu::NanbuBox;
+pub use two_step::TwoStepSim;
 pub use vectorized::SerialSim;

@@ -9,8 +9,9 @@
 //! sort by cell (no jittered radix rank), in-cell Fisher–Yates for partner
 //! decorrelation, no parallel machinery at all.
 //!
-//! `headline_perf` compares it with the data-parallel engine on the same
-//! workload, our analogue of the paper's CM-2 : Cray-2 = 7.2 : 0.5 ratio.
+//! The benchmark's `baselines.parallel_over_serial` compares it with the
+//! data-parallel engine on the same workload, our analogue of the paper's
+//! CM-2 : Cray-2 = 7.2 : 0.5 ratio.
 
 use dsmc_engine::config::ResLayout;
 use dsmc_engine::SimConfig;

@@ -193,47 +193,6 @@ pub enum WallModel {
     },
 }
 
-/// Which implementation of the hot loop drives each step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// The zero-allocation pipeline (default): jittered pairs packed in
-    /// the cell sweep, radix rank whose final pass emits the router
-    /// addresses, scratch-owned boundary masks, grouped collision
-    /// traversals.  Steady-state steps perform no heap allocation in the
-    /// sort/send path.
-    Fused,
-    /// The pre-refactor pipeline, kept as the executable specification and
-    /// the A/B baseline: per-step key column + allocating
-    /// `sort_perm_by_key`, ten sequential column gathers, fresh boundary
-    /// masks every step, per-segment collision traversals.  Bit-identical
-    /// trajectories to [`PipelineMode::Fused`] for the same seed.
-    TwoStep,
-}
-
-/// Which rank algorithm the fused sort phase uses on steady-state steps.
-///
-/// Both modes produce the **bitwise-identical** order, segment bounds and
-/// trajectory (see `tests/tests/sort_identity.rs`), so the choice is a pure
-/// performance A/B — the same contract [`PipelineMode::TwoStep`] has with
-/// the fused pipeline.  Only the `Fused` pipeline consults this knob; the
-/// `TwoStep` reference always ranks with the full radix sort.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SortMode {
-    /// Re-derive the permutation from scratch every step with the stable
-    /// LSD radix sort over the packed `(cell | jitter, index)` words.
-    Full,
-    /// Temporal-coherence repair (default): count cell-changers ("movers")
-    /// during the fused move sweep, and when the mover fraction is under
-    /// the threshold, rebuild the order from the previous step's segment
-    /// structure — a one-pass bucket by destination cell followed by a
-    /// per-segment in-cache sort — instead of the full radix rank.  Falls
-    /// back to `Full` when the mover fraction exceeds the threshold, on
-    /// plunger-withdrawal steps, on the step after a cross-shard
-    /// repartition, and whenever the previous structure is unavailable
-    /// (first step, resume).
-    Incremental,
-}
-
 /// How the sharded engine drives its per-shard phase work.
 ///
 /// Both modes produce **bitwise-identical** trajectories (see
@@ -241,12 +200,15 @@ pub enum SortMode {
 /// collide, sample) touches only shard-private state plus exact
 /// integer-atomic accumulators, and every cross-shard reduction happens on
 /// the coordinator in shard-index order at the existing phase barriers.
-/// The choice is therefore a pure execution knob — the same contract
-/// [`PipelineMode::TwoStep`] and [`SortMode::Full`] have with their fused
-/// counterparts — and it is *excluded* from [`SimConfig::fingerprint`] so
-/// checkpoints stay portable between modes.  Only the sharded engine
-/// consults it; the single-domain [`crate::Simulation`] is inherently
-/// serial.
+/// The choice is therefore a pure execution knob, *excluded* from
+/// [`SimConfig::fingerprint`] so checkpoints stay portable between modes.
+/// Only the sharded engine consults it; the single-domain
+/// [`crate::Simulation`] is inherently serial.
+///
+/// The textual form — `serial`, `auto` (one worker per core) or a worker
+/// count ≥ 1 — is the one grammar of `DSMC_EXEC_THREADS`, `scenarios
+/// --exec-threads` and the campaign worker argv: [`std::str::FromStr`]
+/// reads it and [`std::fmt::Display`] writes it back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Step every shard on the coordinator thread, in shard order — the
@@ -265,25 +227,33 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// The environment-aware default: `DSMC_EXEC_THREADS=serial` forces
-    /// [`ExecMode::Serial`], `DSMC_EXEC_THREADS=n` forces
-    /// `Threaded { workers: n }`, and with the variable unset the mode is
-    /// `Threaded` with auto workers on a multi-core host and `Serial` on a
-    /// single-core one (where fan-out could only add overhead).
+    /// The environment-aware default: `DSMC_EXEC_THREADS` when it is set
+    /// and parses (`serial`, `auto` or a worker count), else `Threaded`
+    /// with auto workers on a multi-core host and `Serial` on a
+    /// single-core one (where fan-out could only add overhead).  A value
+    /// that does not parse never selects `Serial` by accident: it is
+    /// reported once on stderr and the unset-variable default applies.
     pub fn from_env_or_auto() -> Self {
-        match std::env::var("DSMC_EXEC_THREADS") {
-            Ok(v) if v.eq_ignore_ascii_case("serial") => ExecMode::Serial,
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => ExecMode::Threaded { workers: n },
-                _ => ExecMode::Serial,
-            },
-            Err(_) => {
-                if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-                    ExecMode::Threaded { workers: 0 }
-                } else {
-                    ExecMode::Serial
+        Self::from_env_value(std::env::var("DSMC_EXEC_THREADS").ok().as_deref())
+    }
+
+    /// [`ExecMode::from_env_or_auto`] on an already-read variable.
+    fn from_env_value(value: Option<&str>) -> Self {
+        if let Some(v) = value {
+            match v.parse() {
+                Ok(mode) => return mode,
+                Err(e) => {
+                    static WARNED: std::sync::Once = std::sync::Once::new();
+                    WARNED.call_once(|| {
+                        eprintln!("cm-dsmc warning: DSMC_EXEC_THREADS {e}; using the default")
+                    });
                 }
             }
+        }
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            ExecMode::Threaded { workers: 0 }
+        } else {
+            ExecMode::Serial
         }
     }
 
@@ -309,6 +279,36 @@ impl ExecMode {
 impl Default for ExecMode {
     fn default() -> Self {
         Self::from_env_or_auto()
+    }
+}
+
+impl std::str::FromStr for ExecMode {
+    type Err = String;
+
+    fn from_str(v: &str) -> Result<Self, String> {
+        let v = v.trim();
+        if v.eq_ignore_ascii_case("serial") {
+            return Ok(ExecMode::Serial);
+        }
+        if v.eq_ignore_ascii_case("auto") {
+            return Ok(ExecMode::Threaded { workers: 0 });
+        }
+        match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(ExecMode::Threaded { workers: n }),
+            _ => Err(format!(
+                "wants `serial`, `auto` or a worker count >= 1, got `{v}`"
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for ExecMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecMode::Serial => f.write_str("serial"),
+            ExecMode::Threaded { workers: 0 } => f.write_str("auto"),
+            ExecMode::Threaded { workers } => write!(f, "{workers}"),
+        }
     }
 }
 
@@ -360,11 +360,6 @@ pub struct SimConfig {
     pub rounding: Rounding,
     /// Randomness source for the step loop.
     pub rng_mode: RngMode,
-    /// Sort → send implementation for the hot loop.
-    pub pipeline: PipelineMode,
-    /// Rank algorithm for steady-state fused steps (full radix vs
-    /// incremental repair); bit-identical outputs either way.
-    pub sort_mode: SortMode,
     /// Per-shard phase execution for the sharded engine (serial coordinator
     /// vs scoped worker threads); bit-identical outputs either way.
     pub exec: ExecMode,
@@ -400,8 +395,6 @@ impl SimConfig {
             jitter_bits: 8,
             rounding: Rounding::Stochastic,
             rng_mode: RngMode::Explicit,
-            pipeline: PipelineMode::Fused,
-            sort_mode: SortMode::Incremental,
             exec: ExecMode::default(),
             model: MolecularModel::Maxwell,
             walls: WallModel::Specular,
@@ -442,8 +435,6 @@ impl SimConfig {
             jitter_bits: 6,
             rounding: Rounding::Stochastic,
             rng_mode: RngMode::Explicit,
-            pipeline: PipelineMode::Fused,
-            sort_mode: SortMode::Incremental,
             exec: ExecMode::default(),
             model: MolecularModel::Maxwell,
             walls: WallModel::Specular,
@@ -678,15 +669,9 @@ impl SimConfig {
             RngMode::Explicit => 0,
             RngMode::DirtyBits => 1,
         });
-        // PipelineMode is deliberately *excluded*: Fused and TwoStep are
-        // pinned bit-identical by the pipeline property tests, so a
-        // checkpoint is portable between them.  SortMode is excluded for
-        // the same reason: Full and Incremental ranks are pinned
-        // bit-identical by the sort-identity suite, so a checkpoint is
-        // portable between them too.  ExecMode is excluded for the same
-        // reason again: Serial and Threaded shard execution are pinned
-        // bit-identical by the shard_exec suite, so a checkpoint is
-        // portable between any worker counts.
+        // ExecMode is deliberately *excluded*: Serial and Threaded shard
+        // execution are pinned bit-identical by the shard_exec suite, so a
+        // checkpoint is portable between any worker counts.
         match self.model {
             MolecularModel::Maxwell => h.u32(0),
             MolecularModel::HardSphere => h.u32(1),
@@ -874,6 +859,28 @@ mod tests {
         let v = c.try_validated().expect("good config");
         assert_eq!(v.reservoir_fill, v.n_per_cell);
         let _ = SimConfig::paper(0.5).try_validated().expect("paper config");
+    }
+
+    #[test]
+    fn exec_mode_text_round_trips_and_garbage_never_selects_serial() {
+        for (text, mode) in [
+            ("serial", ExecMode::Serial),
+            ("auto", ExecMode::Threaded { workers: 0 }),
+            ("3", ExecMode::Threaded { workers: 3 }),
+        ] {
+            assert_eq!(text.parse::<ExecMode>(), Ok(mode));
+            assert_eq!(mode.to_string(), text);
+            assert_eq!(ExecMode::from_env_value(Some(text)), mode);
+        }
+        assert_eq!(" Serial ".parse::<ExecMode>(), Ok(ExecMode::Serial));
+        for garbage in ["", "0", "-2", "threads", "2x"] {
+            assert!(garbage.parse::<ExecMode>().is_err(), "`{garbage}` parsed");
+            // An unparseable variable behaves like an unset one.
+            assert_eq!(
+                ExecMode::from_env_value(Some(garbage)),
+                ExecMode::from_env_value(None)
+            );
+        }
     }
 
     #[test]

@@ -11,19 +11,12 @@ use std::time::Duration;
 /// The timed phases of one simulation step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Substep {
-    /// Collisionless motion (sub-step 1; the two-step pipeline only).
-    Motion,
-    /// Boundary conditions (folded into sub-step 1 in the paper's table;
-    /// the two-step pipeline only).
-    Boundary,
-    /// The fused single-sweep move phase: motion + boundary + cell
-    /// refresh + key pack + first radix histogram, one traversal (the
-    /// fused pipeline's replacement for `Motion` + `Boundary` + the
-    /// sort's pair-build sweep).
+    /// The single-sweep move phase: motion + boundary + cell refresh +
+    /// key pack + first radix histogram, one traversal (the paper's
+    /// sub-steps 1 and 2, plus the sort's pair-build sweep).
     Move,
-    /// The randomised cell-key sort (sub-step 3's first half; under the
-    /// fused pipeline this is the rank + send only — pair building
-    /// happens inside [`Substep::Move`]).
+    /// The randomised cell-key sort (sub-step 3's first half): the rank +
+    /// send only — pair building happens inside [`Substep::Move`].
     Sort,
     /// Selection of collision partners (sub-step 3's second half).
     Select,
@@ -36,15 +29,14 @@ pub enum Substep {
 /// Accumulated wall-clock time per substep.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimings {
-    /// Motion time.
+    /// Always zero: motion is timed inside [`StepTimings::move_phase`].
+    /// Kept because readers of the timing table sum it.
     pub motion: Duration,
-    /// Boundary time.
+    /// Always zero, like [`StepTimings::motion`].
     pub boundary: Duration,
-    /// Fused move-phase time (motion + boundary + key build in one
-    /// sweep; zero under the two-step pipeline).
+    /// Move-phase time (motion + boundary + key build in one sweep).
     pub move_phase: Duration,
-    /// Sort time (rank + reorder; plus the key build under the two-step
-    /// pipeline).
+    /// Sort time (rank + reorder).
     pub sort: Duration,
     /// Partner-selection time.
     pub select: Duration,
@@ -60,8 +52,6 @@ impl StepTimings {
     /// Add a measured duration to a phase.
     pub fn add(&mut self, phase: Substep, d: Duration) {
         match phase {
-            Substep::Motion => self.motion += d,
-            Substep::Boundary => self.boundary += d,
             Substep::Move => self.move_phase += d,
             Substep::Sort => self.sort += d,
             Substep::Select => self.select += d,
@@ -73,21 +63,21 @@ impl StepTimings {
     /// Total time across the four algorithmic phases (sampling excluded,
     /// matching the paper's accounting).
     pub fn total_algorithmic(&self) -> Duration {
-        self.motion + self.boundary + self.move_phase + self.sort + self.select + self.collide
+        self.move_phase + self.sort + self.select + self.collide
     }
 
     /// The paper's four buckets as fractions summing to 1:
-    /// `[motion+boundary, sort, select, collide]`.  The fused move phase
-    /// covers motion + boundary *and* the sort's key build; it is
-    /// reported in the first bucket, which therefore slightly overstates
-    /// that bucket (by the pair-build share) under the fused pipeline.
+    /// `[motion+boundary, sort, select, collide]`.  The move phase covers
+    /// motion + boundary *and* the sort's key build; it is reported in
+    /// the first bucket, which therefore slightly overstates that bucket
+    /// (by the pair-build share).
     pub fn paper_buckets(&self) -> [f64; 4] {
         let tot = self.total_algorithmic().as_secs_f64();
         if tot == 0.0 {
             return [0.0; 4];
         }
         [
-            (self.motion + self.boundary + self.move_phase).as_secs_f64() / tot,
+            self.move_phase.as_secs_f64() / tot,
             self.sort.as_secs_f64() / tot,
             self.select.as_secs_f64() / tot,
             self.collide.as_secs_f64() / tot,
@@ -142,8 +132,7 @@ mod tests {
     #[test]
     fn buckets_normalise() {
         let mut t = StepTimings::default();
-        t.add(Substep::Motion, Duration::from_millis(10));
-        t.add(Substep::Boundary, Duration::from_millis(4));
+        t.add(Substep::Move, Duration::from_millis(14));
         t.add(Substep::Sort, Duration::from_millis(27));
         t.add(Substep::Select, Duration::from_millis(20));
         t.add(Substep::Collide, Duration::from_millis(39));

@@ -1,11 +1,10 @@
 //! The simulation driver: four data-parallel sub-steps per time step.
 
 use crate::boundary::{self, BoundaryParams, BoundaryScratch};
-use crate::collide;
-use crate::config::{PipelineMode, ResLayout, RngMode, SimConfig, SortMode, WallModel};
+use crate::collide::{self, FusedPhase};
+use crate::config::{ResLayout, RngMode, SimConfig, WallModel};
 use crate::diag::{Diagnostics, StepTimings, Substep};
 use crate::init;
-use crate::motion;
 use crate::movephase::{self, KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
@@ -19,7 +18,7 @@ use dsmc_geom::{
 };
 use dsmc_kinetics::{FreeStream, SelectionTable};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Concrete body shape for the monomorphised boundary pass: resolving a
 /// particle against the body inlines into the per-particle loop instead
@@ -86,7 +85,7 @@ pub struct Simulation {
     exited: u64,
     introduced: u64,
     plunger_cycles: u64,
-    // Temporal-coherence sort ledger: which rank path each fused step
+    // Temporal-coherence sort ledger: which rank path each step
     // took, and the move sweep's mover counts that drive the choice.
     sort_incremental_steps: u64,
     sort_full_steps: u64,
@@ -99,8 +98,8 @@ pub struct Simulation {
 /// cost is nearly mover-independent (its scatter and per-segment sorts
 /// touch every particle regardless), so the ceiling exists to bound the
 /// serial counting-sort scatter on highly-parallel hosts, not to protect
-/// single-core throughput; `profile_sort` records the measured mover
-/// histograms that justify the default.
+/// single-core throughput; the benchmark's `core.sort.mover_fraction`
+/// records the measured fraction the default is judged against.
 pub const DEFAULT_MOVER_THRESHOLD: f64 = 0.5;
 
 /// Which particle column [`Simulation::inject_fault`] corrupts.
@@ -233,108 +232,134 @@ impl Simulation {
         }
     }
 
-    /// Sub-step 2 with a concrete body type, so `resolve` inlines into the
-    /// per-particle loop.
-    fn boundary_phase<B: Body + ?Sized>(&mut self, body: &B) -> boundary::BoundaryOutcome {
-        let u_drift = Fx::from_f64(self.fs.u_inf());
-        let rect_half_raw = Fx::from_f64(self.fs.sigma() * 3f64.sqrt()).raw();
-        let sigma_wall_raw = match self.cfg.walls {
-            WallModel::Specular => 0,
-            WallModel::Diffuse { t_wall } => Fx::from_f64(self.fs.sigma() * t_wall.sqrt()).raw(),
-        };
-        let params = BoundaryParams {
-            tunnel: &self.tunnel,
-            body,
-            res_base: self.res_base,
-            res: self.res,
-            u_drift,
-            rect_half_raw,
-            n_inf: self.cfg.n_per_cell,
-            walls: self.cfg.walls,
-            sigma_wall_raw,
-            surface: self.surf_sampler.as_ref(),
-        };
-        match self.cfg.pipeline {
-            PipelineMode::Fused => boundary::enforce(
-                &mut self.parts,
-                &params,
-                &mut self.plunger,
-                &mut self.boundary_scratch,
-            ),
-            // Pre-refactor behaviour: fresh mask buffers every step.
-            PipelineMode::TwoStep => boundary::enforce(
-                &mut self.parts,
-                &params,
-                &mut self.plunger,
-                &mut BoundaryScratch::new(),
-            ),
-        }
-    }
-
-    /// The rank-seeding plan for the current population: whether the
-    /// move sweep should pre-count the first radix digit (only when the
+    /// The rank-seeding plan for a population of `n`: whether the move
+    /// sweep should pre-count the first radix digit (only when the
     /// bounds-emitting radix rank will actually run and read it), and
     /// that pass's digit width.
-    fn seed_plan(&self) -> (bool, u32) {
+    fn seed_plan(&self, n: usize) -> (bool, u32) {
         let cell_bits = self.key_bits - self.cfg.jitter_bits;
         // Both steady-state ranks read it: the seeded full rank skips its
         // first counting pass, and the incremental repair's jitter
-        // histogram is the same first digit summed over the chunk rows —
-        // so the sweep seeds for either sort mode.
-        let seeded = bounds_rank_supported(cell_bits) && self.parts.len() >= PAR_THRESHOLD;
+        // histogram is the same first digit summed over the chunk rows.
+        let seeded = bounds_rank_supported(cell_bits) && n >= PAR_THRESHOLD;
         (seeded, first_pass_bits(cell_bits, self.cfg.jitter_bits))
     }
 
-    /// The fused single-sweep move phase with a concrete body type (see
-    /// [`crate::movephase`]): advance, resolve boundaries, refresh cells
-    /// and — on ordinary steps (`pack_keys`) — pack the jittered sort
-    /// pairs and seed the first radix histogram, in one traversal
-    /// dispatched by the per-cell geometry classification.
-    fn move_phase_mono<B: Body>(&mut self, body: &B, pack_keys: bool) -> MoveOutcome {
-        let u_drift = Fx::from_f64(self.fs.u_inf());
-        let rect_half_raw = Fx::from_f64(self.fs.sigma() * 3f64.sqrt()).raw();
-        let sigma_wall_raw = match self.cfg.walls {
-            WallModel::Specular => 0,
-            WallModel::Diffuse { t_wall } => Fx::from_f64(self.fs.sigma() * t_wall.sqrt()).raw(),
-        };
+    /// One single-sweep move phase (see [`crate::movephase`]) over `parts`
+    /// — the whole population, or one shard of it — monomorphised over the
+    /// body: advance, resolve boundaries, refresh cells and, when `keys`
+    /// is given, pack the jittered sort pairs and seed the first radix
+    /// histogram, in one traversal dispatched by the per-cell geometry
+    /// classification.  `bounds` is the previous step's segment table.
+    fn move_sweep(
+        &self,
+        parts: &mut ParticleStore,
+        bounds: &[u32],
+        keys: Option<KeyPack<'_>>,
+        scratch: &mut MoveScratch,
+    ) -> MoveOutcome {
+        match &self.body_mono {
+            MonoBody::None(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+            MonoBody::Wedge(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+            MonoBody::Step(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+            MonoBody::Plate(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+            MonoBody::Cylinder(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+        }
+    }
+
+    /// [`Simulation::move_sweep`] for a concrete body type, so `resolve`
+    /// inlines into the per-particle loop.
+    fn move_sweep_mono<B: Body>(
+        &self,
+        body: &B,
+        parts: &mut ParticleStore,
+        bounds: &[u32],
+        keys: Option<KeyPack<'_>>,
+        scratch: &mut MoveScratch,
+    ) -> MoveOutcome {
         let params = BoundaryParams {
             tunnel: &self.tunnel,
             body,
             res_base: self.res_base,
             res: self.res,
-            u_drift,
-            rect_half_raw,
+            u_drift: Fx::from_f64(self.fs.u_inf()),
+            rect_half_raw: Fx::from_f64(self.fs.sigma() * 3f64.sqrt()).raw(),
             n_inf: self.cfg.n_per_cell,
             walls: self.cfg.walls,
-            sigma_wall_raw,
+            sigma_wall_raw: match self.cfg.walls {
+                WallModel::Specular => 0,
+                WallModel::Diffuse { t_wall } => {
+                    Fx::from_f64(self.fs.sigma() * t_wall.sqrt()).raw()
+                }
+            },
             surface: self.surf_sampler.as_ref(),
         };
-        let keys = if pack_keys {
-            let (seeded, first_bits) = self.seed_plan();
-            let (pairs, hist) = self
-                .sort_ws
-                .move_buffers(self.parts.len(), first_bits, seeded);
-            Some(KeyPack {
-                pairs,
-                hist,
-                jitter_bits: self.cfg.jitter_bits,
-                first_bits,
-                rng_mode: self.rng_mode,
-            })
-        } else {
-            None
-        };
         movephase::move_phase(
-            &mut self.parts,
+            parts,
             &params,
             &self.classifier,
             &self.plunger,
-            &self.bounds,
+            bounds,
             self.res_w_fx,
             self.res_h_fx,
             keys,
-            &mut self.move_scratch,
+            scratch,
         )
+    }
+
+    /// Fold one step's move outcome — summed over the shards on the
+    /// sharded path — into the ledgers and advance the plunger.  Returns
+    /// the swept void when the plunger withdrew; the caller refills it
+    /// (the refill needs the canonical reservoir census, which the two
+    /// engines hold differently) and reports back through `introduced`.
+    fn fold_move(&mut self, out: &MoveOutcome) -> Option<Fx> {
+        self.exited += out.exited as u64;
+        for (acc, n) in self.move_by_kind.iter_mut().zip(out.by_kind) {
+            *acc += n;
+        }
+        self.track_halo(out.max_speed_raw);
+        if let Some(acc) = &self.surf_sampler {
+            acc.bump_step();
+        }
+        match self.plunger.advance() {
+            PlungerEvent::Withdrawn { void_end } => {
+                self.plunger_cycles += 1;
+                Some(void_end)
+            }
+            _ => None,
+        }
+    }
+
+    /// The temporal-coherence decision of an ordinary (non-withdrawal)
+    /// step.  The sweep's mover count is the exact number of particles
+    /// whose cell changed this step and the sole budget authority: record
+    /// it against the population `n` and say whether the incremental rank
+    /// may run.  Per-particle sums, so independent of any decomposition.
+    fn movers_within_budget(&mut self, movers: u32, n: usize) -> bool {
+        self.mover_sum += movers as u64;
+        self.mover_particle_sum += n as u64;
+        movers <= (self.mover_threshold * n as f64) as u32
+    }
+
+    /// Fold one select + collide phase — summed over the shards on the
+    /// sharded path — into the ledgers and timings.  `phase.select` and
+    /// `phase.collide` are per-run durations summed across worker threads
+    /// — CPU time, not wall time.  Keep the buckets wall-clock-comparable
+    /// with every other substep by splitting the phase's wall time in
+    /// their proportion (exact on one thread, an attribution estimate on
+    /// many).
+    fn fold_collide(&mut self, phase: &FusedPhase, wall: Duration) {
+        self.candidates += phase.stats.candidates;
+        self.collisions += phase.stats.collisions;
+        let cpu_total = phase.select + phase.collide;
+        let select_wall = if cpu_total.is_zero() {
+            wall / 2
+        } else {
+            wall.mul_f64(phase.select.as_secs_f64() / cpu_total.as_secs_f64())
+        };
+        self.timings.add(Substep::Select, select_wall);
+        self.timings
+            .add(Substep::Collide, wall.saturating_sub(select_wall));
     }
 
     /// Record the step's observed speed bound; if the flow outgrew the
@@ -356,68 +381,58 @@ impl Simulation {
         }
     }
 
+    /// The key-building full sort: refresh cells, pack the jittered pairs,
+    /// rank and send.  Runs once at construction and on withdrawal steps.
     fn sort_phase(&mut self) {
-        match self.cfg.pipeline {
-            PipelineMode::Fused => sortstep::sort_particles_fused(
-                &mut self.parts,
-                &self.tunnel,
-                self.res_base,
-                self.res,
-                self.cfg.jitter_bits,
-                self.key_bits,
-                self.rng_mode,
-                &mut self.sort_ws,
-                &mut self.bounds,
-                &mut self.order,
-            ),
-            PipelineMode::TwoStep => {
-                let out = sortstep::sort_particles(
-                    &mut self.parts,
-                    &self.tunnel,
-                    self.res_base,
-                    self.res,
-                    self.cfg.jitter_bits,
-                    self.key_bits,
-                    self.rng_mode,
-                );
-                self.bounds = out.bounds;
-                self.order = out.order;
-            }
-        }
+        sortstep::sort_particles_fused(
+            &mut self.parts,
+            &self.tunnel,
+            self.res_base,
+            self.res,
+            self.cfg.jitter_bits,
+            self.key_bits,
+            self.rng_mode,
+            &mut self.sort_ws,
+            &mut self.bounds,
+            &mut self.order,
+        );
     }
 
-    /// Sub-steps 1 + 2 + 3a of the fused pipeline: the single-sweep move
-    /// phase (motion, boundaries, cell refresh, key pack, first radix
-    /// histogram — timed as [`Substep::Move`]), then the rank + send of
-    /// the pre-packed pairs (timed as [`Substep::Sort`]).
+    /// Sub-steps 1 + 2 + 3a: the single-sweep move phase (motion,
+    /// boundaries, cell refresh, key pack, first radix histogram — timed
+    /// as [`Substep::Move`]), then the rank + send of the pre-packed pairs
+    /// (timed as [`Substep::Sort`]).
     ///
     /// On the rare plunger-withdrawal step the sweep runs key-less — the
     /// refill repositions reservoir particles *after* the sweep, which
-    /// would invalidate packed keys — and the sort falls back to the
-    /// separate pair-build path, exactly as the two-step reference
-    /// orders its draws.
-    fn front_half_fused(&mut self) {
+    /// would invalidate packed keys — and the sort builds its own pairs,
+    /// drawing jitter in the order the separate-phase reference does.
+    fn front_half(&mut self) {
         let t = Instant::now();
         let withdraw = self.plunger.will_withdraw();
-        let mono = self.body_mono.clone();
-        let out = match &mono {
-            MonoBody::None(b) => self.move_phase_mono(b, !withdraw),
-            MonoBody::Wedge(b) => self.move_phase_mono(b, !withdraw),
-            MonoBody::Step(b) => self.move_phase_mono(b, !withdraw),
-            MonoBody::Plate(b) => self.move_phase_mono(b, !withdraw),
-            MonoBody::Cylinder(b) => self.move_phase_mono(b, !withdraw),
-        };
-        self.exited += out.exited as u64;
-        for (acc, n) in self.move_by_kind.iter_mut().zip(out.by_kind) {
-            *acc += n;
-        }
-        self.track_halo(out.max_speed_raw);
-        if let Some(acc) = &self.surf_sampler {
-            acc.bump_step();
-        }
-        if let PlungerEvent::Withdrawn { void_end } = self.plunger.advance() {
+        let n = self.parts.len();
+        let (seeded, first_bits) = self.seed_plan(n);
+        // The sweep reads the engine and writes the particle columns and
+        // scratch: lend those out for the call.
+        let mut parts = std::mem::take(&mut self.parts);
+        let mut sort_ws = std::mem::take(&mut self.sort_ws);
+        let mut scratch = std::mem::take(&mut self.move_scratch);
+        let keys = (!withdraw).then(|| {
+            let (pairs, hist) = sort_ws.move_buffers(n, first_bits, seeded);
+            KeyPack {
+                pairs,
+                hist,
+                jitter_bits: self.cfg.jitter_bits,
+                first_bits,
+                rng_mode: self.rng_mode,
+            }
+        });
+        let out = self.move_sweep(&mut parts, &self.bounds, keys, &mut scratch);
+        self.parts = parts;
+        self.sort_ws = sort_ws;
+        self.move_scratch = scratch;
+        if let Some(void_end) = self.fold_move(&out) {
             debug_assert!(withdraw, "will_withdraw must predict the advance");
-            self.plunger_cycles += 1;
             let (introduced, _shortfall) = boundary::refill_void(
                 &mut self.parts,
                 &self.tunnel,
@@ -438,21 +453,12 @@ impl Simulation {
             self.sort_phase();
             self.sort_full_steps += 1;
         } else {
-            // Temporal-coherence decision.  The sweep's mover count is the
-            // exact number of particles whose cell changed this step and
-            // the sole budget authority; the rank itself only re-checks
-            // that the previous structure covers this population (it does
-            // not on the first step after a resume, or after a two-step
-            // interlude), falling back to the full rank when it doesn't.
+            // The rank itself only re-checks that the previous structure
+            // covers this population (it does not on the first step after
+            // a resume), falling back to the full rank when it doesn't.
             // Both paths consume the same sweep-seeded histogram.
-            let n = self.parts.len();
-            self.mover_sum += out.movers as u64;
-            self.mover_particle_sum += n as u64;
-            let budget = (self.mover_threshold * n as f64) as u32;
             let total_cells = self.total_cells();
-            let (seeded, _) = self.seed_plan();
-            let took = self.cfg.sort_mode == SortMode::Incremental
-                && out.movers <= budget
+            let took = self.movers_within_budget(out.movers, n)
                 && sortstep::rank_and_send_incremental(
                     &mut self.parts,
                     self.cfg.jitter_bits,
@@ -480,100 +486,24 @@ impl Simulation {
         self.timings.add(Substep::Sort, t.elapsed());
     }
 
-    /// Sub-steps 1 + 2 + 3a of the pre-refactor reference pipeline:
-    /// advect, enforce boundaries, then the key-build + rank + send sort
-    /// — three separate streams over the particle columns.
-    fn front_half_two_step(&mut self) {
-        // 1) Collisionless motion.
-        let t = Instant::now();
-        motion::advect(&mut self.parts, self.res_base, self.res_w_fx, self.res_h_fx);
-        self.timings.add(Substep::Motion, t.elapsed());
-
-        // 2) Boundary conditions (the seed's vtable dispatch).
-        let t = Instant::now();
-        let body = Arc::clone(&self.body);
-        let out = self.boundary_phase(body.as_ref());
-        self.exited += out.exited as u64;
-        self.introduced += out.introduced as u64;
-        self.plunger_cycles += out.withdrew as u64;
-        if let Some(acc) = &self.surf_sampler {
-            acc.bump_step();
-        }
-        self.timings.add(Substep::Boundary, t.elapsed());
-
-        // 3a) Sort by randomised cell key.
-        let t = Instant::now();
-        self.sort_phase();
-        self.timings.add(Substep::Sort, t.elapsed());
-    }
-
     /// Advance one time step (the paper's four sub-steps, plus sampling if
     /// a window is open).
     pub fn step(&mut self) {
-        match self.cfg.pipeline {
-            PipelineMode::Fused => self.front_half_fused(),
-            PipelineMode::TwoStep => self.front_half_two_step(),
-        }
+        self.front_half();
 
-        // 3b + 4) Selection and collision of partners.  The fused pipeline
-        // runs both in one traversal per run of cells (columns stay
-        // cache-hot between the sub-loops, which time themselves to keep
-        // the paper's select/collide split); the pre-refactor pipeline
-        // keeps the two separate whole-population phases.
-        match self.cfg.pipeline {
-            PipelineMode::Fused => {
-                let t = Instant::now();
-                let out = collide::select_and_collide(
-                    &mut self.parts,
-                    &self.bounds,
-                    &self.sel,
-                    self.rounding,
-                    self.rng_mode,
-                    &mut self.decisions,
-                );
-                let wall = t.elapsed();
-                self.candidates += out.stats.candidates;
-                self.collisions += out.stats.collisions;
-                // `out.select`/`out.collide` are per-run durations summed
-                // across worker threads — CPU time, not wall time.  Keep
-                // the buckets wall-clock-comparable with every other
-                // substep by splitting the phase's wall time in their
-                // proportion (exact on one thread, an attribution estimate
-                // on many).
-                let cpu_total = out.select + out.collide;
-                let select_wall = if cpu_total.is_zero() {
-                    wall / 2
-                } else {
-                    wall.mul_f64(out.select.as_secs_f64() / cpu_total.as_secs_f64())
-                };
-                self.timings.add(Substep::Select, select_wall);
-                self.timings
-                    .add(Substep::Collide, wall.saturating_sub(select_wall));
-            }
-            PipelineMode::TwoStep => {
-                let t = Instant::now();
-                let cand = collide::select_pairs(
-                    &mut self.parts,
-                    &self.bounds,
-                    &self.sel,
-                    self.rng_mode,
-                    &mut self.decisions,
-                );
-                self.candidates += cand;
-                self.timings.add(Substep::Select, t.elapsed());
-
-                let t = Instant::now();
-                let cols = collide::collide_selected(
-                    &mut self.parts,
-                    &self.bounds,
-                    &self.decisions,
-                    self.rounding,
-                    self.rng_mode,
-                );
-                self.collisions += cols;
-                self.timings.add(Substep::Collide, t.elapsed());
-            }
-        }
+        // 3b + 4) Selection and collision of partners, in one traversal
+        // per run of cells (columns stay cache-hot between the sub-loops,
+        // which time themselves to keep the paper's select/collide split).
+        let t = Instant::now();
+        let phase = collide::select_and_collide(
+            &mut self.parts,
+            &self.bounds,
+            &self.sel,
+            self.rounding,
+            self.rng_mode,
+            &mut self.decisions,
+        );
+        self.fold_collide(&phase, t.elapsed());
 
         // Optional sampling pass.
         if let Some(sampler) = self.sampler.as_mut() {
@@ -694,15 +624,14 @@ impl Simulation {
         caps
     }
 
-    /// Fused-step rank paths taken so far: `(incremental, full)`.  Full
-    /// counts withdrawal steps, threshold overruns, and first/resumed
-    /// steps with no previous structure; the two-step pipeline counts
-    /// nothing here.
+    /// Rank paths taken so far: `(incremental, full)`.  Full counts
+    /// withdrawal steps, threshold overruns, and first/resumed steps with
+    /// no previous structure.
     pub fn sort_path_counts(&self) -> (u64, u64) {
         (self.sort_incremental_steps, self.sort_full_steps)
     }
 
-    /// Mover statistics from the fused move sweep: `(movers,
+    /// Mover statistics from the move sweep: `(movers,
     /// particle-steps)` summed over ordinary (non-withdrawal) steps —
     /// divide for the mean mover fraction the threshold is judged
     /// against.
@@ -714,7 +643,9 @@ impl Simulation {
     /// rank falls back to the full radix sort (default
     /// [`DEFAULT_MOVER_THRESHOLD`]).  Outputs are pinned bit-identical on
     /// both sides of the crossing, so this is a pure performance knob —
-    /// tests drive it to force path transitions.
+    /// tests drive it to force path transitions, and `0.0` (no step with a
+    /// mover fits the budget) is how they build a full-rank-every-step
+    /// reference arm.
     pub fn set_mover_threshold(&mut self, threshold: f64) {
         self.mover_threshold = threshold;
     }
@@ -726,14 +657,13 @@ impl Simulation {
     }
 
     /// Particles dispatched per move-phase run kind `[Free, Walls, Full,
-    /// Reservoir]`, accumulated since construction (all zero under the
-    /// two-step pipeline).
+    /// Reservoir]`, accumulated since construction.
     pub fn move_dispatch_counts(&self) -> [u64; 4] {
         self.move_by_kind
     }
 
     /// Largest per-component speed (raw fixed-point units) any particle
-    /// has carried into a fused move sweep — the quantity the halo
+    /// has carried into a move sweep — the quantity the halo
     /// invariant bounds.
     pub fn max_observed_speed_raw(&self) -> u32 {
         self.max_speed_raw
@@ -919,11 +849,9 @@ mod tests {
         // plunger withdrawals: trajectories must be bitwise identical, and
         // the incremental path must actually carry the steady-state steps
         // (not silently fall back every time).
-        let mut cfg = SimConfig::small_test();
-        cfg.sort_mode = SortMode::Incremental;
-        let mut a = Simulation::new(cfg.clone());
-        cfg.sort_mode = SortMode::Full;
-        let mut b = Simulation::new(cfg);
+        let mut a = Simulation::new(SimConfig::small_test());
+        let mut b = Simulation::new(SimConfig::small_test());
+        b.set_mover_threshold(0.0);
         a.run(60);
         b.run(60);
         assert_eq!(a.particles().x, b.particles().x);
@@ -940,12 +868,12 @@ mod tests {
         assert_eq!(
             full_a as usize + inc_a as usize,
             60,
-            "every fused step takes exactly one rank path"
+            "every step takes exactly one rank path"
         );
         let (inc_b, full_b) = b.sort_path_counts();
-        assert_eq!(inc_b, 0, "Full mode must never take the repair path");
+        assert_eq!(inc_b, 0, "a zero budget must never take the repair path");
         assert_eq!(full_b, 60);
-        // Mover accounting ran on every ordinary step, in both modes.
+        // Mover accounting ran on every ordinary step, on both arms.
         let (movers, psum) = a.mover_stats();
         assert!(psum > 0 && movers > 0 && movers < psum);
         assert_eq!(a.mover_stats(), b.mover_stats());

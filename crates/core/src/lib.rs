@@ -15,12 +15,14 @@
 //! 4. **collision of selected partners** — the 5-vector Maxwell-diatomic
 //!    kernel ([`collide`]).
 //!
-//! The production pipeline restructures sub-steps 1–3a into a
-//! *single-sweep move phase* ([`movephase`]): motion, boundary resolve,
-//! cell refresh, sort-key packing and the first radix histogram in one
-//! traversal, dispatched per run of the previous step's sorted order by
-//! a geometry-aware cell classification — bit-identical to running the
-//! sub-steps separately (the retained `TwoStep` reference pipeline).
+//! The engine restructures sub-steps 1–3a into a *single-sweep move
+//! phase* ([`movephase`]): motion, boundary resolve, cell refresh,
+//! sort-key packing and the first radix histogram in one traversal,
+//! dispatched per run of the previous step's sorted order by a
+//! geometry-aware cell classification — bit-identical to running the
+//! per-phase kernels of [`motion`], [`boundary`], [`sortstep`] and
+//! [`collide`] one after another, which is what the test oracle
+//! `dsmc_baselines::TwoStepSim` does.
 //!
 //! The public entry point is [`Simulation`], configured by [`SimConfig`].
 //! State is structure-of-arrays 32-bit fixed point ([`particles`]); the
@@ -69,7 +71,7 @@ pub mod sentinel;
 pub mod sortstep;
 pub mod surface;
 
-pub use config::{BodySpec, ConfigError, ExecMode, PipelineMode, RngMode, SimConfig, SortMode};
+pub use config::{BodySpec, ConfigError, ExecMode, RngMode, SimConfig};
 pub use diag::{Diagnostics, StepTimings, Substep};
 pub use engine::shard::exec::ShardExecError;
 pub use engine::shard::{Engine, ShardLayout, ShardedSimulation, REPARTITION_THRESHOLD};

@@ -29,11 +29,12 @@
 //! * `Full` — the whole resolve (body cells and their halo band),
 //! * `Reservoir` — periodic wrap in the reservoir strip.
 //!
-//! RNG consumption is unchanged relative to the two-step reference —
-//! draws happen only on actual wall hits, exits, and (Explicit mode) the
+//! RNG consumption is unchanged relative to the separate-phase reference
+//! (`motion::advect` → `boundary::enforce` → `sortstep::sort_particles`)
+//! — draws happen only on actual wall hits, exits, and (Explicit mode) the
 //! per-particle jitter, in the same per-stream order — so trajectories
-//! are **bit-identical** to `PipelineMode::TwoStep` and golden metrics
-//! never re-record.  On the rare plunger-withdrawal step the engine runs
+//! are **bit-identical** to `dsmc_baselines::TwoStepSim` and golden
+//! metrics never re-record.  On the rare plunger-withdrawal step the engine runs
 //! this sweep *without* key packing (the refill repositions reservoir
 //! particles after the sweep, which would invalidate packed keys) and
 //! falls back to the separate pair-build sweep.
@@ -500,7 +501,7 @@ unsafe fn geom_loop<B: Body + ?Sized, const DO_BODY: bool>(
 }
 
 /// One particle through the full move: advect, resolve, re-emit/redraw,
-/// refresh, pack.  Byte-identical to the two-step reference's
+/// refresh, pack.  Byte-identical to the separate-phase reference's
 /// motion → boundary → build_pairs sequence for this particle.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]

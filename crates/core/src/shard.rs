@@ -51,9 +51,8 @@
 //! `registry_scenarios_are_shard_count_invariant` assert equal
 //! [`Simulation::state_hash`] across shard counts {1, 2, 4};
 //! `sharded_checkpoint_resumes_at_any_shard_count` pins save-at-S /
-//! resume-at-S′.  The single-shard path stays the executable spec the
-//! same way `PipelineMode::TwoStep` pins the fused pipeline: [`Engine`]
-//! routes `shards <= 1` to the untouched [`Simulation`].
+//! resume-at-S′.  The single-shard path stays the executable spec:
+//! [`Engine`] routes `shards <= 1` to the untouched [`Simulation`].
 //!
 //! # Weighted repartition
 //!
@@ -91,7 +90,7 @@
 //! cuts only when the counts match, so a checkpoint taken at S shards
 //! resumes bit-exactly at S′ — including S′ = 1 via [`Simulation::resume`],
 //! which skips the unknown section.  The manifest is outside both the
-//! config fingerprint and the state hash, exactly like `PipelineMode`.
+//! config fingerprint and the state hash (execution layout, not physics).
 
 // The per-shard phase executor (scoped worker threads + typed panic
 // propagation) is a child module for the same reason this module is a
@@ -99,22 +98,20 @@
 #[path = "shard_exec.rs"]
 pub mod exec;
 
-use super::{FaultTarget, MonoBody, Simulation};
-use crate::boundary::BoundaryParams;
-use crate::collide;
-use crate::config::{ConfigError, SimConfig, SortMode, WallModel};
+use super::{FaultTarget, Simulation};
+use crate::collide::{self, FusedPhase};
+use crate::config::{ConfigError, SimConfig};
 use crate::diag::{Diagnostics, StepTimings, Substep};
-use crate::movephase::{self, MoveOutcome, MoveScratch};
+use crate::movephase::{MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, SortWorkspace};
 use crate::surface::SurfaceField;
 use dsmc_fixed::Fx;
-use dsmc_geom::{Body, PlungerEvent};
 use dsmc_state::{Reader, StateError, Writer};
 use exec::{ShardExec, ShardExecError};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sharded-run manifest: shard count, column cuts, per-shard populations,
 /// repartition count.  Advisory (execution layout, not physics): resume
@@ -276,38 +273,23 @@ fn rebuild_segments(shard: &mut Shard) {
     shard.bounds.push(cells.len() as u32);
 }
 
-/// One shard's key-less move sweep, with the same monomorphised boundary
-/// parameters the canonical engine builds (`Simulation::move_phase_mono`).
-fn move_one<B: Body>(base: &Simulation, shard: &mut Shard, body: &B) -> MoveOutcome {
-    let u_drift = Fx::from_f64(base.fs.u_inf());
-    let rect_half_raw = Fx::from_f64(base.fs.sigma() * 3f64.sqrt()).raw();
-    let sigma_wall_raw = match base.cfg.walls {
-        WallModel::Specular => 0,
-        WallModel::Diffuse { t_wall } => Fx::from_f64(base.fs.sigma() * t_wall.sqrt()).raw(),
-    };
-    let params = BoundaryParams {
-        tunnel: &base.tunnel,
-        body,
-        res_base: base.res_base,
-        res: base.res,
-        u_drift,
-        rect_half_raw,
-        n_inf: base.cfg.n_per_cell,
-        walls: base.cfg.walls,
-        sigma_wall_raw,
-        surface: base.surf_sampler.as_ref(),
-    };
-    movephase::move_phase(
-        &mut shard.parts,
-        &params,
-        &base.classifier,
-        &base.plunger,
-        &shard.bounds,
-        base.res_w_fx,
-        base.res_h_fx,
-        None,
-        &mut shard.move_scratch,
-    )
+/// One step of the k-way merge of all shards' segment tables by cell:
+/// the `(shard, segment)` whose cursor in `pos` points at the smallest
+/// `seg_cell`, advancing that cursor; `None` once every table is drained.
+/// Cells partition across shards, so the order is total — it is the
+/// canonical (single-domain) segment order.
+fn next_merged_segment(shards: &[Shard], pos: &mut [usize]) -> Option<(usize, usize)> {
+    let mut best: Option<(u32, usize)> = None;
+    for (s, shard) in shards.iter().enumerate() {
+        if let Some(&c) = shard.seg_cell.get(pos[s]) {
+            if best.is_none_or(|(bc, _)| c < bc) {
+                best = Some((c, s));
+            }
+        }
+    }
+    let (_, s) = best?;
+    pos[s] += 1;
+    Some((s, pos[s] - 1))
 }
 
 /// The sharded engine: a [`Simulation`] decomposed into column-block
@@ -496,7 +478,6 @@ impl ShardedSimulation {
         if !self.dirty {
             return;
         }
-        let s_count = self.shards.len();
         let total: usize = self.shards.iter().map(|s| s.parts.len()).sum();
         let base = &mut self.base;
         let shards = &self.shards;
@@ -505,20 +486,8 @@ impl ShardedSimulation {
         base.bounds.clear();
         base.bounds.push(0);
         self.merge_pos.clear();
-        self.merge_pos.resize(s_count, 0);
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for (s, shard) in shards.iter().enumerate() {
-                let j = self.merge_pos[s];
-                if j < shard.n_segments() {
-                    let c = shard.seg_cell[j];
-                    if best.is_none_or(|(bc, _)| c < bc) {
-                        best = Some((c, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let j = self.merge_pos[s];
+        self.merge_pos.resize(shards.len(), 0);
+        while let Some((s, j)) = next_merged_segment(shards, &mut self.merge_pos) {
             let p = &shards[s].parts;
             let lo = shards[s].bounds[j] as usize;
             let hi = shards[s].bounds[j + 1] as usize;
@@ -533,7 +502,6 @@ impl ShardedSimulation {
             base.parts.rng.extend_from_slice(&p.rng[lo..hi]);
             base.parts.cell.extend_from_slice(&p.cell[lo..hi]);
             base.bounds.push(base.parts.len() as u32);
-            self.merge_pos[s] += 1;
         }
         debug_assert_eq!(base.parts.len(), total, "merge lost particles");
         debug_assert!(base.parts.check_coherent());
@@ -563,30 +531,16 @@ impl ShardedSimulation {
         // bookkeeping exactly as the canonical front half orders it.
         let t = Instant::now();
         let withdraw = self.base.plunger.will_withdraw();
-        let (exited, max_speed, by_kind, movers) = self.move_shards()?;
-        let mut movers_over_budget = false;
-        if !withdraw {
-            // Same ledger as the canonical engine: per-particle sums, so
-            // the mover fraction is independent of the decomposition.
-            let pop = self.shard_populations().iter().sum::<usize>();
-            self.base.mover_sum += movers as u64;
-            self.base.mover_particle_sum += pop as u64;
-            // The global budget decision, made once from the summed sweep
-            // counts (exchange migrates particles between shards but never
-            // changes a cell index, so the sum is exact post-exchange too).
-            movers_over_budget = movers > (self.base.mover_threshold * pop as f64) as u32;
-        }
-        self.base.exited += exited as u64;
-        for (acc, n) in self.base.move_by_kind.iter_mut().zip(by_kind) {
-            *acc += n;
-        }
-        self.base.track_halo(max_speed);
-        if let Some(acc) = &self.base.surf_sampler {
-            acc.bump_step();
-        }
-        if let PlungerEvent::Withdrawn { void_end } = self.base.plunger.advance() {
+        let out = self.move_shards()?;
+        // The global budget decision, made once from the summed sweep
+        // counts (exchange migrates particles between shards but never
+        // changes a cell index, so the sum is exact post-exchange too).
+        let repair_ok = !withdraw
+            && self
+                .base
+                .movers_within_budget(out.movers, self.n_particles());
+        if let Some(void_end) = self.base.fold_move(&out) {
             debug_assert!(withdraw, "will_withdraw must predict the advance");
-            self.base.plunger_cycles += 1;
             let introduced = self.refill_void_sharded(void_end);
             self.base.introduced += introduced as u64;
         }
@@ -599,7 +553,7 @@ impl ShardedSimulation {
         let t = Instant::now();
         let repartitioned = self.maybe_repartition();
         self.exchange();
-        self.sort_shards(withdraw || repartitioned || movers_over_budget)?;
+        self.sort_shards(repartitioned || !repair_ok)?;
         self.base.timings.add(Substep::Sort, t.elapsed());
 
         // 3b+4) Global pairing parity, then per-shard select + collide.
@@ -609,10 +563,7 @@ impl ShardedSimulation {
         // in shard order.
         let t = Instant::now();
         self.compute_parities();
-        let mut cand = 0u64;
-        let mut cols = 0u64;
-        let mut select_cpu = Duration::ZERO;
-        let mut collide_cpu = Duration::ZERO;
+        let mut phase = FusedPhase::default();
         {
             let base = &self.base;
             let outs = self
@@ -629,25 +580,13 @@ impl ShardedSimulation {
                     )
                 })?;
             for out in outs {
-                cand += out.stats.candidates;
-                cols += out.stats.collisions;
-                select_cpu += out.select;
-                collide_cpu += out.collide;
+                phase.stats.candidates += out.stats.candidates;
+                phase.stats.collisions += out.stats.collisions;
+                phase.select += out.select;
+                phase.collide += out.collide;
             }
         }
-        self.base.candidates += cand;
-        self.base.collisions += cols;
-        let wall = t.elapsed();
-        let cpu_total = select_cpu + collide_cpu;
-        let select_wall = if cpu_total.is_zero() {
-            wall / 2
-        } else {
-            wall.mul_f64(select_cpu.as_secs_f64() / cpu_total.as_secs_f64())
-        };
-        self.base.timings.add(Substep::Select, select_wall);
-        self.base
-            .timings
-            .add(Substep::Collide, wall.saturating_sub(select_wall));
+        self.base.fold_collide(&phase, t.elapsed());
 
         // Optional sampling pass: per-shard partial sums into the shared
         // accumulator, one step bump.  Cells partition across shards and
@@ -686,36 +625,30 @@ impl ShardedSimulation {
         }
     }
 
-    /// The per-shard move sweeps, monomorphised over the body like the
-    /// canonical engine.  Returns (exited, max observed speed, dispatch
-    /// counts) summed/maxed across shards — per-particle sums reduced in
-    /// shard order from the workers' outcomes, so the totals are
-    /// independent of both the decomposition and the scheduling.
-    fn move_shards(&mut self) -> Result<(u32, u32, [u64; 4], u32), ShardExecError> {
-        let mono = self.base.body_mono.clone();
+    /// The per-shard key-less move sweeps.  Returns the outcome summed
+    /// (speed: maxed) across shards — per-particle sums reduced in shard
+    /// order from the workers' outcomes, so the totals are independent of
+    /// both the decomposition and the scheduling.
+    fn move_shards(&mut self) -> Result<MoveOutcome, ShardExecError> {
         let base = &self.base;
-        let outs = self
-            .exec
-            .run_phase(&mut self.shards, "move", |_i, shard| match &mono {
-                MonoBody::None(b) => move_one(base, shard, b),
-                MonoBody::Wedge(b) => move_one(base, shard, b),
-                MonoBody::Step(b) => move_one(base, shard, b),
-                MonoBody::Plate(b) => move_one(base, shard, b),
-                MonoBody::Cylinder(b) => move_one(base, shard, b),
-            })?;
-        let mut exited = 0u32;
-        let mut max_speed = 0u32;
-        let mut by_kind = [0u64; 4];
-        let mut movers = 0u32;
+        let outs = self.exec.run_phase(&mut self.shards, "move", |_i, shard| {
+            base.move_sweep(
+                &mut shard.parts,
+                &shard.bounds,
+                None,
+                &mut shard.move_scratch,
+            )
+        })?;
+        let mut total = MoveOutcome::default();
         for out in outs {
-            exited += out.exited;
-            max_speed = max_speed.max(out.max_speed_raw);
-            movers += out.movers;
-            for (acc, n) in by_kind.iter_mut().zip(out.by_kind) {
+            total.exited += out.exited;
+            total.max_speed_raw = total.max_speed_raw.max(out.max_speed_raw);
+            total.movers += out.movers;
+            for (acc, n) in total.by_kind.iter_mut().zip(out.by_kind) {
                 *acc += n;
             }
         }
-        Ok((exited, max_speed, by_kind, movers))
+        Ok(total)
     }
 
     /// The sharded plunger refill — bit-identical to
@@ -728,30 +661,16 @@ impl ShardedSimulation {
         let need = (self.base.cfg.n_per_cell * void_end.to_f64() * self.base.tunnel.height as f64)
             .round() as usize;
         let res_base = self.base.res_base;
-        let s_count = self.shards.len();
         self.census.clear();
         self.merge_pos.clear();
-        self.merge_pos.resize(s_count, 0);
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for s in 0..s_count {
-                let j = self.merge_pos[s];
-                if j < self.shards[s].n_segments() {
-                    let c = self.shards[s].seg_cell[j];
-                    if best.is_none_or(|(bc, _)| c < bc) {
-                        best = Some((c, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let j = self.merge_pos[s];
+        self.merge_pos.resize(self.shards.len(), 0);
+        while let Some((s, j)) = next_merged_segment(&self.shards, &mut self.merge_pos) {
             let shard = &self.shards[s];
             for i in shard.bounds[j]..shard.bounds[j + 1] {
                 if shard.parts.cell[i as usize] >= res_base {
                     self.census.push((s as u32, i));
                 }
             }
-            self.merge_pos[s] += 1;
         }
         let avail = self.census.len();
         let take = need.min(avail);
@@ -903,11 +822,11 @@ impl ShardedSimulation {
     /// on the input order make each output the canonical order restricted
     /// to the shard.
     ///
-    /// Ordinary incremental-mode steps repair the exchange-recorded
-    /// previous order instead of re-ranking from scratch; `force_full`
-    /// (withdrawal, just-repartitioned, or over-the-mover-budget steps —
-    /// the budget decision is the caller's, from the summed sweep counts)
-    /// pins the full radix path.  Both paths consume the per-shard jitter
+    /// Ordinary steps repair the exchange-recorded previous order instead
+    /// of re-ranking from scratch; `force_full` (withdrawal,
+    /// just-repartitioned, or over-the-mover-budget steps — the budget
+    /// decision is the caller's, from the summed sweep counts) pins the
+    /// full radix path.  Both paths consume the per-shard jitter
     /// draws identically and produce bit-identical orders.
     ///
     /// Each worker returns which rank path its shard took (`None` for an
@@ -916,7 +835,6 @@ impl ShardedSimulation {
     fn sort_shards(&mut self, force_full: bool) -> Result<(), ShardExecError> {
         let base = &self.base;
         let total_cells = base.res_base + base.res.total();
-        let incremental = !force_full && base.cfg.sort_mode == SortMode::Incremental;
         let exch_bounds = &self.exch_bounds;
         let exch_cells = &self.exch_cells;
         let outs = self.exec.run_phase(&mut self.shards, "sort", |i, shard| {
@@ -926,7 +844,7 @@ impl ShardedSimulation {
                 shard.seg_cell.clear();
                 return None;
             }
-            let took = incremental
+            let took = !force_full
                 && sortstep::sort_particles_fused_incremental(
                     &mut shard.parts,
                     &base.tunnel,
@@ -942,7 +860,7 @@ impl ShardedSimulation {
                     &mut shard.bounds,
                     &mut shard.order,
                 );
-            if !took && !incremental {
+            if force_full {
                 sortstep::sort_particles_fused(
                     &mut shard.parts,
                     &base.tunnel,
@@ -979,32 +897,18 @@ impl ShardedSimulation {
     /// its canonical start index — the one global datum the pairing rule
     /// needs.
     fn compute_parities(&mut self) {
-        let s_count = self.shards.len();
         for shard in &mut self.shards {
             let n_seg = shard.n_segments();
             shard.seg_parity.clear();
             shard.seg_parity.resize(n_seg, 0);
         }
         self.merge_pos.clear();
-        self.merge_pos.resize(s_count, 0);
+        self.merge_pos.resize(self.shards.len(), 0);
         let mut prefix: u32 = 0;
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for s in 0..s_count {
-                let j = self.merge_pos[s];
-                if j < self.shards[s].n_segments() {
-                    let c = self.shards[s].seg_cell[j];
-                    if best.is_none_or(|(bc, _)| c < bc) {
-                        best = Some((c, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let j = self.merge_pos[s];
+        while let Some((s, j)) = next_merged_segment(&self.shards, &mut self.merge_pos) {
             let shard = &mut self.shards[s];
             shard.seg_parity[j] = prefix & 1;
             prefix += shard.bounds[j + 1] - shard.bounds[j];
-            self.merge_pos[s] += 1;
         }
     }
 
@@ -1404,11 +1308,10 @@ mod tests {
 
     #[test]
     fn sharded_incremental_engages_and_matches_full_mode() {
-        let mut cfg = wedge_cfg();
-        cfg.sort_mode = SortMode::Incremental;
-        let mut a = ShardedSimulation::new(cfg.clone(), 3);
-        cfg.sort_mode = SortMode::Full;
-        let mut b = ShardedSimulation::new(cfg, 3);
+        let mut a = ShardedSimulation::new(wedge_cfg(), 3);
+        // Budget 0: every step with a mover ranks from scratch.
+        let mut b = ShardedSimulation::new(wedge_cfg(), 3);
+        b.set_mover_threshold(0.0);
         a.run(50);
         b.run(50);
         assert_eq!(
@@ -1420,7 +1323,7 @@ mod tests {
         assert!(inc > 0, "sharded repair path never engaged");
         assert!(full > 0, "withdrawal steps must pin the full path");
         let (inc_b, _) = b.sort_path_counts();
-        assert_eq!(inc_b, 0, "Full mode must never take the repair path");
+        assert_eq!(inc_b, 0, "a zero budget must never take the repair path");
         assert_eq!(a.mover_stats(), b.mover_stats());
     }
 
@@ -1565,16 +1468,14 @@ mod tests {
         // A maximally skewed start forces early repartitions; the
         // just-repartitioned steps must take the full radix path (the
         // incremental counter freezes while they do) and the trajectory
-        // must match the Full-mode run bit for bit through both
-        // transitions — incremental → full → incremental.
-        let mut cfg = wedge_cfg();
-        cfg.sort_mode = SortMode::Incremental;
-        let mut inc = ShardedSimulation::new(cfg.clone(), 4);
+        // must match the full-rank-every-step run (budget 0) bit for bit
+        // through both transitions — incremental → full → incremental.
+        let mut inc = ShardedSimulation::new(wedge_cfg(), 4);
         let w = inc.base.tunnel.width;
         inc.layout.cuts = vec![0, 1, 2, 3, w];
         inc.scatter();
-        cfg.sort_mode = SortMode::Full;
-        let mut full = ShardedSimulation::new(cfg, 4);
+        let mut full = ShardedSimulation::new(wedge_cfg(), 4);
+        full.set_mover_threshold(0.0);
         full.layout.cuts = vec![0, 1, 2, 3, w];
         full.scatter();
         let mut saw_repartition_fallback = false;

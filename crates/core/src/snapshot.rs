@@ -483,39 +483,25 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_mode_is_outside_the_fingerprint() {
-        // Fused and TwoStep are pinned bit-identical, so a checkpoint is
-        // portable between them.
+    fn resumed_run_falls_back_to_the_full_rank_then_repairs() {
+        // The snapshot carries no sort scratch, so the first resumed step
+        // has no previous structure: it must fall back to the full rank
+        // cleanly, the repair path must re-engage afterwards, and the
+        // trajectory must match a twin that ranks from scratch every step.
         let mut sim = Simulation::new(SimConfig::small_test());
         sim.run(10);
         let bytes = sim.save_state();
-        let mut two_step = SimConfig::small_test();
-        two_step.pipeline = crate::config::PipelineMode::TwoStep;
-        let mut b = Simulation::resume(two_step, &bytes).unwrap();
         let mut a = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
-        a.run(15);
-        b.run(15);
-        assert_eq!(a.state_hash(), b.state_hash());
-    }
-
-    #[test]
-    fn sort_mode_is_outside_the_fingerprint() {
-        // Full and Incremental ranks are pinned bit-identical by the
-        // sort-identity suite, so a checkpoint is portable between them.
-        // The resumed step has no previous structure, which must fall
-        // back to the full path cleanly in either mode.
-        let mut sim = Simulation::new(SimConfig::small_test());
-        sim.run(10);
-        let bytes = sim.save_state();
-        let mut full = SimConfig::small_test();
-        full.sort_mode = crate::config::SortMode::Full;
-        let mut b = Simulation::resume(full, &bytes).unwrap();
-        let mut a = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
-        a.run(15);
+        let mut b = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
+        b.set_mover_threshold(0.0);
+        a.step();
+        assert_eq!(a.sort_path_counts(), (0, 1), "first resumed step");
+        a.run(14);
         b.run(15);
         assert_eq!(a.state_hash(), b.state_hash());
         let (inc, _) = a.sort_path_counts();
         assert!(inc > 0, "repair path must re-engage after a resume");
+        assert_eq!(b.sort_path_counts().0, 0);
     }
 
     #[test]

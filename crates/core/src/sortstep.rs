@@ -18,7 +18,7 @@ use dsmc_datapar::{
 use dsmc_geom::Tunnel;
 use rayon::prelude::*;
 
-/// Result of the (allocating, two-step) sort phase.
+/// Result of the (allocating, reference) sort phase, [`sort_particles`].
 #[derive(Clone, Debug, Default)]
 pub struct SortOutput {
     /// Segment bounds over the sorted `cell` column (one segment per
@@ -152,7 +152,7 @@ fn jittered_key(
 /// generator and never reads `u`; `DirtyBits` jitter comes from the low
 /// position/velocity bits and never touches the generator column.  The
 /// produced keys (and all RNG state evolution) are bit-identical to the
-/// generic [`jittered_key`] the two-step reference path still uses.
+/// generic [`jittered_key`] the reference [`sort_particles`] still uses.
 fn build_pairs(
     parts: &mut ParticleStore,
     tunnel: &Tunnel,
@@ -350,7 +350,7 @@ pub fn rank_and_send(
 /// Returns `true` when the repair ran.  Returns `false`, leaving `parts`,
 /// `bounds` and `order` exactly as found, when the caller must fall back
 /// to [`rank_and_send`]: the previous structure does not cover this
-/// population (first step, just-resumed snapshot, two-step interlude).
+/// population (first step, just-resumed snapshot).
 pub fn rank_and_send_incremental(
     parts: &mut ParticleStore,
     jitter_bits: u32,
@@ -468,12 +468,12 @@ pub(crate) fn build_pairs_for_test(
     build_pairs(parts, tunnel, res_base, res, jitter_bits, rng_mode, pairs);
 }
 
-/// The two-step reference sort phase (the pre-refactor pipeline): build a
-/// key column, materialise the permutation with [`sort_perm_by_key`], then
-/// gather the ten columns one at a time.  Identical results to
-/// [`sort_particles_fused`] for identical inputs — the integration
-/// property tests assert it — but allocates per call and makes ten
-/// sequential passes where the fused path makes one.
+/// The reference sort phase (what `dsmc_baselines::TwoStepSim` runs):
+/// build a key column, materialise the permutation with
+/// [`sort_perm_by_key`], then gather the ten columns one at a time.
+/// Identical results to [`sort_particles_fused`] for identical inputs —
+/// the integration property tests assert it — but allocates per call and
+/// makes ten sequential passes where the fused path makes one.
 ///
 /// `key_bits` callers compute once from the cell count and jitter width via
 /// [`key_bits_for`].
@@ -692,7 +692,7 @@ mod tests {
         // The per-RngMode `build_pairs` specialisations skip a column each
         // (Explicit: `u`; DirtyBits: the generator) but must produce the
         // same sorted state — and the same generator evolution — as the
-        // generic jittered-key path the two-step pipeline uses.
+        // generic jittered-key path the reference sort uses.
         for mode in [RngMode::Explicit, RngMode::DirtyBits] {
             let tunnel = Tunnel::new(12, 9);
             let res = ResLayout::for_cells(16);

@@ -28,7 +28,7 @@
 //!   **no heap allocation**,
 //! * digit widths spread the key evenly over the minimum number of ≤8-bit
 //!   passes (8 bits keeps the scatter's per-digit write streams L1-resident;
-//!   wider digits measured slower, see `profile_sort` in `dsmc-bench`), and
+//!   wider digits measured slower, see ROADMAP "Standing guidance"), and
 //! * the **final scatter emits 32-bit router addresses straight into the
 //!   caller's `order` vector** — the rank's last pass *is* the permutation;
 //!   no sorted-pair buffer, no unpack sweep.
@@ -44,15 +44,15 @@
 //! `ParticleStore::apply_order_fused` (its ten distinct destination
 //! buffers are write-allocate-cold every step).  The multi-core path now
 //! exists as the sharded engine (`SHARDING.md`): each shard runs this
-//! same rank+send on its smaller array, with the 1-vCPU baseline
-//! recorded in `BENCH_step.json` (`sharding`: 0.61×/0.58× vs
-//! single-domain at 2/4 shards — the exchange/merge overhead a
-//! multi-core host gets to amortise).
+//! same rank+send on its smaller array; the benchmark's
+//! `core.shard.tax_frac*` metrics record what the exchange and merge
+//! cost on top.
 //!
 //! [`sort_perm_by_key`] keeps the original fixed-radix, allocating
 //! implementation as the executable specification: property tests pin the
-//! fused path to it bit for bit, and the engine's `TwoStep` pipeline mode
-//! drives it for A/B benchmarks against the pre-refactor behaviour.
+//! fused path to it bit for bit, and the separate-phase test oracle
+//! (`dsmc_baselines::TwoStepSim`, through `dsmc-core`'s `sort_particles`)
+//! ranks with it.
 
 use crate::{seq, PAR_THRESHOLD};
 use core::marker::PhantomData;
@@ -104,8 +104,8 @@ pub fn pack_pair(key: u32, index: usize) -> u64 {
 /// Digit width of the radix plan.  8 bits is deliberate: the scatter keeps
 /// one hot write stream per digit, and 256 streams × 64-byte lines fit in
 /// L1, so every scattered store is near-free.  Wider digits (fewer passes)
-/// were measured *slower* on L2-sized streams — see `profile_sort` in
-/// `dsmc-bench`.
+/// were measured *slower* on L2-sized streams — see ROADMAP "Standing
+/// guidance".
 const MAX_DIGIT_BITS: u32 = 8;
 
 /// Most passes any `key_bits <= 32` plan can need.
@@ -841,7 +841,7 @@ const RADIX_BITS: u32 = 8;
 ///
 /// This is the original fixed-8-bit-digit, allocating implementation, kept
 /// verbatim as the executable specification of the fused path (and as the
-/// engine's `TwoStep` pipeline for pre-refactor A/B benchmarks).
+/// rank of the separate-phase test oracle, `dsmc_baselines::TwoStepSim`).
 pub fn sort_perm_by_key(keys: &[u32], key_bits: u32) -> Vec<u32> {
     assert!(key_bits <= 32, "key_bits must be at most 32");
     let n = keys.len();

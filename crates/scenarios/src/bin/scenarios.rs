@@ -14,8 +14,8 @@
 //! `--shards n` runs the case under the sharded domain-decomposition
 //! engine with `n` column-block shards (1 = the single-domain reference
 //! engine).  Every scenario is shard-count invariant — the goldens and
-//! the printed `state_hash` must be bit-identical for any `n`, and the CI
-//! determinism matrix diffs exactly that (see `SHARDING.md`).  The flag
+//! the printed `state_hash` must be bit-identical for any `n`, and the
+//! `sharding` suite diffs exactly that (see `SHARDING.md`).  The flag
 //! composes with `--supervise` and the checkpoint flags; a checkpoint
 //! saved at one shard count resumes at any other.
 //!
@@ -323,7 +323,7 @@ fn main() {
                 match it
                     .next()
                     .ok_or_else(|| "--exec-threads needs a value".to_string())
-                    .and_then(|v| dsmc_scenarios::parse_exec_threads(v))
+                    .and_then(|v| v.parse().map_err(|e| format!("--exec-threads {e}")))
                 {
                     Ok(mode) => opts.exec = mode,
                     Err(e) => {
@@ -557,9 +557,9 @@ fn campaign_main(args: &[String]) -> ! {
                 Ok(s) => seed = Some(s),
                 _ => campaign_bail("--seed needs a u64"),
             },
-            "--exec-threads" => match dsmc_scenarios::parse_exec_threads(&next("--exec-threads")) {
+            "--exec-threads" => match next("--exec-threads").parse() {
                 Ok(mode) => exec = Some(mode),
-                Err(e) => campaign_bail(&e),
+                Err(e) => campaign_bail(&format!("--exec-threads {e}")),
             },
             "--campaign-kill" => match parse_fault_key(&next("--campaign-kill"), true) {
                 Some((r, at, step)) => {

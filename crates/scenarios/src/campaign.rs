@@ -1226,7 +1226,7 @@ fn spawn_attempt(
         "--checkpoint-every".into(),
         opts.checkpoint_every.max(1).to_string(),
         "--exec-threads".into(),
-        crate::exec_threads_value(opts.exec),
+        opts.exec.to_string(),
         "--out".into(),
         result_path.display().to_string(),
     ];
@@ -1492,7 +1492,11 @@ fn worker_inner(args: &[String]) -> Result<i32, String> {
                     .parse()
                     .map_err(|_| "bad --checkpoint-every".to_string())?
             }
-            "--exec-threads" => exec = crate::parse_exec_threads(&next(&mut it, a)?)?,
+            "--exec-threads" => {
+                exec = next(&mut it, a)?
+                    .parse()
+                    .map_err(|e| format!("--exec-threads {e}"))?
+            }
             "--out" => out = Some(PathBuf::from(next(&mut it, a)?)),
             "--kill-at-step" => {
                 let s: u64 = next(&mut it, a)?

@@ -349,8 +349,8 @@ pub struct RunOptions {
     /// Number of column-block domain shards to run under (`0` and `1`
     /// both mean the single-domain reference engine).  Every scenario is
     /// shard-count invariant: the goldens, the metrics, and `state_hash`
-    /// are bit-identical for any value here — the CI determinism matrix
-    /// holds the registry to that contract (see `SHARDING.md`).
+    /// are bit-identical for any value here — the `sharding` suite holds
+    /// the registry to that contract (see `SHARDING.md`).
     pub shards: usize,
     /// How the sharded engine executes its per-shard phases (serial
     /// coordinator vs scoped worker threads).  Bit-identical either way —
@@ -359,35 +359,6 @@ pub struct RunOptions {
     /// scenario's config like `shards`.  Defaults to the environment-aware
     /// [`ExecMode::from_env_or_auto`].
     pub exec: ExecMode,
-}
-
-/// Parse a `--exec-threads` value: `serial` → [`ExecMode::Serial`],
-/// `auto` → threaded with one worker per core, `n ≥ 1` → threaded with
-/// exactly `n` workers.
-pub fn parse_exec_threads(v: &str) -> Result<ExecMode, String> {
-    if v.eq_ignore_ascii_case("serial") {
-        return Ok(ExecMode::Serial);
-    }
-    if v.eq_ignore_ascii_case("auto") {
-        return Ok(ExecMode::Threaded { workers: 0 });
-    }
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(ExecMode::Threaded { workers: n }),
-        _ => Err(format!(
-            "--exec-threads wants `serial`, `auto` or a worker count >= 1, got `{v}`"
-        )),
-    }
-}
-
-/// Render an [`ExecMode`] back into the `--exec-threads` value
-/// [`parse_exec_threads`] accepts (the campaign executor hands the mode
-/// to its workers through this round-trip).
-pub fn exec_threads_value(exec: ExecMode) -> String {
-    match exec {
-        ExecMode::Serial => "serial".to_string(),
-        ExecMode::Threaded { workers: 0 } => "auto".to_string(),
-        ExecMode::Threaded { workers } => workers.to_string(),
-    }
 }
 
 /// Atomically write a checkpoint artifact; an I/O failure is reported

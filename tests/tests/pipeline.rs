@@ -1,11 +1,14 @@
-//! The sort→send pipeline contract: the fused rank+send equals the
-//! two-step reference bit for bit, steady-state steps allocate nothing in
-//! the hot path, and fixed-seed runs are identical for any thread count.
+//! The step-path contract: the fused rank+send equals the reference
+//! permutation bit for bit, the engine's whole step equals the
+//! separate-phase oracle (`dsmc_baselines::TwoStepSim`) bit for bit,
+//! steady-state steps allocate nothing in the hot path, and fixed-seed
+//! runs are identical for any thread count.
 
+use dsmc_baselines::TwoStepSim;
 use dsmc_datapar::{sort_order_by_key, sort_perm_by_key, SortScratch};
 use dsmc_engine::config::WallModel;
 use dsmc_engine::particles::ParticleStore;
-use dsmc_engine::{BodySpec, PipelineMode, RngMode, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
 use dsmc_fixed::Fx;
 use dsmc_rng::XorShift32;
 use proptest::prelude::*;
@@ -82,34 +85,13 @@ proptest! {
     }
 }
 
-/// Whole-simulation equivalence: the `Fused` and `TwoStep` pipelines must
-/// produce bit-identical trajectories from the same seed.
-#[test]
-fn pipelines_produce_identical_trajectories() {
-    let mut fused = Simulation::new(SimConfig::small_test());
-    let mut cfg = SimConfig::small_test();
-    cfg.pipeline = PipelineMode::TwoStep;
-    let mut two_step = Simulation::new(cfg);
-    fused.run(40);
-    two_step.run(40);
-    assert_stores_equal(fused.particles(), two_step.particles());
-    assert_eq!(fused.segment_bounds(), two_step.segment_bounds());
-    assert_eq!(fused.last_sort_order(), two_step.last_sort_order());
-    let (df, dt) = (fused.diagnostics(), two_step.diagnostics());
-    assert_eq!(df.collisions, dt.collisions);
-    assert_eq!(df.candidates, dt.candidates);
-    assert_eq!(df.n_flow, dt.n_flow);
-}
-
-/// Run the same config through both pipelines and demand bit-identical
-/// trajectories, bounds, orders and ledgers.  `steps` spans several
-/// plunger cycles, so the move phase's key-less withdrawal fallback is
-/// exercised along with the ordinary fused steps.
-fn check_pipelines_agree(mut cfg: SimConfig, steps: usize) {
-    cfg.pipeline = PipelineMode::Fused;
+/// Run the same config through the engine and the separate-phase oracle
+/// and demand bit-identical trajectories, bounds, orders and ledgers.
+/// `steps` spans several plunger cycles, so the move phase's key-less
+/// withdrawal fallback is exercised along with the ordinary fused steps.
+fn check_pipelines_agree(cfg: SimConfig, steps: usize) {
     let mut fused = Simulation::new(cfg.clone());
-    cfg.pipeline = PipelineMode::TwoStep;
-    let mut two_step = Simulation::new(cfg);
+    let mut two_step = TwoStepSim::new(cfg);
     fused.run(steps);
     two_step.run(steps);
     assert_stores_equal(fused.particles(), two_step.particles());
@@ -118,9 +100,17 @@ fn check_pipelines_agree(mut cfg: SimConfig, steps: usize) {
     let (df, dt) = (fused.diagnostics(), two_step.diagnostics());
     assert_eq!(df.collisions, dt.collisions);
     assert_eq!(df.candidates, dt.candidates);
+    assert_eq!(df.n_flow, dt.n_flow);
     assert_eq!(df.exited, dt.exited);
     assert_eq!(df.introduced, dt.introduced);
     assert_eq!(df.plunger_cycles, dt.plunger_cycles);
+}
+
+/// Whole-simulation equivalence: the engine and the separate-phase oracle
+/// must produce bit-identical trajectories from the same seed.
+#[test]
+fn pipelines_produce_identical_trajectories() {
+    check_pipelines_agree(SimConfig::small_test(), 40);
 }
 
 /// A small tunnel with every knob available to the grid below.
@@ -139,7 +129,7 @@ fn grid_config(body: BodySpec, walls: WallModel, rng_mode: RngMode, seed: u64) -
 }
 
 /// The move-phase contract at whole-simulation level: the fused
-/// single-sweep pipeline is bit-identical to the two-step reference for
+/// single-sweep step is bit-identical to the separate-phase oracle for
 /// **every** body shape × wall model × RNG mode — the geometry-aware
 /// dispatch may skip work, never change it.
 #[test]

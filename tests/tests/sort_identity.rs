@@ -1,16 +1,18 @@
 //! The order-identity contract of the temporal-coherence sort, system
-//! level: `SortMode::Incremental` (repair last step's sorted order) and
-//! `SortMode::Full` (re-derive it by stable radix rank) must produce the
+//! level: the incremental rank (repair last step's sorted order) and the
+//! full rank (re-derive it by stable radix sort) must produce the
 //! *identical* trajectory — same sorted order, same segment bounds, same
 //! `state_hash` — for any seed, body, RNG mode, shard count, and any
 //! mid-run path transition (mover-budget crossings in both directions,
 //! plunger-withdrawal steps, post-repartition steps).  ARCHITECTURE.md
 //! names these tests as the pinning suite for that invariant; it is why
-//! `SortMode` sits outside the config fingerprint and why no golden is
-//! ever re-recorded for a sort-path change.
+//! no golden is ever re-recorded for a sort-path change.
+//!
+//! The full arm is an engine with `set_mover_threshold(0.0)`: no step
+//! with a mover fits a zero budget, so every step ranks from scratch.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, RngMode, SimConfig, Simulation, SortMode};
+use dsmc_engine::{BodySpec, Engine, RngMode, SimConfig, Simulation};
 use proptest::prelude::*;
 
 /// Small wind-tunnel config with the gnarliest state: a body (surface
@@ -29,9 +31,11 @@ fn base_cfg(seed: u64) -> SimConfig {
     cfg
 }
 
-fn with_mode(mut cfg: SimConfig, mode: SortMode) -> SimConfig {
-    cfg.sort_mode = mode;
-    cfg
+/// The reference arm: an engine that takes the full rank on every step.
+fn full_rank_engine(cfg: SimConfig, shards: usize) -> Engine {
+    let mut e = Engine::new(cfg, shards);
+    e.set_mover_threshold(0.0);
+    e
 }
 
 proptest! {
@@ -57,18 +61,18 @@ proptest! {
         };
         cfg.rng_mode = if dirty { RngMode::DirtyBits } else { RngMode::Explicit };
         for shards in [1usize, 2, 4] {
-            let mut a = Engine::new(with_mode(cfg.clone(), SortMode::Incremental), shards);
-            let mut b = Engine::new(with_mode(cfg.clone(), SortMode::Full), shards);
+            let mut a = Engine::new(cfg.clone(), shards);
+            let mut b = full_rank_engine(cfg.clone(), shards);
             a.run(steps);
             b.run(steps);
             prop_assert_eq!(
                 a.state_hash(),
                 b.state_hash(),
-                "Incremental diverged from Full at {} shards",
+                "incremental rank diverged from the full rank at {} shards",
                 shards
             );
             let (inc, _) = b.sort_path_counts();
-            prop_assert_eq!(inc, 0, "Full mode took the repair path");
+            prop_assert_eq!(inc, 0, "the zero-budget arm took the repair path");
         }
     }
 }
@@ -76,12 +80,14 @@ proptest! {
 /// A 50-step single-domain run: the repair path must carry the bulk of
 /// the steps, the withdrawal steps must pin the full path, and the final
 /// order itself — permutation, segment bounds, every particle column —
-/// must be bitwise identical to Full mode, not merely hash-identical.
+/// must be bitwise identical to the full-rank arm, not merely
+/// hash-identical.
 #[test]
 fn fifty_step_order_identity_with_withdrawals() {
     let cfg = base_cfg(11);
-    let mut a = Simulation::new(with_mode(cfg.clone(), SortMode::Incremental));
-    let mut b = Simulation::new(with_mode(cfg, SortMode::Full));
+    let mut a = Simulation::new(cfg.clone());
+    let mut b = Simulation::new(cfg);
+    b.set_mover_threshold(0.0);
     a.run(50);
     b.run(50);
     let (pa, pb) = (a.particles(), b.particles());
@@ -106,14 +112,14 @@ fn fifty_step_order_identity_with_withdrawals() {
 
 /// Mover-budget crossings in both directions, back to back: incremental
 /// → forced-full (threshold 0) → incremental again, hash-checked against
-/// an untouched Full-mode twin at every phase boundary.  The threshold
+/// an untouched full-rank twin at every phase boundary.  The threshold
 /// is a pure performance knob; the trajectory must never notice.
 #[test]
 fn threshold_crossings_are_hash_identical_through_both_transitions() {
     for shards in [1usize, 2, 4] {
         let cfg = base_cfg(23);
-        let mut inc = Engine::new(with_mode(cfg.clone(), SortMode::Incremental), shards);
-        let mut full = Engine::new(with_mode(cfg, SortMode::Full), shards);
+        let mut inc = Engine::new(cfg.clone(), shards);
+        let mut full = full_rank_engine(cfg, shards);
 
         // Phase 1: repair path engaged.
         inc.run(12);
@@ -163,17 +169,17 @@ fn threshold_crossings_are_hash_identical_through_both_transitions() {
 
 const DETERMINISM_STEPS: usize = 30;
 
-/// Helper target for the subprocess determinism test: an incremental-mode
-/// run (single-domain and 2-shard) under whatever rayon pool the parent
+/// Helper target for the subprocess determinism test: a default
+/// (incremental-rank) run (single-domain and 2-shard) under whatever rayon pool the parent
 /// pinned via `RAYON_NUM_THREADS`.
 #[test]
 #[ignore = "helper: spawned by incremental_determinism_across_thread_counts"]
 fn helper_print_incremental_state_hash() {
-    let mut single = Simulation::new(with_mode(base_cfg(29), SortMode::Incremental));
+    let mut single = Simulation::new(base_cfg(29));
     single.run(DETERMINISM_STEPS);
     let (inc, _) = single.sort_path_counts();
     assert!(inc > 0, "repair path must engage in the helper run");
-    let mut sharded = Engine::new(with_mode(base_cfg(29), SortMode::Incremental), 2);
+    let mut sharded = Engine::new(base_cfg(29), 2);
     sharded.run(DETERMINISM_STEPS);
     println!(
         "STATE_HASH={:#018x}",
@@ -181,7 +187,7 @@ fn helper_print_incremental_state_hash() {
     );
 }
 
-/// Incremental-mode runs must be bitwise identical across rayon thread
+/// Incremental-rank runs must be bitwise identical across rayon thread
 /// counts (the repair's parallel per-segment sorts write disjoint
 /// slices; chunking must not leak into the trajectory).  Thread count is
 /// fixed at pool spin-up, so each count gets its own subprocess.

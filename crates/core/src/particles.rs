@@ -11,10 +11,8 @@
 //! Positions of reservoir particles live in the reservoir strip's own
 //! coordinate system.
 
-use dsmc_datapar::DisjointWrites;
 use dsmc_fixed::Fx;
 use dsmc_rng::{Perm5, XorShift32};
-use rayon::prelude::*;
 
 /// Back buffers for the sort's "send": one destination per column, swapped
 /// with the live columns after each re-order so steady-state sends perform
@@ -35,26 +33,6 @@ struct BackColumns {
 }
 
 impl BackColumns {
-    /// Grow every destination to `n` slots (contents are overwritten by the
-    /// send, so the fill values are immaterial).
-    fn ensure_len(&mut self, n: usize) {
-        fn fit<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
-            if v.len() != n {
-                v.resize(n, fill);
-            }
-        }
-        fit(&mut self.x, n, Fx::ZERO);
-        fit(&mut self.y, n, Fx::ZERO);
-        fit(&mut self.u, n, Fx::ZERO);
-        fit(&mut self.v, n, Fx::ZERO);
-        fit(&mut self.w, n, Fx::ZERO);
-        fit(&mut self.r1, n, Fx::ZERO);
-        fit(&mut self.r2, n, Fx::ZERO);
-        fit(&mut self.perm, n, Perm5::IDENTITY);
-        fit(&mut self.rng, n, XorShift32::new(1));
-        fit(&mut self.cell, n, 0);
-    }
-
     fn capacities(&self) -> [usize; 10] {
         [
             self.x.capacity(),
@@ -98,10 +76,6 @@ pub struct ParticleStore {
 
     back: BackColumns,
 }
-
-/// Output chunk width of one fused-send task: big enough to amortise task
-/// dispatch, small enough that the router-address chunk stays L1-resident.
-const SEND_CHUNK: usize = 8192;
 
 impl ParticleStore {
     /// An empty store with reserved capacity.
@@ -168,12 +142,9 @@ impl ParticleStore {
     /// each gather's destination the pages just read as the previous
     /// column's source (L2-hot writes).
     ///
-    /// This is the hot loop's send.  The one-launch task grid
-    /// [`ParticleStore::apply_order_fused`] exists as the measured
-    /// alternative (slower on one core; both pinned equal by the
-    /// pipeline property tests).  Multi-core sends now go through the
-    /// sharded engine instead — per-shard sends on smaller arrays, with
-    /// the 1-vCPU baseline recorded in `BENCH_step.json` (`sharding`).
+    /// This is the hot loop's send and the reference at once.  Multi-core
+    /// sends go through the sharded engine instead — per-shard sends on
+    /// smaller arrays (the benchmark's `core.shard.*` metrics).
     pub fn apply_order(&mut self, order: &[u32]) {
         self.apply_order_no_cell(order);
         dsmc_datapar::apply_perm(&self.cell, order, &mut self.back.cell);
@@ -207,88 +178,6 @@ impl ParticleStore {
         core::mem::swap(&mut self.perm, &mut self.back.perm);
         dsmc_datapar::apply_perm(&self.rng, order, &mut self.back.rng);
         core::mem::swap(&mut self.rng, &mut self.back.rng);
-    }
-
-    /// The fused "send": re-order every column through the router
-    /// addresses the rank's final radix pass emitted (`new[i] =
-    /// old[order[i]]`), all ten columns in **one** parallel launch over a
-    /// (column × chunk) task grid — not the reference path's ten
-    /// back-to-back gathers with a barrier between each.
-    ///
-    /// The task grid iterates column-major, the cache-optimal order: the
-    /// random reads of one source column stay L2-resident while it is
-    /// being drained (an interleaved all-columns-per-chunk form was
-    /// measured ~3× slower; see `dsmc-datapar`'s sort module docs).
-    /// Steady state performs no heap allocation: destinations live in the
-    /// store's back buffers, whose lengths go quiescent because the
-    /// particle population is conserved.
-    pub fn apply_order_fused(&mut self, order: &[u32]) {
-        let n = self.len();
-        assert_eq!(order.len(), n);
-        self.back.ensure_len(n);
-
-        {
-            let dst = (
-                DisjointWrites::new(&mut self.back.x),
-                DisjointWrites::new(&mut self.back.y),
-                DisjointWrites::new(&mut self.back.u),
-                DisjointWrites::new(&mut self.back.v),
-                DisjointWrites::new(&mut self.back.w),
-                DisjointWrites::new(&mut self.back.r1),
-                DisjointWrites::new(&mut self.back.r2),
-                DisjointWrites::new(&mut self.back.perm),
-                DisjointWrites::new(&mut self.back.rng),
-                DisjointWrites::new(&mut self.back.cell),
-            );
-            const N_COLS: usize = 10;
-            let n_chunks = n.div_ceil(SEND_CHUNK).max(1);
-            let task = |t: usize| {
-                let (col, chunk) = (t / n_chunks, t % n_chunks);
-                let lo = chunk * SEND_CHUNK;
-                let hi = (lo + SEND_CHUNK).min(n);
-                // SAFETY (all writes below): task t exclusively owns output
-                // range [lo, hi) of column `col`; the grid covers every
-                // (column, index) exactly once.
-                macro_rules! gather {
-                    ($writer:tt, $src:expr) => {
-                        for i in lo..hi {
-                            let idx = order[i] as usize;
-                            unsafe { dst.$writer.write(i, $src[idx]) };
-                        }
-                    };
-                }
-                match col {
-                    0 => gather!(0, self.x),
-                    1 => gather!(1, self.y),
-                    2 => gather!(2, self.u),
-                    3 => gather!(3, self.v),
-                    4 => gather!(4, self.w),
-                    5 => gather!(5, self.r1),
-                    6 => gather!(6, self.r2),
-                    7 => gather!(7, self.perm),
-                    8 => gather!(8, self.rng),
-                    _ => gather!(9, self.cell),
-                }
-            };
-            if n < dsmc_datapar::PAR_THRESHOLD {
-                for t in 0..N_COLS * n_chunks {
-                    task(t);
-                }
-            } else {
-                (0..N_COLS * n_chunks).into_par_iter().for_each(task);
-            }
-        }
-
-        core::mem::swap(&mut self.x, &mut self.back.x);
-        core::mem::swap(&mut self.y, &mut self.back.y);
-        core::mem::swap(&mut self.u, &mut self.back.u);
-        core::mem::swap(&mut self.v, &mut self.back.v);
-        core::mem::swap(&mut self.w, &mut self.back.w);
-        core::mem::swap(&mut self.r1, &mut self.back.r1);
-        core::mem::swap(&mut self.r2, &mut self.back.r2);
-        core::mem::swap(&mut self.perm, &mut self.back.perm);
-        core::mem::swap(&mut self.rng, &mut self.back.rng);
-        core::mem::swap(&mut self.cell, &mut self.back.cell);
     }
 
     /// Capacities of the send back-buffers (for allocation-stability

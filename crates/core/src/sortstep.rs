@@ -312,9 +312,8 @@ pub fn rank_and_send(
         // The send: nine column gathers through the freshly-emitted
         // addresses.  The rotating back buffer makes each gather's
         // destination the pages just read as the previous column's source
-        // — L2-hot writes, measured faster here than the one-launch task
-        // grid of [`ParticleStore::apply_order_fused`] (see dsmc-datapar's
-        // sort docs).
+        // — L2-hot writes, measured faster here than a one-launch
+        // (column × chunk) task grid (see dsmc-datapar's sort docs).
         parts.apply_order_no_cell(order);
         fill_cells_from_bounds(bounds, &ws.seg_cells, &mut parts.cell);
     } else {

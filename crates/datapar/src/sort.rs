@@ -40,9 +40,9 @@
 //! Two alternative send shapes were measured and rejected on this
 //! hardware — a fully interleaved all-columns-per-chunk pass (~3× slower:
 //! ten columns of random reads thrash L2, where one column at a time
-//! stays resident) and the one-launch (column × chunk) task grid kept as
-//! `ParticleStore::apply_order_fused` (its ten distinct destination
-//! buffers are write-allocate-cold every step).  The multi-core path now
+//! stays resident) and a one-launch (column × chunk) task grid (its ten
+//! distinct destination buffers are write-allocate-cold every step; the
+//! record is in ROADMAP "Standing guidance").  The multi-core path now
 //! exists as the sharded engine (`SHARDING.md`): each shard runs this
 //! same rank+send on its smaller array; the benchmark's
 //! `core.shard.tax_frac*` metrics record what the exchange and merge

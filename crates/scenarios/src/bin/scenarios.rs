@@ -67,8 +67,8 @@ use dsmc_scenarios::campaign::{campaign_json, check_sweep_goldens, load_journal,
 use dsmc_scenarios::fault::{CampaignFault, CampaignFaultPlan, Fault, FaultPlan};
 use dsmc_scenarios::{
     outcome_json, registry, run_campaign, run_supervised, run_with, supervisor_json,
-    CampaignOptions, CampaignReport, CaseKind, RunOptions, RunOutcome, Scale, Scenario,
-    SuperviseError, SuperviseOptions, SupervisorReport,
+    CampaignOptions, CampaignReport, CaseKind, ProtocolOverride, RunOptions, RunOutcome, Scale,
+    Scenario, SuperviseError, SuperviseOptions, SupervisorReport,
 };
 use std::time::Duration;
 
@@ -419,8 +419,8 @@ fn main() {
                     let mut plan = match chaos_seed {
                         Some(seed) => FaultPlan::seeded(
                             seed,
-                            dsmc_scenarios::supervisor::protocol_total_steps(s, scale)
-                                .unwrap_or(1000),
+                            dsmc_scenarios::protocol_for(s, scale, ProtocolOverride::default())
+                                .map_or(1000, |p| p.total_steps()),
                             sopts.sentinel_every,
                         ),
                         None => FaultPlan::none(),
@@ -563,18 +563,18 @@ fn campaign_main(args: &[String]) -> ! {
             },
             "--campaign-kill" => match parse_fault_key(&next("--campaign-kill"), true) {
                 Some((r, at, step)) => {
-                    faults = faults.and(r, at, CampaignFault::Kill { at_step: step })
+                    faults = faults.and((r, at), CampaignFault::Kill { at_step: step })
                 }
                 None => campaign_bail("--campaign-kill needs run:attempt:step"),
             },
             "--campaign-stall" => match parse_fault_key(&next("--campaign-stall"), true) {
                 Some((r, at, step)) => {
-                    faults = faults.and(r, at, CampaignFault::Stall { at_step: step })
+                    faults = faults.and((r, at), CampaignFault::Stall { at_step: step })
                 }
                 None => campaign_bail("--campaign-stall needs run:attempt:step"),
             },
             "--campaign-corrupt" => match parse_fault_key(&next("--campaign-corrupt"), false) {
-                Some((r, at, _)) => faults = faults.and(r, at, CampaignFault::CorruptCheckpoint),
+                Some((r, at, _)) => faults = faults.and((r, at), CampaignFault::CorruptCheckpoint),
                 None => campaign_bail("--campaign-corrupt needs run:attempt"),
             },
             flag => campaign_bail(&format!("unknown campaign flag '{flag}'")),

@@ -33,15 +33,19 @@
 //! [`crate::CampaignFaultPlan`] (kill worker k at attempt a, stall to
 //! force a timeout, corrupt its cached checkpoint), not by prose.
 
-use crate::fault::{CampaignFault, CampaignFaultPlan, Fault, FaultPlan};
-use crate::supervisor::{backoff_with_jitter, ProtocolOverride, Sleeper};
+use crate::fault::{
+    damage_newest, CampaignFault, CampaignFaultPlan, CheckpointDamage, Fault, FaultPlan,
+};
+use crate::supervisor::{
+    backoff_with_jitter, ProtocolOverride, Sleeper, BACKOFF_BASE_MS, BACKOFF_CAP_MS, POLL_MS,
+};
 use crate::{
     at_density, check_goldens, find, run_supervised_config, CaseKind, CheckResult, Metric,
     RunOutcome, Scale, Scenario, SuperviseError, SuperviseOptions, SupervisorReport, SweepCase,
 };
 use dsmc_bench::json;
 use dsmc_engine::{SimConfig, StateError};
-use dsmc_state::store::atomic_write;
+use dsmc_state::store::{atomic_write, CheckpointStore};
 use dsmc_state::{Fnv64, Reader, Writer};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -738,11 +742,6 @@ pub struct CampaignOptions {
     /// Per-run attempt budget; a run failing this many times lands in
     /// `TimedOut` (all-hung) or `Quarantined`.
     pub max_attempts: u32,
-    /// First-retry backoff in milliseconds (doubles per attempt, with
-    /// deterministic jitter).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
     /// Checkpoint cadence workers run with (the warm-start cache grain).
     pub checkpoint_every: u64,
     /// Per-shard phase execution every worker runs under (forwarded as
@@ -761,8 +760,6 @@ pub struct CampaignOptions {
     /// Arguments placed *before* the env-carried worker argv (a test
     /// harness selects its worker helper test with these).
     pub worker_args: Vec<String>,
-    /// Reap/poll cadence in milliseconds.
-    pub poll_ms: u64,
 }
 
 impl CampaignOptions {
@@ -773,15 +770,12 @@ impl CampaignOptions {
             max_workers: 2,
             timeout: Duration::from_secs(1800),
             max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 500,
             checkpoint_every: 100,
             exec: dsmc_engine::ExecMode::default(),
             faults: CampaignFaultPlan::none(),
             sleeper: Sleeper::real(),
             worker_exe: None,
             worker_args: Vec::new(),
-            poll_ms: 5,
         }
     }
 }
@@ -1092,7 +1086,7 @@ pub fn run_campaign(
         }
 
         // Reap: completed children and blown deadlines.
-        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
+        std::thread::sleep(Duration::from_millis(POLL_MS));
         let mut k = 0;
         while k < active.len() {
             let timed_out = Instant::now() >= active[k].deadline;
@@ -1178,7 +1172,7 @@ fn settle_failure(
         true
     } else {
         let salt = fp ^ fnv_label(&r.spec.label);
-        let ms = backoff_with_jitter(opts.backoff_base_ms, opts.backoff_cap_ms, r.attempts, salt);
+        let ms = backoff_with_jitter(BACKOFF_BASE_MS, BACKOFF_CAP_MS, r.attempts, salt);
         opts.sleeper.sleep(ms);
         r.status = RunStatus::Pending;
         false
@@ -1238,7 +1232,7 @@ fn spawn_attempt(
         wargs.push("--set".into());
         wargs.push(format!("{k}={v}"));
     }
-    for fault in plan.take(i, attempt) {
+    for fault in plan.take((i, attempt)) {
         match fault {
             CampaignFault::Kill { at_step } => {
                 wargs.push("--kill-at-step".into());
@@ -1248,7 +1242,11 @@ fn spawn_attempt(
                 wargs.push("--stall-at-step".into());
                 wargs.push(at_step.to_string());
             }
-            CampaignFault::CorruptCheckpoint => corrupt_newest_checkpoint(cache_dir),
+            CampaignFault::CorruptCheckpoint => {
+                if let Ok(store) = CheckpointStore::new(cache_dir, "run", usize::MAX) {
+                    damage_newest(&store, CheckpointDamage::FlipByte);
+                }
+            }
         }
     }
 
@@ -1275,24 +1273,6 @@ fn spawn_attempt(
         result_path,
         stderr_path,
     })
-}
-
-/// Flip one payload byte in the newest checkpoint of `dir` — the
-/// executor-side arm of [`CampaignFault::CorruptCheckpoint`].
-fn corrupt_newest_checkpoint(dir: &Path) {
-    let Ok(store) = dsmc_state::store::CheckpointStore::new(dir, "run", usize::MAX) else {
-        return;
-    };
-    let Some((_step, path)) = store.candidates().ok().and_then(|c| c.into_iter().next()) else {
-        return;
-    };
-    if let Ok(mut bytes) = std::fs::read(&path) {
-        if !bytes.is_empty() {
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            let _ = std::fs::write(&path, &bytes);
-        }
-    }
 }
 
 fn classify_exit(result_path: &Path, stderr_path: &Path) -> AttemptEnd {

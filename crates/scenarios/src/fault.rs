@@ -14,6 +14,7 @@
 //! sick simulation) shares the exact code paths these exercise.
 
 use dsmc_engine::FaultTarget;
+use dsmc_state::store::CheckpointStore;
 
 /// One injectable failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,40 +59,70 @@ pub enum Fault {
     Stall,
 }
 
-/// A step-stamped [`Fault`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedFault {
-    /// Step (0-based boundary, before stepping) at which to fire.
-    pub step: u64,
-    /// What to do.
-    pub fault: Fault,
+/// A deterministic, fire-once schedule of faults `F`, each pinned to a
+/// key `K` — a step boundary for the supervisor ([`FaultPlan`]), a
+/// (run, attempt) cell for the campaign executor ([`CampaignFaultPlan`]).
+#[derive(Clone, Debug)]
+pub struct Plan<K, F> {
+    faults: Vec<(K, F)>,
 }
 
-/// A deterministic, fire-once schedule of faults.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    faults: Vec<PlannedFault>,
+impl<K, F> Default for Plan<K, F> {
+    fn default() -> Self {
+        Self { faults: Vec::new() }
+    }
 }
 
-impl FaultPlan {
+impl<K: PartialEq, F: Copy> Plan<K, F> {
     /// The empty plan (production default: inject nothing).
     pub fn none() -> Self {
         Self::default()
     }
 
     /// Single-fault plan.
-    pub fn at(step: u64, fault: Fault) -> Self {
-        Self {
-            faults: vec![PlannedFault { step, fault }],
-        }
+    pub fn at(key: K, fault: F) -> Self {
+        Self::none().and(key, fault)
     }
 
     /// Add another fault (builder style).
-    pub fn and(mut self, step: u64, fault: Fault) -> Self {
-        self.faults.push(PlannedFault { step, fault });
+    pub fn and(mut self, key: K, fault: F) -> Self {
+        self.faults.push((key, fault));
         self
     }
 
+    /// Whether any faults remain unfired.
+    pub fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
+
+    /// The planned `(key, fault)` pairs still pending, in insertion order.
+    pub fn pending(&self) -> &[(K, F)] {
+        &self.faults
+    }
+
+    /// Remove and return every fault scheduled at exactly `key`.  Each
+    /// fault fires once: after a recovery replays past a step, nothing
+    /// re-fires.  (A resumed campaign that re-launches the same attempt
+    /// number re-takes from *its own* plan copy — the journal, not the
+    /// plan, is what survives an executor crash.)
+    pub fn take(&mut self, key: K) -> Vec<F> {
+        let mut fired = Vec::new();
+        self.faults.retain(|(k, f)| {
+            let fire = *k == key;
+            if fire {
+                fired.push(*f);
+            }
+            !fire
+        });
+        fired
+    }
+}
+
+/// The supervisor's plan: keyed by the step (0-based boundary, before
+/// stepping) at which each [`Fault`] fires.
+pub type FaultPlan = Plan<u64, Fault>;
+
+impl FaultPlan {
     /// Derive a mixed-class chaos schedule from a seed, for a run of
     /// `total_steps` with sentinel checks every `sentinel_every` steps.
     ///
@@ -144,32 +175,6 @@ impl FaultPlan {
             },
         )
     }
-
-    /// Whether any faults remain unfired.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The planned faults still pending, in insertion order.
-    pub fn pending(&self) -> &[PlannedFault] {
-        &self.faults
-    }
-
-    /// Remove and return every fault scheduled at exactly `step`.  Each
-    /// fault fires once: after a recovery replays past `step`, nothing
-    /// re-fires.
-    pub fn take(&mut self, step: u64) -> Vec<Fault> {
-        let mut fired = Vec::new();
-        self.faults.retain(|p| {
-            if p.step == step {
-                fired.push(p.fault);
-                false
-            } else {
-                true
-            }
-        });
-        fired
-    }
 }
 
 /// One campaign-level failure, injected into a specific worker attempt.
@@ -196,78 +201,45 @@ pub enum CampaignFault {
     CorruptCheckpoint,
 }
 
-/// A [`CampaignFault`] pinned to one (run, attempt) cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedCampaignFault {
-    /// Zero-based index into the campaign's expanded run list.
-    pub run: usize,
-    /// One-based attempt number the fault strikes.
-    pub attempt: u32,
-    /// What happens to that attempt.
-    pub fault: CampaignFault,
+/// The campaign executor's plan — the [`FaultPlan`] idea lifted to the
+/// fleet, keyed by (zero-based run index, one-based attempt): every
+/// robustness-policy branch (retry, timeout, quarantine, checkpoint-cache
+/// recovery) is pinned by a reproducible schedule, not by racing real
+/// failures.
+pub type CampaignFaultPlan = Plan<(usize, u32), CampaignFault>;
+
+/// How [`damage_newest`] injures a checkpoint file.
+#[derive(Clone, Copy)]
+pub(crate) enum CheckpointDamage {
+    /// Cut the file to half its length (a torn write).
+    Truncate,
+    /// Flip one payload byte (silent media corruption).
+    FlipByte,
 }
 
-/// A deterministic, fire-once schedule of campaign-level faults — the
-/// [`FaultPlan`] idea lifted to the executor: every robustness-policy
-/// branch (retry, timeout, quarantine, checkpoint-cache recovery) is
-/// pinned by a reproducible schedule, not by racing real failures.
-#[derive(Clone, Debug, Default)]
-pub struct CampaignFaultPlan {
-    faults: Vec<PlannedCampaignFault>,
-}
-
-impl CampaignFaultPlan {
-    /// The empty plan (production default: inject nothing).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Single-fault plan.
-    pub fn at(run: usize, attempt: u32, fault: CampaignFault) -> Self {
-        Self {
-            faults: vec![PlannedCampaignFault {
-                run,
-                attempt,
-                fault,
-            }],
+/// Damage the newest checkpoint in `store` on disk and describe what was
+/// done — the one injection behind [`Fault::TruncateCheckpoint`],
+/// [`Fault::FlipCheckpointByte`] and [`CampaignFault::CorruptCheckpoint`].
+pub(crate) fn damage_newest(store: &CheckpointStore, kind: CheckpointDamage) -> String {
+    let Some((step, path)) = store.candidates().ok().and_then(|c| c.into_iter().next()) else {
+        return "no checkpoint on disk to damage".into();
+    };
+    let Ok(mut bytes) = std::fs::read(&path) else {
+        return format!("could not read checkpoint at step {step} to damage it");
+    };
+    let mid = bytes.len() / 2;
+    match kind {
+        CheckpointDamage::Truncate => {
+            let _ = std::fs::write(&path, &bytes[..mid]);
+            format!("truncated checkpoint at step {step} to half length")
         }
-    }
-
-    /// Add another fault (builder style).
-    pub fn and(mut self, run: usize, attempt: u32, fault: CampaignFault) -> Self {
-        self.faults.push(PlannedCampaignFault {
-            run,
-            attempt,
-            fault,
-        });
-        self
-    }
-
-    /// Whether any faults remain unfired.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The planned faults still pending, in insertion order.
-    pub fn pending(&self) -> &[PlannedCampaignFault] {
-        &self.faults
-    }
-
-    /// Remove and return every fault scheduled for exactly this (run,
-    /// attempt) cell.  Fire-once: a resumed campaign that re-launches the
-    /// same attempt number does re-take from *its own* plan copy — the
-    /// journal, not the plan, is what survives an executor crash.
-    pub fn take(&mut self, run: usize, attempt: u32) -> Vec<CampaignFault> {
-        let mut fired = Vec::new();
-        self.faults.retain(|p| {
-            if p.run == run && p.attempt == attempt {
-                fired.push(p.fault);
-                false
-            } else {
-                true
+        CheckpointDamage::FlipByte => {
+            if let Some(b) = bytes.get_mut(mid) {
+                *b ^= 0x01;
             }
-        });
-        fired
+            let _ = std::fs::write(&path, &bytes);
+            format!("flipped a byte in checkpoint at step {step}")
+        }
     }
 }
 
@@ -303,29 +275,29 @@ mod tests {
             FaultPlan::seeded(43, 1000, 25).pending(),
             "different seeds, different schedules"
         );
-        for p in a.pending() {
-            assert!(p.step < 1000, "fault at {} past end of run", p.step);
+        for &(step, fault) in a.pending() {
+            assert!(step < 1000, "fault at {step} past end of run");
             if let Fault::CorruptColumn {
                 target: FaultTarget::CellIndex,
                 ..
-            } = p.fault
+            } = fault
             {
-                assert_eq!(p.step % 25, 0, "cell faults pin to sentinel boundaries");
+                assert_eq!(step % 25, 0, "cell faults pin to sentinel boundaries");
             }
         }
     }
 
     #[test]
     fn campaign_faults_key_on_run_and_attempt() {
-        let mut plan = CampaignFaultPlan::at(0, 1, CampaignFault::Kill { at_step: 30 })
-            .and(0, 2, CampaignFault::CorruptCheckpoint)
-            .and(2, 1, CampaignFault::Stall { at_step: 10 });
-        assert!(plan.take(1, 1).is_empty(), "wrong run must not fire");
-        assert!(plan.take(0, 3).is_empty(), "wrong attempt must not fire");
-        assert_eq!(plan.take(0, 1), vec![CampaignFault::Kill { at_step: 30 }]);
-        assert!(plan.take(0, 1).is_empty(), "no re-fire");
-        assert_eq!(plan.take(0, 2), vec![CampaignFault::CorruptCheckpoint]);
-        assert_eq!(plan.take(2, 1).len(), 1);
+        let mut plan = CampaignFaultPlan::at((0, 1), CampaignFault::Kill { at_step: 30 })
+            .and((0, 2), CampaignFault::CorruptCheckpoint)
+            .and((2, 1), CampaignFault::Stall { at_step: 10 });
+        assert!(plan.take((1, 1)).is_empty(), "wrong run must not fire");
+        assert!(plan.take((0, 3)).is_empty(), "wrong attempt must not fire");
+        assert_eq!(plan.take((0, 1)), vec![CampaignFault::Kill { at_step: 30 }]);
+        assert!(plan.take((0, 1)).is_empty(), "no re-fire");
+        assert_eq!(plan.take((0, 2)), vec![CampaignFault::CorruptCheckpoint]);
+        assert_eq!(plan.take((2, 1)).len(), 1);
         assert!(plan.is_empty());
     }
 }

@@ -10,7 +10,10 @@
 //!   and a set of scalar **golden** values with tolerances.
 //! * [`run`] — executes one case, computes its metrics (scenario-specific
 //!   flow quantities plus the standard conservation residuals), and
-//!   compares against the goldens at QUICK scale.
+//!   compares against the goldens at QUICK scale.  Steady and transient
+//!   cases are a [`Protocol`] walked by a bare loop here and by the
+//!   recovering loop in [`supervisor`](mod@supervisor) (ARCHITECTURE.md,
+//!   "Run shapes").
 //! * the `scenarios` binary — runs any case by name, prints the
 //!   comparison table, emits a `BENCH_scenario_<name>.json` artifact, and
 //!   exits non-zero when a golden metric drifts outside its tolerance.
@@ -38,14 +41,13 @@ pub use campaign::{
     run_campaign, CampaignError, CampaignOptions, CampaignReport, CampaignSpec, RunRecord, RunSpec,
     RunStatus, Sweep,
 };
-pub use fault::{
-    CampaignFault, CampaignFaultPlan, Fault, FaultPlan, PlannedCampaignFault, PlannedFault,
-};
+pub use fault::{CampaignFault, CampaignFaultPlan, Fault, FaultPlan};
 pub use registry::registry;
 pub use supervisor::{
-    backoff_with_jitter, protocol_total_steps, run_supervised, run_supervised_config, supervise,
+    backoff_with_jitter, protocol_for, run_supervised, run_supervised_config, supervise,
     supervisor_json, Protocol, ProtocolOverride, RecoveryEvent, Sleeper, SuperviseError,
     SuperviseOptions, SuperviseOutcome, SupervisorReport, TransientProtocol, TunnelProtocol,
+    BACKOFF_BASE_MS, BACKOFF_CAP_MS,
 };
 
 /// Run scale of a scenario execution.
@@ -64,6 +66,15 @@ impl Scale {
         match self {
             Scale::Quick => "quick",
             Scale::Full => "full",
+        }
+    }
+
+    /// The `quick` or `full` member of a per-scale pair — the one lookup
+    /// every case's protocol lengths go through.
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
         }
     }
 }
@@ -127,6 +138,14 @@ pub struct TunnelCase {
     pub extract: fn(&Simulation, &SampledField, Option<&SurfaceField>) -> Vec<Metric>,
 }
 
+impl TunnelCase {
+    /// (settle, average) step counts at `scale`.
+    pub fn steps(&self, scale: Scale) -> (u64, u64) {
+        let (settle, average) = scale.pick(self.quick_steps, self.full_steps);
+        (settle as u64, average as u64)
+    }
+}
+
 /// A free-relaxation case driven through the baselines harness.
 #[derive(Clone, Copy, Debug)]
 pub struct RelaxCase {
@@ -167,8 +186,19 @@ pub struct TransientCase {
     pub full_windows: usize,
     /// Measure one closed window (fields + surface) into named values.
     pub probe: fn(&Simulation, &SampledField, Option<&SurfaceField>) -> Vec<Metric>,
+    /// Every metric name `probe` emits.  A checkpoint journal stores
+    /// window values by name; restoring one resolves each stored name
+    /// against this list and rejects a journal that carries any other.
+    pub probe_names: &'static [&'static str],
     /// Reduce the whole series into the golden-checked metrics.
     pub extract: fn(&[TransientPoint]) -> Vec<Metric>,
+}
+
+impl TransientCase {
+    /// Number of windows at `scale`.
+    pub fn windows(&self, scale: Scale) -> u64 {
+        scale.pick(self.quick_windows, self.full_windows) as u64
+    }
 }
 
 /// A checkpoint/restart equivalence case: run to `settle`, open the
@@ -187,6 +217,13 @@ pub struct RestartCase {
     pub quick_steps: (usize, usize, usize),
     /// (settle, window-open, tail) step counts at FULL scale.
     pub full_steps: (usize, usize, usize),
+}
+
+impl RestartCase {
+    /// (settle, window-open, tail) step counts at `scale`.
+    pub fn steps(&self, scale: Scale) -> (usize, usize, usize) {
+        scale.pick(self.quick_steps, self.full_steps)
+    }
 }
 
 /// A parameter sweep over a base tunnel scenario — the registry's
@@ -331,8 +368,40 @@ pub struct RunOutcome {
     pub transient: Option<Vec<TransientPoint>>,
 }
 
-/// Optional checkpoint/restart behaviour of one scenario execution
-/// (steady-protocol tunnel cases only).
+/// A finished run before grading: what [`Protocol::finish`] (and the kinds
+/// that own their run shape) hand to the one `RunOutcome` assembly.
+pub struct Finished {
+    /// Conservation residuals followed by the case's own metrics.
+    pub metrics: Vec<Metric>,
+    /// See [`RunOutcome::surface`].
+    pub surface: Option<SurfaceField>,
+    /// See [`RunOutcome::transient`].
+    pub transient: Option<Vec<TransientPoint>>,
+    /// See [`RunOutcome::n_particles`].
+    pub n_particles: usize,
+    /// See [`RunOutcome::steps`].
+    pub steps: u64,
+    /// See [`RunOutcome::state_hash`].
+    pub state_hash: Option<u64>,
+}
+
+impl Finished {
+    /// The finished run of `sim` with the metrics extracted from it (no
+    /// surface, no series: the protocols that have them fill them in).
+    pub fn of(sim: &mut Engine, metrics: Vec<Metric>) -> Self {
+        Self {
+            metrics,
+            surface: None,
+            transient: None,
+            n_particles: sim.n_particles(),
+            steps: sim.diagnostics().steps,
+            state_hash: Some(sim.state_hash()),
+        }
+    }
+}
+
+/// How one plain scenario execution is run: checkpoint artifacts and warm
+/// start (steady-protocol tunnel cases only) plus the execution layout.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Save a rolling `checkpoint_<name>_<scale>.bin` artifact every this
@@ -364,33 +433,13 @@ pub struct RunOptions {
 /// Atomically write a checkpoint artifact; an I/O failure is reported
 /// and survived (the run's physics is unaffected and older checkpoints
 /// remain usable), never a panic that kills a long run at its last step.
-pub(crate) fn write_checkpoint_artifact(name: &str, bytes: &[u8]) {
+fn write_checkpoint_artifact(name: &str, bytes: &[u8]) {
     let written = dsmc_bench::try_artifact_dir()
         .map_err(dsmc_engine::StateError::Io)
         .and_then(|dir| dsmc_state::store::atomic_write(dir.join(name), bytes));
     match written {
         Ok(()) => println!("  wrote checkpoint artifact {name}"),
         Err(e) => eprintln!("warning: checkpoint artifact {name} not written: {e}"),
-    }
-}
-
-/// Step `sim` forward `n` steps, saving the rolling checkpoint artifact
-/// whenever the cadence divides the step counter.
-fn run_checkpointed(sim: &mut Engine, n: u64, every: Option<u64>, stem: &str) {
-    match every {
-        None => sim.run(n as usize),
-        Some(k) => {
-            // Track the counter locally: `diagnostics()` sums energy and
-            // momentum over the whole population, far too heavy per step.
-            let mut steps = sim.diagnostics().steps;
-            for _ in 0..n {
-                sim.step();
-                steps += 1;
-                if steps.is_multiple_of(k) {
-                    write_checkpoint_artifact(&format!("{stem}.bin"), &sim.save_state());
-                }
-            }
-        }
     }
 }
 
@@ -468,81 +517,8 @@ pub fn run(s: &Scenario, scale: Scale) -> RunOutcome {
 /// shape).
 pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutcome, StateError> {
     let t0 = std::time::Instant::now();
-    let mut transient = None;
-    let mut state_hash = None;
-    let (metrics, n_particles, steps, surface) = match &s.kind {
-        CaseKind::Tunnel(t) => {
-            let mut cfg = s.tunnel_config(scale).expect("tunnel case");
-            cfg.exec = opts.exec;
-            let (settle, average) = match scale {
-                Scale::Quick => t.quick_steps,
-                Scale::Full => t.full_steps,
-            };
-            let mut sim = match &opts.resume_from {
-                Some(bytes) => Engine::resume(cfg, bytes, opts.shards)?,
-                None => Engine::new(cfg, opts.shards),
-            };
-            let d0 = sim.diagnostics();
-            let stem = format!("checkpoint_{}_{}", s.name, scale.label());
-            // Warm start: steps the checkpoint already covers are not
-            // re-run, and a checkpoint taken mid-average continues its
-            // open sampling window instead of restarting it.
-            if sim.field_sampler().is_none() {
-                let remaining = (settle as u64).saturating_sub(d0.steps);
-                run_checkpointed(&mut sim, remaining, opts.checkpoint_every, &stem);
-                if opts.checkpoint_every.is_some() && sim.diagnostics().steps == settle as u64 {
-                    write_checkpoint_artifact(&format!("{stem}_settled.bin"), &sim.save_state());
-                }
-                sim.begin_sampling();
-            }
-            let sampled = sim.field_sampler().map_or(0, |a| a.steps());
-            let remaining = (average as u64).saturating_sub(sampled);
-            run_checkpointed(&mut sim, remaining, opts.checkpoint_every, &stem);
-            let field = sim.finish_sampling();
-            let surface = sim.finish_surface_sampling();
-            // Metric extraction reads the canonical single-domain view:
-            // identical whether the run was sharded or not.
-            let mut metrics = conservation_metrics(sim.canonical(), &d0);
-            if let Some(surf) = &surface {
-                metrics.extend(surface_metrics(sim.canonical(), surf));
-            }
-            metrics.extend((t.extract)(sim.canonical(), &field, surface.as_ref()));
-            state_hash = Some(sim.state_hash());
-            (metrics, sim.n_particles(), sim.diagnostics().steps, surface)
-        }
-        CaseKind::Transient(t) => {
-            if opts.resume_from.is_some() {
-                return Err(StateError::Malformed(
-                    "transient cases always run from the cold start they measure",
-                ));
-            }
-            let mut cfg = s.tunnel_config(scale).expect("transient case");
-            cfg.exec = opts.exec;
-            let windows = match scale {
-                Scale::Quick => t.quick_windows,
-                Scale::Full => t.full_windows,
-            };
-            let mut sim = Engine::new(cfg, opts.shards);
-            let d0 = sim.diagnostics();
-            let mut points = Vec::with_capacity(windows);
-            for _ in 0..windows {
-                sim.begin_sampling();
-                sim.run(t.window_steps);
-                let field = sim.finish_sampling();
-                let surf = sim.finish_surface_sampling();
-                let step_end = sim.diagnostics().steps;
-                points.push(TransientPoint {
-                    step_end,
-                    values: (t.probe)(sim.canonical(), &field, surf.as_ref()),
-                });
-            }
-            let mut metrics = conservation_metrics(sim.canonical(), &d0);
-            metrics.extend((t.extract)(&points));
-            let (n, steps) = (sim.n_particles(), sim.diagnostics().steps);
-            state_hash = Some(sim.state_hash());
-            transient = Some(points);
-            (metrics, n, steps, None)
-        }
+    let fin = match &s.kind {
+        CaseKind::Tunnel(_) | CaseKind::Transient(_) => run_protocol(s, scale, opts)?,
         CaseKind::Restart(rc) => {
             if opts.resume_from.is_some() {
                 return Err(StateError::Malformed(
@@ -551,10 +527,7 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             }
             let mut cfg = s.tunnel_config(scale).expect("restart case");
             cfg.exec = opts.exec;
-            let (settle, open, tail) = match scale {
-                Scale::Quick => rc.quick_steps,
-                Scale::Full => rc.full_steps,
-            };
+            let (settle, open, tail) = rc.steps(scale);
             let mut a = Engine::new(cfg.clone(), opts.shards);
             let d0 = a.diagnostics();
             a.run(settle);
@@ -574,7 +547,6 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             b.run(tail);
             let resume_exact = a.state_hash() == b.state_hash();
             let mut metrics = conservation_metrics(a.canonical(), &d0);
-            state_hash = Some(a.state_hash());
             metrics.extend([
                 // Both pinned at exactly 1.0: restore fidelity at the
                 // checkpoint, and bit-identity after running on.
@@ -591,7 +563,7 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
                     value: bytes.len() as f64 / a.n_particles() as f64,
                 },
             ]);
-            (metrics, a.n_particles(), a.diagnostics().steps, None)
+            Finished::of(&mut a, metrics)
         }
         CaseKind::Sweep(_) => {
             return Err(StateError::Malformed(
@@ -599,10 +571,7 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             ));
         }
         CaseKind::Relax(r) => {
-            let steps = match scale {
-                Scale::Quick => r.quick_steps,
-                Scale::Full => r.full_steps,
-            };
+            let steps = scale.pick(r.quick_steps, r.full_steps);
             let mut b = r.spec.build();
             let e0 = b.total_energy_raw();
             for _ in 0..steps {
@@ -633,29 +602,109 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
                     value: energy_drift,
                 },
             ];
-            (metrics, b.len(), steps as u64, None)
+            Finished {
+                metrics,
+                surface: None,
+                transient: None,
+                n_particles: b.len(),
+                steps: steps as u64,
+                state_hash: None,
+            }
         }
     };
+    Ok(outcome(s, scale, true, t0, fin))
+}
 
-    let checks = check_goldens(s, scale, &metrics);
-    Ok(RunOutcome {
+/// The plain runner for the protocol-driven kinds: build or resume the
+/// engine and walk the case's [`Protocol`] with a bare boundary loop — no
+/// store, no sentinel, no recovery (ARCHITECTURE.md, "Run shapes").  The
+/// only thing that may happen *at* a boundary besides the protocol's own
+/// transition is the steady cases' checkpoint artifacts.
+fn run_protocol(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<Finished, StateError> {
+    let mut protocol =
+        protocol_for(s, scale, ProtocolOverride::default()).map_err(StateError::Malformed)?;
+    let mut cfg = s
+        .tunnel_config(scale)
+        .expect("protocol kinds are tunnel-backed");
+    cfg.exec = opts.exec;
+    // Checkpoints and warm starts belong to the steady cases: they have a
+    // settle boundary, and nothing but the engine state to carry across.
+    let settle = match &s.kind {
+        CaseKind::Tunnel(t) => Some(t.steps(scale).0),
+        _ => None,
+    };
+    let mut sim = match &opts.resume_from {
+        Some(_) if settle.is_none() => {
+            // A plain snapshot carries no journal: the windows already
+            // measured would be lost.
+            return Err(StateError::Malformed(
+                "transient cases always run from the cold start they measure",
+            ));
+        }
+        Some(bytes) => Engine::resume(cfg, bytes, opts.shards)?,
+        None => Engine::new(cfg, opts.shards),
+    };
+    let artifacts = opts.checkpoint_every.zip(settle);
+    let stem = format!("checkpoint_{}_{}", s.name, scale.label());
+    let total = protocol.total_steps();
+    // Track the counter locally: `diagnostics()` sums energy and momentum
+    // over the whole population, far too heavy per step.
+    let start = sim.diagnostics().steps;
+    let mut step = start;
+    loop {
+        if let Some((every, settle)) = artifacts {
+            if step > start && step.is_multiple_of(every) {
+                write_checkpoint_artifact(&format!("{stem}.bin"), &sim.save_state());
+            }
+            // Saved *before* the protocol opens the averaging window, so
+            // resuming it replays the whole window: the warm-start product.
+            if step == settle && sim.field_sampler().is_none() {
+                write_checkpoint_artifact(&format!("{stem}_settled.bin"), &sim.save_state());
+            }
+        }
+        protocol.at_step(&mut sim, step);
+        if step >= total {
+            break;
+        }
+        sim.step();
+        step += 1;
+    }
+    Ok(protocol.finish(&mut sim))
+}
+
+/// Grade a finished run against the goldens (when `check`; parameterised
+/// campaign runs have none) and assemble its [`RunOutcome`] — the tail the
+/// plain runner and the supervisor share, so both return the same outcome
+/// for the same trajectory by construction.
+pub(crate) fn outcome(
+    s: &Scenario,
+    scale: Scale,
+    check: bool,
+    t0: std::time::Instant,
+    fin: Finished,
+) -> RunOutcome {
+    let checks = if check {
+        check_goldens(s, scale, &fin.metrics)
+    } else {
+        Vec::new()
+    };
+    RunOutcome {
         scenario: s.name,
         scale,
         passed: checks.iter().all(|c| c.ok),
-        metrics,
+        metrics: fin.metrics,
         checks,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        n_particles,
-        steps,
-        state_hash,
-        surface,
-        transient,
-    })
+        n_particles: fin.n_particles,
+        steps: fin.steps,
+        state_hash: fin.state_hash,
+        surface: fin.surface,
+        transient: fin.transient,
+    }
 }
 
 /// Golden comparison — the goldens are recorded at QUICK scale, so only
-/// a QUICK run is pass/fail (FULL runs yield no checks).  Shared by the
-/// plain runner and the supervisor, which must grade identically.
+/// a QUICK run is pass/fail (FULL runs yield no checks).
 pub(crate) fn check_goldens(s: &Scenario, scale: Scale, metrics: &[Metric]) -> Vec<CheckResult> {
     if scale != Scale::Quick {
         return Vec::new();

@@ -184,6 +184,10 @@ fn stagnation_line(field: &SampledField, cx: f64, cy: f64, r: f64) -> (f64, f64)
     (nose - shock_x, peak)
 }
 
+/// What [`probe_cylinder_startup`] measures per window, in emission order.
+const CYLINDER_STARTUP_PROBE_NAMES: &[&str] =
+    &["standoff", "stag_peak", "drag_per_q", "impacts_per_step"];
+
 /// One startup window of the impulsively-started cylinder: where the
 /// forming bow shock sits, how compressed the stagnation line is, and
 /// what the body feels (drag and impact rate from the window's surface
@@ -203,24 +207,11 @@ fn probe_cylinder_startup(
         Some(f) => (f.force_x / q_inf, f.impacts_per_step.iter().sum::<f64>()),
         None => (f64::NAN, f64::NAN),
     };
-    vec![
-        Metric {
-            name: "standoff",
-            value: standoff,
-        },
-        Metric {
-            name: "stag_peak",
-            value: peak,
-        },
-        Metric {
-            name: "drag_per_q",
-            value: drag_per_q,
-        },
-        Metric {
-            name: "impacts_per_step",
-            value: impacts,
-        },
-    ]
+    CYLINDER_STARTUP_PROBE_NAMES
+        .iter()
+        .zip([standoff, peak, drag_per_q, impacts])
+        .map(|(&name, value)| Metric { name, value })
+        .collect()
 }
 
 /// Reduce the startup series: where the flow ends up, how the drag
@@ -712,6 +703,7 @@ static REGISTRY: &[Scenario] = &[
             quick_windows: 8,
             full_windows: 30,
             probe: probe_cylinder_startup,
+            probe_names: CYLINDER_STARTUP_PROBE_NAMES,
             extract: extract_cylinder_startup,
         }),
         golden: CYLINDER_STARTUP_GOLDEN,
@@ -761,4 +753,33 @@ static REGISTRY: &[Scenario] = &[
 /// Every named case, in registry order.
 pub fn registry() -> &'static [Scenario] {
     REGISTRY
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scale;
+    use dsmc_engine::Engine;
+
+    /// `probe_names` is what a restored journal's metric names resolve
+    /// against: it must be exactly what the probe emits, in order.
+    #[test]
+    fn transient_probe_names_are_what_the_probe_emits() {
+        for s in registry() {
+            let CaseKind::Transient(t) = &s.kind else {
+                continue;
+            };
+            let cfg = s.tunnel_config(Scale::Quick).expect("transient case");
+            let mut sim = Engine::new(cfg, 1);
+            sim.begin_sampling();
+            sim.step();
+            let field = sim.finish_sampling();
+            let surf = sim.finish_surface_sampling();
+            let emitted: Vec<&str> = (t.probe)(sim.canonical(), &field, surf.as_ref())
+                .iter()
+                .map(|m| m.name)
+                .collect();
+            assert_eq!(emitted, t.probe_names, "{}", s.name);
+        }
+    }
 }

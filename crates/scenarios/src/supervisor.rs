@@ -1,7 +1,9 @@
 //! Fault-tolerant run supervisor: step, watch, checkpoint, recover.
 //!
-//! The supervisor wraps a scenario's step loop in the machinery an
-//! unattended batch run needs:
+//! The supervisor walks a scenario's [`Protocol`] — the run shape it
+//! shares with the plain runner (ARCHITECTURE.md, "Run shapes") — and
+//! adds, at each step boundary, the machinery an unattended batch run
+//! needs:
 //!
 //! * every `sentinel_every` steps (and always immediately before a
 //!   checkpoint is saved) the armed [`Sentinel`] re-verifies the physics
@@ -24,13 +26,13 @@
 //! `state_hash` as a run that never faulted.  The integration suite
 //! asserts exactly that for every fault class in [`crate::fault`].
 
-use crate::fault::{Fault, FaultPlan};
+use crate::fault::{damage_newest, CheckpointDamage, Fault, FaultPlan};
 use crate::{
-    check_goldens, conservation_metrics, surface_metrics, CaseKind, RunOutcome, Scale, Scenario,
-    TransientCase, TransientPoint, TunnelCase,
+    conservation_metrics, outcome, surface_metrics, CaseKind, Finished, Metric, RunOutcome, Scale,
+    Scenario, TransientCase, TransientPoint, TunnelCase,
 };
 use dsmc_bench::json;
-use dsmc_engine::sentinel::{Sentinel, SentinelThresholds};
+use dsmc_engine::sentinel::Sentinel;
 use dsmc_engine::{ConfigError, Diagnostics, Engine, SimConfig, StateError};
 use dsmc_state::store::CheckpointStore;
 use dsmc_state::{Cursor, Section, Writer};
@@ -84,6 +86,14 @@ impl std::fmt::Debug for Sleeper {
     }
 }
 
+/// First-retry backoff in milliseconds (doubles per attempt) — the one
+/// schedule the supervisor's recoveries and the campaign's retries share.
+pub const BACKOFF_BASE_MS: u64 = 10;
+/// Backoff ceiling in milliseconds.
+pub const BACKOFF_CAP_MS: u64 = 500;
+/// Campaign executor reap/poll cadence in milliseconds.
+pub(crate) const POLL_MS: u64 = 5;
+
 /// Exponential backoff with deterministic half-jitter: attempt `n`
 /// (1-based) doubles the base up to `cap_ms`, then the lower half of the
 /// window is kept and the upper half is replaced by a splitmix64 draw
@@ -123,12 +133,6 @@ pub struct SuperviseOptions {
     pub keep: usize,
     /// Recovery budget: the run is abandoned after this many recoveries.
     pub max_recoveries: u32,
-    /// First-recovery backoff in milliseconds (doubles per recovery).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Sentinel trip thresholds.
-    pub thresholds: SentinelThresholds,
     /// Deterministic fault schedule (empty in production).
     pub faults: FaultPlan,
     /// Number of column-block domain shards the supervised run steps
@@ -157,9 +161,6 @@ impl SuperviseOptions {
             sentinel_every: 25,
             keep: 3,
             max_recoveries: 5,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 500,
-            thresholds: SentinelThresholds::default(),
             faults: FaultPlan::none(),
             shards: 1,
             exec: dsmc_engine::ExecMode::default(),
@@ -292,14 +293,19 @@ impl std::fmt::Display for SuperviseError {
 
 impl std::error::Error for SuperviseError {}
 
-/// The run shape the supervisor drives: how many steps, what happens at
-/// each step boundary (window transitions, baseline capture), and how to
-/// persist/restore the protocol's own state alongside the simulation.
+/// A run shape — the single encoding both runners drive (ARCHITECTURE.md,
+/// "Run shapes"): how many steps, what happens at each step boundary
+/// (baseline capture, window transitions), how the protocol's own state is
+/// persisted alongside the simulation, and how the finished run reduces
+/// to metrics.
 ///
 /// `at_step(sim, s)` is called at every step boundary `s` — including
 /// again at a restored step after recovery — so implementations must be
 /// idempotent: guard window opens on the sampler being absent and window
-/// closes on the journal not already holding that window.
+/// closes on the journal not already holding that window.  The baseline
+/// diagnostics are captured at the first boundary visited while no journal
+/// has supplied them (step 0 of a cold run; the snapshot's own step for a
+/// plain `--resume`, which carries no journal).
 /// `restore_journal` must be transactional: parse everything into locals
 /// first, commit only on success (a damaged candidate is skipped, and a
 /// partial restore would corrupt the next attempt).
@@ -315,6 +321,9 @@ pub trait Protocol {
     fn restore_journal(&mut self, c: &mut Cursor<'_>) -> Result<(), StateError>;
     /// Forget all journal state (cold restart).
     fn reset(&mut self);
+    /// Close whatever windows the run left open and reduce it to metrics.
+    /// Called once, after the final boundary.
+    fn finish(&mut self, sim: &mut Engine) -> Finished;
 }
 
 fn write_diag(sec: &mut Section<'_>, d: &Diagnostics) {
@@ -363,30 +372,27 @@ fn read_diag(c: &mut Cursor<'_>) -> Result<Diagnostics, StateError> {
 }
 
 /// Steady tunnel protocol: settle, open the sampling window, average to
-/// the end.  Journal: the cold-start baseline diagnostics (conservation
-/// metrics are drifts against it).
+/// the end.  Journal: the baseline diagnostics (conservation metrics are
+/// drifts against it).
 pub struct TunnelProtocol {
+    case: TunnelCase,
     settle: u64,
     total: u64,
-    /// Baseline captured at step 0 (restored from the journal on
-    /// recovery/startup-resume).
-    pub d0: Option<Diagnostics>,
+    d0: Option<Diagnostics>,
 }
 
 impl TunnelProtocol {
     /// Protocol for `case` at `scale`.
     pub fn new(case: TunnelCase, scale: Scale) -> Self {
-        let (settle, average) = match scale {
-            Scale::Quick => case.quick_steps,
-            Scale::Full => case.full_steps,
-        };
-        Self::with_steps(settle as u64, average as u64)
+        let (settle, average) = case.steps(scale);
+        Self::with_steps(case, settle, average)
     }
 
     /// Protocol with explicit step counts (campaign workers overriding
     /// the registry protocol lengths).
-    pub fn with_steps(settle: u64, average: u64) -> Self {
+    pub fn with_steps(case: TunnelCase, settle: u64, average: u64) -> Self {
         Self {
+            case,
             settle,
             total: settle + average,
             d0: None,
@@ -400,16 +406,19 @@ impl Protocol for TunnelProtocol {
     }
 
     fn at_step(&mut self, sim: &mut Engine, step: u64) {
-        if step == 0 && self.d0.is_none() {
+        if self.d0.is_none() {
             self.d0 = Some(sim.diagnostics());
         }
-        if step == self.settle && sim.field_sampler().is_none() {
+        // `>=`, not `==`: a plain `--resume` of a foreign snapshot taken
+        // past the settle boundary with no window open averages what is
+        // left of the run instead of reaching `finish` without a window.
+        if step >= self.settle && sim.field_sampler().is_none() {
             sim.begin_sampling();
         }
     }
 
     fn export_journal(&self, sec: &mut Section<'_>) {
-        let d0 = self.d0.expect("journal exported after step 0");
+        let d0 = self.d0.expect("journal exported after the first boundary");
         write_diag(sec, &d0);
     }
 
@@ -422,6 +431,27 @@ impl Protocol for TunnelProtocol {
     fn reset(&mut self) {
         self.d0 = None;
     }
+
+    fn finish(&mut self, sim: &mut Engine) -> Finished {
+        let d0 = self.d0.expect("baseline captured at the first boundary");
+        let field = sim.finish_sampling();
+        let surface = sim.finish_surface_sampling();
+        // Metric extraction reads the canonical single-domain view:
+        // identical whether the run was sharded or not.
+        let mut metrics = conservation_metrics(sim.canonical(), &d0);
+        if let Some(surf) = &surface {
+            metrics.extend(surface_metrics(sim.canonical(), surf));
+        }
+        metrics.extend((self.case.extract)(
+            sim.canonical(),
+            &field,
+            surface.as_ref(),
+        ));
+        Finished {
+            surface,
+            ..Finished::of(sim, metrics)
+        }
+    }
 }
 
 /// Startup-transient protocol: one sampling window every `window_steps`,
@@ -431,8 +461,7 @@ impl Protocol for TunnelProtocol {
 pub struct TransientProtocol {
     case: TransientCase,
     windows: u64,
-    /// Baseline captured at step 0.
-    pub d0: Option<Diagnostics>,
+    d0: Option<Diagnostics>,
     /// Completed windows so far.
     pub points: Vec<TransientPoint>,
 }
@@ -440,11 +469,7 @@ pub struct TransientProtocol {
 impl TransientProtocol {
     /// Protocol for `case` at `scale`.
     pub fn new(case: TransientCase, scale: Scale) -> Self {
-        let windows = match scale {
-            Scale::Quick => case.quick_windows,
-            Scale::Full => case.full_windows,
-        };
-        Self::with_windows(case, windows as u64)
+        Self::with_windows(case, case.windows(scale))
     }
 
     /// Protocol with an explicit window count (campaign workers
@@ -466,7 +491,7 @@ impl Protocol for TransientProtocol {
 
     fn at_step(&mut self, sim: &mut Engine, step: u64) {
         let window = self.case.window_steps as u64;
-        if step == 0 && self.d0.is_none() {
+        if self.d0.is_none() {
             self.d0 = Some(sim.diagnostics());
         }
         if step > 0 && step.is_multiple_of(window) {
@@ -489,7 +514,7 @@ impl Protocol for TransientProtocol {
     }
 
     fn export_journal(&self, sec: &mut Section<'_>) {
-        let d0 = self.d0.expect("journal exported after step 0");
+        let d0 = self.d0.expect("journal exported after the first boundary");
         write_diag(sec, &d0);
         sec.u64(self.points.len() as u64);
         for p in &self.points {
@@ -512,16 +537,20 @@ impl Protocol for TransientProtocol {
             let mut values = Vec::with_capacity(n_values.min(64));
             for _ in 0..n_values {
                 let name_bytes = c.vec_u8()?;
-                let name = String::from_utf8(name_bytes)
-                    .map_err(|_| StateError::Malformed("journal metric name is not UTF-8"))?;
+                // Metric names are `&'static`: a journalled name resolves
+                // to the one the case's probe emits, or the candidate is
+                // not this case's journal.
+                let name = self
+                    .case
+                    .probe_names
+                    .iter()
+                    .copied()
+                    .find(|n| n.as_bytes() == name_bytes)
+                    .ok_or(StateError::Malformed(
+                        "journal names a metric this case's probe does not emit",
+                    ))?;
                 let value = f64::from_bits(c.u64()?);
-                values.push(crate::Metric {
-                    // Probe metric names are &'static in the registry; a
-                    // restored journal re-materialises them.  Leaked
-                    // strings are bounded by windows × metrics per run.
-                    name: Box::leak(name.into_boxed_str()),
-                    value,
-                });
+                values.push(Metric { name, value });
             }
             points.push(TransientPoint { step_end, values });
         }
@@ -534,6 +563,43 @@ impl Protocol for TransientProtocol {
     fn reset(&mut self) {
         self.d0 = None;
         self.points.clear();
+    }
+
+    fn finish(&mut self, sim: &mut Engine) -> Finished {
+        let d0 = self.d0.expect("baseline captured at the first boundary");
+        let mut metrics = conservation_metrics(sim.canonical(), &d0);
+        metrics.extend((self.case.extract)(&self.points));
+        Finished {
+            transient: Some(std::mem::take(&mut self.points)),
+            ..Finished::of(sim, metrics)
+        }
+    }
+}
+
+/// The protocol `s` runs at `scale` — the one place a [`CaseKind`] maps to
+/// its run shape, for the plain runner and the supervisor alike.  `Err`
+/// carries why the kind has no protocol (it owns its run shape).
+pub fn protocol_for(
+    s: &Scenario,
+    scale: Scale,
+    po: ProtocolOverride,
+) -> Result<Box<dyn Protocol>, &'static str> {
+    match &s.kind {
+        CaseKind::Tunnel(t) => {
+            let (settle, average) = t.steps(scale);
+            Ok(Box::new(TunnelProtocol::with_steps(
+                *t,
+                po.settle.unwrap_or(settle),
+                po.average.unwrap_or(average),
+            )))
+        }
+        CaseKind::Transient(t) => Ok(Box::new(TransientProtocol::with_windows(
+            *t,
+            po.windows.unwrap_or(t.windows(scale)),
+        ))),
+        CaseKind::Restart(_) => Err("restart cases drive save/resume themselves"),
+        CaseKind::Relax(_) => Err("relaxation boxes have no step loop to supervise"),
+        CaseKind::Sweep(_) => Err("sweep scenarios expand into campaign runs; supervise those"),
     }
 }
 
@@ -549,33 +615,6 @@ fn die_hard() -> ! {
             .status();
     }
     std::process::abort();
-}
-
-enum CheckpointDamage {
-    Truncate,
-    FlipByte,
-}
-
-fn damage_newest(store: &CheckpointStore, kind: CheckpointDamage) -> String {
-    let Some((step, path)) = store.candidates().ok().and_then(|c| c.into_iter().next()) else {
-        return "no checkpoint on disk to damage".into();
-    };
-    let Ok(bytes) = std::fs::read(&path) else {
-        return format!("could not read checkpoint at step {step} to damage it");
-    };
-    match kind {
-        CheckpointDamage::Truncate => {
-            let _ = std::fs::write(&path, &bytes[..bytes.len() / 2]);
-            format!("truncated checkpoint at step {step} to half length")
-        }
-        CheckpointDamage::FlipByte => {
-            let mut bytes = bytes;
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            let _ = std::fs::write(&path, &bytes);
-            format!("flipped a byte in checkpoint at step {step}")
-        }
-    }
 }
 
 fn save_checkpoint(
@@ -709,7 +748,7 @@ pub fn supervise(
             Engine::try_new(cfg.clone(), opts.shards).map_err(SuperviseError::Config)?
         }
     };
-    let sentinel = Sentinel::arm_with(sim.canonical(), opts.thresholds);
+    let sentinel = Sentinel::arm(sim.canonical());
     let mut s = sim.diagnostics().steps;
     let mut fail_next_save = false;
 
@@ -806,12 +845,8 @@ pub fn supervise(
                 report.final_step = s;
                 return Err(SuperviseError::Abandoned(Box::new(report)));
             }
-            let backoff_ms = backoff_with_jitter(
-                opts.backoff_base_ms,
-                opts.backoff_cap_ms,
-                n,
-                cfg.fingerprint(),
-            );
+            let backoff_ms =
+                backoff_with_jitter(BACKOFF_BASE_MS, BACKOFF_CAP_MS, n, cfg.fingerprint());
             opts.sleeper.sleep(backoff_ms);
             let restored = try_restore(
                 &store,
@@ -911,110 +946,10 @@ pub fn run_supervised_config(
 ) -> Result<(RunOutcome, SupervisorReport), SuperviseError> {
     let t0 = std::time::Instant::now();
     let cfg = cfg.clone().validated();
-    match &s.kind {
-        CaseKind::Tunnel(t) => {
-            let (ds, da) = match scale {
-                Scale::Quick => t.quick_steps,
-                Scale::Full => t.full_steps,
-            };
-            let settle = po.settle.unwrap_or(ds as u64);
-            let average = po.average.unwrap_or(da as u64);
-            let mut protocol = TunnelProtocol::with_steps(settle, average);
-            let (mut sim, report) = supervise(&cfg, &mut protocol, opts)?;
-            let d0 = protocol.d0.expect("tunnel protocol captured its baseline");
-            let field = sim.finish_sampling();
-            let surface = sim.finish_surface_sampling();
-            let mut metrics = conservation_metrics(sim.canonical(), &d0);
-            if let Some(surf) = &surface {
-                metrics.extend(surface_metrics(sim.canonical(), surf));
-            }
-            metrics.extend((t.extract)(sim.canonical(), &field, surface.as_ref()));
-            let checks = if check {
-                check_goldens(s, scale, &metrics)
-            } else {
-                Vec::new()
-            };
-            let outcome = RunOutcome {
-                scenario: s.name,
-                scale,
-                passed: checks.iter().all(|c| c.ok),
-                metrics,
-                checks,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-                n_particles: sim.n_particles(),
-                steps: sim.diagnostics().steps,
-                state_hash: Some(sim.state_hash()),
-                surface,
-                transient: None,
-            };
-            Ok((outcome, report))
-        }
-        CaseKind::Transient(t) => {
-            let dw = match scale {
-                Scale::Quick => t.quick_windows,
-                Scale::Full => t.full_windows,
-            };
-            let windows = po.windows.unwrap_or(dw as u64);
-            let mut protocol = TransientProtocol::with_windows(*t, windows);
-            let (mut sim, report) = supervise(&cfg, &mut protocol, opts)?;
-            let d0 = protocol
-                .d0
-                .expect("transient protocol captured its baseline");
-            let mut metrics = conservation_metrics(sim.canonical(), &d0);
-            metrics.extend((t.extract)(&protocol.points));
-            let checks = if check {
-                check_goldens(s, scale, &metrics)
-            } else {
-                Vec::new()
-            };
-            let outcome = RunOutcome {
-                scenario: s.name,
-                scale,
-                passed: checks.iter().all(|c| c.ok),
-                metrics,
-                checks,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-                n_particles: sim.n_particles(),
-                steps: sim.diagnostics().steps,
-                state_hash: Some(sim.state_hash()),
-                surface: None,
-                transient: Some(protocol.points),
-            };
-            Ok((outcome, report))
-        }
-        CaseKind::Restart(_) => Err(SuperviseError::Unsupported(
-            "restart cases drive save/resume themselves",
-        )),
-        CaseKind::Relax(_) => Err(SuperviseError::Unsupported(
-            "relaxation boxes have no step loop to supervise",
-        )),
-        CaseKind::Sweep(_) => Err(SuperviseError::Unsupported(
-            "sweep scenarios expand into campaign runs; supervise those",
-        )),
-    }
-}
-
-/// Total protocol steps a supervised run of `s` at `scale` takes
-/// (`None` for kinds the supervisor does not drive) — what seeded fault
-/// plans scale their schedules to.
-pub fn protocol_total_steps(s: &Scenario, scale: Scale) -> Option<u64> {
-    match &s.kind {
-        CaseKind::Tunnel(t) => {
-            let (settle, average) = match scale {
-                Scale::Quick => t.quick_steps,
-                Scale::Full => t.full_steps,
-            };
-            Some((settle + average) as u64)
-        }
-        CaseKind::Transient(t) => {
-            let windows = match scale {
-                Scale::Quick => t.quick_windows,
-                Scale::Full => t.full_windows,
-            };
-            Some((windows * t.window_steps) as u64)
-        }
-        CaseKind::Restart(_) | CaseKind::Relax(_) | CaseKind::Sweep(_) => None,
-    }
+    let mut protocol = protocol_for(s, scale, po).map_err(SuperviseError::Unsupported)?;
+    let (mut sim, report) = supervise(&cfg, protocol.as_mut(), opts)?;
+    let fin = protocol.finish(&mut sim);
+    Ok((outcome(s, scale, check, t0, fin), report))
 }
 
 /// Serialise a report for the scenario JSON artifact.

@@ -13,7 +13,8 @@
 use dsmc_scenarios::campaign::{load_journal, maybe_worker_from_env, resolved_config};
 use dsmc_scenarios::{
     backoff_with_jitter, run_campaign, CampaignFault, CampaignFaultPlan, CampaignOptions,
-    CampaignSpec, RunSpec, RunStatus, Scale, Sleeper, SuperviseOptions,
+    CampaignSpec, RunSpec, RunStatus, Scale, Sleeper, SuperviseOptions, BACKOFF_BASE_MS,
+    BACKOFF_CAP_MS,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -164,11 +165,8 @@ fn killed_and_stalled_workers_retry_bit_identically() {
     // The stalled worker burns its whole attempt timeout; keep it short
     // (but comfortably above a clean debug attempt under load).
     opts.timeout = Duration::from_secs(20);
-    opts.faults = CampaignFaultPlan::at(0, 1, CampaignFault::Kill { at_step: 15 }).and(
-        1,
-        1,
-        CampaignFault::Stall { at_step: 15 },
-    );
+    opts.faults = CampaignFaultPlan::at((0, 1), CampaignFault::Kill { at_step: 15 })
+        .and((1, 1), CampaignFault::Stall { at_step: 15 });
     let report = run_campaign(&spec, &opts).expect("campaign");
 
     for label in ["victim", "staller"] {
@@ -208,11 +206,8 @@ fn corrupted_cache_checkpoint_falls_back_bit_identically() {
     let spec = fast_spec("corrupt", vec![fast_run("victim", 31)]);
     let mut opts = opts_in("corrupt");
     opts.checkpoint_every = 5;
-    opts.faults = CampaignFaultPlan::at(0, 1, CampaignFault::Kill { at_step: 15 }).and(
-        0,
-        2,
-        CampaignFault::CorruptCheckpoint,
-    );
+    opts.faults = CampaignFaultPlan::at((0, 1), CampaignFault::Kill { at_step: 15 })
+        .and((0, 2), CampaignFault::CorruptCheckpoint);
     let report = run_campaign(&spec, &opts).expect("campaign");
 
     let r = &report.runs[0];
@@ -272,7 +267,7 @@ fn deterministic_failure_quarantines_with_partial_results() {
     let slept = slept.lock().unwrap();
     assert_eq!(slept.len(), 1, "one backoff per retried attempt: {slept:?}");
     assert!(
-        slept[0] >= opts.backoff_base_ms / 2 && slept[0] <= opts.backoff_base_ms,
+        slept[0] >= BACKOFF_BASE_MS / 2 && slept[0] <= BACKOFF_BASE_MS,
         "backoff {}ms outside the jitter window",
         slept[0]
     );
@@ -293,7 +288,7 @@ fn hung_run_times_out_and_degrades() {
     let mut opts = opts_in("hung");
     opts.timeout = Duration::from_secs(5);
     opts.max_attempts = 1;
-    opts.faults = CampaignFaultPlan::at(0, 1, CampaignFault::Stall { at_step: 1 });
+    opts.faults = CampaignFaultPlan::at((0, 1), CampaignFault::Stall { at_step: 1 });
     let report = run_campaign(&spec, &opts).expect("campaign");
 
     let r = &report.runs[0];
@@ -397,10 +392,12 @@ fn executor_kill_minus_nine_resumes_from_journal() {
 fn campaign_backoff_jitter_is_deterministic_and_bounded() {
     let mut differs = false;
     for attempt in 1..=8u32 {
-        let full = 10u64.saturating_mul(1 << (attempt - 1)).min(500);
-        let a = backoff_with_jitter(10, 500, attempt, 0xfeed);
-        let b = backoff_with_jitter(10, 500, attempt, 0xbeef);
-        assert_eq!(a, backoff_with_jitter(10, 500, attempt, 0xfeed));
+        let full = BACKOFF_BASE_MS
+            .saturating_mul(1 << (attempt - 1))
+            .min(BACKOFF_CAP_MS);
+        let jitter = |salt| backoff_with_jitter(BACKOFF_BASE_MS, BACKOFF_CAP_MS, attempt, salt);
+        let (a, b) = (jitter(0xfeed), jitter(0xbeef));
+        assert_eq!(a, jitter(0xfeed));
         assert!(
             a >= full / 2 && a <= full,
             "attempt {attempt}: {a} vs {full}"

@@ -72,7 +72,8 @@ fn sentinels_stay_silent_across_the_registry_at_quick_scale() {
         let Some(cfg) = s.tunnel_config(Scale::Quick) else {
             continue; // relaxation boxes have no engine run to watch
         };
-        let total = dsmc_scenarios::protocol_total_steps(s, Scale::Quick).unwrap_or(400);
+        let total = dsmc_scenarios::protocol_for(s, Scale::Quick, Default::default())
+            .map_or(400, |p| p.total_steps());
         let mut sim = Simulation::new(cfg);
         let sentinel = Sentinel::arm(&sim);
         for step in 1..=total {

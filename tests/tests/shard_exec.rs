@@ -9,8 +9,8 @@
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, ShardedSimulation, SimConfig, Simulation};
 use dsmc_scenarios::{
-    registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, SuperviseError,
-    SuperviseOptions, TunnelCase, TunnelProtocol,
+    registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, Sleeper,
+    SuperviseError, SuperviseOptions, TunnelCase, TunnelProtocol,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -361,7 +361,7 @@ fn threaded_supervised_recovery_is_hash_identical() {
     let mut opts = SuperviseOptions::new(dir, "chaos");
     opts.checkpoint_every = 10;
     opts.sentinel_every = 5;
-    opts.backoff_base_ms = 1;
+    opts.sleeper = Sleeper::recording().0;
     opts.exec = ExecMode::Threaded { workers: 2 };
 
     // Arm 1: 3 shards threaded, crash at step 30 with no recovery budget

@@ -9,8 +9,8 @@
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, Engine, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{
-    registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, SuperviseError,
-    SuperviseOptions, TunnelCase, TunnelProtocol,
+    registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, Sleeper,
+    SuperviseError, SuperviseOptions, TunnelCase, TunnelProtocol,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -170,7 +170,7 @@ fn sharded_checkpoint_resumes_at_any_shard_count() {
     let mut opts = SuperviseOptions::new(dir, "s_to_sprime");
     opts.checkpoint_every = 10;
     opts.sentinel_every = 5;
-    opts.backoff_base_ms = 1;
+    opts.sleeper = Sleeper::recording().0;
 
     // Arm 1: 3 shards, crash at step 30 with no recovery budget — the
     // run is abandoned but its checkpoints (10, 20, 30) survive.

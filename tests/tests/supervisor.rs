@@ -9,9 +9,10 @@
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, Engine, FaultTarget, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{
-    find, run, supervise, CaseKind, Fault, FaultPlan, Metric, Protocol, Scale, SuperviseError,
-    SuperviseOptions, SuperviseOutcome, SupervisorReport, TransientCase, TransientPoint,
-    TransientProtocol, TunnelCase, TunnelProtocol,
+    find, protocol_for, run, run_supervised, run_with, supervise, CaseKind, Fault, FaultPlan,
+    Golden, Metric, Protocol, ProtocolOverride, RunOptions, RunOutcome, Scale, Scenario, Sleeper,
+    SuperviseError, SuperviseOptions, SuperviseOutcome, SupervisorReport, TransientCase,
+    TransientPoint, TransientProtocol, TunnelCase, TunnelProtocol,
 };
 use std::path::PathBuf;
 
@@ -65,17 +66,124 @@ fn plain_tunnel(cfg: &SimConfig, settle: u64, total: u64) -> Simulation {
     sim
 }
 
+fn wedge_dirty_7() -> SimConfig {
+    wedge_dirty_cfg(7)
+}
+
+/// A steady extractor that reads both the state and the averaged window.
+fn extract_small(
+    sim: &Simulation,
+    field: &dsmc_engine::SampledField,
+    _s: Option<&dsmc_engine::SurfaceField>,
+) -> Vec<Metric> {
+    vec![
+        Metric {
+            name: "n_flow",
+            value: sim.diagnostics().n_flow as f64,
+        },
+        Metric {
+            name: "density_sum",
+            value: field.density.iter().sum(),
+        },
+    ]
+}
+
+fn probe_n_flow(
+    sim: &Simulation,
+    _f: &dsmc_engine::SampledField,
+    _s: Option<&dsmc_engine::SurfaceField>,
+) -> Vec<Metric> {
+    vec![Metric {
+        name: "n_flow",
+        value: sim.diagnostics().n_flow as f64,
+    }]
+}
+
+/// The 4 × 10-step transient the in-process transient tests drive.
+fn small_transient() -> TransientCase {
+    TransientCase {
+        config: wedge_dirty_7,
+        quick_density: 1.0,
+        window_steps: 10,
+        quick_windows: 4,
+        full_windows: 4,
+        probe: probe_n_flow,
+        probe_names: &["n_flow"],
+        extract: |points| {
+            vec![Metric {
+                name: "n_flow_final",
+                value: points.last().expect("a window").values[0].value,
+            }]
+        },
+    }
+}
+
+/// Debug-affordable stand-ins for a steady and a transient registry
+/// entry: the same runners, protocols and golden grading, ~50 steps.
+fn small_scenarios() -> [Scenario; 2] {
+    const GOLDEN: &[Golden] = &[Golden {
+        metric: "particle_count_drift",
+        value: 0.0,
+        tol: 0.0,
+    }];
+    [
+        Scenario {
+            name: "small-tunnel",
+            about: "steady stand-in",
+            kind: CaseKind::Tunnel(TunnelCase {
+                config: wedge_dirty_7,
+                extract: extract_small,
+                ..small_case(SETTLE, TOTAL)
+            }),
+            golden: GOLDEN,
+        },
+        Scenario {
+            name: "small-transient",
+            about: "transient stand-in",
+            kind: CaseKind::Transient(small_transient()),
+            golden: GOLDEN,
+        },
+    ]
+}
+
+/// Everything but the wall-clock must agree to the bit.
+fn assert_outcomes_bit_equal(tag: &str, a: &RunOutcome, b: &RunOutcome) {
+    type Bits = Vec<(&'static str, u64)>;
+    let bits = |ms: &[Metric]| -> Bits { ms.iter().map(|m| (m.name, m.value.to_bits())).collect() };
+    assert_eq!(bits(&a.metrics), bits(&b.metrics), "{tag}: metrics");
+    let checks = |o: &RunOutcome| -> Vec<(&'static str, u64, bool)> {
+        o.checks
+            .iter()
+            .map(|c| (c.metric, c.measured.to_bits(), c.ok))
+            .collect()
+    };
+    assert_eq!(checks(a), checks(b), "{tag}: golden checks");
+    assert!(!a.checks.is_empty(), "{tag}: nothing was graded");
+    assert_eq!(a.passed, b.passed, "{tag}: verdict");
+    assert_eq!(a.state_hash, b.state_hash, "{tag}: state_hash");
+    assert_eq!((a.steps, a.n_particles), (b.steps, b.n_particles), "{tag}");
+    let series = |o: &RunOutcome| -> Option<Vec<(u64, Bits)>> {
+        o.transient
+            .as_ref()
+            .map(|ps| ps.iter().map(|p| (p.step_end, bits(&p.values))).collect())
+    };
+    assert_eq!(series(a), series(b), "{tag}: transient series");
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dsmc_supervisor_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
 
+/// Options on a debug-affordable cadence, with a recording sleeper so
+/// recovery backoffs cost no wall-clock.
 fn opts_in(tag: &str) -> SuperviseOptions {
     let mut opts = SuperviseOptions::new(tmp_dir(tag), tag);
     opts.checkpoint_every = 10;
     opts.sentinel_every = 5;
     opts.keep = 3;
+    opts.sleeper = Sleeper::recording().0;
     opts
 }
 
@@ -121,6 +229,29 @@ fn clean_supervised_run_is_bit_identical_to_plain() {
     assert_eq!(report.save_errors, 0);
     // ...pruned on disk to the `keep` newest.
     assert_eq!(ckpt_files(&opts.ckpt_dir).len(), opts.keep);
+
+    // One level up: the plain runner and the supervisor walk the same
+    // `Protocol` and share `finish`/outcome assembly, so whole outcomes
+    // agree to the bit — a steady and a transient case, stand-ins always
+    // and the registry's own in release (a debug tunnel run costs ~a
+    // minute).
+    let stand_ins = small_scenarios();
+    let mut cases: Vec<&Scenario> = stand_ins.iter().collect();
+    if !cfg!(debug_assertions) {
+        cases.extend(["wedge-rarefied", "cylinder-startup"].map(|n| find(n).expect("registered")));
+    }
+    for s in cases {
+        let plain = run_with(s, Scale::Quick, &RunOptions::default()).expect("plain run");
+        let mut opts = opts_in(&format!("clean_{}", s.name));
+        if !cfg!(debug_assertions) {
+            (opts.checkpoint_every, opts.sentinel_every) = (100, 25);
+        }
+        let (supervised, report) =
+            run_supervised(s, Scale::Quick, &opts).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        assert_eq!(report.outcome, SuperviseOutcome::Completed);
+        assert!(plain.passed, "{}: {:?}", s.name, plain.checks);
+        assert_outcomes_bit_equal(s.name, &plain, &supervised);
+    }
 }
 
 /// Every in-memory fault class recovers to the identical trajectory.
@@ -137,7 +268,6 @@ fn every_corruption_class_recovers_to_the_identical_hash() {
     ];
     for &(tag, step, target) in cases {
         let mut opts = opts_in(tag);
-        opts.backoff_base_ms = 1;
         opts.faults = FaultPlan::at(step, Fault::CorruptColumn { target, salt: 99 });
         let (hash, report) = supervised_hash(&opts);
         assert_eq!(hash, reference, "{tag}: recovered run diverged");
@@ -169,7 +299,6 @@ fn every_corruption_class_recovers_to_the_identical_hash() {
 #[test]
 fn crash_recovers_from_the_newest_checkpoint() {
     let mut opts = opts_in("crash");
-    opts.backoff_base_ms = 1;
     opts.faults = FaultPlan::at(23, Fault::Crash);
     let (hash, report) = supervised_hash(&opts);
     assert_eq!(hash, plain_hash());
@@ -204,7 +333,6 @@ fn recovery_scans_past_damaged_newest_checkpoints() {
         ("flipped", Fault::FlipCheckpointByte),
     ] {
         let mut opts = opts_in(tag);
-        opts.backoff_base_ms = 1;
         // Damage the checkpoint written at 30, then crash: recovery must
         // skip the damaged 30 and restore 20.
         opts.faults = FaultPlan::at(31, fault).and(33, Fault::Crash);
@@ -231,7 +359,6 @@ fn recovery_scans_past_damaged_newest_checkpoints() {
 #[test]
 fn cold_restart_when_no_checkpoint_survives() {
     let mut opts = opts_in("cold");
-    opts.backoff_base_ms = 1;
     opts.faults = FaultPlan::at(7, Fault::Crash);
     let (hash, report) = supervised_hash(&opts);
     assert_eq!(hash, plain_hash());
@@ -247,7 +374,6 @@ fn cold_restart_when_no_checkpoint_survives() {
 #[test]
 fn budget_exhaustion_abandons_with_a_full_report() {
     let mut opts = opts_in("abandon");
-    opts.backoff_base_ms = 1;
     opts.max_recoveries = 2;
     opts.faults = FaultPlan::at(21, Fault::Crash)
         .and(22, Fault::Crash)
@@ -283,25 +409,7 @@ fn startup_auto_resumes_from_an_existing_checkpoint() {
 /// journal), and the series must match the unsupervised arm exactly.
 #[test]
 fn transient_windows_survive_recovery_bit_exactly() {
-    fn probe(
-        sim: &Simulation,
-        _f: &dsmc_engine::SampledField,
-        _s: Option<&dsmc_engine::SurfaceField>,
-    ) -> Vec<Metric> {
-        vec![Metric {
-            name: "n_flow",
-            value: sim.diagnostics().n_flow as f64,
-        }]
-    }
-    let case = TransientCase {
-        config: SimConfig::small_test,
-        quick_density: 1.0,
-        window_steps: 10,
-        quick_windows: 4,
-        full_windows: 4,
-        probe,
-        extract: |_| Vec::new(),
-    };
+    let case = small_transient();
     let cfg = wedge_dirty_cfg(11);
 
     // Unsupervised reference arm.
@@ -319,7 +427,6 @@ fn transient_windows_survive_recovery_bit_exactly() {
 
     // Supervised arm with a crash between windows 2 and 3.
     let mut opts = opts_in("transient");
-    opts.backoff_base_ms = 1;
     opts.faults = FaultPlan::at(27, Fault::Crash);
     let mut protocol = TransientProtocol::new(case, Scale::Quick);
     let (mut sim, report) = supervise(&cfg, &mut protocol, &opts).expect("supervise");
@@ -345,6 +452,74 @@ fn transient_windows_survive_recovery_bit_exactly() {
     }
 }
 
+/// The checkpoint journal is an input surface: a candidate whose windows
+/// name a metric this case's probe does not emit is not this case's
+/// journal.  It is skipped with a typed error (nothing leaked, nothing
+/// half-restored) and the scan falls through to the next candidate.
+#[test]
+fn journal_naming_an_unknown_metric_is_skipped_and_the_scan_falls_through() {
+    let cfg = wedge_dirty_cfg(11);
+    let ours = small_transient();
+    let theirs = TransientCase {
+        probe: |sim, _, _| {
+            vec![Metric {
+                name: "n_reservoir",
+                value: sim.diagnostics().n_reservoir as f64,
+            }]
+        },
+        probe_names: &["n_reservoir"],
+        ..ours
+    };
+    let skipped_as_foreign = |report: &SupervisorReport, step: u64| {
+        report.log.iter().any(|l| {
+            l.starts_with(&format!("step {step:>8}:"))
+                && l.contains("malformed")
+                && l.contains("does not emit")
+        })
+    };
+
+    // The uninterrupted 5-window reference.
+    let mut reference = TransientProtocol::with_windows(ours, 5);
+    let mut ref_sim = Engine::new(cfg.clone(), 1);
+    for s in 0..=50u64 {
+        reference.at_step(&mut ref_sim, s);
+        if s < 50 {
+            ref_sim.step();
+        }
+    }
+
+    // Our case, 4 windows: checkpoints 10..=40 journal `n_flow` windows.
+    let mut opts = opts_in("foreign_journal");
+    opts.keep = 16;
+    let mut protocol = TransientProtocol::with_windows(ours, 4);
+    supervise(&cfg, &mut protocol, &opts).expect("first arm");
+
+    // The other case in the same directory (same config fingerprint):
+    // every candidate names a metric *its* probe does not emit, so it
+    // starts cold — and leaves the newest checkpoint, 50, in its names.
+    opts.checkpoint_every = 50;
+    let mut protocol = TransientProtocol::with_windows(theirs, 5);
+    let (_, report) = supervise(&cfg, &mut protocol, &opts).expect("foreign arm");
+    assert_eq!(report.resumed_at_start, None, "{}", report.render_log());
+    for step in [10, 20, 30, 40] {
+        assert!(skipped_as_foreign(&report, step), "{}", report.render_log());
+    }
+
+    // Our case again, now 5 windows: 50 is skipped, 40 is adopted, and the
+    // finished series is the uninterrupted one.
+    let mut protocol = TransientProtocol::with_windows(ours, 5);
+    let (mut sim, report) = supervise(&cfg, &mut protocol, &opts).expect("second arm");
+    assert!(skipped_as_foreign(&report, 50), "{}", report.render_log());
+    assert_eq!(report.resumed_at_start, Some(40), "{}", report.render_log());
+    assert_eq!(sim.state_hash(), ref_sim.state_hash());
+    let series = |ps: &[TransientPoint]| -> Vec<(u64, &'static str, u64)> {
+        ps.iter()
+            .map(|p| (p.step_end, p.values[0].name, p.values[0].value.to_bits()))
+            .collect()
+    };
+    assert_eq!(series(&protocol.points), series(&reference.points));
+}
+
 /// Registry-level acceptance (release-only: a debug tunnel run costs ~a
 /// minute): the headline steady and transient cases, supervised under a
 /// seeded mixed-class chaos plan, must reproduce their goldens and the
@@ -357,11 +532,12 @@ fn registry_cases_survive_seeded_chaos_with_identical_goldens_and_hash() {
     for name in ["flat-plate", "cylinder-startup"] {
         let s = find(name).expect("registered");
         let plain = run(s, Scale::Quick);
-        let total = dsmc_scenarios::protocol_total_steps(s, Scale::Quick).unwrap();
+        let total = protocol_for(s, Scale::Quick, ProtocolOverride::default())
+            .expect("supervisable kind")
+            .total_steps();
         let mut opts = opts_in(&format!("chaos_{name}"));
         opts.checkpoint_every = 100;
         opts.sentinel_every = 25;
-        opts.backoff_base_ms = 1;
         opts.faults = FaultPlan::seeded(0xC0FFEE, total, opts.sentinel_every);
         let (outcome, report) = dsmc_scenarios::run_supervised(s, Scale::Quick, &opts)
             .unwrap_or_else(|e| panic!("{name}: supervise failed: {e}"));

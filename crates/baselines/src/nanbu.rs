@@ -10,7 +10,9 @@
 //! `P_c = P∞·n/n∞`, picks a random partner in its cell, and updates *only
 //! its own* velocity with the post-collision state; the partner is left
 //! untouched.  Mean-conserving, pairwise-violating — implemented here so
-//! the paper's criticism is measurable (`ablation_selection`).
+//! the paper's criticism is measurable (`nanbu_conserves_only_in_the_mean`
+//! below; `examples/baseline_compare.rs` puts the three schemes side by
+//! side).
 
 use crate::harness::UniformBox;
 use dsmc_fixed::{Fx, Rounding};

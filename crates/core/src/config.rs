@@ -321,7 +321,8 @@ pub enum RngMode {
     /// The paper's frugal mode: "a quick but dirty random number in the low
     /// order bits of a physical state quantity".  Saves the per-particle
     /// generator state and its update at the cost of weaker randomness;
-    /// the `ablation_rng` experiment quantifies the difference.
+    /// `tests/tests/cross_impl.rs::dirty_bits_macroscopics_match_explicit`
+    /// holds the macroscopic flow to the explicit streams' result.
     DirtyBits,
 }
 

@@ -1109,11 +1109,40 @@ impl Engine {
         }
     }
 
+    /// Resume into the sharded engine even at one shard, where
+    /// [`Engine::resume`] hands back the single-domain one: what the shard
+    /// machinery costs before any cut exists.
+    pub fn resume_sharded(
+        cfg: SimConfig,
+        bytes: &[u8],
+        n_shards: usize,
+    ) -> Result<Self, StateError> {
+        ShardedSimulation::resume(cfg, bytes, n_shards).map(Engine::Sharded)
+    }
+
     /// Shard count (1 for the single-domain path).
     pub fn n_shards(&self) -> usize {
         match self {
             Engine::Single(_) => 1,
             Engine::Sharded(s) => s.layout().n_shards(),
+        }
+    }
+
+    /// Current per-shard populations, flow + reservoir (one entry on the
+    /// single-domain path).
+    pub fn shard_populations(&self) -> Vec<usize> {
+        match self {
+            Engine::Single(s) => vec![s.n_particles()],
+            Engine::Sharded(s) => s.shard_populations(),
+        }
+    }
+
+    /// How many times the weighted repartition has re-drawn the cuts
+    /// (never, on the single-domain path).
+    pub fn repartitions(&self) -> u64 {
+        match self {
+            Engine::Single(_) => 0,
+            Engine::Sharded(s) => s.repartitions(),
         }
     }
 

@@ -7,8 +7,9 @@
 //! energy in stagnation regions of the flow* and fixes it by adding a random
 //! bit, "in a statistical sense achieving the correct rounding".
 //!
-//! Three policies are provided so the effect can be measured (ablation
-//! `ablation_rounding` in the bench crate):
+//! Three policies are provided so the effect can be measured
+//! (`tests/tests/conservation.rs::truncation_drains_energy_at_system_level`
+//! holds the claim):
 //!
 //! * [`Rounding::Truncate`] — division semantics: round toward **zero**,
 //!   like the hardware integer divide.  Every odd halving shrinks the

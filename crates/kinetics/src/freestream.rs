@@ -161,7 +161,7 @@ mod tests {
     fn reynolds_same_order_as_paper() {
         // The paper quotes Re = 600 for Kn = 0.02, M = 4. The von Kármán
         // relation gives ≈ 297 — same order; the paper's number depends on
-        // its λ–viscosity convention. Recorded in EXPERIMENTS.md.
+        // its λ–viscosity convention.
         let fs = FreeStream::mach4(0.5);
         let re = fs.reynolds(25.0);
         assert!((200.0..700.0).contains(&re), "Re = {re}");

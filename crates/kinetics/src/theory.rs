@@ -4,8 +4,7 @@
 //! theoretical results": the θ–β–M oblique-shock relation (45° shock for
 //! Mach 4 over a 30° wedge), the Rankine–Hugoniot density ratio (3.7), and
 //! the Prandtl–Meyer expansion around the shoulder.  These are implemented
-//! here once and shared by the tests, the flow-field analysis and
-//! EXPERIMENTS.md.
+//! here once and shared by the tests and the flow-field analysis.
 
 /// θ–β–M relation: flow deflection angle θ produced by an oblique shock of
 /// wave angle β at Mach `m` (all angles in radians).

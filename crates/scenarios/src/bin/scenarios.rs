@@ -61,8 +61,8 @@
 //! * `4` — a campaign degraded: at least one run timed out or was
 //!   quarantined (partial results and the journal were still written).
 
-use dsmc_bench::{try_artifact_dir, try_write_artifact};
 use dsmc_flowfield::surface::{ascii_profile, surface_to_csv};
+use dsmc_scenarios::artifacts;
 use dsmc_scenarios::campaign::{campaign_json, check_sweep_goldens, load_journal, sweep_campaign};
 use dsmc_scenarios::fault::{CampaignFault, CampaignFaultPlan, Fault, FaultPlan};
 use dsmc_scenarios::{
@@ -123,21 +123,13 @@ fn print_outcome(o: &RunOutcome) {
     }
 }
 
-/// Write one artifact, downgrading I/O failure to a warning: a full
-/// artifact volume must not turn a finished, passing run into a crash.
-fn record_artifact(name: &str, bytes: &[u8]) {
-    if let Err(e) = try_write_artifact(name, bytes) {
-        eprintln!("warning: artifact {name} not written: {e}");
-    }
-}
-
 fn record_outcome(s: &Scenario, outcome: &RunOutcome, supervisor: Option<&SupervisorReport>) {
     print_outcome(outcome);
     let mut j = outcome_json(outcome);
     if let Some(report) = supervisor {
         j.obj("supervisor", supervisor_json(report));
     }
-    record_artifact(
+    artifacts::record(
         &format!("BENCH_scenario_{}.json", s.name),
         j.pretty().as_bytes(),
     );
@@ -145,7 +137,7 @@ fn record_outcome(s: &Scenario, outcome: &RunOutcome, supervisor: Option<&Superv
     // as a CSV artifact (one row per arc-length facet) plus a terminal
     // profile of Cp.
     if let Some(surf) = &outcome.surface {
-        record_artifact(
+        artifacts::record(
             &format!("BENCH_surface_{}.csv", s.name),
             surface_to_csv(surf).as_bytes(),
         );
@@ -153,15 +145,11 @@ fn record_outcome(s: &Scenario, outcome: &RunOutcome, supervisor: Option<&Superv
     }
     // Transient cases: the windowed time series, one row per window.
     if let Some(points) = &outcome.transient {
-        record_artifact(
+        artifacts::record(
             &format!("BENCH_transient_{}.csv", s.name),
-            transient_points_csv(points).as_bytes(),
+            dsmc_scenarios::transient_to_csv(points).as_bytes(),
         );
     }
-}
-
-fn transient_points_csv(points: &[dsmc_scenarios::TransientPoint]) -> String {
-    dsmc_scenarios::transient_to_csv(points)
 }
 
 fn run_and_record(s: &Scenario, scale: Scale, opts: &RunOptions) -> bool {
@@ -193,7 +181,7 @@ fn supervise_and_record(s: &Scenario, scale: Scale, opts: &SuperviseOptions) -> 
                 report.recoveries.len(),
                 report.checkpoints_written
             );
-            record_artifact(
+            artifacts::record(
                 &format!("BENCH_supervisor_{}.log", s.name),
                 report.render_log().as_bytes(),
             );
@@ -202,7 +190,7 @@ fn supervise_and_record(s: &Scenario, scale: Scale, opts: &SuperviseOptions) -> 
         Err(SuperviseError::Abandoned(report)) => {
             eprintln!("run abandoned: recovery budget exhausted");
             eprint!("{}", report.render_log());
-            record_artifact(
+            artifacts::record(
                 &format!("BENCH_supervisor_{}.log", s.name),
                 report.render_log().as_bytes(),
             );
@@ -392,7 +380,7 @@ fn main() {
                 Some(s) if supervise => {
                     let dir = match &ckpt_dir {
                         Some(d) => std::path::PathBuf::from(d),
-                        None => match try_artifact_dir() {
+                        None => match artifacts::dir() {
                             Ok(d) => d.join(format!("supervisor_{}_{}", s.name, scale.label())),
                             Err(e) => {
                                 eprintln!("cannot create checkpoint dir: {e}");
@@ -647,7 +635,7 @@ fn campaign_main(args: &[String]) -> ! {
 
     let dir = match dir {
         Some(d) => d,
-        None => match try_artifact_dir() {
+        None => match artifacts::dir() {
             Ok(d) => d.join(format!("campaign_{}", spec.name)),
             Err(e) => campaign_bail(&format!("cannot create campaign dir: {e}")),
         },
@@ -707,7 +695,7 @@ fn campaign_main(args: &[String]) -> ! {
             code = 2;
         }
     }
-    record_artifact(
+    artifacts::record(
         &format!("BENCH_campaign_{}.json", spec.name),
         j.pretty().as_bytes(),
     );

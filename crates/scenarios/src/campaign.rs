@@ -36,6 +36,7 @@
 use crate::fault::{
     damage_newest, CampaignFault, CampaignFaultPlan, CheckpointDamage, Fault, FaultPlan,
 };
+use crate::json;
 use crate::supervisor::{
     backoff_with_jitter, ProtocolOverride, Sleeper, BACKOFF_BASE_MS, BACKOFF_CAP_MS, POLL_MS,
 };
@@ -43,7 +44,6 @@ use crate::{
     at_density, check_goldens, find, run_supervised_config, CaseKind, CheckResult, Metric,
     RunOutcome, Scale, Scenario, SuperviseError, SuperviseOptions, SupervisorReport, SweepCase,
 };
-use dsmc_bench::json;
 use dsmc_engine::{SimConfig, StateError};
 use dsmc_state::store::{atomic_write, CheckpointStore};
 use dsmc_state::{Fnv64, Reader, Writer};

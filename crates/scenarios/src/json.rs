@@ -1,9 +1,9 @@
 //! A tiny JSON writer for experiment artifacts.
 //!
-//! The workspace builds offline, so instead of serde the bench harness
-//! serialises its flat metric records through this insertion-ordered
-//! object builder.  Only what artifacts need is supported: numbers,
-//! integers, booleans, strings, nested objects and arrays thereof.
+//! The workspace builds offline, so instead of serde the scenario
+//! reports are serialised through this insertion-ordered object builder.
+//! Only what artifacts need is supported: numbers, integers, booleans,
+//! strings, nested objects and arrays thereof.
 
 use std::fmt::Write as _;
 

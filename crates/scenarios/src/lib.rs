@@ -27,13 +27,14 @@
 
 use dsmc_baselines::nanbu::pairwise_step;
 use dsmc_baselines::UniformBox;
-use dsmc_bench::json;
 use dsmc_engine::{
     Diagnostics, Engine, ExecMode, SampledField, SimConfig, Simulation, StateError, SurfaceField,
 };
 
+pub mod artifacts;
 pub mod campaign;
 pub mod fault;
+pub mod json;
 pub mod registry;
 pub mod supervisor;
 
@@ -430,19 +431,6 @@ pub struct RunOptions {
     pub exec: ExecMode,
 }
 
-/// Atomically write a checkpoint artifact; an I/O failure is reported
-/// and survived (the run's physics is unaffected and older checkpoints
-/// remain usable), never a panic that kills a long run at its last step.
-fn write_checkpoint_artifact(name: &str, bytes: &[u8]) {
-    let written = dsmc_bench::try_artifact_dir()
-        .map_err(dsmc_engine::StateError::Io)
-        .and_then(|dir| dsmc_state::store::atomic_write(dir.join(name), bytes));
-    match written {
-        Ok(()) => println!("  wrote checkpoint artifact {name}"),
-        Err(e) => eprintln!("warning: checkpoint artifact {name} not written: {e}"),
-    }
-}
-
 /// Standard conservation residuals of a tunnel run.
 ///
 /// Particle count is exactly invariant (particles only move between flow
@@ -654,12 +642,12 @@ fn run_protocol(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<Finishe
     loop {
         if let Some((every, settle)) = artifacts {
             if step > start && step.is_multiple_of(every) {
-                write_checkpoint_artifact(&format!("{stem}.bin"), &sim.save_state());
+                artifacts::record(&format!("{stem}.bin"), &sim.save_state());
             }
             // Saved *before* the protocol opens the averaging window, so
             // resuming it replays the whole window: the warm-start product.
             if step == settle && sim.field_sampler().is_none() {
-                write_checkpoint_artifact(&format!("{stem}_settled.bin"), &sim.save_state());
+                artifacts::record(&format!("{stem}_settled.bin"), &sim.save_state());
             }
         }
         protocol.at_step(&mut sim, step);

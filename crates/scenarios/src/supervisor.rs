@@ -27,11 +27,11 @@
 //! asserts exactly that for every fault class in [`crate::fault`].
 
 use crate::fault::{damage_newest, CheckpointDamage, Fault, FaultPlan};
+use crate::json;
 use crate::{
     conservation_metrics, outcome, surface_metrics, CaseKind, Finished, Metric, RunOutcome, Scale,
     Scenario, TransientCase, TransientPoint, TunnelCase,
 };
-use dsmc_bench::json;
 use dsmc_engine::sentinel::Sentinel;
 use dsmc_engine::{ConfigError, Diagnostics, Engine, SimConfig, StateError};
 use dsmc_state::store::CheckpointStore;
@@ -640,8 +640,11 @@ fn save_checkpoint(
 /// survives *every* gate: container checksum, config fingerprint,
 /// semantic simulation resume, journal decode, and (when armed) a
 /// sentinel re-check of the restored state.  Damaged candidates are
-/// logged and skipped.
-fn try_restore(
+/// logged and skipped.  With no survivor, reset the protocol and
+/// cold-start — what both startup and every recovery fall back to.
+/// Returns the adopted checkpoint's step (`None` for the cold start) with
+/// the engine.
+fn restore_or_cold_start(
     store: &CheckpointStore,
     cfg: &SimConfig,
     protocol: &mut dyn Protocol,
@@ -649,7 +652,7 @@ fn try_restore(
     shards: usize,
     max_step: u64,
     report: &mut SupervisorReport,
-) -> Option<(u64, Engine)> {
+) -> Result<(Option<u64>, Engine), SuperviseError> {
     for (step, path) in store.candidates().unwrap_or_default() {
         // The store may be a fingerprint-keyed cache shared with runs of
         // a *longer* protocol (the campaign's warm-start cache): a
@@ -692,14 +695,16 @@ fn try_restore(
                     }
                 }
                 let at = sim.diagnostics().steps;
-                return Some((at, sim));
+                return Ok((Some(at), sim));
             }
             Err(e) => {
                 report.note(step, format!("recovery: candidate invalid ({e}), skipping"));
             }
         }
     }
-    None
+    protocol.reset();
+    let sim = Engine::try_new(cfg.clone(), shards).map_err(SuperviseError::Config)?;
+    Ok((None, sim))
 }
 
 /// Drive `protocol` over a fresh or auto-resumed simulation of `cfg`
@@ -729,7 +734,7 @@ pub fn supervise(
 
     // Startup: adopt a half-finished previous run if a valid checkpoint
     // survives (the crash-recovery path after kill -9), else cold-start.
-    let mut sim = match try_restore(
+    let (resumed, mut sim) = restore_or_cold_start(
         &store,
         &cfg,
         protocol,
@@ -737,17 +742,11 @@ pub fn supervise(
         opts.shards,
         total,
         &mut report,
-    ) {
-        Some((step, sim)) => {
-            report.resumed_at_start = Some(step);
-            report.note(step, "startup: resumed from checkpoint");
-            sim
-        }
-        None => {
-            protocol.reset();
-            Engine::try_new(cfg.clone(), opts.shards).map_err(SuperviseError::Config)?
-        }
-    };
+    )?;
+    if let Some(step) = resumed {
+        report.resumed_at_start = Some(step);
+        report.note(step, "startup: resumed from checkpoint");
+    }
     let sentinel = Sentinel::arm(sim.canonical());
     let mut s = sim.diagnostics().steps;
     let mut fail_next_save = false;
@@ -848,7 +847,7 @@ pub fn supervise(
             let backoff_ms =
                 backoff_with_jitter(BACKOFF_BASE_MS, BACKOFF_CAP_MS, n, cfg.fingerprint());
             opts.sleeper.sleep(backoff_ms);
-            let restored = try_restore(
+            let (restored_step, restored_sim) = restore_or_cold_start(
                 &store,
                 &cfg,
                 protocol,
@@ -856,31 +855,22 @@ pub fn supervise(
                 opts.shards,
                 total,
                 &mut report,
+            )?;
+            sim = restored_sim;
+            report.note(
+                s,
+                match restored_step {
+                    Some(step) => format!("{cause}; recovered to checkpoint at step {step}"),
+                    None => format!("{cause}; no valid checkpoint, cold restart"),
+                },
             );
-            let (restored_step, new_s) = match restored {
-                Some((step, restored_sim)) => {
-                    sim = restored_sim;
-                    report.note(
-                        s,
-                        format!("{cause}; recovered to checkpoint at step {step}"),
-                    );
-                    (Some(step), step)
-                }
-                None => {
-                    protocol.reset();
-                    sim = Engine::try_new(cfg.clone(), opts.shards)
-                        .map_err(SuperviseError::Config)?;
-                    report.note(s, format!("{cause}; no valid checkpoint, cold restart"));
-                    (None, 0)
-                }
-            };
             report.recoveries.push(RecoveryEvent {
                 at_step: s,
                 cause,
                 restored_step,
                 backoff_ms,
             });
-            s = new_s;
+            s = restored_step.unwrap_or(0);
             continue;
         }
 

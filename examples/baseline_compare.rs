@@ -6,7 +6,7 @@
 //! paper's contribution: particle-parallel *and* pairwise-conserving).
 //!
 //! ```text
-//! cargo run --release -p dsmc-examples --bin baseline_compare
+//! cargo run --release -p dsmc-examples --example baseline_compare
 //! ```
 
 use dsmc_baselines::nanbu::pairwise_step;

@@ -8,7 +8,7 @@
 //! (so long campaigns never re-pay the settling steps).
 //!
 //! ```text
-//! cargo run --release -p dsmc-examples --bin quickstart
+//! cargo run --release -p dsmc-examples --example quickstart
 //! ```
 
 use dsmc_engine::{SimConfig, Simulation};

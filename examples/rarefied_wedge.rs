@@ -2,18 +2,59 @@
 //! one run pair.
 //!
 //! Runs the same Mach-4 wedge at λ∞ = 0 (near-continuum) and λ∞ = 0.5
-//! cell widths (Kn = 0.02) and prints the side-by-side comparison: the
-//! rarefied shock is thicker and the wake shock washes out.
+//! cell widths (Kn = 0.02), writes each averaged field as the paper drew
+//! it (`artifacts/fig1_*`–`fig3_*` and `fig4_*`–`fig6_*`: density
+//! contours, density surface, stagnation-region zoom) and prints the
+//! side-by-side comparison: the rarefied shock is thicker and the wake
+//! shock washes out.
 //!
 //! ```text
-//! cargo run --release -p dsmc-examples --bin rarefied_wedge [density_scale]
+//! cargo run --release -p dsmc-examples --example rarefied_wedge -- [density_scale]
 //! ```
 
-use dsmc_engine::Simulation;
+use dsmc_engine::{SampledField, Simulation};
+use dsmc_flowfield::region::Subgrid;
 use dsmc_flowfield::shock::{wedge_metrics, ShockMetrics};
-use dsmc_scenarios::{at_density, find, Scale};
+use dsmc_flowfield::{contour, render};
+use dsmc_scenarios::{artifacts, at_density, find, Scale};
 
-fn run(scenario_name: &str, density: f64) -> Option<ShockMetrics> {
+/// Figures `first`, `first + 1` and `first + 2` from one averaged field.
+fn write_figures(field: &SampledField, first: u32) {
+    let write = |name: String, bytes: &[u8]| {
+        artifacts::write(&name, bytes).expect("write figure");
+    };
+    let (d, w, h) = (&field.density, field.w, field.h);
+    let vmax = d.iter().cloned().fold(1.0, f64::max);
+    write(
+        format!("fig{first}_density.csv"),
+        render::to_csv(d, w, h).as_bytes(),
+    );
+    write(
+        format!("fig{first}_density.pgm"),
+        &render::to_pgm(d, w, h, vmax),
+    );
+    // The paper's contour plots: evenly spaced levels between freestream
+    // and the post-shock maximum.
+    let levels: Vec<f64> = (1..=9)
+        .map(|k| 1.0 + (vmax - 1.0) * k as f64 / 10.0)
+        .collect();
+    let contours = contour::contour_levels(d, w, h, &levels);
+    write(
+        format!("fig{first}_contours.svg"),
+        render::contours_to_svg(&contours, w, h).as_bytes(),
+    );
+    write(
+        format!("fig{}_surface.txt", first + 1),
+        render::ascii_surface(d, w, h, 4.0, 8).as_bytes(),
+    );
+    let stag = Subgrid::stagnation_region(field, 20.0, 25.0, 30.0);
+    write(
+        format!("fig{}_stagnation_density.csv", first + 2),
+        render::to_csv(&stag.values, stag.w, stag.h).as_bytes(),
+    );
+}
+
+fn run(scenario_name: &str, density: f64, first_figure: u32) -> Option<ShockMetrics> {
     let scenario = find(scenario_name).expect("scenario registered");
     let cfg = at_density(
         scenario.tunnel_config(Scale::Full).expect("tunnel case"),
@@ -24,18 +65,16 @@ fn run(scenario_name: &str, density: f64) -> Option<ShockMetrics> {
     sim.begin_sampling();
     sim.run(1200);
     let field = sim.finish_sampling();
+    write_figures(&field, first_figure);
     wedge_metrics(&field, 20.0, 25.0, 30.0, 4.0, 1.4)
 }
 
 fn main() {
-    let density: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.4);
+    let density = dsmc_examples::scale_arg(1, 0.4, "rarefied_wedge [density_scale]");
     println!("running near-continuum (lambda = 0)…");
-    let nc = run("wedge-paper", density).expect("near-continuum fit");
+    let nc = run("wedge-paper", density, 1).expect("near-continuum fit");
     println!("running rarefied (lambda = 0.5, Kn = 0.02)…");
-    let rf = run("wedge-rarefied", density).expect("rarefied fit");
+    let rf = run("wedge-rarefied", density, 4).expect("rarefied fit");
 
     println!("\n{:<28} {:>16} {:>16}", "", "near-continuum", "rarefied");
     println!(

@@ -10,7 +10,7 @@
 //! of freedom (the diatomic γ = 7/5).
 //!
 //! ```text
-//! cargo run --release -p dsmc-examples --bin relaxation
+//! cargo run --release -p dsmc-examples --example relaxation
 //! ```
 
 use dsmc_baselines::nanbu::pairwise_step;

@@ -2,7 +2,7 @@
 //! wedge on the 98×64 grid, with density contours and validation numbers.
 //!
 //! ```text
-//! cargo run --release -p dsmc-examples --bin wedge_mach4 [density_scale] [step_scale]
+//! cargo run --release -p dsmc-examples --example wedge_mach4 -- [density_scale] [step_scale]
 //! ```
 //!
 //! With no arguments a 40%-density, 2/3-steps run finishes in under a
@@ -15,14 +15,9 @@ use dsmc_flowfield::shock::wedge_metrics;
 use dsmc_scenarios::{at_density, find, Scale};
 
 fn main() {
-    let density: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.4);
-    let steps: f64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.667);
+    let usage = "wedge_mach4 [density_scale] [step_scale]";
+    let density = dsmc_examples::scale_arg(1, 0.4, usage);
+    let steps = dsmc_examples::scale_arg(2, 0.667, usage);
 
     // The paper configuration lives in the scenario registry; the example
     // only chooses how much of it to run.

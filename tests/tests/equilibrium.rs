@@ -1,7 +1,10 @@
 //! Kinetic-equilibrium behaviour of the full engine: relaxation,
 //! equipartition, collision-rate calibration.
 
+use dsmc_baselines::UniformBox;
 use dsmc_engine::{SimConfig, Simulation};
+use dsmc_fixed::Rounding;
+use dsmc_kinetics::collision::collide_pair;
 use dsmc_kinetics::sampling::moments;
 
 /// Temperature equipartition in the tunnel: after settling, the sampled
@@ -190,5 +193,59 @@ fn diffuse_walls_heat_the_gas() {
     assert!(
         (t_matched / t_spec - 1.0).abs() < 0.3,
         "matched-temperature diffuse wall: {t_matched:.2} vs specular {t_spec:.2}"
+    );
+}
+
+/// "It is important that candidate partners change between time steps
+/// otherwise the situation arises where the same partners collide
+/// repeatedly leading to correlated velocity distributions."  A box
+/// started from the rectangular distribution (excess kurtosis −1.2) and
+/// collided even/odd every step becomes Maxwellian (0) when the
+/// within-cell order is re-mixed first — the jittered sort key's role in
+/// the engine — and stalls visibly short of it when the pairs are frozen:
+/// they equilibrate within each pair but cannot thermalise the box.
+#[test]
+fn frozen_partners_stall_relaxation() {
+    const STEPS: usize = 30;
+    let tail_kurtosis = |remix: bool| {
+        let mut b = UniformBox::rectangular(64, 40, 0.05, 77);
+        let mut series = Vec::with_capacity(STEPS);
+        for _ in 0..STEPS {
+            if remix {
+                b.remix();
+            }
+            for c in 0..b.n_cells() {
+                let (lo, hi) = (b.offsets[c] as usize, b.offsets[c + 1] as usize);
+                for i in (lo..hi - 1).step_by(2) {
+                    let (head, tail) = b.vel.split_at_mut(i + 1);
+                    let mut rng = b.rng[i];
+                    collide_pair(
+                        &mut head[i],
+                        &mut tail[0],
+                        b.perm[i],
+                        Rounding::Stochastic,
+                        &mut rng,
+                    );
+                    b.rng[i] = rng;
+                    for k in [i, i + 1] {
+                        let j = b.rng[k].next_below(5);
+                        b.perm[k] = b.perm[k].top_transpose(j);
+                    }
+                }
+            }
+            series.push(b.kurtosis(0));
+        }
+        // Judge the last third to smooth step-to-step noise.
+        let tail = &series[STEPS - STEPS / 3..];
+        tail.iter().sum::<f64>() / tail.len() as f64
+    };
+    let (remixed, frozen) = (tail_kurtosis(true), tail_kurtosis(false));
+    assert!(
+        remixed.abs() < 0.15,
+        "remixed box must become Maxwellian ({remixed})"
+    );
+    assert!(
+        frozen < -0.25,
+        "frozen box must stay visibly non-Maxwellian ({frozen})"
     );
 }

@@ -3,13 +3,17 @@
 //! leaves the rolling and `_settled` artifacts behind, and warm-starting
 //! from either retraces the cold run to the bit.
 //!
-//! One test in its own binary: it points `DSMC_ARTIFACTS` at a temp dir,
-//! and the environment is process-global.
+//! Its own binary: it points `DSMC_ARTIFACTS` at a temp dir, and the
+//! environment is process-global — the tests here share that one dir and
+//! each touches only its own files in it.
 
 use dsmc_engine::{BodySpec, SampledField, SimConfig, Simulation, SurfaceField};
 use dsmc_scenarios::{
-    run_with, CaseKind, Golden, Metric, RunOptions, RunOutcome, Scale, Scenario, TunnelCase,
+    artifacts, run_with, CaseKind, Golden, Metric, RunOptions, RunOutcome, Scale, Scenario,
+    TunnelCase,
 };
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 const SETTLE: usize = 20;
 const AVERAGE: usize = 30;
@@ -67,11 +71,34 @@ fn metric(o: &RunOutcome, name: &str) -> u64 {
         .to_bits()
 }
 
+/// Point `DSMC_ARTIFACTS` at a fresh temp dir, once per process.
+fn artifact_dir() -> &'static Path {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("dsmc_plain_ckpt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("DSMC_ARTIFACTS", &dir);
+        dir
+    })
+}
+
+/// `artifacts::write` lands under `DSMC_ARTIFACTS` by temp file + rename:
+/// the named file holds the complete new bytes and no temp file is left.
+#[test]
+fn artifact_roundtrip() {
+    let dir = artifact_dir();
+    for bytes in [&b"hello"[..], b"replaced"] {
+        let p = artifacts::write("probe.txt", bytes).expect("write artifact");
+        assert_eq!(p, dir.join("probe.txt"));
+        assert_eq!(std::fs::read(&p).unwrap(), bytes);
+    }
+    assert!(!dir.join(".probe.txt.tmp").exists());
+    std::fs::remove_file(dir.join("probe.txt")).unwrap();
+}
+
 #[test]
 fn cold_run_writes_artifacts_that_warm_start_to_the_identical_end_state() {
-    let dir = std::env::temp_dir().join(format!("dsmc_plain_ckpt_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("DSMC_ARTIFACTS", &dir);
+    let dir = artifact_dir();
 
     // Cadence 8 over 50 steps: the rolling artifact is last written at
     // step 48 — mid-average, its sampling window open.
@@ -112,5 +139,7 @@ fn cold_run_writes_artifacts_that_warm_start_to_the_identical_end_state() {
             assert_eq!(metric(&warm, name), metric(&cold, name), "{tag}: {name}");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    for name in ["_settled.bin", ".bin"] {
+        let _ = std::fs::remove_file(dir.join(format!("checkpoint_small-wedge_quick{name}")));
+    }
 }

@@ -66,6 +66,12 @@ proptest! {
                 "{} shards diverged from the canonical engine",
                 shards
             );
+            prop_assert_eq!(
+                sharded.shard_populations().iter().sum::<usize>(),
+                reference.n_particles(),
+                "{} shards lost or duplicated particles",
+                shards
+            );
         }
     }
 }
@@ -202,4 +208,13 @@ fn sharded_checkpoint_resumes_at_any_shard_count() {
         want,
         "save at 3 shards / resume at 2 shards diverged from the uninterrupted run"
     );
+
+    // The one-shard *sharded* engine (which `Engine::resume` never builds)
+    // adopts the same state; of the 2-shard manifest only the cuts are
+    // dropped at another shard count, the repartition count rides along.
+    let snapshot = sim.save_state();
+    let mut one = Engine::resume_sharded(cfg, &snapshot, 1).expect("resume at one shard");
+    assert!(matches!(one, Engine::Sharded(_)));
+    assert_eq!(one.state_hash(), want);
+    assert_eq!(one.repartitions(), sim.repartitions());
 }

@@ -26,6 +26,50 @@ pub enum Substep {
     Sample,
 }
 
+/// Where one sort phase's time went: the sub-buckets nested inside
+/// [`StepTimings::sort`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SortSplit {
+    /// The sharded engine's crosser pack and pair merge (and, on its
+    /// withdrawal steps, the separate pair build that precedes the pack).
+    /// Zero on the single-domain engine, which exchanges nothing.
+    pub exchange: Duration,
+    /// The rank: pairs in, router addresses and segment bounds out.
+    pub rank: Duration,
+    /// The send: the column gathers through those addresses plus the
+    /// `cell` column's refill from the bounds.
+    pub send: Duration,
+}
+
+impl SortSplit {
+    /// Split `wall` in the proportion of these parts — what turns the
+    /// per-shard durations workers report (CPU time, summed over shards)
+    /// into wall-clock-comparable buckets: exact on one thread, an
+    /// attribution estimate on many, like the select/collide split.
+    pub fn scaled_to(&self, wall: Duration) -> SortSplit {
+        let cpu = self.exchange + self.rank + self.send;
+        if cpu.is_zero() {
+            return SortSplit::default();
+        }
+        let scale = wall.as_secs_f64() / cpu.as_secs_f64();
+        let exchange = self.exchange.mul_f64(scale);
+        let rank = self.rank.mul_f64(scale);
+        SortSplit {
+            exchange,
+            rank,
+            send: wall.saturating_sub(exchange + rank),
+        }
+    }
+}
+
+impl std::ops::AddAssign for SortSplit {
+    fn add_assign(&mut self, other: SortSplit) {
+        self.exchange += other.exchange;
+        self.rank += other.rank;
+        self.send += other.send;
+    }
+}
+
 /// Accumulated wall-clock time per substep.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimings {
@@ -36,8 +80,16 @@ pub struct StepTimings {
     pub boundary: Duration,
     /// Move-phase time (motion + boundary + key build in one sweep).
     pub move_phase: Duration,
-    /// Sort time (rank + reorder).
+    /// Sort time (rank + reorder; on the sharded engine the exchange too).
+    /// Inclusive: [`StepTimings::sort_exchange`], [`StepTimings::sort_rank`]
+    /// and [`StepTimings::sort_send`] are parts of it, not additions to it.
     pub sort: Duration,
+    /// Part of `sort`: see [`SortSplit::exchange`].
+    pub sort_exchange: Duration,
+    /// Part of `sort`: see [`SortSplit::rank`].
+    pub sort_rank: Duration,
+    /// Part of `sort`: see [`SortSplit::send`].
+    pub sort_send: Duration,
     /// Partner-selection time.
     pub select: Duration,
     /// Collision time.
@@ -58,6 +110,15 @@ impl StepTimings {
             Substep::Collide => self.collide += d,
             Substep::Sample => self.sample += d,
         }
+    }
+
+    /// Add one sort phase: `wall` to the inclusive [`StepTimings::sort`]
+    /// bucket, `parts` to the sub-buckets nested inside it.
+    pub fn add_sort(&mut self, wall: Duration, parts: SortSplit) {
+        self.sort += wall;
+        self.sort_exchange += parts.exchange;
+        self.sort_rank += parts.rank;
+        self.sort_send += parts.send;
     }
 
     /// Total time across the four algorithmic phases (sampling excluded,
@@ -141,6 +202,29 @@ mod tests {
         assert!((b.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((b[0] - 0.14).abs() < 1e-9);
         assert!((b[3] - 0.39).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sort_sub_buckets_nest_inside_sort_and_leave_the_totals_alone() {
+        let mut t = StepTimings::default();
+        t.add(Substep::Move, Duration::from_millis(10));
+        // Three shards' worth of CPU time against 60 ms of wall.
+        let cpu = SortSplit {
+            exchange: Duration::from_millis(10),
+            rank: Duration::from_millis(50),
+            send: Duration::from_millis(60),
+        };
+        let wall = Duration::from_millis(60);
+        t.add_sort(wall, cpu.scaled_to(wall));
+        assert_eq!(t.sort, wall);
+        assert_eq!(t.sort_exchange + t.sort_rank + t.sort_send, t.sort);
+        assert_eq!(t.sort_exchange, Duration::from_millis(5));
+        assert_eq!(t.sort_rank, Duration::from_millis(25));
+        assert_eq!(t.total_algorithmic(), Duration::from_millis(70));
+        // Nothing measured: nothing attributed, the wall time still counts.
+        t.add_sort(wall, SortSplit::default().scaled_to(wall));
+        assert_eq!(t.sort, 2 * wall);
+        assert_eq!(t.sort_rank, Duration::from_millis(25));
     }
 
     #[test]

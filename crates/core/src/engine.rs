@@ -3,7 +3,7 @@
 use crate::boundary::{self, BoundaryParams, BoundaryScratch};
 use crate::collide::{self, FusedPhase};
 use crate::config::{ResLayout, RngMode, SimConfig, WallModel};
-use crate::diag::{Diagnostics, StepTimings, Substep};
+use crate::diag::{Diagnostics, SortSplit, StepTimings, Substep};
 use crate::init;
 use crate::movephase::{self, KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
@@ -144,7 +144,7 @@ impl Simulation {
         );
         sim.decisions.reserve(sim.parts.len());
         // Establish sorted order once so `bounds` is valid before step 1.
-        sim.sort_phase();
+        let _ = sim.sort_phase();
         Ok(sim)
     }
 
@@ -383,7 +383,7 @@ impl Simulation {
 
     /// The key-building full sort: refresh cells, pack the jittered pairs,
     /// rank and send.  Runs once at construction and on withdrawal steps.
-    fn sort_phase(&mut self) {
+    fn sort_phase(&mut self) -> SortSplit {
         sortstep::sort_particles_fused(
             &mut self.parts,
             &self.tunnel,
@@ -395,7 +395,7 @@ impl Simulation {
             &mut self.sort_ws,
             &mut self.bounds,
             &mut self.order,
-        );
+        )
     }
 
     /// Sub-steps 1 + 2 + 3a: the single-sweep move phase (motion,
@@ -446,20 +446,22 @@ impl Simulation {
         self.timings.add(Substep::Move, t.elapsed());
 
         let t = Instant::now();
-        if withdraw {
+        let split = if withdraw {
             // Withdrawal steps always take the full path: the refill just
             // repositioned reservoir particles after the (key-less) sweep,
             // so there are no packed pairs and no trustworthy mover count.
-            self.sort_phase();
             self.sort_full_steps += 1;
+            self.sort_phase()
         } else {
-            // The rank itself only re-checks that the previous structure
-            // covers this population (it does not on the first step after
-            // a resume), falling back to the full rank when it doesn't.
-            // Both paths consume the same sweep-seeded histogram.
+            // The repair needs the budget and a previous structure that
+            // covers this population (there is none on the first step
+            // after a resume); otherwise, or if it bails, the full rank
+            // runs.  Both paths consume the same sweep-seeded histogram.
             let total_cells = self.total_cells();
-            let took = self.movers_within_budget(out.movers, n)
-                && sortstep::rank_and_send_incremental(
+            let repaired = if self.movers_within_budget(out.movers, n)
+                && self.sort_ws.describes(&self.bounds, n)
+            {
+                sortstep::rank_and_send_incremental(
                     &mut self.parts,
                     self.cfg.jitter_bits,
                     total_cells,
@@ -467,23 +469,30 @@ impl Simulation {
                     &mut self.sort_ws,
                     &mut self.bounds,
                     &mut self.order,
-                );
-            if took {
-                self.sort_incremental_steps += 1;
+                )
             } else {
-                sortstep::rank_and_send(
-                    &mut self.parts,
-                    self.key_bits,
-                    self.cfg.jitter_bits,
-                    seeded,
-                    &mut self.sort_ws,
-                    &mut self.bounds,
-                    &mut self.order,
-                );
-                self.sort_full_steps += 1;
+                None
+            };
+            match repaired {
+                Some(split) => {
+                    self.sort_incremental_steps += 1;
+                    split
+                }
+                None => {
+                    self.sort_full_steps += 1;
+                    sortstep::rank_and_send(
+                        &mut self.parts,
+                        self.key_bits,
+                        self.cfg.jitter_bits,
+                        seeded,
+                        &mut self.sort_ws,
+                        &mut self.bounds,
+                        &mut self.order,
+                    )
+                }
             }
-        }
-        self.timings.add(Substep::Sort, t.elapsed());
+        };
+        self.timings.add_sort(t.elapsed(), split);
     }
 
     /// Advance one time step (the paper's four sub-steps, plus sampling if

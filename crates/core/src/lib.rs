@@ -72,7 +72,7 @@ pub mod sortstep;
 pub mod surface;
 
 pub use config::{BodySpec, ConfigError, ExecMode, RngMode, SimConfig};
-pub use diag::{Diagnostics, StepTimings, Substep};
+pub use diag::{Diagnostics, SortSplit, StepTimings, Substep};
 pub use engine::shard::exec::ShardExecError;
 pub use engine::shard::{Engine, ShardLayout, ShardedSimulation, REPARTITION_THRESHOLD};
 pub use engine::{FaultTarget, Simulation};

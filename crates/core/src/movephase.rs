@@ -687,7 +687,7 @@ mod tests {
         let cell_bits = 32 - (tunnel.n_cells() + res.total() - 1).leading_zeros();
         let mut ref_ws = sortstep::SortWorkspace::new();
         let (ref_pairs, _) = ref_ws.move_buffers(reference.len(), 0, false);
-        sortstep::build_pairs_for_test(
+        sortstep::build_pairs(
             &mut reference,
             &tunnel,
             p.res_base,

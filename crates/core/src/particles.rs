@@ -17,7 +17,8 @@ use dsmc_rng::{Perm5, XorShift32};
 /// Back buffers for the sort's "send": one destination per column, swapped
 /// with the live columns after each re-order so steady-state sends perform
 /// no heap allocation (the population is conserved, so lengths go
-/// quiescent after the first step).
+/// quiescent after the first step; a shard's drift with the crossers, see
+/// [`ParticleStore::extend_from`]).
 #[derive(Clone, Debug, Default)]
 struct BackColumns {
     x: Vec<Fx>,
@@ -120,6 +121,32 @@ impl ParticleStore {
         self.cell.push(cell);
     }
 
+    /// Append every particle of `other` behind this store's own — the
+    /// sharded engine's arrivals, which wait at the tail for the send that
+    /// folds them into sorted order.  A column that must grow takes an
+    /// eighth of headroom on top, once, instead of doubling: a shard's
+    /// population drifts by a percent a step, and the send rotates every
+    /// buffer through this call.
+    pub fn extend_from(&mut self, other: &ParticleStore) {
+        fn append<T: Copy>(col: &mut Vec<T>, tail: &[T]) {
+            let need = col.len() + tail.len();
+            if col.capacity() < need {
+                col.reserve_exact(need + need / 8 - col.len());
+            }
+            col.extend_from_slice(tail);
+        }
+        append(&mut self.x, &other.x);
+        append(&mut self.y, &other.y);
+        append(&mut self.u, &other.u);
+        append(&mut self.v, &other.v);
+        append(&mut self.w, &other.w);
+        append(&mut self.r1, &other.r1);
+        append(&mut self.r2, &other.r2);
+        append(&mut self.perm, &other.perm);
+        append(&mut self.rng, &other.rng);
+        append(&mut self.cell, &other.cell);
+    }
+
     /// The five velocity components of particle `i`.
     #[inline]
     pub fn velocity5(&self, i: usize) -> [Fx; 5] {
@@ -145,6 +172,11 @@ impl ParticleStore {
     /// This is the hot loop's send and the reference at once.  Multi-core
     /// sends go through the sharded engine instead — per-shard sends on
     /// smaller arrays (the benchmark's `core.shard.*` metrics).
+    ///
+    /// `order` need not be a permutation of the store: a shard's send
+    /// gathers `order.len()` rows out of its residents plus the arrivals
+    /// behind them, and the store ends up `order.len()` long.  An index
+    /// past the last row panics.
     pub fn apply_order(&mut self, order: &[u32]) {
         self.apply_order_no_cell(order);
         dsmc_datapar::apply_perm(&self.cell, order, &mut self.back.cell);
@@ -159,9 +191,8 @@ impl ParticleStore {
     /// it with `dsmc_datapar::fill_cells_from_bounds` (sequential stores)
     /// instead of gathering it (random reads), dropping one router trip
     /// from the send.  After this call and before that fill, the `cell`
-    /// column is *stale* (still in pre-sort order).
+    /// column is *stale* (still in pre-sort order, at its pre-sort length).
     pub fn apply_order_no_cell(&mut self, order: &[u32]) {
-        assert_eq!(order.len(), self.len());
         for col in [
             &mut self.x,
             &mut self.y,
@@ -282,6 +313,30 @@ mod tests {
             assert_eq!(s.cell[i], (5 - i) as u32 % 7);
         }
         assert!(s.check_coherent());
+    }
+
+    #[test]
+    fn apply_order_gathers_the_named_rows_out_of_a_longer_store() {
+        // Four residents, two arrivals at the tail; the send drops
+        // residents 1 and 3 and folds the arrivals in.
+        let mut s = store_of(4);
+        s.extend_from(&store_of(6));
+        assert_eq!(s.len(), 10);
+        let rng_before: Vec<XorShift32> = s.rng.clone();
+        let order = [9u32, 0, 4, 2];
+        s.apply_order(&order);
+        assert_eq!(s.len(), 4);
+        assert!(s.check_coherent());
+        for (i, &o) in order.iter().enumerate() {
+            assert_eq!(s.rng[i], rng_before[o as usize]);
+        }
+        assert_eq!(s.x[0], fx(2.5), "row 9 is the second store's particle 5");
+    }
+
+    #[test]
+    #[should_panic]
+    fn apply_order_panics_on_a_row_past_the_store() {
+        store_of(3).apply_order(&[0, 3]);
     }
 
     #[test]

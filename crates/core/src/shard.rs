@@ -18,23 +18,35 @@
 //!
 //! Everything else follows from maintaining that subsequence invariant:
 //!
-//! * **Move** runs per shard with the sort-key pack disabled; per-particle
-//!   arithmetic and RNG draws are position-independent, and the shared
-//!   surface-flux window uses the same relaxed-atomic discipline as the
-//!   field accumulators, so concurrent shards never race on a sum that
-//!   feeds back into the trajectory.
-//! * **Migration** is an explicit deterministic exchange phase: each
-//!   source shard walks its array in order and routes every particle by
-//!   the column block that owns its *post-move* cell; each destination
-//!   then k-way-merges its incoming lists keyed by the particles'
-//!   *previous* (pre-move, sorted) cell.  Previous cells partition across
-//!   shards, so the merge has a unique total order — concatenation in any
-//!   other order would scramble the stable sort's tie-breaking and change
-//!   the trajectory.
+//! * **Move** runs per shard, keyed like the single-domain sweep: each
+//!   particle's jittered `(key, slot)` pair is packed where it stands (on
+//!   plunger-withdrawal steps the sweep is key-less and the pairs are
+//!   built after the refill, again as the single-domain engine does).
+//!   Per-particle arithmetic and RNG draws are position-independent, and
+//!   the shared surface-flux window uses the same relaxed-atomic
+//!   discipline as the field accumulators, so concurrent shards never race
+//!   on a sum that feeds back into the trajectory.
+//! * **Migration** exchanges the crossers, not the population.  The stable
+//!   rank breaks ties by *position in the pair array*, not by position in
+//!   the particle columns, so it is the 8-byte pairs that must be in
+//!   canonical previous order; the 40-byte particles can stay where they
+//!   are.  Each source shard scans its post-move cells against a per-cell
+//!   owner table and copies only the particles another shard now owns —
+//!   about one in a hundred at four shards — into a per-destination
+//!   outbox, noting their slots as departed.  Each destination appends
+//!   its arrivals at the *tail* of its columns and writes one merged pair
+//!   array: resident pairs in slot order minus the departed, interleaved
+//!   with arrival pairs by *previous* (pre-move, sorted) cell.  Previous
+//!   cells partition across shards, so the merge has a unique total order
+//!   — any other interleaving would scramble the stable sort's
+//!   tie-breaking and change the trajectory.
 //! * **Sort** then runs per shard with the *global* cell keys and key
-//!   width.  Because the input order equals the canonical order restricted
-//!   to the shard, the stable radix sort emits the canonical order
-//!   restricted to the shard: the invariant is reproduced.
+//!   width, through the rank and send the single-domain engine calls.
+//!   Because the pair order equals the canonical order restricted to the
+//!   shard, the stable sort emits the canonical order restricted to the
+//!   shard: the invariant is reproduced.  The send gathers the live rows
+//!   out of residents-plus-arrivals, dropping the departed — the only copy
+//!   a particle takes in a step, as in the paper's rank-then-send.
 //! * **Collide** needs one global datum: the even/odd parity of each
 //!   segment's *global* start index (the canonical pairing rule).  A k-way
 //!   merge of all shards' segment tables by cell yields a running global
@@ -47,33 +59,36 @@
 //!   [`crate::boundary`]'s single-domain refill scans.
 //!
 //! The integration suite pins the contract: `shard_counts_agree_bitwise`
-//! (proptest over seeds, bodies and RNG modes) and
-//! `registry_scenarios_are_shard_count_invariant` assert equal
-//! [`Simulation::state_hash`] across shard counts {1, 2, 4};
+//! (proptest over seeds, bodies and RNG modes, shard counts from 1 to one
+//! column per shard) and `registry_scenarios_are_shard_count_invariant`
+//! (shard counts {1, 2, 4}) assert equal [`Simulation::state_hash`];
 //! `sharded_checkpoint_resumes_at_any_shard_count` pins save-at-S /
 //! resume-at-S′.  The single-shard path stays the executable spec:
 //! [`Engine`] routes `shards <= 1` to the untouched [`Simulation`].
 //!
 //! # Weighted repartition
 //!
-//! The radix sort's segment bounds are a free per-cell census.  Before
-//! each exchange the engine folds them into per-column flow loads; when
+//! The radix sort's segment bounds are a free per-cell census.  At the top
+//! of each step the engine folds them into per-column flow loads; when
 //! the heaviest shard exceeds [`REPARTITION_THRESHOLD`] × the mean, the
 //! column cuts are re-drawn by balanced prefix sums.  Because ownership is
-//! only consulted *during* the exchange (whose merge is keyed by previous
-//! cells under the invariant, not by the new cuts), moving a cut is free —
-//! it just reroutes the exchange that was about to run anyway — and has no
-//! effect on the trajectory, only on balance.
+//! only consulted by the exchange's routing (whose merge is keyed by
+//! previous cells under the invariant, not by the new cuts), moving a cut
+//! costs one step of heavier exchange traffic and has no effect on the
+//! trajectory, only on balance.
 //!
 //! # Threaded execution
 //!
 //! [`crate::config::ExecMode`] selects how the per-shard phases run:
 //! `Serial` steps every shard on the coordinator thread (the executable
 //! spec), `Threaded` fans each phase out over scoped worker threads,
-//! joining at the four existing coordinator barriers — the census merge,
-//! the cross-shard exchange, the global sort-budget decision and the
-//! segment-parity prefix.  Determinism survives because phase work only
-//! touches shard-private state (plus exact integer-atomic accumulators)
+//! joining at the three coordinator barriers — the census merge, the
+//! global sort-budget decision and the segment-parity prefix; the exchange
+//! runs inside the move and sort phases, on the workers.  Determinism
+//! survives because a phase writes only
+//! shard-private state (plus exact integer-atomic accumulators and, in the
+//! move phase, the shard's own outbox row, which the destinations only
+//! read in the sort phase, after the join)
 //! and every trajectory-bearing reduction happens on the coordinator in
 //! shard-index order; `tests/tests/shard_exec.rs` pins Serial ≡ Threaded
 //! bit-identity across shard × worker matrices.  Worker panics surface as
@@ -101,17 +116,18 @@ pub mod exec;
 use super::{FaultTarget, Simulation};
 use crate::collide::{self, FusedPhase};
 use crate::config::{ConfigError, SimConfig};
-use crate::diag::{Diagnostics, StepTimings, Substep};
-use crate::movephase::{MoveOutcome, MoveScratch};
+use crate::diag::{Diagnostics, SortSplit, StepTimings, Substep};
+use crate::movephase::{KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, SortWorkspace};
 use crate::surface::SurfaceField;
+use dsmc_datapar::pack_pair;
 use dsmc_fixed::Fx;
 use dsmc_state::{Reader, StateError, Writer};
 use exec::{ShardExec, ShardExecError};
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Sharded-run manifest: shard count, column cuts, per-shard populations,
 /// repartition count.  Advisory (execution layout, not physics): resume
@@ -136,9 +152,39 @@ pub struct ShardLayout {
     cuts: Vec<u32>,
     tunnel_w: u32,
     res_base: u32,
+    /// The owner of every cell, flow then reservoir, under `cuts`: what
+    /// the per-particle crosser scan reads instead of dividing by the
+    /// width and searching the cuts.
+    owner_of: Vec<u32>,
 }
 
 impl ShardLayout {
+    fn new(cuts: Vec<u32>, tunnel_w: u32, res_base: u32, total_cells: u32) -> Self {
+        let mut layout = Self {
+            cuts: Vec::new(),
+            tunnel_w,
+            res_base,
+            owner_of: vec![0; total_cells as usize],
+        };
+        layout.set_cuts(cuts);
+        layout
+    }
+
+    /// Move the cuts and re-derive the owner table from them.
+    fn set_cuts(&mut self, cuts: Vec<u32>) {
+        self.cuts = cuts;
+        let last = self.n_shards() as u32 - 1;
+        for (cell, owner) in self.owner_of.iter_mut().enumerate() {
+            let cell = cell as u32;
+            *owner = if cell >= self.res_base {
+                last
+            } else {
+                let col = cell % self.tunnel_w;
+                self.cuts[1..].partition_point(|&c| c <= col) as u32
+            };
+        }
+    }
+
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.cuts.len() - 1
@@ -152,14 +198,10 @@ impl ShardLayout {
 
     /// The shard owning `cell`.  Flow cells are row-major (`iy * w + ix`),
     /// so a column block owns a *strided* cell set; reservoir cells all
-    /// belong to the last shard.
+    /// belong to the last shard.  Panics on a cell past the reservoir.
     #[inline]
     pub fn owner(&self, cell: u32) -> usize {
-        if cell >= self.res_base {
-            return self.n_shards() - 1;
-        }
-        let col = cell % self.tunnel_w;
-        self.cuts[1..].partition_point(|&c| c <= col)
+        self.owner_of[cell as usize] as usize
     }
 }
 
@@ -198,6 +240,28 @@ fn uniform_cuts(w: usize, n_shards: usize) -> Vec<u32> {
     (0..=n_shards).map(|k| (k * w / n_shards) as u32).collect()
 }
 
+/// The particles leaving one shard for one other shard this step, in
+/// source array order — so ascending by previous cell, which is the order
+/// the destination merges them in.
+#[derive(Default)]
+struct Outbox {
+    /// The ten columns of each crosser.
+    parts: ParticleStore,
+    /// This step's jittered sort key of each crosser (the key half of the
+    /// pair word the sweep packed for it).
+    key: Vec<u32>,
+    /// Previous (pre-move, sorted) cell of each crosser.
+    prev_cell: Vec<u32>,
+}
+
+impl Outbox {
+    fn clear(&mut self) {
+        clear_store(&mut self.parts);
+        self.key.clear();
+        self.prev_cell.clear();
+    }
+}
+
 /// One shard: its slice of the particle population plus private sort
 /// machinery.  `parts` is always the canonical sorted array restricted to
 /// the shard's owned cells (the module-level invariant); `bounds`,
@@ -213,6 +277,13 @@ struct Shard {
     /// Global even/odd parity of each segment's canonical start index —
     /// what makes per-shard pairing identical to canonical pairing.
     seg_parity: Vec<u32>,
+    /// This step's `(key, slot)` pair of every resident, in slot order —
+    /// which is canonical previous order.  The merge reads it; the rank
+    /// never sees it.
+    slot_pairs: Vec<u64>,
+    /// Slots whose particle another shard owns after this step's move,
+    /// ascending: the rows the merge leaves out and the send never reads.
+    departed: Vec<u32>,
     sort_ws: SortWorkspace,
     move_scratch: MoveScratch,
     decisions: Vec<u8>,
@@ -228,6 +299,8 @@ impl Shard {
             order: Vec::new(),
             seg_cell: Vec::new(),
             seg_parity: Vec::new(),
+            slot_pairs: Vec::new(),
+            departed: Vec::new(),
             sort_ws: SortWorkspace::new(),
             move_scratch,
             decisions: Vec::new(),
@@ -236,6 +309,122 @@ impl Shard {
 
     fn n_segments(&self) -> usize {
         self.bounds.len().saturating_sub(1)
+    }
+
+    /// The source half of the exchange.  Scan the post-move cell column
+    /// against the owner table and copy every crosser — ten columns, sort
+    /// key, previous cell — into the outbox of the shard that now owns it,
+    /// noting its slot as departed.  The scan runs in slot order, which is
+    /// previous sorted order, so each outbox fills ascending by previous
+    /// cell.
+    fn pack_crossers(&mut self, me: usize, layout: &ShardLayout, outbox: &mut [Outbox]) {
+        for o in outbox.iter_mut() {
+            o.clear();
+        }
+        self.departed.clear();
+        // The previous segment of the crosser at hand; crossers are rare,
+        // so the segment table is only walked where one turns up.
+        let mut j = 0;
+        for (i, &cell) in self.parts.cell.iter().enumerate() {
+            let owner = layout.owner(cell);
+            if owner != me {
+                while self.bounds[j + 1] as usize <= i {
+                    j += 1;
+                }
+                let (p, o) = (&self.parts, &mut outbox[owner]);
+                o.parts
+                    .push(p.x[i], p.y[i], p.velocity5(i), p.perm[i], p.rng[i], cell);
+                o.key.push((self.slot_pairs[i] >> 32) as u32);
+                o.prev_cell.push(self.seg_cell[j]);
+                self.departed.push(i as u32);
+            }
+        }
+    }
+
+    /// The destination half of the exchange.  Append the arrivals' columns
+    /// behind the residents, source by source, and write the pair array
+    /// the rank will sort: the residents' pairs in slot order minus the
+    /// departed, interleaved with the arrivals' by previous cell, every
+    /// index field naming a physical row.  Previous cells partition across
+    /// shards and every source is already ascending, so draining whole
+    /// equal-cell runs smallest-first is the canonical previous order —
+    /// what the stable rank's tie-breaking needs, and all it needs: the
+    /// 40-byte particles stay where they are until the send.
+    fn merge_arrivals(&mut self, me: usize, outbox: &[Vec<Outbox>]) {
+        /// One source's arrivals, and how far the merge has drained them.
+        struct Arrivals<'a> {
+            from: &'a Outbox,
+            /// Row of `from`'s first particle in the destination columns.
+            first_row: usize,
+            pos: usize,
+        }
+        impl Arrivals<'_> {
+            fn head(&self) -> Option<u32> {
+                self.from.prev_cell.get(self.pos).copied()
+            }
+        }
+        /// The source whose next run has the smallest previous cell.
+        fn next_run(sources: &[Arrivals<'_>]) -> Option<(u32, usize)> {
+            sources
+                .iter()
+                .enumerate()
+                .filter_map(|(k, a)| Some((a.head()?, k)))
+                .min()
+        }
+
+        let n_old = self.parts.len();
+        let mut sources = Vec::with_capacity(outbox.len());
+        for (s, row) in outbox.iter().enumerate() {
+            if s != me && !row[me].key.is_empty() {
+                sources.push(Arrivals {
+                    from: &row[me],
+                    first_row: self.parts.len(),
+                    pos: 0,
+                });
+                self.parts.extend_from(&row[me].parts);
+            }
+        }
+        let n_live = self.parts.len() - self.departed.len();
+        let (merged, _) = self.sort_ws.move_buffers(n_live, 0, false);
+        let (mut k, mut j, mut slot, mut gone) = (0, 0, 0, 0);
+        loop {
+            // Residents whose previous cell precedes the next run's go
+            // first — every slot before the first segment of a later cell
+            // — and after the last run, all that are left.
+            let run = next_run(&sources);
+            let end = match run {
+                Some((cell, _)) => {
+                    while self.seg_cell.get(j).is_some_and(|&c| c < cell) {
+                        j += 1;
+                    }
+                    debug_assert_ne!(self.seg_cell.get(j), Some(&cell), "cells partition");
+                    self.bounds.get(j).map_or(n_old, |&b| b as usize)
+                }
+                None => n_old,
+            };
+            while slot < end {
+                // One block copy per gap between departed slots.
+                let stop = self
+                    .departed
+                    .get(gone)
+                    .map_or(end, |&d| end.min(d as usize));
+                merged[k..k + stop - slot].copy_from_slice(&self.slot_pairs[slot..stop]);
+                k += stop - slot;
+                slot = stop;
+                if stop < end {
+                    slot += 1;
+                    gone += 1;
+                }
+            }
+            let Some((cell, src)) = run else { break };
+            let a = &mut sources[src];
+            while a.head() == Some(cell) {
+                merged[k] = pack_pair(a.from.key[a.pos], a.first_row + a.pos);
+                k += 1;
+                a.pos += 1;
+            }
+        }
+        debug_assert_eq!(k, n_live, "merge lost or invented pairs");
     }
 }
 
@@ -307,20 +496,11 @@ pub struct ShardedSimulation {
     base: Simulation,
     layout: ShardLayout,
     shards: Vec<Shard>,
-    /// Per-destination rebuild buffers for the exchange (swapped with the
-    /// shard stores each step, so steady state allocates nothing).
-    inbox: Vec<ParticleStore>,
-    /// `routes[src][dst]`: (previous cell, source index) of every particle
-    /// migrating src → dst, in source order.
-    routes: Vec<Vec<Vec<(u32, u32)>>>,
-    /// Per-destination previous-order structure recorded while the
-    /// exchange merge drains: each drained equal-prev-cell run is one
-    /// segment of the rebuilt array (`exch_bounds[d]` has the run starts
-    /// plus a length sentinel, `exch_cells[d]` the runs' previous cells,
-    /// strictly ascending).  This is exactly the `(prev_bounds,
-    /// prev_cells)` contract the incremental rank repairs against.
-    exch_bounds: Vec<Vec<u32>>,
-    exch_cells: Vec<Vec<u32>>,
+    /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
+    /// source fills its row in the move phase (after the refill on
+    /// withdrawal steps); every destination reads its column in the sort
+    /// phase.
+    outbox: Vec<Vec<Outbox>>,
     /// Per-shard cursors for the k-way merges.
     merge_pos: Vec<usize>,
     /// Plunger-refill census: (shard, index) of reservoir-parked slots in
@@ -371,21 +551,18 @@ impl ShardedSimulation {
         } else {
             balanced_cuts(&col_load, n_shards)
         };
-        let layout = ShardLayout {
-            cuts,
-            tunnel_w: base.tunnel.width,
-            res_base: base.res_base,
-        };
-        let total_cells = (base.res_base + base.res.total()) as usize;
+        let total_cells = base.total_cells();
+        let layout = ShardLayout::new(cuts, base.tunnel.width, base.res_base, total_cells);
         let exec = ShardExec::new(base.cfg.exec, n_shards);
         let mut sharded = Self {
             base,
             layout,
-            shards: (0..n_shards).map(|_| Shard::new(total_cells)).collect(),
-            inbox: (0..n_shards).map(|_| ParticleStore::default()).collect(),
-            routes: vec![vec![Vec::new(); n_shards]; n_shards],
-            exch_bounds: vec![Vec::new(); n_shards],
-            exch_cells: vec![Vec::new(); n_shards],
+            shards: (0..n_shards)
+                .map(|_| Shard::new(total_cells as usize))
+                .collect(),
+            outbox: (0..n_shards)
+                .map(|_| (0..n_shards).map(|_| Outbox::default()).collect())
+                .collect(),
             merge_pos: Vec::new(),
             census: Vec::new(),
             col_load,
@@ -424,7 +601,7 @@ impl ShardedSimulation {
             }
             sharded.repartitions = repartitions;
             if stored_shards == sharded.layout.n_shards() {
-                sharded.layout.cuts = cuts;
+                sharded.layout.set_cuts(cuts);
                 sharded.scatter();
             }
         }
@@ -527,13 +704,17 @@ impl ShardedSimulation {
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
         self.dirty = true;
 
-        // 1+2) Per-shard key-less move sweeps, then the global boundary
+        // 1+2) Repartition check (free: it reads the last sort's census,
+        // and the cuts steer nothing but this step's routing), per-shard
+        // move sweeps — keyed, with the crosser pack riding the same
+        // closure, on ordinary steps — then the global boundary
         // bookkeeping exactly as the canonical front half orders it.
         let t = Instant::now();
         let withdraw = self.base.plunger.will_withdraw();
-        let out = self.move_shards()?;
+        let repartitioned = self.maybe_repartition();
+        let (out, pack_wall) = self.move_shards(!withdraw)?;
         // The global budget decision, made once from the summed sweep
-        // counts (exchange migrates particles between shards but never
+        // counts (the exchange migrates particles between shards but never
         // changes a cell index, so the sum is exact post-exchange too).
         let repair_ok = !withdraw
             && self
@@ -544,17 +725,28 @@ impl ShardedSimulation {
             let introduced = self.refill_void_sharded(void_end);
             self.base.introduced += introduced as u64;
         }
-        self.base.timings.add(Substep::Move, t.elapsed());
+        // The pack is exchange work: its share of the move phase's wall
+        // time is booked under the sort bucket with the rest of it.
+        self.base
+            .timings
+            .add(Substep::Move, t.elapsed().saturating_sub(pack_wall));
 
-        // 3a) Repartition check (free: cuts only steer the exchange that
-        // runs next), the migration exchange, then per-shard sorts.
-        // Withdrawal, just-repartitioned and over-budget steps pin the
-        // full radix path, like the canonical engine's decision.
+        // 3a) The rest of the exchange and the per-shard sorts, all on the
+        // shard workers.  Withdrawal steps could not pack in the move
+        // phase (the refill had yet to reposition reservoir particles), so
+        // they build pairs and pack here first.  Withdrawal,
+        // just-repartitioned and over-budget steps pin the full radix
+        // path, like the canonical engine's decision.
         let t = Instant::now();
-        let repartitioned = self.maybe_repartition();
-        self.exchange();
-        self.sort_shards(repartitioned || !repair_ok)?;
-        self.base.timings.add(Substep::Sort, t.elapsed());
+        let mut cpu = SortSplit::default();
+        if withdraw {
+            cpu.exchange += self.pack_after_refill()?;
+        }
+        cpu += self.sort_shards(repartitioned || !repair_ok)?;
+        let wall = t.elapsed();
+        let mut split = cpu.scaled_to(wall);
+        split.exchange += pack_wall;
+        self.base.timings.add_sort(wall + pack_wall, split);
 
         // 3b+4) Global pairing parity, then per-shard select + collide.
         // Collision RNG streams travel with the particles and the global
@@ -625,30 +817,96 @@ impl ShardedSimulation {
         }
     }
 
-    /// The per-shard key-less move sweeps.  Returns the outcome summed
-    /// (speed: maxed) across shards — per-particle sums reduced in shard
-    /// order from the workers' outcomes, so the totals are independent of
-    /// both the decomposition and the scheduling.
-    fn move_shards(&mut self) -> Result<MoveOutcome, ShardExecError> {
+    /// The per-shard move sweeps.  Returns the outcome summed (speed:
+    /// maxed) across shards — per-particle sums reduced in shard order from
+    /// the workers' outcomes, so the totals are independent of both the
+    /// decomposition and the scheduling.
+    ///
+    /// On ordinary steps (`keyed`) each shard runs the keyed sweep the
+    /// single-domain front half runs — pairs land in `slot_pairs` in slot
+    /// order and the jitter draw happens in the sweep, the same per-particle
+    /// stream order — and packs its crossers in the same closure.  The
+    /// first radix digit is not counted: the merge reshapes the pair array
+    /// the histogram would describe.  Withdrawal steps sweep key-less and
+    /// leave pairs and pack to [`ShardedSimulation::pack_after_refill`].
+    /// The second return value is the pack's share of the phase's wall
+    /// time, split from the sweep's in the proportion the workers measured.
+    fn move_shards(&mut self, keyed: bool) -> Result<(MoveOutcome, Duration), ShardExecError> {
         let base = &self.base;
-        let outs = self.exec.run_phase(&mut self.shards, "move", |_i, shard| {
-            base.move_sweep(
-                &mut shard.parts,
-                &shard.bounds,
-                None,
-                &mut shard.move_scratch,
-            )
-        })?;
+        let layout = &self.layout;
+        let t = Instant::now();
+        let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
+        let outs = self
+            .exec
+            .run_phase(&mut lanes, "move", |me, (shard, outbox)| {
+                let t = Instant::now();
+                shard.slot_pairs.resize(shard.parts.len(), 0);
+                let keys = keyed.then(|| KeyPack {
+                    pairs: &mut shard.slot_pairs,
+                    hist: &mut [],
+                    jitter_bits: base.cfg.jitter_bits,
+                    first_bits: 0,
+                    rng_mode: base.rng_mode,
+                });
+                let out = base.move_sweep(
+                    &mut shard.parts,
+                    &shard.bounds,
+                    keys,
+                    &mut shard.move_scratch,
+                );
+                let sweep = t.elapsed();
+                if keyed {
+                    shard.pack_crossers(me, layout, outbox);
+                }
+                (out, sweep, t.elapsed() - sweep)
+            })?;
+        let wall = t.elapsed();
         let mut total = MoveOutcome::default();
-        for out in outs {
+        let (mut sweep_cpu, mut pack_cpu) = (Duration::ZERO, Duration::ZERO);
+        for (out, sweep, pack) in outs {
             total.exited += out.exited;
             total.max_speed_raw = total.max_speed_raw.max(out.max_speed_raw);
             total.movers += out.movers;
             for (acc, n) in total.by_kind.iter_mut().zip(out.by_kind) {
                 *acc += n;
             }
+            sweep_cpu += sweep;
+            pack_cpu += pack;
         }
-        Ok(total)
+        let pack_wall = if pack_cpu.is_zero() {
+            Duration::ZERO
+        } else {
+            wall.mul_f64(pack_cpu.as_secs_f64() / (sweep_cpu + pack_cpu).as_secs_f64())
+        };
+        Ok((total, pack_wall))
+    }
+
+    /// Withdrawal steps only: the refill has now repositioned its
+    /// reservoir particles, so every shard builds its pairs with the
+    /// separate sweep the canonical withdrawal step runs (jitter drawn in
+    /// slot order, one draw per particle) and packs its crossers.  Returns
+    /// the time spent, summed over shards.
+    fn pack_after_refill(&mut self) -> Result<Duration, ShardExecError> {
+        let base = &self.base;
+        let layout = &self.layout;
+        let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
+        let outs = self
+            .exec
+            .run_phase(&mut lanes, "sort", |me, (shard, outbox)| {
+                let t = Instant::now();
+                sortstep::build_pairs(
+                    &mut shard.parts,
+                    &base.tunnel,
+                    base.res_base,
+                    base.res,
+                    base.cfg.jitter_bits,
+                    base.rng_mode,
+                    &mut shard.slot_pairs,
+                );
+                shard.pack_crossers(me, layout, outbox);
+                t.elapsed()
+            })?;
+        Ok(outs.into_iter().sum())
     }
 
     /// The sharded plunger refill — bit-identical to
@@ -698,11 +956,12 @@ impl ShardedSimulation {
 
     /// Fold the last sort's segment bounds into per-column flow loads and
     /// re-draw the cuts if the measured imbalance exceeds the threshold.
-    /// Runs *before* the exchange, whose merge is keyed by previous cells
-    /// under the old sorted order — so new cuts reroute that exchange for
-    /// free and never touch the trajectory.  Returns whether the cuts
-    /// actually changed — the signal that pins this step's sorts to the
-    /// full radix path.
+    /// Runs ahead of the move phase: it reads only that census, and the
+    /// cuts are consulted only by this step's routing, whose merge is keyed
+    /// by previous cells under the old sorted order — so new cuts just send
+    /// more particles through the exchange and never touch the trajectory.
+    /// Returns whether the cuts actually changed — the signal that pins
+    /// this step's sorts to the full radix path.
     fn maybe_repartition(&mut self) -> bool {
         let s_count = self.shards.len();
         if s_count <= 1 {
@@ -735,161 +994,81 @@ impl ShardedSimulation {
         }
         let cuts = balanced_cuts(&self.col_load, s_count);
         if cuts != self.layout.cuts {
-            self.layout.cuts = cuts;
+            self.layout.set_cuts(cuts);
             self.repartitions += 1;
             return true;
         }
         false
     }
 
-    /// The migration exchange: route every particle by the owner of its
-    /// post-move cell, then rebuild each destination by a k-way merge of
-    /// its incoming lists keyed by previous cell.  Each shard is fully
-    /// rebuilt every step (self-migrants included), which is what
-    /// preserves the canonical tie-order the stable sort depends on.
-    fn exchange(&mut self) {
-        let s_count = self.shards.len();
-        let shards = &self.shards;
-        let layout = &self.layout;
-        let routes = &mut self.routes;
-        for per_src in routes.iter_mut() {
-            for list in per_src.iter_mut() {
-                list.clear();
-            }
-        }
-        for (s, shard) in shards.iter().enumerate() {
-            let per_dst = &mut routes[s];
-            for j in 0..shard.n_segments() {
-                let pc = shard.seg_cell[j];
-                for i in shard.bounds[j]..shard.bounds[j + 1] {
-                    let dst = layout.owner(shard.parts.cell[i as usize]);
-                    per_dst[dst].push((pc, i));
-                }
-            }
-        }
-        let inbox = &mut self.inbox;
-        let pos = &mut self.merge_pos;
-        for (d, dst_store) in inbox.iter_mut().enumerate() {
-            clear_store(dst_store);
-            let eb = &mut self.exch_bounds[d];
-            let ec = &mut self.exch_cells[d];
-            eb.clear();
-            ec.clear();
-            pos.clear();
-            pos.resize(s_count, 0);
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for s in 0..s_count {
-                    if pos[s] < routes[s][d].len() {
-                        let c = routes[s][d][pos[s]].0;
-                        if best.is_none_or(|(bc, _)| c < bc) {
-                            best = Some((c, s));
-                        }
-                    }
-                }
-                let Some((cell, s)) = best else { break };
-                // The run about to drain becomes one previous-order
-                // segment of the rebuilt array.
-                eb.push(dst_store.len() as u32);
-                ec.push(cell);
-                // Drain the whole equal-cell run from this source: the
-                // run's previous cell lives in exactly one shard, so no
-                // other source can contribute to it.
-                let list = &routes[s][d];
-                let p = &shards[s].parts;
-                while pos[s] < list.len() && list[pos[s]].0 == cell {
-                    let i = list[pos[s]].1 as usize;
-                    dst_store.push(
-                        p.x[i],
-                        p.y[i],
-                        p.velocity5(i),
-                        p.perm[i],
-                        p.rng[i],
-                        p.cell[i],
-                    );
-                    pos[s] += 1;
-                }
-            }
-            eb.push(dst_store.len() as u32);
-        }
-        for (shard, dst_store) in self.shards.iter_mut().zip(self.inbox.iter_mut()) {
-            std::mem::swap(&mut shard.parts, dst_store);
-        }
-    }
-
-    /// Per-shard sorts with the *global* cell keys, then refresh each
-    /// shard's segment-cell table.  Stability + the subsequence invariant
-    /// on the input order make each output the canonical order restricted
-    /// to the shard.
+    /// The destination half of the exchange, then the per-shard sorts with
+    /// the *global* cell keys, then each shard's refreshed segment-cell
+    /// table.  The merged pair array is the canonical previous order
+    /// restricted to what the shard now owns, so the stable rank emits the
+    /// canonical order restricted to the shard, and its send — reading the
+    /// residents and the arrivals behind them, writing only the live rows —
+    /// is the one copy any particle takes this step.
     ///
-    /// Ordinary steps repair the exchange-recorded previous order instead
-    /// of re-ranking from scratch; `force_full` (withdrawal,
+    /// Ordinary steps repair the merged previous order instead of
+    /// re-ranking from scratch; `force_full` (withdrawal,
     /// just-repartitioned, or over-the-mover-budget steps — the budget
     /// decision is the caller's, from the summed sweep counts) pins the
-    /// full radix path.  Both paths consume the per-shard jitter
-    /// draws identically and produce bit-identical orders.
+    /// full radix path.  Both paths produce bit-identical orders.
     ///
     /// Each worker returns which rank path its shard took (`None` for an
-    /// empty shard); the path counters reduce on the coordinator in shard
-    /// order, so the ledgers match the serial executor exactly.
-    fn sort_shards(&mut self, force_full: bool) -> Result<(), ShardExecError> {
+    /// empty shard) and where its time went; the path counters reduce on
+    /// the coordinator in shard order, so the ledgers match the serial
+    /// executor exactly, and the durations come back summed.
+    fn sort_shards(&mut self, force_full: bool) -> Result<SortSplit, ShardExecError> {
         let base = &self.base;
-        let total_cells = base.res_base + base.res.total();
-        let exch_bounds = &self.exch_bounds;
-        let exch_cells = &self.exch_cells;
-        let outs = self.exec.run_phase(&mut self.shards, "sort", |i, shard| {
-            if shard.parts.is_empty() {
-                shard.bounds.clear();
-                shard.order.clear();
-                shard.seg_cell.clear();
-                return None;
-            }
-            let took = !force_full
-                && sortstep::sort_particles_fused_incremental(
+        let outbox = &self.outbox;
+        let outs = self.exec.run_phase(&mut self.shards, "sort", |me, shard| {
+            let t = Instant::now();
+            shard.merge_arrivals(me, outbox);
+            let exchange = t.elapsed();
+            let repaired = if force_full {
+                None
+            } else {
+                sortstep::rank_and_send_incremental(
                     &mut shard.parts,
-                    &base.tunnel,
-                    base.res_base,
-                    base.res,
                     base.cfg.jitter_bits,
-                    base.key_bits,
-                    base.rng_mode,
-                    total_cells,
-                    &exch_bounds[i],
-                    &exch_cells[i],
+                    base.total_cells(),
+                    false,
                     &mut shard.sort_ws,
                     &mut shard.bounds,
                     &mut shard.order,
-                );
-            if force_full {
-                sortstep::sort_particles_fused(
+                )
+            };
+            let split = repaired.unwrap_or_else(|| {
+                sortstep::rank_and_send(
                     &mut shard.parts,
-                    &base.tunnel,
-                    base.res_base,
-                    base.res,
-                    base.cfg.jitter_bits,
                     base.key_bits,
-                    base.rng_mode,
+                    base.cfg.jitter_bits,
+                    false,
                     &mut shard.sort_ws,
                     &mut shard.bounds,
                     &mut shard.order,
-                );
-            }
+                )
+            });
             shard.seg_cell.clear();
             for j in 0..shard.bounds.len() - 1 {
                 shard
                     .seg_cell
                     .push(shard.parts.cell[shard.bounds[j] as usize]);
             }
-            Some(took)
+            let took = (!shard.parts.is_empty()).then_some(repaired.is_some());
+            (took, SortSplit { exchange, ..split })
         })?;
-        for took in outs.into_iter().flatten() {
-            if took {
-                self.base.sort_incremental_steps += 1;
-            } else {
-                self.base.sort_full_steps += 1;
+        let mut cpu = SortSplit::default();
+        for (took, split) in outs {
+            match took {
+                Some(true) => self.base.sort_incremental_steps += 1,
+                Some(false) => self.base.sort_full_steps += 1,
+                None => {}
             }
+            cpu += split;
         }
-        Ok(())
+        Ok(cpu)
     }
 
     /// Merge all shards' fresh segment tables by cell into a running
@@ -1027,7 +1206,7 @@ impl ShardedSimulation {
             return false;
         }
         self.sync_canonical();
-        self.layout.cuts = cuts.to_vec();
+        self.layout.set_cuts(cuts.to_vec());
         self.scatter();
         true
     }
@@ -1358,11 +1537,7 @@ mod tests {
 
     #[test]
     fn owner_maps_every_cell_to_exactly_one_shard() {
-        let layout = ShardLayout {
-            cuts: vec![0, 3, 7, 16],
-            tunnel_w: 16,
-            res_base: 16 * 12,
-        };
+        let layout = ShardLayout::new(vec![0, 3, 7, 16], 16, 16 * 12, 16 * 12 + 8);
         for cell in 0..16 * 12 {
             let col = cell % 16;
             let expect = if col < 3 {
@@ -1376,7 +1551,7 @@ mod tests {
         }
         // Reservoir cells always land on the last shard.
         assert_eq!(layout.owner(16 * 12), 2);
-        assert_eq!(layout.owner(16 * 12 + 999), 2);
+        assert_eq!(layout.owner(16 * 12 + 7), 2);
     }
 
     #[test]
@@ -1473,8 +1648,7 @@ mod tests {
         // repartition toward balance while staying bit-identical.
         let mut sharded = ShardedSimulation::new(wedge_cfg(), 4);
         let w = sharded.base.tunnel.width;
-        sharded.layout.cuts = vec![0, 1, 2, 3, w];
-        sharded.scatter();
+        assert!(sharded.set_cuts(&[0, 1, 2, 3, w]));
         let mut single = Simulation::new(wedge_cfg());
         sharded.run(30);
         single.run(30);
@@ -1501,12 +1675,10 @@ mod tests {
         // through both transitions — incremental → full → incremental.
         let mut inc = ShardedSimulation::new(wedge_cfg(), 4);
         let w = inc.base.tunnel.width;
-        inc.layout.cuts = vec![0, 1, 2, 3, w];
-        inc.scatter();
+        assert!(inc.set_cuts(&[0, 1, 2, 3, w]));
         let mut full = ShardedSimulation::new(wedge_cfg(), 4);
         full.set_mover_threshold(0.0);
-        full.layout.cuts = vec![0, 1, 2, 3, w];
-        full.scatter();
+        assert!(full.set_cuts(&[0, 1, 2, 3, w]));
         let mut saw_repartition_fallback = false;
         for _ in 0..30 {
             let reparts_before = inc.repartitions();

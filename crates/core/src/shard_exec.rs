@@ -5,9 +5,9 @@
 //! This is a child module of `shard.rs` so the phase closures can borrow
 //! the private `Shard` state directly.  The shape is deliberately
 //! fork-join *per phase*, not a long-lived message-passing pool: the
-//! sharded step already synchronizes at four coordinator barriers (plunger
-//! census merge, cross-shard exchange, the global sort-budget decision,
-//! and the segment-parity prefix), so a phase is exactly the span between
+//! sharded step already synchronizes at three coordinator barriers (plunger
+//! census merge, the global sort-budget decision, and the segment-parity
+//! prefix), so a phase is exactly the span between
 //! two barriers and `std::thread::scope` gives workers free borrowing of
 //! the coordinator's state for that span.  Scoped threads also compose
 //! with the vendored rayon pool — a worker that calls into rayon simply
@@ -16,9 +16,11 @@
 //! # Why determinism survives
 //!
 //! A phase closure touches only its own shard's columns/scratch/RNG
-//! streams plus, read-only, the shared `base` simulation — with the single
-//! exception of the field/surface accumulators, whose integer-atomic
-//! `fetch_add`s are exact and order-independent.  Every quantity that
+//! streams (and, packing crossers, its own outbox row, which other shards
+//! read only in a later phase) plus, read-only, the shared `base`
+//! simulation — with the single exception of the field/surface
+//! accumulators, whose integer-atomic `fetch_add`s are exact and
+//! order-independent.  Every quantity that
 //! feeds back into the trajectory (mover counts, sort-path decisions,
 //! census merges, parities) is reduced by the coordinator in shard-index
 //! order from the returned per-shard values.  Scheduling therefore cannot

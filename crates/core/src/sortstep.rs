@@ -9,6 +9,7 @@
 //! repeatedly leading to correlated velocity distributions").
 
 use crate::config::{ResLayout, RngMode};
+use crate::diag::SortSplit;
 use crate::particles::ParticleStore;
 use dsmc_datapar::{
     fill_cells_from_bounds, incremental_rank, pack_pair, segment_bounds_from_sorted_into,
@@ -17,6 +18,7 @@ use dsmc_datapar::{
 };
 use dsmc_geom::Tunnel;
 use rayon::prelude::*;
+use std::time::Instant;
 
 /// Result of the (allocating, reference) sort phase, [`sort_particles`].
 #[derive(Clone, Debug, Default)]
@@ -37,12 +39,6 @@ pub struct SortWorkspace {
     radix: SortScratch,
     bounds: BoundsScratch,
     seg_cells: Vec<u32>,
-    /// Double buffers for the incremental rank: on entry the caller's
-    /// `bounds`/`seg_cells` describe the *previous* order and must survive
-    /// as inputs while the fresh structure is written — the swap dance in
-    /// [`rank_and_send_incremental`] parks them here.
-    prev_bounds: Vec<u32>,
-    prev_cells: Vec<u32>,
     inc: IncrementalScratch,
 }
 
@@ -53,9 +49,9 @@ impl SortWorkspace {
     }
 
     /// Capacities of the owned buffers `[pairs, pong, hists, offsets,
-    /// bounds-scratch, seg-cells, prev-bounds, prev-cells, inc-counts,
-    /// inc-jitter]` — asserted stable by the zero-allocation tests.
-    pub fn capacities(&self) -> [usize; 10] {
+    /// bounds-scratch, seg-cells, inc-counts, inc-jitter]` — asserted
+    /// stable by the zero-allocation tests.
+    pub fn capacities(&self) -> [usize; 8] {
         let [pairs, pong, hists, offsets] = self.radix.capacities();
         let [inc_counts, inc_jitter] = self.inc.capacities();
         [
@@ -65,8 +61,6 @@ impl SortWorkspace {
             offsets,
             self.bounds.capacity(),
             self.seg_cells.capacity(),
-            self.prev_bounds.capacity(),
-            self.prev_cells.capacity(),
             inc_counts,
             inc_jitter,
         ]
@@ -88,6 +82,17 @@ impl SortWorkspace {
         } else {
             (self.radix.input_pairs(n), &mut [])
         }
+    }
+
+    /// Whether `bounds` and this workspace's segment cell ids are the
+    /// structure the last rank left for a population of `n` — the
+    /// single-domain engine's freshness gate for the incremental rank.
+    /// False on the first step and after a snapshot resume, which installs
+    /// bounds but no cell ids.
+    pub fn describes(&self, bounds: &[u32], n: usize) -> bool {
+        bounds.len() == self.seg_cells.len() + 1
+            && bounds.first() == Some(&0)
+            && bounds.last() == Some(&(n as u32))
     }
 }
 
@@ -153,7 +158,7 @@ fn jittered_key(
 /// position/velocity bits and never touches the generator column.  The
 /// produced keys (and all RNG state evolution) are bit-identical to the
 /// generic [`jittered_key`] the reference [`sort_particles`] still uses.
-fn build_pairs(
+pub(crate) fn build_pairs(
     parts: &mut ParticleStore,
     tunnel: &Tunnel,
     res_base: u32,
@@ -263,7 +268,7 @@ pub fn sort_particles_fused(
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
-) {
+) -> SortSplit {
     let n = parts.len();
     build_pairs(
         parts,
@@ -274,21 +279,42 @@ pub fn sort_particles_fused(
         rng_mode,
         ws.radix.input_pairs(n),
     );
-    rank_and_send(parts, key_bits, jitter_bits, false, ws, bounds, order);
+    rank_and_send(parts, key_bits, jitter_bits, false, ws, bounds, order)
 }
 
-/// The back half of the sort phase, shared between [`sort_particles_fused`]
-/// and the single-sweep move phase (`crate::movephase`), whose sweep has
+/// The send behind a bounds-emitting rank: nine column gathers through the
+/// freshly-emitted addresses, then the `cell` column re-materialised from
+/// `(bounds, seg_cells)` with sequential stores instead of gathered.  The
+/// rotating back buffer makes each gather's destination the pages just
+/// read as the previous column's source — L2-hot writes, measured faster
+/// here than a one-launch (column × chunk) task grid (see dsmc-datapar's
+/// sort docs).
+///
+/// The gather reads `parts.len()` rows and writes `order.len()`: equal on
+/// the single-domain engine, while a shard's order names its surviving
+/// residents plus the arrivals behind them and skips the departed — the
+/// one copy that both sorts the shard and completes the exchange.
+fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u32]) {
+    parts.apply_order_no_cell(order);
+    parts.cell.resize(order.len(), 0);
+    fill_cells_from_bounds(bounds, seg_cells, &mut parts.cell);
+}
+
+/// The back half of the sort phase, shared between [`sort_particles_fused`],
+/// the single-sweep move phase (`crate::movephase`), whose sweep has
 /// already packed the pairs — and, when `seeded`, counted the first radix
-/// digit — into the workspace's buffers ([`SortWorkspace::move_buffers`]).
+/// digit — into the workspace's buffers ([`SortWorkspace::move_buffers`]),
+/// and the sharded engine, whose merge wrote them there.  The pairs' index
+/// fields name rows of `parts`; they need not be a permutation of it (see
+/// `send`).
 ///
 /// Rank with the (jitter passes, cell pass) digit split: the cell pass's
 /// histogram doubles as the per-cell population table, so the segment
 /// bounds *and their occupied cell ids* come out of the sort itself.  The
 /// send then gathers only nine columns — the sorted `cell` column is
-/// run-length coded by `(bounds, seg_cells)` and is re-materialised with
-/// sequential stores instead of gathered.  Falls back to the generic rank
-/// plus a ten-column send and a bounds sweep for out-of-range cell widths.
+/// run-length coded by `(bounds, seg_cells)`.  Falls back to the generic
+/// rank plus a ten-column send and a bounds sweep for out-of-range cell
+/// widths.  Returns the time the rank and the send took.
 pub fn rank_and_send(
     parts: &mut ParticleStore,
     key_bits: u32,
@@ -297,7 +323,8 @@ pub fn rank_and_send(
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
-) {
+) -> SortSplit {
+    let t = Instant::now();
     let cell_bits = key_bits - jitter_bits;
     let have_bounds = sort_order_and_bounds_from_pairs_cells(
         cell_bits,
@@ -308,21 +335,19 @@ pub fn rank_and_send(
         &mut ws.seg_cells,
         seeded,
     );
-    if have_bounds {
-        // The send: nine column gathers through the freshly-emitted
-        // addresses.  The rotating back buffer makes each gather's
-        // destination the pages just read as the previous column's source
-        // — L2-hot writes, measured faster here than a one-launch
-        // (column × chunk) task grid (see dsmc-datapar's sort docs).
-        parts.apply_order_no_cell(order);
-        fill_cells_from_bounds(bounds, &ws.seg_cells, &mut parts.cell);
-    } else {
+    if !have_bounds {
         sort_order_from_pairs(key_bits, &mut ws.radix, order);
+    }
+    let rank = t.elapsed();
+    let t = Instant::now();
+    if have_bounds {
+        send(parts, order, bounds, &ws.seg_cells);
+    } else {
         parts.apply_order(order);
         segment_bounds_from_sorted_into(&parts.cell, bounds, &mut ws.bounds);
         // Keep the segment cell ids in sync with the bounds on this path
-        // too: the incremental rank trusts `(bounds, seg_cells)` as the
-        // previous step's structure, whichever path produced it.
+        // too: the incremental rank's callers trust `(bounds, seg_cells)`
+        // as the previous step's structure, whichever path produced it.
         ws.seg_cells.clear();
         ws.seg_cells.extend(
             bounds[..bounds.len() - 1]
@@ -330,26 +355,34 @@ pub fn rank_and_send(
                 .map(|&b| parts.cell[b as usize]),
         );
     }
+    SortSplit {
+        rank,
+        send: t.elapsed(),
+        ..SortSplit::default()
+    }
 }
 
 /// The incremental (temporal-coherence) back half of the sort phase: repair
 /// last step's order instead of re-ranking from scratch.
 ///
-/// On entry `bounds` and the workspace's segment cell ids describe the
-/// *previous* sorted order of `parts` (exactly what the previous
-/// [`rank_and_send`] left there), and the move sweep has already packed
-/// this step's pairs — and, when `seeded`, counted the first radix digit
-/// (the whole jitter field for the engine's layouts) — into the
-/// workspace's buffers.  The call replaces the radix rank with
-/// [`dsmc_datapar::incremental_rank`] — same `order`/`bounds`/seg-cells
-/// bit for bit — and runs the identical nine-column send.  The caller is
-/// the mover-budget authority: it decides from the sweep's own mover
+/// The pairs in the workspace's buffers must sit in the *previous* sorted
+/// order — which is what the move sweep packs when `bounds` still
+/// describes the array it walked (the single-domain engine asks
+/// [`SortWorkspace::describes`] first), and what the sharded merge builds
+/// by construction; when `seeded`, the sweep has also counted the first
+/// radix digit (the whole jitter field for the engine's layouts).  The
+/// call replaces the radix rank with [`dsmc_datapar::incremental_rank`] —
+/// same `order`/`bounds`/seg-cells bit for bit — and runs the identical
+/// send.  `incremental_rank` reads its previous-structure arguments as a
+/// freshness gate only, and freshness is this function's precondition, so
+/// it is handed the one-run structure that always passes.  The caller is
+/// also the mover-budget authority: it decides from the sweep's own mover
 /// count whether to attempt the repair at all.
 ///
-/// Returns `true` when the repair ran.  Returns `false`, leaving `parts`,
-/// `bounds` and `order` exactly as found, when the caller must fall back
-/// to [`rank_and_send`]: the previous structure does not cover this
-/// population (first step, just-resumed snapshot).
+/// Returns the time the rank and the send took when the repair ran, and
+/// `None` — leaving `parts`, `bounds` and `order` exactly as found — when
+/// a pair's cell field is out of `total_cells` range and the caller must
+/// fall back to [`rank_and_send`].
 pub fn rank_and_send_incremental(
     parts: &mut ParticleStore,
     jitter_bits: u32,
@@ -358,23 +391,14 @@ pub fn rank_and_send_incremental(
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
-) -> bool {
-    let n = parts.len();
-    if bounds.len() != ws.seg_cells.len() + 1
-        || bounds.first() != Some(&0)
-        || bounds.last() != Some(&(n as u32))
-    {
-        return false;
-    }
-    // Park the previous structure in the double buffers; the rank reads it
-    // from there while writing the fresh structure into the caller's vecs.
-    core::mem::swap(bounds, &mut ws.prev_bounds);
-    core::mem::swap(&mut ws.seg_cells, &mut ws.prev_cells);
+) -> Option<SortSplit> {
+    let t = Instant::now();
+    let n = ws.radix.input_len() as u32;
     let took = incremental_rank(
         jitter_bits,
         total_cells,
-        &ws.prev_bounds,
-        &ws.prev_cells,
+        &[0, n],
+        &[0],
         seeded,
         &mut ws.radix,
         &mut ws.inc,
@@ -383,88 +407,16 @@ pub fn rank_and_send_incremental(
         &mut ws.seg_cells,
     );
     if !took {
-        // Bails never touch the outputs: swap the previous structure back
-        // so the fallback full rank sees the workspace exactly as before.
-        core::mem::swap(bounds, &mut ws.prev_bounds);
-        core::mem::swap(&mut ws.seg_cells, &mut ws.prev_cells);
-        return false;
+        return None;
     }
-    parts.apply_order_no_cell(order);
-    fill_cells_from_bounds(bounds, &ws.seg_cells, &mut parts.cell);
-    true
-}
-
-/// The sharded engine's sort phase with the temporal-coherence first
-/// choice: pack this step's pairs (consuming jitter draws in array order
-/// exactly as [`sort_particles_fused`] would), try the incremental repair
-/// against the caller-recorded previous structure — for a shard, the run
-/// table its exchange merge drained, since each equal-prev-cell run is one
-/// previous segment of the post-exchange array — and fall back to the full
-/// (unseeded) radix rank when the repair bails.  The caller decides the
-/// mover budget before calling, from the move sweep's own mover count.
-///
-/// Returns `true` when the incremental path ranked, `false` when the full
-/// rank did; the sorted state is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn sort_particles_fused_incremental(
-    parts: &mut ParticleStore,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-    jitter_bits: u32,
-    key_bits: u32,
-    rng_mode: RngMode,
-    total_cells: u32,
-    prev_bounds: &[u32],
-    prev_cells: &[u32],
-    ws: &mut SortWorkspace,
-    bounds: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-) -> bool {
-    let n = parts.len();
-    build_pairs(
-        parts,
-        tunnel,
-        res_base,
-        res,
-        jitter_bits,
-        rng_mode,
-        ws.radix.input_pairs(n),
-    );
-    let took = incremental_rank(
-        jitter_bits,
-        total_cells,
-        prev_bounds,
-        prev_cells,
-        false,
-        &mut ws.radix,
-        &mut ws.inc,
-        order,
-        bounds,
-        &mut ws.seg_cells,
-    );
-    if took {
-        parts.apply_order_no_cell(order);
-        fill_cells_from_bounds(bounds, &ws.seg_cells, &mut parts.cell);
-    } else {
-        rank_and_send(parts, key_bits, jitter_bits, false, ws, bounds, order);
-    }
-    took
-}
-
-/// Test-only access to the pair-build sweep (the move-phase equivalence
-/// tests replay the reference path sweep by sweep).
-#[cfg(test)]
-pub(crate) fn build_pairs_for_test(
-    parts: &mut ParticleStore,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-    jitter_bits: u32,
-    rng_mode: RngMode,
-    pairs: &mut [u64],
-) {
-    build_pairs(parts, tunnel, res_base, res, jitter_bits, rng_mode, pairs);
+    let rank = t.elapsed();
+    let t = Instant::now();
+    send(parts, order, bounds, &ws.seg_cells);
+    Some(SortSplit {
+        rank,
+        send: t.elapsed(),
+        ..SortSplit::default()
+    })
 }
 
 /// The reference sort phase (what `dsmc_baselines::TwoStepSim` runs):

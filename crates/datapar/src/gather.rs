@@ -35,9 +35,12 @@ pub fn scatter_u32(src: &[u32], idx: &[u32]) -> Vec<u32> {
 /// Apply a permutation to an arbitrary `Copy` column: `out[i] = src[perm[i]]`.
 ///
 /// This is the workhorse that moves every particle attribute into sorted
-/// order; it is called once per column per time step.
+/// order; it is called once per column per time step.  `perm` need not
+/// cover `src`: the sharded send gathers `perm.len()` rows out of a longer
+/// source (departed particles are simply never named, arrivals sit behind
+/// the residents).  Every index must be `< src.len()`; one that is not
+/// panics.
 pub fn apply_perm<T: Copy + Send + Sync>(src: &[T], perm: &[u32], out: &mut Vec<T>) {
-    assert_eq!(src.len(), perm.len());
     out.clear();
     if perm.len() < PAR_THRESHOLD {
         out.extend(perm.iter().map(|&i| src[i as usize]));
@@ -117,6 +120,28 @@ mod tests {
         for i in 0..n as usize {
             assert_eq!(out[i], perm[i]);
         }
+    }
+
+    #[test]
+    fn apply_perm_gathers_fewer_rows_than_the_source_holds() {
+        // Both arms: the sequential one and the parallel one.
+        for n in [10usize, 40_000] {
+            let src: Vec<u32> = (0..n as u32 + 7).map(|i| i * 3).collect();
+            let perm: Vec<u32> = (0..n as u32).map(|i| n as u32 + 6 - i).collect();
+            let mut out = vec![99; 3];
+            apply_perm(&src, &perm, &mut out);
+            assert_eq!(out.len(), n);
+            for (o, &p) in out.iter().zip(&perm) {
+                assert_eq!(*o, p * 3);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn apply_perm_panics_on_an_index_past_the_source() {
+        let mut out = Vec::new();
+        apply_perm(&[1u32, 2, 3], &[0, 3], &mut out);
     }
 
     #[test]

@@ -44,9 +44,25 @@
 //! distinct destination buffers are write-allocate-cold every step; the
 //! record is in ROADMAP "Standing guidance").  The multi-core path now
 //! exists as the sharded engine (`SHARDING.md`): each shard runs this
-//! same rank+send on its smaller array; the benchmark's
-//! `core.shard.tax_frac*` metrics record what the exchange and merge
-//! cost on top.
+//! same rank+send on its smaller array, and its send doubles as the
+//! migration — the gather reads residents plus arrivals and writes only
+//! the live rows (see the stability contract below for why the particles
+//! need not be rebuilt first); the benchmark's `core.shard.tax_frac*`
+//! metrics record what is left on top.
+//!
+//! # The stability contract
+//!
+//! Every rank in this module — [`sort_order_from_pairs`],
+//! [`sort_order_and_bounds_from_pairs_cells`] and [`incremental_rank`], on
+//! their small-input and chunked paths alike — is **stable by pair
+//! position**: equal keys come out in the order their pair words sit in
+//! the input buffer.  The low 32 bits of a pair are *payload*, copied to
+//! `order` and never compared; they need not ascend, be dense, or stay
+//! below the pair count.  The sharded engine relies on exactly this: its
+//! pair array is in canonical previous order while the payloads name
+//! physical slots (arrivals sit at the tail of the columns), so tie order
+//! lives in the 8-byte pairs and the particles stay where they are until
+//! the one send.
 //!
 //! [`sort_perm_by_key`] keeps the original fixed-radix, allocating
 //! implementation as the executable specification: property tests pin the
@@ -94,8 +110,9 @@ impl<'a, T> DisjointWrites<'a, T> {
 }
 
 /// Pack a sort key and an original index into one pair word: key in the
-/// high 32 bits, index in the low 32.  Sorting the raw `u64` is then a
-/// stable sort by key (ties break on the unique ascending index).
+/// high 32 bits, index in the low 32.  The ranks order by the key half
+/// only and break ties by pair position (the module's stability
+/// contract); the index is payload.
 #[inline(always)]
 pub fn pack_pair(key: u32, index: usize) -> u64 {
     ((key as u64) << 32) | index as u64
@@ -185,6 +202,13 @@ impl SortScratch {
         &mut self.pairs
     }
 
+    /// Number of pairs in the input buffer: what the last
+    /// [`SortScratch::input_pairs`] sized it to, and the `n` every rank
+    /// sorts.
+    pub fn input_len(&self) -> usize {
+        self.pairs.len()
+    }
+
     /// The input pair buffer plus a zeroed first-pass histogram for
     /// [`sort_order_and_bounds_from_pairs_cells`]: the caller packs pairs
     /// *and* counts the first radix digit in its own sweep, chunked on the
@@ -219,8 +243,9 @@ impl SortScratch {
 ///
 /// This is the fused form of the rank: the final radix scatter writes the
 /// 32-bit router addresses directly into `order`.  With a warmed `scratch`
-/// the call performs no heap allocation, and the result is bit-identical
-/// for any thread count.
+/// the radix path performs no heap allocation (inputs below
+/// [`PAR_THRESHOLD`] go through std's stable sort, which takes a
+/// temporary), and the result is bit-identical for any thread count.
 ///
 /// Key bits above `key_bits` must be zero in the packed pairs (callers
 /// mask when packing).
@@ -237,8 +262,8 @@ pub fn sort_order_from_pairs(key_bits: u32, scratch: &mut SortScratch, order: &m
     }
 
     if n < PAR_THRESHOLD {
-        // Unstable sort of the packed words == stable sort by key.
-        scratch.pairs.sort_unstable();
+        // Stable by pair position: compare the key half only.
+        scratch.pairs.sort_by_key(|&w| w >> 32);
         for (slot, &p) in order.iter_mut().zip(scratch.pairs.iter()) {
             *slot = p as u32;
         }
@@ -412,9 +437,8 @@ fn rank_bounds_impl(
     }
 
     if n <= 1 || n < PAR_THRESHOLD {
-        if n > 1 {
-            scratch.pairs.sort_unstable();
-        }
+        // Stable by pair position: compare the key half only.
+        scratch.pairs.sort_by_key(|&w| w >> 32);
         bounds.clear();
         let mut prev_cell = u64::MAX;
         for (i, (slot, &p)) in order.iter_mut().zip(scratch.pairs.iter()).enumerate() {
@@ -622,12 +646,11 @@ impl IncrementalScratch {
 /// structure cannot corrupt the trajectory, only mis-gate the path choice.
 ///
 /// **Order identity:** the full rank is a stable sort by
-/// `(cell << jitter_bits) | jitter`, which (indices being unique and
-/// ascending) equals an ascending sort of the raw pair words.  The pair
-/// buffer arrives in ascending-index order, so the stable jitter pass
-/// leaves equal-jitter particles in ascending index order, and the stable
-/// cell pass then orders each cell run by `(jitter, index)` ascending —
-/// exactly the ascending-word order the full rank produces.  `order`,
+/// `(cell << jitter_bits) | jitter`, ties broken by pair position (the
+/// module's stability contract).  The stable jitter pass leaves
+/// equal-jitter pairs in input order, and the stable cell pass then
+/// orders each cell run by `(jitter, input position)` ascending — the
+/// same order, whatever the index payloads hold.  `order`,
 /// `bounds` and `seg_cells` are therefore **bitwise identical** to what
 /// [`sort_order_and_bounds_from_pairs_cells`] emits, for every input, and
 /// the per-step choice between the two paths is unobservable in the
@@ -1348,6 +1371,111 @@ mod tests {
         check_incremental(240, 6, 500, 30);
         check_incremental(1, 3, 1000, 0);
         check_incremental(3, 1, 17_000, 50);
+    }
+
+    /// The module's stability contract against std's stable sort: heavy
+    /// ties, and index payloads that are a random permutation — so a rank
+    /// that broke ties on the payload instead of the pair position would
+    /// show.  All three ranks must emit `slice::sort_by_key`'s order on
+    /// the key half, with the bounds and segment cells that order implies.
+    fn check_position_stability(cells: u32, jitter_bits: u32, n: usize, seed: u32) {
+        let cell_bits = 32 - (cells - 1).leading_zeros().min(31);
+        assert!(bounds_rank_supported(cell_bits));
+        let jmask = (1u32 << jitter_bits) - 1;
+        let mut state = seed | 1;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let keys: Vec<u32> = (0..n)
+            .map(|_| {
+                let r = rng();
+                ((r % cells) << jitter_bits) | ((r >> 16) & jmask)
+            })
+            .collect();
+        let mut payload: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            payload.swap(i, rng() as usize % (i + 1));
+        }
+        let pack = |scratch: &mut SortScratch| {
+            for (p, (&k, &i)) in scratch
+                .input_pairs(n)
+                .iter_mut()
+                .zip(keys.iter().zip(&payload))
+            {
+                *p = pack_pair(k, i as usize);
+            }
+        };
+
+        let mut by_position: Vec<usize> = (0..n).collect();
+        by_position.sort_by_key(|&i| keys[i]);
+        let want_order: Vec<u32> = by_position.iter().map(|&i| payload[i]).collect();
+        let sorted_cells: Vec<u32> = by_position
+            .iter()
+            .map(|&i| keys[i] >> jitter_bits)
+            .collect();
+        let want_bounds = crate::segment_bounds_from_sorted(&sorted_cells);
+        let want_cells: Vec<u32> = want_bounds[..want_bounds.len() - 1]
+            .iter()
+            .map(|&b| sorted_cells[b as usize])
+            .collect();
+        let tag = format!("cells={cells} j={jitter_bits} n={n} seed={seed}");
+
+        let mut scratch = SortScratch::new();
+        let mut order = Vec::new();
+        pack(&mut scratch);
+        sort_order_from_pairs(cell_bits + jitter_bits, &mut scratch, &mut order);
+        assert_eq!(order, want_order, "sort_order_from_pairs {tag}");
+
+        let (mut bounds, mut seg_cells) = (Vec::new(), Vec::new());
+        pack(&mut scratch);
+        assert!(sort_order_and_bounds_from_pairs_cells(
+            cell_bits,
+            jitter_bits,
+            &mut scratch,
+            &mut order,
+            &mut bounds,
+            &mut seg_cells,
+            false,
+        ));
+        assert_eq!(order, want_order, "bounds-emitting rank {tag}");
+        assert_eq!(bounds, want_bounds, "bounds-emitting rank {tag}");
+        assert_eq!(seg_cells, want_cells, "bounds-emitting rank {tag}");
+
+        pack(&mut scratch);
+        assert!(incremental_rank(
+            jitter_bits,
+            cells,
+            &[0, n as u32],
+            &[0],
+            false,
+            &mut scratch,
+            &mut IncrementalScratch::new(),
+            &mut order,
+            &mut bounds,
+            &mut seg_cells,
+        ));
+        assert_eq!(order, want_order, "incremental_rank {tag}");
+        assert_eq!(bounds, want_bounds, "incremental_rank {tag}");
+        assert_eq!(seg_cells, want_cells, "incremental_rank {tag}");
+    }
+
+    #[test]
+    fn every_rank_is_stable_by_pair_position_not_by_index_payload() {
+        // Both sides of PAR_THRESHOLD (comparison sort below, chunked
+        // radix at and above); the CI determinism job runs this under
+        // RAYON_NUM_THREADS 1 and 4, so the chunk grid varies too.
+        for (seed, &n) in [2usize, 500, PAR_THRESHOLD - 1, PAR_THRESHOLD, 40_000]
+            .iter()
+            .enumerate()
+        {
+            check_position_stability(7, 2, n, 0x9E37_79B9 + seed as u32);
+            check_position_stability(250, 6, n, 0x2545_F491 + seed as u32);
+            check_position_stability(6912, 8, n, 0x1234_5677 + seed as u32);
+            check_position_stability(97, 0, n, 0x0BAD_CAFE + seed as u32);
+        }
     }
 
     #[test]

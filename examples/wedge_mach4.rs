@@ -68,4 +68,11 @@ fn main() {
         b[2] * 100.0,
         b[3] * 100.0
     );
+    let t = sim.timings();
+    let sort = t.sort.as_secs_f64();
+    println!(
+        "inside the sort: rank {:.0}% | send {:.0}%  (the rest is the withdrawal steps' pair build)",
+        t.sort_rank.as_secs_f64() / sort * 100.0,
+        t.sort_send.as_secs_f64() / sort * 100.0
+    );
 }

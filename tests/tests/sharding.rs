@@ -7,7 +7,7 @@
 //! these tests as the pinning suite for that contract.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, RngMode, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, ShardedSimulation, SimConfig, Simulation};
 use dsmc_scenarios::{
     registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, Sleeper,
     SuperviseError, SuperviseOptions, TunnelCase, TunnelProtocol,
@@ -33,9 +33,12 @@ fn wedge_dirty_cfg(seed: u64) -> SimConfig {
 }
 
 proptest! {
-    /// Shard counts {1, 2, 4} agree bitwise with the single-domain
-    /// reference over random seeds, bodies, and rng modes — the
-    /// determinism invariant of `SHARDING.md`, property-tested.
+    /// Shard counts {1, 2, 3, 4, 8, 16} agree bitwise with the
+    /// single-domain reference over random seeds, bodies, and rng modes —
+    /// the determinism invariant of `SHARDING.md`, property-tested.  16 is
+    /// the tunnel width: one-column shards, where every particle that
+    /// changes column crosses a cut and the shards behind the bodies start
+    /// with few residents or none and fill by arrivals alone.
     #[test]
     fn shard_counts_agree_bitwise(
         seed in 1u64..=40,
@@ -57,7 +60,7 @@ proptest! {
         let mut reference = Simulation::new(cfg.clone());
         reference.run(steps);
         let want = reference.state_hash();
-        for shards in [1usize, 2, 4] {
+        for shards in [1usize, 2, 3, 4, 8, 16] {
             let mut sharded = Engine::new(cfg.clone(), shards);
             sharded.run(steps);
             prop_assert_eq!(
@@ -74,6 +77,81 @@ proptest! {
             );
         }
     }
+}
+
+/// The exchange through everything that reshapes it at once: plunger
+/// withdrawals (key-less sweep, refill, pairs built and crossers packed
+/// afterwards), a `set_cuts` move to a maximally skewed layout mid-run and
+/// the weighted repartition that follows it (most of a shard crosses in
+/// one step), under both jitter sources and both executors.  Hash,
+/// population and the per-particle mover sums must equal the
+/// single-domain run's.
+#[test]
+fn exchange_survives_withdrawals_and_a_forced_repartition() {
+    const BEFORE: usize = 25;
+    const AFTER: usize = 35;
+    for rng_mode in [RngMode::Explicit, RngMode::DirtyBits] {
+        let mut cfg = wedge_dirty_cfg(11);
+        cfg.rng_mode = rng_mode;
+        let mut reference = Simulation::new(cfg.clone());
+        reference.run(BEFORE + AFTER);
+        assert!(
+            reference.diagnostics().plunger_cycles >= 2,
+            "the run must cross at least two withdrawals"
+        );
+        for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
+            cfg.exec = exec;
+            let mut sharded = ShardedSimulation::new(cfg.clone(), 4);
+            sharded.run(BEFORE);
+            assert!(sharded.set_cuts(&[0, 1, 2, 3, cfg.tunnel_w]));
+            sharded.run(AFTER);
+            let tag = format!("{rng_mode:?} / {exec:?}");
+            assert!(
+                sharded.repartitions() > 0,
+                "{tag}: the skewed layout never triggered a repartition"
+            );
+            assert_eq!(sharded.state_hash(), reference.state_hash(), "{tag}");
+            assert_eq!(
+                sharded.shard_populations().iter().sum::<usize>(),
+                reference.n_particles(),
+                "{tag}: particles lost or duplicated"
+            );
+            assert_eq!(sharded.mover_stats(), reference.mover_stats(), "{tag}");
+        }
+    }
+}
+
+/// The chunked radix and the parallel gather under the exchange: the
+/// benchmark's own wedge configuration, where each of four shards holds
+/// several times `PAR_THRESHOLD` particles, so the rank runs its chunked
+/// passes and the send its parallel gathers on pair arrays whose index
+/// fields are not their positions (arrivals sit at the tail).  Thirty
+/// steps cross a withdrawal.  Release-only: a debug step at this size
+/// takes seconds.
+#[test]
+fn exchange_is_bit_identical_where_the_chunked_paths_run() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let mut cfg = SimConfig::paper(0.0);
+    cfg.n_per_cell *= 0.4;
+    cfg.reservoir_fill = cfg.n_per_cell * 1.4;
+    cfg.exec = ExecMode::Serial;
+    let mut reference = Simulation::new(cfg.clone());
+    let mut sharded = ShardedSimulation::new(cfg, 4);
+    reference.run(30);
+    sharded.run(30);
+    assert!(reference.diagnostics().plunger_cycles >= 1);
+    let populations = sharded.shard_populations();
+    assert!(
+        populations
+            .iter()
+            .all(|&n| n >= dsmc_datapar::PAR_THRESHOLD),
+        "every shard must be on the chunked paths: {populations:?}"
+    );
+    assert_eq!(sharded.state_hash(), reference.state_hash());
+    assert_eq!(populations.iter().sum::<usize>(), reference.n_particles());
+    assert_eq!(sharded.mover_stats(), reference.mover_stats());
 }
 
 /// Every registry scenario at QUICK scale is shard-count invariant:

@@ -66,7 +66,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::TunnelTooLarge { w, h } => write!(
                 f,
-                "tunnel {w}×{h} exceeds the Q8.23 position range (each axis < 250 cells)"
+                "tunnel {w}×{h} exceeds the Q8.23 position range (w < 250, h < 128)"
             ),
             ConfigError::ReservoirTooSmall { capacity, refill } => write!(
                 f,
@@ -137,9 +137,25 @@ impl BodySpec {
     }
 }
 
-/// Geometry of the reservoir region: its own small periodic box, sized so
-/// positions stay well inside the Q8.23 range regardless of how many
-/// reservoir cells are requested.
+// What Q8.23 positions (range [−256, 256)) allow of the grid.  The tunnel
+// width leaves room for one step's advance past the downstream edge; the
+// height is halved because the wall reflection forms `2·h − y`
+// (`Tunnel::enforce_walls`); the reservoir strip's height is itself a
+// coordinate bound (`Fx::from_int(res.h)`, the wrap span).
+const MAX_TUNNEL_W: u32 = 249;
+const MAX_TUNNEL_H: u32 = 127;
+const MAX_RES_ROWS: u32 = 255;
+
+// The rank has one arm: every grid validation admits must fit its cell
+// field.
+const _: () = assert!(
+    MAX_TUNNEL_W * MAX_TUNNEL_H + MAX_RES_ROWS * ResLayout::MAX_W
+        <= 1 << dsmc_datapar::MAX_CELL_BITS
+);
+
+/// Geometry of the reservoir region: its own small periodic box, at most
+/// [`ResLayout::MAX_W`] cells wide so a large reservoir grows in rows
+/// ([`SimConfig::try_validated`] bounds those by the Q8.23 range).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResLayout {
     /// Box width in cells (≤ 64).
@@ -149,10 +165,13 @@ pub struct ResLayout {
 }
 
 impl ResLayout {
+    /// Widest the box gets.
+    pub const MAX_W: u32 = 64;
+
     /// Layout covering at least `cells` unit cells.
     pub fn for_cells(cells: u32) -> Self {
         let cells = cells.max(1);
-        let w = cells.min(64);
+        let w = cells.min(Self::MAX_W);
         Self {
             w,
             h: cells.div_ceil(w),
@@ -459,9 +478,10 @@ impl SimConfig {
     ///
     /// Checks, in order: every float field (including enum payloads) is
     /// finite; the tunnel grid fits the 4×2 minimum and the Q8.23 position
-    /// range; density, thermal speed, Mach and mean free path are in
-    /// range; the plunger trigger and jitter width are admissible; and the
-    /// reservoir can buffer one plunger refill.  A `reservoir_fill ≤ 0`
+    /// range (w < 250, h < 128); density, thermal speed, Mach and mean free
+    /// path are in range; the reservoir strip fits the same position range
+    /// (< 256 rows of 64 cells); the plunger trigger and jitter width are
+    /// admissible; and the reservoir can buffer one plunger refill.  A `reservoir_fill ≤ 0`
     /// (but finite) is normalised to `n_per_cell`, not rejected.
     pub fn try_validated(mut self) -> Result<Self, ConfigError> {
         // Finiteness first: every later range check (and the fixed-point
@@ -531,7 +551,7 @@ impl SimConfig {
                 h: self.tunnel_h,
             });
         }
-        if self.tunnel_w >= 250 || self.tunnel_h >= 250 {
+        if self.tunnel_w > MAX_TUNNEL_W || self.tunnel_h > MAX_TUNNEL_H {
             return Err(ConfigError::TunnelTooLarge {
                 w: self.tunnel_w,
                 h: self.tunnel_h,
@@ -562,8 +582,10 @@ impl SimConfig {
         range(
             "reservoir_cells",
             self.reservoir_cells as f64,
-            self.reservoir_cells >= 1,
-            "reservoir must exist",
+            self.reservoir_cells >= 1
+                && ResLayout::for_cells(self.reservoir_cells).h <= MAX_RES_ROWS,
+            "must be in [1, 16320]: the reservoir must exist, and its 64-wide strip must stay \
+             under 256 rows (the Q8.23 position range)",
         )?;
         range(
             "plunger_trigger",
@@ -851,6 +873,43 @@ mod tests {
             c.try_validated(),
             Err(ConfigError::TunnelTooLarge { h: 300, .. })
         ));
+    }
+
+    /// A tunnel of `h` rows with a reservoir of `reservoir_cells`, big
+    /// enough to buffer the refill at every size tried below.
+    fn tall_cfg(h: u32, reservoir_cells: u32) -> SimConfig {
+        let mut c = SimConfig::small_test();
+        c.tunnel_h = h;
+        c.reservoir_cells = reservoir_cells;
+        c.n_per_cell = 2.0;
+        c.reservoir_fill = 4.0;
+        c
+    }
+
+    #[test]
+    fn q8_23_bounds_the_height_and_the_reservoir_strip() {
+        // 2·h must be representable for the wall reflection: 127 rows fit,
+        // 128 do not.
+        assert!(tall_cfg(127, 600).try_validated().is_ok());
+        assert!(matches!(
+            tall_cfg(128, 600).try_validated(),
+            Err(ConfigError::TunnelTooLarge { h: 128, .. })
+        ));
+        // 255 strip rows of 64 cells fit, one cell more makes 256.
+        assert_eq!(ResLayout::for_cells(16_320).h, 255);
+        assert!(tall_cfg(16, 16_320).try_validated().is_ok());
+        for cells in [16_321, 16_384, u32::MAX] {
+            assert!(
+                matches!(
+                    tall_cfg(16, cells).try_validated(),
+                    Err(ConfigError::OutOfRange {
+                        field: "reservoir_cells",
+                        ..
+                    })
+                ),
+                "reservoir_cells = {cells}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, key_bits_for, SortWorkspace};
 use crate::surface::{SurfaceAccumulator, SurfaceField};
-use dsmc_datapar::{bounds_rank_supported, first_pass_bits, PAR_THRESHOLD};
+use dsmc_datapar::{first_pass_bits, PAR_THRESHOLD};
 use dsmc_fixed::{Fx, Rounding};
 use dsmc_geom::{
     Body, CellClassifier, Cylinder, FlatPlate, ForwardStep, NoBody, Plunger, PlungerEvent, Tunnel,
@@ -233,15 +233,14 @@ impl Simulation {
     }
 
     /// The rank-seeding plan for a population of `n`: whether the move
-    /// sweep should pre-count the first radix digit (only when the
-    /// bounds-emitting radix rank will actually run and read it), and
-    /// that pass's digit width.
+    /// sweep should pre-count the first radix digit (only when the chunked
+    /// radix rank can run and read it), and that pass's digit width.
     fn seed_plan(&self, n: usize) -> (bool, u32) {
         let cell_bits = self.key_bits - self.cfg.jitter_bits;
-        // Both steady-state ranks read it: the seeded full rank skips its
-        // first counting pass, and the incremental repair's jitter
-        // histogram is the same first digit summed over the chunk rows.
-        let seeded = bounds_rank_supported(cell_bits) && n >= PAR_THRESHOLD;
+        // Both ranks read it: the seeded radix rank skips its first
+        // counting pass, and the repair's jitter histogram is the same
+        // first digit summed over the chunk rows.
+        let seeded = n >= PAR_THRESHOLD;
         (seeded, first_pass_bits(cell_bits, self.cfg.jitter_bits))
     }
 
@@ -381,21 +380,40 @@ impl Simulation {
         }
     }
 
+    /// Rank the pairs in the sort workspace and send the particles through
+    /// the order: `seeded` when the move sweep also counted the first radix
+    /// digit, `repair` when the rank may repair last step's order.  Returns
+    /// where the time went and whether the repair ranked.
+    fn rank_and_send(&mut self, seeded: bool, repair: bool) -> (SortSplit, bool) {
+        let total_cells = self.total_cells();
+        sortstep::rank_and_send(
+            &mut self.parts,
+            self.key_bits,
+            self.cfg.jitter_bits,
+            total_cells,
+            seeded,
+            repair,
+            &mut self.sort_ws,
+            &mut self.bounds,
+            &mut self.order,
+        )
+    }
+
     /// The key-building full sort: refresh cells, pack the jittered pairs,
-    /// rank and send.  Runs once at construction and on withdrawal steps.
+    /// rank from scratch and send.  Runs once at construction and on
+    /// withdrawal steps.
     fn sort_phase(&mut self) -> SortSplit {
-        sortstep::sort_particles_fused(
+        let (pairs, _) = self.sort_ws.move_buffers(self.parts.len(), 0, false);
+        sortstep::build_pairs(
             &mut self.parts,
             &self.tunnel,
             self.res_base,
             self.res,
             self.cfg.jitter_bits,
-            self.key_bits,
             self.rng_mode,
-            &mut self.sort_ws,
-            &mut self.bounds,
-            &mut self.order,
-        )
+            pairs,
+        );
+        self.rank_and_send(false, false).0
     }
 
     /// Sub-steps 1 + 2 + 3a: the single-sweep move phase (motion,
@@ -446,52 +464,25 @@ impl Simulation {
         self.timings.add(Substep::Move, t.elapsed());
 
         let t = Instant::now();
-        let split = if withdraw {
-            // Withdrawal steps always take the full path: the refill just
+        let (split, repaired) = if withdraw {
+            // Withdrawal steps rank from scratch: the refill just
             // repositioned reservoir particles after the (key-less) sweep,
             // so there are no packed pairs and no trustworthy mover count.
-            self.sort_full_steps += 1;
-            self.sort_phase()
+            (self.sort_phase(), false)
         } else {
             // The repair needs the budget and a previous structure that
             // covers this population (there is none on the first step
-            // after a resume); otherwise, or if it bails, the full rank
-            // runs.  Both paths consume the same sweep-seeded histogram.
-            let total_cells = self.total_cells();
-            let repaired = if self.movers_within_budget(out.movers, n)
-                && self.sort_ws.describes(&self.bounds, n)
-            {
-                sortstep::rank_and_send_incremental(
-                    &mut self.parts,
-                    self.cfg.jitter_bits,
-                    total_cells,
-                    seeded,
-                    &mut self.sort_ws,
-                    &mut self.bounds,
-                    &mut self.order,
-                )
-            } else {
-                None
-            };
-            match repaired {
-                Some(split) => {
-                    self.sort_incremental_steps += 1;
-                    split
-                }
-                None => {
-                    self.sort_full_steps += 1;
-                    sortstep::rank_and_send(
-                        &mut self.parts,
-                        self.key_bits,
-                        self.cfg.jitter_bits,
-                        seeded,
-                        &mut self.sort_ws,
-                        &mut self.bounds,
-                        &mut self.order,
-                    )
-                }
-            }
+            // after a resume).  Both ranks consume the same sweep-seeded
+            // histogram.
+            let repair =
+                self.movers_within_budget(out.movers, n) && self.sort_ws.describes(&self.bounds, n);
+            self.rank_and_send(seeded, repair)
         };
+        if repaired {
+            self.sort_incremental_steps += 1;
+        } else {
+            self.sort_full_steps += 1;
+        }
         self.timings.add_sort(t.elapsed(), split);
     }
 

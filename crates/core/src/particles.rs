@@ -14,40 +14,17 @@
 use dsmc_fixed::Fx;
 use dsmc_rng::{Perm5, XorShift32};
 
-/// Back buffers for the sort's "send": one destination per column, swapped
-/// with the live columns after each re-order so steady-state sends perform
-/// no heap allocation (the population is conserved, so lengths go
-/// quiescent after the first step; a shard's drift with the crossers, see
+/// Back buffers for the sort's "send": one destination per column *type*,
+/// swapped with the live column after each gather, so the seven `Fx`
+/// columns rotate through one buffer and steady-state sends perform no heap
+/// allocation (the population is conserved, so lengths go quiescent after
+/// the first step; a shard's drift with the crossers, see
 /// [`ParticleStore::extend_from`]).
 #[derive(Clone, Debug, Default)]
 struct BackColumns {
-    x: Vec<Fx>,
-    y: Vec<Fx>,
-    u: Vec<Fx>,
-    v: Vec<Fx>,
-    w: Vec<Fx>,
-    r1: Vec<Fx>,
-    r2: Vec<Fx>,
+    fx: Vec<Fx>,
     perm: Vec<Perm5>,
     rng: Vec<XorShift32>,
-    cell: Vec<u32>,
-}
-
-impl BackColumns {
-    fn capacities(&self) -> [usize; 10] {
-        [
-            self.x.capacity(),
-            self.y.capacity(),
-            self.u.capacity(),
-            self.v.capacity(),
-            self.w.capacity(),
-            self.r1.capacity(),
-            self.r2.capacity(),
-            self.perm.capacity(),
-            self.rng.capacity(),
-            self.cell.capacity(),
-        ]
-    }
 }
 
 /// SoA particle data.  All columns share a length.
@@ -163,15 +140,13 @@ impl ParticleStore {
         self.r2[i] = vel[4];
     }
 
-    /// Re-order every column by `order` (`new[i] = old[order[i]]`) — the
-    /// "router send" that follows the rank step of the CM-2 sort: one
-    /// gather per column through the rotating back buffer, which makes
-    /// each gather's destination the pages just read as the previous
-    /// column's source (L2-hot writes).
-    ///
-    /// This is the hot loop's send and the reference at once.  Multi-core
-    /// sends go through the sharded engine instead — per-shard sends on
-    /// smaller arrays (the benchmark's `core.shard.*` metrics).
+    /// Re-order every column by `order` (`new[i] = old[order[i]]`): the
+    /// reference form of the "router send" that follows the rank step of
+    /// the CM-2 sort — ten gathers, the `cell` column included.  The
+    /// separate-phase reference sort (`sortstep::sort_particles`) and unit
+    /// tests call it; the engine's send is
+    /// [`ParticleStore::apply_order_no_cell`] plus a refill of `cell` from
+    /// the rank's bounds.
     ///
     /// `order` need not be a permutation of the store: a shard's send
     /// gathers `order.len()` rows out of its residents plus the arrivals
@@ -179,15 +154,19 @@ impl ParticleStore {
     /// past the last row panics.
     pub fn apply_order(&mut self, order: &[u32]) {
         self.apply_order_no_cell(order);
-        dsmc_datapar::apply_perm(&self.cell, order, &mut self.back.cell);
-        core::mem::swap(&mut self.cell, &mut self.back.cell);
+        let mut cell = Vec::new();
+        dsmc_datapar::apply_perm(&self.cell, order, &mut cell);
+        self.cell = cell;
     }
 
-    /// [`ParticleStore::apply_order`] minus the `cell` column: nine
-    /// gathers instead of ten.
+    /// The hot loop's send: one gather per physical-state column through
+    /// the rotating back buffer, which makes each gather's destination the
+    /// pages just read as the previous column's source (L2-hot writes).
+    /// Multi-core sends go through the sharded engine instead — per-shard
+    /// sends on smaller arrays (the benchmark's `core.shard.*` metrics).
     ///
-    /// For the bounds-emitting rank the sorted `cell` column is fully
-    /// determined by `(bounds, seg_cells)` — the caller re-materialises
+    /// Nine gathers, not ten: the sorted `cell` column is fully determined
+    /// by the rank's `(bounds, seg_cells)` — the caller re-materialises
     /// it with `dsmc_datapar::fill_cells_from_bounds` (sequential stores)
     /// instead of gathering it (random reads), dropping one router trip
     /// from the send.  After this call and before that fill, the `cell`
@@ -202,8 +181,8 @@ impl ParticleStore {
             &mut self.r1,
             &mut self.r2,
         ] {
-            dsmc_datapar::apply_perm(col, order, &mut self.back.x);
-            core::mem::swap(col, &mut self.back.x);
+            dsmc_datapar::apply_perm(col, order, &mut self.back.fx);
+            core::mem::swap(col, &mut self.back.fx);
         }
         dsmc_datapar::apply_perm(&self.perm, order, &mut self.back.perm);
         core::mem::swap(&mut self.perm, &mut self.back.perm);
@@ -211,10 +190,14 @@ impl ParticleStore {
         core::mem::swap(&mut self.rng, &mut self.back.rng);
     }
 
-    /// Capacities of the send back-buffers (for allocation-stability
-    /// asserts in the zero-allocation tests).
-    pub fn back_buffer_capacities(&self) -> [usize; 10] {
-        self.back.capacities()
+    /// Capacities of the send back-buffers `[fx, perm, rng]` (for
+    /// allocation-stability asserts in the zero-allocation tests).
+    pub fn back_buffer_capacities(&self) -> [usize; 3] {
+        [
+            self.back.fx.capacity(),
+            self.back.perm.capacity(),
+            self.back.rng.capacity(),
+        ]
     }
 
     /// Exact total momentum (raw units) of the five velocity components.

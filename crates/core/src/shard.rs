@@ -1026,37 +1026,24 @@ impl ShardedSimulation {
             let t = Instant::now();
             shard.merge_arrivals(me, outbox);
             let exchange = t.elapsed();
-            let repaired = if force_full {
-                None
-            } else {
-                sortstep::rank_and_send_incremental(
-                    &mut shard.parts,
-                    base.cfg.jitter_bits,
-                    base.total_cells(),
-                    false,
-                    &mut shard.sort_ws,
-                    &mut shard.bounds,
-                    &mut shard.order,
-                )
-            };
-            let split = repaired.unwrap_or_else(|| {
-                sortstep::rank_and_send(
-                    &mut shard.parts,
-                    base.key_bits,
-                    base.cfg.jitter_bits,
-                    false,
-                    &mut shard.sort_ws,
-                    &mut shard.bounds,
-                    &mut shard.order,
-                )
-            });
+            let (split, repaired) = sortstep::rank_and_send(
+                &mut shard.parts,
+                base.key_bits,
+                base.cfg.jitter_bits,
+                base.total_cells(),
+                false,
+                !force_full,
+                &mut shard.sort_ws,
+                &mut shard.bounds,
+                &mut shard.order,
+            );
             shard.seg_cell.clear();
             for j in 0..shard.bounds.len() - 1 {
                 shard
                     .seg_cell
                     .push(shard.parts.cell[shard.bounds[j] as usize]);
             }
-            let took = (!shard.parts.is_empty()).then_some(repaired.is_some());
+            let took = (!shard.parts.is_empty()).then_some(repaired);
             (took, SortSplit { exchange, ..split })
         })?;
         let mut cpu = SortSplit::default();

@@ -12,9 +12,8 @@ use crate::config::{ResLayout, RngMode};
 use crate::diag::SortSplit;
 use crate::particles::ParticleStore;
 use dsmc_datapar::{
-    fill_cells_from_bounds, incremental_rank, pack_pair, segment_bounds_from_sorted_into,
-    sort_order_and_bounds_from_pairs_cells, sort_order_from_pairs, sort_perm_by_key, BoundsScratch,
-    IncrementalScratch, SortScratch, PAR_THRESHOLD,
+    fill_cells_from_bounds, incremental_rank, pack_pair, sort_order_and_bounds_from_pairs_cells,
+    sort_perm_by_key, IncrementalScratch, SortScratch, PAR_THRESHOLD,
 };
 use dsmc_geom::Tunnel;
 use rayon::prelude::*;
@@ -31,13 +30,13 @@ pub struct SortOutput {
     pub order: Vec<u32>,
 }
 
-/// Caller-owned working state of the fused sort phase: the radix sort's
-/// pair and histogram buffers plus the bounds extraction table.  Owned by
-/// `Simulation` so repeated steps reuse every byte.
+/// Caller-owned working state of the sort phase: the radix rank's pair and
+/// histogram buffers, the repair's two small tables, and the occupied cell
+/// id of every segment the last rank emitted.  Owned by `Simulation` (and
+/// by each shard) so repeated steps reuse every byte.
 #[derive(Debug, Default)]
 pub struct SortWorkspace {
     radix: SortScratch,
-    bounds: BoundsScratch,
     seg_cells: Vec<u32>,
     inc: IncrementalScratch,
 }
@@ -49,9 +48,9 @@ impl SortWorkspace {
     }
 
     /// Capacities of the owned buffers `[pairs, pong, hists, offsets,
-    /// bounds-scratch, seg-cells, inc-counts, inc-jitter]` — asserted
-    /// stable by the zero-allocation tests.
-    pub fn capacities(&self) -> [usize; 8] {
+    /// seg-cells, inc-counts, inc-jitter]` — asserted stable by the
+    /// zero-allocation tests.
+    pub fn capacities(&self) -> [usize; 7] {
         let [pairs, pong, hists, offsets] = self.radix.capacities();
         let [inc_counts, inc_jitter] = self.inc.capacities();
         [
@@ -59,7 +58,6 @@ impl SortWorkspace {
             pong,
             hists,
             offsets,
-            self.bounds.capacity(),
             self.seg_cells.capacity(),
             inc_counts,
             inc_jitter,
@@ -86,7 +84,7 @@ impl SortWorkspace {
 
     /// Whether `bounds` and this workspace's segment cell ids are the
     /// structure the last rank left for a population of `n` — the
-    /// single-domain engine's freshness gate for the incremental rank.
+    /// single-domain engine's freshness gate for the repair.
     /// False on the first step and after a snapshot resume, which installs
     /// bounds but no cell ids.
     pub fn describes(&self, bounds: &[u32], n: usize) -> bool {
@@ -149,8 +147,10 @@ fn jittered_key(
 }
 
 /// Refresh cell indices from positions and pack the `(key, index)` pair
-/// words for the rank, in one elementwise sweep (all VPs active).  The
-/// fused path never materialises a separate key column.
+/// words for the rank, in one elementwise sweep (all VPs active): what the
+/// move sweep does on ordinary steps, as a phase of its own for the initial
+/// sort and for withdrawal steps, whose refill repositions particles after
+/// the sweep.  The engine never materialises a separate key column.
 ///
 /// Specialised per [`RngMode`], because each mode leaves a whole column
 /// out of the sweep: `Explicit` jitter comes from the per-particle
@@ -247,43 +247,7 @@ fn build_pairs_dirty(
     }
 }
 
-/// The steady-state sort phase: recompute cell indices, pack jittered
-/// `(key, index)` pairs, rank them (the final radix pass emits the router
-/// addresses straight into `order`), and send all ten particle columns
-/// through those addresses in one parallel pass.  `bounds` and `order`
-/// are filled in place; with a warmed `ws` the whole phase performs no
-/// heap allocation.
-///
-/// `key_bits` callers compute once from the cell count and jitter width via
-/// [`key_bits_for`].
-#[allow(clippy::too_many_arguments)]
-pub fn sort_particles_fused(
-    parts: &mut ParticleStore,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-    jitter_bits: u32,
-    key_bits: u32,
-    rng_mode: RngMode,
-    ws: &mut SortWorkspace,
-    bounds: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-) -> SortSplit {
-    let n = parts.len();
-    build_pairs(
-        parts,
-        tunnel,
-        res_base,
-        res,
-        jitter_bits,
-        rng_mode,
-        ws.radix.input_pairs(n),
-    );
-    rank_and_send(parts, key_bits, jitter_bits, false, ws, bounds, order)
-}
-
-/// The send behind a bounds-emitting rank: nine column gathers through the
-/// freshly-emitted addresses, then the `cell` column re-materialised from
+/// The send: nine column gathers through the freshly-emitted addresses, then the `cell` column re-materialised from
 /// `(bounds, seg_cells)` with sequential stores instead of gathered.  The
 /// rotating back buffer makes each gather's destination the pages just
 /// read as the previous column's source — L2-hot writes, measured faster
@@ -300,131 +264,96 @@ fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u
     fill_cells_from_bounds(bounds, seg_cells, &mut parts.cell);
 }
 
-/// The back half of the sort phase, shared between [`sort_particles_fused`],
-/// the single-sweep move phase (`crate::movephase`), whose sweep has
-/// already packed the pairs — and, when `seeded`, counted the first radix
-/// digit — into the workspace's buffers ([`SortWorkspace::move_buffers`]),
-/// and the sharded engine, whose merge wrote them there.  The pairs' index
-/// fields name rows of `parts`; they need not be a permutation of it (see
-/// `send`).
+/// The back half of the sort phase — one rank, one send — for both
+/// engines.  The pairs are already in the workspace's buffers
+/// ([`SortWorkspace::move_buffers`]): the single-sweep move phase
+/// (`crate::movephase`) packed them and, when `seeded`, counted the first
+/// radix digit; or `build_pairs` did; or the sharded engine's merge wrote
+/// them there.  Their index fields name rows of `parts`; they need not be a
+/// permutation of it (see `send`).
 ///
-/// Rank with the (jitter passes, cell pass) digit split: the cell pass's
-/// histogram doubles as the per-cell population table, so the segment
-/// bounds *and their occupied cell ids* come out of the sort itself.  The
-/// send then gathers only nine columns — the sorted `cell` column is
-/// run-length coded by `(bounds, seg_cells)`.  Falls back to the generic
-/// rank plus a ten-column send and a bounds sweep for out-of-range cell
-/// widths.  Returns the time the rank and the send took.
+/// **Rank.**  With `repair`, first try [`dsmc_datapar::incremental_rank`]:
+/// two serial counting passes that repair last step's order instead of
+/// re-ranking from scratch.  The caller asks for it only when the pairs sit
+/// in the *previous* sorted order — what the move sweep packs when `bounds`
+/// still describes the array it walked (the single-domain engine asks
+/// [`SortWorkspace::describes`] first), and what the sharded merge builds
+/// by construction — and is also the mover-budget authority: it decides
+/// from the sweep's own mover count whether to ask at all.
+/// `incremental_rank` reads its previous-structure arguments as a
+/// freshness gate only, and freshness is that precondition, so it is
+/// handed the one-run structure that always passes.  The repair declines —
+/// touching none of the outputs or the pairs — when a pair's cell field is
+/// out of `total_cells` range; then, and without `repair`, the chunked
+/// radix rank runs, with the (jitter passes, cell pass) digit split whose
+/// cell-pass histogram doubles as the per-cell population table.  Either
+/// way the segment bounds *and their occupied cell ids* come out of the
+/// rank itself, bit for bit the same.  `SimConfig::try_validated` keeps
+/// every grid within the cell-field width the rank takes
+/// (`dsmc_datapar::MAX_CELL_BITS`), so it never refuses the layout.
+///
+/// **Send.**  Nine gathers; the sorted `cell` column is run-length coded by
+/// `(bounds, seg_cells)`.
+///
+/// Returns the time the rank and the send took, and whether the repair
+/// ranked.  `key_bits` callers compute once from the cell count and jitter
+/// width via [`key_bits_for`].
+#[allow(clippy::too_many_arguments)]
 pub fn rank_and_send(
     parts: &mut ParticleStore,
     key_bits: u32,
     jitter_bits: u32,
-    seeded: bool,
-    ws: &mut SortWorkspace,
-    bounds: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-) -> SortSplit {
-    let t = Instant::now();
-    let cell_bits = key_bits - jitter_bits;
-    let have_bounds = sort_order_and_bounds_from_pairs_cells(
-        cell_bits,
-        jitter_bits,
-        &mut ws.radix,
-        order,
-        bounds,
-        &mut ws.seg_cells,
-        seeded,
-    );
-    if !have_bounds {
-        sort_order_from_pairs(key_bits, &mut ws.radix, order);
-    }
-    let rank = t.elapsed();
-    let t = Instant::now();
-    if have_bounds {
-        send(parts, order, bounds, &ws.seg_cells);
-    } else {
-        parts.apply_order(order);
-        segment_bounds_from_sorted_into(&parts.cell, bounds, &mut ws.bounds);
-        // Keep the segment cell ids in sync with the bounds on this path
-        // too: the incremental rank's callers trust `(bounds, seg_cells)`
-        // as the previous step's structure, whichever path produced it.
-        ws.seg_cells.clear();
-        ws.seg_cells.extend(
-            bounds[..bounds.len() - 1]
-                .iter()
-                .map(|&b| parts.cell[b as usize]),
-        );
-    }
-    SortSplit {
-        rank,
-        send: t.elapsed(),
-        ..SortSplit::default()
-    }
-}
-
-/// The incremental (temporal-coherence) back half of the sort phase: repair
-/// last step's order instead of re-ranking from scratch.
-///
-/// The pairs in the workspace's buffers must sit in the *previous* sorted
-/// order — which is what the move sweep packs when `bounds` still
-/// describes the array it walked (the single-domain engine asks
-/// [`SortWorkspace::describes`] first), and what the sharded merge builds
-/// by construction; when `seeded`, the sweep has also counted the first
-/// radix digit (the whole jitter field for the engine's layouts).  The
-/// call replaces the radix rank with [`dsmc_datapar::incremental_rank`] —
-/// same `order`/`bounds`/seg-cells bit for bit — and runs the identical
-/// send.  `incremental_rank` reads its previous-structure arguments as a
-/// freshness gate only, and freshness is this function's precondition, so
-/// it is handed the one-run structure that always passes.  The caller is
-/// also the mover-budget authority: it decides from the sweep's own mover
-/// count whether to attempt the repair at all.
-///
-/// Returns the time the rank and the send took when the repair ran, and
-/// `None` — leaving `parts`, `bounds` and `order` exactly as found — when
-/// a pair's cell field is out of `total_cells` range and the caller must
-/// fall back to [`rank_and_send`].
-pub fn rank_and_send_incremental(
-    parts: &mut ParticleStore,
-    jitter_bits: u32,
     total_cells: u32,
     seeded: bool,
+    repair: bool,
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
-) -> Option<SortSplit> {
+) -> (SortSplit, bool) {
     let t = Instant::now();
     let n = ws.radix.input_len() as u32;
-    let took = incremental_rank(
-        jitter_bits,
-        total_cells,
-        &[0, n],
-        &[0],
-        seeded,
-        &mut ws.radix,
-        &mut ws.inc,
-        order,
-        bounds,
-        &mut ws.seg_cells,
-    );
-    if !took {
-        return None;
+    let repaired = repair
+        && incremental_rank(
+            jitter_bits,
+            total_cells,
+            &[0, n],
+            &[0],
+            seeded,
+            &mut ws.radix,
+            &mut ws.inc,
+            order,
+            bounds,
+            &mut ws.seg_cells,
+        );
+    if !repaired {
+        let took = sort_order_and_bounds_from_pairs_cells(
+            key_bits - jitter_bits,
+            jitter_bits,
+            &mut ws.radix,
+            order,
+            bounds,
+            &mut ws.seg_cells,
+            seeded,
+        );
+        assert!(took, "a validated grid fits the rank's cell field");
     }
     let rank = t.elapsed();
     let t = Instant::now();
     send(parts, order, bounds, &ws.seg_cells);
-    Some(SortSplit {
+    let split = SortSplit {
         rank,
         send: t.elapsed(),
         ..SortSplit::default()
-    })
+    };
+    (split, repaired)
 }
 
 /// The reference sort phase (what `dsmc_baselines::TwoStepSim` runs):
 /// build a key column, materialise the permutation with
-/// [`sort_perm_by_key`], then gather the ten columns one at a time.
-/// Identical results to [`sort_particles_fused`] for identical inputs —
-/// the integration property tests assert it — but allocates per call and
-/// makes ten sequential passes where the fused path makes one.
+/// [`sort_perm_by_key`], gather the ten columns one at a time, then sweep
+/// the sorted `cell` column for its segment bounds.  Identical results to
+/// `build_pairs` + [`rank_and_send`] for identical inputs — the unit test
+/// below and the integration suites assert it — but allocates per call.
 ///
 /// `key_bits` callers compute once from the cell count and jitter width via
 /// [`key_bits_for`].
@@ -652,18 +581,21 @@ mod tests {
             let mut reference = fused.clone();
             let mut ws = SortWorkspace::new();
             let (mut bounds, mut order) = (Vec::new(), Vec::new());
-            sort_particles_fused(
+            let (pairs, _) = ws.move_buffers(fused.len(), 0, false);
+            build_pairs(&mut fused, &tunnel, tunnel.n_cells(), res, 6, mode, pairs);
+            let total_cells = tunnel.n_cells() + res.total();
+            let (_, repaired) = rank_and_send(
                 &mut fused,
-                &tunnel,
-                tunnel.n_cells(),
-                res,
-                6,
                 kb,
-                mode,
+                6,
+                total_cells,
+                false,
+                false,
                 &mut ws,
                 &mut bounds,
                 &mut order,
             );
+            assert!(!repaired);
             let out = sort_particles(&mut reference, &tunnel, tunnel.n_cells(), res, 6, kb, mode);
             assert_eq!(fused.cell, reference.cell, "{mode:?} cells");
             assert_eq!(fused.x, reference.x, "{mode:?} x");

@@ -1,31 +1,32 @@
-//! Data-parallel substrate: the Connection Machine primitive set on threads.
+//! Data-parallel substrate: the Connection Machine primitives a step calls.
 //!
 //! Dagum's implementation is written against a small vocabulary of
 //! data-parallel operations — the C*/Paris primitives catalogued by Hillis &
-//! Steele ("Data Parallel Algorithms", CACM 1986):
+//! Steele ("Data Parallel Algorithms", CACM 1986).  This crate holds the
+//! part of that vocabulary the engine, its test oracle and the benchmark
+//! actually use, for shared-memory machines:
 //!
-//! * elementwise operations over one virtual processor per particle,
-//! * **scans** (plus-scan, max-scan, copy-scan) and their *segmented*
-//!   variants, used to count and broadcast per-cell quantities,
-//! * a **sort** (rank + permute), the backbone of the collision-partner
+//! * the **sort** — a *rank* ([`sort_order_and_bounds_from_pairs_cells`],
+//!   and [`incremental_rank`] when the order barely changed) whose output
+//!   the engine *sends* its columns through with [`apply_perm`] and
+//!   [`fill_cells_from_bounds`]; the backbone of the collision-partner
 //!   machinery and the source of the algorithm's perfect dynamic load
-//!   balance,
-//! * **gather/scatter** through the router, and
-//! * **pack** (stream compaction), used when particles leave the flow.
+//!   balance.  [`sort_perm_by_key`] and [`segment_bounds_from_sorted`] are
+//!   its allocating reference form, which the separate-phase oracle
+//!   (`dsmc_baselines::TwoStepSim`) runs;
+//! * [`segments`]: [`par_segments_mut`] and [`par_segment_runs_mut`], the
+//!   safe "one task per cell" abstraction the collision and sampling
+//!   routines use to mutate many structure-of-arrays slices segment by
+//!   segment;
+//! * the plus-**scan** ([`scan_add_exclusive_u32`]) and the **pack** built
+//!   on it ([`pack_indices`], stream compaction).
 //!
-//! This crate implements that vocabulary for shared-memory machines: every
-//! primitive has a sequential reference implementation (module [`seq`]) and
-//! a rayon-parallel implementation that is used automatically above a size
-//! threshold.  Parallel results are bit-identical to sequential ones — the
-//! primitives only use associative integer operations, so chunking does not
-//! change outcomes.  Property tests enforce the equivalence.
-//!
-//! The [`segments`] module provides [`segments::par_segments_mut`], the safe
-//! "one task per cell" abstraction the collision routine uses to mutate many
-//! structure-of-arrays slices segment by segment, and [`counters`] provides
-//! the operation counters harvested by the CM-2 performance model.
+//! Every primitive runs sequentially below [`PAR_THRESHOLD`] and
+//! rayon-parallel above it, with bit-identical results — the primitives
+//! only use associative integer operations and data-determined disjoint
+//! writes, so chunking does not change outcomes.  Module [`seq`] holds the
+//! sequential references; property tests enforce the equivalence.
 
-pub mod counters;
 pub mod gather;
 pub mod pack;
 pub mod scan;
@@ -35,21 +36,16 @@ pub mod seq;
 pub mod sort;
 
 /// Inputs shorter than this run sequentially: below ~16k elements the
-/// fork/join overhead exceeds the work (measured on the bench crate's
-/// `substeps` benchmark).
+/// fork/join overhead exceeds the work.
 pub const PAR_THRESHOLD: usize = 1 << 14;
 
-pub use gather::{apply_perm, gather_u32, invert_perm, scatter_u32};
-pub use pack::{pack_indices, partition_stable_indices};
-pub use scan::{scan_add_exclusive_u32, scan_add_inclusive_u32, scan_max_inclusive_u32};
+pub use gather::apply_perm;
+pub use pack::pack_indices;
+pub use scan::scan_add_exclusive_u32;
 pub use segments::{par_segment_runs_mut, par_segments_mut};
-pub use segscan::{
-    cell_counts_from_sorted, head_flags_from_sorted, segment_bounds_from_sorted,
-    segment_bounds_from_sorted_into, segmented_broadcast_count, BoundsScratch,
-};
+pub use segscan::segment_bounds_from_sorted;
 pub use sort::{
-    bounds_rank_supported, fill_cells_from_bounds, first_pass_bits, incremental_rank, pack_pair,
-    radix_chunk_len, sort_order_and_bounds_from_pairs, sort_order_and_bounds_from_pairs_cells,
-    sort_order_by_key, sort_order_from_pairs, sort_perm_by_key, DisjointWrites, IncrementalScratch,
-    SortScratch,
+    fill_cells_from_bounds, first_pass_bits, incremental_rank, pack_pair, radix_chunk_len,
+    sort_order_and_bounds_from_pairs_cells, sort_perm_by_key, DisjointWrites, IncrementalScratch,
+    SortScratch, MAX_CELL_BITS,
 };

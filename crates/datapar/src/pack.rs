@@ -29,32 +29,6 @@ pub fn pack_indices(mask: &[bool]) -> Vec<u32> {
     out
 }
 
-/// Stable two-way partition by mask: returns `(kept, removed)` index lists,
-/// each in increasing order.  `kept` holds the indices where the mask is
-/// `false`.
-pub fn partition_stable_indices(remove: &[bool]) -> (Vec<u32>, Vec<u32>) {
-    let removed = pack_indices(remove);
-    if remove.len() < PAR_THRESHOLD {
-        let kept = remove
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| (!m).then_some(i as u32))
-            .collect();
-        return (kept, removed);
-    }
-    let zeros: Vec<u32> = remove.par_iter().map(|&m| !m as u32).collect();
-    let (slots, total) = scan_add_exclusive_u32(&zeros);
-    let mut kept = vec![0u32; total as usize];
-    let w = DisjointWrites::new(&mut kept);
-    remove.par_iter().enumerate().for_each(|(i, &m)| {
-        if !m {
-            // SAFETY: exclusive scan of the complement assigns unique slots.
-            unsafe { w.write(slots[i] as usize, i as u32) };
-        }
-    });
-    (kept, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,39 +49,10 @@ mod tests {
         assert_eq!(pack_indices(&mask), crate::seq::pack_indices(&mask));
     }
 
-    #[test]
-    fn partition_small() {
-        let (kept, removed) = partition_stable_indices(&[false, true, false, true, true]);
-        assert_eq!(kept, vec![0, 2]);
-        assert_eq!(removed, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn partition_large_covers_everything() {
-        let mask: Vec<bool> = (0..80_000u32).map(|i| i % 3 == 1).collect();
-        let (kept, removed) = partition_stable_indices(&mask);
-        assert_eq!(kept.len() + removed.len(), mask.len());
-        let mut all: Vec<u32> = kept.iter().chain(removed.iter()).copied().collect();
-        all.sort_unstable();
-        for (i, &v) in all.iter().enumerate() {
-            assert_eq!(i as u32, v);
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_pack_matches_reference(mask in proptest::collection::vec(any::<bool>(), 0..2000)) {
             prop_assert_eq!(pack_indices(&mask), crate::seq::pack_indices(&mask));
-        }
-
-        #[test]
-        fn prop_partition_is_stable_and_complete(mask in proptest::collection::vec(any::<bool>(), 0..2000)) {
-            let (kept, removed) = partition_stable_indices(&mask);
-            for w in kept.windows(2) { prop_assert!(w[0] < w[1]); }
-            for w in removed.windows(2) { prop_assert!(w[0] < w[1]); }
-            prop_assert_eq!(kept.len() + removed.len(), mask.len());
-            for &i in &kept { prop_assert!(!mask[i as usize]); }
-            for &i in &removed { prop_assert!(mask[i as usize]); }
         }
     }
 }

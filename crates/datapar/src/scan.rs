@@ -1,4 +1,4 @@
-//! Parallel scans (plus-scan, max-scan).
+//! The parallel plus-scan.
 //!
 //! The classic three-phase chunked scan: (1) reduce each chunk in parallel,
 //! (2) exclusive-scan the chunk totals sequentially (the chunk count is tiny),
@@ -12,30 +12,6 @@ use rayon::prelude::*;
 /// Chunk length for the three-phase scans; large enough to amortise task
 /// overhead, small enough to expose parallelism on 100k–1M element arrays.
 const CHUNK: usize = 1 << 15;
-
-/// Inclusive plus-scan (wrapping).
-pub fn scan_add_inclusive_u32(xs: &[u32]) -> Vec<u32> {
-    if xs.len() < PAR_THRESHOLD {
-        return seq::scan_add_inclusive_u32(xs);
-    }
-    let chunk_sums: Vec<u32> = xs
-        .par_chunks(CHUNK)
-        .map(|c| c.iter().fold(0u32, |a, &x| a.wrapping_add(x)))
-        .collect();
-    let (offsets, _) = seq::scan_add_exclusive_u32(&chunk_sums);
-    let mut out = vec![0u32; xs.len()];
-    out.par_chunks_mut(CHUNK)
-        .zip(xs.par_chunks(CHUNK))
-        .zip(offsets.par_iter())
-        .for_each(|((out_c, in_c), &off)| {
-            let mut acc = off;
-            for (o, &x) in out_c.iter_mut().zip(in_c) {
-                acc = acc.wrapping_add(x);
-                *o = acc;
-            }
-        });
-    out
-}
 
 /// Exclusive plus-scan (wrapping); returns the scan and the grand total.
 pub fn scan_add_exclusive_u32(xs: &[u32]) -> (Vec<u32>, u32) {
@@ -61,49 +37,6 @@ pub fn scan_add_exclusive_u32(xs: &[u32]) -> (Vec<u32>, u32) {
     (out, total)
 }
 
-/// Inclusive max-scan.
-pub fn scan_max_inclusive_u32(xs: &[u32]) -> Vec<u32> {
-    if xs.len() < PAR_THRESHOLD {
-        return seq::scan_max_inclusive_u32(xs);
-    }
-    let chunk_maxes: Vec<u32> = xs
-        .par_chunks(CHUNK)
-        .map(|c| c.iter().copied().max().unwrap_or(0))
-        .collect();
-    // Exclusive max-scan of the chunk maxima; identity is 0 (keys are u32).
-    let mut offsets = Vec::with_capacity(chunk_maxes.len());
-    let mut acc = 0u32;
-    for &m in &chunk_maxes {
-        offsets.push(acc);
-        acc = acc.max(m);
-    }
-    let mut out = vec![0u32; xs.len()];
-    out.par_chunks_mut(CHUNK)
-        .zip(xs.par_chunks(CHUNK))
-        .zip(offsets.par_iter())
-        .enumerate()
-        .for_each(|(ci, ((out_c, in_c), &off))| {
-            // The first chunk has no prefix; start from its own first element.
-            let mut acc = if ci == 0 { in_c[0] } else { off.max(in_c[0]) };
-            out_c[0] = acc;
-            for (o, &x) in out_c.iter_mut().zip(in_c).skip(1) {
-                acc = acc.max(x);
-                *o = acc;
-            }
-        });
-    out
-}
-
-/// Parallel reduction (wrapping sum) — the CM `reduce` primitive.
-pub fn reduce_add_u64(xs: &[u64]) -> u64 {
-    if xs.len() < PAR_THRESHOLD {
-        return xs.iter().fold(0u64, |a, &x| a.wrapping_add(x));
-    }
-    xs.par_chunks(CHUNK)
-        .map(|c| c.iter().fold(0u64, |a, &x| a.wrapping_add(x)))
-        .reduce(|| 0u64, |a, b| a.wrapping_add(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,10 +45,7 @@ mod tests {
     #[test]
     fn scan_add_small_matches_reference() {
         let xs = [5u32, 0, 2, 2, 9];
-        assert_eq!(
-            scan_add_inclusive_u32(&xs),
-            seq::scan_add_inclusive_u32(&xs)
-        );
+        assert_eq!(scan_add_exclusive_u32(&xs), (vec![0, 5, 5, 7, 9], 18));
     }
 
     #[test]
@@ -124,61 +54,31 @@ mod tests {
             .map(|i| i.wrapping_mul(2654435761) % 7)
             .collect();
         assert_eq!(
-            scan_add_inclusive_u32(&xs),
-            seq::scan_add_inclusive_u32(&xs)
+            scan_add_exclusive_u32(&xs),
+            seq::scan_add_exclusive_u32(&xs)
         );
-        let (par, pt) = scan_add_exclusive_u32(&xs);
-        let (sq, st) = seq::scan_add_exclusive_u32(&xs);
-        assert_eq!(par, sq);
-        assert_eq!(pt, st);
-    }
-
-    #[test]
-    fn scan_max_large_matches_reference() {
-        let xs: Vec<u32> = (0..150_000u32)
-            .map(|i| i.wrapping_mul(0x9E3779B9) >> 8)
-            .collect();
-        assert_eq!(
-            scan_max_inclusive_u32(&xs),
-            seq::scan_max_inclusive_u32(&xs)
-        );
-    }
-
-    #[test]
-    fn reduce_matches_fold() {
-        let xs: Vec<u64> = (0..100_000u64).collect();
-        assert_eq!(reduce_add_u64(&xs), xs.iter().sum::<u64>());
-        assert_eq!(reduce_add_u64(&[]), 0);
     }
 
     #[test]
     fn empty_and_singleton() {
-        assert!(scan_add_inclusive_u32(&[]).is_empty());
-        assert_eq!(scan_add_inclusive_u32(&[7]), vec![7]);
-        assert_eq!(scan_max_inclusive_u32(&[7]), vec![7]);
-        let (e, t) = scan_add_exclusive_u32(&[7]);
-        assert_eq!(e, vec![0]);
-        assert_eq!(t, 7);
+        assert_eq!(scan_add_exclusive_u32(&[]), (vec![], 0));
+        assert_eq!(scan_add_exclusive_u32(&[7]), (vec![0], 7));
     }
 
     proptest! {
         #[test]
         fn prop_scan_add_matches_reference(xs in proptest::collection::vec(any::<u32>(), 0..2000)) {
-            prop_assert_eq!(scan_add_inclusive_u32(&xs), seq::scan_add_inclusive_u32(&xs));
-        }
-
-        #[test]
-        fn prop_scan_max_matches_reference(xs in proptest::collection::vec(any::<u32>(), 0..2000)) {
-            prop_assert_eq!(scan_max_inclusive_u32(&xs), seq::scan_max_inclusive_u32(&xs));
+            prop_assert_eq!(scan_add_exclusive_u32(&xs), seq::scan_add_exclusive_u32(&xs));
         }
 
         #[test]
         fn prop_exclusive_shifts_inclusive(xs in proptest::collection::vec(0u32..1000, 1..500)) {
-            let inc = scan_add_inclusive_u32(&xs);
             let (exc, total) = scan_add_exclusive_u32(&xs);
-            prop_assert_eq!(total, *inc.last().unwrap());
-            for i in 1..xs.len() {
-                prop_assert_eq!(exc[i], inc[i - 1]);
+            for (i, &x) in xs.iter().enumerate() {
+                // exc[i] + xs[i] is the inclusive prefix: the next
+                // exclusive entry, or the total at the end.
+                let inc = exc[i] + x;
+                prop_assert_eq!(inc, exc.get(i + 1).copied().unwrap_or(total));
             }
             prop_assert_eq!(exc[0], 0);
         }

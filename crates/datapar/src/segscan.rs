@@ -1,101 +1,42 @@
-//! Segmented operations over sorted key runs.
+//! Segment bounds of sorted key runs.
 //!
 //! After the sort, the particles of one cell occupy one contiguous run of
-//! the array.  The selection rule needs, for every particle, the population
-//! of its cell — on the CM-2 "specific knowledge of the cell density … can
-//! be best obtained by making use of the scan functions".  The sequence is:
-//! head flags (compare with the left neighbour), a segmented plus-scan of
-//! ones to rank particles within their cell, and a backwards copy-scan to
-//! broadcast the run length to every member.
-//!
-//! Here those fuse into a handful of primitives that stay bit-identical to
-//! their sequential references.
+//! the array; everything downstream (selection, collision, sampling)
+//! addresses cells through the run boundaries.  The engine's rank emits
+//! them for free ([`crate::sort_order_and_bounds_from_pairs_cells`]); this
+//! is the stand-alone form — compare every key with its left neighbour —
+//! that the separate-phase reference sort and the rank's own tests use.
 
 use crate::PAR_THRESHOLD;
 use rayon::prelude::*;
 
-/// Head flags of a sorted key array: `1` where a new run begins.
-pub fn head_flags_from_sorted(keys: &[u32]) -> Vec<u32> {
-    if keys.len() < PAR_THRESHOLD {
-        return crate::seq::head_flags_from_sorted(keys);
-    }
-    keys.par_iter()
-        .enumerate()
-        .map(|(i, &k)| if i == 0 || keys[i - 1] != k { 1 } else { 0 })
-        .collect()
-}
+/// Chunk length for the two-phase bounds extraction (matches the scan).
+const BOUNDS_CHUNK: usize = 1 << 15;
 
 /// Segment boundaries of a sorted key array: start offsets of every run plus
 /// a final sentinel equal to `keys.len()`.
 ///
 /// `bounds[s]..bounds[s+1]` is the index range of segment `s`; there are
-/// `bounds.len() - 1` segments.
+/// `bounds.len() - 1` segments.  Output is identical for any thread count.
 pub fn segment_bounds_from_sorted(keys: &[u32]) -> Vec<u32> {
-    let mut bounds = Vec::new();
-    segment_bounds_from_sorted_into(keys, &mut bounds, &mut BoundsScratch::default());
-    bounds
-}
-
-/// Reusable workspace for [`segment_bounds_from_sorted_into`]: per-chunk
-/// head counts for the two-phase parallel extraction.
-#[derive(Debug, Default)]
-pub struct BoundsScratch {
-    counts: Vec<u32>,
-}
-
-impl BoundsScratch {
-    /// Current buffer capacity (for allocation-stability asserts).
-    pub fn capacity(&self) -> usize {
-        self.counts.capacity()
-    }
-}
-
-/// Chunk length for the two-phase bounds extraction (matches the scans).
-const BOUNDS_CHUNK: usize = 1 << 15;
-
-/// [`segment_bounds_from_sorted`] into caller-owned storage: once `bounds`
-/// and `scratch` have grown to the workload size, repeated calls perform no
-/// heap allocation.  Output is identical for any thread count.
-pub fn segment_bounds_from_sorted_into(
-    keys: &[u32],
-    bounds: &mut Vec<u32>,
-    scratch: &mut BoundsScratch,
-) {
     let n = keys.len();
+    let is_head = |i: usize| i == 0 || keys[i - 1] != keys[i];
     if n < PAR_THRESHOLD {
-        bounds.clear();
-        for i in 0..n {
-            if i == 0 || keys[i - 1] != keys[i] {
-                bounds.push(i as u32);
-            }
-        }
+        let mut bounds: Vec<u32> = (0..n).filter(|&i| is_head(i)).map(|i| i as u32).collect();
         bounds.push(n as u32);
-        return;
+        return bounds;
     }
 
     // Phase 1: heads per chunk, in parallel.
     let n_chunks = n.div_ceil(BOUNDS_CHUNK);
-    scratch.counts.clear();
-    scratch.counts.resize(n_chunks, 0);
-    scratch
-        .counts
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(c, count)| {
-            let lo = c * BOUNDS_CHUNK;
-            let hi = (lo + BOUNDS_CHUNK).min(n);
-            let mut heads = 0u32;
-            for i in lo..hi {
-                if i == 0 || keys[i - 1] != keys[i] {
-                    heads += 1;
-                }
-            }
-            *count = heads;
-        });
+    let chunk = |c: usize| c * BOUNDS_CHUNK..((c + 1) * BOUNDS_CHUNK).min(n);
+    let mut offsets: Vec<u32> = (0..n_chunks)
+        .into_par_iter()
+        .map(|c| chunk(c).filter(|&i| is_head(i)).count() as u32)
+        .collect();
 
     // Phase 2: exclusive scan of the tiny per-chunk table.
     let mut total = 0u32;
-    let offsets = &mut scratch.counts;
     for c in offsets.iter_mut() {
         let heads = *c;
         *c = total;
@@ -103,113 +44,24 @@ pub fn segment_bounds_from_sorted_into(
     }
 
     // Phase 3: write each chunk's head positions at its offset.
-    bounds.resize(total as usize + 1, 0);
+    let mut bounds = vec![0u32; total as usize + 1];
     let out = crate::sort::DisjointWrites::new(&mut bounds[..total as usize]);
     (0..n_chunks).into_par_iter().for_each(|c| {
-        let lo = c * BOUNDS_CHUNK;
-        let hi = (lo + BOUNDS_CHUNK).min(n);
-        let mut slot = offsets[c] as usize;
-        for i in lo..hi {
-            if i == 0 || keys[i - 1] != keys[i] {
-                // SAFETY: chunk c owns destinations [offsets[c],
-                // offsets[c] + heads(c)), which partition 0..total.
-                unsafe { out.write(slot, i as u32) };
-                slot += 1;
-            }
+        let heads = chunk(c).filter(|&i| is_head(i));
+        for (slot, i) in (offsets[c] as usize..).zip(heads) {
+            // SAFETY: chunk c owns destinations [offsets[c],
+            // offsets[c] + heads(c)), which partition 0..total.
+            unsafe { out.write(slot, i as u32) };
         }
     });
     bounds[total as usize] = n as u32;
-}
-
-/// For each element of a sorted key array, the length of its run.
-///
-/// This is the per-particle cell population `n` that enters the selection
-/// rule `P_c/P∞ = n/n∞`.
-pub fn segmented_broadcast_count(keys: &[u32]) -> Vec<u32> {
-    if keys.len() < PAR_THRESHOLD {
-        return crate::seq::segmented_broadcast_count(keys);
-    }
-    let bounds = segment_bounds_from_sorted(keys);
-    let mut out = vec![0u32; keys.len()];
-    // Parallel over segments; each segment writes its own disjoint range.
-    let n_seg = bounds.len() - 1;
-    let out_w = crate::sort::DisjointWrites::new(&mut out);
-    (0..n_seg).into_par_iter().for_each(|s| {
-        let lo = bounds[s] as usize;
-        let hi = bounds[s + 1] as usize;
-        let count = (hi - lo) as u32;
-        for i in lo..hi {
-            // SAFETY: segments are disjoint ranges covering 0..len.
-            unsafe { out_w.write(i, count) };
-        }
-    });
-    out
-}
-
-/// Per-cell populations in segment order (one entry per segment), plus the
-/// segment keys.  Handy for sampling.
-pub fn cell_counts_from_sorted(keys: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let bounds = segment_bounds_from_sorted(keys);
-    let n_seg = bounds.len() - 1;
-    let mut seg_keys = Vec::with_capacity(n_seg);
-    let mut counts = Vec::with_capacity(n_seg);
-    for s in 0..n_seg {
-        seg_keys.push(keys[bounds[s] as usize]);
-        counts.push(bounds[s + 1] - bounds[s]);
-    }
-    (seg_keys, counts)
-}
-
-/// Rank of each element within its segment (0-based).  Paired with the
-/// even/odd rule this identifies collision-candidate pairs.
-pub fn segmented_rank(keys: &[u32]) -> Vec<u32> {
-    let bounds = segment_bounds_from_sorted(keys);
-    let n_seg = bounds.len() - 1;
-    let mut out = vec![0u32; keys.len()];
-    if keys.len() < PAR_THRESHOLD {
-        for s in 0..n_seg {
-            for (r, slot) in out[bounds[s] as usize..bounds[s + 1] as usize]
-                .iter_mut()
-                .enumerate()
-            {
-                *slot = r as u32;
-            }
-        }
-        return out;
-    }
-    let out_w = crate::sort::DisjointWrites::new(&mut out);
-    (0..n_seg).into_par_iter().for_each(|s| {
-        let lo = bounds[s] as usize;
-        let hi = bounds[s + 1] as usize;
-        for (r, i) in (lo..hi).enumerate() {
-            // SAFETY: segments are disjoint ranges covering 0..len.
-            unsafe { out_w.write(i, r as u32) };
-        }
-    });
-    out
+    bounds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn sorted_keys(n: usize, n_cells: u32, seed: u32) -> Vec<u32> {
-        let mut keys: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(seed | 1) % n_cells)
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    #[test]
-    fn head_flags_small() {
-        assert_eq!(
-            head_flags_from_sorted(&[2, 2, 3, 5, 5, 5]),
-            vec![1, 0, 1, 1, 0, 0]
-        );
-        assert!(head_flags_from_sorted(&[]).is_empty());
-    }
 
     #[test]
     fn bounds_small() {
@@ -222,64 +74,21 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_count_small() {
-        assert_eq!(
-            segmented_broadcast_count(&[2, 2, 3, 5, 5, 5]),
-            vec![2, 2, 1, 3, 3, 3]
-        );
-    }
-
-    #[test]
-    fn rank_small() {
-        assert_eq!(segmented_rank(&[2, 2, 3, 5, 5, 5]), vec![0, 1, 0, 0, 1, 2]);
-    }
-
-    #[test]
-    fn cell_counts_small() {
-        let (k, c) = cell_counts_from_sorted(&[2, 2, 3, 5, 5, 5]);
-        assert_eq!(k, vec![2, 3, 5]);
-        assert_eq!(c, vec![2, 1, 3]);
-    }
-
-    #[test]
     fn large_matches_reference() {
-        let keys = sorted_keys(120_000, 600, 0x9E3779B9);
-        assert_eq!(
-            segmented_broadcast_count(&keys),
-            crate::seq::segmented_broadcast_count(&keys)
-        );
-        assert_eq!(
-            head_flags_from_sorted(&keys),
-            crate::seq::head_flags_from_sorted(&keys)
-        );
-    }
-
-    #[test]
-    fn large_rank_resets_at_heads() {
-        let keys = sorted_keys(90_000, 977, 2654435761);
-        let rank = segmented_rank(&keys);
-        let flags = head_flags_from_sorted(&keys);
-        for i in 0..keys.len() {
-            if flags[i] == 1 {
-                assert_eq!(rank[i], 0);
-            } else {
-                assert_eq!(rank[i], rank[i - 1] + 1);
-            }
-        }
+        // The chunked path against the one-line sequential definition.
+        let mut keys: Vec<u32> = (0..120_000u32)
+            .map(|i| i.wrapping_mul(0x9E3779B9) % 600)
+            .collect();
+        keys.sort_unstable();
+        let mut want: Vec<u32> = (0..keys.len())
+            .filter(|&i| i == 0 || keys[i - 1] != keys[i])
+            .map(|i| i as u32)
+            .collect();
+        want.push(keys.len() as u32);
+        assert_eq!(segment_bounds_from_sorted(&keys), want);
     }
 
     proptest! {
-        #[test]
-        fn prop_broadcast_count_matches_reference(
-            mut keys in proptest::collection::vec(0u32..50, 0..2000)
-        ) {
-            keys.sort_unstable();
-            prop_assert_eq!(
-                segmented_broadcast_count(&keys),
-                crate::seq::segmented_broadcast_count(&keys)
-            );
-        }
-
         #[test]
         fn prop_bounds_partition_the_array(
             mut keys in proptest::collection::vec(0u32..50, 1..2000)

@@ -1,20 +1,9 @@
-//! Sequential reference implementations of every primitive.
+//! Sequential reference implementations of the scan, sort and pack.
 //!
 //! These are the executable specification: simple, obviously-correct loops
 //! that the parallel implementations must match bit for bit.  Property tests
 //! in each module compare against these; they are also used directly for
 //! small inputs where parallelism does not pay.
-
-/// Inclusive plus-scan.
-pub fn scan_add_inclusive_u32(xs: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0u32;
-    for &x in xs {
-        acc = acc.wrapping_add(x);
-        out.push(acc);
-    }
-    out
-}
 
 /// Exclusive plus-scan; returns the scan and the total.
 pub fn scan_add_exclusive_u32(xs: &[u32]) -> (Vec<u32>, u32) {
@@ -27,34 +16,12 @@ pub fn scan_add_exclusive_u32(xs: &[u32]) -> (Vec<u32>, u32) {
     (out, acc)
 }
 
-/// Inclusive max-scan.
-pub fn scan_max_inclusive_u32(xs: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0u32;
-    let mut first = true;
-    for &x in xs {
-        if first {
-            acc = x;
-            first = false;
-        } else {
-            acc = acc.max(x);
-        }
-        out.push(acc);
-    }
-    out
-}
-
 /// Stable sort permutation by key: `perm[i]` is the original index of the
 /// element that ends up at sorted position `i`.
 pub fn sort_perm_by_key(keys: &[u32]) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
     perm.sort_by_key(|&i| keys[i as usize]);
     perm
-}
-
-/// Gather: `out[i] = src[idx[i]]`.
-pub fn gather_u32(src: &[u32], idx: &[u32]) -> Vec<u32> {
-    idx.iter().map(|&i| src[i as usize]).collect()
 }
 
 /// Indices of set positions in the mask, in order.
@@ -65,44 +32,16 @@ pub fn pack_indices(mask: &[bool]) -> Vec<u32> {
         .collect()
 }
 
-/// Head flags of a sorted key array: 1 where a new key run begins.
-pub fn head_flags_from_sorted(keys: &[u32]) -> Vec<u32> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| if i == 0 || keys[i - 1] != k { 1 } else { 0 })
-        .collect()
-}
-
-/// For each element of a sorted key array, the length of its run
-/// (the per-cell population broadcast the collision selection needs).
-pub fn segmented_broadcast_count(keys: &[u32]) -> Vec<u32> {
-    let n = keys.len();
-    let mut out = vec![0u32; n];
-    let mut start = 0usize;
-    for i in 0..n {
-        if i + 1 == n || keys[i + 1] != keys[i] {
-            let count = (i + 1 - start) as u32;
-            for slot in &mut out[start..=i] {
-                *slot = count;
-            }
-            start = i + 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scans_on_small_inputs() {
-        assert_eq!(scan_add_inclusive_u32(&[1, 2, 3]), vec![1, 3, 6]);
         let (ex, total) = scan_add_exclusive_u32(&[1, 2, 3]);
         assert_eq!(ex, vec![0, 1, 3]);
         assert_eq!(total, 6);
-        assert_eq!(scan_max_inclusive_u32(&[2, 1, 5, 3]), vec![2, 2, 5, 5]);
-        assert!(scan_add_inclusive_u32(&[]).is_empty());
+        assert_eq!(scan_add_exclusive_u32(&[]), (vec![], 0));
     }
 
     #[test]
@@ -113,16 +52,8 @@ mod tests {
     }
 
     #[test]
-    fn pack_and_gather() {
+    fn pack_keeps_mask_order() {
         let mask = [true, false, true, true, false];
         assert_eq!(pack_indices(&mask), vec![0, 2, 3]);
-        assert_eq!(gather_u32(&[10, 20, 30], &[2, 0, 2]), vec![30, 10, 30]);
-    }
-
-    #[test]
-    fn head_flags_and_counts() {
-        let keys = [4u32, 4, 4, 7, 9, 9];
-        assert_eq!(head_flags_from_sorted(&keys), vec![1, 0, 0, 1, 1, 0]);
-        assert_eq!(segmented_broadcast_count(&keys), vec![3, 3, 3, 1, 2, 2]);
     }
 }

@@ -18,31 +18,43 @@
 //! `Vec<u32>` permutation, and then one gather per structure-of-arrays
 //! column — ten sequential router trips where the CM-2 needed one.
 //!
-//! The steady-state path ([`sort_order_from_pairs`]) removes every seam:
+//! The steady-state path ([`sort_order_and_bounds_from_pairs_cells`])
+//! removes every seam:
 //!
 //! * the caller packs `(key, index)` pairs directly in the same elementwise
 //!   sweep that refreshes cell indices (no separate key column, no packing
-//!   pass),
+//!   pass) and, when it seeds the rank, counts the first radix digit there
+//!   too,
 //! * all working memory lives in a caller-owned [`SortScratch`] — ping-pong
 //!   pair buffers, histogram and offset tables — so a warmed sort performs
 //!   **no heap allocation**,
-//! * digit widths spread the key evenly over the minimum number of ≤8-bit
-//!   passes (8 bits keeps the scatter's per-digit write streams L1-resident;
-//!   wider digits measured slower, see ROADMAP "Standing guidance"), and
+//! * the digit plan is the key layout's own: the jitter field spread evenly
+//!   over the minimum number of ≤8-bit passes (8 bits keeps the scatter's
+//!   per-digit write streams L1-resident; wider digits measured slower, see
+//!   ROADMAP "Standing guidance"), then **one cell-wide pass** whose
+//!   histogram is the per-cell population table, so the segment bounds and
+//!   their cell ids fall out of its prefix scan, and
 //! * the **final scatter emits 32-bit router addresses straight into the
 //!   caller's `order` vector** — the rank's last pass *is* the permutation;
 //!   no sorted-pair buffer, no unpack sweep.
 //!
-//! The send half then applies `order` column by column through the
-//! store's rotating back buffer (`ParticleStore::apply_order` in
-//! `dsmc-core`): the rotation makes each gather's destination the pages
-//! just read as the previous column's source, so the writes stay L2-hot.
+//! [`incremental_rank`] is the same rank for a step whose order barely
+//! changed: two serial counting passes with global cursors, bit-identical
+//! output.
+//!
+//! The send half then applies `order` to the nine physical-state columns,
+//! one at a time, through the store's three rotating back buffers
+//! (`ParticleStore::apply_order_no_cell` in `dsmc-core`) — the rotation
+//! makes each gather's destination the pages just read as the previous
+//! column's source, so the writes stay L2-hot — and re-materialises the
+//! tenth, the sorted `cell` column, from the emitted bounds with sequential
+//! stores ([`fill_cells_from_bounds`]).
 //! Two alternative send shapes were measured and rejected on this
 //! hardware — a fully interleaved all-columns-per-chunk pass (~3× slower:
 //! ten columns of random reads thrash L2, where one column at a time
-//! stays resident) and a one-launch (column × chunk) task grid (its ten
+//! stays resident) and a one-launch (column × chunk) task grid (its
 //! distinct destination buffers are write-allocate-cold every step; the
-//! record is in ROADMAP "Standing guidance").  The multi-core path now
+//! record is in ROADMAP "Standing guidance").  The multi-core path
 //! exists as the sharded engine (`SHARDING.md`): each shard runs this
 //! same rank+send on its smaller array, and its send doubles as the
 //! migration — the gather reads residents plus arrivals and writes only
@@ -52,10 +64,9 @@
 //!
 //! # The stability contract
 //!
-//! Every rank in this module — [`sort_order_from_pairs`],
-//! [`sort_order_and_bounds_from_pairs_cells`] and [`incremental_rank`], on
-//! their small-input and chunked paths alike — is **stable by pair
-//! position**: equal keys come out in the order their pair words sit in
+//! Both ranks — [`sort_order_and_bounds_from_pairs_cells`], on its
+//! small-input and chunked paths alike, and [`incremental_rank`] — are
+//! **stable by pair position**: equal keys come out in the order their pair words sit in
 //! the input buffer.  The low 32 bits of a pair are *payload*, copied to
 //! `order` and never compared; they need not ascend, be dense, or stay
 //! below the pair count.  The sharded engine relies on exactly this: its
@@ -158,8 +169,8 @@ pub fn radix_chunk_len(n: usize) -> usize {
     n.div_ceil(threads * 4).max(4096)
 }
 
-/// Digit width (in bits) of the *first* radix pass of the bounds-emitting
-/// plan for a `(cell << jitter_bits) | jitter` key layout.  A caller
+/// Digit width (in bits) of the *first* radix pass of the rank's plan
+/// for a `(cell << jitter_bits) | jitter` key layout.  A caller
 /// seeding the first-pass histogram accumulates
 /// `row[key & ((1 << bits) - 1)] += 1` per chunk of [`radix_chunk_len`].
 pub fn first_pass_bits(cell_bits: u32, jitter_bits: u32) -> u32 {
@@ -170,14 +181,7 @@ pub fn first_pass_bits(cell_bits: u32, jitter_bits: u32) -> u32 {
     }
 }
 
-/// Whether the bounds-emitting rank supports this cell-field width (the
-/// seeded entry point refuses the same layouts
-/// [`sort_order_and_bounds_from_pairs`] does).
-pub fn bounds_rank_supported(cell_bits: u32) -> bool {
-    (1..=MAX_CELL_BITS).contains(&cell_bits)
-}
-
-/// Reusable workspace for the fused sort: packed-pair ping-pong buffers
+/// Reusable workspace for the rank: packed-pair ping-pong buffers
 /// plus the histogram/offset tables of every pass.  Repeated sorts of
 /// same-sized inputs reuse every byte.
 #[derive(Debug, Default)]
@@ -195,8 +199,7 @@ impl SortScratch {
     }
 
     /// The input pair buffer, sized for `n` elements; fill it with
-    /// [`pack_pair`] words (in any index order) before calling
-    /// [`sort_order_from_pairs`].
+    /// [`pack_pair`] words (in any index order) before calling a rank.
     pub fn input_pairs(&mut self, n: usize) -> &mut [u64] {
         self.pairs.resize(n, 0);
         &mut self.pairs
@@ -236,166 +239,46 @@ impl SortScratch {
     }
 }
 
-/// Stable rank by the low `key_bits` of the pair keys previously packed
-/// into `scratch` (via [`SortScratch::input_pairs`]): fills `order` so that
-/// `order[i]` is the original index of the element that belongs at sorted
-/// position `i`, equal keys keeping their original relative order.
-///
-/// This is the fused form of the rank: the final radix scatter writes the
-/// 32-bit router addresses directly into `order`.  With a warmed `scratch`
-/// the radix path performs no heap allocation (inputs below
-/// [`PAR_THRESHOLD`] go through std's stable sort, which takes a
-/// temporary), and the result is bit-identical for any thread count.
-///
-/// Key bits above `key_bits` must be zero in the packed pairs (callers
-/// mask when packing).
-pub fn sort_order_from_pairs(key_bits: u32, scratch: &mut SortScratch, order: &mut Vec<u32>) {
-    assert!(key_bits <= 32, "key_bits must be at most 32");
-    let n = scratch.pairs.len();
-    order.resize(n, 0);
+/// Widest cell field the rank supports.  The bound is the position
+/// format's, not a cache guess: Q8.23 coordinates keep a validated grid
+/// below 250 × 128 tunnel cells plus a 64-wide reservoir strip of at most
+/// 255 rows — under 2^16 cells (`dsmc-core`'s `SimConfig::try_validated`
+/// enforces the three limits and ties them to this constant at compile
+/// time).  The per-chunk tables are sized from the actual `cell_bits`.
+pub const MAX_CELL_BITS: u32 = 16;
 
-    if key_bits == 0 || n <= 1 {
-        for (i, slot) in order.iter_mut().enumerate() {
-            *slot = i as u32;
-        }
-        return;
-    }
-
-    if n < PAR_THRESHOLD {
-        // Stable by pair position: compare the key half only.
-        scratch.pairs.sort_by_key(|&w| w >> 32);
-        for (slot, &p) in order.iter_mut().zip(scratch.pairs.iter()) {
-            *slot = p as u32;
-        }
-        return;
-    }
-
-    let (plan, passes) = digit_plan(key_bits);
-    let chunk = radix_chunk_len(n);
-    let n_chunks = n.div_ceil(chunk);
-
-    scratch.offsets.clear();
-    scratch.offsets.resize(n_chunks << MAX_DIGIT_BITS, 0);
-    scratch.pong.resize(n, 0);
-
-    for (pass, &(shift, bits)) in plan[..passes].iter().enumerate() {
-        let n_digits = 1usize << bits;
-        let digit_mask = n_digits - 1;
-
-        // Per-chunk digit histograms of the array as this pass reads it
-        // (per-chunk counts are order-sensitive, so each pass recounts).
-        scratch.hists.clear();
-        scratch.hists.resize(n_chunks * n_digits, 0);
-        scratch
-            .pairs
-            .par_chunks(chunk)
-            .zip(scratch.hists.par_chunks_mut(n_digits))
-            .for_each(|(c, h)| {
-                for &x in c {
-                    h[((x >> shift) as usize) & digit_mask] += 1;
-                }
-            });
-
-        // Exclusive scan of this pass's histogram in digit-major,
-        // chunk-minor order — exactly the stable output order.
-        let offsets = &mut scratch.offsets[..n_chunks * n_digits];
-        let mut acc = 0u32;
-        for d in 0..n_digits {
-            for c in 0..n_chunks {
-                offsets[c * n_digits + d] = acc;
-                acc += scratch.hists[c * n_digits + d];
-            }
-        }
-        debug_assert_eq!(acc as usize, n);
-
-        // Scatter.  Each (chunk, digit) pair owns a disjoint destination
-        // range, so concurrent writes never alias; the offset row itself is
-        // the running cursor (dead after the pass).  The last pass needs
-        // only the index half of each pair — it writes the 32-bit router
-        // address straight into `order`, never materialising sorted pairs.
-        if pass + 1 == passes {
-            let out = DisjointWrites::new(order.as_mut_slice());
-            scratch
-                .pairs
-                .par_chunks(chunk)
-                .zip(offsets.par_chunks_mut(n_digits))
-                .for_each(|(c, cursors)| {
-                    for &x in c {
-                        let d = ((x >> shift) as usize) & digit_mask;
-                        let dst = cursors[d];
-                        cursors[d] += 1;
-                        // SAFETY: disjoint (chunk, digit) ranges, see above.
-                        unsafe { out.write(dst as usize, x as u32) };
-                    }
-                });
-        } else {
-            let out = DisjointWrites::new(scratch.pong.as_mut_slice());
-            scratch
-                .pairs
-                .par_chunks(chunk)
-                .zip(offsets.par_chunks_mut(n_digits))
-                .for_each(|(c, cursors)| {
-                    for &x in c {
-                        let d = ((x >> shift) as usize) & digit_mask;
-                        let dst = cursors[d];
-                        cursors[d] += 1;
-                        // SAFETY: disjoint (chunk, digit) ranges, see above.
-                        unsafe { out.write(dst as usize, x) };
-                    }
-                });
-            core::mem::swap(&mut scratch.pairs, &mut scratch.pong);
-        }
-    }
-}
-
-/// Widest cell field the bounds-emitting rank supports: 2^14 histogram
-/// counters per chunk (64 KiB) stay comfortably L2-resident.
-const MAX_CELL_BITS: u32 = 14;
-
-/// The rank for `(cell << jitter_bits) | jitter` keys, which additionally
-/// emits the segment bounds of the sorted cell runs — start offset of
-/// every occupied cell plus the final sentinel, exactly as
-/// [`crate::segment_bounds_from_sorted`] would compute them from the
-/// sorted cell column.
+/// The rank: stable order by `(cell << jitter_bits) | jitter` keys
+/// previously packed into `scratch` (via [`SortScratch::input_pairs`]).
+/// Fills `order` so that `order[i]` is the index payload of the pair that
+/// belongs at sorted position `i`, and additionally emits the segment
+/// bounds of the sorted cell runs — start offset of every occupied cell
+/// plus the final sentinel, exactly as [`crate::segment_bounds_from_sorted`]
+/// would compute them from the sorted cell column — and, alongside each
+/// bound, the occupied cell index of that segment (`seg_cells`).  The
+/// sorted `cell` column is fully determined by `(bounds, seg_cells)` — see
+/// [`fill_cells_from_bounds`] — so the send can skip gathering it.
 ///
 /// The trick is the CM-2's own: split the digit plan as (jitter passes,
 /// then one cell-wide pass).  The final pass's histogram is then the
 /// per-cell population table, so the segment bounds fall out of its
-/// prefix scan for free — no separate pass over the sorted data, and one
-/// radix pass fewer than the generic plan for the engine's key widths.
+/// prefix scan for free — no separate pass over the sorted data — and the
+/// final scatter writes the 32-bit router addresses directly into `order`.
+/// With a warmed `scratch` the radix path performs no heap allocation
+/// (inputs below [`PAR_THRESHOLD`] go through std's stable sort, which
+/// takes a temporary, and derive bounds from the sorted pair keys
+/// directly), and the result is bit-identical for any thread count.
 ///
-/// Returns `false` (performing no work) when the layout is out of range —
-/// `cell_bits` zero or wider than `MAX_CELL_BITS` — in which case the
-/// caller falls back to [`sort_order_from_pairs`] plus a bounds sweep.
-/// Small inputs take the comparison-sort path and derive bounds from the
-/// sorted pair keys directly.
-pub fn sort_order_and_bounds_from_pairs(
-    cell_bits: u32,
-    jitter_bits: u32,
-    scratch: &mut SortScratch,
-    order: &mut Vec<u32>,
-    bounds: &mut Vec<u32>,
-) -> bool {
-    rank_bounds_impl(cell_bits, jitter_bits, scratch, order, bounds, None, false)
-}
-
-/// [`sort_order_and_bounds_from_pairs`] with the two remaining seams of
-/// the sort removed:
+/// **Seeded first pass** (`seeded = true`): the caller has already counted
+/// the first radix digit — chunk-major on the [`radix_chunk_len`] grid,
+/// digit width [`first_pass_bits`] — into the histogram obtained from
+/// [`SortScratch::input_pairs_and_hist`], during the same sweep that
+/// packed the pairs.  The rank then skips its own first counting pass: one
+/// full read of the pair buffer gone.  Ignored on the small-input
+/// comparison-sort path, which never reads the histogram.
 ///
-/// * **Seeded first pass** (`seeded = true`): the caller has already
-///   counted the first radix digit — chunk-major on the
-///   [`radix_chunk_len`] grid, digit width [`first_pass_bits`] — into the
-///   histogram obtained from [`SortScratch::input_pairs_and_hist`],
-///   during the same sweep that packed the pairs.  The rank then skips
-///   its own first counting pass: one full read of the pair buffer gone.
-/// * **Segment cell ids** (`seg_cells`): alongside each emitted bound,
-///   the occupied cell index of that segment.  The sorted `cell` column
-///   is fully determined by `(bounds, seg_cells)` — see
-///   [`fill_cells_from_bounds`] — so the send can skip gathering it.
-///
-/// Falls back (returning `false`, performing no work) exactly when
-/// [`sort_order_and_bounds_from_pairs`] would; `seeded` is ignored on the
-/// small-input comparison-sort path, which never reads the histogram.
+/// Key bits above `cell_bits + jitter_bits` must be zero in the packed
+/// pairs.  Returns `false` (performing no work) when the layout is out of
+/// range — `cell_bits` zero or wider than [`MAX_CELL_BITS`].
 pub fn sort_order_and_bounds_from_pairs_cells(
     cell_bits: u32,
     jitter_bits: u32,
@@ -405,26 +288,6 @@ pub fn sort_order_and_bounds_from_pairs_cells(
     seg_cells: &mut Vec<u32>,
     seeded: bool,
 ) -> bool {
-    rank_bounds_impl(
-        cell_bits,
-        jitter_bits,
-        scratch,
-        order,
-        bounds,
-        Some(seg_cells),
-        seeded,
-    )
-}
-
-fn rank_bounds_impl(
-    cell_bits: u32,
-    jitter_bits: u32,
-    scratch: &mut SortScratch,
-    order: &mut Vec<u32>,
-    bounds: &mut Vec<u32>,
-    mut seg_cells: Option<&mut Vec<u32>>,
-    seeded: bool,
-) -> bool {
     let key_bits = cell_bits + jitter_bits;
     assert!(key_bits <= 32, "key_bits must be at most 32");
     if cell_bits == 0 || cell_bits > MAX_CELL_BITS {
@@ -432,9 +295,7 @@ fn rank_bounds_impl(
     }
     let n = scratch.pairs.len();
     order.resize(n, 0);
-    if let Some(cells) = seg_cells.as_deref_mut() {
-        cells.clear();
-    }
+    seg_cells.clear();
 
     if n <= 1 || n < PAR_THRESHOLD {
         // Stable by pair position: compare the key half only.
@@ -446,9 +307,7 @@ fn rank_bounds_impl(
             let cell = p >> (32 + jitter_bits);
             if cell != prev_cell {
                 bounds.push(i as u32);
-                if let Some(cells) = seg_cells.as_deref_mut() {
-                    cells.push(cell as u32);
-                }
+                seg_cells.push(cell as u32);
                 prev_cell = cell;
             }
         }
@@ -459,9 +318,9 @@ fn rank_bounds_impl(
     let chunk = radix_chunk_len(n);
     let n_chunks = n.div_ceil(chunk);
 
-    // Jitter passes (≤ 8-bit digits, L1-resident streams), as in the
-    // generic plan but stopping short of the cell field.  When the caller
-    // seeded the first-pass histogram, the first count sweep is skipped.
+    // Jitter passes (≤ 8-bit digits, L1-resident streams).  When the
+    // caller seeded the first-pass histogram, the first count sweep is
+    // skipped.
     let mut first_pass = true;
     if jitter_bits > 0 {
         let (jitter_plan, jitter_passes) = digit_plan(jitter_bits);
@@ -558,9 +417,7 @@ fn rank_bounds_impl(
         if acc > start {
             // Occupied cell: its run starts where the scan stood.
             bounds.push(start);
-            if let Some(cells) = seg_cells.as_deref_mut() {
-                cells.push(d as u32);
-            }
+            seg_cells.push(d as u32);
         }
     }
     debug_assert_eq!(acc as usize, n);
@@ -827,32 +684,6 @@ pub fn fill_cells_from_bounds(bounds: &[u32], seg_cells: &[u32], out: &mut [u32]
     });
 }
 
-/// [`sort_order_from_pairs`] over a plain key column: packs the pairs
-/// itself, then ranks.  The engine's hot loop packs pairs in its own
-/// elementwise sweep instead; this form serves tests and generic callers.
-pub fn sort_order_by_key(
-    keys: &[u32],
-    key_bits: u32,
-    scratch: &mut SortScratch,
-    order: &mut Vec<u32>,
-) {
-    assert!(key_bits <= 32, "key_bits must be at most 32");
-    let mask = mask_for(key_bits);
-    let pairs = scratch.input_pairs(keys.len());
-    if keys.len() < PAR_THRESHOLD {
-        for (i, (slot, &k)) in pairs.iter_mut().zip(keys).enumerate() {
-            *slot = pack_pair(k & mask, i);
-        }
-    } else {
-        pairs
-            .par_iter_mut()
-            .zip(keys.par_iter())
-            .enumerate()
-            .for_each(|(i, (slot, &k))| *slot = pack_pair(k & mask, i));
-    }
-    sort_order_from_pairs(key_bits, scratch, order);
-}
-
 const RADIX_BITS: u32 = 8;
 
 /// Stable sort permutation by `u32` key, examining only the low `key_bits`
@@ -970,10 +801,55 @@ mod tests {
         assert_eq!(got, want, "bits={bits} n={}", keys.len());
     }
 
+    /// `cell_bits` of the narrowest field holding `cells` cells (≥ 1).
+    fn cell_bits_for(cells: u32) -> u32 {
+        32 - (cells - 1).leading_zeros().min(31)
+    }
+
+    /// Pack `keys` with payload = position.
+    fn pack_keys(keys: &[u32], scratch: &mut SortScratch) {
+        for (i, (p, &k)) in scratch
+            .input_pairs(keys.len())
+            .iter_mut()
+            .zip(keys)
+            .enumerate()
+        {
+            *p = pack_pair(k, i);
+        }
+    }
+
+    /// [`pack_keys`], then rank.
+    fn rank_keys(
+        keys: &[u32],
+        cell_bits: u32,
+        jitter_bits: u32,
+        scratch: &mut SortScratch,
+    ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        pack_keys(keys, scratch);
+        // Stale content must be overwritten.
+        let (mut order, mut bounds, mut seg_cells) = (vec![7], vec![99], vec![3]);
+        assert!(
+            sort_order_and_bounds_from_pairs_cells(
+                cell_bits,
+                jitter_bits,
+                scratch,
+                &mut order,
+                &mut bounds,
+                &mut seg_cells,
+                false,
+            ),
+            "layout should be supported (cell_bits={cell_bits})"
+        );
+        (order, bounds, seg_cells)
+    }
+
+    /// The rank's order for a plain `bits`-wide key column: the top
+    /// `min(bits, MAX_CELL_BITS)` bits play the cell field, the rest the
+    /// jitter.
     fn fused_order(keys: &[u32], bits: u32, scratch: &mut SortScratch) -> Vec<u32> {
-        let mut order = Vec::new();
-        sort_order_by_key(keys, bits, scratch, &mut order);
-        order
+        let cell_bits = bits.min(MAX_CELL_BITS);
+        let masked: Vec<u32> = keys.iter().map(|&k| k & mask_for(bits)).collect();
+        rank_keys(&masked, cell_bits, bits - cell_bits, scratch).0
     }
 
     #[test]
@@ -988,8 +864,6 @@ mod tests {
     fn zero_bit_sort_is_identity() {
         let keys = [9u32, 2, 5];
         assert_eq!(sort_perm_by_key(&keys, 0), vec![0, 1, 2]);
-        let mut scratch = SortScratch::new();
-        assert_eq!(fused_order(&keys, 0, &mut scratch), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1075,22 +949,33 @@ mod tests {
     #[test]
     fn scratch_capacities_go_quiescent() {
         let mut scratch = SortScratch::new();
-        let mut order = Vec::new();
+        let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
         let keys: Vec<u32> = (0..80_000u32)
-            .map(|i| i.wrapping_mul(2654435761) % 6000)
+            .map(|i| i.wrapping_mul(2654435761) % (6000 << 4))
             .collect();
-        sort_order_by_key(&keys, 13, &mut scratch, &mut order);
+        let mut rank = |scratch: &mut SortScratch| {
+            pack_keys(&keys, scratch);
+            assert!(sort_order_and_bounds_from_pairs_cells(
+                13,
+                4,
+                scratch,
+                &mut order,
+                &mut bounds,
+                &mut seg_cells,
+                false,
+            ));
+            [order.capacity(), bounds.capacity(), seg_cells.capacity()]
+        };
+        let out_caps = rank(&mut scratch);
         let caps = scratch.capacities();
-        let order_cap = order.capacity();
         for _ in 0..20 {
-            sort_order_by_key(&keys, 13, &mut scratch, &mut order);
+            assert_eq!(rank(&mut scratch), out_caps, "outputs re-allocated");
             assert_eq!(scratch.capacities(), caps, "sort re-allocated");
-            assert_eq!(order.capacity(), order_cap, "order re-allocated");
         }
     }
 
     fn check_order_and_bounds(cells: u32, jitter_bits: u32, n: usize, seed: u32) {
-        let cell_bits = 32 - (cells - 1).leading_zeros().min(31);
+        let cell_bits = cell_bits_for(cells);
         let mut state = seed | 1;
         let keys: Vec<u32> = (0..n)
             .map(|_| {
@@ -1109,31 +994,29 @@ mod tests {
             .map(|&i| keys[i as usize] >> jitter_bits)
             .collect();
         let want_bounds = crate::segment_bounds_from_sorted(&sorted_cells);
+        let want_cells: Vec<u32> = want_bounds[..want_bounds.len() - 1]
+            .iter()
+            .map(|&b| sorted_cells[b as usize])
+            .collect();
 
-        let mut scratch = SortScratch::new();
-        let pairs = scratch.input_pairs(n);
-        for (i, (p, &k)) in pairs.iter_mut().zip(&keys).enumerate() {
-            *p = pack_pair(k, i);
-        }
-        let mut order = Vec::new();
-        let mut bounds = vec![99u32]; // stale content must be overwritten
-        let used = sort_order_and_bounds_from_pairs(
-            cell_bits,
-            jitter_bits,
-            &mut scratch,
-            &mut order,
-            &mut bounds,
-        );
-        assert!(used, "layout should be supported (cell_bits={cell_bits})");
+        let (order, bounds, seg_cells) =
+            rank_keys(&keys, cell_bits, jitter_bits, &mut SortScratch::new());
         assert_eq!(order, want_order, "cells={cells} j={jitter_bits} n={n}");
         assert_eq!(bounds, want_bounds, "cells={cells} j={jitter_bits} n={n}");
+        assert_eq!(seg_cells, want_cells, "cells={cells} j={jitter_bits} n={n}");
     }
 
     #[test]
     fn order_and_bounds_match_reference() {
         // Small (comparison-sort) and large (radix) paths, with and
-        // without jitter, cell counts straddling digit-width boundaries.
+        // without jitter, cell counts straddling digit-width boundaries,
+        // and the widest grids validation admits: 15 bits (200 × 100 plus
+        // reservoir) and 16 (249 × 127 plus a 255-row strip).
         for &(cells, jitter, n) in &[
+            (20_600, 8, 60_000),
+            (47_943, 6, 40_000),
+            (47_943, 8, 3000),
+            (1 << 16, 0, 30_000),
             (1u32, 0u32, 10usize),
             (7, 0, 100),
             (250, 3, 3000),
@@ -1152,10 +1035,7 @@ mod tests {
     /// the seeded entry point and demand bit-equality with the unseeded
     /// reference (order, bounds, *and* the emitted segment cell ids).
     fn check_seeded_cells(cells: u32, jitter_bits: u32, n: usize) {
-        let cell_bits = 32 - (cells - 1).leading_zeros().min(31);
-        if !bounds_rank_supported(cell_bits) {
-            return;
-        }
+        let cell_bits = cell_bits_for(cells);
         let mut state = 0x2545F491u32;
         let keys: Vec<u32> = (0..n)
             .map(|_| {
@@ -1166,21 +1046,9 @@ mod tests {
             })
             .collect();
 
-        // Unseeded reference (plus reference bounds from the plain path).
-        let mut ref_scratch = SortScratch::new();
-        for (i, (p, &k)) in ref_scratch.input_pairs(n).iter_mut().zip(&keys).enumerate() {
-            *p = pack_pair(k, i);
-        }
-        let (mut ref_order, mut ref_bounds, mut ref_cells) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(sort_order_and_bounds_from_pairs_cells(
-            cell_bits,
-            jitter_bits,
-            &mut ref_scratch,
-            &mut ref_order,
-            &mut ref_bounds,
-            &mut ref_cells,
-            false,
-        ));
+        // Unseeded reference.
+        let (ref_order, ref_bounds, ref_cells) =
+            rank_keys(&keys, cell_bits, jitter_bits, &mut SortScratch::new());
 
         // Seeded: the caller counts the first digit in its packing sweep.
         let first_bits = first_pass_bits(cell_bits, jitter_bits);
@@ -1226,6 +1094,10 @@ mod tests {
         check_seeded_cells(97, 0, 20_000);
         check_seeded_cells(240, 6, 500);
         check_seeded_cells(3, 1, 17_000);
+        // 15- and 16-bit cell fields, the latter also as the seeded pass.
+        check_seeded_cells(20_600, 8, 60_000);
+        check_seeded_cells(47_943, 8, 40_000);
+        check_seeded_cells(47_943, 0, 20_000);
     }
 
     /// Build a "previous step" by full-ranking random keys, then perturb:
@@ -1233,10 +1105,7 @@ mod tests {
     /// cell — the incremental repair must reproduce the full rank of the
     /// perturbed keys bit for bit (order, bounds, segment cells).
     fn check_incremental(cells: u32, jitter_bits: u32, n: usize, mover_pct: u32) {
-        let cell_bits = 32 - (cells - 1).leading_zeros().min(31);
-        if !bounds_rank_supported(cell_bits) {
-            return;
-        }
+        let cell_bits = cell_bits_for(cells);
         let jmask = (1u32 << jitter_bits) - 1;
         let mut state = 0x1234_5677u32;
         let mut rng = move || {
@@ -1254,19 +1123,8 @@ mod tests {
 
         // Previous step: full rank of keys0 gives the prev structure.
         let mut scratch = SortScratch::new();
-        for (i, (p, &k)) in scratch.input_pairs(n).iter_mut().zip(&keys0).enumerate() {
-            *p = pack_pair(k, i);
-        }
-        let (mut order, mut prev_bounds, mut prev_cells) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(sort_order_and_bounds_from_pairs_cells(
-            cell_bits,
-            jitter_bits,
-            &mut scratch,
-            &mut order,
-            &mut prev_bounds,
-            &mut prev_cells,
-            false,
-        ));
+        let (mut order, prev_bounds, prev_cells) =
+            rank_keys(&keys0, cell_bits, jitter_bits, &mut scratch);
 
         // This step's keys, indexed in the prev sorted order: mostly the
         // same cell (read off the prev structure), always fresh jitter.
@@ -1286,30 +1144,11 @@ mod tests {
             .collect();
 
         // Reference: full rank of keys1.
-        let mut ref_scratch = SortScratch::new();
-        for (i, (p, &k)) in ref_scratch
-            .input_pairs(n)
-            .iter_mut()
-            .zip(&keys1)
-            .enumerate()
-        {
-            *p = pack_pair(k, i);
-        }
-        let (mut ref_order, mut ref_bounds, mut ref_cells) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(sort_order_and_bounds_from_pairs_cells(
-            cell_bits,
-            jitter_bits,
-            &mut ref_scratch,
-            &mut ref_order,
-            &mut ref_bounds,
-            &mut ref_cells,
-            false,
-        ));
+        let (ref_order, ref_bounds, ref_cells) =
+            rank_keys(&keys1, cell_bits, jitter_bits, &mut SortScratch::new());
 
         // Incremental repair of the same keys — unseeded first.
-        for (i, (p, &k)) in scratch.input_pairs(n).iter_mut().zip(&keys1).enumerate() {
-            *p = pack_pair(k, i);
-        }
+        pack_keys(&keys1, &mut scratch);
         let mut inc = IncrementalScratch::new();
         let (mut bounds, mut seg_cells) = (Vec::new(), Vec::new());
         assert!(incremental_rank(
@@ -1371,16 +1210,16 @@ mod tests {
         check_incremental(240, 6, 500, 30);
         check_incremental(1, 3, 1000, 0);
         check_incremental(3, 1, 17_000, 50);
+        check_incremental(20_600, 8, 60_000, 30);
     }
 
     /// The module's stability contract against std's stable sort: heavy
     /// ties, and index payloads that are a random permutation — so a rank
     /// that broke ties on the payload instead of the pair position would
-    /// show.  All three ranks must emit `slice::sort_by_key`'s order on
-    /// the key half, with the bounds and segment cells that order implies.
+    /// show.  Both ranks must emit `slice::sort_by_key`'s order on the key
+    /// half, with the bounds and segment cells that order implies.
     fn check_position_stability(cells: u32, jitter_bits: u32, n: usize, seed: u32) {
-        let cell_bits = 32 - (cells - 1).leading_zeros().min(31);
-        assert!(bounds_rank_supported(cell_bits));
+        let cell_bits = cell_bits_for(cells);
         let jmask = (1u32 << jitter_bits) - 1;
         let mut state = seed | 1;
         let mut rng = move || {
@@ -1424,12 +1263,7 @@ mod tests {
         let tag = format!("cells={cells} j={jitter_bits} n={n} seed={seed}");
 
         let mut scratch = SortScratch::new();
-        let mut order = Vec::new();
-        pack(&mut scratch);
-        sort_order_from_pairs(cell_bits + jitter_bits, &mut scratch, &mut order);
-        assert_eq!(order, want_order, "sort_order_from_pairs {tag}");
-
-        let (mut bounds, mut seg_cells) = (Vec::new(), Vec::new());
+        let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
         pack(&mut scratch);
         assert!(sort_order_and_bounds_from_pairs_cells(
             cell_bits,
@@ -1440,9 +1274,9 @@ mod tests {
             &mut seg_cells,
             false,
         ));
-        assert_eq!(order, want_order, "bounds-emitting rank {tag}");
-        assert_eq!(bounds, want_bounds, "bounds-emitting rank {tag}");
-        assert_eq!(seg_cells, want_cells, "bounds-emitting rank {tag}");
+        assert_eq!(order, want_order, "radix rank {tag}");
+        assert_eq!(bounds, want_bounds, "radix rank {tag}");
+        assert_eq!(seg_cells, want_cells, "radix rank {tag}");
 
         pack(&mut scratch);
         assert!(incremental_rank(
@@ -1475,6 +1309,8 @@ mod tests {
             check_position_stability(250, 6, n, 0x2545_F491 + seed as u32);
             check_position_stability(6912, 8, n, 0x1234_5677 + seed as u32);
             check_position_stability(97, 0, n, 0x0BAD_CAFE + seed as u32);
+            check_position_stability(20_600, 8, n, 0x0051_7CC1 + seed as u32);
+            check_position_stability(47_943, 4, n, 0x00C0_FFEE + seed as u32);
         }
     }
 
@@ -1555,22 +1391,18 @@ mod tests {
     fn order_and_bounds_rejects_wide_cells() {
         let mut scratch = SortScratch::new();
         scratch.input_pairs(10);
-        let mut order = Vec::new();
-        let mut bounds = Vec::new();
-        assert!(!sort_order_and_bounds_from_pairs(
-            MAX_CELL_BITS + 1,
-            4,
-            &mut scratch,
-            &mut order,
-            &mut bounds
-        ));
-        assert!(!sort_order_and_bounds_from_pairs(
-            0,
-            4,
-            &mut scratch,
-            &mut order,
-            &mut bounds
-        ));
+        let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
+        for cell_bits in [MAX_CELL_BITS + 1, 0] {
+            assert!(!sort_order_and_bounds_from_pairs_cells(
+                cell_bits,
+                4,
+                &mut scratch,
+                &mut order,
+                &mut bounds,
+                &mut seg_cells,
+                false,
+            ));
+        }
     }
 
     proptest! {

@@ -1757,13 +1757,19 @@ mod tests {
             resolved_config(&RunSpec::new("nope", "x"), Scale::Quick),
             Err(CampaignError::UnknownScenario(_))
         ));
-        assert!(matches!(
-            resolved_config(
-                &RunSpec::new("wedge-paper", "x").set("mach", -4.0),
-                Scale::Quick
-            ),
-            Err(CampaignError::Config(_))
-        ));
+        // A config `try_validated` refuses comes back typed, naming the run
+        // and carrying the `ConfigError` text.  (A spec cannot reach the
+        // grid fields; their limits apply to registry configs through the
+        // same call.)
+        match resolved_config(
+            &RunSpec::new("wedge-paper", "x").set("mach", -4.0),
+            Scale::Quick,
+        ) {
+            Err(CampaignError::Config(why)) => {
+                assert!(why.contains("run `x`") && why.contains("mach"), "{why}");
+            }
+            other => panic!("expected Config, got {other:?}"),
+        }
     }
 
     #[test]

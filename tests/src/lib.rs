@@ -30,3 +30,22 @@ pub fn wedge_run(
 pub fn paper_metrics(field: &SampledField) -> Option<ShockMetrics> {
     wedge_metrics(field, 20.0, 25.0, 30.0, 4.0, 1.4)
 }
+
+/// The widest grid the identity suites run: a 200 × 100 tunnel is 20 600
+/// cells with its reservoir — a 15-bit cell field, past the paper grid's 13
+/// — and one particle per cell puts the population on the chunked side of
+/// `dsmc_datapar::PAR_THRESHOLD`.  The unit plunger trigger makes six steps
+/// cross a withdrawal.
+pub fn wide_grid_config() -> SimConfig {
+    let mut cfg = SimConfig::small_test();
+    cfg.tunnel_w = 200;
+    cfg.tunnel_h = 100;
+    cfg.n_per_cell = 1.0;
+    cfg.reservoir_cells = 600;
+    cfg.reservoir_fill = 2.0;
+    cfg.plunger_trigger = 1.0;
+    cfg
+}
+
+/// Steps [`wide_grid_config`] needs to cross one plunger withdrawal.
+pub const WIDE_GRID_STEPS: usize = 6;

@@ -1,16 +1,20 @@
-//! The step-path contract: the fused rank+send equals the reference
-//! permutation bit for bit, the engine's whole step equals the
+//! The step-path contract: the rank equals the reference permutation and
+//! bounds bit for bit, the engine's whole step equals the
 //! separate-phase oracle (`dsmc_baselines::TwoStepSim`) bit for bit,
 //! steady-state steps allocate nothing in the hot path, and fixed-seed
 //! runs are identical for any thread count.
 
 use dsmc_baselines::TwoStepSim;
-use dsmc_datapar::{sort_order_by_key, sort_perm_by_key, SortScratch};
+use dsmc_datapar::{
+    pack_pair, segment_bounds_from_sorted, sort_order_and_bounds_from_pairs_cells,
+    sort_perm_by_key, SortScratch,
+};
 use dsmc_engine::config::WallModel;
 use dsmc_engine::particles::ParticleStore;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
 use dsmc_fixed::Fx;
 use dsmc_rng::XorShift32;
+use integration_tests::WIDE_GRID_STEPS;
 use proptest::prelude::*;
 
 /// A store with `n` particles whose every column is distinct pseudo-random
@@ -45,35 +49,69 @@ fn assert_stores_equal(a: &ParticleStore, b: &ParticleStore) {
     assert_eq!(a.cell, b.cell, "cell columns differ");
 }
 
-/// The fused rank must emit exactly the reference permutation — the
-/// router addresses the one send (`ParticleStore::apply_order`) consumes.
-fn check_fused_matches_two_step(n: usize, seed: u32, key_bits: u32) {
-    let keys: Vec<u32> = random_store(n, seed).cell;
-    let perm = sort_perm_by_key(&keys, key_bits);
+/// The engine's rank must emit exactly what the separate-phase oracle
+/// computes in three steps: the reference permutation — the router
+/// addresses the one send consumes — the segment bounds of the sorted cell
+/// column, and the cell id of every segment.  Keys are laid out as the
+/// engine packs them, `(cell << jitter_bits) | jitter`; the rank is unseeded.
+fn check_fused_matches_two_step(n: usize, seed: u32, cell_bits: u32, jitter_bits: u32) {
+    let store = random_store(n, seed);
+    let keys: Vec<u32> = (0..n)
+        .map(|i| {
+            let cell = store.x[i].raw() as u32 & ((1 << cell_bits) - 1);
+            let jitter = store.y[i].raw() as u32 & ((1 << jitter_bits) - 1);
+            (cell << jitter_bits) | jitter
+        })
+        .collect();
+    let perm = sort_perm_by_key(&keys, cell_bits + jitter_bits);
+    let sorted_cells: Vec<u32> = perm
+        .iter()
+        .map(|&i| keys[i as usize] >> jitter_bits)
+        .collect();
+    let want_bounds = segment_bounds_from_sorted(&sorted_cells);
+
     let mut scratch = SortScratch::new();
-    let mut order = Vec::new();
-    sort_order_by_key(&keys, key_bits, &mut scratch, &mut order);
-    assert_eq!(
-        order, perm,
-        "fused order differs from reference permutation"
-    );
+    for (i, (pair, &k)) in scratch.input_pairs(n).iter_mut().zip(&keys).enumerate() {
+        *pair = pack_pair(k, i);
+    }
+    let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
+    assert!(sort_order_and_bounds_from_pairs_cells(
+        cell_bits,
+        jitter_bits,
+        &mut scratch,
+        &mut order,
+        &mut bounds,
+        &mut seg_cells,
+        false,
+    ));
+    assert_eq!(order, perm, "rank differs from reference permutation");
+    assert_eq!(bounds, want_bounds, "rank's bounds differ from the sweep's");
+    let want_cells: Vec<u32> = want_bounds[..want_bounds.len() - 1]
+        .iter()
+        .map(|&b| sorted_cells[b as usize])
+        .collect();
+    assert_eq!(seg_cells, want_cells, "segment cell ids differ");
 }
 
 #[test]
 fn fused_send_matches_reference_large() {
-    // Above PAR_THRESHOLD: exercises the parallel radix.
-    check_fused_matches_two_step(40_000, 7, 6);
-    check_fused_matches_two_step(100_000, 8, 32);
+    // Above PAR_THRESHOLD: exercises the chunked radix, at the paper
+    // grid's layout, at the widest cell field and without jitter.
+    check_fused_matches_two_step(40_000, 7, 13, 8);
+    check_fused_matches_two_step(100_000, 8, 16, 12);
+    check_fused_matches_two_step(20_000, 9, 6, 0);
 }
 
 proptest! {
+    // Below PAR_THRESHOLD: the comparison-sort path.
     #[test]
     fn prop_fused_send_matches_reference(
         n in 0usize..500,
         seed in any::<u32>(),
-        key_bits in 1u32..=32,
+        cell_bits in 1u32..=16,
+        jitter_bits in 0u32..=12,
     ) {
-        check_fused_matches_two_step(n, seed, key_bits);
+        check_fused_matches_two_step(n, seed, cell_bits, jitter_bits);
     }
 }
 
@@ -81,7 +119,7 @@ proptest! {
 /// and demand bit-identical trajectories, bounds, orders and ledgers.
 /// `steps` spans several plunger cycles, so the move phase's key-less
 /// withdrawal fallback is exercised along with the ordinary fused steps.
-fn check_pipelines_agree(cfg: SimConfig, steps: usize) {
+fn check_pipelines_agree(cfg: SimConfig, steps: usize) -> Simulation {
     let mut fused = Simulation::new(cfg.clone());
     let mut two_step = TwoStepSim::new(cfg);
     fused.run(steps);
@@ -96,6 +134,7 @@ fn check_pipelines_agree(cfg: SimConfig, steps: usize) {
     assert_eq!(df.exited, dt.exited);
     assert_eq!(df.introduced, dt.introduced);
     assert_eq!(df.plunger_cycles, dt.plunger_cycles);
+    fused
 }
 
 /// Whole-simulation equivalence: the engine and the separate-phase oracle
@@ -103,6 +142,43 @@ fn check_pipelines_agree(cfg: SimConfig, steps: usize) {
 #[test]
 fn pipelines_produce_identical_trajectories() {
     check_pipelines_agree(SimConfig::small_test(), 40);
+}
+
+/// The wide grid (15 cell bits, chunked population) on every rank path:
+/// ordinary steps repair (seeded), the withdrawal step builds its own pairs
+/// and ranks them unseeded, and a second engine pinned to the full rank
+/// runs the seeded chunked rank on every ordinary step; all must land on
+/// the oracle's state.  `sharding.rs` runs the same config at 4 shards.
+#[test]
+fn wide_grid_matches_two_step_on_every_rank_path() {
+    let cfg = integration_tests::wide_grid_config();
+    let fused = check_pipelines_agree(cfg.clone(), WIDE_GRID_STEPS);
+    assert!(fused.n_particles() >= dsmc_datapar::PAR_THRESHOLD);
+    assert!(fused.diagnostics().plunger_cycles >= 1, "no withdrawal");
+    let (repaired, full) = fused.sort_path_counts();
+    assert!(repaired > 0 && full > 0, "paths: {repaired} / {full}");
+
+    let mut full_rank = Simulation::new(cfg);
+    full_rank.set_mover_threshold(0.0);
+    full_rank.run(WIDE_GRID_STEPS);
+    assert_eq!(full_rank.sort_path_counts().0, 0);
+    assert_eq!(full_rank.state_hash(), fused.state_hash());
+}
+
+/// The largest grid `try_validated` admits — 249 × 127 with a 255-row
+/// reservoir strip, 47 943 cells, the full 16-bit cell field — steps, with
+/// debug builds' overflow checks watching the Q8.23 limits, and agrees with
+/// the oracle across a withdrawal.
+#[test]
+fn largest_admissible_grid_steps_and_matches_two_step() {
+    let mut cfg = integration_tests::wide_grid_config();
+    cfg.tunnel_w = 249;
+    cfg.tunnel_h = 127;
+    cfg.reservoir_cells = 16_320;
+    cfg.reservoir_fill = 0.25;
+    let fused = check_pipelines_agree(cfg, WIDE_GRID_STEPS);
+    assert_eq!(fused.total_cells(), 47_943);
+    assert!(fused.diagnostics().plunger_cycles >= 1, "no withdrawal");
 }
 
 /// A small tunnel with every knob available to the grid below.

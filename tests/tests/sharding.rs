@@ -154,6 +154,24 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     assert_eq!(sharded.mover_stats(), reference.mover_stats());
 }
 
+/// The wide grid (`pipeline.rs` pins it to the oracle): 15 cell bits, and
+/// shards small enough that each ranks on the comparison-sort path while
+/// the single-domain reference runs the chunked one.
+#[test]
+fn wide_grid_is_shard_count_invariant() {
+    let cfg = integration_tests::wide_grid_config();
+    let mut reference = Simulation::new(cfg.clone());
+    let mut sharded = ShardedSimulation::new(cfg, 4);
+    reference.run(integration_tests::WIDE_GRID_STEPS);
+    sharded.run(integration_tests::WIDE_GRID_STEPS);
+    assert!(reference.diagnostics().plunger_cycles >= 1);
+    assert_eq!(sharded.state_hash(), reference.state_hash());
+    assert_eq!(
+        sharded.shard_populations().iter().sum::<usize>(),
+        reference.n_particles()
+    );
+}
+
 /// Every registry scenario at QUICK scale is shard-count invariant:
 /// shard counts {1, 2, 4} reproduce the goldens and the exact
 /// `state_hash` of the default single-domain run.  Release-only — the

@@ -19,7 +19,7 @@
 use crate::config::RngMode;
 use crate::particles::ParticleStore;
 use dsmc_datapar::segments::RoCol;
-use dsmc_datapar::{par_segment_runs_mut, par_segments_mut};
+use dsmc_datapar::{par_segment_runs_mut, par_segments_mut, Par};
 use dsmc_fixed::{Fx, Rounding};
 use dsmc_kinetics::collision::{collide_pair, WordBits};
 use dsmc_kinetics::SelectionTable;
@@ -125,6 +125,7 @@ pub fn select_pairs(
             }
             candidates.fetch_add(local_candidates, Ordering::Relaxed);
         },
+        Par::Pool,
     );
     candidates.into_inner()
 }
@@ -158,7 +159,16 @@ pub fn select_and_collide(
     rng_mode: RngMode,
     decisions: &mut Vec<u8>,
 ) -> FusedPhase {
-    select_and_collide_with_parity(parts, bounds, sel, rounding, rng_mode, decisions, None)
+    select_and_collide_with_parity(
+        parts,
+        bounds,
+        sel,
+        rounding,
+        rng_mode,
+        decisions,
+        None,
+        Par::Pool,
+    )
 }
 
 /// [`select_and_collide`] with an explicit pairing parity per segment.
@@ -171,8 +181,9 @@ pub fn select_and_collide(
 /// the sharded engine passes the canonical start parity of each local
 /// segment (`seg_parity[s] ∈ {0, 1}`, one entry per segment of `bounds`)
 /// — with it, every pair drawn here is exactly the pair the
-/// whole-population phase would draw.
-#[allow(clippy::type_complexity)]
+/// whole-population phase would draw.  The runs fork into the rayon pool
+/// or run in turn as `par` says; the runs themselves are the same.
+#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 pub fn select_and_collide_with_parity(
     parts: &mut ParticleStore,
     bounds: &[u32],
@@ -181,6 +192,7 @@ pub fn select_and_collide_with_parity(
     rng_mode: RngMode,
     decisions: &mut Vec<u8>,
     seg_parity: Option<&[u32]>,
+    par: Par,
 ) -> FusedPhase {
     let n = parts.len();
     debug_assert!(
@@ -282,6 +294,7 @@ pub fn select_and_collide_with_parity(
             select_ns.fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
             collide_ns.fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
         },
+        par,
     );
     FusedPhase {
         stats: PairStats {
@@ -391,6 +404,7 @@ pub fn collide_selected(
             }
             collisions.fetch_add(local, Ordering::Relaxed);
         },
+        Par::Pool,
     );
     collisions.into_inner()
 }

@@ -221,8 +221,14 @@ pub enum WallModel {
 /// the coordinator in shard-index order at the existing phase barriers.
 /// The choice is therefore a pure execution knob, *excluded* from
 /// [`SimConfig::fingerprint`] so checkpoints stay portable between modes.
-/// Only the sharded engine consults it; the single-domain
-/// [`crate::Simulation`] is inherently serial.
+/// Only the sharded engine consults it.
+///
+/// Which threads a step's primitives run on is one rule: the rayon thread
+/// count (`RAYON_NUM_THREADS`) sizes the pool that the single-domain
+/// [`crate::Simulation`] and `Serial` or one-worker sharded runs fork
+/// every primitive above 16 k elements into; `Threaded` workers that are
+/// at least as many as the pool's threads never enter it and run their
+/// shards' primitives inline.
 ///
 /// The textual form — `serial`, `auto` (one worker per core) or a worker
 /// count ≥ 1 — is the one grammar of `DSMC_EXEC_THREADS`, `scenarios
@@ -234,10 +240,10 @@ pub enum ExecMode {
     /// executable specification the threaded path is pinned against.
     /// Worker panics unwind normally.
     Serial,
-    /// Fan each per-shard phase out over a pool of scoped worker threads
-    /// (`std::thread::scope`, so it composes with the rayon pool), joining
-    /// at the phase barriers.  Worker panics are caught and surfaced as a
-    /// typed `ShardExecError` carrying the shard id.
+    /// Fan each per-shard phase out over scoped worker threads
+    /// (`std::thread::scope`), joining at the phase barriers.  Worker
+    /// panics are caught and surfaced as a typed `ShardExecError` carrying
+    /// the shard id.
     Threaded {
         /// Worker-thread count; `0` means "one per available core",
         /// clamped to the shard count either way.

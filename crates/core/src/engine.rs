@@ -10,7 +10,7 @@ use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, key_bits_for, SortWorkspace};
 use crate::surface::{SurfaceAccumulator, SurfaceField};
-use dsmc_datapar::{first_pass_bits, PAR_THRESHOLD};
+use dsmc_datapar::{first_pass_bits, Par, PAR_THRESHOLD};
 use dsmc_fixed::{Fx, Rounding};
 use dsmc_geom::{
     Body, CellClassifier, Cylinder, FlatPlate, ForwardStep, NoBody, Plunger, PlungerEvent, Tunnel,
@@ -256,13 +256,14 @@ impl Simulation {
         bounds: &[u32],
         keys: Option<KeyPack<'_>>,
         scratch: &mut MoveScratch,
+        par: Par,
     ) -> MoveOutcome {
         match &self.body_mono {
-            MonoBody::None(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
-            MonoBody::Wedge(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
-            MonoBody::Step(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
-            MonoBody::Plate(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
-            MonoBody::Cylinder(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch),
+            MonoBody::None(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch, par),
+            MonoBody::Wedge(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch, par),
+            MonoBody::Step(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch, par),
+            MonoBody::Plate(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch, par),
+            MonoBody::Cylinder(b) => self.move_sweep_mono(b, parts, bounds, keys, scratch, par),
         }
     }
 
@@ -275,6 +276,7 @@ impl Simulation {
         bounds: &[u32],
         keys: Option<KeyPack<'_>>,
         scratch: &mut MoveScratch,
+        par: Par,
     ) -> MoveOutcome {
         let params = BoundaryParams {
             tunnel: &self.tunnel,
@@ -303,6 +305,7 @@ impl Simulation {
             self.res_h_fx,
             keys,
             scratch,
+            par,
         )
     }
 
@@ -396,6 +399,7 @@ impl Simulation {
             &mut self.sort_ws,
             &mut self.bounds,
             &mut self.order,
+            Par::Pool,
         )
     }
 
@@ -412,6 +416,7 @@ impl Simulation {
             self.cfg.jitter_bits,
             self.rng_mode,
             pairs,
+            Par::Pool,
         );
         self.rank_and_send(false, false).0
     }
@@ -445,7 +450,7 @@ impl Simulation {
                 rng_mode: self.rng_mode,
             }
         });
-        let out = self.move_sweep(&mut parts, &self.bounds, keys, &mut scratch);
+        let out = self.move_sweep(&mut parts, &self.bounds, keys, &mut scratch, Par::Pool);
         self.parts = parts;
         self.sort_ws = sort_ws;
         self.move_scratch = scratch;

@@ -43,7 +43,7 @@ use crate::boundary::{diffuse_reemit_one, exit_redraw_one, resolve_flow_one, Bou
 use crate::config::{RngMode, WallModel};
 use crate::motion::wrap;
 use crate::particles::ParticleStore;
-use dsmc_datapar::{pack_pair, radix_chunk_len, PAR_THRESHOLD};
+use dsmc_datapar::{pack_pair, radix_chunk_len, Par};
 use dsmc_fixed::Fx;
 use dsmc_geom::{Body, CellClassifier, Plunger};
 use dsmc_rng::XorShift32;
@@ -182,7 +182,10 @@ struct SweepCfg {
 
 /// The fused move phase.  `bounds` is the previous step's segment table
 /// (the array must still be in that sorted order); `keys` is `Some` on
-/// ordinary steps and `None` on plunger-withdrawal steps.
+/// ordinary steps and `None` on plunger-withdrawal steps.  The chunks run
+/// as rayon tasks where `par` forks, in chunk order on this thread
+/// otherwise; the grid is [`radix_chunk_len`]'s either way, so a seeded
+/// histogram lines up with the rank's.
 #[allow(clippy::too_many_arguments)]
 pub fn move_phase<B: Body + ?Sized>(
     parts: &mut ParticleStore,
@@ -194,6 +197,7 @@ pub fn move_phase<B: Body + ?Sized>(
     res_h: Fx,
     keys: Option<KeyPack<'_>>,
     scratch: &mut MoveScratch,
+    par: Par,
 ) -> MoveOutcome {
     let n = parts.len();
     let mut out = MoveOutcome::default();
@@ -310,7 +314,7 @@ pub fn move_phase<B: Body + ?Sized>(
         // `parts`, `keys`, `scratch` held by the enclosing frame).
         unsafe { sweep_chunk::<B>(c, &cols, runs, cfg, p, plunger) }
     };
-    if n < PAR_THRESHOLD {
+    if !par.forks(n) {
         for c in 0..n_chunks {
             task(c);
         }
@@ -695,12 +699,13 @@ mod tests {
             jb,
             rng_mode,
             ref_pairs,
+            Par::Pool,
         );
 
         // Fused: one sweep.
         let first_bits = dsmc_datapar::first_pass_bits(cell_bits, jb);
         let mut ws = sortstep::SortWorkspace::new();
-        let seed = fused.len() >= PAR_THRESHOLD;
+        let seed = fused.len() >= dsmc_datapar::PAR_THRESHOLD;
         let (pairs, hist) = ws.move_buffers(fused.len(), first_bits, seed);
         let mut scratch = MoveScratch::new();
         let out = move_phase(
@@ -719,6 +724,7 @@ mod tests {
                 rng_mode,
             }),
             &mut scratch,
+            Par::Pool,
         );
 
         assert_eq!(fused.x, reference.x, "x");
@@ -798,6 +804,7 @@ mod tests {
             Fx::from_int(res.h as i32),
             None,
             &mut scratch,
+            Par::Inline,
         );
         assert_eq!(out.max_speed_raw, want);
         assert!(

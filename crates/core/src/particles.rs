@@ -11,6 +11,7 @@
 //! Positions of reservoir particles live in the reservoir strip's own
 //! coordinate system.
 
+use dsmc_datapar::{apply_perm_with, Par};
 use dsmc_fixed::Fx;
 use dsmc_rng::{Perm5, XorShift32};
 
@@ -153,7 +154,7 @@ impl ParticleStore {
     /// behind them, and the store ends up `order.len()` long.  An index
     /// past the last row panics.
     pub fn apply_order(&mut self, order: &[u32]) {
-        self.apply_order_no_cell(order);
+        self.apply_order_no_cell(order, Par::Pool);
         let mut cell = Vec::new();
         dsmc_datapar::apply_perm(&self.cell, order, &mut cell);
         self.cell = cell;
@@ -162,8 +163,10 @@ impl ParticleStore {
     /// The hot loop's send: one gather per physical-state column through
     /// the rotating back buffer, which makes each gather's destination the
     /// pages just read as the previous column's source (L2-hot writes).
-    /// Multi-core sends go through the sharded engine instead — per-shard
-    /// sends on smaller arrays (the benchmark's `core.shard.*` metrics).
+    /// Each gather forks into the rayon pool above `PAR_THRESHOLD` on
+    /// [`Par::Pool`] — the single-domain engine, `Serial` and one-worker
+    /// sharded runs — and never on [`Par::Inline`], what threaded shard
+    /// workers at least as many as the pool's threads pass.
     ///
     /// Nine gathers, not ten: the sorted `cell` column is fully determined
     /// by the rank's `(bounds, seg_cells)` — the caller re-materialises
@@ -171,7 +174,7 @@ impl ParticleStore {
     /// instead of gathering it (random reads), dropping one router trip
     /// from the send.  After this call and before that fill, the `cell`
     /// column is *stale* (still in pre-sort order, at its pre-sort length).
-    pub fn apply_order_no_cell(&mut self, order: &[u32]) {
+    pub fn apply_order_no_cell(&mut self, order: &[u32], par: Par) {
         for col in [
             &mut self.x,
             &mut self.y,
@@ -181,12 +184,12 @@ impl ParticleStore {
             &mut self.r1,
             &mut self.r2,
         ] {
-            dsmc_datapar::apply_perm(col, order, &mut self.back.fx);
+            apply_perm_with(col, order, &mut self.back.fx, par);
             core::mem::swap(col, &mut self.back.fx);
         }
-        dsmc_datapar::apply_perm(&self.perm, order, &mut self.back.perm);
+        apply_perm_with(&self.perm, order, &mut self.back.perm, par);
         core::mem::swap(&mut self.perm, &mut self.back.perm);
-        dsmc_datapar::apply_perm(&self.rng, order, &mut self.back.rng);
+        apply_perm_with(&self.rng, order, &mut self.back.rng, par);
         core::mem::swap(&mut self.rng, &mut self.back.rng);
     }
 

@@ -10,8 +10,8 @@
 //! velocity and temperature fields of figures 1–6.
 
 use crate::particles::ParticleStore;
-use dsmc_datapar::par_segments_mut;
 use dsmc_datapar::segments::RoCol;
+use dsmc_datapar::{par_segments_mut, Par};
 use dsmc_fixed::Fx;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -54,7 +54,7 @@ impl FieldAccumulator {
     /// the sorted store; reservoir segments are skipped.
     pub fn accumulate(&mut self, parts: &ParticleStore, bounds: &[u32], res_base: u32) {
         self.bump_step();
-        self.accumulate_partial(parts, bounds, res_base);
+        self.accumulate_partial(parts, bounds, res_base, Par::Pool);
     }
 
     /// Advance the window's step counter by one.  The sharded engine calls
@@ -70,9 +70,16 @@ impl FieldAccumulator {
     /// relaxed atomics (order-independent integer adds), so disjoint
     /// shards of one step may feed the same window — each flow cell lives
     /// in exactly one shard, so the merged sums are bit-identical to one
-    /// whole-population pass.
+    /// whole-population pass.  The cells fork into the rayon pool or run
+    /// in turn as `par` says.
     #[allow(clippy::type_complexity)]
-    pub fn accumulate_partial(&self, parts: &ParticleStore, bounds: &[u32], res_base: u32) {
+    pub fn accumulate_partial(
+        &self,
+        parts: &ParticleStore,
+        bounds: &[u32],
+        res_base: u32,
+        par: Par,
+    ) {
         // One task per cell; each writes its own accumulator slot, so the
         // relaxed atomics never contend.
         let this = self;
@@ -121,6 +128,7 @@ impl FieldAccumulator {
                 this.e_trans[c].fetch_add(et, Ordering::Relaxed);
                 this.e_rot[c].fetch_add(er, Ordering::Relaxed);
             },
+            par,
         );
     }
 

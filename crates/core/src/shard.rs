@@ -84,7 +84,13 @@
 //! spec), `Threaded` fans each phase out over scoped worker threads,
 //! joining at the three coordinator barriers — the census merge, the
 //! global sort-budget decision and the segment-parity prefix; the exchange
-//! runs inside the move and sort phases, on the workers.  Determinism
+//! runs inside the move and sort phases, on the workers.  When those
+//! workers are at least two and at least as many as the rayon pool's
+//! threads, each runs its shard's primitives inline — the shards are then
+//! the only parallelism, as the CM-2's processors looping over their
+//! blocks of virtual processors were; otherwise the primitives fork into
+//! the pool as the single-domain engine's do (`shard_exec.rs` holds the
+//! rule).  Determinism
 //! survives because a phase writes only
 //! shard-private state (plus exact integer-atomic accumulators and, in the
 //! move phase, the shard's own outbox row, which the destinations only
@@ -760,7 +766,7 @@ impl ShardedSimulation {
             let base = &self.base;
             let outs = self
                 .exec
-                .run_phase(&mut self.shards, "collide", |_i, shard| {
+                .run_phase(&mut self.shards, "collide", |_i, shard, par| {
                     collide::select_and_collide_with_parity(
                         &mut shard.parts,
                         &shard.bounds,
@@ -769,6 +775,7 @@ impl ShardedSimulation {
                         base.rng_mode,
                         &mut shard.decisions,
                         Some(&shard.seg_parity),
+                        par,
                     )
                 })?;
             for out in outs {
@@ -788,8 +795,8 @@ impl ShardedSimulation {
             let base = &self.base;
             if let Some(acc) = &base.sampler {
                 self.exec
-                    .run_phase(&mut self.shards, "sample", |_i, shard| {
-                        acc.accumulate_partial(&shard.parts, &shard.bounds, base.res_base);
+                    .run_phase(&mut self.shards, "sample", |_i, shard, par| {
+                        acc.accumulate_partial(&shard.parts, &shard.bounds, base.res_base, par);
                     })?;
             }
             if let Some(acc) = self.base.sampler.as_mut() {
@@ -838,7 +845,7 @@ impl ShardedSimulation {
         let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
         let outs = self
             .exec
-            .run_phase(&mut lanes, "move", |me, (shard, outbox)| {
+            .run_phase(&mut lanes, "move", |me, (shard, outbox), par| {
                 let t = Instant::now();
                 shard.slot_pairs.resize(shard.parts.len(), 0);
                 let keys = keyed.then(|| KeyPack {
@@ -853,6 +860,7 @@ impl ShardedSimulation {
                     &shard.bounds,
                     keys,
                     &mut shard.move_scratch,
+                    par,
                 );
                 let sweep = t.elapsed();
                 if keyed {
@@ -892,7 +900,7 @@ impl ShardedSimulation {
         let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
         let outs = self
             .exec
-            .run_phase(&mut lanes, "sort", |me, (shard, outbox)| {
+            .run_phase(&mut lanes, "sort", |me, (shard, outbox), par| {
                 let t = Instant::now();
                 sortstep::build_pairs(
                     &mut shard.parts,
@@ -902,6 +910,7 @@ impl ShardedSimulation {
                     base.cfg.jitter_bits,
                     base.rng_mode,
                     &mut shard.slot_pairs,
+                    par,
                 );
                 shard.pack_crossers(me, layout, outbox);
                 t.elapsed()
@@ -1022,30 +1031,29 @@ impl ShardedSimulation {
     fn sort_shards(&mut self, force_full: bool) -> Result<SortSplit, ShardExecError> {
         let base = &self.base;
         let outbox = &self.outbox;
-        let outs = self.exec.run_phase(&mut self.shards, "sort", |me, shard| {
-            let t = Instant::now();
-            shard.merge_arrivals(me, outbox);
-            let exchange = t.elapsed();
-            let (split, repaired) = sortstep::rank_and_send(
-                &mut shard.parts,
-                base.key_bits,
-                base.cfg.jitter_bits,
-                base.total_cells(),
-                false,
-                !force_full,
-                &mut shard.sort_ws,
-                &mut shard.bounds,
-                &mut shard.order,
-            );
-            shard.seg_cell.clear();
-            for j in 0..shard.bounds.len() - 1 {
-                shard
-                    .seg_cell
-                    .push(shard.parts.cell[shard.bounds[j] as usize]);
-            }
-            let took = (!shard.parts.is_empty()).then_some(repaired);
-            (took, SortSplit { exchange, ..split })
-        })?;
+        let outs = self
+            .exec
+            .run_phase(&mut self.shards, "sort", |me, shard, par| {
+                let t = Instant::now();
+                shard.merge_arrivals(me, outbox);
+                let exchange = t.elapsed();
+                let (split, repaired) = sortstep::rank_and_send(
+                    &mut shard.parts,
+                    base.key_bits,
+                    base.cfg.jitter_bits,
+                    base.total_cells(),
+                    false,
+                    !force_full,
+                    &mut shard.sort_ws,
+                    &mut shard.bounds,
+                    &mut shard.order,
+                    par,
+                );
+                shard.seg_cell.clear();
+                shard.seg_cell.extend_from_slice(shard.sort_ws.seg_cells());
+                let took = (!shard.parts.is_empty()).then_some(repaired);
+                (took, SortSplit { exchange, ..split })
+            })?;
         let mut cpu = SortSplit::default();
         for (took, split) in outs {
             match took {

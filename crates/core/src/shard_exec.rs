@@ -9,9 +9,19 @@
 //! census merge, the global sort-budget decision, and the segment-parity
 //! prefix), so a phase is exactly the span between
 //! two barriers and `std::thread::scope` gives workers free borrowing of
-//! the coordinator's state for that span.  Scoped threads also compose
-//! with the vendored rayon pool — a worker that calls into rayon simply
-//! participates in the shared global pool like any other caller.
+//! the coordinator's state for that span.
+//!
+//! # One layer of parallelism
+//!
+//! The executor also decides, once, whether a phase's primitives may fork
+//! into the rayon pool, and hands that [`Par`] to every phase closure.  The
+//! rule: the rayon thread count sizes the pool that the single-domain
+//! engine and `Serial` or one-worker sharded runs fork into; threaded
+//! workers that are at least as many as the pool's threads never enter it.
+//! Such workers already cover the cores, so forking from them only queues
+//! their work behind each other's in the one global pool — the CM-2's one
+//! layer, where a physical processor loops over its block of virtual
+//! processors, is the shard worker looping over its shard.
 //!
 //! # Why determinism survives
 //!
@@ -28,6 +38,7 @@
 //! claim across shard × worker × thread-count matrices.
 
 use crate::config::ExecMode;
+use dsmc_datapar::Par;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A shard worker panicked during a phase.  The panic is caught at the
@@ -69,12 +80,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The executor: the resolved execution mode for one sharded simulation.
-/// Built once at engine construction from [`ExecMode`] and the shard
-/// count; `run_phase` then drives every per-shard phase.
+/// Built once at engine construction from [`ExecMode`], the shard count
+/// and the rayon pool's size; `run_phase` then drives every per-shard
+/// phase.
 #[derive(Clone, Debug)]
 pub(super) struct ShardExec {
     /// Resolved worker count (`1` = run inline on the coordinator).
     workers: usize,
+    /// Whether the phases' primitives fork into the rayon pool.
+    par: Par,
     /// Whether this is the Serial executable-spec path.  Serial differs
     /// from `Threaded { workers: 1 }` only in panic behaviour: the spec
     /// path lets panics unwind normally, the threaded path always
@@ -85,8 +99,10 @@ pub(super) struct ShardExec {
 
 impl ShardExec {
     pub(super) fn new(mode: ExecMode, n_shards: usize) -> Self {
+        let workers = mode.resolved_workers(n_shards);
         Self {
-            workers: mode.resolved_workers(n_shards),
+            workers,
+            par: resolve_par(mode, workers, rayon::current_num_threads()),
             serial: mode == ExecMode::Serial,
         }
     }
@@ -96,10 +112,11 @@ impl ShardExec {
         self.workers
     }
 
-    /// Run `f(shard_index, shard)` over every element of `items`, in
+    /// Run `f(shard_index, shard, par)` over every element of `items`, in
     /// parallel across the resolved workers, and return the per-shard
     /// results **in shard-index order** — the coordinator reduces from
-    /// that vector, which is what keeps reductions deterministic.
+    /// that vector, which is what keeps reductions deterministic.  `par`
+    /// is the executor's resolved [`Par`], for the closure's primitives.
     ///
     /// Generic over the item type (rather than hard-coded to `Shard`) so
     /// the executor's own unit tests can drive it without building a
@@ -113,14 +130,15 @@ impl ShardExec {
     where
         I: Send,
         T: Send,
-        F: Fn(usize, &mut I) -> T + Sync,
+        F: Fn(usize, &mut I, Par) -> T + Sync,
     {
+        let par = self.par;
         if self.serial {
             // The executable spec: plain loop, panics unwind normally.
             return Ok(items
                 .iter_mut()
                 .enumerate()
-                .map(|(i, item)| f(i, item))
+                .map(|(i, item)| f(i, item, par))
                 .collect());
         }
         let n = items.len();
@@ -141,7 +159,7 @@ impl ShardExec {
                 scope.spawn(move || {
                     for (off, (item, slot)) in ic.iter_mut().zip(sc.iter_mut()).enumerate() {
                         *slot = Some(
-                            catch_unwind(AssertUnwindSafe(|| f(base + off, item)))
+                            catch_unwind(AssertUnwindSafe(|| f(base + off, item, par)))
                                 .map_err(panic_message),
                         );
                     }
@@ -150,7 +168,7 @@ impl ShardExec {
             if let (Some(ic), Some(sc)) = (first_items, first_slots) {
                 for (off, (item, slot)) in ic.iter_mut().zip(sc.iter_mut()).enumerate() {
                     *slot = Some(
-                        catch_unwind(AssertUnwindSafe(|| f(off, item))).map_err(panic_message),
+                        catch_unwind(AssertUnwindSafe(|| f(off, item, par))).map_err(panic_message),
                     );
                 }
             }
@@ -179,6 +197,18 @@ impl ShardExec {
     }
 }
 
+/// The one-layer rule: a phase's primitives run inline exactly when the
+/// phases fan out over at least two workers and those workers are at
+/// least as many as the rayon pool's threads.  `Serial`, a run that
+/// resolves to one worker and a pool wider than the workers keep forking.
+fn resolve_par(mode: ExecMode, workers: usize, pool_threads: usize) -> Par {
+    if mode != ExecMode::Serial && workers >= 2 && workers >= pool_threads {
+        Par::Inline
+    } else {
+        Par::Pool
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +230,7 @@ mod tests {
                 let exec = ShardExec::new(mode, n.max(1));
                 let mut items: Vec<u64> = (0..n as u64).collect();
                 let out = exec
-                    .run_phase(&mut items, "move", |i, item| {
+                    .run_phase(&mut items, "move", |i, item, _par| {
                         *item += 100;
                         (i, *item)
                     })
@@ -219,7 +249,7 @@ mod tests {
             let exec = ShardExec::new(ExecMode::Threaded { workers }, 4);
             let mut items = vec![0u8; 4];
             let err = exec
-                .run_phase(&mut items, "collide", |i, _item| {
+                .run_phase(&mut items, "collide", |i, _item, _par| {
                     if i == 2 {
                         panic!("injected shard failure {i}");
                     }
@@ -240,7 +270,7 @@ mod tests {
         let exec = ShardExec::new(ExecMode::Threaded { workers: 4 }, 4);
         let mut items = vec![0u8; 4];
         let err = exec
-            .run_phase(&mut items, "sort", |i, _item| {
+            .run_phase(&mut items, "sort", |i, _item, _par| {
                 if i >= 1 {
                     panic!("boom {i}");
                 }
@@ -254,7 +284,7 @@ mod tests {
         let exec = ShardExec::new(ExecMode::Serial, 2);
         let mut items = vec![0u8; 2];
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _ = exec.run_phase(&mut items, "move", |i, _item| {
+            let _ = exec.run_phase(&mut items, "move", |i, _item, _par| {
                 if i == 1 {
                     panic!("spec path panics plainly");
                 }
@@ -276,5 +306,51 @@ mod tests {
         );
         let auto = ShardExec::new(ExecMode::Threaded { workers: 0 }, 4).workers();
         assert!((1..=4).contains(&auto));
+    }
+
+    #[test]
+    fn primitives_run_inline_only_when_the_workers_cover_the_pool() {
+        let threaded = |workers| ExecMode::Threaded { workers };
+        // Serial is the executable spec: it forks whatever the widths.
+        for pool in [1usize, 2, 4] {
+            assert_eq!(resolve_par(ExecMode::Serial, 1, pool), Par::Pool);
+        }
+        // One worker fans nothing out.
+        for pool in [1usize, 2, 4] {
+            assert_eq!(resolve_par(threaded(1), 1, pool), Par::Pool);
+        }
+        // Workers >= max(2, pool threads): inline.
+        assert_eq!(resolve_par(threaded(2), 2, 1), Par::Inline);
+        assert_eq!(resolve_par(threaded(2), 2, 2), Par::Inline);
+        assert_eq!(resolve_par(threaded(4), 4, 4), Par::Inline);
+        assert_eq!(resolve_par(threaded(0), 4, 2), Par::Inline);
+        // Fewer workers than pool threads: the pool keeps its work.
+        assert_eq!(resolve_par(threaded(2), 2, 4), Par::Pool);
+        assert_eq!(resolve_par(threaded(3), 3, 4), Par::Pool);
+
+        // The executor applies the rule to the workers it resolved (the
+        // shard count clamps them) and to this process's pool, and hands
+        // the result to every phase closure.
+        let pool = rayon::current_num_threads();
+        for (mode, shards) in [
+            (ExecMode::Serial, 4),
+            (threaded(1), 4),
+            (threaded(2), 4),
+            (threaded(4), 4),
+            (threaded(4), 1),
+        ] {
+            let exec = ShardExec::new(mode, shards);
+            let want = resolve_par(mode, exec.workers(), pool);
+            assert_eq!(exec.par, want, "{mode:?} at {shards} shards");
+            let mut items = vec![0u8; shards];
+            let seen = exec
+                .run_phase(&mut items, "move", |_i, _item, par| par)
+                .expect("no panics scheduled");
+            assert!(seen.iter().all(|&p| p == want), "{mode:?}: {seen:?}");
+        }
+        assert_eq!(
+            ShardExec::new(threaded(pool.max(2)), pool.max(2)).par,
+            Par::Inline
+        );
     }
 }

@@ -12,8 +12,9 @@ use crate::config::{ResLayout, RngMode};
 use crate::diag::SortSplit;
 use crate::particles::ParticleStore;
 use dsmc_datapar::{
-    fill_cells_from_bounds, incremental_rank, pack_pair, sort_order_and_bounds_from_pairs_cells,
-    sort_perm_by_key, IncrementalScratch, SortScratch, PAR_THRESHOLD,
+    fill_cells_from_bounds, incremental_rank, pack_pair,
+    sort_order_and_bounds_from_pairs_cells_with, sort_perm_by_key, IncrementalScratch, Par,
+    SortScratch,
 };
 use dsmc_geom::Tunnel;
 use rayon::prelude::*;
@@ -92,6 +93,12 @@ impl SortWorkspace {
             && bounds.first() == Some(&0)
             && bounds.last() == Some(&(n as u32))
     }
+
+    /// The occupied cell id of every segment the last rank emitted, one
+    /// per segment of the bounds it wrote.
+    pub(crate) fn seg_cells(&self) -> &[u32] {
+        &self.seg_cells
+    }
 }
 
 /// Refresh a particle's cell index from its position (reservoir particles
@@ -158,6 +165,7 @@ fn jittered_key(
 /// position/velocity bits and never touches the generator column.  The
 /// produced keys (and all RNG state evolution) are bit-identical to the
 /// generic [`jittered_key`] the reference [`sort_particles`] still uses.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_pairs(
     parts: &mut ParticleStore,
     tunnel: &Tunnel,
@@ -166,10 +174,15 @@ pub(crate) fn build_pairs(
     jitter_bits: u32,
     rng_mode: RngMode,
     pairs: &mut [u64],
+    par: Par,
 ) {
     match rng_mode {
-        RngMode::Explicit => build_pairs_explicit(parts, tunnel, res_base, res, jitter_bits, pairs),
-        RngMode::DirtyBits => build_pairs_dirty(parts, tunnel, res_base, res, jitter_bits, pairs),
+        RngMode::Explicit => {
+            build_pairs_explicit(parts, tunnel, res_base, res, jitter_bits, pairs, par)
+        }
+        RngMode::DirtyBits => {
+            build_pairs_dirty(parts, tunnel, res_base, res, jitter_bits, pairs, par)
+        }
     }
 }
 
@@ -182,6 +195,7 @@ fn build_pairs_explicit(
     res: ResLayout,
     jitter_bits: u32,
     pairs: &mut [u64],
+    par: Par,
 ) {
     let xs = &parts.x;
     let ys = &parts.y;
@@ -194,7 +208,7 @@ fn build_pairs_explicit(
         };
         *pair = pack_pair((c << jitter_bits) | jitter, i);
     };
-    if parts.len() < PAR_THRESHOLD {
+    if !par.forks(parts.len()) {
         for (i, (pair, (cell, rng))) in pairs
             .iter_mut()
             .zip(parts.cell.iter_mut().zip(parts.rng.iter_mut()))
@@ -221,6 +235,7 @@ fn build_pairs_dirty(
     res: ResLayout,
     jitter_bits: u32,
     pairs: &mut [u64],
+    par: Par,
 ) {
     let xs = &parts.x;
     let ys = &parts.y;
@@ -234,7 +249,7 @@ fn build_pairs_dirty(
         };
         *pair = pack_pair((c << jitter_bits) | jitter, i);
     };
-    if parts.len() < PAR_THRESHOLD {
+    if !par.forks(parts.len()) {
         for (i, (pair, cell)) in pairs.iter_mut().zip(parts.cell.iter_mut()).enumerate() {
             fill(i, pair, cell);
         }
@@ -258,10 +273,10 @@ fn build_pairs_dirty(
 /// the single-domain engine, while a shard's order names its surviving
 /// residents plus the arrivals behind them and skips the departed — the
 /// one copy that both sorts the shard and completes the exchange.
-fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u32]) {
-    parts.apply_order_no_cell(order);
+fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u32], par: Par) {
+    parts.apply_order_no_cell(order, par);
     parts.cell.resize(order.len(), 0);
-    fill_cells_from_bounds(bounds, seg_cells, &mut parts.cell);
+    fill_cells_from_bounds(bounds, seg_cells, &mut parts.cell, par);
 }
 
 /// The back half of the sort phase — one rank, one send — for both
@@ -295,6 +310,9 @@ fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u
 /// **Send.**  Nine gathers; the sorted `cell` column is run-length coded by
 /// `(bounds, seg_cells)`.
 ///
+/// `par` says whether the chunked rank passes, the gathers and the cell
+/// refill may fork into the rayon pool; the repair is serial either way.
+///
 /// Returns the time the rank and the send took, and whether the repair
 /// ranked.  `key_bits` callers compute once from the cell count and jitter
 /// width via [`key_bits_for`].
@@ -309,6 +327,7 @@ pub fn rank_and_send(
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
+    par: Par,
 ) -> (SortSplit, bool) {
     let t = Instant::now();
     let n = ws.radix.input_len() as u32;
@@ -326,7 +345,7 @@ pub fn rank_and_send(
             &mut ws.seg_cells,
         );
     if !repaired {
-        let took = sort_order_and_bounds_from_pairs_cells(
+        let took = sort_order_and_bounds_from_pairs_cells_with(
             key_bits - jitter_bits,
             jitter_bits,
             &mut ws.radix,
@@ -334,12 +353,13 @@ pub fn rank_and_send(
             bounds,
             &mut ws.seg_cells,
             seeded,
+            par,
         );
         assert!(took, "a validated grid fits the rank's cell field");
     }
     let rank = t.elapsed();
     let t = Instant::now();
-    send(parts, order, bounds, &ws.seg_cells);
+    send(parts, order, bounds, &ws.seg_cells, par);
     let split = SortSplit {
         rank,
         send: t.elapsed(),
@@ -582,7 +602,16 @@ mod tests {
             let mut ws = SortWorkspace::new();
             let (mut bounds, mut order) = (Vec::new(), Vec::new());
             let (pairs, _) = ws.move_buffers(fused.len(), 0, false);
-            build_pairs(&mut fused, &tunnel, tunnel.n_cells(), res, 6, mode, pairs);
+            build_pairs(
+                &mut fused,
+                &tunnel,
+                tunnel.n_cells(),
+                res,
+                6,
+                mode,
+                pairs,
+                Par::Pool,
+            );
             let total_cells = tunnel.n_cells() + res.total();
             let (_, repaired) = rank_and_send(
                 &mut fused,
@@ -594,6 +623,7 @@ mod tests {
                 &mut ws,
                 &mut bounds,
                 &mut order,
+                Par::Pool,
             );
             assert!(!repaired);
             let out = sort_particles(&mut reference, &tunnel, tunnel.n_cells(), res, 6, kb, mode);

@@ -5,7 +5,7 @@
 //! is a parallel gather: `out[i] = src[perm[i]]` for each of the
 //! structure-of-arrays columns.
 
-use crate::PAR_THRESHOLD;
+use crate::Par;
 use rayon::prelude::*;
 
 /// Apply a permutation to an arbitrary `Copy` column: `out[i] = src[perm[i]]`.
@@ -15,10 +15,15 @@ use rayon::prelude::*;
 /// cover `src`: the sharded send gathers `perm.len()` rows out of a longer
 /// source (departed particles are simply never named, arrivals sit behind
 /// the residents).  Every index must be `< src.len()`; one that is not
-/// panics.
+/// panics.  [`apply_perm_with`] on [`Par::Pool`].
 pub fn apply_perm<T: Copy + Send + Sync>(src: &[T], perm: &[u32], out: &mut Vec<T>) {
+    apply_perm_with(src, perm, out, Par::Pool);
+}
+
+/// [`apply_perm`], forking only where `par` says so.
+pub fn apply_perm_with<T: Copy + Send + Sync>(src: &[T], perm: &[u32], out: &mut Vec<T>, par: Par) {
     out.clear();
-    if perm.len() < PAR_THRESHOLD {
+    if !par.forks(perm.len()) {
         out.extend(perm.iter().map(|&i| src[i as usize]));
     } else {
         perm.par_iter()
@@ -30,6 +35,7 @@ pub fn apply_perm<T: Copy + Send + Sync>(src: &[T], perm: &[u32], out: &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAR_THRESHOLD;
 
     #[test]
     fn gather_basic() {
@@ -63,15 +69,18 @@ mod tests {
 
     #[test]
     fn apply_perm_gathers_fewer_rows_than_the_source_holds() {
-        // Both arms: the sequential one and the parallel one.
-        for n in [10usize, 40_000] {
-            let src: Vec<u32> = (0..n as u32 + 7).map(|i| i * 3).collect();
-            let perm: Vec<u32> = (0..n as u32).map(|i| n as u32 + 6 - i).collect();
-            let mut out = vec![99; 3];
-            apply_perm(&src, &perm, &mut out);
-            assert_eq!(out.len(), n);
-            for (o, &p) in out.iter().zip(&perm) {
-                assert_eq!(*o, p * 3);
+        // Both sizes of both `Par` arms: the pool forks from
+        // PAR_THRESHOLD up, the inline arm never.
+        for n in [10usize, PAR_THRESHOLD - 1, PAR_THRESHOLD, 40_000] {
+            for par in [Par::Pool, Par::Inline] {
+                let src: Vec<u32> = (0..n as u32 + 7).map(|i| i * 3).collect();
+                let perm: Vec<u32> = (0..n as u32).map(|i| n as u32 + 6 - i).collect();
+                let mut out = vec![99; 3];
+                apply_perm_with(&src, &perm, &mut out, par);
+                assert_eq!(out.len(), n);
+                for (o, &p) in out.iter().zip(&perm) {
+                    assert_eq!(*o, p * 3, "n={n} {par:?}");
+                }
             }
         }
     }

@@ -25,7 +25,10 @@
 //! rayon-parallel above it, with bit-identical results — the primitives
 //! only use associative integer operations and data-determined disjoint
 //! writes, so chunking does not change outcomes.  Module [`seq`] holds the
-//! sequential references; property tests enforce the equivalence.
+//! sequential references; property tests enforce the equivalence.  The
+//! primitives a sharded step calls also take a [`Par`]: a caller that is
+//! already one of several threads sharing the cores passes
+//! [`Par::Inline`] and every size takes the sequential arm.
 
 pub mod gather;
 pub mod pack;
@@ -39,13 +42,50 @@ pub mod sort;
 /// fork/join overhead exceeds the work.
 pub const PAR_THRESHOLD: usize = 1 << 14;
 
-pub use gather::apply_perm;
+/// Where a primitive's parallelism goes — resolved by the caller, passed
+/// down as an argument.  Both arms give bit-identical results.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Par {
+    /// Fork into the global rayon pool where the input is large enough to
+    /// pay ([`PAR_THRESHOLD`] for the flat primitives).
+    Pool,
+    /// Never fork: the caller is itself one of the threads the cores are
+    /// shared between (a sharded engine's worker), so every size takes
+    /// the sequential arm.
+    Inline,
+}
+
+impl Par {
+    /// Whether a primitive over `n` elements forks into the pool.
+    #[inline]
+    pub fn forks(self, n: usize) -> bool {
+        self == Par::Pool && n >= PAR_THRESHOLD
+    }
+
+    /// [`rayon::join`] on the pool arm; `a` then `b` on this thread on the
+    /// inline arm.
+    #[inline]
+    pub fn join<A, B, RA, RB>(self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        match self {
+            Par::Pool => rayon::join(a, b),
+            Par::Inline => (a(), b()),
+        }
+    }
+}
+
+pub use gather::{apply_perm, apply_perm_with};
 pub use pack::pack_indices;
 pub use scan::scan_add_exclusive_u32;
 pub use segments::{par_segment_runs_mut, par_segments_mut};
 pub use segscan::segment_bounds_from_sorted;
 pub use sort::{
     fill_cells_from_bounds, first_pass_bits, incremental_rank, pack_pair, radix_chunk_len,
-    sort_order_and_bounds_from_pairs_cells, sort_perm_by_key, DisjointWrites, IncrementalScratch,
-    SortScratch, MAX_CELL_BITS,
+    sort_order_and_bounds_from_pairs_cells, sort_order_and_bounds_from_pairs_cells_with,
+    sort_perm_by_key, DisjointWrites, IncrementalScratch, SortScratch, MAX_CELL_BITS,
 };

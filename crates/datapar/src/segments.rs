@@ -10,8 +10,11 @@
 //! length — and a `bounds` array (segment start offsets plus a final
 //! sentinel), and invokes a callback once per segment with exactly that
 //! segment's sub-slices.  Parallelism comes from recursive halving over
-//! `rayon::join`, so no `unsafe` is needed: safety falls out of
-//! `split_at_mut`.
+//! [`Par::join`], so no `unsafe` is needed: safety falls out of
+//! `split_at_mut`.  On [`Par::Inline`] the same halving runs both halves
+//! in turn, so the callbacks see the same segments and runs on either arm.
+
+use crate::Par;
 
 /// Types that can be split at an index, like `split_at_mut`.
 ///
@@ -86,7 +89,7 @@ const SEQ_GRAIN: usize = 4096;
 /// equal to the total length (as produced by
 /// [`crate::segscan::segment_bounds_from_sorted`]).  Panics if the bounds do
 /// not start at 0, are not non-decreasing, or do not end at the data length.
-pub fn par_segments_mut<S, F>(data: S, bounds: &[u32], f: &F)
+pub fn par_segments_mut<S, F>(data: S, bounds: &[u32], f: &F, par: Par)
 where
     S: SegSplit,
     F: Fn(usize, S) + Sync,
@@ -102,10 +105,10 @@ where
     if bounds.len() <= 1 {
         return;
     }
-    rec(data, bounds, 0, f);
+    rec(data, bounds, 0, f, par);
 }
 
-fn rec<S, F>(data: S, bounds: &[u32], first_seg: usize, f: &F)
+fn rec<S, F>(data: S, bounds: &[u32], first_seg: usize, f: &F, par: Par)
 where
     S: SegSplit,
     F: Fn(usize, S) + Sync,
@@ -132,9 +135,9 @@ where
     let split_at = (bounds[k] - bounds[0]) as usize;
     let (left, right) = data.seg_split(split_at);
     let (lb, rb) = (&bounds[..=k], &bounds[k..]);
-    rayon::join(
-        || rec(left, lb, first_seg, f),
-        || rec(right, rb, first_seg + k, f),
+    par.join(
+        || rec(left, lb, first_seg, f, par),
+        || rec(right, rb, first_seg + k, f, par),
     );
 }
 
@@ -149,7 +152,7 @@ where
 /// index arithmetic: segment `s` of the run occupies
 /// `bounds_run[s] - bounds_run[0] .. bounds_run[s + 1] - bounds_run[0]`
 /// of `run_data`.  Same disjointness guarantees, amortised split cost.
-pub fn par_segment_runs_mut<S, F>(data: S, bounds: &[u32], f: &F)
+pub fn par_segment_runs_mut<S, F>(data: S, bounds: &[u32], f: &F, par: Par)
 where
     S: SegSplit,
     F: Fn(usize, &[u32], S) + Sync,
@@ -165,10 +168,10 @@ where
     if bounds.len() <= 1 {
         return;
     }
-    rec_runs(data, bounds, 0, f);
+    rec_runs(data, bounds, 0, f, par);
 }
 
-fn rec_runs<S, F>(data: S, bounds: &[u32], first_seg: usize, f: &F)
+fn rec_runs<S, F>(data: S, bounds: &[u32], first_seg: usize, f: &F, par: Par)
 where
     S: SegSplit,
     F: Fn(usize, &[u32], S) + Sync,
@@ -183,9 +186,9 @@ where
     let split_at = (bounds[k] - bounds[0]) as usize;
     let (left, right) = data.seg_split(split_at);
     let (lb, rb) = (&bounds[..=k], &bounds[k..]);
-    rayon::join(
-        || rec_runs(left, lb, first_seg, f),
-        || rec_runs(right, rb, first_seg + k, f),
+    par.join(
+        || rec_runs(left, lb, first_seg, f, par),
+        || rec_runs(right, rb, first_seg + k, f, par),
     );
 }
 
@@ -207,12 +210,17 @@ mod tests {
         let mut data: Vec<u32> = (0..20).collect();
         let bounds = bounds_of(&[3, 0, 5, 12]);
         let visited = AtomicU64::new(0);
-        par_segments_mut(data.as_mut_slice(), &bounds, &|s, seg: &mut [u32]| {
-            visited.fetch_or(1 << s, Ordering::Relaxed);
-            for v in seg.iter_mut() {
-                *v += (s as u32 + 1) * 100;
-            }
-        });
+        par_segments_mut(
+            data.as_mut_slice(),
+            &bounds,
+            &|s, seg: &mut [u32]| {
+                visited.fetch_or(1 << s, Ordering::Relaxed);
+                for v in seg.iter_mut() {
+                    *v += (s as u32 + 1) * 100;
+                }
+            },
+            Par::Pool,
+        );
         assert_eq!(visited.load(Ordering::Relaxed), 0b1111 & !(1 << 1) | 0b0010);
         // Segment 0 = indices 0..3, segment 2 = 3..8, segment 3 = 8..20.
         assert_eq!(data[0], 100);
@@ -243,6 +251,7 @@ mod tests {
                     *y += 2;
                 }
             },
+            Par::Pool,
         );
         for i in 0..n {
             assert_eq!(a[i], i as u32 + 1);
@@ -264,6 +273,7 @@ mod tests {
                     *x = k;
                 }
             },
+            Par::Inline,
         );
         assert_eq!(a[999], 99);
         assert_eq!(a[0], 0);
@@ -284,11 +294,16 @@ mod tests {
             i += 1;
         }
         let bounds = bounds_of(&lens);
-        par_segments_mut(data.as_mut_slice(), &bounds, &|_s, seg: &mut [u32]| {
-            for v in seg {
-                *v += 1;
-            }
-        });
+        par_segments_mut(
+            data.as_mut_slice(),
+            &bounds,
+            &|_s, seg: &mut [u32]| {
+                for v in seg {
+                    *v += 1;
+                }
+            },
+            Par::Pool,
+        );
         assert!(data.iter().all(|&v| v == 1), "every element touched once");
     }
 
@@ -296,14 +311,99 @@ mod tests {
     #[should_panic(expected = "sentinel")]
     fn wrong_sentinel_panics() {
         let mut data = vec![0u32; 10];
-        par_segments_mut(data.as_mut_slice(), &[0, 5, 9], &|_, _: &mut [u32]| {});
+        par_segments_mut(
+            data.as_mut_slice(),
+            &[0, 5, 9],
+            &|_, _: &mut [u32]| {},
+            Par::Pool,
+        );
     }
 
     #[test]
     fn empty_data_empty_bounds_ok() {
         let mut data: Vec<u32> = vec![];
-        par_segments_mut(data.as_mut_slice(), &[0], &|_, _: &mut [u32]| {
-            panic!("no segments should be visited");
-        });
+        par_segments_mut(
+            data.as_mut_slice(),
+            &[0],
+            &|_, _: &mut [u32]| {
+                panic!("no segments should be visited");
+            },
+            Par::Inline,
+        );
+    }
+
+    /// Irregular segment lengths (empties included) covering `n` elements.
+    fn irregular_bounds(n: usize) -> Vec<u32> {
+        let mut lens = Vec::new();
+        let mut left = n as u32;
+        let mut i = 0u32;
+        while left > 0 {
+            let l = (i.wrapping_mul(2654435761) % 53).min(left);
+            lens.push(l);
+            left -= l;
+            i += 1;
+        }
+        bounds_of(&lens)
+    }
+
+    #[test]
+    fn inline_and_pool_segment_passes_are_bit_identical() {
+        for n in [
+            100usize,
+            crate::PAR_THRESHOLD - 1,
+            crate::PAR_THRESHOLD,
+            60_000,
+        ] {
+            let bounds = irregular_bounds(n);
+            let run = |par: Par| {
+                let mut data: Vec<u64> = (0..n as u64).collect();
+                par_segments_mut(
+                    data.as_mut_slice(),
+                    &bounds,
+                    &|s, seg: &mut [u64]| {
+                        for (k, v) in seg.iter_mut().enumerate() {
+                            *v = v.wrapping_mul(31) ^ (s * 1000 + k) as u64;
+                        }
+                    },
+                    par,
+                );
+                data
+            };
+            assert_eq!(run(Par::Pool), run(Par::Inline), "n={n}");
+        }
+    }
+
+    #[test]
+    fn inline_and_pool_runs_are_the_same_runs_with_the_same_writes() {
+        for n in [
+            100usize,
+            crate::PAR_THRESHOLD - 1,
+            crate::PAR_THRESHOLD,
+            60_000,
+        ] {
+            let bounds = irregular_bounds(n);
+            let run = |par: Par| {
+                let mut data = vec![0u32; n];
+                let seen = std::sync::Mutex::new(Vec::new());
+                par_segment_runs_mut(
+                    data.as_mut_slice(),
+                    &bounds,
+                    &|first, brun: &[u32], run_data: &mut [u32]| {
+                        seen.lock().unwrap().push((first, brun.to_vec()));
+                        let base = brun[0];
+                        for s in 0..brun.len() - 1 {
+                            for i in brun[s]..brun[s + 1] {
+                                run_data[(i - base) as usize] = (first + s) as u32;
+                            }
+                        }
+                    },
+                    par,
+                );
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort();
+                (data, seen)
+            };
+            assert_eq!(run(Par::Pool), run(Par::Inline), "n={n}");
+        }
     }
 }

@@ -54,13 +54,16 @@
 //! ten columns of random reads thrash L2, where one column at a time
 //! stays resident) and a one-launch (column × chunk) task grid (its
 //! distinct destination buffers are write-allocate-cold every step; the
-//! record is in ROADMAP "Standing guidance").  The multi-core path
-//! exists as the sharded engine (`SHARDING.md`): each shard runs this
-//! same rank+send on its smaller array, and its send doubles as the
-//! migration — the gather reads residents plus arrivals and writes only
-//! the live rows (see the stability contract below for why the particles
-//! need not be rebuilt first); the benchmark's `core.shard.tax_frac*`
-//! metrics record what is left on top.
+//! record is in ROADMAP "Standing guidance").  The sharded engine
+//! (`SHARDING.md`) runs this same rank+send on each shard's smaller
+//! array, and its send doubles as the migration — the gather reads
+//! residents plus arrivals and writes only the live rows (see the
+//! stability contract below for why the particles need not be rebuilt
+//! first); the benchmark's `core.shard.tax_frac*` metrics record what is
+//! left on top.  Who forks is one rule: the rayon thread count sizes the
+//! pool that the single-domain engine and `Serial` or one-worker sharded
+//! runs fork into ([`Par::Pool`]); threaded shard workers at least as
+//! many as the pool's threads never enter it ([`Par::Inline`]).
 //!
 //! # The stability contract
 //!
@@ -81,7 +84,7 @@
 //! (`dsmc_baselines::TwoStepSim`, through `dsmc-core`'s `sort_particles`)
 //! ranks with it.
 
-use crate::{seq, PAR_THRESHOLD};
+use crate::{seq, Par, PAR_THRESHOLD};
 use core::marker::PhantomData;
 use rayon::prelude::*;
 
@@ -227,6 +230,28 @@ impl SortScratch {
         (&mut self.pairs, &mut self.hists[..len])
     }
 
+    /// The counting half of a radix pass: the digit at `shift` of every
+    /// pair into a fresh chunk-major histogram, one `n_digits` row per
+    /// chunk of the grid.
+    fn count_digits(&mut self, par: Par, chunk: usize, n_digits: usize, shift: u32) {
+        self.hists.clear();
+        self.hists
+            .resize(self.pairs.len().div_ceil(chunk) * n_digits, 0);
+        let digit_mask = n_digits - 1;
+        chunk_pass(
+            par,
+            &self.pairs,
+            chunk,
+            &mut self.hists,
+            n_digits,
+            |c, h| {
+                for &x in c {
+                    h[((x >> shift) as usize) & digit_mask] += 1;
+                }
+            },
+        );
+    }
+
     /// Current buffer capacities `[pairs, pong, hists, offsets]` — the
     /// zero-allocation tests assert these go quiescent.
     pub fn capacities(&self) -> [usize; 4] {
@@ -279,6 +304,7 @@ pub const MAX_CELL_BITS: u32 = 16;
 /// Key bits above `cell_bits + jitter_bits` must be zero in the packed
 /// pairs.  Returns `false` (performing no work) when the layout is out of
 /// range — `cell_bits` zero or wider than [`MAX_CELL_BITS`].
+/// [`sort_order_and_bounds_from_pairs_cells_with`] on [`Par::Pool`].
 pub fn sort_order_and_bounds_from_pairs_cells(
     cell_bits: u32,
     jitter_bits: u32,
@@ -287,6 +313,33 @@ pub fn sort_order_and_bounds_from_pairs_cells(
     bounds: &mut Vec<u32>,
     seg_cells: &mut Vec<u32>,
     seeded: bool,
+) -> bool {
+    sort_order_and_bounds_from_pairs_cells_with(
+        cell_bits,
+        jitter_bits,
+        scratch,
+        order,
+        bounds,
+        seg_cells,
+        seeded,
+        Par::Pool,
+    )
+}
+
+/// [`sort_order_and_bounds_from_pairs_cells`], with its chunked passes
+/// forked into the pool or looped over in turn as `par` says.  The chunk
+/// grid is [`radix_chunk_len`]'s on both arms, so a seeded histogram
+/// lines up whichever arm ranks it.
+#[allow(clippy::too_many_arguments)]
+pub fn sort_order_and_bounds_from_pairs_cells_with(
+    cell_bits: u32,
+    jitter_bits: u32,
+    scratch: &mut SortScratch,
+    order: &mut Vec<u32>,
+    bounds: &mut Vec<u32>,
+    seg_cells: &mut Vec<u32>,
+    seeded: bool,
+    par: Par,
 ) -> bool {
     let key_bits = cell_bits + jitter_bits;
     assert!(key_bits <= 32, "key_bits must be at most 32");
@@ -337,17 +390,7 @@ pub fn sort_order_and_bounds_from_pairs_cells(
                     "seeded histogram not on the radix chunk grid"
                 );
             } else {
-                scratch.hists.clear();
-                scratch.hists.resize(n_chunks * n_digits, 0);
-                scratch
-                    .pairs
-                    .par_chunks(chunk)
-                    .zip(scratch.hists.par_chunks_mut(n_digits))
-                    .for_each(|(c, h)| {
-                        for &x in c {
-                            h[((x >> shift) as usize) & digit_mask] += 1;
-                        }
-                    });
+                scratch.count_digits(par, chunk, n_digits, shift);
             }
             first_pass = false;
             let offsets = &mut scratch.offsets[..n_chunks * n_digits];
@@ -360,20 +403,23 @@ pub fn sort_order_and_bounds_from_pairs_cells(
             }
             debug_assert_eq!(acc as usize, n);
             let out = DisjointWrites::new(scratch.pong.as_mut_slice());
-            scratch
-                .pairs
-                .par_chunks(chunk)
-                .zip(offsets.par_chunks_mut(n_digits))
-                .for_each(|(c, cursors)| {
+            chunk_pass(
+                par,
+                &scratch.pairs,
+                chunk,
+                offsets,
+                n_digits,
+                |c, cursors| {
                     for &x in c {
                         let d = ((x >> shift) as usize) & digit_mask;
                         let dst = cursors[d];
                         cursors[d] += 1;
-                        // SAFETY: disjoint (chunk, digit) destination
-                        // ranges partition 0..n.
+                        // SAFETY: disjoint (chunk, digit) destination ranges
+                        // partition 0..n.
                         unsafe { out.write(dst as usize, x) };
                     }
-                });
+                },
+            );
             core::mem::swap(&mut scratch.pairs, &mut scratch.pong);
         }
     }
@@ -391,17 +437,7 @@ pub fn sort_order_and_bounds_from_pairs_cells(
             "seeded histogram not on the radix chunk grid"
         );
     } else {
-        scratch.hists.clear();
-        scratch.hists.resize(n_chunks * n_digits, 0);
-        scratch
-            .pairs
-            .par_chunks(chunk)
-            .zip(scratch.hists.par_chunks_mut(n_digits))
-            .for_each(|(c, h)| {
-                for &x in c {
-                    h[((x >> shift) as usize) & digit_mask] += 1;
-                }
-            });
+        scratch.count_digits(par, chunk, n_digits, shift);
     }
 
     scratch.offsets.clear();
@@ -424,21 +460,44 @@ pub fn sort_order_and_bounds_from_pairs_cells(
     bounds.push(n as u32);
 
     let out = DisjointWrites::new(order.as_mut_slice());
-    scratch
-        .pairs
-        .par_chunks(chunk)
-        .zip(scratch.offsets.par_chunks_mut(n_digits))
-        .for_each(|(c, cursors)| {
+    chunk_pass(
+        par,
+        &scratch.pairs,
+        chunk,
+        &mut scratch.offsets,
+        n_digits,
+        |c, cursors| {
             for &x in c {
                 let d = ((x >> shift) as usize) & digit_mask;
                 let dst = cursors[d];
                 cursors[d] += 1;
-                // SAFETY: disjoint (chunk, digit) destination ranges
-                // partition 0..n.
+                // SAFETY: disjoint (chunk, digit) destination ranges partition
+                // 0..n.
                 unsafe { out.write(dst as usize, x as u32) };
             }
-        });
+        },
+    );
     true
+}
+
+/// One radix pass over the chunk grid: `f(chunk of pairs, its row of
+/// `row` table entries)` for every chunk, forked into the pool or in
+/// chunk order on this thread.
+fn chunk_pass<F>(par: Par, pairs: &[u64], chunk: usize, table: &mut [u32], row: usize, f: F)
+where
+    F: Fn(&[u64], &mut [u32]) + Sync,
+{
+    match par {
+        Par::Pool => pairs
+            .par_chunks(chunk)
+            .zip(table.par_chunks_mut(row))
+            .for_each(|(c, r)| f(c, r)),
+        Par::Inline => {
+            for (c, r) in pairs.chunks(chunk).zip(table.chunks_mut(row)) {
+                f(c, r);
+            }
+        }
+    }
 }
 
 /// Workspace of the incremental (temporal-coherence) rank: the per-cell
@@ -654,8 +713,8 @@ pub fn incremental_rank(
 /// column *is* run-length coded by the bounds, so re-materialising it
 /// costs only the decode.  Deterministic for any thread count (each
 /// segment's slice is written by exactly one task with a data-determined
-/// value).
-pub fn fill_cells_from_bounds(bounds: &[u32], seg_cells: &[u32], out: &mut [u32]) {
+/// value).  Forks only where `par` says so.
+pub fn fill_cells_from_bounds(bounds: &[u32], seg_cells: &[u32], out: &mut [u32], par: Par) {
     let n_seg = bounds.len().saturating_sub(1);
     assert_eq!(n_seg, seg_cells.len(), "bounds/seg_cells mismatch");
     if n_seg == 0 {
@@ -667,7 +726,7 @@ pub fn fill_cells_from_bounds(bounds: &[u32], seg_cells: &[u32], out: &mut [u32]
         out.len(),
         "sentinel != column length"
     );
-    if out.len() < PAR_THRESHOLD {
+    if !par.forks(out.len()) {
         for s in 0..n_seg {
             out[bounds[s] as usize..bounds[s + 1] as usize].fill(seg_cells[s]);
         }
@@ -1050,44 +1109,51 @@ mod tests {
         let (ref_order, ref_bounds, ref_cells) =
             rank_keys(&keys, cell_bits, jitter_bits, &mut SortScratch::new());
 
-        // Seeded: the caller counts the first digit in its packing sweep.
+        // Seeded — the caller counts the first digit in its packing sweep —
+        // and unseeded, on both arms: every rank equals the reference.
         let first_bits = first_pass_bits(cell_bits, jitter_bits);
         let chunk = radix_chunk_len(n);
-        let mut scratch = SortScratch::new();
-        let (pairs, hist) = scratch.input_pairs_and_hist(n, first_bits);
         let first_mask = (1u32 << first_bits) - 1;
-        for (i, (p, &k)) in pairs.iter_mut().zip(&keys).enumerate() {
-            *p = pack_pair(k, i);
-            hist[((i / chunk) << first_bits) + (k & first_mask) as usize] += 1;
-        }
-        let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(sort_order_and_bounds_from_pairs_cells(
-            cell_bits,
-            jitter_bits,
-            &mut scratch,
-            &mut order,
-            &mut bounds,
-            &mut seg_cells,
-            true,
-        ));
-        assert_eq!(order, ref_order, "cells={cells} j={jitter_bits} n={n}");
-        assert_eq!(bounds, ref_bounds);
-        assert_eq!(seg_cells, ref_cells);
+        for par in [Par::Pool, Par::Inline] {
+            for seeded in [true, false] {
+                let mut scratch = SortScratch::new();
+                let (pairs, hist) = scratch.input_pairs_and_hist(n, first_bits);
+                for (i, (p, &k)) in pairs.iter_mut().zip(&keys).enumerate() {
+                    *p = pack_pair(k, i);
+                    hist[((i / chunk) << first_bits) + (k & first_mask) as usize] += 1;
+                }
+                let (mut order, mut bounds, mut seg_cells) = (Vec::new(), Vec::new(), Vec::new());
+                assert!(sort_order_and_bounds_from_pairs_cells_with(
+                    cell_bits,
+                    jitter_bits,
+                    &mut scratch,
+                    &mut order,
+                    &mut bounds,
+                    &mut seg_cells,
+                    seeded,
+                    par,
+                ));
+                let tag = format!("cells={cells} j={jitter_bits} n={n} {par:?} seeded={seeded}");
+                assert_eq!(order, ref_order, "{tag}");
+                assert_eq!(bounds, ref_bounds, "{tag}");
+                assert_eq!(seg_cells, ref_cells, "{tag}");
 
-        // The emitted ids reconstruct the sorted cell column exactly.
-        let want: Vec<u32> = order
-            .iter()
-            .map(|&i| keys[i as usize] >> jitter_bits)
-            .collect();
-        let mut got = vec![u32::MAX; n];
-        fill_cells_from_bounds(&bounds, &seg_cells, &mut got);
-        assert_eq!(got, want, "reconstructed cell column");
+                // The emitted ids reconstruct the sorted cell column exactly.
+                let want: Vec<u32> = order
+                    .iter()
+                    .map(|&i| keys[i as usize] >> jitter_bits)
+                    .collect();
+                let mut got = vec![u32::MAX; n];
+                fill_cells_from_bounds(&bounds, &seg_cells, &mut got, par);
+                assert_eq!(got, want, "reconstructed cell column, {tag}");
+            }
+        }
     }
 
     #[test]
     fn seeded_rank_and_cell_reconstruction_match_reference() {
         // Radix path (≥ PAR_THRESHOLD), jittered and jitterless, plus the
-        // small comparison-sort path.
+        // small comparison-sort path — each on both `Par` arms.
         check_seeded_cells(6912, 8, 60_000);
         check_seeded_cells(250, 6, 40_000);
         check_seeded_cells(255, 8, 33_000);
@@ -1129,7 +1195,7 @@ mod tests {
         // This step's keys, indexed in the prev sorted order: mostly the
         // same cell (read off the prev structure), always fresh jitter.
         let mut sorted_cells = vec![0u32; n];
-        fill_cells_from_bounds(&prev_bounds, &prev_cells, &mut sorted_cells);
+        fill_cells_from_bounds(&prev_bounds, &prev_cells, &mut sorted_cells, Par::Inline);
         let keys1: Vec<u32> = sorted_cells
             .iter()
             .map(|&c| {
@@ -1381,9 +1447,9 @@ mod tests {
     #[test]
     fn fill_cells_handles_degenerate_inputs() {
         let mut out: [u32; 0] = [];
-        fill_cells_from_bounds(&[0], &[], &mut out);
+        fill_cells_from_bounds(&[0], &[], &mut out, Par::Pool);
         let mut out = [9u32; 4];
-        fill_cells_from_bounds(&[0, 3, 4], &[5, 2], &mut out);
+        fill_cells_from_bounds(&[0, 3, 4], &[5, 2], &mut out, Par::Inline);
         assert_eq!(out, [5, 5, 5, 2]);
     }
 

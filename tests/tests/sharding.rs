@@ -126,8 +126,11 @@ fn exchange_survives_withdrawals_and_a_forced_repartition() {
 /// several times `PAR_THRESHOLD` particles, so the rank runs its chunked
 /// passes and the send its parallel gathers on pair arrays whose index
 /// fields are not their positions (arrivals sit at the tail).  Thirty
-/// steps cross a withdrawal.  Release-only: a debug step at this size
-/// takes seconds.
+/// steps cross a withdrawal.  Both executors: `Serial` forks those
+/// primitives into the rayon pool, two `Threaded` workers run them inline
+/// whenever the pool has at most two threads (`RAYON_NUM_THREADS` 1 or 2)
+/// and fork otherwise.  Release-only: a debug step at this size takes
+/// seconds.
 #[test]
 fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     if cfg!(debug_assertions) {
@@ -136,22 +139,28 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     let mut cfg = SimConfig::paper(0.0);
     cfg.n_per_cell *= 0.4;
     cfg.reservoir_fill = cfg.n_per_cell * 1.4;
-    cfg.exec = ExecMode::Serial;
     let mut reference = Simulation::new(cfg.clone());
-    let mut sharded = ShardedSimulation::new(cfg, 4);
     reference.run(30);
-    sharded.run(30);
     assert!(reference.diagnostics().plunger_cycles >= 1);
-    let populations = sharded.shard_populations();
-    assert!(
-        populations
-            .iter()
-            .all(|&n| n >= dsmc_datapar::PAR_THRESHOLD),
-        "every shard must be on the chunked paths: {populations:?}"
-    );
-    assert_eq!(sharded.state_hash(), reference.state_hash());
-    assert_eq!(populations.iter().sum::<usize>(), reference.n_particles());
-    assert_eq!(sharded.mover_stats(), reference.mover_stats());
+    for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
+        cfg.exec = exec;
+        let mut sharded = ShardedSimulation::new(cfg.clone(), 4);
+        sharded.run(30);
+        let populations = sharded.shard_populations();
+        assert!(
+            populations
+                .iter()
+                .all(|&n| n >= dsmc_datapar::PAR_THRESHOLD),
+            "{exec:?}: every shard must be on the chunked paths: {populations:?}"
+        );
+        assert_eq!(sharded.state_hash(), reference.state_hash(), "{exec:?}");
+        assert_eq!(
+            populations.iter().sum::<usize>(),
+            reference.n_particles(),
+            "{exec:?}"
+        );
+        assert_eq!(sharded.mover_stats(), reference.mover_stats(), "{exec:?}");
+    }
 }
 
 /// The wide grid (`pipeline.rs` pins it to the oracle): 15 cell bits, and

@@ -151,27 +151,6 @@ pub struct FusedPhase {
 /// collision across *different* pairs cannot change any outcome.  The two
 /// sub-loops are timed per run (a handful of clock reads per ~4k
 /// particles), preserving the paper's select/collide timing split.
-pub fn select_and_collide(
-    parts: &mut ParticleStore,
-    bounds: &[u32],
-    sel: &SelectionTable,
-    rounding: Rounding,
-    rng_mode: RngMode,
-    decisions: &mut Vec<u8>,
-) -> FusedPhase {
-    select_and_collide_with_parity(
-        parts,
-        bounds,
-        sel,
-        rounding,
-        rng_mode,
-        decisions,
-        None,
-        Par::Pool,
-    )
-}
-
-/// [`select_and_collide`] with an explicit pairing parity per segment.
 ///
 /// Pair heads must sit at even *canonical* sorted addresses (see
 /// [`select_pairs`]).  When `parts` holds the whole population those
@@ -184,7 +163,7 @@ pub fn select_and_collide(
 /// whole-population phase would draw.  The runs fork into the rayon pool
 /// or run in turn as `par` says; the runs themselves are the same.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub fn select_and_collide_with_parity(
+pub fn select_and_collide(
     parts: &mut ParticleStore,
     bounds: &[u32],
     sel: &SelectionTable,
@@ -639,6 +618,8 @@ mod tests {
                     Rounding::Stochastic,
                     rng_mode,
                     &mut dec_b,
+                    None,
+                    Par::Pool,
                 );
                 assert_eq!(ca, out.stats.candidates, "candidate counts differ");
                 assert_eq!(ka, out.stats.collisions, "collision counts differ");

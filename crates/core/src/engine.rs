@@ -1,24 +1,25 @@
 //! The simulation driver: four data-parallel sub-steps per time step.
 
-use crate::boundary::{self, BoundaryParams, BoundaryScratch};
-use crate::collide::{self, FusedPhase};
+use crate::boundary::BoundaryParams;
+use crate::collide::FusedPhase;
 use crate::config::{ResLayout, RngMode, SimConfig, WallModel};
-use crate::diag::{Diagnostics, SortSplit, StepTimings, Substep};
+use crate::diag::{Diagnostics, StepTimings, Substep};
 use crate::init;
 use crate::movephase::{self, KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
-use crate::sortstep::{self, key_bits_for, SortWorkspace};
+use crate::sortstep::key_bits_for;
 use crate::surface::{SurfaceAccumulator, SurfaceField};
-use dsmc_datapar::{first_pass_bits, Par, PAR_THRESHOLD};
+use dsmc_datapar::Par;
 use dsmc_fixed::{Fx, Rounding};
 use dsmc_geom::{
     Body, CellClassifier, Cylinder, FlatPlate, ForwardStep, NoBody, Plunger, PlungerEvent, Tunnel,
     Wedge,
 };
 use dsmc_kinetics::{FreeStream, SelectionTable};
+use shard::{exec::ShardExec, Shard};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Concrete body shape for the monomorphised boundary pass: resolving a
 /// particle against the body inlines into the per-particle loop instead
@@ -58,7 +59,10 @@ pub struct Simulation {
     fs: FreeStream,
     sel: SelectionTable,
     volumes: Vec<f64>,
-    parts: ParticleStore,
+    /// The particle columns and their sort machinery: the one domain
+    /// [`Simulation::step`] steps — on a sharded engine's `base`, the
+    /// canonical view its shards merge back into.
+    domain: Shard,
     plunger: Plunger,
     res_base: u32,
     res: ResLayout,
@@ -67,13 +71,12 @@ pub struct Simulation {
     key_bits: u32,
     rounding: Rounding,
     rng_mode: RngMode,
-    decisions: Vec<u8>,
-    bounds: Vec<u32>,
-    order: Vec<u32>,
-    sort_ws: SortWorkspace,
-    boundary_scratch: BoundaryScratch,
+    /// Plunger-refill census: `(shard, slot)` of every reservoir-parked
+    /// particle, in canonical order.
+    census: Vec<(u32, u32)>,
+    /// Per-shard cursors for the k-way segment merges.
+    merge_pos: Vec<usize>,
     classifier: CellClassifier,
-    move_scratch: MoveScratch,
     move_by_kind: [u64; 4],
     max_speed_raw: u32,
     timings: StepTimings,
@@ -135,16 +138,18 @@ impl Simulation {
     pub fn try_new(cfg: SimConfig) -> Result<Self, crate::config::ConfigError> {
         let cfg = cfg.try_validated()?;
         let mut sim = Self::shell(cfg);
-        sim.parts = init::populate(
+        let mut domain = std::mem::take(&mut sim.domain);
+        domain.parts = init::populate(
             &sim.cfg,
             &sim.tunnel,
             sim.body.as_ref(),
             &sim.fs,
             &sim.volumes,
         );
-        sim.decisions.reserve(sim.parts.len());
+        domain.decisions.reserve(domain.parts.len());
         // Establish sorted order once so `bounds` is valid before step 1.
-        let _ = sim.sort_phase();
+        domain.rank_from_scratch(&sim, Par::Pool);
+        sim.domain = domain;
         Ok(sim)
     }
 
@@ -187,8 +192,6 @@ impl Simulation {
         };
         let halo = (fs.u_inf().abs() + 6.0 * fs.sigma() * t_scale).max(1.0);
         let classifier = CellClassifier::build(&tunnel, body.as_ref(), cfg.plunger_trigger, halo);
-        let mut move_scratch = MoveScratch::new();
-        move_scratch.reserve_segments((total_cells + 1) as usize);
         Self {
             res,
             res_w_fx: Fx::from_int(res.w as i32),
@@ -202,17 +205,13 @@ impl Simulation {
             fs,
             sel,
             volumes,
-            parts: ParticleStore::default(),
+            domain: Shard::new(total_cells as usize),
             plunger,
             res_base,
             key_bits,
-            decisions: Vec::new(),
-            bounds: Vec::new(),
-            order: Vec::new(),
-            sort_ws: SortWorkspace::new(),
-            boundary_scratch: BoundaryScratch::new(),
+            census: Vec::new(),
+            merge_pos: Vec::new(),
             classifier,
-            move_scratch,
             move_by_kind: [0; 4],
             max_speed_raw: 0,
             timings: StepTimings::default(),
@@ -232,24 +231,13 @@ impl Simulation {
         }
     }
 
-    /// The rank-seeding plan for a population of `n`: whether the move
-    /// sweep should pre-count the first radix digit (only when the chunked
-    /// radix rank can run and read it), and that pass's digit width.
-    fn seed_plan(&self, n: usize) -> (bool, u32) {
-        let cell_bits = self.key_bits - self.cfg.jitter_bits;
-        // Both ranks read it: the seeded radix rank skips its first
-        // counting pass, and the repair's jitter histogram is the same
-        // first digit summed over the chunk rows.
-        let seeded = n >= PAR_THRESHOLD;
-        (seeded, first_pass_bits(cell_bits, self.cfg.jitter_bits))
-    }
-
     /// One single-sweep move phase (see [`crate::movephase`]) over `parts`
-    /// — the whole population, or one shard of it — monomorphised over the
-    /// body: advance, resolve boundaries, refresh cells and, when `keys`
-    /// is given, pack the jittered sort pairs and seed the first radix
-    /// histogram, in one traversal dispatched by the per-cell geometry
-    /// classification.  `bounds` is the previous step's segment table.
+    /// — one shard's columns, which on one shard are all of them —
+    /// monomorphised over the body: advance, resolve boundaries, refresh
+    /// cells and, when `keys` is given, pack the jittered sort pairs and
+    /// seed the first radix histogram, in one traversal dispatched by the
+    /// per-cell geometry classification.  `bounds` is the previous step's
+    /// segment table.
     fn move_sweep(
         &self,
         parts: &mut ParticleStore,
@@ -309,11 +297,10 @@ impl Simulation {
         )
     }
 
-    /// Fold one step's move outcome — summed over the shards on the
-    /// sharded path — into the ledgers and advance the plunger.  Returns
-    /// the swept void when the plunger withdrew; the caller refills it
-    /// (the refill needs the canonical reservoir census, which the two
-    /// engines hold differently) and reports back through `introduced`.
+    /// Fold one step's move outcome — summed over the shards — into the
+    /// ledgers and advance the plunger.  Returns the swept void when the
+    /// plunger withdrew; the caller refills it from the canonical reservoir
+    /// census and reports back through `introduced`.
     fn fold_move(&mut self, out: &MoveOutcome) -> Option<Fx> {
         self.exited += out.exited as u64;
         for (acc, n) in self.move_by_kind.iter_mut().zip(out.by_kind) {
@@ -343,21 +330,25 @@ impl Simulation {
         movers <= (self.mover_threshold * n as f64) as u32
     }
 
-    /// Fold one select + collide phase — summed over the shards on the
-    /// sharded path — into the ledgers and timings.  `phase.select` and
-    /// `phase.collide` are per-run durations summed across worker threads
-    /// — CPU time, not wall time.  Keep the buckets wall-clock-comparable
-    /// with every other substep by splitting the phase's wall time in
-    /// their proportion (exact on one thread, an attribution estimate on
-    /// many).
-    fn fold_collide(&mut self, phase: &FusedPhase, wall: Duration) {
-        self.candidates += phase.stats.candidates;
-        self.collisions += phase.stats.collisions;
-        let cpu_total = phase.select + phase.collide;
+    /// Fold one select + collide phase — one outcome per shard — into the
+    /// ledgers and timings.  Each outcome's `select` and `collide` are
+    /// per-run durations summed across worker threads — CPU time, not wall
+    /// time.  Keep the buckets wall-clock-comparable with every other
+    /// substep by splitting the phase's wall time in their proportion
+    /// (exact on one thread, an attribution estimate on many).
+    fn fold_collide(&mut self, phases: &[FusedPhase], wall: Duration) {
+        let (mut select, mut collide) = (Duration::ZERO, Duration::ZERO);
+        for phase in phases {
+            self.candidates += phase.stats.candidates;
+            self.collisions += phase.stats.collisions;
+            select += phase.select;
+            collide += phase.collide;
+        }
+        let cpu_total = select + collide;
         let select_wall = if cpu_total.is_zero() {
             wall / 2
         } else {
-            wall.mul_f64(phase.select.as_secs_f64() / cpu_total.as_secs_f64())
+            wall.mul_f64(select.as_secs_f64() / cpu_total.as_secs_f64())
         };
         self.timings.add(Substep::Select, select_wall);
         self.timings
@@ -383,142 +374,15 @@ impl Simulation {
         }
     }
 
-    /// Rank the pairs in the sort workspace and send the particles through
-    /// the order: `seeded` when the move sweep also counted the first radix
-    /// digit, `repair` when the rank may repair last step's order.  Returns
-    /// where the time went and whether the repair ranked.
-    fn rank_and_send(&mut self, seeded: bool, repair: bool) -> (SortSplit, bool) {
-        let total_cells = self.total_cells();
-        sortstep::rank_and_send(
-            &mut self.parts,
-            self.key_bits,
-            self.cfg.jitter_bits,
-            total_cells,
-            seeded,
-            repair,
-            &mut self.sort_ws,
-            &mut self.bounds,
-            &mut self.order,
-            Par::Pool,
-        )
-    }
-
-    /// The key-building full sort: refresh cells, pack the jittered pairs,
-    /// rank from scratch and send.  Runs once at construction and on
-    /// withdrawal steps.
-    fn sort_phase(&mut self) -> SortSplit {
-        let (pairs, _) = self.sort_ws.move_buffers(self.parts.len(), 0, false);
-        sortstep::build_pairs(
-            &mut self.parts,
-            &self.tunnel,
-            self.res_base,
-            self.res,
-            self.cfg.jitter_bits,
-            self.rng_mode,
-            pairs,
-            Par::Pool,
-        );
-        self.rank_and_send(false, false).0
-    }
-
-    /// Sub-steps 1 + 2 + 3a: the single-sweep move phase (motion,
-    /// boundaries, cell refresh, key pack, first radix histogram — timed
-    /// as [`Substep::Move`]), then the rank + send of the pre-packed pairs
-    /// (timed as [`Substep::Sort`]).
-    ///
-    /// On the rare plunger-withdrawal step the sweep runs key-less — the
-    /// refill repositions reservoir particles *after* the sweep, which
-    /// would invalidate packed keys — and the sort builds its own pairs,
-    /// drawing jitter in the order the separate-phase reference does.
-    fn front_half(&mut self) {
-        let t = Instant::now();
-        let withdraw = self.plunger.will_withdraw();
-        let n = self.parts.len();
-        let (seeded, first_bits) = self.seed_plan(n);
-        // The sweep reads the engine and writes the particle columns and
-        // scratch: lend those out for the call.
-        let mut parts = std::mem::take(&mut self.parts);
-        let mut sort_ws = std::mem::take(&mut self.sort_ws);
-        let mut scratch = std::mem::take(&mut self.move_scratch);
-        let keys = (!withdraw).then(|| {
-            let (pairs, hist) = sort_ws.move_buffers(n, first_bits, seeded);
-            KeyPack {
-                pairs,
-                hist,
-                jitter_bits: self.cfg.jitter_bits,
-                first_bits,
-                rng_mode: self.rng_mode,
-            }
-        });
-        let out = self.move_sweep(&mut parts, &self.bounds, keys, &mut scratch, Par::Pool);
-        self.parts = parts;
-        self.sort_ws = sort_ws;
-        self.move_scratch = scratch;
-        if let Some(void_end) = self.fold_move(&out) {
-            debug_assert!(withdraw, "will_withdraw must predict the advance");
-            let (introduced, _shortfall) = boundary::refill_void(
-                &mut self.parts,
-                &self.tunnel,
-                self.res_base,
-                self.cfg.n_per_cell,
-                void_end,
-                &mut self.boundary_scratch.res_idx,
-            );
-            self.introduced += introduced as u64;
-        }
-        self.timings.add(Substep::Move, t.elapsed());
-
-        let t = Instant::now();
-        let (split, repaired) = if withdraw {
-            // Withdrawal steps rank from scratch: the refill just
-            // repositioned reservoir particles after the (key-less) sweep,
-            // so there are no packed pairs and no trustworthy mover count.
-            (self.sort_phase(), false)
-        } else {
-            // The repair needs the budget and a previous structure that
-            // covers this population (there is none on the first step
-            // after a resume).  Both ranks consume the same sweep-seeded
-            // histogram.
-            let repair =
-                self.movers_within_budget(out.movers, n) && self.sort_ws.describes(&self.bounds, n);
-            self.rank_and_send(seeded, repair)
-        };
-        if repaired {
-            self.sort_incremental_steps += 1;
-        } else {
-            self.sort_full_steps += 1;
-        }
-        self.timings.add_sort(t.elapsed(), split);
-    }
-
     /// Advance one time step (the paper's four sub-steps, plus sampling if
-    /// a window is open).
+    /// a window is open): the one step path of [`shard`] over this
+    /// engine's one domain, which exchanges nothing, under the serial
+    /// executor.
     pub fn step(&mut self) {
-        self.front_half();
-
-        // 3b + 4) Selection and collision of partners, in one traversal
-        // per run of cells (columns stay cache-hot between the sub-loops,
-        // which time themselves to keep the paper's select/collide split).
-        let t = Instant::now();
-        let phase = collide::select_and_collide(
-            &mut self.parts,
-            &self.bounds,
-            &self.sel,
-            self.rounding,
-            self.rng_mode,
-            &mut self.decisions,
-        );
-        self.fold_collide(&phase, t.elapsed());
-
-        // Optional sampling pass.
-        if let Some(sampler) = self.sampler.as_mut() {
-            let t = Instant::now();
-            sampler.accumulate(&self.parts, &self.bounds, self.res_base);
-            self.timings.add(Substep::Sample, t.elapsed());
-        }
-
-        self.steps += 1;
-        self.timings.steps += 1;
+        let mut domain = std::mem::take(&mut self.domain);
+        let stepped = self.step_shards(std::slice::from_mut(&mut domain), &ShardExec::SERIAL, None);
+        self.domain = domain;
+        stepped.expect("the serial executor lets a panic unwind");
     }
 
     /// Run `n` steps.
@@ -586,26 +450,27 @@ impl Simulation {
         Diagnostics {
             steps: self.steps,
             n_flow,
-            n_reservoir: self.parts.len() - n_flow,
+            n_reservoir: self.domain.parts.len() - n_flow,
             candidates: self.candidates,
             collisions: self.collisions,
             exited: self.exited,
             introduced: self.introduced,
             plunger_cycles: self.plunger_cycles,
-            energy_raw: self.parts.total_energy_raw(),
-            momentum_raw: self.parts.total_momentum_raw(),
+            energy_raw: self.domain.parts.total_energy_raw(),
+            momentum_raw: self.domain.parts.total_momentum_raw(),
         }
     }
 
     /// Particles currently in the flow: the start of the first reservoir
     /// segment in the sorted bounds (O(log segments)).
     pub fn n_flow(&self) -> usize {
-        let n_seg = self.bounds.len().saturating_sub(1);
-        let first_res = self.bounds[..n_seg]
-            .partition_point(|&start| self.parts.cell[start as usize] < self.res_base);
-        self.bounds
+        let n_seg = self.domain.bounds.len().saturating_sub(1);
+        let first_res = self.domain.bounds[..n_seg]
+            .partition_point(|&start| self.domain.parts.cell[start as usize] < self.res_base);
+        self.domain
+            .bounds
             .get(first_res)
-            .map_or(self.parts.len(), |&b| b as usize)
+            .map_or(self.domain.parts.len(), |&b| b as usize)
     }
 
     /// Accumulated per-substep wall-clock timings.
@@ -617,21 +482,23 @@ impl Simulation {
     /// order.  The zero-allocation test asserts these are stable across
     /// steps once the simulation has warmed up.
     pub fn hot_path_capacities(&self) -> Vec<usize> {
+        let d = &self.domain;
         let mut caps = vec![
-            self.decisions.capacity(),
-            self.bounds.capacity(),
-            self.order.capacity(),
+            d.decisions.capacity(),
+            d.bounds.capacity(),
+            d.order.capacity(),
+            d.seg_cell.capacity(),
+            self.census.capacity(),
         ];
-        caps.extend(self.sort_ws.capacities());
-        caps.extend(self.boundary_scratch.capacities());
-        caps.extend(self.parts.back_buffer_capacities());
-        caps.extend(self.move_scratch.capacities());
+        caps.extend(d.sort_ws.capacities());
+        caps.extend(d.parts.back_buffer_capacities());
+        caps.extend(d.move_scratch.capacities());
         caps
     }
 
-    /// Rank paths taken so far: `(incremental, full)`.  Full counts
-    /// withdrawal steps, threshold overruns, and first/resumed steps with
-    /// no previous structure.
+    /// Rank paths taken so far, one count per non-empty shard per step:
+    /// `(incremental, full)`.  Full counts withdrawal steps, threshold
+    /// overruns and a sharded engine's just-repartitioned steps.
     pub fn sort_path_counts(&self) -> (u64, u64) {
         (self.sort_incremental_steps, self.sort_full_steps)
     }
@@ -686,7 +553,7 @@ impl Simulation {
     /// human-readable description of what was damaged (for recovery
     /// logs).
     pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
-        let n = self.parts.len();
+        let n = self.domain.parts.len();
         assert!(n > 0, "cannot inject a fault into an empty simulation");
         let start = (salt as usize) % n;
         match target {
@@ -699,8 +566,8 @@ impl Simulation {
                 let block = (n / 64).clamp(32.min(n), n);
                 for k in 0..block {
                     let i = (start + k) % n;
-                    let raw = self.parts.w[i].raw();
-                    self.parts.w[i] = Fx::from_raw(raw.saturating_add(KICK));
+                    let raw = self.domain.parts.w[i].raw();
+                    self.domain.parts.w[i] = Fx::from_raw(raw.saturating_add(KICK));
                 }
                 format!("w += 4.0 c/s over {block} particles from slot {start}")
             }
@@ -709,7 +576,7 @@ impl Simulation {
                 // bound for every registry config, yet slow enough that a
                 // few move phases neither overflow positions nor matter.
                 const SPIKE: i32 = 1 << 25;
-                self.parts.u[start] = Fx::from_raw(SPIKE);
+                self.domain.parts.u[start] = Fx::from_raw(SPIKE);
                 format!("u := 4.0 c/s on particle {start}")
             }
             FaultTarget::CellIndex => {
@@ -719,8 +586,8 @@ impl Simulation {
                 // a sentinel boundary to model a stale cache caught in
                 // the act.
                 let total = self.total_cells();
-                let old = self.parts.cell[start];
-                self.parts.cell[start] = (old + 1) % total;
+                let old = self.domain.parts.cell[start];
+                self.domain.parts.cell[start] = (old + 1) % total;
                 format!("cell {old} -> {} on particle {start}", (old + 1) % total)
             }
         }
@@ -733,23 +600,23 @@ impl Simulation {
 
     /// The particle store (read access for analysis tools).
     pub fn particles(&self) -> &ParticleStore {
-        &self.parts
+        &self.domain.parts
     }
 
     /// Segment bounds of the current sorted order.
     pub fn segment_bounds(&self) -> &[u32] {
-        &self.bounds
+        &self.domain.bounds
     }
 
     /// The permutation applied by the most recent sort (`new[i] =
     /// old[order[i]]`) — consumed by the CM-2 communication analysis.
     pub fn last_sort_order(&self) -> &[u32] {
-        &self.order
+        &self.domain.order
     }
 
     /// Total number of particles (flow + reservoir).
     pub fn n_particles(&self) -> usize {
-        self.parts.len()
+        self.domain.parts.len()
     }
 
     /// First reservoir cell index.
@@ -796,9 +663,9 @@ impl Simulation {
 #[path = "snapshot.rs"]
 pub mod snapshot;
 
-// The sharded domain-decomposition engine is likewise a child module: it
-// replays the private step loop above per column-block shard and must
-// reach the same private state.
+// The step itself — over this engine's one domain or over column-block
+// shards — and the sharded engine are likewise a child module: they reach
+// the same private state.
 #[path = "shard.rs"]
 pub mod shard;
 

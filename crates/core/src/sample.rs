@@ -50,17 +50,9 @@ impl FieldAccumulator {
         }
     }
 
-    /// Accumulate one (sorted) step.  `bounds` are the segment bounds of
-    /// the sorted store; reservoir segments are skipped.
-    pub fn accumulate(&mut self, parts: &ParticleStore, bounds: &[u32], res_base: u32) {
-        self.bump_step();
-        self.accumulate_partial(parts, bounds, res_base, Par::Pool);
-    }
-
-    /// Advance the window's step counter by one.  The sharded engine calls
-    /// this once per step after feeding every shard's partial sums through
-    /// [`FieldAccumulator::accumulate_partial`]; the single-store path uses
-    /// [`FieldAccumulator::accumulate`], which is exactly the two calls.
+    /// Advance the window's step counter by one: the step calls this once
+    /// after feeding every shard's partial sums through
+    /// [`FieldAccumulator::accumulate_partial`].
     pub fn bump_step(&mut self) {
         self.steps += 1;
     }
@@ -325,6 +317,12 @@ mod tests {
         Fx::from_f64(v)
     }
 
+    /// One step of a window over one sorted store.
+    fn accumulate(acc: &mut FieldAccumulator, s: &ParticleStore, bounds: &[u32], res_base: u32) {
+        acc.bump_step();
+        acc.accumulate_partial(s, bounds, res_base, Par::Pool);
+    }
+
     /// Build a sorted store with k particles in each of the w*h cells, all
     /// with velocity (u0, 0, 0) and rotational speed r0.
     fn uniform_store(w: u32, h: u32, k: u32, u0: f64, r0: f64) -> (ParticleStore, Vec<u32>) {
@@ -352,7 +350,7 @@ mod tests {
         let mut acc = FieldAccumulator::new(4, 3);
         let volumes = vec![1.0; 12];
         for _ in 0..5 {
-            acc.accumulate(&s, &bounds, u32::MAX);
+            accumulate(&mut acc, &s, &bounds, u32::MAX);
         }
         assert_eq!(acc.steps(), 5);
         let f = acc.finish(10.0, &volumes, 0.0566);
@@ -368,7 +366,7 @@ mod tests {
     fn volume_correction_applied() {
         let (s, bounds) = uniform_store(2, 1, 10, 0.0, 0.0);
         let mut acc = FieldAccumulator::new(2, 1);
-        acc.accumulate(&s, &bounds, u32::MAX);
+        accumulate(&mut acc, &s, &bounds, u32::MAX);
         // Cell 1 has half volume: same occupancy = double density.
         let f = acc.finish(10.0, &[1.0, 0.5], 0.0566);
         assert!((f.density[0] - 1.0).abs() < 1e-12);
@@ -379,7 +377,7 @@ mod tests {
     fn cold_drifting_gas_has_zero_temperature() {
         let (s, bounds) = uniform_store(2, 2, 8, 0.25, 0.0);
         let mut acc = FieldAccumulator::new(2, 2);
-        acc.accumulate(&s, &bounds, u32::MAX);
+        accumulate(&mut acc, &s, &bounds, u32::MAX);
         let f = acc.finish(8.0, &[1.0; 4], 0.0566);
         for c in 0..4 {
             assert!(f.t_trans[c].abs() < 1e-6, "t_trans = {}", f.t_trans[c]);
@@ -391,7 +389,7 @@ mod tests {
         let sigma = 0.1;
         let (s, bounds) = uniform_store(1, 1, 100, 0.0, sigma);
         let mut acc = FieldAccumulator::new(1, 1);
-        acc.accumulate(&s, &bounds, u32::MAX);
+        accumulate(&mut acc, &s, &bounds, u32::MAX);
         let f = acc.finish(100.0, &[1.0], sigma);
         // All particles have r1 = σ: ⟨r²⟩/2 = σ²/2 ⇒ t_rot = 0.5.
         assert!((f.t_rot[0] - 0.5).abs() < 0.01, "t_rot = {}", f.t_rot[0]);
@@ -406,7 +404,7 @@ mod tests {
             s.cell[i] = res_base;
         }
         let mut acc = FieldAccumulator::new(2, 1);
-        acc.accumulate(&s, &bounds, res_base);
+        accumulate(&mut acc, &s, &bounds, res_base);
         let f = acc.finish(4.0, &[1.0, 1.0], 0.0566);
         assert!(f.occupancy[0] > 0.0);
         assert_eq!(f.occupancy[1], 0.0, "reservoir must not be sampled");
@@ -433,7 +431,7 @@ mod tests {
         }
         let bounds = vec![0, n as u32];
         let mut acc = FieldAccumulator::new(1, 1);
-        acc.accumulate(&s, &bounds, u32::MAX);
+        accumulate(&mut acc, &s, &bounds, u32::MAX);
         let f = acc.finish(n as f64, &[1.0], sigma);
         assert!(
             (f.t_trans[0] - 1.0).abs() < 0.03,

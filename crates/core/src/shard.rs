@@ -1,5 +1,6 @@
-//! Sharded domain decomposition of the wind tunnel, bit-identical to the
-//! single-domain engine for **any** shard count.
+//! The one step path, over one domain or many, and the sharded domain
+//! decomposition of the wind tunnel, bit-identical for **any** shard
+//! count.
 //!
 //! The paper ran this simulation by mapping particles to (virtual)
 //! processors on the Connection Machine; the modern equivalent is a small
@@ -7,8 +8,10 @@
 //! [`ShardedSimulation`] partitions the grid at column boundaries and
 //! gives every shard its own particle columns, sort scratch and segment
 //! bounds; per-particle `XorShift32` streams travel with their particles,
-//! so a shard's random draws are exactly the draws the canonical engine
-//! would have made for those particles.
+//! so a shard's random draws are exactly the draws one domain would have
+//! made for those particles.  [`Simulation::step`] is the same step over
+//! its one domain: exactly one shard owns every cell, so it exchanges
+//! nothing — no owner scan, no outbox, no merge, no parity prefix.
 //!
 //! # The determinism invariant
 //!
@@ -18,10 +21,12 @@
 //!
 //! Everything else follows from maintaining that subsequence invariant:
 //!
-//! * **Move** runs per shard, keyed like the single-domain sweep: each
-//!   particle's jittered `(key, slot)` pair is packed where it stands (on
-//!   plunger-withdrawal steps the sweep is key-less and the pairs are
-//!   built after the refill, again as the single-domain engine does).
+//! * **Move** runs per shard, keyed: each particle's jittered `(key,
+//!   slot)` pair is packed where it stands (on plunger-withdrawal steps
+//!   the sweep is key-less and the pairs are built after the refill).  One
+//!   shard packs straight into its sort workspace and seeds the first
+//!   radix histogram; several pack into their slot-order pair arrays,
+//!   which the merge below reshapes.
 //!   Per-particle arithmetic and RNG draws are position-independent, and
 //!   the shared surface-flux window uses the same relaxed-atomic
 //!   discipline as the field accumulators, so concurrent shards never race
@@ -41,30 +46,31 @@
 //!   — any other interleaving would scramble the stable sort's
 //!   tie-breaking and change the trajectory.
 //! * **Sort** then runs per shard with the *global* cell keys and key
-//!   width, through the rank and send the single-domain engine calls.
-//!   Because the pair order equals the canonical order restricted to the
-//!   shard, the stable sort emits the canonical order restricted to the
-//!   shard: the invariant is reproduced.  The send gathers the live rows
-//!   out of residents-plus-arrivals, dropping the departed — the only copy
-//!   a particle takes in a step, as in the paper's rank-then-send.
+//!   width, through one rank and send.  Because the pair order equals the
+//!   canonical order restricted to the shard, the stable sort emits the
+//!   canonical order restricted to the shard: the invariant is
+//!   reproduced.  The send gathers the live rows out of
+//!   residents-plus-arrivals, dropping the departed — the only copy a
+//!   particle takes in a step, as in the paper's rank-then-send.
 //! * **Collide** needs one global datum: the even/odd parity of each
 //!   segment's *global* start index (the canonical pairing rule).  A k-way
 //!   merge of all shards' segment tables by cell yields a running global
-//!   prefix, and [`crate::collide::select_and_collide_with_parity`]
-//!   accepts the resulting per-segment parities in place of the local
-//!   `bounds[s] & 1`.
+//!   prefix, and [`crate::collide::select_and_collide`] accepts the
+//!   resulting per-segment parities in place of the local `bounds[s] & 1`
+//!   (which one shard's are).
 //! * **Plunger refill** (the one genuinely global boundary event) takes a
 //!   canonical census: the post-move reservoir-parked slots of all shards,
-//!   merged by previous cell — the exact array order
-//!   [`crate::boundary`]'s single-domain refill scans.
+//!   merged by previous cell — the exact array order the reference
+//!   [`crate::boundary`] refill scans.
 //!
 //! The integration suite pins the contract: `shard_counts_agree_bitwise`
 //! (proptest over seeds, bodies and RNG modes, shard counts from 1 to one
 //! column per shard) and `registry_scenarios_are_shard_count_invariant`
 //! (shard counts {1, 2, 4}) assert equal [`Simulation::state_hash`];
 //! `sharded_checkpoint_resumes_at_any_shard_count` pins save-at-S /
-//! resume-at-S′.  The single-shard path stays the executable spec:
-//! [`Engine`] routes `shards <= 1` to the untouched [`Simulation`].
+//! resume-at-S′.  The executable specs are `dsmc_baselines::TwoStepSim`
+//! for the step and [`crate::config::ExecMode::Serial`] for its scheduling
+//! (ARCHITECTURE.md, "Execution knobs").
 //!
 //! # Weighted repartition
 //!
@@ -89,8 +95,7 @@
 //! threads, each runs its shard's primitives inline — the shards are then
 //! the only parallelism, as the CM-2's processors looping over their
 //! blocks of virtual processors were; otherwise the primitives fork into
-//! the pool as the single-domain engine's do (`shard_exec.rs` holds the
-//! rule).  Determinism
+//! the pool (`shard_exec.rs` holds the rule).  Determinism
 //! survives because a phase writes only
 //! shard-private state (plus exact integer-atomic accumulators and, in the
 //! move phase, the shard's own outbox row, which the destinations only
@@ -120,7 +125,7 @@
 pub mod exec;
 
 use super::{FaultTarget, Simulation};
-use crate::collide::{self, FusedPhase};
+use crate::collide;
 use crate::config::{ConfigError, SimConfig};
 use crate::diag::{Diagnostics, SortSplit, StepTimings, Substep};
 use crate::movephase::{KeyPack, MoveOutcome, MoveScratch};
@@ -128,7 +133,7 @@ use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, SortWorkspace};
 use crate::surface::SurfaceField;
-use dsmc_datapar::pack_pair;
+use dsmc_datapar::{first_pass_bits, pack_pair, Par, PAR_THRESHOLD};
 use dsmc_fixed::Fx;
 use dsmc_state::{Reader, StateError, Writer};
 use exec::{ShardExec, ShardExecError};
@@ -269,17 +274,20 @@ impl Outbox {
 }
 
 /// One shard: its slice of the particle population plus private sort
-/// machinery.  `parts` is always the canonical sorted array restricted to
-/// the shard's owned cells (the module-level invariant); `bounds`,
-/// `seg_cell` and `seg_parity` describe its segments under the *global*
-/// cell ids.
-struct Shard {
-    parts: ParticleStore,
-    bounds: Vec<u32>,
-    order: Vec<u32>,
+/// machinery — or, as [`Simulation`]'s one domain, all of it.  `parts` is
+/// always the canonical sorted array restricted to the shard's owned cells
+/// (the module-level invariant); `bounds`, `seg_cell` and `seg_parity`
+/// describe its segments under the *global* cell ids.  The exchange's
+/// fields (`seg_parity`, `slot_pairs`, `departed`) stay empty on one
+/// shard.
+#[derive(Default)]
+pub(super) struct Shard {
+    pub(super) parts: ParticleStore,
+    pub(super) bounds: Vec<u32>,
+    pub(super) order: Vec<u32>,
     /// Cell id of each segment of the last sort (the "previous cells" the
-    /// exchange merges by).
-    seg_cell: Vec<u32>,
+    /// census and the exchange merge by).
+    pub(super) seg_cell: Vec<u32>,
     /// Global even/odd parity of each segment's canonical start index —
     /// what makes per-shard pairing identical to canonical pairing.
     seg_parity: Vec<u32>,
@@ -290,31 +298,63 @@ struct Shard {
     /// Slots whose particle another shard owns after this step's move,
     /// ascending: the rows the merge leaves out and the send never reads.
     departed: Vec<u32>,
-    sort_ws: SortWorkspace,
-    move_scratch: MoveScratch,
-    decisions: Vec<u8>,
+    pub(super) sort_ws: SortWorkspace,
+    pub(super) move_scratch: MoveScratch,
+    pub(super) decisions: Vec<u8>,
 }
 
 impl Shard {
-    fn new(total_cells: usize) -> Self {
-        let mut move_scratch = MoveScratch::new();
-        move_scratch.reserve_segments(total_cells + 1);
-        Self {
-            parts: ParticleStore::default(),
-            bounds: Vec::new(),
-            order: Vec::new(),
-            seg_cell: Vec::new(),
-            seg_parity: Vec::new(),
-            slot_pairs: Vec::new(),
-            departed: Vec::new(),
-            sort_ws: SortWorkspace::new(),
-            move_scratch,
-            decisions: Vec::new(),
-        }
+    /// An empty shard whose segment tables never reallocate on a grid of
+    /// `total_cells` cells.
+    pub(super) fn new(total_cells: usize) -> Self {
+        let mut shard = Self {
+            seg_cell: Vec::with_capacity(total_cells),
+            ..Self::default()
+        };
+        shard.move_scratch.reserve_segments(total_cells + 1);
+        shard
     }
 
     fn n_segments(&self) -> usize {
         self.bounds.len().saturating_sub(1)
+    }
+
+    /// Rank the pairs in the sort workspace and send the particles through
+    /// the order (see [`sortstep::rank_and_send`]: `seeded` when the move
+    /// sweep counted the first radix digit, `repair` when the rank may
+    /// repair last step's order), then keep the emitted segment cells.
+    /// Returns where the time went and whether the repair ranked.
+    fn rank(
+        &mut self,
+        base: &Simulation,
+        seeded: bool,
+        repair: bool,
+        par: Par,
+    ) -> (SortSplit, bool) {
+        let ranked = sortstep::rank_and_send(
+            &mut self.parts,
+            base.key_bits,
+            base.cfg.jitter_bits,
+            base.total_cells(),
+            seeded,
+            repair,
+            &mut self.sort_ws,
+            &mut self.bounds,
+            &mut self.order,
+            par,
+        );
+        self.seg_cell.clear();
+        self.seg_cell.extend_from_slice(self.sort_ws.seg_cells());
+        ranked
+    }
+
+    /// Refresh cells, pack the jittered pairs in their own sweep and rank
+    /// from scratch: one domain's sort at construction and on withdrawal
+    /// steps, whose refill repositions particles after the move sweep.
+    pub(super) fn rank_from_scratch(&mut self, base: &Simulation, par: Par) -> SortSplit {
+        let (pairs, _) = self.sort_ws.move_buffers(self.parts.len(), 0, false);
+        base.build_pairs(&mut self.parts, pairs, par);
+        self.rank(base, false, false, par).0
     }
 
     /// The source half of the exchange.  Scan the post-move cell column
@@ -507,11 +547,6 @@ pub struct ShardedSimulation {
     /// withdrawal steps); every destination reads its column in the sort
     /// phase.
     outbox: Vec<Vec<Outbox>>,
-    /// Per-shard cursors for the k-way merges.
-    merge_pos: Vec<usize>,
-    /// Plunger-refill census: (shard, index) of reservoir-parked slots in
-    /// canonical order.
-    census: Vec<(u32, u32)>,
     /// Per-column flow loads from the last sort's segment bounds.
     col_load: Vec<u64>,
     /// True when the shards have stepped past the canonical view.
@@ -545,11 +580,11 @@ impl ShardedSimulation {
         let w = base.tunnel.width as usize;
         let n_shards = n_shards.clamp(1, w);
         let mut col_load = vec![0u64; w];
-        let n_seg = base.bounds.len().saturating_sub(1);
-        for j in 0..n_seg {
-            let c = base.parts.cell[base.bounds[j] as usize];
+        let (cells, bounds) = (&base.domain.parts.cell, &base.domain.bounds);
+        for j in 0..base.domain.n_segments() {
+            let c = cells[bounds[j] as usize];
             if c < base.res_base {
-                col_load[(c as usize) % w] += (base.bounds[j + 1] - base.bounds[j]) as u64;
+                col_load[(c as usize) % w] += (bounds[j + 1] - bounds[j]) as u64;
             }
         }
         let cuts = if col_load.iter().all(|&l| l == 0) {
@@ -569,8 +604,6 @@ impl ShardedSimulation {
             outbox: (0..n_shards)
                 .map(|_| (0..n_shards).map(|_| Outbox::default()).collect())
                 .collect(),
-            merge_pos: Vec::new(),
-            census: Vec::new(),
             col_load,
             dirty: false,
             repartitions: 0,
@@ -632,7 +665,7 @@ impl ShardedSimulation {
             clear_store(&mut shard.parts);
         }
         {
-            let p = &self.base.parts;
+            let p = &self.base.domain.parts;
             let layout = &self.layout;
             let shards = &mut self.shards;
             for i in 0..p.len() {
@@ -662,32 +695,35 @@ impl ShardedSimulation {
             return;
         }
         let total: usize = self.shards.iter().map(|s| s.parts.len()).sum();
-        let base = &mut self.base;
         let shards = &self.shards;
-        clear_store(&mut base.parts);
-        base.parts.x.reserve(total);
-        base.bounds.clear();
-        base.bounds.push(0);
-        self.merge_pos.clear();
-        self.merge_pos.resize(shards.len(), 0);
-        while let Some((s, j)) = next_merged_segment(shards, &mut self.merge_pos) {
+        let view = &mut self.base.domain;
+        clear_store(&mut view.parts);
+        view.parts.x.reserve(total);
+        view.bounds.clear();
+        view.bounds.push(0);
+        view.seg_cell.clear();
+        let pos = &mut self.base.merge_pos;
+        pos.clear();
+        pos.resize(shards.len(), 0);
+        while let Some((s, j)) = next_merged_segment(shards, pos) {
             let p = &shards[s].parts;
             let lo = shards[s].bounds[j] as usize;
             let hi = shards[s].bounds[j + 1] as usize;
-            base.parts.x.extend_from_slice(&p.x[lo..hi]);
-            base.parts.y.extend_from_slice(&p.y[lo..hi]);
-            base.parts.u.extend_from_slice(&p.u[lo..hi]);
-            base.parts.v.extend_from_slice(&p.v[lo..hi]);
-            base.parts.w.extend_from_slice(&p.w[lo..hi]);
-            base.parts.r1.extend_from_slice(&p.r1[lo..hi]);
-            base.parts.r2.extend_from_slice(&p.r2[lo..hi]);
-            base.parts.perm.extend_from_slice(&p.perm[lo..hi]);
-            base.parts.rng.extend_from_slice(&p.rng[lo..hi]);
-            base.parts.cell.extend_from_slice(&p.cell[lo..hi]);
-            base.bounds.push(base.parts.len() as u32);
+            view.parts.x.extend_from_slice(&p.x[lo..hi]);
+            view.parts.y.extend_from_slice(&p.y[lo..hi]);
+            view.parts.u.extend_from_slice(&p.u[lo..hi]);
+            view.parts.v.extend_from_slice(&p.v[lo..hi]);
+            view.parts.w.extend_from_slice(&p.w[lo..hi]);
+            view.parts.r1.extend_from_slice(&p.r1[lo..hi]);
+            view.parts.r2.extend_from_slice(&p.r2[lo..hi]);
+            view.parts.perm.extend_from_slice(&p.perm[lo..hi]);
+            view.parts.rng.extend_from_slice(&p.rng[lo..hi]);
+            view.parts.cell.extend_from_slice(&p.cell[lo..hi]);
+            view.bounds.push(view.parts.len() as u32);
+            view.seg_cell.push(shards[s].seg_cell[j]);
         }
-        debug_assert_eq!(base.parts.len(), total, "merge lost particles");
-        debug_assert!(base.parts.check_coherent());
+        debug_assert_eq!(view.parts.len(), total, "merge lost particles");
+        debug_assert!(view.parts.check_coherent());
         self.dirty = false;
     }
 
@@ -699,8 +735,8 @@ impl ShardedSimulation {
         &self.base
     }
 
-    /// Advance one time step — the same four sub-steps as
-    /// [`Simulation::step`], each decomposed per shard (see module docs).
+    /// Advance one time step: the one step path (see the module docs) over
+    /// the shards, exchanging the crossers between them.
     ///
     /// Under [`crate::config::ExecMode::Threaded`] a shard-worker panic
     /// is converted into the returned [`ShardExecError`]; the simulation
@@ -709,105 +745,19 @@ impl ShardedSimulation {
     /// worker panics unwind normally and this never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
         self.dirty = true;
-
-        // 1+2) Repartition check (free: it reads the last sort's census,
-        // and the cuts steer nothing but this step's routing), per-shard
-        // move sweeps — keyed, with the crosser pack riding the same
-        // closure, on ordinary steps — then the global boundary
-        // bookkeeping exactly as the canonical front half orders it.
+        // The repartition check is free (it reads the last sort's census)
+        // and the cuts steer nothing but this step's routing; its time is
+        // move-phase time.
         let t = Instant::now();
-        let withdraw = self.base.plunger.will_withdraw();
         let repartitioned = self.maybe_repartition();
-        let (out, pack_wall) = self.move_shards(!withdraw)?;
-        // The global budget decision, made once from the summed sweep
-        // counts (the exchange migrates particles between shards but never
-        // changes a cell index, so the sum is exact post-exchange too).
-        let repair_ok = !withdraw
-            && self
-                .base
-                .movers_within_budget(out.movers, self.n_particles());
-        if let Some(void_end) = self.base.fold_move(&out) {
-            debug_assert!(withdraw, "will_withdraw must predict the advance");
-            let introduced = self.refill_void_sharded(void_end);
-            self.base.introduced += introduced as u64;
-        }
-        // The pack is exchange work: its share of the move phase's wall
-        // time is booked under the sort bucket with the rest of it.
+        self.base.timings.add(Substep::Move, t.elapsed());
+        let exchange = Exchange {
+            layout: &self.layout,
+            outbox: &mut self.outbox,
+            repartitioned,
+        };
         self.base
-            .timings
-            .add(Substep::Move, t.elapsed().saturating_sub(pack_wall));
-
-        // 3a) The rest of the exchange and the per-shard sorts, all on the
-        // shard workers.  Withdrawal steps could not pack in the move
-        // phase (the refill had yet to reposition reservoir particles), so
-        // they build pairs and pack here first.  Withdrawal,
-        // just-repartitioned and over-budget steps pin the full radix
-        // path, like the canonical engine's decision.
-        let t = Instant::now();
-        let mut cpu = SortSplit::default();
-        if withdraw {
-            cpu.exchange += self.pack_after_refill()?;
-        }
-        cpu += self.sort_shards(repartitioned || !repair_ok)?;
-        let wall = t.elapsed();
-        let mut split = cpu.scaled_to(wall);
-        split.exchange += pack_wall;
-        self.base.timings.add_sort(wall + pack_wall, split);
-
-        // 3b+4) Global pairing parity, then per-shard select + collide.
-        // Collision RNG streams travel with the particles and the global
-        // parities were fixed above, so the phase is shard-private; the
-        // candidate/collision ledgers reduce from the returned outcomes
-        // in shard order.
-        let t = Instant::now();
-        self.compute_parities();
-        let mut phase = FusedPhase::default();
-        {
-            let base = &self.base;
-            let outs = self
-                .exec
-                .run_phase(&mut self.shards, "collide", |_i, shard, par| {
-                    collide::select_and_collide_with_parity(
-                        &mut shard.parts,
-                        &shard.bounds,
-                        &base.sel,
-                        base.rounding,
-                        base.rng_mode,
-                        &mut shard.decisions,
-                        Some(&shard.seg_parity),
-                        par,
-                    )
-                })?;
-            for out in outs {
-                phase.stats.candidates += out.stats.candidates;
-                phase.stats.collisions += out.stats.collisions;
-                phase.select += out.select;
-                phase.collide += out.collide;
-            }
-        }
-        self.base.fold_collide(&phase, t.elapsed());
-
-        // Optional sampling pass: per-shard partial sums into the shared
-        // accumulator, one step bump.  Cells partition across shards and
-        // the sums are integer atomics, so concurrent workers are exact.
-        if self.base.sampler.is_some() {
-            let t = Instant::now();
-            let base = &self.base;
-            if let Some(acc) = &base.sampler {
-                self.exec
-                    .run_phase(&mut self.shards, "sample", |_i, shard, par| {
-                        acc.accumulate_partial(&shard.parts, &shard.bounds, base.res_base, par);
-                    })?;
-            }
-            if let Some(acc) = self.base.sampler.as_mut() {
-                acc.bump_step();
-            }
-            self.base.timings.add(Substep::Sample, t.elapsed());
-        }
-
-        self.base.steps += 1;
-        self.base.timings.steps += 1;
-        Ok(())
+            .step_shards(&mut self.shards, &self.exec, Some(exchange))
     }
 
     /// Advance one time step, panicking on a shard-worker failure (the
@@ -822,145 +772,6 @@ impl ShardedSimulation {
         for _ in 0..n {
             self.step();
         }
-    }
-
-    /// The per-shard move sweeps.  Returns the outcome summed (speed:
-    /// maxed) across shards — per-particle sums reduced in shard order from
-    /// the workers' outcomes, so the totals are independent of both the
-    /// decomposition and the scheduling.
-    ///
-    /// On ordinary steps (`keyed`) each shard runs the keyed sweep the
-    /// single-domain front half runs — pairs land in `slot_pairs` in slot
-    /// order and the jitter draw happens in the sweep, the same per-particle
-    /// stream order — and packs its crossers in the same closure.  The
-    /// first radix digit is not counted: the merge reshapes the pair array
-    /// the histogram would describe.  Withdrawal steps sweep key-less and
-    /// leave pairs and pack to [`ShardedSimulation::pack_after_refill`].
-    /// The second return value is the pack's share of the phase's wall
-    /// time, split from the sweep's in the proportion the workers measured.
-    fn move_shards(&mut self, keyed: bool) -> Result<(MoveOutcome, Duration), ShardExecError> {
-        let base = &self.base;
-        let layout = &self.layout;
-        let t = Instant::now();
-        let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
-        let outs = self
-            .exec
-            .run_phase(&mut lanes, "move", |me, (shard, outbox), par| {
-                let t = Instant::now();
-                shard.slot_pairs.resize(shard.parts.len(), 0);
-                let keys = keyed.then(|| KeyPack {
-                    pairs: &mut shard.slot_pairs,
-                    hist: &mut [],
-                    jitter_bits: base.cfg.jitter_bits,
-                    first_bits: 0,
-                    rng_mode: base.rng_mode,
-                });
-                let out = base.move_sweep(
-                    &mut shard.parts,
-                    &shard.bounds,
-                    keys,
-                    &mut shard.move_scratch,
-                    par,
-                );
-                let sweep = t.elapsed();
-                if keyed {
-                    shard.pack_crossers(me, layout, outbox);
-                }
-                (out, sweep, t.elapsed() - sweep)
-            })?;
-        let wall = t.elapsed();
-        let mut total = MoveOutcome::default();
-        let (mut sweep_cpu, mut pack_cpu) = (Duration::ZERO, Duration::ZERO);
-        for (out, sweep, pack) in outs {
-            total.exited += out.exited;
-            total.max_speed_raw = total.max_speed_raw.max(out.max_speed_raw);
-            total.movers += out.movers;
-            for (acc, n) in total.by_kind.iter_mut().zip(out.by_kind) {
-                *acc += n;
-            }
-            sweep_cpu += sweep;
-            pack_cpu += pack;
-        }
-        let pack_wall = if pack_cpu.is_zero() {
-            Duration::ZERO
-        } else {
-            wall.mul_f64(pack_cpu.as_secs_f64() / (sweep_cpu + pack_cpu).as_secs_f64())
-        };
-        Ok((total, pack_wall))
-    }
-
-    /// Withdrawal steps only: the refill has now repositioned its
-    /// reservoir particles, so every shard builds its pairs with the
-    /// separate sweep the canonical withdrawal step runs (jitter drawn in
-    /// slot order, one draw per particle) and packs its crossers.  Returns
-    /// the time spent, summed over shards.
-    fn pack_after_refill(&mut self) -> Result<Duration, ShardExecError> {
-        let base = &self.base;
-        let layout = &self.layout;
-        let mut lanes: Vec<_> = self.shards.iter_mut().zip(&mut self.outbox).collect();
-        let outs = self
-            .exec
-            .run_phase(&mut lanes, "sort", |me, (shard, outbox), par| {
-                let t = Instant::now();
-                sortstep::build_pairs(
-                    &mut shard.parts,
-                    &base.tunnel,
-                    base.res_base,
-                    base.res,
-                    base.cfg.jitter_bits,
-                    base.rng_mode,
-                    &mut shard.slot_pairs,
-                    par,
-                );
-                shard.pack_crossers(me, layout, outbox);
-                t.elapsed()
-            })?;
-        Ok(outs.into_iter().sum())
-    }
-
-    /// The sharded plunger refill — bit-identical to
-    /// `boundary::refill_void` because the census is taken in canonical
-    /// array order: the shards' pre-move segments merged by cell (previous
-    /// cells partition across shards), scanning each segment's slots for
-    /// post-move reservoir parking.  Selection arithmetic and the
-    /// per-particle x/y draws then match the single-domain code verbatim.
-    fn refill_void_sharded(&mut self, void_end: Fx) -> u32 {
-        let need = (self.base.cfg.n_per_cell * void_end.to_f64() * self.base.tunnel.height as f64)
-            .round() as usize;
-        let res_base = self.base.res_base;
-        self.census.clear();
-        self.merge_pos.clear();
-        self.merge_pos.resize(self.shards.len(), 0);
-        while let Some((s, j)) = next_merged_segment(&self.shards, &mut self.merge_pos) {
-            let shard = &self.shards[s];
-            for i in shard.bounds[j]..shard.bounds[j + 1] {
-                if shard.parts.cell[i as usize] >= res_base {
-                    self.census.push((s as u32, i));
-                }
-            }
-        }
-        let avail = self.census.len();
-        let take = need.min(avail);
-        if take == 0 {
-            return 0;
-        }
-        let stride = (avail as f64 / take as f64).max(1.0);
-        let h = self.base.tunnel.height as f64;
-        let void_f = void_end.to_f64();
-        for k in 0..take {
-            let (s, i) = self.census[(k as f64 * stride) as usize % avail];
-            let parts = &mut self.shards[s as usize].parts;
-            let i = i as usize;
-            let rng = &mut parts.rng[i];
-            let x = Fx::from_f64(void_f * rng.next_f64());
-            let y = Fx::from_f64((h * rng.next_f64()).min(h - 1e-6));
-            parts.x[i] = x;
-            parts.y[i] = y;
-            // Velocities stay as relaxed in the reservoir: they *are*
-            // the freestream sample.
-            parts.cell[i] = self.base.tunnel.cell_index(x, y);
-        }
-        take as u32
     }
 
     /// Fold the last sort's segment bounds into per-column flow loads and
@@ -1010,82 +821,6 @@ impl ShardedSimulation {
         false
     }
 
-    /// The destination half of the exchange, then the per-shard sorts with
-    /// the *global* cell keys, then each shard's refreshed segment-cell
-    /// table.  The merged pair array is the canonical previous order
-    /// restricted to what the shard now owns, so the stable rank emits the
-    /// canonical order restricted to the shard, and its send — reading the
-    /// residents and the arrivals behind them, writing only the live rows —
-    /// is the one copy any particle takes this step.
-    ///
-    /// Ordinary steps repair the merged previous order instead of
-    /// re-ranking from scratch; `force_full` (withdrawal,
-    /// just-repartitioned, or over-the-mover-budget steps — the budget
-    /// decision is the caller's, from the summed sweep counts) pins the
-    /// full radix path.  Both paths produce bit-identical orders.
-    ///
-    /// Each worker returns which rank path its shard took (`None` for an
-    /// empty shard) and where its time went; the path counters reduce on
-    /// the coordinator in shard order, so the ledgers match the serial
-    /// executor exactly, and the durations come back summed.
-    fn sort_shards(&mut self, force_full: bool) -> Result<SortSplit, ShardExecError> {
-        let base = &self.base;
-        let outbox = &self.outbox;
-        let outs = self
-            .exec
-            .run_phase(&mut self.shards, "sort", |me, shard, par| {
-                let t = Instant::now();
-                shard.merge_arrivals(me, outbox);
-                let exchange = t.elapsed();
-                let (split, repaired) = sortstep::rank_and_send(
-                    &mut shard.parts,
-                    base.key_bits,
-                    base.cfg.jitter_bits,
-                    base.total_cells(),
-                    false,
-                    !force_full,
-                    &mut shard.sort_ws,
-                    &mut shard.bounds,
-                    &mut shard.order,
-                    par,
-                );
-                shard.seg_cell.clear();
-                shard.seg_cell.extend_from_slice(shard.sort_ws.seg_cells());
-                let took = (!shard.parts.is_empty()).then_some(repaired);
-                (took, SortSplit { exchange, ..split })
-            })?;
-        let mut cpu = SortSplit::default();
-        for (took, split) in outs {
-            match took {
-                Some(true) => self.base.sort_incremental_steps += 1,
-                Some(false) => self.base.sort_full_steps += 1,
-                None => {}
-            }
-            cpu += split;
-        }
-        Ok(cpu)
-    }
-
-    /// Merge all shards' fresh segment tables by cell into a running
-    /// global prefix, giving every local segment the even/odd parity of
-    /// its canonical start index — the one global datum the pairing rule
-    /// needs.
-    fn compute_parities(&mut self) {
-        for shard in &mut self.shards {
-            let n_seg = shard.n_segments();
-            shard.seg_parity.clear();
-            shard.seg_parity.resize(n_seg, 0);
-        }
-        self.merge_pos.clear();
-        self.merge_pos.resize(self.shards.len(), 0);
-        let mut prefix: u32 = 0;
-        while let Some((s, j)) = next_merged_segment(&self.shards, &mut self.merge_pos) {
-            let shard = &mut self.shards[s];
-            shard.seg_parity[j] = prefix & 1;
-            prefix += shard.bounds[j + 1] - shard.bounds[j];
-        }
-    }
-
     /// Serialise the canonical state sections (byte-identical to the
     /// single-domain [`Simulation::save_state`]) plus the advisory `SHRD`
     /// manifest.  Needs `&mut self` only for the lazy canonical sync —
@@ -1127,28 +862,6 @@ impl ShardedSimulation {
         self.base.diagnostics()
     }
 
-    /// Open a sampling window (fields, and surface fluxes when the body
-    /// has facets) — shared across shards via relaxed-atomic sums.
-    pub fn begin_sampling(&mut self) {
-        self.base.begin_sampling();
-    }
-
-    /// Close the sampling window and return the averaged fields.
-    pub fn finish_sampling(&mut self) -> SampledField {
-        self.base.finish_sampling()
-    }
-
-    /// Close the surface window (if any) and return the reduced Cp/Cf/Ch
-    /// distributions.
-    pub fn finish_surface_sampling(&mut self) -> Option<SurfaceField> {
-        self.base.finish_surface_sampling()
-    }
-
-    /// The open volume-field window, if any.
-    pub fn field_sampler(&self) -> Option<&FieldAccumulator> {
-        self.base.field_sampler()
-    }
-
     /// Deterministically corrupt particle state (the fault-injection
     /// surface): applied on the canonical view, then re-scattered.  The
     /// corrupted trajectory is discarded on recovery, so only the
@@ -1164,11 +877,6 @@ impl ShardedSimulation {
     /// Total number of particles (flow + reservoir), summed over shards.
     pub fn n_particles(&self) -> usize {
         self.shards.iter().map(|s| s.parts.len()).sum()
-    }
-
-    /// The configuration the simulation was built with.
-    pub fn config(&self) -> &SimConfig {
-        self.base.config()
     }
 
     /// The current column-block layout.
@@ -1210,42 +918,369 @@ impl ShardedSimulation {
     pub fn shard_populations(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.parts.len()).collect()
     }
+}
 
-    /// Accumulated per-substep wall-clock timings.
-    pub fn timings(&self) -> &StepTimings {
-        self.base.timings()
+/// What a step over several shards needs besides the shards: the ownership
+/// map the crossers are routed by, the outboxes they travel in, and whether
+/// the cuts just moved (which pins the full rank).
+pub(super) struct Exchange<'a> {
+    layout: &'a ShardLayout,
+    outbox: &'a mut [Vec<Outbox>],
+    repartitioned: bool,
+}
+
+/// The one step path, over [`Simulation::step`]'s one domain or a
+/// [`ShardedSimulation`]'s shards.
+impl Simulation {
+    /// Advance `shards` one time step: the paper's four sub-steps, plus
+    /// sampling when a window is open, each phase run per shard by `exec`
+    /// and folded into the global state on the coordinator in shard order.
+    /// `exchange` routes the crossers between several shards (see the
+    /// module docs).  One shard owns every cell, so there it is dropped:
+    /// the keyed sweep packs straight into the sort workspace and seeds the
+    /// first radix histogram, the rank reads the pairs as packed, and
+    /// pairing takes each segment's own start parity.
+    pub(super) fn step_shards(
+        &mut self,
+        shards: &mut [Shard],
+        exec: &ShardExec,
+        exchange: Option<Exchange<'_>>,
+    ) -> Result<(), ShardExecError> {
+        let mut exchange = exchange.filter(|_| shards.len() > 1);
+        debug_assert!(shards.len() == 1 || exchange.is_some());
+
+        // 1+2) Per-shard move sweeps, then the global boundary bookkeeping.
+        let t = Instant::now();
+        let withdraw = self.plunger.will_withdraw();
+        let n = shards.iter().map(|s| s.parts.len()).sum();
+        // One shard's sweep also counts the first radix digit when the
+        // chunked rank will run and read it (the repair reads it too); a
+        // merge reshapes the pairs such a histogram would describe.
+        let seeded = exchange.is_none() && n >= PAR_THRESHOLD;
+        let (out, pack_wall) =
+            self.move_shards(shards, exec, exchange.as_mut(), !withdraw, seeded)?;
+        // The budget decision, made once from the summed sweep counts (the
+        // exchange migrates particles between shards but never changes a
+        // cell index, so the sum is exact post-exchange too).  Withdrawal
+        // and just-repartitioned steps rank from scratch.
+        let repair = !withdraw
+            && self.movers_within_budget(out.movers, n)
+            && !exchange.as_ref().is_some_and(|x| x.repartitioned);
+        if let Some(void_end) = self.fold_move(&out) {
+            debug_assert!(withdraw, "will_withdraw must predict the advance");
+            self.introduced += self.refill_from_census(shards, void_end) as u64;
+        }
+        // The pack is exchange work: its share of the move phase's wall
+        // time is booked under the sort bucket with the rest of it.
+        self.timings
+            .add(Substep::Move, t.elapsed().saturating_sub(pack_wall));
+
+        // 3a) The rest of the exchange and the per-shard sorts.  Withdrawal
+        // steps could not pack in the move phase (the refill had yet to
+        // reposition reservoir particles), so several shards build their
+        // pairs and pack here first.
+        let t = Instant::now();
+        let mut cpu = SortSplit::default();
+        if let (true, Some(x)) = (withdraw, exchange.as_mut()) {
+            cpu.exchange += self.pack_after_refill(shards, exec, x)?;
+        }
+        let outbox = exchange.as_ref().map(|x| &*x.outbox);
+        cpu += self.sort_shards(shards, exec, outbox, withdraw, seeded, repair)?;
+        let wall = t.elapsed();
+        let mut split = cpu.scaled_to(wall);
+        split.exchange += pack_wall;
+        self.timings.add_sort(wall + pack_wall, split);
+
+        // 3b+4) Pairing parity, then per-shard select + collide.  Collision
+        // RNG streams travel with the particles and the parities are fixed
+        // first, so the phase is shard-private; the ledgers reduce from the
+        // returned outcomes in shard order.
+        let t = Instant::now();
+        let global_parity = exchange.is_some();
+        if global_parity {
+            compute_parities(shards, &mut self.merge_pos);
+        }
+        let base = &*self;
+        let phases = exec.run_phase(shards, "collide", |_i, shard, par| {
+            collide::select_and_collide(
+                &mut shard.parts,
+                &shard.bounds,
+                &base.sel,
+                base.rounding,
+                base.rng_mode,
+                &mut shard.decisions,
+                global_parity.then_some(shard.seg_parity.as_slice()),
+                par,
+            )
+        })?;
+        self.fold_collide(&phases, t.elapsed());
+
+        // Optional sampling pass: per-shard partial sums into the shared
+        // accumulator, one step bump.  Cells partition across shards and
+        // the sums are integer atomics, so concurrent workers are exact.
+        if let Some(acc) = &self.sampler {
+            let t = Instant::now();
+            let res_base = self.res_base;
+            exec.run_phase(shards, "sample", |_i, shard, par| {
+                acc.accumulate_partial(&shard.parts, &shard.bounds, res_base, par);
+            })?;
+            if let Some(acc) = self.sampler.as_mut() {
+                acc.bump_step();
+            }
+            self.timings.add(Substep::Sample, t.elapsed());
+        }
+
+        self.steps += 1;
+        self.timings.steps += 1;
+        Ok(())
     }
 
-    /// Reset the timing accumulators (e.g. after warm-up).
-    pub fn reset_timings(&mut self) {
-        self.base.reset_timings();
+    /// The per-shard move sweeps.  Returns the outcome summed (speed:
+    /// maxed) across shards — per-particle sums reduced in shard order from
+    /// the workers' outcomes, so the totals are independent of both the
+    /// decomposition and the scheduling.
+    ///
+    /// On ordinary steps (`keyed`) each sweep packs every particle's pair
+    /// where it stands, drawing the jitter in the sweep: one shard into its
+    /// sort workspace, counting the first radix digit when `seeded`;
+    /// several into their slot-order pair arrays, each packing its crossers
+    /// in the same closure.  Withdrawal steps sweep key-less.  The second
+    /// return value is the pack's share of the phase's wall time, split
+    /// from the sweep's in the proportion the workers measured.
+    fn move_shards(
+        &self,
+        shards: &mut [Shard],
+        exec: &ShardExec,
+        exchange: Option<&mut Exchange<'_>>,
+        keyed: bool,
+        seeded: bool,
+    ) -> Result<(MoveOutcome, Duration), ShardExecError> {
+        let t = Instant::now();
+        let jitter_bits = self.cfg.jitter_bits;
+        let first_bits = first_pass_bits(self.key_bits - jitter_bits, jitter_bits);
+        let layout = exchange.as_ref().map(|x| x.layout);
+        // Each shard's outbox row when several exchange; an empty one each
+        // when one shard does not.
+        let rows = exchange.map_or(&mut [][..], |x| &mut *x.outbox);
+        let rows =
+            (rows.iter_mut().map(|row| &mut row[..])).chain(std::iter::repeat_with(|| &mut [][..]));
+        let mut lanes: Vec<_> = shards.iter_mut().zip(rows).collect();
+        let outs = exec.run_phase(&mut lanes, "move", |me, (shard, outbox), par| {
+            let t = Instant::now();
+            let n = shard.parts.len();
+            let keys = keyed.then(|| {
+                let (pairs, hist, first_bits) = if layout.is_some() {
+                    shard.slot_pairs.resize(n, 0);
+                    (&mut shard.slot_pairs[..], &mut [][..], 0)
+                } else {
+                    let (pairs, hist) = shard.sort_ws.move_buffers(n, first_bits, seeded);
+                    (pairs, hist, first_bits)
+                };
+                KeyPack {
+                    pairs,
+                    hist,
+                    jitter_bits,
+                    first_bits,
+                    rng_mode: self.rng_mode,
+                }
+            });
+            let out = self.move_sweep(
+                &mut shard.parts,
+                &shard.bounds,
+                keys,
+                &mut shard.move_scratch,
+                par,
+            );
+            let sweep = t.elapsed();
+            if let (true, Some(layout)) = (keyed, layout) {
+                shard.pack_crossers(me, layout, outbox);
+            }
+            (out, sweep, t.elapsed() - sweep)
+        })?;
+        let wall = t.elapsed();
+        let mut total = MoveOutcome::default();
+        let (mut sweep_cpu, mut pack_cpu) = (Duration::ZERO, Duration::ZERO);
+        for (out, sweep, pack) in outs {
+            total.exited += out.exited;
+            total.max_speed_raw = total.max_speed_raw.max(out.max_speed_raw);
+            total.movers += out.movers;
+            for (acc, n) in total.by_kind.iter_mut().zip(out.by_kind) {
+                *acc += n;
+            }
+            sweep_cpu += sweep;
+            pack_cpu += pack;
+        }
+        let pack_wall = if pack_cpu.is_zero() {
+            Duration::ZERO
+        } else {
+            wall.mul_f64(pack_cpu.as_secs_f64() / (sweep_cpu + pack_cpu).as_secs_f64())
+        };
+        Ok((total, pack_wall))
     }
 
-    /// Rank paths taken so far, counted per shard-sort: `(incremental,
-    /// full)`.  A step contributes one count per non-empty shard.
-    pub fn sort_path_counts(&self) -> (u64, u64) {
-        self.base.sort_path_counts()
+    /// Withdrawal steps over several shards: the refill has now
+    /// repositioned its reservoir particles, so every shard builds its
+    /// pairs in a sweep of their own (jitter drawn in slot order, one draw
+    /// per particle, as the reference does) and packs its crossers.
+    /// Returns the time spent, summed over shards.
+    fn pack_after_refill(
+        &self,
+        shards: &mut [Shard],
+        exec: &ShardExec,
+        x: &mut Exchange<'_>,
+    ) -> Result<Duration, ShardExecError> {
+        let layout = x.layout;
+        let mut lanes: Vec<_> = shards.iter_mut().zip(x.outbox.iter_mut()).collect();
+        let outs = exec.run_phase(&mut lanes, "sort", |me, (shard, outbox), par| {
+            let t = Instant::now();
+            shard.slot_pairs.resize(shard.parts.len(), 0);
+            self.build_pairs(&mut shard.parts, &mut shard.slot_pairs, par);
+            shard.pack_crossers(me, layout, outbox);
+            t.elapsed()
+        })?;
+        Ok(outs.into_iter().sum())
     }
 
-    /// Mover statistics summed over ordinary steps (see
-    /// [`Simulation::mover_stats`]); per-particle sums, so identical to
-    /// the canonical engine's for the same trajectory.
-    pub fn mover_stats(&self) -> (u64, u64) {
-        self.base.mover_stats()
+    /// Refresh cells and pack the jittered `(key, slot)` pairs of `parts`
+    /// in a sweep of their own (see [`sortstep::build_pairs`]).
+    fn build_pairs(&self, parts: &mut ParticleStore, pairs: &mut [u64], par: Par) {
+        let (tunnel, res_base, res) = (&self.tunnel, self.res_base, self.res);
+        let jitter_bits = self.cfg.jitter_bits;
+        sortstep::build_pairs(
+            parts,
+            tunnel,
+            res_base,
+            res,
+            jitter_bits,
+            self.rng_mode,
+            pairs,
+            par,
+        );
     }
 
-    /// Override the incremental rank's mover-fraction ceiling (see
-    /// [`Simulation::set_mover_threshold`]).
-    pub fn set_mover_threshold(&mut self, threshold: f64) {
-        self.base.set_mover_threshold(threshold);
+    /// The plunger refill through a canonical census: the shards' pre-move
+    /// segments merged by cell (previous cells partition across shards),
+    /// each scanned for post-move reservoir parking — on one shard, the
+    /// array in order.  That is the order `boundary::refill_void` scans,
+    /// and the selection arithmetic and per-particle x/y draws match it
+    /// verbatim.  Returns how many particles entered the void.
+    fn refill_from_census(&mut self, shards: &mut [Shard], void_end: Fx) -> u32 {
+        let h = self.tunnel.height as f64;
+        let need = (self.cfg.n_per_cell * void_end.to_f64() * h).round() as usize;
+        self.census.clear();
+        self.merge_pos.clear();
+        self.merge_pos.resize(shards.len(), 0);
+        while let Some((s, j)) = next_merged_segment(shards, &mut self.merge_pos) {
+            let shard = &shards[s];
+            for i in shard.bounds[j]..shard.bounds[j + 1] {
+                if shard.parts.cell[i as usize] >= self.res_base {
+                    self.census.push((s as u32, i));
+                }
+            }
+        }
+        let avail = self.census.len();
+        let take = need.min(avail);
+        if take == 0 {
+            return 0;
+        }
+        let stride = (avail as f64 / take as f64).max(1.0);
+        let void_f = void_end.to_f64();
+        for k in 0..take {
+            let (s, i) = self.census[(k as f64 * stride) as usize % avail];
+            let parts = &mut shards[s as usize].parts;
+            let i = i as usize;
+            let rng = &mut parts.rng[i];
+            let x = Fx::from_f64(void_f * rng.next_f64());
+            let y = Fx::from_f64((h * rng.next_f64()).min(h - 1e-6));
+            parts.x[i] = x;
+            parts.y[i] = y;
+            // Velocities stay as relaxed in the reservoir: they *are*
+            // the freestream sample.
+            parts.cell[i] = self.tunnel.cell_index(x, y);
+        }
+        take as u32
+    }
+
+    /// The per-shard sorts with the *global* cell keys.  Several shards
+    /// first run the destination half of the exchange: the merged pair
+    /// array is the canonical previous order restricted to what the shard
+    /// now owns, so the stable rank emits the canonical order restricted to
+    /// the shard, and its send — reading the residents and the arrivals
+    /// behind them, writing only the live rows — is the one copy any
+    /// particle takes this step.  One shard ranks the pairs its sweep
+    /// packed, or on a withdrawal step builds them and ranks from scratch.
+    ///
+    /// `repair` (the caller's budget decision) lets the rank repair the
+    /// previous order instead of re-ranking; both paths produce
+    /// bit-identical orders.  Each worker returns which rank path its shard
+    /// took (`None` for an empty shard) and where its time went; the path
+    /// counters reduce on the coordinator in shard order, so the ledgers
+    /// match the serial executor exactly, and the durations come back
+    /// summed.
+    fn sort_shards(
+        &mut self,
+        shards: &mut [Shard],
+        exec: &ShardExec,
+        outbox: Option<&[Vec<Outbox>]>,
+        withdraw: bool,
+        seeded: bool,
+        repair: bool,
+    ) -> Result<SortSplit, ShardExecError> {
+        let base = &*self;
+        let outs = exec.run_phase(shards, "sort", |me, shard, par| {
+            let t = Instant::now();
+            if let Some(outbox) = outbox {
+                shard.merge_arrivals(me, outbox);
+            }
+            let exchange = t.elapsed();
+            let (split, repaired) = if withdraw && outbox.is_none() {
+                (shard.rank_from_scratch(base, par), false)
+            } else {
+                shard.rank(base, seeded, repair, par)
+            };
+            let took = (!shard.parts.is_empty()).then_some(repaired);
+            (took, SortSplit { exchange, ..split })
+        })?;
+        let mut cpu = SortSplit::default();
+        for (took, split) in outs {
+            match took {
+                Some(true) => self.sort_incremental_steps += 1,
+                Some(false) => self.sort_full_steps += 1,
+                None => {}
+            }
+            cpu += split;
+        }
+        Ok(cpu)
     }
 }
 
-/// Shard-count-polymorphic engine handle: `shards <= 1` runs the untouched
-/// canonical [`Simulation`] (the executable spec, zero overhead), anything
-/// larger runs the [`ShardedSimulation`] pinned bit-identical to it.
-/// Scenario runners and the supervisor drive this enum so every protocol
-/// works at any shard count.
+/// Merge all shards' fresh segment tables by cell into a running global
+/// prefix, giving every local segment the even/odd parity of its canonical
+/// start index — the one global datum the pairing rule needs.
+fn compute_parities(shards: &mut [Shard], pos: &mut Vec<usize>) {
+    for shard in shards.iter_mut() {
+        let n_seg = shard.n_segments();
+        shard.seg_parity.clear();
+        shard.seg_parity.resize(n_seg, 0);
+    }
+    pos.clear();
+    pos.resize(shards.len(), 0);
+    let mut prefix: u32 = 0;
+    while let Some((s, j)) = next_merged_segment(shards, pos) {
+        let shard = &mut shards[s];
+        shard.seg_parity[j] = prefix & 1;
+        prefix += shard.bounds[j + 1] - shard.bounds[j];
+    }
+}
+
+/// Shard-count-polymorphic engine handle: a [`Simulation`] for one domain,
+/// a [`ShardedSimulation`] for column blocks — one step path either way,
+/// which exchanges nothing at one shard.  The executable specs are
+/// `dsmc_baselines::TwoStepSim` for the step and
+/// [`ExecMode::Serial`](crate::config::ExecMode::Serial) for its
+/// scheduling (ARCHITECTURE.md, "Execution knobs").  Scenario runners and
+/// the supervisor drive this enum so every protocol works at any shard
+/// count.
 #[allow(clippy::large_enum_variant)]
 pub enum Engine {
     /// The canonical single-domain engine.
@@ -1255,8 +1290,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Build an engine with `n_shards` shards (`<= 1` selects the
-    /// canonical single-domain path).  Panics on an invalid configuration.
+    /// Build an engine with `n_shards` shards (`<= 1` builds a
+    /// [`Simulation`]).  Panics on an invalid configuration.
     pub fn new(cfg: SimConfig, n_shards: usize) -> Self {
         Self::try_new(cfg, n_shards).unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
     }
@@ -1283,9 +1318,9 @@ impl Engine {
         }
     }
 
-    /// Resume into the sharded engine even at one shard, where
-    /// [`Engine::resume`] hands back the single-domain one: what the shard
-    /// machinery costs before any cut exists.
+    /// Resume into a [`ShardedSimulation`] even at one shard, where
+    /// [`Engine::resume`] hands back a [`Simulation`]; at one shard the two
+    /// take the same step.
     pub fn resume_sharded(
         cfg: SimConfig,
         bytes: &[u8],
@@ -1330,8 +1365,8 @@ impl Engine {
 
     /// Advance one time step, surfacing a sharded-worker panic as a typed
     /// [`ShardExecError`] instead of unwinding (see
-    /// [`ShardedSimulation::try_step`]).  The single-domain path is
-    /// inherently serial and never returns `Err`.
+    /// [`ShardedSimulation::try_step`]).  A [`Simulation`] steps under the
+    /// `Serial` executor, whose panics unwind, so it never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
         match self {
             Engine::Single(s) => {
@@ -1399,36 +1434,44 @@ impl Engine {
         }
     }
 
-    /// Open a sampling window.
-    pub fn begin_sampling(&mut self) {
+    /// The global state both variants step — counters, windows, timings,
+    /// the rank budget; a sharded engine's particle columns in it are the
+    /// lazily synced canonical view, which the methods reading it here
+    /// never touch.
+    fn base(&self) -> &Simulation {
         match self {
-            Engine::Single(s) => s.begin_sampling(),
-            Engine::Sharded(s) => s.begin_sampling(),
+            Engine::Single(s) => s,
+            Engine::Sharded(s) => &s.base,
         }
+    }
+
+    /// [`Engine::base`], mutably.
+    fn base_mut(&mut self) -> &mut Simulation {
+        match self {
+            Engine::Single(s) => s,
+            Engine::Sharded(s) => &mut s.base,
+        }
+    }
+
+    /// Open a sampling window (fields, and surface fluxes when the body
+    /// has facets) — shared across shards via relaxed-atomic sums.
+    pub fn begin_sampling(&mut self) {
+        self.base_mut().begin_sampling();
     }
 
     /// Close the sampling window and return the averaged fields.
     pub fn finish_sampling(&mut self) -> SampledField {
-        match self {
-            Engine::Single(s) => s.finish_sampling(),
-            Engine::Sharded(s) => s.finish_sampling(),
-        }
+        self.base_mut().finish_sampling()
     }
 
     /// Close the surface window (if any).
     pub fn finish_surface_sampling(&mut self) -> Option<SurfaceField> {
-        match self {
-            Engine::Single(s) => s.finish_surface_sampling(),
-            Engine::Sharded(s) => s.finish_surface_sampling(),
-        }
+        self.base_mut().finish_surface_sampling()
     }
 
     /// The open volume-field window, if any.
     pub fn field_sampler(&self) -> Option<&FieldAccumulator> {
-        match self {
-            Engine::Single(s) => s.field_sampler(),
-            Engine::Sharded(s) => s.field_sampler(),
-        }
+        self.base().field_sampler()
     }
 
     /// Deterministically corrupt particle state (fault injection).
@@ -1449,51 +1492,35 @@ impl Engine {
 
     /// The configuration the engine was built with.
     pub fn config(&self) -> &SimConfig {
-        match self {
-            Engine::Single(s) => s.config(),
-            Engine::Sharded(s) => s.config(),
-        }
+        self.base().config()
     }
 
     /// Accumulated per-substep wall-clock timings.
     pub fn timings(&self) -> &StepTimings {
-        match self {
-            Engine::Single(s) => s.timings(),
-            Engine::Sharded(s) => s.timings(),
-        }
+        self.base().timings()
     }
 
     /// Reset the timing accumulators.
     pub fn reset_timings(&mut self) {
-        match self {
-            Engine::Single(s) => s.reset_timings(),
-            Engine::Sharded(s) => s.reset_timings(),
-        }
+        self.base_mut().reset_timings();
     }
 
-    /// Rank paths taken so far: `(incremental, full)` — per fused step on
-    /// the single-domain path, per shard-sort on the sharded path.
+    /// Rank paths taken so far, one count per non-empty shard per step:
+    /// `(incremental, full)` (see [`Simulation::sort_path_counts`]).
     pub fn sort_path_counts(&self) -> (u64, u64) {
-        match self {
-            Engine::Single(s) => s.sort_path_counts(),
-            Engine::Sharded(s) => s.sort_path_counts(),
-        }
+        self.base().sort_path_counts()
     }
 
-    /// Mover statistics: `(movers, particle-steps)` over ordinary steps.
+    /// Mover statistics: `(movers, particle-steps)` over ordinary steps —
+    /// per-particle sums, so the same at every shard count.
     pub fn mover_stats(&self) -> (u64, u64) {
-        match self {
-            Engine::Single(s) => s.mover_stats(),
-            Engine::Sharded(s) => s.mover_stats(),
-        }
+        self.base().mover_stats()
     }
 
-    /// Override the incremental rank's mover-fraction ceiling.
+    /// Override the incremental rank's mover-fraction ceiling (see
+    /// [`Simulation::set_mover_threshold`]).
     pub fn set_mover_threshold(&mut self, threshold: f64) {
-        match self {
-            Engine::Single(s) => s.set_mover_threshold(threshold),
-            Engine::Sharded(s) => s.set_mover_threshold(threshold),
-        }
+        self.base_mut().set_mover_threshold(threshold);
     }
 }
 
@@ -1511,9 +1538,9 @@ mod tests {
 
     #[test]
     fn sharded_incremental_engages_and_matches_full_mode() {
-        let mut a = ShardedSimulation::new(wedge_cfg(), 3);
+        let mut a = Engine::new(wedge_cfg(), 3);
         // Budget 0: every step with a mover ranks from scratch.
-        let mut b = ShardedSimulation::new(wedge_cfg(), 3);
+        let mut b = Engine::new(wedge_cfg(), 3);
         b.set_mover_threshold(0.0);
         a.run(50);
         b.run(50);
@@ -1587,7 +1614,7 @@ mod tests {
     #[test]
     fn sampling_windows_are_shard_count_invariant() {
         let mut single = Simulation::new(wedge_cfg());
-        let mut sharded = ShardedSimulation::new(wedge_cfg(), 3);
+        let mut sharded = Engine::new(wedge_cfg(), 3);
         single.run(30);
         sharded.run(30);
         single.begin_sampling();
@@ -1668,12 +1695,14 @@ mod tests {
         // incremental counter freezes while they do) and the trajectory
         // must match the full-rank-every-step run (budget 0) bit for bit
         // through both transitions — incremental → full → incremental.
-        let mut inc = ShardedSimulation::new(wedge_cfg(), 4);
-        let w = inc.base.tunnel.width;
-        assert!(inc.set_cuts(&[0, 1, 2, 3, w]));
-        let mut full = ShardedSimulation::new(wedge_cfg(), 4);
+        let skewed = |mut s: ShardedSimulation| {
+            let w = s.base.tunnel.width;
+            assert!(s.set_cuts(&[0, 1, 2, 3, w]));
+            Engine::Sharded(s)
+        };
+        let mut inc = skewed(ShardedSimulation::new(wedge_cfg(), 4));
+        let mut full = skewed(ShardedSimulation::new(wedge_cfg(), 4));
         full.set_mover_threshold(0.0);
-        assert!(full.set_cuts(&[0, 1, 2, 3, w]));
         let mut saw_repartition_fallback = false;
         for _ in 0..30 {
             let reparts_before = inc.repartitions();
@@ -1734,12 +1763,12 @@ mod tests {
     fn threaded_execution_is_bit_identical_to_serial_per_worker_count() {
         let mut cfg = wedge_cfg();
         cfg.exec = crate::config::ExecMode::Serial;
-        let mut reference = ShardedSimulation::new(cfg.clone(), 3);
+        let mut reference = Engine::new(cfg.clone(), 3);
         reference.run(40);
         let (want_hash, want_diag) = (reference.state_hash(), reference.diagnostics());
         for workers in [1usize, 2, 4] {
             cfg.exec = crate::config::ExecMode::Threaded { workers };
-            let mut t = ShardedSimulation::new(cfg.clone(), 3);
+            let mut t = Engine::new(cfg.clone(), 3);
             assert_eq!(t.exec_workers(), workers.min(3));
             t.run(40);
             assert_eq!(t.state_hash(), want_hash, "{workers} workers diverged");

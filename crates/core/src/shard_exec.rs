@@ -84,7 +84,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// and the rayon pool's size; `run_phase` then drives every per-shard
 /// phase.
 #[derive(Clone, Debug)]
-pub(super) struct ShardExec {
+pub(in crate::engine) struct ShardExec {
     /// Resolved worker count (`1` = run inline on the coordinator).
     workers: usize,
     /// Whether the phases' primitives fork into the rayon pool.
@@ -98,6 +98,14 @@ pub(super) struct ShardExec {
 }
 
 impl ShardExec {
+    /// The executor [`Simulation::step`](crate::Simulation::step) runs its
+    /// one domain under: `Serial`, its primitives forking into the pool.
+    pub(in crate::engine) const SERIAL: ShardExec = ShardExec {
+        workers: 1,
+        par: Par::Pool,
+        serial: true,
+    };
+
     pub(super) fn new(mode: ExecMode, n_shards: usize) -> Self {
         let workers = mode.resolved_workers(n_shards);
         Self {

@@ -111,7 +111,7 @@ impl Simulation {
             }
         }
         {
-            let p = &self.parts;
+            let p = &self.domain.parts;
             let mut s = w.section(SEC_PART);
             s.u64(p.len() as u64);
             for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
@@ -129,7 +129,7 @@ impl Simulation {
         }
         {
             let mut s = w.section(SEC_BNDS);
-            s.vec_u32(&self.bounds);
+            s.vec_u32(&self.domain.bounds);
         }
         if let Some(acc) = &self.sampler {
             let st = acc.export();
@@ -238,8 +238,8 @@ impl Simulation {
             return Err(StateError::Malformed("cell index beyond the grid"));
         }
         debug_assert!(parts.check_coherent());
-        sim.parts = parts;
-        sim.decisions.reserve(n);
+        sim.domain.parts = parts;
+        sim.domain.decisions.reserve(n);
 
         // BNDS — segment bounds of that order.
         let mut c = r.section(SEC_BNDS)?;
@@ -255,7 +255,14 @@ impl Simulation {
                 "segment bounds inconsistent with the population",
             ));
         }
-        sim.bounds = bounds;
+        // The cell of each segment, which the refill census walks by.
+        let d = &mut sim.domain;
+        d.seg_cell.extend(
+            bounds[..bounds.len() - 1]
+                .iter()
+                .map(|&b| d.parts.cell[b as usize]),
+        );
+        d.bounds = bounds;
 
         // Optional open sampling windows.
         if r.has_section(SEC_FSMP) {
@@ -343,7 +350,7 @@ impl Simulation {
     /// and the `wedge-restart` scenario compare exactly this value.
     pub fn state_hash(&self) -> u64 {
         let mut h = Fnv64::new();
-        let p = &self.parts;
+        let p = &self.domain.parts;
         h.u64(p.len() as u64);
         for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
             for v in col {
@@ -359,7 +366,7 @@ impl Simulation {
         for &cell in &p.cell {
             h.u32(cell);
         }
-        for &b in &self.bounds {
+        for &b in &self.domain.bounds {
             h.u32(b);
         }
         h.u64(self.steps);
@@ -483,24 +490,23 @@ mod tests {
     }
 
     #[test]
-    fn resumed_run_falls_back_to_the_full_rank_then_repairs() {
-        // The snapshot carries no sort scratch, so the first resumed step
-        // has no previous structure: it must fall back to the full rank
-        // cleanly, the repair path must re-engage afterwards, and the
-        // trajectory must match a twin that ranks from scratch every step.
+    fn resumed_run_repairs_from_its_first_ordinary_step() {
+        // The snapshot carries no sort scratch and needs none: the sweep
+        // packs the pairs in the saved sorted order, so the first resumed
+        // step already repairs — and the trajectory matches a twin that
+        // ranks from scratch every step.
         let mut sim = Simulation::new(SimConfig::small_test());
         sim.run(10);
         let bytes = sim.save_state();
         let mut a = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
         let mut b = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
         b.set_mover_threshold(0.0);
+        assert!(!a.plunger.will_withdraw(), "an ordinary first step");
         a.step();
-        assert_eq!(a.sort_path_counts(), (0, 1), "first resumed step");
+        assert_eq!(a.sort_path_counts(), (1, 0), "first resumed step");
         a.run(14);
         b.run(15);
         assert_eq!(a.state_hash(), b.state_hash());
-        let (inc, _) = a.sort_path_counts();
-        assert!(inc > 0, "repair path must re-engage after a resume");
         assert_eq!(b.sort_path_counts().0, 0);
     }
 

@@ -33,8 +33,8 @@ pub struct SortOutput {
 
 /// Caller-owned working state of the sort phase: the radix rank's pair and
 /// histogram buffers, the repair's two small tables, and the occupied cell
-/// id of every segment the last rank emitted.  Owned by `Simulation` (and
-/// by each shard) so repeated steps reuse every byte.
+/// id of every segment the last rank emitted.  Owned by each shard (a
+/// `Simulation`'s one domain included) so repeated steps reuse every byte.
 #[derive(Debug, Default)]
 pub struct SortWorkspace {
     radix: SortScratch,
@@ -81,17 +81,6 @@ impl SortWorkspace {
         } else {
             (self.radix.input_pairs(n), &mut [])
         }
-    }
-
-    /// Whether `bounds` and this workspace's segment cell ids are the
-    /// structure the last rank left for a population of `n` — the
-    /// single-domain engine's freshness gate for the repair.
-    /// False on the first step and after a snapshot resume, which installs
-    /// bounds but no cell ids.
-    pub fn describes(&self, bounds: &[u32], n: usize) -> bool {
-        bounds.len() == self.seg_cells.len() + 1
-            && bounds.first() == Some(&0)
-            && bounds.last() == Some(&(n as u32))
     }
 
     /// The occupied cell id of every segment the last rank emitted, one
@@ -269,31 +258,31 @@ fn build_pairs_dirty(
 /// here than a one-launch (column × chunk) task grid (see dsmc-datapar's
 /// sort docs).
 ///
-/// The gather reads `parts.len()` rows and writes `order.len()`: equal on
-/// the single-domain engine, while a shard's order names its surviving
-/// residents plus the arrivals behind them and skips the departed — the
-/// one copy that both sorts the shard and completes the exchange.
+/// The gather reads `parts.len()` rows and writes `order.len()`: equal
+/// when nothing is exchanged, while an exchanging shard's order names its
+/// surviving residents plus the arrivals behind them and skips the
+/// departed — the one copy that both sorts the shard and completes the
+/// exchange.
 fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u32], par: Par) {
     parts.apply_order_no_cell(order, par);
     parts.cell.resize(order.len(), 0);
     fill_cells_from_bounds(bounds, seg_cells, &mut parts.cell, par);
 }
 
-/// The back half of the sort phase — one rank, one send — for both
-/// engines.  The pairs are already in the workspace's buffers
+/// The back half of the sort phase — one rank, one send — for every
+/// shard.  The pairs are already in the workspace's buffers
 /// ([`SortWorkspace::move_buffers`]): the single-sweep move phase
 /// (`crate::movephase`) packed them and, when `seeded`, counted the first
-/// radix digit; or `build_pairs` did; or the sharded engine's merge wrote
-/// them there.  Their index fields name rows of `parts`; they need not be a
+/// radix digit; or `build_pairs` did; or the exchange's merge wrote them
+/// there.  Their index fields name rows of `parts`; they need not be a
 /// permutation of it (see `send`).
 ///
 /// **Rank.**  With `repair`, first try [`dsmc_datapar::incremental_rank`]:
 /// two serial counting passes that repair last step's order instead of
 /// re-ranking from scratch.  The caller asks for it only when the pairs sit
-/// in the *previous* sorted order — what the move sweep packs when `bounds`
-/// still describes the array it walked (the single-domain engine asks
-/// [`SortWorkspace::describes`] first), and what the sharded merge builds
-/// by construction — and is also the mover-budget authority: it decides
+/// in the *previous* sorted order — what the move sweep packs over the
+/// sorted array it walks, and what the exchange's merge builds by
+/// construction — and is also the mover-budget authority: it decides
 /// from the sweep's own mover count whether to ask at all.
 /// `incremental_rank` reads its previous-structure arguments as a
 /// freshness gate only, and freshness is that precondition, so it is

@@ -104,6 +104,7 @@ fn exchange_survives_withdrawals_and_a_forced_repartition() {
             let mut sharded = ShardedSimulation::new(cfg.clone(), 4);
             sharded.run(BEFORE);
             assert!(sharded.set_cuts(&[0, 1, 2, 3, cfg.tunnel_w]));
+            let mut sharded = Engine::Sharded(sharded);
             sharded.run(AFTER);
             let tag = format!("{rng_mode:?} / {exec:?}");
             assert!(
@@ -144,7 +145,7 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     assert!(reference.diagnostics().plunger_cycles >= 1);
     for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
         cfg.exec = exec;
-        let mut sharded = ShardedSimulation::new(cfg.clone(), 4);
+        let mut sharded = Engine::new(cfg.clone(), 4);
         sharded.run(30);
         let populations = sharded.shard_populations();
         assert!(
@@ -161,6 +162,36 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
         );
         assert_eq!(sharded.mover_stats(), reference.mover_stats(), "{exec:?}");
     }
+}
+
+/// The two one-shard engines are one step: a snapshot resumed as a
+/// `Simulation` and as a one-shard `ShardedSimulation`, stepped across a
+/// plunger withdrawal, agrees on the state and on every ledger — which
+/// rank path each step took included, from the first resumed step on.
+#[test]
+fn one_shard_engines_agree_on_every_ledger() {
+    let cfg = wedge_dirty_cfg(5);
+    let mut cold = Simulation::new(cfg.clone());
+    cold.run(10);
+    let snapshot = cold.save_state();
+    let mut single = Engine::resume(cfg.clone(), &snapshot, 1).expect("resume");
+    let mut sharded = Engine::resume_sharded(cfg, &snapshot, 1).expect("resume at one shard");
+    assert!(matches!(single, Engine::Single(_)));
+    assert!(matches!(sharded, Engine::Sharded(_)));
+    let cycles = single.diagnostics().plunger_cycles;
+    for step in 0..40 {
+        single.step();
+        sharded.step();
+        let paths = (single.sort_path_counts(), sharded.sort_path_counts());
+        assert_eq!(paths.0, paths.1, "rank paths after resumed step {step}");
+    }
+    assert!(
+        single.diagnostics().plunger_cycles > cycles,
+        "the run must cross a withdrawal"
+    );
+    assert_eq!(single.state_hash(), sharded.state_hash());
+    assert_eq!(single.diagnostics(), sharded.diagnostics());
+    assert_eq!(single.mover_stats(), sharded.mover_stats());
 }
 
 /// The wide grid (`pipeline.rs` pins it to the oracle): 15 cell bits, and

@@ -212,7 +212,7 @@ pub enum WallModel {
     },
 }
 
-/// How the sharded engine drives its per-shard phase work.
+/// How a simulation drives its per-shard phase work.
 ///
 /// Both modes produce **bitwise-identical** trajectories (see
 /// `tests/tests/shard_exec.rs`): every per-shard phase (move, sort,
@@ -221,14 +221,14 @@ pub enum WallModel {
 /// the coordinator in shard-index order at the existing phase barriers.
 /// The choice is therefore a pure execution knob, *excluded* from
 /// [`SimConfig::fingerprint`] so checkpoints stay portable between modes.
-/// Only the sharded engine consults it.
+/// Every [`crate::Simulation`] resolves its executor from it and its
+/// shard count; one shard resolves to one worker either way.
 ///
 /// Which threads a step's primitives run on is one rule: the rayon thread
-/// count (`RAYON_NUM_THREADS`) sizes the pool that the single-domain
-/// [`crate::Simulation`] and `Serial` or one-worker sharded runs fork
-/// every primitive above 16 k elements into; `Threaded` workers that are
-/// at least as many as the pool's threads never enter it and run their
-/// shards' primitives inline.
+/// count (`RAYON_NUM_THREADS`) sizes the pool that one-shard, `Serial` and
+/// one-worker runs fork every primitive above 16 k elements into;
+/// `Threaded` workers that are at least as many as the pool's threads
+/// never enter it and run their shards' primitives inline.
 ///
 /// The textual form — `serial`, `auto` (one worker per core) or a worker
 /// count ≥ 1 — is the one grammar of `DSMC_EXEC_THREADS`, `scenarios

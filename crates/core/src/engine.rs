@@ -17,7 +17,7 @@ use dsmc_geom::{
     Wedge,
 };
 use dsmc_kinetics::{FreeStream, SelectionTable};
-use shard::{exec::ShardExec, Shard};
+use shard::{exec::ShardExec, Outbox, Shard, ShardLayout};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,7 +50,11 @@ impl MonoBody {
     }
 }
 
-/// A running particle simulation (the paper's full wind-tunnel system).
+/// A running particle simulation (the paper's full wind-tunnel system),
+/// stepped over one or more column-block shards — bit-identically at every
+/// shard count, as the paper's program ran at every virtual-processor
+/// ratio (see [`shard`]).  One shard by default; [`Simulation::reshard`]
+/// and [`Simulation::resume`] set the count.
 pub struct Simulation {
     cfg: SimConfig,
     tunnel: Tunnel,
@@ -59,10 +63,27 @@ pub struct Simulation {
     fs: FreeStream,
     sel: SelectionTable,
     volumes: Vec<f64>,
-    /// The particle columns and their sort machinery: the one domain
-    /// [`Simulation::step`] steps — on a sharded engine's `base`, the
-    /// canonical view its shards merge back into.
-    domain: Shard,
+    /// The particle columns and their sort machinery, one per column
+    /// block: at one shard the canonical sorted state itself, at several
+    /// the canonical array restricted to each shard's cells.
+    shards: Vec<Shard>,
+    /// At several shards, the canonical view the shards merge into on
+    /// demand; stale while `dirty`.  Unused at one shard.
+    view: Shard,
+    /// True when the shards have stepped past `view`.
+    dirty: bool,
+    layout: ShardLayout,
+    /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
+    /// source fills its row in the move phase (after the refill on
+    /// withdrawal steps); every destination reads its column in the sort
+    /// phase.
+    outbox: Vec<Vec<Outbox>>,
+    /// Per-column flow loads from the last sort's segment bounds.
+    col_load: Vec<u64>,
+    repartitions: u64,
+    /// The per-shard phase executor, resolved from `cfg.exec` and the
+    /// shard count.
+    exec: ShardExec,
     plunger: Plunger,
     res_base: u32,
     res: ResLayout,
@@ -138,7 +159,7 @@ impl Simulation {
     pub fn try_new(cfg: SimConfig) -> Result<Self, crate::config::ConfigError> {
         let cfg = cfg.try_validated()?;
         let mut sim = Self::shell(cfg);
-        let mut domain = std::mem::take(&mut sim.domain);
+        let mut domain = std::mem::take(&mut sim.shards[0]);
         domain.parts = init::populate(
             &sim.cfg,
             &sim.tunnel,
@@ -149,16 +170,17 @@ impl Simulation {
         domain.decisions.reserve(domain.parts.len());
         // Establish sorted order once so `bounds` is valid before step 1.
         domain.rank_from_scratch(&sim, Par::Pool);
-        sim.domain = domain;
+        sim.shards[0] = domain;
         Ok(sim)
     }
 
     /// Everything [`Simulation::new`] derives from the configuration alone
-    /// — geometry, kinetics tables, classifier, scratch — with *no*
-    /// particles and no initial sort.  `new` populates and sorts on top of
-    /// this; [`Simulation::resume`] instead installs a snapshot's particle
-    /// state verbatim (re-sorting would consume per-particle jitter draws
-    /// an uninterrupted run never made, breaking resume bit-identity).
+    /// — geometry, kinetics tables, classifier, scratch, one empty shard —
+    /// with *no* particles and no initial sort.  `new` populates and sorts
+    /// on top of this; [`Simulation::resume`] instead installs a snapshot's
+    /// particle state verbatim (re-sorting would consume per-particle
+    /// jitter draws an uninterrupted run never made, breaking resume
+    /// bit-identity).
     /// `cfg` must already be validated/normalised: `try_new` and
     /// [`Simulation::resume`] both run `try_validated` first and surface
     /// failures as typed errors.
@@ -198,6 +220,7 @@ impl Simulation {
             res_h_fx: Fx::from_int(res.h as i32),
             rounding: cfg.rounding,
             rng_mode: cfg.rng_mode,
+            exec: ShardExec::new(cfg.exec, 1),
             cfg,
             tunnel,
             body,
@@ -205,7 +228,13 @@ impl Simulation {
             fs,
             sel,
             volumes,
-            domain: Shard::new(total_cells as usize),
+            shards: vec![Shard::new(total_cells as usize)],
+            view: Shard::default(),
+            dirty: false,
+            layout: ShardLayout::new(vec![0, tunnel.width], tunnel.width, res_base, total_cells),
+            outbox: Vec::new(),
+            col_load: Vec::new(),
+            repartitions: 0,
             plunger,
             res_base,
             key_bits,
@@ -375,14 +404,10 @@ impl Simulation {
     }
 
     /// Advance one time step (the paper's four sub-steps, plus sampling if
-    /// a window is open): the one step path of [`shard`] over this
-    /// engine's one domain, which exchanges nothing, under the serial
-    /// executor.
+    /// a window is open), panicking on a shard-worker failure (the
+    /// non-`Result` form of [`Simulation::try_step`]).
     pub fn step(&mut self) {
-        let mut domain = std::mem::take(&mut self.domain);
-        let stepped = self.step_shards(std::slice::from_mut(&mut domain), &ShardExec::SERIAL, None);
-        self.domain = domain;
-        stepped.expect("the serial executor lets a panic unwind");
+        self.try_step().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Run `n` steps.
@@ -439,38 +464,46 @@ impl Simulation {
         self.sampler.as_ref()
     }
 
-    /// Current physical ledgers.
+    /// Current physical ledgers: exact integer sums over the shards, so
+    /// the same at every shard count and never stale.
     ///
-    /// Population counts come from a binary search over the sorted segment
-    /// bounds (flow cells sort before reservoir cells), so `n_flow` costs
-    /// O(log segments) instead of an O(N) scan of the cell column; the
-    /// energy/momentum totals remain O(N) exact sums.
+    /// Population counts come from a binary search over each shard's sorted
+    /// segment bounds (flow cells sort before reservoir cells), so `n_flow`
+    /// costs O(log segments) instead of an O(N) scan of the cell column;
+    /// the energy/momentum totals remain O(N) exact sums.
     pub fn diagnostics(&self) -> Diagnostics {
         let n_flow = self.n_flow();
+        let (mut energy_raw, mut momentum_raw) = (0, [0; 5]);
+        for parts in self.shards.iter().map(|s| &s.parts) {
+            energy_raw += parts.total_energy_raw();
+            let m = parts.total_momentum_raw();
+            momentum_raw = std::array::from_fn(|k| momentum_raw[k] + m[k]);
+        }
         Diagnostics {
             steps: self.steps,
             n_flow,
-            n_reservoir: self.domain.parts.len() - n_flow,
+            n_reservoir: self.n_particles() - n_flow,
             candidates: self.candidates,
             collisions: self.collisions,
             exited: self.exited,
             introduced: self.introduced,
             plunger_cycles: self.plunger_cycles,
-            energy_raw: self.domain.parts.total_energy_raw(),
-            momentum_raw: self.domain.parts.total_momentum_raw(),
+            energy_raw,
+            momentum_raw,
         }
     }
 
-    /// Particles currently in the flow: the start of the first reservoir
-    /// segment in the sorted bounds (O(log segments)).
+    /// Particles currently in the flow: per shard, the start of its first
+    /// reservoir segment in the sorted bounds (O(log segments)).
     pub fn n_flow(&self) -> usize {
-        let n_seg = self.domain.bounds.len().saturating_sub(1);
-        let first_res = self.domain.bounds[..n_seg]
-            .partition_point(|&start| self.domain.parts.cell[start as usize] < self.res_base);
-        self.domain
-            .bounds
-            .get(first_res)
-            .map_or(self.domain.parts.len(), |&b| b as usize)
+        let flow = |d: &Shard| {
+            let first_res = d.bounds[..d.n_segments()]
+                .partition_point(|&start| d.parts.cell[start as usize] < self.res_base);
+            d.bounds
+                .get(first_res)
+                .map_or(d.parts.len(), |&b| b as usize)
+        };
+        self.shards.iter().map(flow).sum()
     }
 
     /// Accumulated per-substep wall-clock timings.
@@ -482,7 +515,7 @@ impl Simulation {
     /// order.  The zero-allocation test asserts these are stable across
     /// steps once the simulation has warmed up.
     pub fn hot_path_capacities(&self) -> Vec<usize> {
-        let d = &self.domain;
+        let d = self.canon();
         let mut caps = vec![
             d.decisions.capacity(),
             d.bounds.capacity(),
@@ -551,12 +584,20 @@ impl Simulation {
     /// consumed, so an uninterrupted reference run and a
     /// corrupt-then-recover run share trajectories exactly.  Returns a
     /// human-readable description of what was damaged (for recovery
-    /// logs).
+    /// logs).  Applied on the canonical state (several shards sync first
+    /// and re-scatter after), so the sentinel-visible damage is the same
+    /// at every shard count.
     pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
-        let n = self.domain.parts.len();
+        self.sync_canonical();
+        let total = self.total_cells();
+        let parts = match &mut self.shards[..] {
+            [one] => &mut one.parts,
+            _ => &mut self.view.parts,
+        };
+        let n = parts.len();
         assert!(n > 0, "cannot inject a fault into an empty simulation");
         let start = (salt as usize) % n;
-        match target {
+        let what = match target {
             FaultTarget::OutOfPlaneVelocity => {
                 // +4 cells/step of w over a block: a deterministic
                 // momentum-ledger jolt (and an energy jolt in small
@@ -566,8 +607,7 @@ impl Simulation {
                 let block = (n / 64).clamp(32.min(n), n);
                 for k in 0..block {
                     let i = (start + k) % n;
-                    let raw = self.domain.parts.w[i].raw();
-                    self.domain.parts.w[i] = Fx::from_raw(raw.saturating_add(KICK));
+                    parts.w[i] = Fx::from_raw(parts.w[i].raw().saturating_add(KICK));
                 }
                 format!("w += 4.0 c/s over {block} particles from slot {start}")
             }
@@ -576,7 +616,7 @@ impl Simulation {
                 // bound for every registry config, yet slow enough that a
                 // few move phases neither overflow positions nor matter.
                 const SPIKE: i32 = 1 << 25;
-                self.domain.parts.u[start] = Fx::from_raw(SPIKE);
+                parts.u[start] = Fx::from_raw(SPIKE);
                 format!("u := 4.0 c/s on particle {start}")
             }
             FaultTarget::CellIndex => {
@@ -585,12 +625,15 @@ impl Simulation {
                 // so this class self-heals after one step — inject it at
                 // a sentinel boundary to model a stale cache caught in
                 // the act.
-                let total = self.total_cells();
-                let old = self.domain.parts.cell[start];
-                self.domain.parts.cell[start] = (old + 1) % total;
+                let old = parts.cell[start];
+                parts.cell[start] = (old + 1) % total;
                 format!("cell {old} -> {} on particle {start}", (old + 1) % total)
             }
+        };
+        if self.shards.len() > 1 {
+            self.scatter();
         }
+        what
     }
 
     /// Reset the timing accumulators (e.g. after warm-up).
@@ -598,25 +641,29 @@ impl Simulation {
         self.timings.reset();
     }
 
-    /// The particle store (read access for analysis tools).
+    /// The particle store in canonical sorted order (read access for
+    /// analysis tools).  Panics on a stepped multi-shard engine whose view
+    /// has not been merged: call [`Simulation::canonical`] first.
     pub fn particles(&self) -> &ParticleStore {
-        &self.domain.parts
+        &self.canon().parts
     }
 
-    /// Segment bounds of the current sorted order.
+    /// Segment bounds of the current sorted order (fresh view required,
+    /// as for [`Simulation::particles`]).
     pub fn segment_bounds(&self) -> &[u32] {
-        &self.domain.bounds
+        &self.canon().bounds
     }
 
     /// The permutation applied by the most recent sort (`new[i] =
-    /// old[order[i]]`) — consumed by the CM-2 communication analysis.
+    /// old[order[i]]`) — consumed by the CM-2 communication analysis
+    /// (fresh view required, as for [`Simulation::particles`]).
     pub fn last_sort_order(&self) -> &[u32] {
-        &self.domain.order
+        &self.canon().order
     }
 
-    /// Total number of particles (flow + reservoir).
+    /// Total number of particles (flow + reservoir), summed over shards.
     pub fn n_particles(&self) -> usize {
-        self.domain.parts.len()
+        self.shards.iter().map(|s| s.parts.len()).sum()
     }
 
     /// First reservoir cell index.
@@ -663,9 +710,8 @@ impl Simulation {
 #[path = "snapshot.rs"]
 pub mod snapshot;
 
-// The step itself — over this engine's one domain or over column-block
-// shards — and the sharded engine are likewise a child module: they reach
-// the same private state.
+// The step itself and the column-block decomposition it runs over are
+// likewise a child module: they reach the same private state.
 #[path = "shard.rs"]
 pub mod shard;
 

@@ -24,7 +24,10 @@
 //! [`collide`] one after another, which is what the test oracle
 //! `dsmc_baselines::TwoStepSim` does.
 //!
-//! The public entry point is [`Simulation`], configured by [`SimConfig`].
+//! The public entry point is [`Simulation`], configured by [`SimConfig`]
+//! and stepped over any number of column-block shards
+//! ([`Simulation::reshard`]; bit-identical at every count, see
+//! [`engine::shard`]).
 //! State is structure-of-arrays 32-bit fixed point ([`particles`]); the
 //! sort is what load-balances the collision phase ("the total processing
 //! power of the machine is evenly distributed amongst the computational
@@ -74,7 +77,11 @@ pub mod surface;
 pub use config::{BodySpec, ConfigError, ExecMode, RngMode, SimConfig};
 pub use diag::{Diagnostics, SortSplit, StepTimings, Substep};
 pub use engine::shard::exec::ShardExecError;
-pub use engine::shard::{Engine, ShardLayout, ShardedSimulation, REPARTITION_THRESHOLD};
+pub use engine::shard::{ShardLayout, REPARTITION_THRESHOLD};
+// The benchmark adapter's names for `Simulation` at a shard count: a type
+// alias and a two-variant enum that dereferences to it.  New code uses
+// `Simulation` and `Simulation::reshard`.
+pub use engine::shard::{Engine, ShardedSimulation};
 pub use engine::{FaultTarget, Simulation};
 pub use sample::SampledField;
 pub use sentinel::{Sentinel, SentinelError, SentinelThresholds};

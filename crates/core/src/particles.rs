@@ -14,13 +14,14 @@
 use dsmc_datapar::{apply_perm_with, Par};
 use dsmc_fixed::Fx;
 use dsmc_rng::{Perm5, XorShift32};
+use std::ops::Range;
 
 /// Back buffers for the sort's "send": one destination per column *type*,
 /// swapped with the live column after each gather, so the seven `Fx`
 /// columns rotate through one buffer and steady-state sends perform no heap
 /// allocation (the population is conserved, so lengths go quiescent after
 /// the first step; a shard's drift with the crossers, see
-/// [`ParticleStore::extend_from`]).
+/// [`ParticleStore::extend_range`]).
 #[derive(Clone, Debug, Default)]
 struct BackColumns {
     fx: Vec<Fx>,
@@ -60,17 +61,36 @@ impl ParticleStore {
     /// An empty store with reserved capacity.
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::default();
-        s.x.reserve(n);
-        s.y.reserve(n);
-        s.u.reserve(n);
-        s.v.reserve(n);
-        s.w.reserve(n);
-        s.r1.reserve(n);
-        s.r2.reserve(n);
-        s.perm.reserve(n);
-        s.rng.reserve(n);
-        s.cell.reserve(n);
+        s.reserve(n);
         s
+    }
+
+    /// Reserve room for `additional` more particles in every column.
+    pub fn reserve(&mut self, additional: usize) {
+        self.x.reserve(additional);
+        self.y.reserve(additional);
+        self.u.reserve(additional);
+        self.v.reserve(additional);
+        self.w.reserve(additional);
+        self.r1.reserve(additional);
+        self.r2.reserve(additional);
+        self.perm.reserve(additional);
+        self.rng.reserve(additional);
+        self.cell.reserve(additional);
+    }
+
+    /// Remove every particle, keeping the columns' capacity.
+    pub fn clear(&mut self) {
+        self.x.clear();
+        self.y.clear();
+        self.u.clear();
+        self.v.clear();
+        self.w.clear();
+        self.r1.clear();
+        self.r2.clear();
+        self.perm.clear();
+        self.rng.clear();
+        self.cell.clear();
     }
 
     /// Number of particles.
@@ -99,13 +119,13 @@ impl ParticleStore {
         self.cell.push(cell);
     }
 
-    /// Append every particle of `other` behind this store's own — the
-    /// sharded engine's arrivals, which wait at the tail for the send that
-    /// folds them into sorted order.  A column that must grow takes an
-    /// eighth of headroom on top, once, instead of doubling: a shard's
-    /// population drifts by a percent a step, and the send rotates every
-    /// buffer through this call.
-    pub fn extend_from(&mut self, other: &ParticleStore) {
+    /// Append the particles `range` of `other` behind this store's own —
+    /// a sharded engine's arrivals, which wait at the tail for the send
+    /// that folds them into sorted order, and the segments the canonical
+    /// merge gathers.  A column that must grow takes an eighth of headroom
+    /// on top, once, instead of doubling: a shard's population drifts by a
+    /// percent a step, and the send rotates every buffer through this call.
+    pub fn extend_range(&mut self, other: &ParticleStore, range: Range<usize>) {
         fn append<T: Copy>(col: &mut Vec<T>, tail: &[T]) {
             let need = col.len() + tail.len();
             if col.capacity() < need {
@@ -113,16 +133,16 @@ impl ParticleStore {
             }
             col.extend_from_slice(tail);
         }
-        append(&mut self.x, &other.x);
-        append(&mut self.y, &other.y);
-        append(&mut self.u, &other.u);
-        append(&mut self.v, &other.v);
-        append(&mut self.w, &other.w);
-        append(&mut self.r1, &other.r1);
-        append(&mut self.r2, &other.r2);
-        append(&mut self.perm, &other.perm);
-        append(&mut self.rng, &other.rng);
-        append(&mut self.cell, &other.cell);
+        append(&mut self.x, &other.x[range.clone()]);
+        append(&mut self.y, &other.y[range.clone()]);
+        append(&mut self.u, &other.u[range.clone()]);
+        append(&mut self.v, &other.v[range.clone()]);
+        append(&mut self.w, &other.w[range.clone()]);
+        append(&mut self.r1, &other.r1[range.clone()]);
+        append(&mut self.r2, &other.r2[range.clone()]);
+        append(&mut self.perm, &other.perm[range.clone()]);
+        append(&mut self.rng, &other.rng[range.clone()]);
+        append(&mut self.cell, &other.cell[range]);
     }
 
     /// The five velocity components of particle `i`.
@@ -306,7 +326,7 @@ mod tests {
         // Four residents, two arrivals at the tail; the send drops
         // residents 1 and 3 and folds the arrivals in.
         let mut s = store_of(4);
-        s.extend_from(&store_of(6));
+        s.extend_range(&store_of(6), 0..6);
         assert_eq!(s.len(), 10);
         let rng_before: Vec<XorShift32> = s.rng.clone();
         let order = [9u32, 0, 4, 2];
@@ -317,6 +337,20 @@ mod tests {
             assert_eq!(s.rng[i], rng_before[o as usize]);
         }
         assert_eq!(s.x[0], fx(2.5), "row 9 is the second store's particle 5");
+    }
+
+    #[test]
+    fn extend_range_appends_the_named_rows_and_clear_empties() {
+        let src = store_of(6);
+        let mut s = store_of(2);
+        s.extend_range(&src, 3..5);
+        assert_eq!(s.len(), 4);
+        assert!(s.check_coherent());
+        assert_eq!(s.x[2..], src.x[3..5]);
+        assert_eq!(s.rng[2..], src.rng[3..5]);
+        assert_eq!(s.cell[2..], src.cell[3..5]);
+        s.clear();
+        assert!(s.is_empty() && s.check_coherent());
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! The one step path, over one domain or many, and the sharded domain
-//! decomposition of the wind tunnel, bit-identical for **any** shard
-//! count.
+//! The one step path and the column-block decomposition it runs over,
+//! bit-identical for **any** shard count.
 //!
 //! The paper ran this simulation by mapping particles to (virtual)
-//! processors on the Connection Machine; the modern equivalent is a small
-//! number of coarse shards, each owning a *column block* of the tunnel.
-//! [`ShardedSimulation`] partitions the grid at column boundaries and
-//! gives every shard its own particle columns, sort scratch and segment
-//! bounds; per-particle `XorShift32` streams travel with their particles,
-//! so a shard's random draws are exactly the draws one domain would have
-//! made for those particles.  [`Simulation::step`] is the same step over
-//! its one domain: exactly one shard owns every cell, so it exchanges
-//! nothing — no owner scan, no outbox, no merge, no parity prefix.
+//! processors on the Connection Machine, at whatever virtual-processor
+//! ratio the machine size gave; the modern equivalent is a small number
+//! of coarse shards, each owning a *column block* of the tunnel.  A
+//! [`Simulation`] partitions the grid at column boundaries
+//! ([`Simulation::reshard`]) and gives every shard its own particle
+//! columns, sort scratch and segment bounds; per-particle `XorShift32`
+//! streams travel with their particles, so a shard's random draws are
+//! exactly the draws one domain would have made for those particles.  The
+//! shard count is a number, not a type: one shard — the default — owns
+//! every cell and is itself the canonical state, so its step exchanges
+//! nothing (no owner scan, no outbox, no merge, no parity prefix).
 //!
 //! # The determinism invariant
 //!
@@ -103,20 +104,32 @@
 //! and every trajectory-bearing reduction happens on the coordinator in
 //! shard-index order; `tests/tests/shard_exec.rs` pins Serial ≡ Threaded
 //! bit-identity across shard × worker matrices.  Worker panics surface as
-//! a typed [`exec::ShardExecError`] from [`ShardedSimulation::try_step`]
+//! a typed [`exec::ShardExecError`] from [`Simulation::try_step`]
 //! instead of unwinding through (or aborting) the coordinator.
+//!
+//! # The canonical view and freshness
+//!
+//! Several shards step past the canonical (one-domain) array; a lazy
+//! k-way merge by cell rebuilds it on demand — a pure copy, no RNG.  One
+//! rule says who merges: the exact integer ledgers
+//! ([`Simulation::diagnostics`], [`Simulation::n_particles`],
+//! [`Simulation::n_flow`]) sum over the shards under `&self`; the
+//! order-bearing outputs ([`Simulation::state_hash`],
+//! [`Simulation::save_state`], [`Simulation::inject_fault`],
+//! [`Simulation::canonical`]) merge first under `&mut self`; and the
+//! column readers ([`Simulation::particles`] and its siblings) panic on a
+//! stale view rather than return it.
 //!
 //! # Checkpoints
 //!
-//! [`ShardedSimulation::save_state`] writes the canonical sections
-//! (identical bytes to the single-domain save — the sync is a pure merge
-//! that consumes no RNG) plus an advisory `SHRD` manifest: shard count,
-//! column cuts, per-shard populations, repartition count.  Resume scatters
-//! the canonical state under *any* shard count and warm-starts the stored
-//! cuts only when the counts match, so a checkpoint taken at S shards
-//! resumes bit-exactly at S′ — including S′ = 1 via [`Simulation::resume`],
-//! which skips the unknown section.  The manifest is outside both the
-//! config fingerprint and the state hash (execution layout, not physics).
+//! [`Simulation::save_state`] writes the canonical sections (identical
+//! bytes at every shard count) plus, at several shards, an advisory
+//! `SHRD` manifest: shard count, column cuts, per-shard populations,
+//! repartition count.  [`Simulation::resume`] scatters the canonical
+//! state under *any* shard count and warm-starts the stored cuts only when
+//! the counts match, so a checkpoint taken at S shards resumes bit-exactly
+//! at S′.  The manifest is outside both the config fingerprint and the
+//! state hash (execution layout, not physics).
 
 // The per-shard phase executor (scoped worker threads + typed panic
 // propagation) is a child module for the same reason this module is a
@@ -124,26 +137,18 @@
 #[path = "shard_exec.rs"]
 pub mod exec;
 
-use super::{FaultTarget, Simulation};
+use super::Simulation;
 use crate::collide;
 use crate::config::{ConfigError, SimConfig};
-use crate::diag::{Diagnostics, SortSplit, StepTimings, Substep};
+use crate::diag::{SortSplit, Substep};
 use crate::movephase::{KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
-use crate::sample::{FieldAccumulator, SampledField};
 use crate::sortstep::{self, SortWorkspace};
-use crate::surface::SurfaceField;
 use dsmc_datapar::{first_pass_bits, pack_pair, Par, PAR_THRESHOLD};
 use dsmc_fixed::Fx;
-use dsmc_state::{Reader, StateError, Writer};
+use dsmc_state::StateError;
 use exec::{ShardExec, ShardExecError};
-use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// Sharded-run manifest: shard count, column cuts, per-shard populations,
-/// repartition count.  Advisory (execution layout, not physics): resume
-/// ignores it except to warm-start the cuts at a matching shard count.
-const SEC_SHRD: [u8; 4] = *b"SHRD";
 
 /// Repartition trigger: re-draw the column cuts when the heaviest shard's
 /// flow population exceeds this multiple of the mean.  1.25 keeps
@@ -156,7 +161,7 @@ pub const REPARTITION_THRESHOLD: f64 = 1.25;
 /// `cuts[k] .. cuts[k+1]` (and the last shard additionally owns the
 /// reservoir box, which keeps the reservoir's relaxation segments — and
 /// the plunger refill census — from straddling a cut).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardLayout {
     /// `n_shards + 1` ascending column cuts: `cuts[0] == 0`,
     /// `cuts[n_shards] == tunnel_w`.
@@ -170,7 +175,7 @@ pub struct ShardLayout {
 }
 
 impl ShardLayout {
-    fn new(cuts: Vec<u32>, tunnel_w: u32, res_base: u32, total_cells: u32) -> Self {
+    pub(super) fn new(cuts: Vec<u32>, tunnel_w: u32, res_base: u32, total_cells: u32) -> Self {
         let mut layout = Self {
             cuts: Vec::new(),
             tunnel_w,
@@ -182,7 +187,7 @@ impl ShardLayout {
     }
 
     /// Move the cuts and re-derive the owner table from them.
-    fn set_cuts(&mut self, cuts: Vec<u32>) {
+    pub(super) fn set_cuts(&mut self, cuts: Vec<u32>) {
         self.cuts = cuts;
         let last = self.n_shards() as u32 - 1;
         for (cell, owner) in self.owner_of.iter_mut().enumerate() {
@@ -246,6 +251,11 @@ fn balanced_cuts(col_load: &[u64], n_shards: usize) -> Vec<u32> {
     cuts
 }
 
+/// Whether `cuts` ascends strictly from column 0 to the tunnel width `w`.
+pub(super) fn cuts_span(cuts: &[u32], w: u32) -> bool {
+    cuts.first() == Some(&0) && cuts.last() == Some(&w) && cuts.windows(2).all(|p| p[0] < p[1])
+}
+
 /// Uniform cuts (the cold-start fallback when there is no census yet).
 fn uniform_cuts(w: usize, n_shards: usize) -> Vec<u32> {
     (0..=n_shards).map(|k| (k * w / n_shards) as u32).collect()
@@ -255,7 +265,7 @@ fn uniform_cuts(w: usize, n_shards: usize) -> Vec<u32> {
 /// source array order — so ascending by previous cell, which is the order
 /// the destination merges them in.
 #[derive(Default)]
-struct Outbox {
+pub(super) struct Outbox {
     /// The ten columns of each crosser.
     parts: ParticleStore,
     /// This step's jittered sort key of each crosser (the key half of the
@@ -267,7 +277,7 @@ struct Outbox {
 
 impl Outbox {
     fn clear(&mut self) {
-        clear_store(&mut self.parts);
+        self.parts.clear();
         self.key.clear();
         self.prev_cell.clear();
     }
@@ -315,7 +325,7 @@ impl Shard {
         shard
     }
 
-    fn n_segments(&self) -> usize {
+    pub(super) fn n_segments(&self) -> usize {
         self.bounds.len().saturating_sub(1)
     }
 
@@ -427,7 +437,8 @@ impl Shard {
                     first_row: self.parts.len(),
                     pos: 0,
                 });
-                self.parts.extend_from(&row[me].parts);
+                self.parts
+                    .extend_range(&row[me].parts, 0..row[me].parts.len());
             }
         }
         let n_live = self.parts.len() - self.departed.len();
@@ -474,19 +485,6 @@ impl Shard {
     }
 }
 
-fn clear_store(p: &mut ParticleStore) {
-    p.x.clear();
-    p.y.clear();
-    p.u.clear();
-    p.v.clear();
-    p.w.clear();
-    p.r1.clear();
-    p.r2.clear();
-    p.perm.clear();
-    p.rng.clear();
-    p.cell.clear();
-}
-
 /// Rebuild a shard's segment table from its (cell-sorted) array — used
 /// after a scatter, where the canonical order guarantees sortedness.
 fn rebuild_segments(shard: &mut Shard) {
@@ -527,158 +525,77 @@ fn next_merged_segment(shards: &[Shard], pos: &mut [usize]) -> Option<(usize, us
     Some((s, pos[s] - 1))
 }
 
-/// The sharded engine: a [`Simulation`] decomposed into column-block
-/// shards, stepping bit-identically to the canonical single-domain run
-/// (see the module docs for the invariant and the phase-by-phase
-/// argument).
-///
-/// The embedded `base` holds everything global — config, geometry,
-/// kinetics tables, classifier, plunger, counters, open sampling windows —
-/// while its own particle columns act as the *canonical view*, refreshed
-/// lazily by a pure merge whenever a caller needs whole-population state
-/// ([`ShardedSimulation::canonical`], hashing, checkpointing,
-/// diagnostics).
-pub struct ShardedSimulation {
-    base: Simulation,
-    layout: ShardLayout,
-    shards: Vec<Shard>,
-    /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
-    /// source fills its row in the move phase (after the refill on
-    /// withdrawal steps); every destination reads its column in the sort
-    /// phase.
-    outbox: Vec<Vec<Outbox>>,
-    /// Per-column flow loads from the last sort's segment bounds.
-    col_load: Vec<u64>,
-    /// True when the shards have stepped past the canonical view.
-    dirty: bool,
-    repartitions: u64,
-    /// The per-shard phase executor (resolved from `cfg.exec`).
-    exec: ShardExec,
-}
-
-impl ShardedSimulation {
-    /// Build and initialise a sharded simulation.  `n_shards` is clamped
-    /// to `[1, tunnel width]`.
-    ///
-    /// Panics on an invalid configuration; services that must survive bad
-    /// input use [`ShardedSimulation::try_new`].
-    pub fn new(cfg: SimConfig, n_shards: usize) -> Self {
-        Self::try_new(cfg, n_shards).unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
-    }
-
-    /// Build and initialise a sharded simulation, reporting configuration
-    /// problems as a typed error.
-    pub fn try_new(cfg: SimConfig, n_shards: usize) -> Result<Self, ConfigError> {
-        Ok(Self::from_simulation(Simulation::try_new(cfg)?, n_shards))
-    }
-
-    /// Decompose an existing simulation (at a step boundary) into
-    /// `n_shards` column blocks.  The initial cuts are weighted by the
-    /// current per-column populations, so a shock that already exists is
-    /// balanced from step one.
-    pub fn from_simulation(base: Simulation, n_shards: usize) -> Self {
-        let w = base.tunnel.width as usize;
-        let n_shards = n_shards.clamp(1, w);
-        let mut col_load = vec![0u64; w];
-        let (cells, bounds) = (&base.domain.parts.cell, &base.domain.bounds);
-        for j in 0..base.domain.n_segments() {
-            let c = cells[bounds[j] as usize];
-            if c < base.res_base {
-                col_load[(c as usize) % w] += (bounds[j + 1] - bounds[j]) as u64;
-            }
-        }
-        let cuts = if col_load.iter().all(|&l| l == 0) {
-            uniform_cuts(w, n_shards)
+/// The column-block decomposition: how many shards, where the cuts are,
+/// and the canonical view several shards merge back into.
+impl Simulation {
+    /// Re-decompose the engine into `n_shards` column blocks, clamped to
+    /// `[1, tunnel width]`, at a step boundary.  The initial cuts are
+    /// weighted by the current per-column populations, so a shock that
+    /// already exists is balanced from the first step.  A pure copy — no
+    /// RNG is consumed, no particle is reordered — so the trajectory is
+    /// the same at every shard count.
+    pub fn reshard(&mut self, n_shards: usize) {
+        let w = self.tunnel.width;
+        let n_shards = n_shards.clamp(1, w as usize);
+        self.sync_canonical();
+        self.fold_col_load();
+        let canon = match self.shards.len() {
+            1 => self.shards.pop().expect("one shard"),
+            _ => std::mem::take(&mut self.view),
+        };
+        let cuts = if self.col_load.iter().all(|&l| l == 0) {
+            uniform_cuts(w as usize, n_shards)
         } else {
-            balanced_cuts(&col_load, n_shards)
+            balanced_cuts(&self.col_load, n_shards)
         };
-        let total_cells = base.total_cells();
-        let layout = ShardLayout::new(cuts, base.tunnel.width, base.res_base, total_cells);
-        let exec = ShardExec::new(base.cfg.exec, n_shards);
-        let mut sharded = Self {
-            base,
-            layout,
-            shards: (0..n_shards)
+        let total_cells = self.total_cells();
+        self.layout = ShardLayout::new(cuts, w, self.res_base, total_cells);
+        self.exec = ShardExec::new(self.cfg.exec, n_shards);
+        self.outbox = (0..n_shards)
+            .map(|_| (0..n_shards).map(|_| Outbox::default()).collect())
+            .collect();
+        if n_shards == 1 {
+            self.shards = vec![canon];
+        } else {
+            self.view = canon;
+            self.shards = (0..n_shards)
                 .map(|_| Shard::new(total_cells as usize))
-                .collect(),
-            outbox: (0..n_shards)
-                .map(|_| (0..n_shards).map(|_| Outbox::default()).collect())
-                .collect(),
-            col_load,
-            dirty: false,
-            repartitions: 0,
-            exec,
-        };
-        sharded.scatter();
-        sharded
-    }
-
-    /// Rebuild a sharded simulation from a snapshot under **any** shard
-    /// count — the snapshot's canonical sections gate exactly as in
-    /// [`Simulation::resume`], and the advisory `SHRD` manifest (when
-    /// present *and* taken at the same shard count) warm-starts the column
-    /// cuts.  Bit-identity never depends on the manifest.
-    pub fn resume(cfg: SimConfig, bytes: &[u8], n_shards: usize) -> Result<Self, StateError> {
-        let base = Simulation::resume(cfg, bytes)?;
-        let mut sharded = Self::from_simulation(base, n_shards);
-        let r = Reader::new(bytes)?;
-        if r.has_section(SEC_SHRD) {
-            let mut c = r.section(SEC_SHRD)?;
-            let stored_shards = c.u32()? as usize;
-            let cuts = c.vec_u32()?;
-            let pops = c.vec_u32()?;
-            let repartitions = c.u64()?;
-            c.done()?;
-            let valid = stored_shards >= 1
-                && cuts.len() == stored_shards + 1
-                && pops.len() == stored_shards
-                && cuts.first() == Some(&0)
-                && cuts.last() == Some(&sharded.base.tunnel.width)
-                && cuts.windows(2).all(|p| p[0] < p[1]);
-            if !valid {
-                return Err(StateError::Malformed("sharded manifest inconsistent"));
-            }
-            sharded.repartitions = repartitions;
-            if stored_shards == sharded.layout.n_shards() {
-                sharded.layout.set_cuts(cuts);
-                sharded.scatter();
-            }
+                .collect();
+            self.scatter();
         }
-        Ok(sharded)
     }
 
-    /// [`ShardedSimulation::resume`] from a file.
-    pub fn resume_from_file(
-        cfg: SimConfig,
-        path: impl AsRef<Path>,
-        n_shards: usize,
-    ) -> Result<Self, StateError> {
-        let bytes = std::fs::read(path)?;
-        Self::resume(cfg, &bytes, n_shards)
+    /// The canonical particle domain: the one shard, or the view several
+    /// merged into — which the column readers may only read fresh.
+    pub(super) fn canon(&self) -> &Shard {
+        assert!(
+            !self.dirty,
+            "the shards have stepped past the canonical view: call canonical() first"
+        );
+        match &self.shards[..] {
+            [one] => one,
+            _ => &self.view,
+        }
     }
 
     /// Scatter the canonical view into the shards by cell ownership.  A
     /// pure copy — no RNG is consumed, no particle is reordered — so the
     /// subsequence invariant holds by construction.
-    fn scatter(&mut self) {
+    pub(super) fn scatter(&mut self) {
         for shard in &mut self.shards {
-            clear_store(&mut shard.parts);
+            shard.parts.clear();
         }
-        {
-            let p = &self.base.domain.parts;
-            let layout = &self.layout;
-            let shards = &mut self.shards;
-            for i in 0..p.len() {
-                let d = layout.owner(p.cell[i]);
-                shards[d].parts.push(
-                    p.x[i],
-                    p.y[i],
-                    p.velocity5(i),
-                    p.perm[i],
-                    p.rng[i],
-                    p.cell[i],
-                );
-            }
+        let p = &self.view.parts;
+        for i in 0..p.len() {
+            let d = self.layout.owner(p.cell[i]);
+            self.shards[d].parts.push(
+                p.x[i],
+                p.y[i],
+                p.velocity5(i),
+                p.perm[i],
+                p.rng[i],
+                p.cell[i],
+            );
         }
         for shard in &mut self.shards {
             rebuild_segments(shard);
@@ -686,57 +603,46 @@ impl ShardedSimulation {
         self.dirty = false;
     }
 
-    /// Merge the shards back into the canonical view (pure copy, no RNG).
-    /// Segments are merged by cell — ownership makes the order total — so
-    /// the rebuilt columns and bounds are exactly what the single-domain
-    /// sort would have produced.
-    fn sync_canonical(&mut self) {
+    /// Merge the shards back into the canonical view (pure copy, no RNG)
+    /// if they have stepped past it.  Segments are merged by cell —
+    /// ownership makes the order total — so the rebuilt columns and bounds
+    /// are exactly what one shard's sort would have produced.
+    pub(super) fn sync_canonical(&mut self) {
         if !self.dirty {
             return;
         }
-        let total: usize = self.shards.iter().map(|s| s.parts.len()).sum();
-        let shards = &self.shards;
-        let view = &mut self.base.domain;
-        clear_store(&mut view.parts);
-        view.parts.x.reserve(total);
+        let total = self.n_particles();
+        let (shards, view) = (&self.shards, &mut self.view);
+        view.parts.clear();
+        view.parts.reserve(total);
         view.bounds.clear();
         view.bounds.push(0);
         view.seg_cell.clear();
-        let pos = &mut self.base.merge_pos;
+        let pos = &mut self.merge_pos;
         pos.clear();
         pos.resize(shards.len(), 0);
         while let Some((s, j)) = next_merged_segment(shards, pos) {
-            let p = &shards[s].parts;
-            let lo = shards[s].bounds[j] as usize;
-            let hi = shards[s].bounds[j + 1] as usize;
-            view.parts.x.extend_from_slice(&p.x[lo..hi]);
-            view.parts.y.extend_from_slice(&p.y[lo..hi]);
-            view.parts.u.extend_from_slice(&p.u[lo..hi]);
-            view.parts.v.extend_from_slice(&p.v[lo..hi]);
-            view.parts.w.extend_from_slice(&p.w[lo..hi]);
-            view.parts.r1.extend_from_slice(&p.r1[lo..hi]);
-            view.parts.r2.extend_from_slice(&p.r2[lo..hi]);
-            view.parts.perm.extend_from_slice(&p.perm[lo..hi]);
-            view.parts.rng.extend_from_slice(&p.rng[lo..hi]);
-            view.parts.cell.extend_from_slice(&p.cell[lo..hi]);
+            let shard = &shards[s];
+            let rows = shard.bounds[j] as usize..shard.bounds[j + 1] as usize;
+            view.parts.extend_range(&shard.parts, rows);
             view.bounds.push(view.parts.len() as u32);
-            view.seg_cell.push(shards[s].seg_cell[j]);
+            view.seg_cell.push(shard.seg_cell[j]);
         }
         debug_assert_eq!(view.parts.len(), total, "merge lost particles");
         debug_assert!(view.parts.check_coherent());
         self.dirty = false;
     }
 
-    /// The canonical single-domain view of the current state (syncing the
-    /// shards first if they have stepped past it).  This is what sentinels
-    /// check, protocols probe and analysis tools read.
+    /// The canonical view of the current state, merging several shards
+    /// first if they have stepped past it: what sentinels check, protocols
+    /// probe and analysis tools read through the column readers.
     pub fn canonical(&mut self) -> &Simulation {
         self.sync_canonical();
-        &self.base
+        self
     }
 
     /// Advance one time step: the one step path (see the module docs) over
-    /// the shards, exchanging the crossers between them.
+    /// the shards, exchanging the crossers between several.
     ///
     /// Under [`crate::config::ExecMode::Threaded`] a shard-worker panic
     /// is converted into the returned [`ShardExecError`]; the simulation
@@ -744,34 +650,29 @@ impl ShardedSimulation {
     /// (supervisors recover from the last checkpoint).  Under `Serial`
     /// worker panics unwind normally and this never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
-        self.dirty = true;
-        // The repartition check is free (it reads the last sort's census)
-        // and the cuts steer nothing but this step's routing; its time is
-        // move-phase time.
-        let t = Instant::now();
-        let repartitioned = self.maybe_repartition();
-        self.base.timings.add(Substep::Move, t.elapsed());
-        let exchange = Exchange {
-            layout: &self.layout,
-            outbox: &mut self.outbox,
-            repartitioned,
-        };
-        self.base
-            .step_shards(&mut self.shards, &self.exec, Some(exchange))
-    }
-
-    /// Advance one time step, panicking on a shard-worker failure (the
-    /// non-Result convenience wrapper around
-    /// [`ShardedSimulation::try_step`]).
-    pub fn step(&mut self) {
-        self.try_step().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Run `n` steps.
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
+        let several = self.shards.len() > 1;
+        let mut repartitioned = false;
+        if several {
+            self.dirty = true;
+            // The repartition check is free (it reads the last sort's
+            // census) and the cuts steer nothing but this step's routing;
+            // its time is move-phase time.
+            let t = Instant::now();
+            repartitioned = self.maybe_repartition();
+            self.timings.add(Substep::Move, t.elapsed());
         }
+        let mut shards = std::mem::take(&mut self.shards);
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let layout = std::mem::take(&mut self.layout);
+        let exchange = several.then_some(Exchange {
+            layout: &layout,
+            outbox: &mut outbox,
+            repartitioned,
+        });
+        let exec = self.exec;
+        let stepped = self.step_shards(&mut shards, &exec, exchange);
+        (self.shards, self.outbox, self.layout) = (shards, outbox, layout);
+        stepped
     }
 
     /// Fold the last sort's segment bounds into per-column flow loads and
@@ -784,21 +685,7 @@ impl ShardedSimulation {
     /// this step's sorts to the full radix path.
     fn maybe_repartition(&mut self) -> bool {
         let s_count = self.shards.len();
-        if s_count <= 1 {
-            return false;
-        }
-        let w = self.base.tunnel.width as usize;
-        self.col_load.clear();
-        self.col_load.resize(w, 0);
-        for shard in &self.shards {
-            for j in 0..shard.n_segments() {
-                let c = shard.seg_cell[j];
-                if c < self.base.res_base {
-                    let len = (shard.bounds[j + 1] - shard.bounds[j]) as u64;
-                    self.col_load[(c as usize) % w] += len;
-                }
-            }
-        }
+        self.fold_col_load();
         let total: u64 = self.col_load.iter().sum();
         if total == 0 {
             return false;
@@ -821,62 +708,25 @@ impl ShardedSimulation {
         false
     }
 
-    /// Serialise the canonical state sections (byte-identical to the
-    /// single-domain [`Simulation::save_state`]) plus the advisory `SHRD`
-    /// manifest.  Needs `&mut self` only for the lazy canonical sync —
-    /// the sync is a pure merge, so saving never perturbs the trajectory.
-    pub fn save_state(&mut self) -> Vec<u8> {
-        self.sync_canonical();
-        let mut w = Writer::new(self.base.cfg.fingerprint());
-        self.base.write_state_sections(&mut w);
-        {
-            let mut s = w.section(SEC_SHRD);
-            s.u32(self.layout.n_shards() as u32);
-            s.vec_u32(&self.layout.cuts);
-            let pops: Vec<u32> = self.shards.iter().map(|sh| sh.parts.len() as u32).collect();
-            s.vec_u32(&pops);
-            s.u64(self.repartitions);
+    /// Fold the shards' segment tables into per-column flow loads.
+    fn fold_col_load(&mut self) {
+        let w = self.tunnel.width;
+        self.col_load.clear();
+        self.col_load.resize(w as usize, 0);
+        for shard in &self.shards {
+            for j in 0..shard.n_segments() {
+                let c = shard.seg_cell[j];
+                if c < self.res_base {
+                    let len = shard.bounds[j + 1] - shard.bounds[j];
+                    self.col_load[(c % w) as usize] += len as u64;
+                }
+            }
         }
-        w.finish()
     }
 
-    /// [`ShardedSimulation::save_state`] straight to a file (atomic
-    /// replacement, like the single-domain saver).
-    pub fn save_state_to(&mut self, path: impl AsRef<Path>) -> Result<(), StateError> {
-        let bytes = self.save_state();
-        dsmc_state::store::atomic_write(path, &bytes)
-    }
-
-    /// The canonical resume-bit-identity digest — delegates to
-    /// [`Simulation::state_hash`] on the synced view, so sharded and
-    /// single-domain runs hash into the same space (the shard-count
-    /// invariance tests compare exactly this).
-    pub fn state_hash(&mut self) -> u64 {
-        self.sync_canonical();
-        self.base.state_hash()
-    }
-
-    /// Current physical ledgers (on the synced canonical view).
-    pub fn diagnostics(&mut self) -> Diagnostics {
-        self.sync_canonical();
-        self.base.diagnostics()
-    }
-
-    /// Deterministically corrupt particle state (the fault-injection
-    /// surface): applied on the canonical view, then re-scattered.  The
-    /// corrupted trajectory is discarded on recovery, so only the
-    /// sentinel-visible canonical state needs to match the single-domain
-    /// fault.
-    pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
-        self.sync_canonical();
-        let msg = self.base.inject_fault(target, salt);
-        self.scatter();
-        msg
-    }
-
-    /// Total number of particles (flow + reservoir), summed over shards.
-    pub fn n_particles(&self) -> usize {
-        self.shards.iter().map(|s| s.parts.len()).sum()
+    /// Number of shards.
+    pub fn n_shards(&self) -> usize {
+        self.shards.len()
     }
 
     /// The current column-block layout.
@@ -889,7 +739,8 @@ impl ShardedSimulation {
         self.repartitions
     }
 
-    /// Resolved shard-worker count for this run (`1` on the serial path).
+    /// Resolved shard-worker count for this run (`1` at one shard and on
+    /// the serial path).
     pub fn exec_workers(&self) -> usize {
         self.exec.workers()
     }
@@ -901,16 +752,14 @@ impl ShardedSimulation {
     /// no RNG.  Returns `false` (and changes nothing) unless `cuts` has
     /// `n_shards + 1` strictly-ascending entries spanning `0..=tunnel_w`.
     pub fn set_cuts(&mut self, cuts: &[u32]) -> bool {
-        let valid = cuts.len() == self.layout.n_shards() + 1
-            && cuts.first() == Some(&0)
-            && cuts.last() == Some(&self.base.tunnel.width)
-            && cuts.windows(2).all(|p| p[0] < p[1]);
-        if !valid {
+        if cuts.len() != self.shards.len() + 1 || !cuts_span(cuts, self.tunnel.width) {
             return false;
         }
-        self.sync_canonical();
-        self.layout.set_cuts(cuts.to_vec());
-        self.scatter();
+        if self.shards.len() > 1 {
+            self.sync_canonical();
+            self.layout.set_cuts(cuts.to_vec());
+            self.scatter();
+        }
         true
     }
 
@@ -923,31 +772,29 @@ impl ShardedSimulation {
 /// What a step over several shards needs besides the shards: the ownership
 /// map the crossers are routed by, the outboxes they travel in, and whether
 /// the cuts just moved (which pins the full rank).
-pub(super) struct Exchange<'a> {
+struct Exchange<'a> {
     layout: &'a ShardLayout,
     outbox: &'a mut [Vec<Outbox>],
     repartitioned: bool,
 }
 
-/// The one step path, over [`Simulation::step`]'s one domain or a
-/// [`ShardedSimulation`]'s shards.
+/// The one step path.
 impl Simulation {
     /// Advance `shards` one time step: the paper's four sub-steps, plus
     /// sampling when a window is open, each phase run per shard by `exec`
     /// and folded into the global state on the coordinator in shard order.
     /// `exchange` routes the crossers between several shards (see the
-    /// module docs).  One shard owns every cell, so there it is dropped:
-    /// the keyed sweep packs straight into the sort workspace and seeds the
-    /// first radix histogram, the rank reads the pairs as packed, and
-    /// pairing takes each segment's own start parity.
-    pub(super) fn step_shards(
+    /// module docs).  One shard owns every cell and has none: the keyed
+    /// sweep packs straight into the sort workspace and seeds the first
+    /// radix histogram, the rank reads the pairs as packed, and pairing
+    /// takes each segment's own start parity.
+    fn step_shards(
         &mut self,
         shards: &mut [Shard],
         exec: &ShardExec,
-        exchange: Option<Exchange<'_>>,
+        mut exchange: Option<Exchange<'_>>,
     ) -> Result<(), ShardExecError> {
-        let mut exchange = exchange.filter(|_| shards.len() > 1);
-        debug_assert!(shards.len() == 1 || exchange.is_some());
+        debug_assert_eq!(shards.len() > 1, exchange.is_some());
 
         // 1+2) Per-shard move sweeps, then the global boundary bookkeeping.
         let t = Instant::now();
@@ -1273,254 +1120,75 @@ fn compute_parities(shards: &mut [Shard], pos: &mut Vec<usize>) {
     }
 }
 
-/// Shard-count-polymorphic engine handle: a [`Simulation`] for one domain,
-/// a [`ShardedSimulation`] for column blocks — one step path either way,
-/// which exchanges nothing at one shard.  The executable specs are
-/// `dsmc_baselines::TwoStepSim` for the step and
-/// [`ExecMode::Serial`](crate::config::ExecMode::Serial) for its
-/// scheduling (ARCHITECTURE.md, "Execution knobs").  Scenario runners and
-/// the supervisor drive this enum so every protocol works at any shard
-/// count.
-#[allow(clippy::large_enum_variant)]
+/// [`Simulation`] at any shard count — the name the benchmark adapter
+/// resumes a sharded engine through.
+pub type ShardedSimulation = Simulation;
+
+/// A [`Simulation`] tagged by how it was asked for: `Single` at one shard,
+/// `Sharded` above it or through [`Engine::resume_sharded`].  Both variants
+/// are the one engine struct and take the one step; the enum is the
+/// benchmark adapter's spelling of it, and dereferences to it.
 pub enum Engine {
-    /// The canonical single-domain engine.
+    /// Built or resumed at one shard.
     Single(Simulation),
-    /// The sharded domain-decomposition engine.
-    Sharded(ShardedSimulation),
+    /// Built or resumed at several shards, or through
+    /// [`Engine::resume_sharded`].
+    Sharded(Simulation),
 }
 
 impl Engine {
-    /// Build an engine with `n_shards` shards (`<= 1` builds a
-    /// [`Simulation`]).  Panics on an invalid configuration.
+    /// Build an engine with `n_shards` shards.  Panics on an invalid
+    /// configuration.
     pub fn new(cfg: SimConfig, n_shards: usize) -> Self {
         Self::try_new(cfg, n_shards).unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
     }
 
     /// Build an engine, reporting configuration problems as a typed error.
     pub fn try_new(cfg: SimConfig, n_shards: usize) -> Result<Self, ConfigError> {
-        if n_shards <= 1 {
-            Ok(Engine::Single(Simulation::try_new(cfg)?))
-        } else {
-            Ok(Engine::Sharded(ShardedSimulation::try_new(cfg, n_shards)?))
-        }
+        let mut sim = Simulation::try_new(cfg)?;
+        sim.reshard(n_shards);
+        Ok(Self::tag(sim, n_shards))
     }
 
-    /// Resume an engine from a snapshot under `n_shards` shards — any
-    /// snapshot resumes at any shard count (see
-    /// [`ShardedSimulation::resume`]).
+    /// Resume an engine from a snapshot under `n_shards` shards (see
+    /// [`Simulation::resume`]).
     pub fn resume(cfg: SimConfig, bytes: &[u8], n_shards: usize) -> Result<Self, StateError> {
-        if n_shards <= 1 {
-            Ok(Engine::Single(Simulation::resume(cfg, bytes)?))
-        } else {
-            Ok(Engine::Sharded(ShardedSimulation::resume(
-                cfg, bytes, n_shards,
-            )?))
-        }
+        Simulation::resume(cfg, bytes, n_shards).map(|sim| Self::tag(sim, n_shards))
     }
 
-    /// Resume into a [`ShardedSimulation`] even at one shard, where
-    /// [`Engine::resume`] hands back a [`Simulation`]; at one shard the two
-    /// take the same step.
+    /// [`Engine::resume`], tagged `Sharded` even at one shard.
     pub fn resume_sharded(
         cfg: SimConfig,
         bytes: &[u8],
         n_shards: usize,
     ) -> Result<Self, StateError> {
-        ShardedSimulation::resume(cfg, bytes, n_shards).map(Engine::Sharded)
+        Simulation::resume(cfg, bytes, n_shards).map(Engine::Sharded)
     }
 
-    /// Shard count (1 for the single-domain path).
-    pub fn n_shards(&self) -> usize {
-        match self {
-            Engine::Single(_) => 1,
-            Engine::Sharded(s) => s.layout().n_shards(),
+    fn tag(sim: Simulation, n_shards: usize) -> Self {
+        if n_shards <= 1 {
+            Engine::Single(sim)
+        } else {
+            Engine::Sharded(sim)
         }
     }
+}
 
-    /// Current per-shard populations, flow + reservoir (one entry on the
-    /// single-domain path).
-    pub fn shard_populations(&self) -> Vec<usize> {
+impl std::ops::Deref for Engine {
+    type Target = Simulation;
+
+    fn deref(&self) -> &Simulation {
         match self {
-            Engine::Single(s) => vec![s.n_particles()],
-            Engine::Sharded(s) => s.shard_populations(),
+            Engine::Single(sim) | Engine::Sharded(sim) => sim,
         }
     }
+}
 
-    /// How many times the weighted repartition has re-drawn the cuts
-    /// (never, on the single-domain path).
-    pub fn repartitions(&self) -> u64 {
+impl std::ops::DerefMut for Engine {
+    fn deref_mut(&mut self) -> &mut Simulation {
         match self {
-            Engine::Single(_) => 0,
-            Engine::Sharded(s) => s.repartitions(),
+            Engine::Single(sim) | Engine::Sharded(sim) => sim,
         }
-    }
-
-    /// Advance one time step.
-    pub fn step(&mut self) {
-        match self {
-            Engine::Single(s) => s.step(),
-            Engine::Sharded(s) => s.step(),
-        }
-    }
-
-    /// Advance one time step, surfacing a sharded-worker panic as a typed
-    /// [`ShardExecError`] instead of unwinding (see
-    /// [`ShardedSimulation::try_step`]).  A [`Simulation`] steps under the
-    /// `Serial` executor, whose panics unwind, so it never returns `Err`.
-    pub fn try_step(&mut self) -> Result<(), ShardExecError> {
-        match self {
-            Engine::Single(s) => {
-                s.step();
-                Ok(())
-            }
-            Engine::Sharded(s) => s.try_step(),
-        }
-    }
-
-    /// Resolved shard-worker count (`1` for the single-domain path).
-    pub fn exec_workers(&self) -> usize {
-        match self {
-            Engine::Single(_) => 1,
-            Engine::Sharded(s) => s.exec_workers(),
-        }
-    }
-
-    /// Run `n` steps.
-    pub fn run(&mut self, n: usize) {
-        match self {
-            Engine::Single(s) => s.run(n),
-            Engine::Sharded(s) => s.run(n),
-        }
-    }
-
-    /// The canonical single-domain view of the current state (shards sync
-    /// lazily).
-    pub fn canonical(&mut self) -> &Simulation {
-        match self {
-            Engine::Single(s) => s,
-            Engine::Sharded(s) => s.canonical(),
-        }
-    }
-
-    /// The resume-bit-identity digest ([`Simulation::state_hash`]).
-    pub fn state_hash(&mut self) -> u64 {
-        match self {
-            Engine::Single(s) => s.state_hash(),
-            Engine::Sharded(s) => s.state_hash(),
-        }
-    }
-
-    /// Serialise the complete resumable state.
-    pub fn save_state(&mut self) -> Vec<u8> {
-        match self {
-            Engine::Single(s) => s.save_state(),
-            Engine::Sharded(s) => s.save_state(),
-        }
-    }
-
-    /// [`Engine::save_state`] straight to a file (atomic replacement).
-    pub fn save_state_to(&mut self, path: impl AsRef<Path>) -> Result<(), StateError> {
-        match self {
-            Engine::Single(s) => s.save_state_to(path),
-            Engine::Sharded(s) => s.save_state_to(path),
-        }
-    }
-
-    /// Current physical ledgers.
-    pub fn diagnostics(&mut self) -> Diagnostics {
-        match self {
-            Engine::Single(s) => s.diagnostics(),
-            Engine::Sharded(s) => s.diagnostics(),
-        }
-    }
-
-    /// The global state both variants step — counters, windows, timings,
-    /// the rank budget; a sharded engine's particle columns in it are the
-    /// lazily synced canonical view, which the methods reading it here
-    /// never touch.
-    fn base(&self) -> &Simulation {
-        match self {
-            Engine::Single(s) => s,
-            Engine::Sharded(s) => &s.base,
-        }
-    }
-
-    /// [`Engine::base`], mutably.
-    fn base_mut(&mut self) -> &mut Simulation {
-        match self {
-            Engine::Single(s) => s,
-            Engine::Sharded(s) => &mut s.base,
-        }
-    }
-
-    /// Open a sampling window (fields, and surface fluxes when the body
-    /// has facets) — shared across shards via relaxed-atomic sums.
-    pub fn begin_sampling(&mut self) {
-        self.base_mut().begin_sampling();
-    }
-
-    /// Close the sampling window and return the averaged fields.
-    pub fn finish_sampling(&mut self) -> SampledField {
-        self.base_mut().finish_sampling()
-    }
-
-    /// Close the surface window (if any).
-    pub fn finish_surface_sampling(&mut self) -> Option<SurfaceField> {
-        self.base_mut().finish_surface_sampling()
-    }
-
-    /// The open volume-field window, if any.
-    pub fn field_sampler(&self) -> Option<&FieldAccumulator> {
-        self.base().field_sampler()
-    }
-
-    /// Deterministically corrupt particle state (fault injection).
-    pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
-        match self {
-            Engine::Single(s) => s.inject_fault(target, salt),
-            Engine::Sharded(s) => s.inject_fault(target, salt),
-        }
-    }
-
-    /// Total number of particles.
-    pub fn n_particles(&self) -> usize {
-        match self {
-            Engine::Single(s) => s.n_particles(),
-            Engine::Sharded(s) => s.n_particles(),
-        }
-    }
-
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> &SimConfig {
-        self.base().config()
-    }
-
-    /// Accumulated per-substep wall-clock timings.
-    pub fn timings(&self) -> &StepTimings {
-        self.base().timings()
-    }
-
-    /// Reset the timing accumulators.
-    pub fn reset_timings(&mut self) {
-        self.base_mut().reset_timings();
-    }
-
-    /// Rank paths taken so far, one count per non-empty shard per step:
-    /// `(incremental, full)` (see [`Simulation::sort_path_counts`]).
-    pub fn sort_path_counts(&self) -> (u64, u64) {
-        self.base().sort_path_counts()
-    }
-
-    /// Mover statistics: `(movers, particle-steps)` over ordinary steps —
-    /// per-particle sums, so the same at every shard count.
-    pub fn mover_stats(&self) -> (u64, u64) {
-        self.base().mover_stats()
-    }
-
-    /// Override the incremental rank's mover-fraction ceiling (see
-    /// [`Simulation::set_mover_threshold`]).
-    pub fn set_mover_threshold(&mut self, threshold: f64) {
-        self.base_mut().set_mover_threshold(threshold);
     }
 }
 
@@ -1528,6 +1196,13 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::config::{BodySpec, RngMode};
+    use crate::engine::FaultTarget;
+
+    fn sharded(cfg: SimConfig, n_shards: usize) -> Simulation {
+        let mut sim = Simulation::new(cfg);
+        sim.reshard(n_shards);
+        sim
+    }
 
     fn wedge_cfg() -> SimConfig {
         let mut cfg = SimConfig::small_wedge(0.5);
@@ -1538,9 +1213,9 @@ mod tests {
 
     #[test]
     fn sharded_incremental_engages_and_matches_full_mode() {
-        let mut a = Engine::new(wedge_cfg(), 3);
+        let mut a = sharded(wedge_cfg(), 3);
         // Budget 0: every step with a mover ranks from scratch.
-        let mut b = Engine::new(wedge_cfg(), 3);
+        let mut b = sharded(wedge_cfg(), 3);
         b.set_mover_threshold(0.0);
         a.run(50);
         b.run(50);
@@ -1599,7 +1274,7 @@ mod tests {
     fn sharded_runs_hash_identically_to_the_canonical_engine() {
         for shards in [1usize, 2, 3, 4] {
             let mut single = Simulation::new(SimConfig::small_test());
-            let mut sharded = ShardedSimulation::new(SimConfig::small_test(), shards);
+            let mut sharded = sharded(SimConfig::small_test(), shards);
             single.run(40);
             sharded.run(40);
             assert_eq!(
@@ -1614,7 +1289,7 @@ mod tests {
     #[test]
     fn sampling_windows_are_shard_count_invariant() {
         let mut single = Simulation::new(wedge_cfg());
-        let mut sharded = Engine::new(wedge_cfg(), 3);
+        let mut sharded = sharded(wedge_cfg(), 3);
         single.run(30);
         sharded.run(30);
         single.begin_sampling();
@@ -1635,11 +1310,11 @@ mod tests {
     fn sharded_checkpoint_resumes_bit_exactly_at_another_shard_count() {
         let mut straight = Simulation::new(wedge_cfg());
         straight.run(60);
-        let mut a = ShardedSimulation::new(wedge_cfg(), 3);
+        let mut a = sharded(wedge_cfg(), 3);
         a.run(35);
         let bytes = a.save_state();
         for resume_shards in [1usize, 2, 4] {
-            let mut b = ShardedSimulation::resume(wedge_cfg(), &bytes, resume_shards).unwrap();
+            let mut b = Simulation::resume(wedge_cfg(), &bytes, resume_shards).unwrap();
             b.run(25);
             assert_eq!(
                 b.state_hash(),
@@ -1648,17 +1323,17 @@ mod tests {
             );
         }
         // The canonical engine skips the advisory manifest entirely.
-        let mut c = Simulation::resume(wedge_cfg(), &bytes).unwrap();
+        let mut c = Simulation::resume(wedge_cfg(), &bytes, 1).unwrap();
         c.run(25);
         assert_eq!(c.state_hash(), straight.state_hash());
     }
 
     #[test]
     fn manifest_round_trips_cuts_and_repartitions() {
-        let mut a = ShardedSimulation::new(wedge_cfg(), 3);
+        let mut a = sharded(wedge_cfg(), 3);
         a.run(50);
         let bytes = a.save_state();
-        let b = ShardedSimulation::resume(wedge_cfg(), &bytes, 3).unwrap();
+        let b = Simulation::resume(wedge_cfg(), &bytes, 3).unwrap();
         assert_eq!(b.layout().cuts(), a.layout().cuts());
         assert_eq!(b.repartitions(), a.repartitions());
         assert_eq!(b.shard_populations(), a.shard_populations());
@@ -1668,8 +1343,8 @@ mod tests {
     fn repartition_rebalances_a_skewed_start_without_touching_the_hash() {
         // Deliberately bad initial cuts on a wedge flow: the engine must
         // repartition toward balance while staying bit-identical.
-        let mut sharded = ShardedSimulation::new(wedge_cfg(), 4);
-        let w = sharded.base.tunnel.width;
+        let mut sharded = sharded(wedge_cfg(), 4);
+        let w = sharded.tunnel.width;
         assert!(sharded.set_cuts(&[0, 1, 2, 3, w]));
         let mut single = Simulation::new(wedge_cfg());
         sharded.run(30);
@@ -1695,13 +1370,13 @@ mod tests {
         // incremental counter freezes while they do) and the trajectory
         // must match the full-rank-every-step run (budget 0) bit for bit
         // through both transitions — incremental → full → incremental.
-        let skewed = |mut s: ShardedSimulation| {
-            let w = s.base.tunnel.width;
+        let skewed = |mut s: Simulation| {
+            let w = s.tunnel.width;
             assert!(s.set_cuts(&[0, 1, 2, 3, w]));
-            Engine::Sharded(s)
+            s
         };
-        let mut inc = skewed(ShardedSimulation::new(wedge_cfg(), 4));
-        let mut full = skewed(ShardedSimulation::new(wedge_cfg(), 4));
+        let mut inc = skewed(sharded(wedge_cfg(), 4));
+        let mut full = skewed(sharded(wedge_cfg(), 4));
         full.set_mover_threshold(0.0);
         let mut saw_repartition_fallback = false;
         for _ in 0..30 {
@@ -1746,8 +1421,8 @@ mod tests {
                 let mut cfg = SimConfig::small_test();
                 cfg.body = body.clone();
                 cfg.rng_mode = rng_mode;
-                let mut one = Engine::new(cfg.clone(), 1);
-                let mut four = Engine::new(cfg.clone(), 4);
+                let mut one = sharded(cfg.clone(), 1);
+                let mut four = sharded(cfg.clone(), 4);
                 one.run(25);
                 four.run(25);
                 assert_eq!(
@@ -1763,12 +1438,12 @@ mod tests {
     fn threaded_execution_is_bit_identical_to_serial_per_worker_count() {
         let mut cfg = wedge_cfg();
         cfg.exec = crate::config::ExecMode::Serial;
-        let mut reference = Engine::new(cfg.clone(), 3);
+        let mut reference = sharded(cfg.clone(), 3);
         reference.run(40);
         let (want_hash, want_diag) = (reference.state_hash(), reference.diagnostics());
         for workers in [1usize, 2, 4] {
             cfg.exec = crate::config::ExecMode::Threaded { workers };
-            let mut t = Engine::new(cfg.clone(), 3);
+            let mut t = sharded(cfg.clone(), 3);
             assert_eq!(t.exec_workers(), workers.min(3));
             t.run(40);
             assert_eq!(t.state_hash(), want_hash, "{workers} workers diverged");
@@ -1779,8 +1454,8 @@ mod tests {
 
     #[test]
     fn set_cuts_rejects_malformed_layouts_and_stays_trajectory_neutral() {
-        let mut sharded = ShardedSimulation::new(wedge_cfg(), 3);
-        let w = sharded.base.tunnel.width;
+        let mut sharded = sharded(wedge_cfg(), 3);
+        let w = sharded.tunnel.width;
         sharded.run(10);
         assert!(!sharded.set_cuts(&[0, 5, w]), "wrong arity must be refused");
         assert!(!sharded.set_cuts(&[0, 9, 5, w]), "non-ascending refused");
@@ -1795,7 +1470,7 @@ mod tests {
     #[test]
     fn fault_injection_is_identical_on_the_canonical_view() {
         let mut single = Simulation::new(SimConfig::small_test());
-        let mut sharded = ShardedSimulation::new(SimConfig::small_test(), 2);
+        let mut sharded = sharded(SimConfig::small_test(), 2);
         single.run(20);
         sharded.run(20);
         let m1 = single.inject_fault(FaultTarget::StreamwiseVelocity, 99);

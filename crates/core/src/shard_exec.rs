@@ -15,10 +15,9 @@
 //!
 //! The executor also decides, once, whether a phase's primitives may fork
 //! into the rayon pool, and hands that [`Par`] to every phase closure.  The
-//! rule: the rayon thread count sizes the pool that the single-domain
-//! engine and `Serial` or one-worker sharded runs fork into; threaded
-//! workers that are at least as many as the pool's threads never enter it.
-//! Such workers already cover the cores, so forking from them only queues
+//! rule: the rayon thread count sizes the pool that one-shard, `Serial`
+//! and one-worker runs fork into; threaded workers that are at least as
+//! many as the pool's threads never enter it.  Such workers already cover the cores, so forking from them only queues
 //! their work behind each other's in the one global pool — the CM-2's one
 //! layer, where a physical processor loops over its block of virtual
 //! processors, is the shard worker looping over its shard.
@@ -27,8 +26,8 @@
 //!
 //! A phase closure touches only its own shard's columns/scratch/RNG
 //! streams (and, packing crossers, its own outbox row, which other shards
-//! read only in a later phase) plus, read-only, the shared `base`
-//! simulation — with the single exception of the field/surface
+//! read only in a later phase) plus, read-only, the simulation's global
+//! state — with the single exception of the field/surface
 //! accumulators, whose integer-atomic `fetch_add`s are exact and
 //! order-independent.  Every quantity that
 //! feeds back into the trajectory (mover counts, sort-path decisions,
@@ -79,11 +78,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The executor: the resolved execution mode for one sharded simulation.
-/// Built once at engine construction from [`ExecMode`], the shard count
-/// and the rayon pool's size; `run_phase` then drives every per-shard
-/// phase.
-#[derive(Clone, Debug)]
+/// The executor: the resolved execution mode of one simulation.  Built
+/// from [`ExecMode`], the shard count and the rayon pool's size whenever
+/// the shard count is set; `run_phase` then drives every per-shard phase.
+#[derive(Clone, Copy, Debug)]
 pub(in crate::engine) struct ShardExec {
     /// Resolved worker count (`1` = run inline on the coordinator).
     workers: usize,
@@ -98,15 +96,7 @@ pub(in crate::engine) struct ShardExec {
 }
 
 impl ShardExec {
-    /// The executor [`Simulation::step`](crate::Simulation::step) runs its
-    /// one domain under: `Serial`, its primitives forking into the pool.
-    pub(in crate::engine) const SERIAL: ShardExec = ShardExec {
-        workers: 1,
-        par: Par::Pool,
-        serial: true,
-    };
-
-    pub(super) fn new(mode: ExecMode, n_shards: usize) -> Self {
+    pub(in crate::engine) fn new(mode: ExecMode, n_shards: usize) -> Self {
         let workers = mode.resolved_workers(n_shards);
         Self {
             workers,

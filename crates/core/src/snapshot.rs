@@ -42,6 +42,7 @@
 //! field-by-field in the repository's `STATE.md` handbook.  Any change to
 //! it must bump [`dsmc_state::FORMAT_VERSION`].
 
+use super::shard::cuts_span;
 use super::Simulation;
 use crate::config::SimConfig;
 use crate::particles::ParticleStore;
@@ -62,6 +63,12 @@ const SEC_BNDS: [u8; 4] = *b"BNDS";
 const SEC_FSMP: [u8; 4] = *b"FSMP";
 /// Open surface-flux sampling window (optional).
 const SEC_SSMP: [u8; 4] = *b"SSMP";
+/// Sharded-run manifest: shard count, column cuts, per-shard populations,
+/// repartition count — present iff the engine has more than one shard.
+/// Advisory (execution layout, not physics): resume only validates it,
+/// restores the repartition count and warm-starts the cuts at a matching
+/// shard count.
+const SEC_SHRD: [u8; 4] = *b"SHRD";
 
 fn write_fx_column(s: &mut dsmc_state::Section<'_>, col: &[Fx]) {
     s.u64(col.len() as u64);
@@ -80,22 +87,17 @@ fn read_fx_column(c: &mut Cursor<'_>, n: usize) -> Result<Vec<Fx>, StateError> {
 
 impl Simulation {
     /// Serialise the complete resumable state into a self-describing
-    /// snapshot (see the module docs for the exact contract).
+    /// snapshot (see the module docs for the exact contract): the
+    /// canonical sections `CORE`, `PART`, `BNDS` and any open sampling
+    /// windows — the same bytes at every shard count — plus, at several
+    /// shards, the advisory `SHRD` manifest.
     ///
-    /// Read-only: saving never perturbs the trajectory, so checkpoints can
-    /// be taken at any cadence.
-    pub fn save_state(&self) -> Vec<u8> {
+    /// Needs `&mut self` only to merge several shards' canonical view
+    /// first; the merge is a pure copy, so saving never perturbs the
+    /// trajectory and checkpoints can be taken at any cadence.
+    pub fn save_state(&mut self) -> Vec<u8> {
+        self.sync_canonical();
         let mut w = Writer::new(self.cfg.fingerprint());
-        self.write_state_sections(&mut w);
-        w.finish()
-    }
-
-    /// Write the canonical state sections (`CORE`, `PART`, `BNDS`, and any
-    /// open sampling windows) into an already-open container.  Shared with
-    /// the sharded engine (`crate::shard`), whose snapshot is exactly
-    /// these sections plus its `SHRD` manifest — which is why a sharded
-    /// checkpoint resumes under any shard count, including one.
-    pub(crate) fn write_state_sections(&self, w: &mut Writer) {
         {
             let mut s = w.section(SEC_CORE);
             s.u64(self.steps);
@@ -110,8 +112,9 @@ impl Simulation {
                 s.u64(k);
             }
         }
+        let canon = self.canon();
         {
-            let p = &self.domain.parts;
+            let p = &canon.parts;
             let mut s = w.section(SEC_PART);
             s.u64(p.len() as u64);
             for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
@@ -129,7 +132,7 @@ impl Simulation {
         }
         {
             let mut s = w.section(SEC_BNDS);
-            s.vec_u32(&self.domain.bounds);
+            s.vec_u32(&canon.bounds);
         }
         if let Some(acc) = &self.sampler {
             let st = acc.export();
@@ -157,27 +160,40 @@ impl Simulation {
             s.i64(st.global.e_inc);
             s.i64(st.global.e_ref);
         }
+        if self.shards.len() > 1 {
+            let mut s = w.section(SEC_SHRD);
+            s.u32(self.shards.len() as u32);
+            s.vec_u32(self.layout.cuts());
+            let pops: Vec<u32> = self.shards.iter().map(|sh| sh.parts.len() as u32).collect();
+            s.vec_u32(&pops);
+            s.u64(self.repartitions);
+        }
+        w.finish()
     }
 
     /// [`Simulation::save_state`] straight to a file.
-    pub fn save_state_to(&self, path: impl AsRef<Path>) -> Result<(), StateError> {
+    pub fn save_state_to(&mut self, path: impl AsRef<Path>) -> Result<(), StateError> {
         // Atomic replacement: a crash mid-save leaves the previous
         // checkpoint intact instead of a torn file (see STATE.md,
         // "Crash safety & retention").
         dsmc_state::store::atomic_write(path, &self.save_state())
     }
 
-    /// Rebuild a simulation from a snapshot, verifying the configuration
-    /// fingerprint first; subsequent steps are bit-identical to a run
-    /// that never stopped.
+    /// Rebuild a simulation at `n_shards` shards (see
+    /// [`Simulation::reshard`]) from a snapshot, verifying the
+    /// configuration fingerprint first; subsequent steps are bit-identical
+    /// to a run that never stopped, whatever shard count either side ran
+    /// at.
     ///
     /// `cfg` must be the configuration of the run that produced the
     /// snapshot (the file stores a fingerprint, not the config itself, so
     /// the caller states its intent explicitly and cannot resume a
     /// checkpoint it cannot describe).  All container damage and every
     /// semantic inconsistency is a typed [`StateError`]; a successful
-    /// resume cannot crash the step loop.
-    pub fn resume(cfg: SimConfig, bytes: &[u8]) -> Result<Self, StateError> {
+    /// resume cannot crash the step loop.  The advisory `SHRD` manifest,
+    /// when present, warm-starts the column cuts if it was taken at the
+    /// same shard count; bit-identity never depends on it.
+    pub fn resume(cfg: SimConfig, bytes: &[u8], n_shards: usize) -> Result<Self, StateError> {
         let r = Reader::new(bytes)?;
         let cfg = cfg
             .try_validated()
@@ -238,8 +254,6 @@ impl Simulation {
             return Err(StateError::Malformed("cell index beyond the grid"));
         }
         debug_assert!(parts.check_coherent());
-        sim.domain.parts = parts;
-        sim.domain.decisions.reserve(n);
 
         // BNDS — segment bounds of that order.
         let mut c = r.section(SEC_BNDS)?;
@@ -256,13 +270,28 @@ impl Simulation {
             ));
         }
         // The cell of each segment, which the refill census walks by.
-        let d = &mut sim.domain;
+        let cells = &parts.cell;
+        let d = &mut sim.shards[0];
         d.seg_cell.extend(
             bounds[..bounds.len() - 1]
                 .iter()
-                .map(|&b| d.parts.cell[b as usize]),
+                .map(|&b| cells[b as usize]),
         );
+        // A sorted segment table: one cell per segment, ascending across
+        // segments.  Any other order would rank and pair differently at
+        // different shard counts.
+        let one_cell = |w: &[u32]| {
+            let seg = &cells[w[0] as usize..w[1] as usize];
+            seg.iter().all(|&c| c == seg[0])
+        };
+        if !bounds.windows(2).all(one_cell) || !d.seg_cell.windows(2).all(|p| p[0] < p[1]) {
+            return Err(StateError::Malformed(
+                "particle order is not a sorted segment table",
+            ));
+        }
         d.bounds = bounds;
+        d.decisions.reserve(n);
+        d.parts = parts;
 
         // Optional open sampling windows.
         if r.has_section(SEC_FSMP) {
@@ -332,13 +361,27 @@ impl Simulation {
         // Re-arm the classifier against the stored speed bound (rebuilds
         // only if the flow had outgrown the config-derived halo).
         sim.track_halo(max_speed_raw);
-        Ok(sim)
-    }
+        sim.reshard(n_shards);
 
-    /// [`Simulation::resume`] from a file.
-    pub fn resume_from_file(cfg: SimConfig, path: impl AsRef<Path>) -> Result<Self, StateError> {
-        let bytes = std::fs::read(path)?;
-        Self::resume(cfg, &bytes)
+        if r.has_section(SEC_SHRD) {
+            let mut c = r.section(SEC_SHRD)?;
+            let stored_shards = c.u32()? as usize;
+            let cuts = c.vec_u32()?;
+            let pops = c.vec_u32()?;
+            let repartitions = c.u64()?;
+            c.done()?;
+            let valid = cuts.len() == stored_shards + 1
+                && pops.len() == stored_shards
+                && cuts_span(&cuts, sim.tunnel.width);
+            if !valid {
+                return Err(StateError::Malformed("sharded manifest inconsistent"));
+            }
+            sim.repartitions = repartitions;
+            // Warm-start the stored cuts; `set_cuts` refuses (and changes
+            // nothing for) a manifest taken at another shard count.
+            sim.set_cuts(&cuts);
+        }
+        Ok(sim)
     }
 
     /// FNV-64 digest of the full resume-bit-identity surface: the ten
@@ -348,9 +391,14 @@ impl Simulation {
     /// Two simulations with equal hashes will produce bit-identical
     /// trajectories from here on (same config assumed); the restart tests
     /// and the `wedge-restart` scenario compare exactly this value.
-    pub fn state_hash(&self) -> u64 {
+    ///
+    /// Needs `&mut self` only to merge several shards' canonical view
+    /// first, so every shard count hashes into the same space.
+    pub fn state_hash(&mut self) -> u64 {
+        self.sync_canonical();
+        let canon = self.canon();
         let mut h = Fnv64::new();
-        let p = &self.domain.parts;
+        let p = &canon.parts;
         h.u64(p.len() as u64);
         for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
             for v in col {
@@ -366,7 +414,7 @@ impl Simulation {
         for &cell in &p.cell {
             h.u32(cell);
         }
-        for &b in &self.domain.bounds {
+        for &b in &canon.bounds {
             h.u32(b);
         }
         h.u64(self.steps);
@@ -413,6 +461,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::config::{BodySpec, WallModel};
+    use crate::engine::shard::Shard;
 
     fn wedge_cfg() -> SimConfig {
         let mut cfg = SimConfig::small_wedge(0.5);
@@ -426,7 +475,7 @@ mod tests {
         let mut sim = Simulation::new(SimConfig::small_test());
         sim.run(23);
         let bytes = sim.save_state();
-        let back = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
+        let mut back = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
         assert_eq!(back.state_hash(), sim.state_hash());
         assert_eq!(back.particles().x, sim.particles().x);
         assert_eq!(back.particles().rng, sim.particles().rng);
@@ -441,7 +490,7 @@ mod tests {
         let mut a = Simulation::new(wedge_cfg());
         a.run(30);
         let bytes = a.save_state();
-        let mut b = Simulation::resume(wedge_cfg(), &bytes).unwrap();
+        let mut b = Simulation::resume(wedge_cfg(), &bytes, 1).unwrap();
         straight.run(70);
         a.run(40);
         b.run(40);
@@ -456,7 +505,7 @@ mod tests {
         a.begin_sampling();
         a.run(15);
         let bytes = a.save_state();
-        let mut b = Simulation::resume(wedge_cfg(), &bytes).unwrap();
+        let mut b = Simulation::resume(wedge_cfg(), &bytes, 1).unwrap();
         assert_eq!(b.state_hash(), a.state_hash());
         a.run(25);
         b.run(25);
@@ -478,13 +527,13 @@ mod tests {
         let mut other = SimConfig::small_test();
         other.seed += 1;
         assert!(matches!(
-            Simulation::resume(other, &bytes),
+            Simulation::resume(other, &bytes, 1),
             Err(StateError::FingerprintMismatch { .. })
         ));
         let mut walls = SimConfig::small_test();
         walls.walls = WallModel::Diffuse { t_wall: 1.0 };
         assert!(matches!(
-            Simulation::resume(walls, &bytes),
+            Simulation::resume(walls, &bytes, 1),
             Err(StateError::FingerprintMismatch { .. })
         ));
     }
@@ -498,8 +547,8 @@ mod tests {
         let mut sim = Simulation::new(SimConfig::small_test());
         sim.run(10);
         let bytes = sim.save_state();
-        let mut a = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
-        let mut b = Simulation::resume(SimConfig::small_test(), &bytes).unwrap();
+        let mut a = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
+        let mut b = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
         b.set_mover_threshold(0.0);
         assert!(!a.plunger.will_withdraw(), "an ordinary first step");
         a.step();
@@ -523,8 +572,8 @@ mod tests {
         let bytes = sim.save_state();
         let mut threaded_cfg = serial_cfg.clone();
         threaded_cfg.exec = crate::config::ExecMode::Threaded { workers: 2 };
-        let mut a = Simulation::resume(serial_cfg, &bytes).unwrap();
-        let mut b = crate::engine::shard::Engine::resume(threaded_cfg, &bytes, 2).unwrap();
+        let mut a = Simulation::resume(serial_cfg, &bytes, 1).unwrap();
+        let mut b = Simulation::resume(threaded_cfg, &bytes, 2).unwrap();
         a.run(15);
         b.run(15);
         assert_eq!(a.state_hash(), b.state_hash());
@@ -539,11 +588,59 @@ mod tests {
         for at in [0, bytes.len() / 3, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
-            assert!(Simulation::resume(SimConfig::small_test(), &bad).is_err());
+            assert!(Simulation::resume(SimConfig::small_test(), &bad, 1).is_err());
         }
         for n in [0, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Simulation::resume(SimConfig::small_test(), &bytes[..n]).is_err());
+            assert!(Simulation::resume(SimConfig::small_test(), &bytes[..n], 1).is_err());
         }
+    }
+
+    #[test]
+    fn snapshots_out_of_sorted_segment_order_are_rejected() {
+        // Each of these used to resume and then step to a different
+        // state at one shard than at four.
+        let mut sim = Simulation::new(SimConfig::small_test());
+        sim.run(5);
+        let bytes = sim.save_state();
+        let tamper = |edit: fn(&mut Shard)| {
+            let mut bad = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
+            edit(&mut bad.shards[0]);
+            bad.save_state()
+        };
+        let swapped_across_segments = tamper(|d| {
+            let (a, b) = (d.bounds[0] as usize, d.bounds[1] as usize);
+            d.parts.cell.swap(a, b);
+        });
+        let one_segment = tamper(|d| d.bounds = vec![0, d.parts.len() as u32]);
+        let reversed = tamper(|d| {
+            let n = d.parts.len() as u32;
+            let p = &mut d.parts;
+            for col in [
+                &mut p.x, &mut p.y, &mut p.u, &mut p.v, &mut p.w, &mut p.r1, &mut p.r2,
+            ] {
+                col.reverse();
+            }
+            p.perm.reverse();
+            p.rng.reverse();
+            p.cell.reverse();
+            d.bounds = d.bounds.iter().rev().map(|&b| n - b).collect();
+        });
+        for (what, bad) in [
+            ("swapped", swapped_across_segments),
+            ("one segment", one_segment),
+            ("reversed", reversed),
+        ] {
+            assert!(
+                matches!(
+                    Simulation::resume(SimConfig::small_test(), &bad, 1),
+                    Err(StateError::Malformed(
+                        "particle order is not a sorted segment table"
+                    ))
+                ),
+                "{what} snapshot accepted"
+            );
+        }
+        assert!(Simulation::resume(SimConfig::small_test(), &bytes, 4).is_ok());
     }
 
     #[test]
@@ -571,7 +668,7 @@ mod tests {
                 let mut straight = Simulation::new(cfg.clone());
                 let mut a = Simulation::new(cfg.clone());
                 a.run(12);
-                let mut b = Simulation::resume(cfg.clone(), &a.save_state()).unwrap();
+                let mut b = Simulation::resume(cfg.clone(), &a.save_state(), 1).unwrap();
                 b.run(8);
                 straight.run(20);
                 assert_eq!(

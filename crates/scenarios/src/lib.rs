@@ -28,7 +28,7 @@
 use dsmc_baselines::nanbu::pairwise_step;
 use dsmc_baselines::UniformBox;
 use dsmc_engine::{
-    Diagnostics, Engine, ExecMode, SampledField, SimConfig, Simulation, StateError, SurfaceField,
+    Diagnostics, ExecMode, SampledField, SimConfig, Simulation, StateError, SurfaceField,
 };
 
 pub mod artifacts;
@@ -162,7 +162,7 @@ pub struct RelaxCase {
 /// the probe's named measurements over that window.
 #[derive(Clone, Debug)]
 pub struct TransientPoint {
-    /// Engine step count when the window closed.
+    /// Step count when the window closed.
     pub step_end: u64,
     /// The probe's measurements for this window.
     pub values: Vec<Metric>,
@@ -389,7 +389,7 @@ pub struct Finished {
 impl Finished {
     /// The finished run of `sim` with the metrics extracted from it (no
     /// surface, no series: the protocols that have them fill them in).
-    pub fn of(sim: &mut Engine, metrics: Vec<Metric>) -> Self {
+    pub fn of(sim: &mut Simulation, metrics: Vec<Metric>) -> Self {
         Self {
             metrics,
             surface: None,
@@ -516,7 +516,8 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             let mut cfg = s.tunnel_config(scale).expect("restart case");
             cfg.exec = opts.exec;
             let (settle, open, tail) = rc.steps(scale);
-            let mut a = Engine::new(cfg.clone(), opts.shards);
+            let mut a = Simulation::new(cfg.clone());
+            a.reshard(opts.shards);
             let d0 = a.diagnostics();
             a.run(settle);
             a.begin_sampling();
@@ -528,8 +529,8 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             // pin the save-at-S / resume-at-S′ contract of `SHARDING.md`
             // on every CI run, not just in the dedicated sharding tests.
             let alt_shards = if opts.shards <= 1 { 2 } else { 1 };
-            let mut b =
-                Engine::resume(cfg, &bytes, alt_shards).expect("own snapshot must resume cleanly");
+            let mut b = Simulation::resume(cfg, &bytes, alt_shards)
+                .expect("own snapshot must resume cleanly");
             let restore_exact = b.state_hash() == hash_at_save;
             a.run(tail);
             b.run(tail);
@@ -629,8 +630,12 @@ fn run_protocol(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<Finishe
                 "transient cases always run from the cold start they measure",
             ));
         }
-        Some(bytes) => Engine::resume(cfg, bytes, opts.shards)?,
-        None => Engine::new(cfg, opts.shards),
+        Some(bytes) => Simulation::resume(cfg, bytes, opts.shards)?,
+        None => {
+            let mut sim = Simulation::new(cfg);
+            sim.reshard(opts.shards);
+            sim
+        }
     };
     let artifacts = opts.checkpoint_every.zip(settle);
     let stem = format!("checkpoint_{}_{}", s.name, scale.label());

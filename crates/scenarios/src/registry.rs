@@ -759,7 +759,7 @@ pub fn registry() -> &'static [Scenario] {
 mod tests {
     use super::*;
     use crate::Scale;
-    use dsmc_engine::Engine;
+    use dsmc_engine::Simulation;
 
     /// `probe_names` is what a restored journal's metric names resolve
     /// against: it must be exactly what the probe emits, in order.
@@ -770,7 +770,7 @@ mod tests {
                 continue;
             };
             let cfg = s.tunnel_config(Scale::Quick).expect("transient case");
-            let mut sim = Engine::new(cfg, 1);
+            let mut sim = Simulation::new(cfg);
             sim.begin_sampling();
             sim.step();
             let field = sim.finish_sampling();

@@ -33,7 +33,7 @@ use crate::{
     Scenario, TransientCase, TransientPoint, TunnelCase,
 };
 use dsmc_engine::sentinel::Sentinel;
-use dsmc_engine::{ConfigError, Diagnostics, Engine, SimConfig, StateError};
+use dsmc_engine::{ConfigError, Diagnostics, SimConfig, Simulation, StateError};
 use dsmc_state::store::CheckpointStore;
 use dsmc_state::{Cursor, Section, Writer};
 use std::path::PathBuf;
@@ -313,8 +313,9 @@ pub trait Protocol {
     /// Total steps of the run (the loop visits boundaries `0..=total`).
     fn total_steps(&self) -> u64;
     /// Perform boundary-`step` transitions (idempotent).  The engine may
-    /// be sharded; protocols read physics through [`Engine::canonical`].
-    fn at_step(&mut self, sim: &mut Engine, step: u64);
+    /// be sharded; protocols read physics through
+    /// [`Simulation::canonical`].
+    fn at_step(&mut self, sim: &mut Simulation, step: u64);
     /// Serialise journal state into the checkpoint container.
     fn export_journal(&self, sec: &mut Section<'_>);
     /// Replace journal state from a checkpoint container (transactional).
@@ -323,7 +324,7 @@ pub trait Protocol {
     fn reset(&mut self);
     /// Close whatever windows the run left open and reduce it to metrics.
     /// Called once, after the final boundary.
-    fn finish(&mut self, sim: &mut Engine) -> Finished;
+    fn finish(&mut self, sim: &mut Simulation) -> Finished;
 }
 
 fn write_diag(sec: &mut Section<'_>, d: &Diagnostics) {
@@ -405,7 +406,7 @@ impl Protocol for TunnelProtocol {
         self.total
     }
 
-    fn at_step(&mut self, sim: &mut Engine, step: u64) {
+    fn at_step(&mut self, sim: &mut Simulation, step: u64) {
         if self.d0.is_none() {
             self.d0 = Some(sim.diagnostics());
         }
@@ -432,7 +433,7 @@ impl Protocol for TunnelProtocol {
         self.d0 = None;
     }
 
-    fn finish(&mut self, sim: &mut Engine) -> Finished {
+    fn finish(&mut self, sim: &mut Simulation) -> Finished {
         let d0 = self.d0.expect("baseline captured at the first boundary");
         let field = sim.finish_sampling();
         let surface = sim.finish_surface_sampling();
@@ -489,7 +490,7 @@ impl Protocol for TransientProtocol {
         self.windows * self.case.window_steps as u64
     }
 
-    fn at_step(&mut self, sim: &mut Engine, step: u64) {
+    fn at_step(&mut self, sim: &mut Simulation, step: u64) {
         let window = self.case.window_steps as u64;
         if self.d0.is_none() {
             self.d0 = Some(sim.diagnostics());
@@ -565,7 +566,7 @@ impl Protocol for TransientProtocol {
         self.points.clear();
     }
 
-    fn finish(&mut self, sim: &mut Engine) -> Finished {
+    fn finish(&mut self, sim: &mut Simulation) -> Finished {
         let d0 = self.d0.expect("baseline captured at the first boundary");
         let mut metrics = conservation_metrics(sim.canonical(), &d0);
         metrics.extend((self.case.extract)(&self.points));
@@ -620,7 +621,7 @@ fn die_hard() -> ! {
 fn save_checkpoint(
     store: &CheckpointStore,
     cfg: &SimConfig,
-    sim: &mut Engine,
+    sim: &mut Simulation,
     protocol: &dyn Protocol,
     step: u64,
 ) -> Result<(), StateError> {
@@ -652,7 +653,7 @@ fn restore_or_cold_start(
     shards: usize,
     max_step: u64,
     report: &mut SupervisorReport,
-) -> Result<(Option<u64>, Engine), SuperviseError> {
+) -> Result<(Option<u64>, Simulation), SuperviseError> {
     for (step, path) in store.candidates().unwrap_or_default() {
         // The store may be a fingerprint-keyed cache shared with runs of
         // a *longer* protocol (the campaign's warm-start cache): a
@@ -666,7 +667,7 @@ fn restore_or_cold_start(
             report.note(step, "recovery: candidate unreadable, skipping");
             continue;
         };
-        let restored = (|| -> Result<Engine, StateError> {
+        let restored = (|| -> Result<Simulation, StateError> {
             let r = dsmc_state::Reader::new(&bytes)?;
             if r.fingerprint() != cfg.fingerprint() {
                 return Err(StateError::FingerprintMismatch {
@@ -677,7 +678,7 @@ fn restore_or_cold_start(
             let mut c = r.section(SEC_SIM)?;
             let sim_bytes = c.vec_u8()?;
             c.done()?;
-            let sim = Engine::resume(cfg.clone(), &sim_bytes, shards)?;
+            let sim = Simulation::resume(cfg.clone(), &sim_bytes, shards)?;
             let mut jc = r.section(SEC_JOURNAL)?;
             protocol.restore_journal(&mut jc)?;
             jc.done()?;
@@ -703,7 +704,8 @@ fn restore_or_cold_start(
         }
     }
     protocol.reset();
-    let sim = Engine::try_new(cfg.clone(), shards).map_err(SuperviseError::Config)?;
+    let mut sim = Simulation::try_new(cfg.clone()).map_err(SuperviseError::Config)?;
+    sim.reshard(shards);
     Ok((None, sim))
 }
 
@@ -716,7 +718,7 @@ pub fn supervise(
     cfg: &SimConfig,
     protocol: &mut dyn Protocol,
     opts: &SuperviseOptions,
-) -> Result<(Engine, SupervisorReport), SuperviseError> {
+) -> Result<(Simulation, SupervisorReport), SuperviseError> {
     let mut cfg = cfg
         .clone()
         .try_validated()

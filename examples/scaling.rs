@@ -102,8 +102,8 @@ fn main() {
     let cold = t_cold.elapsed().as_secs_f64();
     let snapshot = sim.save_state();
     let t_warm = Instant::now();
-    let warm_sim =
-        Simulation::resume(SimConfig::small_wedge(0.0), &snapshot).expect("snapshot resumes");
+    let mut warm_sim =
+        Simulation::resume(SimConfig::small_wedge(0.0), &snapshot, 1).expect("snapshot resumes");
     let warm = t_warm.elapsed().as_secs_f64();
     assert_eq!(warm_sim.state_hash(), sim.state_hash());
     println!(

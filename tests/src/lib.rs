@@ -26,6 +26,13 @@ pub fn wedge_run(
     (sim, field)
 }
 
+/// A simulation of `cfg` built at `n_shards` shards.
+pub fn at_shards(cfg: SimConfig, n_shards: usize) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    sim.reshard(n_shards);
+    sim
+}
+
 /// Extract the standard wedge metrics from a paper-geometry field.
 pub fn paper_metrics(field: &SampledField) -> Option<ShockMetrics> {
     wedge_metrics(field, 20.0, 25.0, 30.0, 4.0, 1.4)

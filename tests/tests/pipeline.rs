@@ -152,7 +152,7 @@ fn pipelines_produce_identical_trajectories() {
 #[test]
 fn wide_grid_matches_two_step_on_every_rank_path() {
     let cfg = integration_tests::wide_grid_config();
-    let fused = check_pipelines_agree(cfg.clone(), WIDE_GRID_STEPS);
+    let mut fused = check_pipelines_agree(cfg.clone(), WIDE_GRID_STEPS);
     assert!(fused.n_particles() >= dsmc_datapar::PAR_THRESHOLD);
     assert!(fused.diagnostics().plunger_cycles >= 1, "no withdrawal");
     let (repaired, full) = fused.sort_path_counts();

@@ -7,11 +7,12 @@
 //! tests as the pinning suite for that contract.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, ShardedSimulation, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, ExecMode, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{
     registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, Sleeper,
     SuperviseError, SuperviseOptions, TunnelCase, TunnelProtocol,
 };
+use integration_tests::at_shards;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -72,7 +73,7 @@ proptest! {
         let mut reference = Simulation::new(cfg.clone());
         reference.run(steps);
         let want = reference.state_hash();
-        let mut serial = Engine::new(cfg.clone(), shards);
+        let mut serial = at_shards(cfg.clone(), shards);
         serial.run(steps);
         prop_assert_eq!(
             serial.state_hash(),
@@ -83,7 +84,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let mut threaded_cfg = cfg.clone();
             threaded_cfg.exec = ExecMode::Threaded { workers };
-            let mut threaded = Engine::new(threaded_cfg, shards);
+            let mut threaded = at_shards(threaded_cfg, shards);
             threaded.run(steps);
             prop_assert_eq!(
                 threaded.state_hash(),
@@ -114,8 +115,8 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let mut threaded_cfg = cfg.clone();
             threaded_cfg.exec = ExecMode::Threaded { workers };
-            let mut sharded =
-                ShardedSimulation::from_simulation(Simulation::new(threaded_cfg.clone()), 4);
+            let mut sharded = Simulation::new(threaded_cfg.clone());
+            sharded.reshard(4);
             sharded.run(HALF);
             prop_assert!(
                 sharded.set_cuts(&skewed_cuts(4, threaded_cfg.tunnel_w)),
@@ -160,8 +161,8 @@ fn fifty_step_matrix_is_bit_identical_through_withdrawals_and_repartitions() {
         for workers in [1usize, 2, 4] {
             let mut threaded_cfg = cfg.clone();
             threaded_cfg.exec = ExecMode::Threaded { workers };
-            let mut sharded =
-                ShardedSimulation::from_simulation(Simulation::new(threaded_cfg.clone()), shards);
+            let mut sharded = Simulation::new(threaded_cfg.clone());
+            sharded.reshard(shards);
             assert_eq!(sharded.exec_workers(), workers.min(shards));
             sharded.run(MATRIX_STEPS / 2);
             assert!(sharded.set_cuts(&skewed_cuts(shards, threaded_cfg.tunnel_w)));
@@ -260,7 +261,7 @@ fn helper_print_exec_state_hash() {
     if let Ok(v) = std::env::var("DSMC_EXEC_THREADS") {
         assert_eq!(cfg.exec.to_string(), v);
     }
-    let mut sharded = Engine::new(cfg, 3);
+    let mut sharded = at_shards(cfg, 3);
     sharded.run(SUBPROCESS_STEPS);
     println!("STATE_HASH={:#018x}", sharded.state_hash());
 }

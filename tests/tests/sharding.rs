@@ -7,11 +7,12 @@
 //! these tests as the pinning suite for that contract.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, ShardedSimulation, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{
     registry, run_with, supervise, CaseKind, Fault, FaultPlan, RunOptions, Scale, Sleeper,
     SuperviseError, SuperviseOptions, TunnelCase, TunnelProtocol,
 };
+use integration_tests::at_shards;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -61,7 +62,7 @@ proptest! {
         reference.run(steps);
         let want = reference.state_hash();
         for shards in [1usize, 2, 3, 4, 8, 16] {
-            let mut sharded = Engine::new(cfg.clone(), shards);
+            let mut sharded = at_shards(cfg.clone(), shards);
             sharded.run(steps);
             prop_assert_eq!(
                 sharded.state_hash(),
@@ -101,10 +102,10 @@ fn exchange_survives_withdrawals_and_a_forced_repartition() {
         );
         for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
             cfg.exec = exec;
-            let mut sharded = ShardedSimulation::new(cfg.clone(), 4);
+            let mut sharded = Simulation::new(cfg.clone());
+            sharded.reshard(4);
             sharded.run(BEFORE);
             assert!(sharded.set_cuts(&[0, 1, 2, 3, cfg.tunnel_w]));
-            let mut sharded = Engine::Sharded(sharded);
             sharded.run(AFTER);
             let tag = format!("{rng_mode:?} / {exec:?}");
             assert!(
@@ -145,7 +146,7 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     assert!(reference.diagnostics().plunger_cycles >= 1);
     for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
         cfg.exec = exec;
-        let mut sharded = Engine::new(cfg.clone(), 4);
+        let mut sharded = at_shards(cfg.clone(), 4);
         sharded.run(30);
         let populations = sharded.shard_populations();
         assert!(
@@ -164,10 +165,11 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
     }
 }
 
-/// The two one-shard engines are one step: a snapshot resumed as a
-/// `Simulation` and as a one-shard `ShardedSimulation`, stepped across a
-/// plunger withdrawal, agrees on the state and on every ledger — which
-/// rank path each step took included, from the first resumed step on.
+/// The benchmark adapter's two one-shard spellings are one engine: a
+/// snapshot resumed as `Engine::Single` and as `Engine::Sharded` at one
+/// shard, stepped across a plunger withdrawal, agrees on the state and on
+/// every ledger — which rank path each step took included, from the first
+/// resumed step on.  The variant pins are the adapter's contract.
 #[test]
 fn one_shard_engines_agree_on_every_ledger() {
     let cfg = wedge_dirty_cfg(5);
@@ -201,7 +203,8 @@ fn one_shard_engines_agree_on_every_ledger() {
 fn wide_grid_is_shard_count_invariant() {
     let cfg = integration_tests::wide_grid_config();
     let mut reference = Simulation::new(cfg.clone());
-    let mut sharded = ShardedSimulation::new(cfg, 4);
+    let mut sharded = Simulation::new(cfg);
+    sharded.reshard(4);
     reference.run(integration_tests::WIDE_GRID_STEPS);
     sharded.run(integration_tests::WIDE_GRID_STEPS);
     assert!(reference.diagnostics().plunger_cycles >= 1);
@@ -210,6 +213,41 @@ fn wide_grid_is_shard_count_invariant() {
         sharded.shard_populations().iter().sum::<usize>(),
         reference.n_particles()
     );
+}
+
+/// The freshness rule's cheap half: the ledgers are exact integer sums
+/// over the shards, so a 4-shard engine's `diagnostics()` — never merged
+/// into the canonical view — equals the single-domain run's after every
+/// step, across a plunger withdrawal.
+#[test]
+fn unsynced_diagnostics_match_the_single_domain_run_every_step() {
+    let cfg = wedge_dirty_cfg(3);
+    let mut reference = Simulation::new(cfg.clone());
+    let mut sharded = at_shards(cfg, 4);
+    for step in 0..30 {
+        reference.step();
+        sharded.step();
+        assert_eq!(
+            sharded.diagnostics(),
+            reference.diagnostics(),
+            "step {step}"
+        );
+        assert_eq!(sharded.n_particles(), reference.n_particles());
+    }
+    assert!(reference.diagnostics().plunger_cycles >= 1, "no withdrawal");
+    // The order-bearing outputs merge first and agree too.
+    assert_eq!(sharded.state_hash(), reference.state_hash());
+    assert_eq!(sharded.particles().x, reference.particles().x);
+}
+
+/// The freshness rule's other half: a column reader on a stepped
+/// multi-shard engine refuses the stale view instead of returning it.
+#[test]
+#[should_panic(expected = "the shards have stepped past the canonical view")]
+fn column_readers_refuse_a_stale_multi_shard_view() {
+    let mut sharded = at_shards(wedge_dirty_cfg(3), 4);
+    sharded.step();
+    let _ = sharded.particles();
 }
 
 /// Every registry scenario at QUICK scale is shard-count invariant:
@@ -345,7 +383,7 @@ fn sharded_checkpoint_resumes_at_any_shard_count() {
         "save at 3 shards / resume at 2 shards diverged from the uninterrupted run"
     );
 
-    // The one-shard *sharded* engine (which `Engine::resume` never builds)
+    // The one-shard `Engine::Sharded` (which `Engine::resume` never tags)
     // adopts the same state; of the 2-shard manifest only the cuts are
     // dropped at another shard count, the repartition count rides along.
     let snapshot = sim.save_state();

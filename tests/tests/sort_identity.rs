@@ -12,7 +12,8 @@
 //! with a mover fits a zero budget, so every step ranks from scratch.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, RngMode, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
+use integration_tests::at_shards;
 use proptest::prelude::*;
 
 /// Small wind-tunnel config with the gnarliest state: a body (surface
@@ -32,8 +33,8 @@ fn base_cfg(seed: u64) -> SimConfig {
 }
 
 /// The reference arm: an engine that takes the full rank on every step.
-fn full_rank_engine(cfg: SimConfig, shards: usize) -> Engine {
-    let mut e = Engine::new(cfg, shards);
+fn full_rank_engine(cfg: SimConfig, shards: usize) -> Simulation {
+    let mut e = at_shards(cfg, shards);
     e.set_mover_threshold(0.0);
     e
 }
@@ -61,7 +62,7 @@ proptest! {
         };
         cfg.rng_mode = if dirty { RngMode::DirtyBits } else { RngMode::Explicit };
         for shards in [1usize, 2, 4] {
-            let mut a = Engine::new(cfg.clone(), shards);
+            let mut a = at_shards(cfg.clone(), shards);
             let mut b = full_rank_engine(cfg.clone(), shards);
             a.run(steps);
             b.run(steps);
@@ -118,7 +119,7 @@ fn fifty_step_order_identity_with_withdrawals() {
 fn threshold_crossings_are_hash_identical_through_both_transitions() {
     for shards in [1usize, 2, 4] {
         let cfg = base_cfg(23);
-        let mut inc = Engine::new(cfg.clone(), shards);
+        let mut inc = at_shards(cfg.clone(), shards);
         let mut full = full_rank_engine(cfg, shards);
 
         // Phase 1: repair path engaged.
@@ -179,7 +180,7 @@ fn helper_print_incremental_state_hash() {
     single.run(DETERMINISM_STEPS);
     let (inc, _) = single.sort_path_counts();
     assert!(inc > 0, "repair path must engage in the helper run");
-    let mut sharded = Engine::new(base_cfg(29), 2);
+    let mut sharded = at_shards(base_cfg(29), 2);
     sharded.run(DETERMINISM_STEPS);
     println!(
         "STATE_HASH={:#018x}",

@@ -35,7 +35,7 @@ fn check_resume_equals_straight(cfg: SimConfig, n: usize, m: usize) {
     let mut a = Simulation::new(cfg.clone());
     a.run(n);
     let bytes = a.save_state();
-    let mut b = Simulation::resume(cfg, &bytes).expect("own snapshot resumes");
+    let mut b = Simulation::resume(cfg, &bytes, 1).expect("own snapshot resumes");
     a.run(m - n);
     b.run(m - n);
     assert_eq!(
@@ -85,7 +85,7 @@ fn resume_mid_sampling_window_reduces_to_the_same_fields() {
     a.run(20);
     a.begin_sampling();
     a.run(12); // checkpoint lands mid-window
-    let mut b = Simulation::resume(cfg, &a.save_state()).expect("resume");
+    let mut b = Simulation::resume(cfg, &a.save_state(), 1).expect("resume");
     b.run(18);
     assert_eq!(b.state_hash(), straight.state_hash());
 
@@ -112,7 +112,7 @@ proptest! {
         let mut sim = Simulation::new(cfg.clone());
         sim.run(steps);
         let bytes = sim.save_state();
-        let back = Simulation::resume(cfg, &bytes).expect("round trip");
+        let mut back = Simulation::resume(cfg, &bytes, 1).expect("round trip");
         prop_assert_eq!(back.state_hash(), sim.state_hash());
         prop_assert_eq!(&back.particles().x, &sim.particles().x);
         prop_assert_eq!(&back.particles().u, &sim.particles().u);
@@ -131,7 +131,7 @@ proptest! {
         let mut bytes = sim.save_state();
         let at = (bytes.len() - 1) * at_permille as usize / 1000;
         bytes[at] ^= 1 << bit;
-        prop_assert!(Simulation::resume(SimConfig::small_test(), &bytes).is_err());
+        prop_assert!(Simulation::resume(SimConfig::small_test(), &bytes, 1).is_err());
     }
 
     /// Truncation at any length must be rejected.
@@ -142,7 +142,7 @@ proptest! {
         let bytes = sim.save_state();
         let keep = bytes.len() * keep_permille as usize / 1000;
         prop_assert!(keep < bytes.len());
-        prop_assert!(Simulation::resume(SimConfig::small_test(), &bytes[..keep]).is_err());
+        prop_assert!(Simulation::resume(SimConfig::small_test(), &bytes[..keep], 1).is_err());
     }
 }
 
@@ -192,7 +192,7 @@ fn config_fingerprint_mismatches_are_typed() {
     for (what, cfg) in mutations {
         assert!(
             matches!(
-                Simulation::resume(cfg, &bytes),
+                Simulation::resume(cfg, &bytes, 1),
                 Err(StateError::FingerprintMismatch { .. })
             ),
             "changing {what} must be a fingerprint mismatch"
@@ -230,7 +230,7 @@ fn helper_resume_then_print_hash() {
     straight.run(SUBPROCESS_RUN_TO);
     let mut a = Simulation::new(cfg.clone());
     a.run(SUBPROCESS_SAVE_AT);
-    let mut b = Simulation::resume(cfg, &a.save_state()).expect("resume");
+    let mut b = Simulation::resume(cfg, &a.save_state(), 1).expect("resume");
     b.run(SUBPROCESS_RUN_TO - SUBPROCESS_SAVE_AT);
     assert_eq!(
         b.state_hash(),

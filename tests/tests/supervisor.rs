@@ -7,7 +7,7 @@
 //! out-of-process across rayon thread counts.
 
 use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, Engine, FaultTarget, RngMode, SimConfig, Simulation};
+use dsmc_engine::{BodySpec, FaultTarget, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{
     find, protocol_for, run, run_supervised, run_with, supervise, CaseKind, Fault, FaultPlan,
     Golden, Metric, Protocol, ProtocolOverride, RunOptions, RunOutcome, Scale, Scenario, Sleeper,
@@ -414,7 +414,7 @@ fn transient_windows_survive_recovery_bit_exactly() {
 
     // Unsupervised reference arm.
     let mut reference: Vec<TransientPoint> = Vec::new();
-    let mut sim = Engine::new(cfg.clone(), 1);
+    let mut sim = Simulation::new(cfg.clone());
     let mut ref_protocol = TransientProtocol::new(case, Scale::Quick);
     for s in 0..=40u64 {
         ref_protocol.at_step(&mut sim, s);
@@ -480,7 +480,7 @@ fn journal_naming_an_unknown_metric_is_skipped_and_the_scan_falls_through() {
 
     // The uninterrupted 5-window reference.
     let mut reference = TransientProtocol::with_windows(ours, 5);
-    let mut ref_sim = Engine::new(cfg.clone(), 1);
+    let mut ref_sim = Simulation::new(cfg.clone());
     for s in 0..=50u64 {
         reference.at_step(&mut ref_sim, s);
         if s < 50 {
@@ -587,7 +587,7 @@ fn kill9_cfg() -> SimConfig {
 fn helper_supervised_kill9_run() {
     let dir = std::env::var("SUPERVISOR_CKPT_DIR").expect("SUPERVISOR_CKPT_DIR not set");
     if std::env::var("SUPERVISOR_PLAIN").is_ok() {
-        let sim = plain_tunnel(&kill9_cfg(), KILL9_SETTLE as u64, KILL9_TOTAL as u64);
+        let mut sim = plain_tunnel(&kill9_cfg(), KILL9_SETTLE as u64, KILL9_TOTAL as u64);
         println!("SUPER_HASH={:#018x}", sim.state_hash());
         return;
     }

@@ -231,9 +231,10 @@ pub enum WallModel {
 /// never enter it and run their shards' primitives inline.
 ///
 /// The textual form — `serial`, `auto` (one worker per core) or a worker
-/// count ≥ 1 — is the one grammar of `DSMC_EXEC_THREADS`, `scenarios
-/// --exec-threads` and the campaign worker argv: [`std::str::FromStr`]
-/// reads it and [`std::fmt::Display`] writes it back.
+/// count ≥ 1 — is the one grammar of `scenarios --exec-threads` and the
+/// campaign worker argv: [`std::str::FromStr`] reads it and
+/// [`std::fmt::Display`] writes it back.  No environment variable selects
+/// it: the [`Default`] depends on the host's core count alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Step every shard on the coordinator thread, in shard order — the
@@ -252,36 +253,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// The environment-aware default: `DSMC_EXEC_THREADS` when it is set
-    /// and parses (`serial`, `auto` or a worker count), else `Threaded`
-    /// with auto workers on a multi-core host and `Serial` on a
-    /// single-core one (where fan-out could only add overhead).  A value
-    /// that does not parse never selects `Serial` by accident: it is
-    /// reported once on stderr and the unset-variable default applies.
-    pub fn from_env_or_auto() -> Self {
-        Self::from_env_value(std::env::var("DSMC_EXEC_THREADS").ok().as_deref())
-    }
-
-    /// [`ExecMode::from_env_or_auto`] on an already-read variable.
-    fn from_env_value(value: Option<&str>) -> Self {
-        if let Some(v) = value {
-            match v.parse() {
-                Ok(mode) => return mode,
-                Err(e) => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    WARNED.call_once(|| {
-                        eprintln!("cm-dsmc warning: DSMC_EXEC_THREADS {e}; using the default")
-                    });
-                }
-            }
-        }
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            ExecMode::Threaded { workers: 0 }
-        } else {
-            ExecMode::Serial
-        }
-    }
-
     /// Resolve the worker count this mode uses for `n_shards` shards:
     /// `Serial` is one worker (the coordinator); `Threaded` resolves
     /// `workers == 0` to the available core count, then clamps to
@@ -302,8 +273,14 @@ impl ExecMode {
 }
 
 impl Default for ExecMode {
+    /// `Threaded` with one worker per core on a multi-core host, `Serial`
+    /// on a single-core one (where fan-out could only add overhead).
     fn default() -> Self {
-        Self::from_env_or_auto()
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            ExecMode::Threaded { workers: 0 }
+        } else {
+            ExecMode::Serial
+        }
     }
 }
 
@@ -936,17 +913,20 @@ mod tests {
         ] {
             assert_eq!(text.parse::<ExecMode>(), Ok(mode));
             assert_eq!(mode.to_string(), text);
-            assert_eq!(ExecMode::from_env_value(Some(text)), mode);
         }
         assert_eq!(" Serial ".parse::<ExecMode>(), Ok(ExecMode::Serial));
         for garbage in ["", "0", "-2", "threads", "2x"] {
             assert!(garbage.parse::<ExecMode>().is_err(), "`{garbage}` parsed");
-            // An unparseable variable behaves like an unset one.
-            assert_eq!(
-                ExecMode::from_env_value(Some(garbage)),
-                ExecMode::from_env_value(None)
-            );
         }
+        // The default is the host's, never a parse: threaded wherever
+        // there is more than one core.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let want = if cores > 1 {
+            ExecMode::Threaded { workers: 0 }
+        } else {
+            ExecMode::Serial
+        };
+        assert_eq!(ExecMode::default(), want);
     }
 
     #[test]

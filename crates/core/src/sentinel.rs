@@ -32,11 +32,10 @@
 //! 5. **Segment consistency** — the sort invariant the whole
 //!    gather/scatter machinery rests on: bounds start at 0, strictly
 //!    increase, end at N; segments are uniform in cell and strictly
-//!    increasing across segments; and every cached `cell[i]` equals the
-//!    cell *derived from the particle's position* (flow cells via the
-//!    tunnel's row-major indexing, reservoir cells via [`ResLayout`]).
-//!    Deriving from position is what catches a corrupted singleton
-//!    segment that within-segment equality would miss.
+//!    increasing across segments; every cached `cell[i]` equals the cell
+//!    *derived from the particle's position* ([`ResLayout`] in the
+//!    reservoir), which catches a corrupted singleton segment; no speed
+//!    reaches [`MAX_SPEED_RAW`].  `Simulation::resume` runs it too.
 //!
 //! All checks are read-only and consume no RNG draws: a supervised run
 //! and an unsupervised run share bit-identical trajectories, which is
@@ -224,8 +223,10 @@ impl Sentinel {
         self.check_momentum(sim, &d)?;
         self.check_energy(sim, &d)?;
         self.check_halo(sim)?;
-        self.check_segments(sim)?;
-        Ok(())
+        match sim.sorted_state_fault() {
+            Some((what, index)) => Err(SentinelError::SegmentsBroken { what, index }),
+            None => Ok(()),
+        }
     }
 
     fn check_count(&self, sim: &Simulation) -> Result<(), SentinelError> {
@@ -306,68 +307,67 @@ impl Sentinel {
         }
         Ok(())
     }
+}
 
-    fn check_segments(&self, sim: &Simulation) -> Result<(), SentinelError> {
-        let bounds = sim.segment_bounds();
-        let p = sim.particles();
+/// The Q8.23 speed bound, raw: six cells per step.  Below it a move keeps
+/// a tunnel coordinate under 249 + 6 < 256 and a collision's `mean ± rel`
+/// under 12; healthy flow (validated `c_m < 0.5`) sits far below it.  A
+/// reservoir strip past 250 rows has less headroom than this.
+pub const MAX_SPEED_RAW: u32 = 6 << Fx::FRAC_BITS;
+
+impl Simulation {
+    /// Check 5 of the module docs — the sentinel's segment check and the
+    /// one `Simulation::resume` runs on a decoded state: the first broken
+    /// invariant and its particle or segment index, or `None`.
+    pub(crate) fn sorted_state_fault(&self) -> Option<(&'static str, usize)> {
+        const BOUNDS: &str = "segment bounds inconsistent with the population";
+        const ORDER: &str = "particle order is not a sorted segment table";
+        let bounds = self.segment_bounds();
+        let p = self.particles();
         let n = p.len();
-        let broken = |what, index| Err(SentinelError::SegmentsBroken { what, index });
-        if bounds.is_empty() || bounds[0] != 0 {
-            return broken("bounds must start at 0", 0);
+        if bounds.first() != Some(&0) || bounds.last() != Some(&(n as u32)) {
+            return Some((BOUNDS, 0));
         }
-        if *bounds.last().unwrap() as usize != n {
-            return broken("bounds must end at the particle count", bounds.len() - 1);
-        }
-        let total = sim.total_cells();
+        let total = self.total_cells();
         let mut prev_cell: Option<u32> = None;
-        for s in 0..bounds.len() - 1 {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
+        for (s, w) in bounds.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
             if lo >= hi {
-                return broken("segment bounds must strictly increase", s);
+                return Some((BOUNDS, s));
             }
-            let cell = p.cell[lo as usize];
+            let cell = p.cell[lo];
             if cell >= total {
-                return broken("segment cell out of range", s);
+                return Some(("cell index beyond the grid", s));
             }
-            if let Some(prev) = prev_cell {
-                if cell <= prev {
-                    return broken("segment cells must strictly increase", s);
-                }
+            if prev_cell.is_some_and(|prev| cell <= prev) {
+                return Some((ORDER, s));
             }
             prev_cell = Some(cell);
-            for i in lo..hi {
-                if p.cell[i as usize] != cell {
-                    return broken("segment is not uniform in cell", i as usize);
-                }
+            if let Some(i) = (lo..hi).find(|&i| p.cell[i] != cell) {
+                return Some((ORDER, i));
             }
         }
-        // Every cached cell must equal the cell derived from position —
-        // this is the check a corrupted singleton segment cannot evade.
-        let cfg = sim.config();
+        let cfg = self.config();
         let res = ResLayout::for_cells(cfg.reservoir_cells);
-        let res_base = sim.reservoir_base();
+        let res_base = self.reservoir_base();
+        let v = [&p.u, &p.v, &p.w, &p.r1, &p.r2];
         for i in 0..n {
-            let cached = p.cell[i];
-            let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
-            if cached < res_base {
-                // Flow particle: tunnel-frame row-major index.
-                if ix < 0 || iy < 0 || ix as u32 >= cfg.tunnel_w || iy as u32 >= cfg.tunnel_h {
-                    return broken("flow particle position outside tunnel", i);
-                }
-                if cached != iy as u32 * cfg.tunnel_w + ix as u32 {
-                    return broken("cached cell disagrees with position", i);
-                }
+            // Flow cells row-major in the tunnel, reservoir cells in the box.
+            let (base, w, h) = if p.cell[i] < res_base {
+                (0, cfg.tunnel_w, cfg.tunnel_h)
             } else {
-                // Reservoir particle: box-frame index offset by the base.
-                if ix < 0 || iy < 0 || ix as u32 >= res.w || iy as u32 >= res.h {
-                    return broken("reservoir particle position outside box", i);
-                }
-                if cached != res_base + iy as u32 * res.w + ix as u32 {
-                    return broken("cached cell disagrees with position", i);
-                }
+                (res_base, res.w, res.h)
+            };
+            let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
+            let inside = ix >= 0 && iy >= 0 && (ix as u32) < w && (iy as u32) < h;
+            if !inside || p.cell[i] != base + iy as u32 * w + ix as u32 {
+                return Some(("particle position disagrees with its cell", i));
+            }
+            if v.iter().any(|c| c[i].raw().unsigned_abs() >= MAX_SPEED_RAW) {
+                return Some(("velocity beyond the Q8.23 speed bound", i));
             }
         }
-        Ok(())
+        None
     }
 }
 

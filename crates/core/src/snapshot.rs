@@ -206,7 +206,6 @@ impl Simulation {
             });
         }
         let mut sim = Self::shell(cfg);
-        let total_cells = sim.res_base + sim.res.total();
 
         // CORE — counters and plunger phase.
         let mut c = r.section(SEC_CORE)?;
@@ -230,7 +229,7 @@ impl Simulation {
         // PART — the ten columns, in the sorted order of the save.
         let mut c = r.section(SEC_PART)?;
         let n = c.u64()? as usize;
-        let mut parts = ParticleStore::with_capacity(n);
+        let mut parts = ParticleStore::default();
         parts.x = read_fx_column(&mut c, n)?;
         parts.y = read_fx_column(&mut c, n)?;
         parts.u = read_fx_column(&mut c, n)?;
@@ -250,48 +249,31 @@ impl Simulation {
             .map(|p| Perm5::from_packed(p).ok_or(StateError::Malformed("invalid Perm5 packing")))
             .collect::<Result<_, _>>()?;
         parts.rng = rng_raw.into_iter().map(XorShift32::new).collect();
-        if parts.cell.iter().any(|&c| c >= total_cells) {
-            return Err(StateError::Malformed("cell index beyond the grid"));
-        }
         debug_assert!(parts.check_coherent());
 
-        // BNDS — segment bounds of that order.
+        // BNDS — segment bounds of that order, held to the sentinel's
+        // segment check: a sorted segment table (the move phase reads
+        // `cell[segment start]`, and any other order would rank and pair
+        // differently at different shard counts), each particle inside the
+        // cell it names, every speed inside the Q8.23 bound.
         let mut c = r.section(SEC_BNDS)?;
         let bounds = c.vec_u32()?;
         c.done()?;
-        // Strictly increasing: every real sort emits only occupied
-        // segments, and the move phase reads `cell[segment start]` — an
-        // empty segment whose start is `n` would index out of bounds.
-        let starts_at_zero = bounds.first() == Some(&0);
-        let strictly_increasing = bounds.windows(2).all(|w| w[0] < w[1]);
-        if !starts_at_zero || !strictly_increasing || bounds.last() != Some(&(n as u32)) {
-            return Err(StateError::Malformed(
-                "segment bounds inconsistent with the population",
-            ));
+        let d = &mut sim.shards[0];
+        d.bounds = bounds;
+        d.parts = parts;
+        if let Some((what, _)) = sim.sorted_state_fault() {
+            return Err(StateError::Malformed(what));
         }
         // The cell of each segment, which the refill census walks by.
-        let cells = &parts.cell;
         let d = &mut sim.shards[0];
+        let (bounds, cells) = (&d.bounds, &d.parts.cell);
         d.seg_cell.extend(
             bounds[..bounds.len() - 1]
                 .iter()
                 .map(|&b| cells[b as usize]),
         );
-        // A sorted segment table: one cell per segment, ascending across
-        // segments.  Any other order would rank and pair differently at
-        // different shard counts.
-        let one_cell = |w: &[u32]| {
-            let seg = &cells[w[0] as usize..w[1] as usize];
-            seg.iter().all(|&c| c == seg[0])
-        };
-        if !bounds.windows(2).all(one_cell) || !d.seg_cell.windows(2).all(|p| p[0] < p[1]) {
-            return Err(StateError::Malformed(
-                "particle order is not a sorted segment table",
-            ));
-        }
-        d.bounds = bounds;
         d.decisions.reserve(n);
-        d.parts = parts;
 
         // Optional open sampling windows.
         if r.has_section(SEC_FSMP) {

@@ -341,6 +341,22 @@ fn main() {
         }
     }
     opts.checkpoint_every = checkpoint_every_flag;
+    // The supervisor's flags mean nothing to a plain run, which would
+    // otherwise run fault-free and pass.
+    let supervisor_flags = [
+        ("--ckpt-dir", ckpt_dir.is_some()),
+        ("--keep", keep.is_some()),
+        ("--max-recoveries", max_recoveries.is_some()),
+        ("--sentinel-every", sentinel_every.is_some()),
+        ("--die-at-step", die_at.is_some()),
+        ("--truncate-ckpt-at-step", truncate_at.is_some()),
+        ("--flip-ckpt-at-step", flip_at.is_some()),
+        ("--chaos-seed", chaos_seed.is_some()),
+    ];
+    if let Some((flag, _)) = supervisor_flags.iter().find(|(_, set)| *set && !supervise) {
+        eprintln!("{flag} applies only with --supervise\n{usage}");
+        std::process::exit(1);
+    }
 
     if list {
         print_list();
@@ -458,7 +474,7 @@ fn main() {
 fn campaign_usage() -> &'static str {
     "usage: scenarios campaign run|resume (--spec <file> | --sweep <scenario>) [--dir <dir>]\n\
      \x20        [--quick|--full] [--max-workers <n>] [--timeout-secs <s>] [--max-attempts <n>]\n\
-     \x20        [--checkpoint-every <steps>] [--shards <n>] [--seed <u64>]\n\
+     \x20        [--checkpoint-every <steps>] [--shards <n>] [--seed <u64>] (these two: --sweep only)\n\
      \x20        [--exec-threads <n|auto|serial>]\n\
      \x20        [--campaign-kill <run:attempt:step>] [--campaign-stall <run:attempt:step>]\n\
      \x20        [--campaign-corrupt <run:attempt>]\n\
@@ -599,6 +615,11 @@ fn campaign_main(args: &[String]) -> ! {
     // Build the spec: either a flat spec file or a registry sweep entry.
     let (spec, sweep_scenario): (_, Option<&Scenario>) = match (&spec_file, &sweep_name) {
         (Some(path), None) => {
+            if shards.is_some() || seed.is_some() {
+                campaign_bail(
+                    "--shards and --seed apply to --sweep; a --spec file sets them per run",
+                );
+            }
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => campaign_bail(&format!("cannot read spec file {path}: {e}")),

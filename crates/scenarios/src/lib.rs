@@ -426,8 +426,8 @@ pub struct RunOptions {
     /// coordinator vs scoped worker threads).  Bit-identical either way —
     /// the `shard_exec` suite pins Serial ≡ Threaded at every worker
     /// count — so this is a pure execution knob, applied on top of the
-    /// scenario's config like `shards`.  Defaults to the environment-aware
-    /// [`ExecMode::from_env_or_auto`].
+    /// scenario's config like `shards`.  Defaults to
+    /// [`ExecMode::default`] (threaded on a multi-core host).
     pub exec: ExecMode,
 }
 

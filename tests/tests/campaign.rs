@@ -16,7 +16,7 @@ use dsmc_scenarios::{
     CampaignSpec, RunSpec, RunStatus, Scale, Sleeper, SuperviseOptions, BACKOFF_BASE_MS,
     BACKOFF_CAP_MS,
 };
-use std::path::PathBuf;
+use integration_tests::{helper_args, helper_command, tmp_dir};
 use std::time::Duration;
 
 /// Worker re-entry point.  Spawned by the executor with [`WORKER_ENV`]
@@ -30,21 +30,9 @@ fn campaign_worker_entry() {
 }
 
 fn worker_args() -> Vec<String> {
-    [
-        "--exact",
-        "campaign_worker_entry",
-        "--ignored",
-        "--nocapture",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dsmc_campaign_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+    helper_args("campaign_worker_entry")
+        .map(String::from)
+        .to_vec()
 }
 
 /// Campaign options that spawn workers back into this test binary, with
@@ -337,7 +325,7 @@ fn helper_campaign_executor_run() {
 /// uninterrupted campaign of the same spec.
 #[test]
 fn executor_kill_minus_nine_resumes_from_journal() {
-    use std::process::{Command, Stdio};
+    use std::process::Stdio;
 
     // Uninterrupted reference arm, in-process, private directory.
     let mut ref_opts = opts_in("exec9_ref");
@@ -347,14 +335,7 @@ fn executor_kill_minus_nine_resumes_from_journal() {
 
     // Victim arm: the executor runs as a subprocess and dies by SIGKILL.
     let dir = tmp_dir("exec9_victim");
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut child = Command::new(&exe)
-        .args([
-            "--exact",
-            "helper_campaign_executor_run",
-            "--ignored",
-            "--nocapture",
-        ])
+    let mut child = helper_command("helper_campaign_executor_run")
         .env("CAMPAIGN_DIR", &dir)
         .stdout(Stdio::null())
         .stderr(Stdio::null())

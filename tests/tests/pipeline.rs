@@ -14,7 +14,7 @@ use dsmc_engine::particles::ParticleStore;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
 use dsmc_fixed::Fx;
 use dsmc_rng::XorShift32;
-use integration_tests::WIDE_GRID_STEPS;
+use integration_tests::{subprocess_hash, WIDE_GRID_STEPS};
 use proptest::prelude::*;
 
 /// A store with `n` particles whose every column is distinct pseudo-random
@@ -306,30 +306,6 @@ fn n_flow_matches_full_scan() {
     }
 }
 
-/// FNV-1a over the full particle state plus the collision ledgers.
-fn state_hash(sim: &Simulation) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |v: i64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    let p = sim.particles();
-    for i in 0..p.len() {
-        eat(p.x[i].raw() as i64);
-        eat(p.y[i].raw() as i64);
-        eat(p.u[i].raw() as i64);
-        eat(p.v[i].raw() as i64);
-        eat(p.w[i].raw() as i64);
-        eat(p.cell[i] as i64);
-    }
-    let d = sim.diagnostics();
-    eat(d.collisions as i64);
-    eat(d.candidates as i64);
-    h
-}
-
 const DETERMINISM_STEPS: usize = 30;
 
 /// Helper target for the subprocess determinism test; runs under a pinned
@@ -360,7 +336,7 @@ fn helper_print_state_hash() {
     assert!(free > 0 && full > 0, "move dispatch must be exercised");
     println!(
         "STATE_HASH={:#018x}",
-        state_hash(&sim) ^ state_hash(&geom).rotate_left(1)
+        sim.state_hash() ^ geom.state_hash().rotate_left(1)
     );
 }
 
@@ -369,37 +345,14 @@ fn helper_print_state_hash() {
 /// subprocess (this same test binary, filtered to the helper above).
 #[test]
 fn determinism_across_thread_counts() {
-    fn hash_with_threads(n: &str) -> String {
-        let exe = std::env::current_exe().expect("current_exe");
-        let out = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "helper_print_state_hash",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("RAYON_NUM_THREADS", n)
-            .output()
-            .expect("spawn helper");
-        assert!(
-            out.status.success(),
-            "helper failed under {n} threads: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        // libtest may glue the hash onto its own "test ... ok" line, so
-        // search within lines rather than anchoring at the start.
-        stdout
-            .lines()
-            .find_map(|l| {
-                l.find("STATE_HASH=")
-                    .map(|at| l[at..].split_whitespace().next().unwrap().to_string())
-            })
-            .unwrap_or_else(|| panic!("no STATE_HASH in helper output:\n{stdout}"))
-    }
-    let h1 = hash_with_threads("1");
-    let h4 = hash_with_threads("4");
-    let h8 = hash_with_threads("8");
-    assert_eq!(h1, h4, "1-thread and 4-thread runs diverged");
-    assert_eq!(h1, h8, "1-thread and 8-thread runs diverged");
+    let hash = |threads| {
+        subprocess_hash(
+            "helper_print_state_hash",
+            "STATE_HASH",
+            &[("RAYON_NUM_THREADS", threads)],
+        )
+    };
+    let h1 = hash("1");
+    assert_eq!(h1, hash("4"), "1-thread and 4-thread runs diverged");
+    assert_eq!(h1, hash("8"), "1-thread and 8-thread runs diverged");
 }

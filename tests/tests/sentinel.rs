@@ -4,28 +4,11 @@
 //! and each corruption class is caught within one sampling window of the
 //! injection — the latency bound the supervisor's recovery relies on.
 
-use dsmc_engine::config::WallModel;
 use dsmc_engine::sentinel::{Sentinel, SentinelError};
-use dsmc_engine::{BodySpec, FaultTarget, RngMode, SimConfig, Simulation};
+use dsmc_engine::{FaultTarget, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{registry, Scale};
+use integration_tests::wedge_dirty_cfg;
 use proptest::prelude::*;
-
-/// A small wind-tunnel config exercising the gnarliest state: a body (so
-/// surface windows exist), diffuse walls, dirty-bit randomness.
-fn wedge_dirty_cfg(seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::small_test();
-    cfg.body = BodySpec::Wedge {
-        x0: 6.0,
-        base: 6.0,
-        angle_deg: 30.0,
-    };
-    cfg.walls = WallModel::Diffuse { t_wall: 1.5 };
-    cfg.rng_mode = RngMode::DirtyBits;
-    cfg.n_per_cell = 6.0;
-    cfg.reservoir_fill = 12.0;
-    cfg.seed = seed;
-    cfg
-}
 
 proptest! {
     /// No false positives: arm at cold start, step a random healthy run,

@@ -10,27 +10,12 @@
 //!
 //! The full arm is an engine with `set_mover_threshold(0.0)`: no step
 //! with a mover fits a zero budget, so every step ranks from scratch.
+//! The fixed-seed tests run the fixtures' wedge (`drawn_cfg` body 1)
+//! under explicit randomness.
 
-use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
-use integration_tests::at_shards;
+use dsmc_engine::{SimConfig, Simulation};
+use integration_tests::{assert_same_run, at_shards, drawn_cfg, subprocess_hash};
 use proptest::prelude::*;
-
-/// Small wind-tunnel config with the gnarliest state: a body (surface
-/// windows exist), diffuse walls, selectable randomness.
-fn base_cfg(seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::small_test();
-    cfg.body = BodySpec::Wedge {
-        x0: 6.0,
-        base: 6.0,
-        angle_deg: 30.0,
-    };
-    cfg.walls = WallModel::Diffuse { t_wall: 1.5 };
-    cfg.n_per_cell = 6.0;
-    cfg.reservoir_fill = 12.0;
-    cfg.seed = seed;
-    cfg
-}
 
 /// The reference arm: an engine that takes the full rank on every step.
 fn full_rank_engine(cfg: SimConfig, shards: usize) -> Simulation {
@@ -50,28 +35,14 @@ proptest! {
         dirty in any::<bool>(),
         steps in 8usize..=20,
     ) {
-        let mut cfg = base_cfg(seed);
-        cfg.body = match body_kind {
-            0 => BodySpec::None,
-            1 => cfg.body,
-            _ => BodySpec::Cylinder {
-                cx: 7.0,
-                cy: 6.0,
-                r: 2.0,
-            },
-        };
-        cfg.rng_mode = if dirty { RngMode::DirtyBits } else { RngMode::Explicit };
+        let cfg = drawn_cfg(seed, body_kind, dirty);
         for shards in [1usize, 2, 4] {
             let mut a = at_shards(cfg.clone(), shards);
             let mut b = full_rank_engine(cfg.clone(), shards);
             a.run(steps);
             b.run(steps);
-            prop_assert_eq!(
-                a.state_hash(),
-                b.state_hash(),
-                "incremental rank diverged from the full rank at {} shards",
-                shards
-            );
+            let tag = format!("incremental against full rank at {shards} shards");
+            assert_same_run(&tag, &mut a, &mut b);
             let (inc, _) = b.sort_path_counts();
             prop_assert_eq!(inc, 0, "the zero-budget arm took the repair path");
         }
@@ -85,7 +56,7 @@ proptest! {
 /// hash-identical.
 #[test]
 fn fifty_step_order_identity_with_withdrawals() {
-    let cfg = base_cfg(11);
+    let cfg = drawn_cfg(11, 1, false);
     let mut a = Simulation::new(cfg.clone());
     let mut b = Simulation::new(cfg);
     b.set_mover_threshold(0.0);
@@ -118,7 +89,7 @@ fn fifty_step_order_identity_with_withdrawals() {
 #[test]
 fn threshold_crossings_are_hash_identical_through_both_transitions() {
     for shards in [1usize, 2, 4] {
-        let cfg = base_cfg(23);
+        let cfg = drawn_cfg(23, 1, false);
         let mut inc = at_shards(cfg.clone(), shards);
         let mut full = full_rank_engine(cfg, shards);
 
@@ -176,11 +147,11 @@ const DETERMINISM_STEPS: usize = 30;
 #[test]
 #[ignore = "helper: spawned by incremental_determinism_across_thread_counts"]
 fn helper_print_incremental_state_hash() {
-    let mut single = Simulation::new(base_cfg(29));
+    let mut single = Simulation::new(drawn_cfg(29, 1, false));
     single.run(DETERMINISM_STEPS);
     let (inc, _) = single.sort_path_counts();
     assert!(inc > 0, "repair path must engage in the helper run");
-    let mut sharded = at_shards(base_cfg(29), 2);
+    let mut sharded = at_shards(drawn_cfg(29, 1, false), 2);
     sharded.run(DETERMINISM_STEPS);
     println!(
         "STATE_HASH={:#018x}",
@@ -194,33 +165,16 @@ fn helper_print_incremental_state_hash() {
 /// fixed at pool spin-up, so each count gets its own subprocess.
 #[test]
 fn incremental_determinism_across_thread_counts() {
-    fn hash_with_threads(n: &str) -> String {
-        let exe = std::env::current_exe().expect("current_exe");
-        let out = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "helper_print_incremental_state_hash",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("RAYON_NUM_THREADS", n)
-            .output()
-            .expect("spawn helper");
-        assert!(
-            out.status.success(),
-            "helper failed under {n} threads: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        stdout
-            .lines()
-            .find_map(|l| {
-                l.find("STATE_HASH=")
-                    .map(|at| l[at..].split_whitespace().next().unwrap().to_string())
-            })
-            .unwrap_or_else(|| panic!("no STATE_HASH in helper output:\n{stdout}"))
-    }
-    let h1 = hash_with_threads("1");
-    let h4 = hash_with_threads("4");
-    assert_eq!(h1, h4, "1-thread and 4-thread incremental runs diverged");
+    let hash = |threads| {
+        subprocess_hash(
+            "helper_print_incremental_state_hash",
+            "STATE_HASH",
+            &[("RAYON_NUM_THREADS", threads)],
+        )
+    };
+    assert_eq!(
+        hash("1"),
+        hash("4"),
+        "1-thread and 4-thread incremental runs diverged"
+    );
 }

@@ -7,24 +7,9 @@
 
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation, StateError};
+use dsmc_scenarios::{campaign, CampaignSpec};
+use integration_tests::{subprocess_hash, wedge_dirty_cfg};
 use proptest::prelude::*;
-
-/// A small wind-tunnel config exercising the gnarliest state: a body (so
-/// surface windows exist), diffuse walls, dirty-bit randomness.
-fn wedge_dirty_cfg(seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::small_test();
-    cfg.body = BodySpec::Wedge {
-        x0: 6.0,
-        base: 6.0,
-        angle_deg: 30.0,
-    };
-    cfg.walls = WallModel::Diffuse { t_wall: 1.5 };
-    cfg.rng_mode = RngMode::DirtyBits;
-    cfg.n_per_cell = 6.0;
-    cfg.reservoir_fill = 12.0;
-    cfg.seed = seed;
-    cfg
-}
 
 /// Save at `n`, resume, run both arms to `m`, demand hash equality with a
 /// third simulation that never stopped.
@@ -144,7 +129,49 @@ proptest! {
         prop_assert!(keep < bytes.len());
         prop_assert!(Simulation::resume(SimConfig::small_test(), &bytes[..keep], 1).is_err());
     }
+
+    /// The decoders never panic on input that passes the checksum: one to
+    /// three bytes of a valid snapshot (open sampling window included)
+    /// flipped and the trailer re-sealed, resumed at one to three shards
+    /// and stepped three times; and text built from the campaign formats'
+    /// own tokens through the spec and worker-result parsers.  Each input
+    /// is a typed `Err` or a clean run.
+    #[test]
+    fn prop_decoders_never_panic(
+        n_edits in 1usize..=3,
+        at in proptest::array::uniform5(any::<u64>()),
+        flip in proptest::array::uniform5(1u8..=255),
+        shards in 1usize..=3,
+        tokens in proptest::collection::vec(any::<usize>(), 0..40),
+    ) {
+        let cfg = SimConfig::small_test();
+        let mut sim = Simulation::new(cfg.clone());
+        sim.run(4);
+        sim.begin_sampling();
+        sim.run(5);
+        let mut bytes = sim.save_state();
+        let body = bytes.len() - 8;
+        for k in 0..n_edits {
+            bytes[(at[k] % body as u64) as usize] ^= flip[k];
+        }
+        let seal = dsmc_state::fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&seal.to_le_bytes());
+        if let Ok(mut resumed) = Simulation::resume(cfg, &bytes, shards) {
+            resumed.run(3);
+        }
+
+        let vocab: Vec<&str> = TEXT_VOCAB.split('|').collect();
+        let text: String = tokens.iter().map(|&t| vocab[t % vocab.len()]).collect();
+        let _ = CampaignSpec::parse(&text);
+        let _ = campaign::parse_result(&text);
+    }
 }
+
+/// The vocabulary of the campaign spec and worker-result formats, plus
+/// the separators and values that make their parsers branch, `|`-separated.
+const TEXT_VOCAB: &str = "name|scale|quick|full|[run]|scenario|wedge-paper|label|seed|shards|\
+    set |mach|metric |outcome|completed|passed|true|state_hash|recoveries|resumed_step|\
+    wall_seconds|0x|=| = |\n|#|-|0|7|ffff|18446744073709551616|1e999|NaN|.|é| ";
 
 #[test]
 fn config_fingerprint_mismatches_are_typed() {
@@ -246,33 +273,16 @@ fn helper_resume_then_print_hash() {
 /// (this same test binary, filtered to the helper above).
 #[test]
 fn resume_bit_identity_across_thread_counts() {
-    fn hash_with_threads(n: &str) -> String {
-        let exe = std::env::current_exe().expect("current_exe");
-        let out = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "helper_resume_then_print_hash",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("RAYON_NUM_THREADS", n)
-            .output()
-            .expect("spawn helper");
-        assert!(
-            out.status.success(),
-            "helper failed under {n} threads: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        stdout
-            .lines()
-            .find_map(|l| {
-                l.find("RESUME_HASH=")
-                    .map(|at| l[at..].split_whitespace().next().unwrap().to_string())
-            })
-            .unwrap_or_else(|| panic!("no RESUME_HASH in helper output:\n{stdout}"))
-    }
-    let h1 = hash_with_threads("1");
-    let h4 = hash_with_threads("4");
-    assert_eq!(h1, h4, "resumed trajectory depends on the thread count");
+    let hash = |threads| {
+        subprocess_hash(
+            "helper_resume_then_print_hash",
+            "RESUME_HASH",
+            &[("RAYON_NUM_THREADS", threads)],
+        )
+    };
+    assert_eq!(
+        hash("1"),
+        hash("4"),
+        "resumed trajectory depends on the thread count"
+    );
 }

@@ -6,65 +6,21 @@
 //! checkpoints on disk, and a real `kill -9` mid-run exercised
 //! out-of-process across rayon thread counts.
 
-use dsmc_engine::config::WallModel;
-use dsmc_engine::{BodySpec, FaultTarget, RngMode, SimConfig, Simulation};
+use dsmc_engine::{FaultTarget, SimConfig, Simulation};
 use dsmc_scenarios::{
     find, protocol_for, run, run_supervised, run_with, supervise, CaseKind, Fault, FaultPlan,
     Golden, Metric, Protocol, ProtocolOverride, RunOptions, RunOutcome, Scale, Scenario, Sleeper,
     SuperviseError, SuperviseOptions, SuperviseOutcome, SupervisorReport, TransientCase,
     TransientPoint, TransientProtocol, TunnelCase, TunnelProtocol,
 };
-use std::path::PathBuf;
+use integration_tests::{
+    find_value, helper_command, plain_tunnel, small_case, tmp_dir, wedge_dirty_cfg,
+};
 
 /// The step protocol every in-process test here drives: settle, open the
 /// sampling window, average to the end.
 const SETTLE: usize = 20;
 const TOTAL: usize = 50;
-
-/// A small wind-tunnel config exercising the gnarliest state: a body (so
-/// surface windows exist), diffuse walls, dirty-bit randomness.
-fn wedge_dirty_cfg(seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::small_test();
-    cfg.body = BodySpec::Wedge {
-        x0: 6.0,
-        base: 6.0,
-        angle_deg: 30.0,
-    };
-    cfg.walls = WallModel::Diffuse { t_wall: 1.5 };
-    cfg.rng_mode = RngMode::DirtyBits;
-    cfg.n_per_cell = 6.0;
-    cfg.reservoir_fill = 12.0;
-    cfg.seed = seed;
-    cfg
-}
-
-/// A [`TunnelCase`] shell around the small config: the supervisor's
-/// protocol only reads the step counts (the config is passed separately).
-fn small_case(settle: usize, total: usize) -> TunnelCase {
-    TunnelCase {
-        config: SimConfig::small_test,
-        quick_density: 1.0,
-        quick_steps: (settle, total - settle),
-        full_steps: (settle, total - settle),
-        extract: |_, _, _| Vec::new(),
-    }
-}
-
-/// The uninterrupted reference arm: same boundary semantics as
-/// [`TunnelProtocol`] (sampling opens at the settle boundary), no
-/// supervisor anywhere near it.
-fn plain_tunnel(cfg: &SimConfig, settle: u64, total: u64) -> Simulation {
-    let mut sim = Simulation::new(cfg.clone());
-    for s in 0..=total {
-        if s == settle {
-            sim.begin_sampling();
-        }
-        if s < total {
-            sim.step();
-        }
-    }
-    sim
-}
 
 fn wedge_dirty_7() -> SimConfig {
     wedge_dirty_cfg(7)
@@ -168,12 +124,6 @@ fn assert_outcomes_bit_equal(tag: &str, a: &RunOutcome, b: &RunOutcome) {
             .map(|ps| ps.iter().map(|p| (p.step_end, bits(&p.values))).collect())
     };
     assert_eq!(series(a), series(b), "{tag}: transient series");
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dsmc_supervisor_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
 }
 
 /// Options on a debug-affordable cadence, with a recording sleeper so
@@ -611,21 +561,17 @@ fn helper_supervised_kill9_run() {
 #[test]
 #[cfg(unix)]
 fn kill_minus_nine_resumes_identically_across_thread_counts() {
-    use std::process::{Command, Stdio};
+    use std::process::Stdio;
 
     let dir = tmp_dir("kill9");
-    let exe = std::env::current_exe().expect("current_exe");
-    let helper_args = [
-        "--exact",
-        "helper_supervised_kill9_run",
-        "--ignored",
-        "--nocapture",
-    ];
+    let helper = || {
+        let mut cmd = helper_command("helper_supervised_kill9_run");
+        cmd.env("SUPERVISOR_CKPT_DIR", &dir);
+        cmd
+    };
 
     // Victim under 1 thread; SIGKILL after the first checkpoint lands.
-    let mut victim = Command::new(&exe)
-        .args(helper_args)
-        .env("SUPERVISOR_CKPT_DIR", &dir)
+    let mut victim = helper()
         .env("RAYON_NUM_THREADS", "1")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -651,9 +597,7 @@ fn kill_minus_nine_resumes_identically_across_thread_counts() {
     let _ = victim.wait();
 
     // Survivor under 4 threads: must adopt the checkpoint and finish.
-    let out = Command::new(&exe)
-        .args(helper_args)
-        .env("SUPERVISOR_CKPT_DIR", &dir)
+    let out = helper()
         .env("RAYON_NUM_THREADS", "4")
         .output()
         .expect("spawn survivor");
@@ -669,22 +613,13 @@ fn kill_minus_nine_resumes_identically_across_thread_counts() {
             "survivor did not resume from the surviving checkpoint:\n{stdout}"
         );
     }
-    // libtest prints its `test <name> ... ` prefix on the same line as
-    // the helper's first println, so search within lines, not at starts.
     let grab = |text: &str| {
-        text.lines()
-            .find_map(|l| {
-                l.find("SUPER_HASH=")
-                    .map(|at| l[at..].split_whitespace().next().unwrap().to_string())
-            })
-            .unwrap_or_else(|| panic!("no SUPER_HASH in output:\n{text}"))
+        find_value(text, "SUPER_HASH").unwrap_or_else(|| panic!("no SUPER_HASH:\n{text}"))
     };
     let survivor_hash = grab(&stdout);
 
     // Plain reference arm in its own subprocess (default thread pool).
-    let plain = Command::new(&exe)
-        .args(helper_args)
-        .env("SUPERVISOR_CKPT_DIR", &dir)
+    let plain = helper()
         .env("SUPERVISOR_PLAIN", "1")
         .output()
         .expect("spawn plain arm");

@@ -14,6 +14,7 @@
 //! CM-2 : Cray-2 = 7.2 : 0.5 ratio.
 
 use dsmc_engine::config::ResLayout;
+use dsmc_engine::motion::wrap;
 use dsmc_engine::SimConfig;
 use dsmc_fixed::Fx;
 use dsmc_geom::{Body, Plunger, PlungerEvent, Tunnel, WallOutcome};
@@ -207,8 +208,8 @@ impl SerialSim {
                     p.cell = self.tunnel.cell_index(p.x, p.y);
                 }
             } else {
-                p.x = wrap(p.x + p.vel[0], res_w_fx);
-                p.y = wrap(p.y + p.vel[1], res_h_fx);
+                p.x = wrap(p.x, p.vel[0], res_w_fx);
+                p.y = wrap(p.y, p.vel[1], res_h_fx);
                 p.cell = self.res_base + self.res.cell(p.x, p.y);
             }
         }
@@ -331,17 +332,6 @@ impl SerialSim {
         let cells = ((x1 - x0) * (y1 - y0)) as f64;
         count as f64 / (cells * self.cfg.n_per_cell)
     }
-}
-
-#[inline]
-fn wrap(mut x: Fx, span: Fx) -> Fx {
-    while x < Fx::ZERO {
-        x += span;
-    }
-    while x >= span {
-        x -= span;
-    }
-    x
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Substep {
     /// The single-sweep move phase: motion + boundary + cell refresh +
-    /// key pack + first radix histogram, one traversal (the paper's
+    /// key pack, one traversal (the paper's
     /// sub-steps 1 and 2, plus the sort's pair-build sweep).
     Move,
     /// The randomised cell-key sort (sub-step 3's first half): the rank +

@@ -263,8 +263,8 @@ impl Simulation {
     /// One single-sweep move phase (see [`crate::movephase`]) over `parts`
     /// — one shard's columns, which on one shard are all of them —
     /// monomorphised over the body: advance, resolve boundaries, refresh
-    /// cells and, when `keys` is given, pack the jittered sort pairs and
-    /// seed the first radix histogram, in one traversal dispatched by the
+    /// cells and, when `keys` is given, pack the jittered sort pairs, in
+    /// one traversal dispatched by the
     /// per-cell geometry classification.  `bounds` is the previous step's
     /// segment table.
     fn move_sweep(

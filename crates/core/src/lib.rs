@@ -16,8 +16,8 @@
 //!    kernel ([`collide`]).
 //!
 //! The engine restructures sub-steps 1–3a into a *single-sweep move
-//! phase* ([`movephase`]): motion, boundary resolve, cell refresh,
-//! sort-key packing and the first radix histogram in one traversal,
+//! phase* ([`movephase`]): motion, boundary resolve, cell refresh and
+//! sort-key packing in one traversal,
 //! dispatched per run of the previous step's sorted order by a
 //! geometry-aware cell classification — bit-identical to running the
 //! per-phase kernels of [`motion`], [`boundary`], [`sortstep`] and

@@ -13,19 +13,24 @@ use crate::particles::ParticleStore;
 use dsmc_fixed::Fx;
 use rayon::prelude::*;
 
-/// Wrap a coordinate into `[0, span)` by lattice translations (exact).
+/// Displace a coordinate by `d` and wrap it into `[0, span)` by lattice
+/// translations (exact).
 ///
 /// Implemented as a fixed-point Euclidean remainder on the raw
 /// representations: the result is the unique value in `[0, span)` that
-/// differs from `x` by an integer multiple of `span`, for *any* input —
+/// differs from `x + d` by an integer multiple of `span`, for *any* input —
 /// unlike the add/sub loop this replaced, there is no iteration cap and
-/// no branch whose count depends on how far out of range `x` is.
+/// no branch whose count depends on how far out of range `x + d` is.  The
+/// sum is formed in `i64`: a 255-row reservoir strip reaches y ≈ 255, and
+/// a step of more than one cell from there would leave the Q8.23 range
+/// if it were added in `Fx` first.
 #[inline(always)]
-pub fn wrap(x: Fx, span: Fx) -> Fx {
+pub fn wrap(x: Fx, d: Fx, span: Fx) -> Fx {
     debug_assert!(span > Fx::ZERO);
     // i64 keeps the intermediate exact (raw values are i32); rem_euclid's
     // result lies in [0, span.raw) and so fits back into an i32.
-    Fx::from_raw((x.raw() as i64).rem_euclid(span.raw() as i64) as i32)
+    let sum = x.raw() as i64 + d.raw() as i64;
+    Fx::from_raw(sum.rem_euclid(span.raw() as i64) as i32)
 }
 
 /// Advance every particle one step.
@@ -47,8 +52,8 @@ pub fn advect(parts: &mut ParticleStore, res_base: u32, res_w: Fx, res_h: Fx) {
                 *x += u;
                 *y += v;
             } else {
-                *x = wrap(*x + u, res_w);
-                *y = wrap(*y + v, res_h);
+                *x = wrap(*x, u, res_w);
+                *y = wrap(*y, v, res_h);
             }
         });
 }
@@ -69,8 +74,8 @@ pub fn advect_reverse(parts: &mut ParticleStore, res_base: u32, res_w: Fx, res_h
                 *x -= u;
                 *y -= v;
             } else {
-                *x = wrap(*x - u, res_w);
-                *y = wrap(*y - v, res_h);
+                *x = wrap(*x, -u, res_w);
+                *y = wrap(*y, -v, res_h);
             }
         });
 }
@@ -177,11 +182,11 @@ mod tests {
     #[test]
     fn wrap_helper_edge_cases() {
         let span = fx(4.0);
-        assert_eq!(wrap(fx(0.0), span), fx(0.0));
-        assert_eq!(wrap(fx(4.0), span), fx(0.0));
-        assert_eq!(wrap(fx(-0.5), span), fx(3.5));
-        assert_eq!(wrap(fx(9.0), span), fx(1.0));
-        assert_eq!(wrap(fx(3.999), span), fx(3.999));
+        assert_eq!(wrap(fx(0.0), Fx::ZERO, span), fx(0.0));
+        assert_eq!(wrap(fx(4.0), Fx::ZERO, span), fx(0.0));
+        assert_eq!(wrap(fx(-0.5), Fx::ZERO, span), fx(3.5));
+        assert_eq!(wrap(fx(9.0), Fx::ZERO, span), fx(1.0));
+        assert_eq!(wrap(fx(3.999), Fx::ZERO, span), fx(3.999));
     }
 
     #[test]
@@ -189,9 +194,12 @@ mod tests {
         // The old guarded loop capped at 16 translations; the modular
         // reduction is exact arbitrarily far out (within the Q8.23 range).
         let span = fx(4.0);
-        assert_eq!(wrap(fx(4.0 * 60.0 + 1.25), span), fx(1.25));
-        assert_eq!(wrap(fx(-4.0 * 60.0 - 0.75), span), fx(3.25));
-        assert_eq!(wrap(Fx::from_raw(i32::MIN), Fx::EPSILON), Fx::ZERO);
+        assert_eq!(wrap(fx(4.0 * 60.0 + 1.25), Fx::ZERO, span), fx(1.25));
+        assert_eq!(wrap(fx(-4.0 * 60.0 - 0.75), Fx::ZERO, span), fx(3.25));
+        assert_eq!(
+            wrap(Fx::from_raw(i32::MIN), Fx::ZERO, Fx::EPSILON),
+            Fx::ZERO
+        );
     }
 
     /// The add/sub loop the branch-free reduction replaced, kept as the
@@ -224,7 +232,7 @@ mod tests {
             let x_raw = lattice * span_raw as i64 + off;
             proptest::prop_assume!(x_raw >= i32::MIN as i64 && x_raw <= i32::MAX as i64);
             let x = Fx::from_raw(x_raw as i32);
-            let got = wrap(x, span);
+            let got = wrap(x, Fx::ZERO, span);
             proptest::prop_assert_eq!(got, wrap_by_loop(x, span));
             proptest::prop_assert!(got >= Fx::ZERO && got < span);
         }

@@ -1,5 +1,5 @@
 //! The fused single-sweep *move phase*: motion → boundary → cell refresh
-//! → key pack → first radix histogram, in **one** parallel traversal.
+//! → key pack, in **one** parallel traversal.
 //!
 //! The paper's step streams every particle column through memory three
 //! separate times before the sort even ranks anything: advect
@@ -8,10 +8,9 @@
 //! Per-particle, those three are independent — every draw comes from the
 //! particle's own generator, every write touches only its own slots — so
 //! they fuse into a single sweep that reads and writes the position and
-//! velocity columns once per step instead of three times, and even
-//! pre-counts the first radix digit for the rank
-//! (`dsmc_datapar::sort_order_and_bounds_from_pairs_cells` with
-//! `seeded = true`).
+//! velocity columns once per step instead of three times.  The rank that
+//! follows counts every digit it scatters for itself; the sweep hands it
+//! the packed pairs and nothing else.
 //!
 //! # Geometry-aware dispatch
 //!
@@ -123,21 +122,12 @@ pub struct MoveOutcome {
     pub movers: u32,
 }
 
-/// Key-packing instructions for the sweep: the pair buffer and (when the
-/// rank is seeded) the chunk-major first-pass histogram, both living in
-/// the engine's `SortWorkspace`.
+/// Key-packing instructions for the sweep.
 pub struct KeyPack<'a> {
     /// Destination for the packed `(key, index)` words, length `n`.
     pub pairs: &'a mut [u64],
-    /// Chunk-major first-pass histogram rows (`n_chunks << first_bits`
-    /// counters, zeroed), or empty when the rank will count its own
-    /// first pass.
-    pub hist: &'a mut [u32],
     /// Bits of per-particle key jitter.
     pub jitter_bits: u32,
-    /// Digit width of the rank's first pass
-    /// (`dsmc_datapar::first_pass_bits`); ignored when `hist` is empty.
-    pub first_bits: u32,
     /// Where the jitter comes from.
     pub rng_mode: RngMode,
 }
@@ -156,7 +146,6 @@ struct Cols {
     rng: *mut XorShift32,
     cell: *mut u32,
     pairs: *mut u64,
-    hist: *mut u32,
     stats: *mut ChunkStats,
 }
 
@@ -167,10 +156,7 @@ unsafe impl Sync for Cols {}
 #[derive(Clone, Copy)]
 struct SweepCfg {
     pack: bool,
-    seed: bool,
     jitter_bits: u32,
-    first_bits: u32,
-    first_mask: u32,
     dirty: bool,
     halo_raw: u32,
     diffuse: bool,
@@ -184,8 +170,8 @@ struct SweepCfg {
 /// (the array must still be in that sorted order); `keys` is `Some` on
 /// ordinary steps and `None` on plunger-withdrawal steps.  The chunks run
 /// as rayon tasks where `par` forks, in chunk order on this thread
-/// otherwise; the grid is [`radix_chunk_len`]'s either way, so a seeded
-/// histogram lines up with the rank's.
+/// otherwise; [`radix_chunk_len`] sizes the chunks either way, and the
+/// outcome does not depend on the grid.
 #[allow(clippy::too_many_arguments)]
 pub fn move_phase<B: Body + ?Sized>(
     parts: &mut ParticleStore,
@@ -248,40 +234,22 @@ pub fn move_phase<B: Body + ?Sized>(
     scratch.stats.clear();
     scratch.stats.resize(n_chunks, ChunkStats::default());
 
-    let (pack, seed, jitter_bits, first_bits, dirty, pairs_ptr, hist_ptr) = match keys {
+    let (pack, jitter_bits, dirty, pairs_ptr) = match keys {
         Some(k) => {
             assert_eq!(k.pairs.len(), n, "pair buffer must cover the population");
-            debug_assert!(
-                k.hist.is_empty() || k.hist.len() == n_chunks << k.first_bits,
-                "seed histogram not on the radix chunk grid"
-            );
             (
                 true,
-                !k.hist.is_empty(),
                 k.jitter_bits,
-                k.first_bits,
                 matches!(k.rng_mode, RngMode::DirtyBits),
                 k.pairs.as_mut_ptr(),
-                k.hist.as_mut_ptr(),
             )
         }
-        None => (
-            false,
-            false,
-            0,
-            0,
-            false,
-            core::ptr::null_mut(),
-            core::ptr::null_mut(),
-        ),
+        None => (false, 0, false, core::ptr::null_mut()),
     };
 
     let cfg = SweepCfg {
         pack,
-        seed,
         jitter_bits,
-        first_bits,
-        first_mask: if seed { (1u32 << first_bits) - 1 } else { 0 },
         dirty,
         halo_raw: Fx::from_f64(classifier.halo()).raw() as u32,
         diffuse: matches!(p.walls, WallModel::Diffuse { .. }),
@@ -301,17 +269,16 @@ pub fn move_phase<B: Body + ?Sized>(
         rng: parts.rng.as_mut_ptr(),
         cell: parts.cell.as_mut_ptr(),
         pairs: pairs_ptr,
-        hist: hist_ptr,
         stats: scratch.stats.as_mut_ptr(),
     };
     let runs = &scratch.runs[..];
 
     let task = |c: usize| {
         // SAFETY: chunk `c` exclusively owns particle indices
-        // [c·chunk, (c+1)·chunk) of every column, its own histogram row,
-        // and its own stats slot; chunks partition 0..n, so no two tasks
-        // alias.  All pointers outlive the parallel region (borrows of
-        // `parts`, `keys`, `scratch` held by the enclosing frame).
+        // [c·chunk, (c+1)·chunk) of every column and its own stats slot;
+        // chunks partition 0..n, so no two tasks alias.  All pointers
+        // outlive the parallel region (borrows of `parts`, `keys`,
+        // `scratch` held by the enclosing frame).
         unsafe { sweep_chunk::<B>(c, &cols, runs, cfg, p, plunger) }
     };
     if !par.forks(n) {
@@ -335,8 +302,8 @@ pub fn move_phase<B: Body + ?Sized>(
 ///
 /// # Safety
 /// The caller must guarantee exclusive ownership of this chunk's index
-/// range in every column `cols` points to (plus its histogram row and
-/// stats slot), and that all pointers are live for the duration.
+/// range in every column `cols` points to (plus its stats slot), and
+/// that all pointers are live for the duration.
 #[allow(clippy::too_many_arguments)]
 unsafe fn sweep_chunk<B: Body + ?Sized>(
     c: usize,
@@ -349,18 +316,6 @@ unsafe fn sweep_chunk<B: Body + ?Sized>(
     let lo = c * cfg.chunk;
     let hi = (lo + cfg.chunk).min(cfg.n);
     let mut st = ChunkStats::default();
-    let hist_row: &mut [u32] = if cfg.seed {
-        // SAFETY: row `c` of the chunk-major histogram belongs to this
-        // chunk alone.
-        unsafe {
-            core::slice::from_raw_parts_mut(
-                cols.hist.add(c << cfg.first_bits),
-                1usize << cfg.first_bits,
-            )
-        }
-    } else {
-        &mut []
-    };
 
     let mut r = runs.partition_point(|run| (run.end as usize) <= lo);
     let mut i = lo;
@@ -370,16 +325,14 @@ unsafe fn sweep_chunk<B: Body + ?Sized>(
         match run.kind {
             // SAFETY (all arms): indices [i, stop) ⊂ [lo, hi), this
             // chunk's exclusive range.
-            RunKind::Free => unsafe {
-                free_loop::<B>(i, stop, cols, cfg, p, plunger, &mut st, hist_row)
-            },
+            RunKind::Free => unsafe { free_loop::<B>(i, stop, cols, cfg, p, plunger, &mut st) },
             RunKind::Walls => unsafe {
-                geom_loop::<B, false>(i, stop, cols, cfg, p, plunger, &mut st, hist_row)
+                geom_loop::<B, false>(i, stop, cols, cfg, p, plunger, &mut st)
             },
             RunKind::Full => unsafe {
-                geom_loop::<B, true>(i, stop, cols, cfg, p, plunger, &mut st, hist_row)
+                geom_loop::<B, true>(i, stop, cols, cfg, p, plunger, &mut st)
             },
-            RunKind::Reservoir => unsafe { res_loop(i, stop, cols, cfg, p, &mut st, hist_row) },
+            RunKind::Reservoir => unsafe { res_loop(i, stop, cols, cfg, p, &mut st) },
         }
         i = stop;
         if stop == run.end as usize {
@@ -390,8 +343,8 @@ unsafe fn sweep_chunk<B: Body + ?Sized>(
     unsafe { cols.stats.add(c).write(st) };
 }
 
-/// Pack the jittered `(key, index)` pair and count the first radix digit.
-/// No-op when the sweep runs key-less (withdrawal steps).
+/// Pack the jittered `(key, index)` pair.  No-op when the sweep runs
+/// key-less (withdrawal steps).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn emit_key(
@@ -402,7 +355,6 @@ unsafe fn emit_key(
     rng: &mut XorShift32,
     cols: &Cols,
     cfg: SweepCfg,
-    hist_row: &mut [u32],
 ) {
     if !cfg.pack {
         return;
@@ -419,9 +371,6 @@ unsafe fn emit_key(
     let key = (cell << cfg.jitter_bits) | jitter;
     // SAFETY: slot `i` is inside the calling chunk's exclusive range.
     unsafe { cols.pairs.add(i).write(pack_pair(key, i)) };
-    if cfg.seed {
-        hist_row[(key & cfg.first_mask) as usize] += 1;
-    }
 }
 
 /// The branch-minimal majority loop: advance, refresh, pack.  No plunger,
@@ -437,7 +386,6 @@ unsafe fn free_loop<B: Body + ?Sized>(
     p: &BoundaryParams<'_, B>,
     plunger: &Plunger,
     st: &mut ChunkStats,
-    hist_row: &mut [u32],
 ) {
     for i in lo..hi {
         // SAFETY: `i` is inside the calling chunk's exclusive range.
@@ -452,7 +400,7 @@ unsafe fn free_loop<B: Body + ?Sized>(
                 // Faster than the halo bound: the classification makes no
                 // promise, take the full path (identical physics — and
                 // identical bits — whether or not anything is hit).
-                geom_one::<B, true>(i, cols, cfg, p, plunger, st, hist_row);
+                geom_one::<B, true>(i, cols, cfg, p, plunger, st);
                 continue;
             }
             let x = &mut *cols.x.add(i);
@@ -463,7 +411,7 @@ unsafe fn free_loop<B: Body + ?Sized>(
             let slot = cols.cell.add(i);
             st.movers += (cell != *slot) as u32;
             *slot = cell;
-            emit_key(i, cell, *x, u, &mut *cols.rng.add(i), cols, cfg, hist_row);
+            emit_key(i, cell, *x, u, &mut *cols.rng.add(i), cols, cfg);
         }
     }
 }
@@ -483,7 +431,6 @@ unsafe fn geom_loop<B: Body + ?Sized, const DO_BODY: bool>(
     p: &BoundaryParams<'_, B>,
     plunger: &Plunger,
     st: &mut ChunkStats,
-    hist_row: &mut [u32],
 ) {
     for i in lo..hi {
         // SAFETY: `i` is inside the calling chunk's exclusive range.
@@ -496,9 +443,9 @@ unsafe fn geom_loop<B: Body + ?Sized, const DO_BODY: bool>(
                 st.max_speed_raw = s;
             }
             if !DO_BODY && s > cfg.halo_raw {
-                geom_one::<B, true>(i, cols, cfg, p, plunger, st, hist_row);
+                geom_one::<B, true>(i, cols, cfg, p, plunger, st);
             } else {
-                geom_one::<B, DO_BODY>(i, cols, cfg, p, plunger, st, hist_row);
+                geom_one::<B, DO_BODY>(i, cols, cfg, p, plunger, st);
             }
         }
     }
@@ -516,7 +463,6 @@ unsafe fn geom_one<B: Body + ?Sized, const DO_BODY: bool>(
     p: &BoundaryParams<'_, B>,
     plunger: &Plunger,
     st: &mut ChunkStats,
-    hist_row: &mut [u32],
 ) {
     // SAFETY: `i` is inside the calling chunk's exclusive range; each
     // reference targets a distinct column.
@@ -549,7 +495,7 @@ unsafe fn geom_one<B: Body + ?Sized, const DO_BODY: bool>(
             c
         };
         st.movers += (c != prev_cell) as u32;
-        emit_key(i, c, *x, *u, rng, cols, cfg, hist_row);
+        emit_key(i, c, *x, *u, rng, cols, cfg);
     }
 }
 
@@ -563,7 +509,6 @@ unsafe fn res_loop<B: Body + ?Sized>(
     cfg: SweepCfg,
     p: &BoundaryParams<'_, B>,
     st: &mut ChunkStats,
-    hist_row: &mut [u32],
 ) {
     for i in lo..hi {
         // SAFETY: `i` is inside the calling chunk's exclusive range.
@@ -576,13 +521,13 @@ unsafe fn res_loop<B: Body + ?Sized>(
             }
             let x = &mut *cols.x.add(i);
             let y = &mut *cols.y.add(i);
-            *x = wrap(*x + u, cfg.res_w);
-            *y = wrap(*y + v, cfg.res_h);
+            *x = wrap(*x, u, cfg.res_w);
+            *y = wrap(*y, v, cfg.res_h);
             let c = p.res_base + p.res.cell(*x, *y);
             let slot = cols.cell.add(i);
             st.movers += (c != *slot) as u32;
             *slot = c;
-            emit_key(i, c, *x, u, &mut *cols.rng.add(i), cols, cfg, hist_row);
+            emit_key(i, c, *x, u, &mut *cols.rng.add(i), cols, cfg);
         }
     }
 }
@@ -688,9 +633,8 @@ mod tests {
             &mut crate::boundary::BoundaryScratch::new(),
         );
         let jb = 6u32;
-        let cell_bits = 32 - (tunnel.n_cells() + res.total() - 1).leading_zeros();
+        let n = fused.len();
         let mut ref_ws = sortstep::SortWorkspace::new();
-        let (ref_pairs, _) = ref_ws.move_buffers(reference.len(), 0, false);
         sortstep::build_pairs(
             &mut reference,
             &tunnel,
@@ -698,15 +642,12 @@ mod tests {
             res,
             jb,
             rng_mode,
-            ref_pairs,
+            ref_ws.input_pairs(n),
             Par::Pool,
         );
 
         // Fused: one sweep.
-        let first_bits = dsmc_datapar::first_pass_bits(cell_bits, jb);
         let mut ws = sortstep::SortWorkspace::new();
-        let seed = fused.len() >= dsmc_datapar::PAR_THRESHOLD;
-        let (pairs, hist) = ws.move_buffers(fused.len(), first_bits, seed);
         let mut scratch = MoveScratch::new();
         let out = move_phase(
             &mut fused,
@@ -717,10 +658,8 @@ mod tests {
             Fx::from_int(res.w as i32),
             Fx::from_int(res.h as i32),
             Some(KeyPack {
-                pairs,
-                hist,
+                pairs: ws.input_pairs(n),
                 jitter_bits: jb,
-                first_bits,
                 rng_mode,
             }),
             &mut scratch,
@@ -737,9 +676,7 @@ mod tests {
         assert_eq!(fused.rng, reference.rng, "generator state");
         assert_eq!(fused.cell, reference.cell, "cell");
         assert_eq!(out.exited, ref_out.exited, "exit tally");
-        let (got_pairs, _) = ws.move_buffers(fused.len(), 0, false);
-        let (want_pairs, _) = ref_ws.move_buffers(reference.len(), 0, false);
-        assert_eq!(got_pairs, want_pairs, "packed pairs");
+        assert_eq!(ws.input_pairs(n), ref_ws.input_pairs(n), "packed pairs");
         // Sanity on the dispatch: with a body present some particles took
         // the full path, and the free majority is the majority.
         if body.aabb().is_some() {
@@ -811,5 +748,66 @@ mod tests {
             (out.max_speed_raw as f64) < classifier.halo() * (1 << Fx::FRAC_BITS) as f64,
             "test velocities obey the halo invariant"
         );
+    }
+
+    /// The tallest strip validation admits is 255 rows, and a top-row
+    /// particle stepping more than one cell up leaves the Q8.23 range if
+    /// the step is added before the wrap.  The sweep must land it where
+    /// `motion::advect` does: 254.9 + 1.5 wraps to 1.4.
+    #[test]
+    fn reservoir_wrap_survives_the_tallest_strip() {
+        let tunnel = Tunnel::new(48, 32);
+        let res = ResLayout::for_cells(64 * 255);
+        assert_eq!(res.h, 255);
+        let res_base = tunnel.n_cells();
+        let (x0, y0) = (fx(10.25), fx(254.9));
+        let mut s = ParticleStore::default();
+        s.push(
+            x0,
+            y0,
+            [fx(0.5), fx(1.5), Fx::ZERO, Fx::ZERO, Fx::ZERO],
+            Perm5::IDENTITY,
+            XorShift32::new(9),
+            res_base + res.cell(x0, y0),
+        );
+        let mut reference = s.clone();
+        let classifier = CellClassifier::build(&tunnel, &NoBody, 4.0, 1.0);
+        let p = BoundaryParams {
+            tunnel: &tunnel,
+            body: &NoBody,
+            res_base,
+            res,
+            u_drift: fx(0.26),
+            rect_half_raw: Fx::from_f64(0.1).raw(),
+            n_inf: 4.0,
+            walls: WallModel::Specular,
+            sigma_wall_raw: 0,
+            surface: None,
+        };
+        let (res_w, res_h) = (Fx::from_int(res.w as i32), Fx::from_int(res.h as i32));
+        let mut ws = sortstep::SortWorkspace::new();
+        move_phase(
+            &mut s,
+            &p,
+            &classifier,
+            &Plunger::new(fx(0.25), fx(4.0)),
+            &[0, 1],
+            res_w,
+            res_h,
+            Some(KeyPack {
+                pairs: ws.input_pairs(1),
+                jitter_bits: 4,
+                rng_mode: RngMode::Explicit,
+            }),
+            &mut MoveScratch::new(),
+            Par::Inline,
+        );
+        assert_eq!((s.x[0], s.y[0]), (fx(10.75), fx(1.4)), "sweep");
+        assert_eq!(s.cell[0], res_base + res.cell(fx(10.75), fx(1.4)));
+
+        crate::motion::advect(&mut reference, res_base, res_w, res_h);
+        assert_eq!((reference.x[0], reference.y[0]), (s.x[0], s.y[0]), "advect");
+        crate::motion::advect_reverse(&mut reference, res_base, res_w, res_h);
+        assert_eq!((reference.x[0], reference.y[0]), (x0, y0), "advect_reverse");
     }
 }

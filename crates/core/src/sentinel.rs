@@ -311,8 +311,7 @@ impl Sentinel {
 
 /// The Q8.23 speed bound, raw: six cells per step.  Below it a move keeps
 /// a tunnel coordinate under 249 + 6 < 256 and a collision's `mean ± rel`
-/// under 12; healthy flow (validated `c_m < 0.5`) sits far below it.  A
-/// reservoir strip past 250 rows has less headroom than this.
+/// under 12; healthy flow (validated `c_m < 0.5`) sits far below it.
 pub const MAX_SPEED_RAW: u32 = 6 << Fx::FRAC_BITS;
 
 impl Simulation {

@@ -25,8 +25,8 @@
 //! * **Move** runs per shard, keyed: each particle's jittered `(key,
 //!   slot)` pair is packed where it stands (on plunger-withdrawal steps
 //!   the sweep is key-less and the pairs are built after the refill).  One
-//!   shard packs straight into its sort workspace and seeds the first
-//!   radix histogram; several pack into their slot-order pair arrays,
+//!   shard packs straight into its sort workspace; several pack into
+//!   their slot-order pair arrays,
 //!   which the merge below reshapes.
 //!   Per-particle arithmetic and RNG draws are position-independent, and
 //!   the shared surface-flux window uses the same relaxed-atomic
@@ -144,7 +144,7 @@ use crate::diag::{SortSplit, Substep};
 use crate::movephase::{KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sortstep::{self, SortWorkspace};
-use dsmc_datapar::{first_pass_bits, pack_pair, Par, PAR_THRESHOLD};
+use dsmc_datapar::{pack_pair, Par};
 use dsmc_fixed::Fx;
 use dsmc_state::StateError;
 use exec::{ShardExec, ShardExecError};
@@ -330,23 +330,15 @@ impl Shard {
     }
 
     /// Rank the pairs in the sort workspace and send the particles through
-    /// the order (see [`sortstep::rank_and_send`]: `seeded` when the move
-    /// sweep counted the first radix digit, `repair` when the rank may
-    /// repair last step's order), then keep the emitted segment cells.
+    /// the order (see [`sortstep::rank_and_send`]: `repair` when the rank
+    /// may repair last step's order), then keep the emitted segment cells.
     /// Returns where the time went and whether the repair ranked.
-    fn rank(
-        &mut self,
-        base: &Simulation,
-        seeded: bool,
-        repair: bool,
-        par: Par,
-    ) -> (SortSplit, bool) {
+    fn rank(&mut self, base: &Simulation, repair: bool, par: Par) -> (SortSplit, bool) {
         let ranked = sortstep::rank_and_send(
             &mut self.parts,
             base.key_bits,
             base.cfg.jitter_bits,
             base.total_cells(),
-            seeded,
             repair,
             &mut self.sort_ws,
             &mut self.bounds,
@@ -362,9 +354,9 @@ impl Shard {
     /// from scratch: one domain's sort at construction and on withdrawal
     /// steps, whose refill repositions particles after the move sweep.
     pub(super) fn rank_from_scratch(&mut self, base: &Simulation, par: Par) -> SortSplit {
-        let (pairs, _) = self.sort_ws.move_buffers(self.parts.len(), 0, false);
+        let pairs = self.sort_ws.input_pairs(self.parts.len());
         base.build_pairs(&mut self.parts, pairs, par);
-        self.rank(base, false, false, par).0
+        self.rank(base, false, par).0
     }
 
     /// The source half of the exchange.  Scan the post-move cell column
@@ -442,7 +434,7 @@ impl Shard {
             }
         }
         let n_live = self.parts.len() - self.departed.len();
-        let (merged, _) = self.sort_ws.move_buffers(n_live, 0, false);
+        let merged = self.sort_ws.input_pairs(n_live);
         let (mut k, mut j, mut slot, mut gone) = (0, 0, 0, 0);
         loop {
             // Residents whose previous cell precedes the next run's go
@@ -785,9 +777,8 @@ impl Simulation {
     /// and folded into the global state on the coordinator in shard order.
     /// `exchange` routes the crossers between several shards (see the
     /// module docs).  One shard owns every cell and has none: the keyed
-    /// sweep packs straight into the sort workspace and seeds the first
-    /// radix histogram, the rank reads the pairs as packed, and pairing
-    /// takes each segment's own start parity.
+    /// sweep packs straight into the sort workspace, the rank reads the
+    /// pairs as packed, and pairing takes each segment's own start parity.
     fn step_shards(
         &mut self,
         shards: &mut [Shard],
@@ -800,12 +791,7 @@ impl Simulation {
         let t = Instant::now();
         let withdraw = self.plunger.will_withdraw();
         let n = shards.iter().map(|s| s.parts.len()).sum();
-        // One shard's sweep also counts the first radix digit when the
-        // chunked rank will run and read it (the repair reads it too); a
-        // merge reshapes the pairs such a histogram would describe.
-        let seeded = exchange.is_none() && n >= PAR_THRESHOLD;
-        let (out, pack_wall) =
-            self.move_shards(shards, exec, exchange.as_mut(), !withdraw, seeded)?;
+        let (out, pack_wall) = self.move_shards(shards, exec, exchange.as_mut(), !withdraw)?;
         // The budget decision, made once from the summed sweep counts (the
         // exchange migrates particles between shards but never changes a
         // cell index, so the sum is exact post-exchange too).  Withdrawal
@@ -832,7 +818,7 @@ impl Simulation {
             cpu.exchange += self.pack_after_refill(shards, exec, x)?;
         }
         let outbox = exchange.as_ref().map(|x| &*x.outbox);
-        cpu += self.sort_shards(shards, exec, outbox, withdraw, seeded, repair)?;
+        cpu += self.sort_shards(shards, exec, outbox, withdraw, repair)?;
         let wall = t.elapsed();
         let mut split = cpu.scaled_to(wall);
         split.exchange += pack_wall;
@@ -889,9 +875,9 @@ impl Simulation {
     ///
     /// On ordinary steps (`keyed`) each sweep packs every particle's pair
     /// where it stands, drawing the jitter in the sweep: one shard into its
-    /// sort workspace, counting the first radix digit when `seeded`;
-    /// several into their slot-order pair arrays, each packing its crossers
-    /// in the same closure.  Withdrawal steps sweep key-less.  The second
+    /// sort workspace, several into their slot-order pair arrays, each
+    /// packing its crossers in the same closure.  Withdrawal steps sweep
+    /// key-less.  The second
     /// return value is the pack's share of the phase's wall time, split
     /// from the sweep's in the proportion the workers measured.
     fn move_shards(
@@ -900,11 +886,9 @@ impl Simulation {
         exec: &ShardExec,
         exchange: Option<&mut Exchange<'_>>,
         keyed: bool,
-        seeded: bool,
     ) -> Result<(MoveOutcome, Duration), ShardExecError> {
         let t = Instant::now();
         let jitter_bits = self.cfg.jitter_bits;
-        let first_bits = first_pass_bits(self.key_bits - jitter_bits, jitter_bits);
         let layout = exchange.as_ref().map(|x| x.layout);
         // Each shard's outbox row when several exchange; an empty one each
         // when one shard does not.
@@ -916,18 +900,15 @@ impl Simulation {
             let t = Instant::now();
             let n = shard.parts.len();
             let keys = keyed.then(|| {
-                let (pairs, hist, first_bits) = if layout.is_some() {
+                let pairs = if layout.is_some() {
                     shard.slot_pairs.resize(n, 0);
-                    (&mut shard.slot_pairs[..], &mut [][..], 0)
+                    &mut shard.slot_pairs[..]
                 } else {
-                    let (pairs, hist) = shard.sort_ws.move_buffers(n, first_bits, seeded);
-                    (pairs, hist, first_bits)
+                    shard.sort_ws.input_pairs(n)
                 };
                 KeyPack {
                     pairs,
-                    hist,
                     jitter_bits,
-                    first_bits,
                     rng_mode: self.rng_mode,
                 }
             });
@@ -1070,7 +1051,6 @@ impl Simulation {
         exec: &ShardExec,
         outbox: Option<&[Vec<Outbox>]>,
         withdraw: bool,
-        seeded: bool,
         repair: bool,
     ) -> Result<SortSplit, ShardExecError> {
         let base = &*self;
@@ -1083,7 +1063,7 @@ impl Simulation {
             let (split, repaired) = if withdraw && outbox.is_none() {
                 (shard.rank_from_scratch(base, par), false)
             } else {
-                shard.rank(base, seeded, repair, par)
+                shard.rank(base, repair, par)
             };
             let took = (!shard.parts.is_empty()).then_some(repaired);
             (took, SortSplit { exchange, ..split })

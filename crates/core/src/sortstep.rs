@@ -65,22 +65,10 @@ impl SortWorkspace {
         ]
     }
 
-    /// The buffers the fused move phase packs into: the `(key, index)`
-    /// pair buffer, plus — when `seeded` — the zeroed chunk-major
-    /// first-radix-pass histogram (`first_bits` from
-    /// [`dsmc_datapar::first_pass_bits`]; an empty slice otherwise, which
-    /// tells the move phase not to count).
-    pub fn move_buffers(
-        &mut self,
-        n: usize,
-        first_bits: u32,
-        seeded: bool,
-    ) -> (&mut [u64], &mut [u32]) {
-        if seeded {
-            self.radix.input_pairs_and_hist(n, first_bits)
-        } else {
-            (self.radix.input_pairs(n), &mut [])
-        }
+    /// The `(key, index)` pair buffer the rank reads, sized for `n` pairs:
+    /// what the move sweep, `build_pairs` or the exchange's merge packs.
+    pub fn input_pairs(&mut self, n: usize) -> &mut [u64] {
+        self.radix.input_pairs(n)
     }
 
     /// The occupied cell id of every segment the last rank emitted, one
@@ -270,11 +258,11 @@ fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u
 }
 
 /// The back half of the sort phase — one rank, one send — for every
-/// shard.  The pairs are already in the workspace's buffers
-/// ([`SortWorkspace::move_buffers`]): the single-sweep move phase
-/// (`crate::movephase`) packed them and, when `seeded`, counted the first
-/// radix digit; or `build_pairs` did; or the exchange's merge wrote them
-/// there.  Their index fields name rows of `parts`; they need not be a
+/// shard.  The pairs are already in the workspace's buffer
+/// ([`SortWorkspace::input_pairs`]): the single-sweep move phase
+/// (`crate::movephase`) packed them, or `build_pairs` did, or the
+/// exchange's merge wrote them there.  Either rank counts every digit it
+/// scatters.  Their index fields name rows of `parts`; they need not be a
 /// permutation of it (see `send`).
 ///
 /// **Rank.**  With `repair`, first try [`dsmc_datapar::incremental_rank`]:
@@ -311,7 +299,6 @@ pub fn rank_and_send(
     key_bits: u32,
     jitter_bits: u32,
     total_cells: u32,
-    seeded: bool,
     repair: bool,
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
@@ -326,7 +313,7 @@ pub fn rank_and_send(
             total_cells,
             &[0, n],
             &[0],
-            seeded,
+            false,
             &mut ws.radix,
             &mut ws.inc,
             order,
@@ -341,7 +328,6 @@ pub fn rank_and_send(
             order,
             bounds,
             &mut ws.seg_cells,
-            seeded,
             par,
         );
         assert!(took, "a validated grid fits the rank's cell field");
@@ -590,7 +576,7 @@ mod tests {
             let mut reference = fused.clone();
             let mut ws = SortWorkspace::new();
             let (mut bounds, mut order) = (Vec::new(), Vec::new());
-            let (pairs, _) = ws.move_buffers(fused.len(), 0, false);
+            let pairs = ws.input_pairs(fused.len());
             build_pairs(
                 &mut fused,
                 &tunnel,
@@ -607,7 +593,6 @@ mod tests {
                 kb,
                 6,
                 total_cells,
-                false,
                 false,
                 &mut ws,
                 &mut bounds,

@@ -85,7 +85,7 @@ pub use scan::scan_add_exclusive_u32;
 pub use segments::{par_segment_runs_mut, par_segments_mut};
 pub use segscan::segment_bounds_from_sorted;
 pub use sort::{
-    fill_cells_from_bounds, first_pass_bits, incremental_rank, pack_pair, radix_chunk_len,
+    fill_cells_from_bounds, incremental_rank, pack_pair, radix_chunk_len,
     sort_order_and_bounds_from_pairs_cells, sort_order_and_bounds_from_pairs_cells_with,
     sort_perm_by_key, DisjointWrites, IncrementalScratch, SortScratch, MAX_CELL_BITS,
 };

@@ -2,7 +2,7 @@
 //!
 //! The classic three-phase chunked scan: (1) reduce each chunk in parallel,
 //! (2) exclusive-scan the chunk totals sequentially (the chunk count is tiny),
-//! (3) re-scan each chunk in parallel seeded with its offset.  All operations
+//! (3) re-scan each chunk in parallel starting from its offset.  All operations
 //! are associative wrapping integer ops, so the result is bit-identical to
 //! the sequential fold.
 

@@ -402,7 +402,10 @@ impl<'a> Reader<'a> {
         }
         let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
         let n_sections = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-        let mut sections = Vec::with_capacity(n_sections as usize);
+        // The count is a header field like any other: every section takes
+        // at least its 12 framing bytes, so no more than that many fit.
+        let fit = (body.len() - 24) / 12;
+        let mut sections = Vec::with_capacity((n_sections as usize).min(fit));
         let mut at = 24usize;
         for _ in 0..n_sections {
             if at + 12 > body.len() {
@@ -706,6 +709,24 @@ mod tests {
         let mut bytes = demo_snapshot();
         let len_at = 24 + 4; // first section's length field
         bytes[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let n = bytes.len();
+        let checksum = fnv1a64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            Reader::new(&bytes),
+            Err(StateError::ChecksumMismatch)
+        ));
+    }
+
+    #[test]
+    fn forged_section_count_with_fixed_checksum_is_a_typed_error() {
+        // A one-section file whose header claims u32::MAX sections, resealed
+        // so the checksum passes: the index must not be sized from the
+        // claim (≈ 100 GB), and the framing walk must reject it.
+        let mut w = Writer::new(5);
+        w.section(*b"ONLY").u32(1);
+        let mut bytes = w.finish();
+        bytes[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         let n = bytes.len();
         let checksum = fnv1a64(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&checksum.to_le_bytes());

@@ -53,7 +53,7 @@ fn assert_stores_equal(a: &ParticleStore, b: &ParticleStore) {
 /// computes in three steps: the reference permutation — the router
 /// addresses the one send consumes — the segment bounds of the sorted cell
 /// column, and the cell id of every segment.  Keys are laid out as the
-/// engine packs them, `(cell << jitter_bits) | jitter`; the rank is unseeded.
+/// engine packs them, `(cell << jitter_bits) | jitter`.
 fn check_fused_matches_two_step(n: usize, seed: u32, cell_bits: u32, jitter_bits: u32) {
     let store = random_store(n, seed);
     let keys: Vec<u32> = (0..n)
@@ -145,9 +145,9 @@ fn pipelines_produce_identical_trajectories() {
 }
 
 /// The wide grid (15 cell bits, chunked population) on every rank path:
-/// ordinary steps repair (seeded), the withdrawal step builds its own pairs
-/// and ranks them unseeded, and a second engine pinned to the full rank
-/// runs the seeded chunked rank on every ordinary step; all must land on
+/// ordinary steps repair the sweep's pairs, the withdrawal step builds its
+/// own pairs and ranks them from scratch, and a second engine pinned to the
+/// full rank runs the chunked rank on every ordinary step; all must land on
 /// the oracle's state.  `sharding.rs` runs the same config at 4 shards.
 #[test]
 fn wide_grid_matches_two_step_on_every_rank_path() {

@@ -7,9 +7,13 @@
 
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation, StateError};
-use dsmc_scenarios::{campaign, CampaignSpec};
-use integration_tests::{subprocess_hash, wedge_dirty_cfg};
+use dsmc_scenarios::campaign::load_journal;
+use dsmc_scenarios::{
+    campaign, run_campaign, CampaignOptions, CampaignSpec, RunSpec, RunStatus, Scale, Sleeper,
+};
+use integration_tests::{subprocess_hash, tmp_dir, wedge_dirty_cfg};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Save at `n`, resume, run both arms to `m`, demand hash equality with a
 /// third simulation that never stopped.
@@ -86,6 +90,56 @@ fn resume_mid_sampling_window_reduces_to_the_same_fields() {
     assert_eq!(ss.force_x, sb.force_x);
 }
 
+/// A journal as `run_campaign` writes it, for the decoder fuzz below:
+/// three runs — one seeded with overrides, its duplicate, one at two
+/// shards — whose worker executable does not exist, so each primary
+/// burns its two attempts and the journal holds quarantine and duplicate
+/// records with their error text.
+fn campaign_journal() -> &'static [u8] {
+    static JOURNAL: OnceLock<Vec<u8>> = OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        let dir = tmp_dir("fuzz_journal");
+        let mut opts = CampaignOptions::new(dir.clone());
+        opts.worker_exe = Some(dir.join("no-such-worker"));
+        opts.max_attempts = 2;
+        opts.sleeper = Sleeper::recording().0;
+        let run = RunSpec::new("wedge-paper", "a")
+            .seeded(3)
+            .set("settle", 20.0)
+            .set("average", 20.0);
+        let spec = CampaignSpec {
+            name: "fuzz".into(),
+            scale: Scale::Quick,
+            runs: vec![
+                run.clone(),
+                RunSpec {
+                    label: "b".into(),
+                    ..run
+                },
+                RunSpec::new("wedge-rarefied", "c").sharded(2),
+            ],
+        };
+        let report = run_campaign(&spec, &opts).expect("the campaign itself runs");
+        assert_eq!(report.count(RunStatus::Quarantined), 2);
+        assert_eq!(report.count(RunStatus::Skipped), 1);
+        let bytes = std::fs::read(dir.join("campaign.journal")).expect("journal written");
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    })
+}
+
+/// Flip `flip[k]` into byte `at[k] % len` of `bytes`' body for the first
+/// `n` lanes, then re-seal the trailing checksum so the decoder behind it
+/// sees the damage.
+fn mutate_and_reseal(bytes: &mut [u8], n: usize, at: &[u64; 5], flip: &[u8; 5]) {
+    let body = bytes.len() - 8;
+    for k in 0..n {
+        bytes[(at[k] % body as u64) as usize] ^= flip[k];
+    }
+    let seal = dsmc_state::fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&seal.to_le_bytes());
+}
+
 proptest! {
     /// Encode → decode equality over random simulation states: any seed,
     /// any stopping step (including 0 — a freshly initialised, sorted
@@ -133,9 +187,12 @@ proptest! {
     /// The decoders never panic on input that passes the checksum: one to
     /// three bytes of a valid snapshot (open sampling window included)
     /// flipped and the trailer re-sealed, resumed at one to three shards
-    /// and stepped three times; and text built from the campaign formats'
-    /// own tokens through the spec and worker-result parsers.  Each input
-    /// is a typed `Err` or a clean run.
+    /// and stepped three times; the same for one to three bytes of the
+    /// snapshot's header fields alone (bytes 8..24: version, fingerprint,
+    /// section count); one to three resealed bytes of a real campaign
+    /// journal through `load_journal`; and text built from the campaign
+    /// formats' own tokens through the spec and worker-result parsers.
+    /// Each input is a typed `Err` or a clean run.
     #[test]
     fn prop_decoders_never_panic(
         n_edits in 1usize..=3,
@@ -143,22 +200,33 @@ proptest! {
         flip in proptest::array::uniform5(1u8..=255),
         shards in 1usize..=3,
         tokens in proptest::collection::vec(any::<usize>(), 0..40),
+        header_at in proptest::array::uniform5(8u64..24),
+        journal_at in proptest::array::uniform5(any::<u64>()),
     ) {
         let cfg = SimConfig::small_test();
         let mut sim = Simulation::new(cfg.clone());
         sim.run(4);
         sim.begin_sampling();
         sim.run(5);
-        let mut bytes = sim.save_state();
-        let body = bytes.len() - 8;
-        for k in 0..n_edits {
-            bytes[(at[k] % body as u64) as usize] ^= flip[k];
-        }
-        let seal = dsmc_state::fnv1a64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&seal.to_le_bytes());
-        if let Ok(mut resumed) = Simulation::resume(cfg, &bytes, shards) {
+        let snapshot = sim.save_state();
+        let mut bytes = snapshot.clone();
+        mutate_and_reseal(&mut bytes, n_edits, &at, &flip);
+        if let Ok(mut resumed) = Simulation::resume(cfg.clone(), &bytes, shards) {
             resumed.run(3);
         }
+
+        let mut header = snapshot;
+        mutate_and_reseal(&mut header, n_edits, &header_at, &flip);
+        if let Ok(mut resumed) = Simulation::resume(cfg, &header, shards) {
+            resumed.run(3);
+        }
+
+        let mut journal = campaign_journal().to_vec();
+        mutate_and_reseal(&mut journal, n_edits, &journal_at, &flip);
+        let path = tmp_dir("fuzz_journal_case").with_extension("journal");
+        std::fs::write(&path, &journal).expect("write the mutated journal");
+        let _ = load_journal(&path);
+        let _ = std::fs::remove_file(&path);
 
         let vocab: Vec<&str> = TEXT_VOCAB.split('|').collect();
         let text: String = tokens.iter().map(|&t| vocab[t % vocab.len()]).collect();

@@ -67,10 +67,13 @@ pub struct Simulation {
     /// block: at one shard the canonical sorted state itself, at several
     /// the canonical array restricted to each shard's cells.
     shards: Vec<Shard>,
-    /// At several shards, the canonical view the shards merge into on
-    /// demand; stale while `dirty`.  Unused at one shard.
+    /// At several shards, the canonical view [`Simulation::canonical`]
+    /// merges the shards into on demand; empty until first asked for (the
+    /// shards are the resident state), stale while `dirty`.  Unused at one
+    /// shard.
     view: Shard,
-    /// True when the shards have stepped past `view`.
+    /// True when the view does not hold the shards' current state: they
+    /// have stepped past it, or were scattered since it was merged.
     dirty: bool,
     layout: ShardLayout,
     /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
@@ -584,15 +587,15 @@ impl Simulation {
     /// consumed, so an uninterrupted reference run and a
     /// corrupt-then-recover run share trajectories exactly.  Returns a
     /// human-readable description of what was damaged (for recovery
-    /// logs).  Applied on the canonical state (several shards sync first
+    /// logs).  Applied on the canonical state (several shards merge first
     /// and re-scatter after), so the sentinel-visible damage is the same
     /// at every shard count.
     pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
-        self.sync_canonical();
         let total = self.total_cells();
-        let parts = match &mut self.shards[..] {
-            [one] => &mut one.parts,
-            _ => &mut self.view.parts,
+        let mut merged = (self.shards.len() > 1).then(|| self.take_canonical());
+        let parts = match &mut merged {
+            Some(canon) => &mut canon.parts,
+            None => &mut self.shards[0].parts,
         };
         let n = parts.len();
         assert!(n > 0, "cannot inject a fault into an empty simulation");
@@ -630,8 +633,8 @@ impl Simulation {
                 format!("cell {old} -> {} on particle {start}", (old + 1) % total)
             }
         };
-        if self.shards.len() > 1 {
-            self.scatter();
+        if let Some(canon) = merged {
+            self.scatter(&canon);
         }
         what
     }

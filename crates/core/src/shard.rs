@@ -25,9 +25,9 @@
 //! * **Move** runs per shard, keyed: each particle's jittered `(key,
 //!   slot)` pair is packed where it stands (on plunger-withdrawal steps
 //!   the sweep is key-less and the pairs are built after the refill).  One
-//!   shard packs straight into its sort workspace; several pack into
-//!   their slot-order pair arrays,
-//!   which the merge below reshapes.
+//!   shard packs straight into its sort workspace; several stage their
+//!   pairs in slot order in the rank's idle second pair buffer, which the
+//!   merge below reshapes and hands back before the rank.
 //!   Per-particle arithmetic and RNG draws are position-independent, and
 //!   the shared surface-flux window uses the same relaxed-atomic
 //!   discipline as the field accumulators, so concurrent shards never race
@@ -109,26 +109,29 @@
 //!
 //! # The canonical view and freshness
 //!
-//! Several shards step past the canonical (one-domain) array; a lazy
-//! k-way merge by cell rebuilds it on demand — a pure copy, no RNG.  One
-//! rule says who merges: the exact integer ledgers
-//! ([`Simulation::diagnostics`], [`Simulation::n_particles`],
-//! [`Simulation::n_flow`]) sum over the shards under `&self`; the
-//! order-bearing outputs ([`Simulation::state_hash`],
-//! [`Simulation::save_state`], [`Simulation::inject_fault`],
-//! [`Simulation::canonical`]) merge first under `&mut self`; and the
-//! column readers ([`Simulation::particles`] and its siblings) panic on a
-//! stale view rather than return it.
+//! Several shards are the only resident copy of the particle state; the
+//! canonical (one-domain) array is rebuilt only on demand, by a lazy
+//! k-way merge by cell — a pure copy, no RNG.  One rule says who reads
+//! what: the exact integer ledgers ([`Simulation::diagnostics`],
+//! [`Simulation::n_particles`], [`Simulation::n_flow`]) sum over the
+//! shards under `&self`; the order-bearing outputs
+//! ([`Simulation::state_hash`], [`Simulation::save_state`]) stream from
+//! the shards under `&self`, walking the merge once for the canonical
+//! `(shard, rows)` runs (`CanonicalRuns`); only
+//! [`Simulation::canonical`] and [`Simulation::inject_fault`] build the
+//! merged view, and a freshly resharded engine has none; and the column
+//! readers ([`Simulation::particles`] and its siblings) panic on a stale
+//! view rather than return it.
 //!
 //! # Checkpoints
 //!
 //! [`Simulation::save_state`] writes the canonical sections (identical
-//! bytes at every shard count) plus, at several shards, an advisory
-//! `SHRD` manifest: shard count, column cuts, per-shard populations,
-//! repartition count.  [`Simulation::resume`] scatters the canonical
-//! state under *any* shard count and warm-starts the stored cuts only when
-//! the counts match, so a checkpoint taken at S shards resumes bit-exactly
-//! at S′.  The manifest is outside both the config fingerprint and the
+//! bytes at every shard count, streamed from the shards) plus, at several
+//! shards, an advisory `SHRD` manifest: shard count, column cuts,
+//! per-shard populations, repartition count.  [`Simulation::resume`]
+//! scatters the canonical state, segment by segment, under *any* shard
+//! count and warm-starts the stored cuts only when the counts match, so a
+//! checkpoint taken at S shards resumes bit-exactly at S′.  The manifest is outside both the config fingerprint and the
 //! state hash (execution layout, not physics).
 
 // The per-shard phase executor (scoped worker threads + typed panic
@@ -148,6 +151,8 @@ use dsmc_datapar::{pack_pair, Par};
 use dsmc_fixed::Fx;
 use dsmc_state::StateError;
 use exec::{ShardExec, ShardExecError};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Repartition trigger: re-draw the column cuts when the heaviest shard's
@@ -288,8 +293,14 @@ impl Outbox {
 /// always the canonical sorted array restricted to the shard's owned cells
 /// (the module-level invariant); `bounds`, `seg_cell` and `seg_parity`
 /// describe its segments under the *global* cell ids.  The exchange's
-/// fields (`seg_parity`, `slot_pairs`, `departed`) stay empty on one
-/// shard.
+/// fields (`seg_parity`, `departed`) stay empty on one shard.
+///
+/// Between the move and the merge an exchanging shard stages this step's
+/// `(key, slot)` pair of every resident, in slot order — which is
+/// canonical previous order — in its rank's second pair buffer
+/// ([`SortWorkspace::take_pong`]), which no rank reads across calls: the
+/// merge reads the staged pairs and hands the buffer back before the rank
+/// that next uses it.
 #[derive(Default)]
 pub(super) struct Shard {
     pub(super) parts: ParticleStore,
@@ -301,10 +312,6 @@ pub(super) struct Shard {
     /// Global even/odd parity of each segment's canonical start index —
     /// what makes per-shard pairing identical to canonical pairing.
     seg_parity: Vec<u32>,
-    /// This step's `(key, slot)` pair of every resident, in slot order —
-    /// which is canonical previous order.  The merge reads it; the rank
-    /// never sees it.
-    slot_pairs: Vec<u64>,
     /// Slots whose particle another shard owns after this step's move,
     /// ascending: the rows the merge leaves out and the send never reads.
     departed: Vec<u32>,
@@ -361,11 +368,17 @@ impl Shard {
 
     /// The source half of the exchange.  Scan the post-move cell column
     /// against the owner table and copy every crosser — ten columns, sort
-    /// key, previous cell — into the outbox of the shard that now owns it,
-    /// noting its slot as departed.  The scan runs in slot order, which is
-    /// previous sorted order, so each outbox fills ascending by previous
-    /// cell.
-    fn pack_crossers(&mut self, me: usize, layout: &ShardLayout, outbox: &mut [Outbox]) {
+    /// key (from its slot's entry in `pairs`), previous cell — into the
+    /// outbox of the shard that now owns it, noting its slot as departed.
+    /// The scan runs in slot order, which is previous sorted order, so each
+    /// outbox fills ascending by previous cell.
+    fn pack_crossers(
+        &mut self,
+        me: usize,
+        layout: &ShardLayout,
+        pairs: &[u64],
+        outbox: &mut [Outbox],
+    ) {
         for o in outbox.iter_mut() {
             o.clear();
         }
@@ -382,7 +395,7 @@ impl Shard {
                 let (p, o) = (&self.parts, &mut outbox[owner]);
                 o.parts
                     .push(p.x[i], p.y[i], p.velocity5(i), p.perm[i], p.rng[i], cell);
-                o.key.push((self.slot_pairs[i] >> 32) as u32);
+                o.key.push((pairs[i] >> 32) as u32);
                 o.prev_cell.push(self.seg_cell[j]);
                 self.departed.push(i as u32);
             }
@@ -391,8 +404,8 @@ impl Shard {
 
     /// The destination half of the exchange.  Append the arrivals' columns
     /// behind the residents, source by source, and write the pair array
-    /// the rank will sort: the residents' pairs in slot order minus the
-    /// departed, interleaved with the arrivals' by previous cell, every
+    /// the rank will sort: the residents' staged pairs in slot order minus
+    /// the departed, interleaved with the arrivals' by previous cell, every
     /// index field naming a physical row.  Previous cells partition across
     /// shards and every source is already ascending, so draining whole
     /// equal-cell runs smallest-first is the canonical previous order —
@@ -434,6 +447,7 @@ impl Shard {
             }
         }
         let n_live = self.parts.len() - self.departed.len();
+        let staged = self.sort_ws.take_pong();
         let merged = self.sort_ws.input_pairs(n_live);
         let (mut k, mut j, mut slot, mut gone) = (0, 0, 0, 0);
         loop {
@@ -457,7 +471,7 @@ impl Shard {
                     .departed
                     .get(gone)
                     .map_or(end, |&d| end.min(d as usize));
-                merged[k..k + stop - slot].copy_from_slice(&self.slot_pairs[slot..stop]);
+                merged[k..k + stop - slot].copy_from_slice(&staged[slot..stop]);
                 k += stop - slot;
                 slot = stop;
                 if stop < end {
@@ -474,28 +488,8 @@ impl Shard {
             }
         }
         debug_assert_eq!(k, n_live, "merge lost or invented pairs");
+        self.sort_ws.put_pong(staged);
     }
-}
-
-/// Rebuild a shard's segment table from its (cell-sorted) array — used
-/// after a scatter, where the canonical order guarantees sortedness.
-fn rebuild_segments(shard: &mut Shard) {
-    let cells = &shard.parts.cell;
-    shard.bounds.clear();
-    shard.seg_cell.clear();
-    shard.order.clear();
-    if cells.is_empty() {
-        return;
-    }
-    shard.bounds.push(0);
-    shard.seg_cell.push(cells[0]);
-    for i in 1..cells.len() {
-        if cells[i] != cells[i - 1] {
-            shard.bounds.push(i as u32);
-            shard.seg_cell.push(cells[i]);
-        }
-    }
-    shard.bounds.push(cells.len() as u32);
 }
 
 /// One step of the k-way merge of all shards' segment tables by cell:
@@ -517,8 +511,68 @@ fn next_merged_segment(shards: &[Shard], pos: &mut [usize]) -> Option<(usize, us
     Some((s, pos[s] - 1))
 }
 
+/// The canonical (single-domain) array laid over the shards that hold it:
+/// what the order-bearing outputs stream from instead of merging a copy.
+pub(super) struct CanonicalRuns<'a> {
+    shards: &'a [Shard],
+    /// `(shard, rows)` in canonical order; adjacent segments of one shard
+    /// share a run.
+    runs: Vec<(usize, Range<usize>)>,
+    /// The canonical segment bounds.
+    pub(super) bounds: Cow<'a, [u32]>,
+}
+
+impl<'a> CanonicalRuns<'a> {
+    /// One shard is the canonical array; several are read off one k-way
+    /// merge of their segment tables, the bounds as the running prefix of
+    /// the merged segments' lengths.
+    pub(super) fn of(shards: &'a [Shard]) -> Self {
+        if let [one] = shards {
+            return Self {
+                shards,
+                runs: vec![(0, 0..one.parts.len())],
+                bounds: Cow::Borrowed(&one.bounds),
+            };
+        }
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut bounds = vec![0];
+        let mut pos = vec![0; shards.len()];
+        while let Some((s, j)) = next_merged_segment(shards, &mut pos) {
+            let b = &shards[s].bounds;
+            let rows = b[j] as usize..b[j + 1] as usize;
+            bounds.push(bounds[bounds.len() - 1] + rows.len() as u32);
+            match runs.last_mut() {
+                Some((last, run)) if *last == s && run.end == rows.start => run.end = rows.end,
+                _ => runs.push((s, rows)),
+            }
+        }
+        Self {
+            shards,
+            runs,
+            bounds: Cow::Owned(bounds),
+        }
+    }
+
+    /// Number of particles.
+    pub(super) fn len(&self) -> usize {
+        self.runs.iter().map(|(_, rows)| rows.len()).sum()
+    }
+
+    /// One particle column, `col` of each shard's store, in canonical
+    /// order.
+    pub(super) fn column<T: 'a>(
+        &self,
+        col: fn(&ParticleStore) -> &[T],
+    ) -> impl Iterator<Item = &'a T> + '_ {
+        let shards = self.shards;
+        self.runs
+            .iter()
+            .flat_map(move |(s, rows)| &col(&shards[*s].parts)[rows.clone()])
+    }
+}
+
 /// The column-block decomposition: how many shards, where the cuts are,
-/// and the canonical view several shards merge back into.
+/// and the canonical view several shards merge into on demand.
 impl Simulation {
     /// Re-decompose the engine into `n_shards` column blocks, clamped to
     /// `[1, tunnel width]`, at a step boundary.  The initial cuts are
@@ -529,11 +583,10 @@ impl Simulation {
     pub fn reshard(&mut self, n_shards: usize) {
         let w = self.tunnel.width;
         let n_shards = n_shards.clamp(1, w as usize);
-        self.sync_canonical();
         self.fold_col_load();
         let canon = match self.shards.len() {
             1 => self.shards.pop().expect("one shard"),
-            _ => std::mem::take(&mut self.view),
+            _ => self.take_canonical(),
         };
         let cuts = if self.col_load.iter().all(|&l| l == 0) {
             uniform_cuts(w as usize, n_shards)
@@ -549,11 +602,10 @@ impl Simulation {
         if n_shards == 1 {
             self.shards = vec![canon];
         } else {
-            self.view = canon;
             self.shards = (0..n_shards)
                 .map(|_| Shard::new(total_cells as usize))
                 .collect();
-            self.scatter();
+            self.scatter(&canon);
         }
     }
 
@@ -570,29 +622,45 @@ impl Simulation {
         }
     }
 
-    /// Scatter the canonical view into the shards by cell ownership.  A
-    /// pure copy — no RNG is consumed, no particle is reordered — so the
-    /// subsequence invariant holds by construction.
-    pub(super) fn scatter(&mut self) {
-        for shard in &mut self.shards {
+    /// Scatter a canonical domain into the shards, segment by segment to
+    /// the owner of its cell, writing each shard's segment table in the
+    /// same walk.  A pure copy — no RNG is consumed, no particle is
+    /// reordered — so the subsequence invariant holds by construction.  The
+    /// shards are then the only copy of the state: the view is dropped, and
+    /// stays unbuilt until [`Simulation::canonical`] asks for it.
+    pub(super) fn scatter(&mut self, canon: &Shard) {
+        let segments = || {
+            (canon.seg_cell.iter().enumerate())
+                .map(|(j, &c)| (c, canon.bounds[j] as usize..canon.bounds[j + 1] as usize))
+        };
+        let mut pops = vec![0; self.shards.len()];
+        for (cell, rows) in segments() {
+            pops[self.layout.owner(cell)] += rows.len();
+        }
+        for (shard, pop) in self.shards.iter_mut().zip(pops) {
+            // The eighth of headroom `extend_range` would take on growing.
             shard.parts.clear();
+            shard.parts.reserve(pop + pop / 8);
+            shard.bounds.clear();
+            shard.bounds.push(0);
+            shard.seg_cell.clear();
+            shard.order.clear();
         }
-        let p = &self.view.parts;
-        for i in 0..p.len() {
-            let d = self.layout.owner(p.cell[i]);
-            self.shards[d].parts.push(
-                p.x[i],
-                p.y[i],
-                p.velocity5(i),
-                p.perm[i],
-                p.rng[i],
-                p.cell[i],
-            );
+        for (cell, rows) in segments() {
+            let shard = &mut self.shards[self.layout.owner(cell)];
+            shard.parts.extend_range(&canon.parts, rows);
+            shard.bounds.push(shard.parts.len() as u32);
+            shard.seg_cell.push(cell);
         }
-        for shard in &mut self.shards {
-            rebuild_segments(shard);
-        }
-        self.dirty = false;
+        self.view = Shard::default();
+        self.dirty = true;
+    }
+
+    /// The canonical domain of several shards, merged and taken out of the
+    /// view (which is left empty).
+    pub(super) fn take_canonical(&mut self) -> Shard {
+        self.sync_canonical();
+        std::mem::take(&mut self.view)
     }
 
     /// Merge the shards back into the canonical view (pure copy, no RNG)
@@ -627,7 +695,9 @@ impl Simulation {
 
     /// The canonical view of the current state, merging several shards
     /// first if they have stepped past it: what sentinels check, protocols
-    /// probe and analysis tools read through the column readers.
+    /// probe and analysis tools read through the column readers.  The
+    /// only builder of a sharded engine's view, which then keeps its
+    /// capacity for the next merge.
     pub fn canonical(&mut self) -> &Simulation {
         self.sync_canonical();
         self
@@ -739,18 +809,18 @@ impl Simulation {
 
     /// Replace the column cuts (a test/experimentation hook: e.g. start
     /// maximally skewed to force the weighted repartition mid-run).  Like
-    /// the repartition itself this is trajectory-neutral — the canonical
-    /// view is synced, re-cut and re-scattered, a pure copy that consumes
-    /// no RNG.  Returns `false` (and changes nothing) unless `cuts` has
-    /// `n_shards + 1` strictly-ascending entries spanning `0..=tunnel_w`.
+    /// the repartition itself this is trajectory-neutral — the shards are
+    /// merged, re-cut and re-scattered, a pure copy that consumes no RNG.
+    /// Returns `false` (and changes nothing) unless `cuts` has `n_shards +
+    /// 1` strictly-ascending entries spanning `0..=tunnel_w`.
     pub fn set_cuts(&mut self, cuts: &[u32]) -> bool {
         if cuts.len() != self.shards.len() + 1 || !cuts_span(cuts, self.tunnel.width) {
             return false;
         }
         if self.shards.len() > 1 {
-            self.sync_canonical();
+            let canon = self.take_canonical();
             self.layout.set_cuts(cuts.to_vec());
-            self.scatter();
+            self.scatter(&canon);
         }
         true
     }
@@ -875,7 +945,7 @@ impl Simulation {
     ///
     /// On ordinary steps (`keyed`) each sweep packs every particle's pair
     /// where it stands, drawing the jitter in the sweep: one shard into its
-    /// sort workspace, several into their slot-order pair arrays, each
+    /// sort workspace, several into their staged slot-order pairs, each
     /// packing its crossers in the same closure.  Withdrawal steps sweep
     /// key-less.  The second
     /// return value is the pack's share of the phase's wall time, split
@@ -899,12 +969,15 @@ impl Simulation {
         let outs = exec.run_phase(&mut lanes, "move", |me, (shard, outbox), par| {
             let t = Instant::now();
             let n = shard.parts.len();
+            // Several shards stage their pairs in the rank's idle buffer.
+            let mut staging = (keyed && layout.is_some()).then(|| shard.sort_ws.take_pong());
             let keys = keyed.then(|| {
-                let pairs = if layout.is_some() {
-                    shard.slot_pairs.resize(n, 0);
-                    &mut shard.slot_pairs[..]
-                } else {
-                    shard.sort_ws.input_pairs(n)
+                let pairs = match &mut staging {
+                    Some(staging) => {
+                        staging.resize(n, 0);
+                        &mut staging[..]
+                    }
+                    None => shard.sort_ws.input_pairs(n),
                 };
                 KeyPack {
                     pairs,
@@ -920,8 +993,9 @@ impl Simulation {
                 par,
             );
             let sweep = t.elapsed();
-            if let (true, Some(layout)) = (keyed, layout) {
-                shard.pack_crossers(me, layout, outbox);
+            if let (Some(staging), Some(layout)) = (staging, layout) {
+                shard.pack_crossers(me, layout, &staging, outbox);
+                shard.sort_ws.put_pong(staging);
             }
             (out, sweep, t.elapsed() - sweep)
         })?;
@@ -961,9 +1035,11 @@ impl Simulation {
         let mut lanes: Vec<_> = shards.iter_mut().zip(x.outbox.iter_mut()).collect();
         let outs = exec.run_phase(&mut lanes, "sort", |me, (shard, outbox), par| {
             let t = Instant::now();
-            shard.slot_pairs.resize(shard.parts.len(), 0);
-            self.build_pairs(&mut shard.parts, &mut shard.slot_pairs, par);
-            shard.pack_crossers(me, layout, outbox);
+            let mut staging = shard.sort_ws.take_pong();
+            staging.resize(shard.parts.len(), 0);
+            self.build_pairs(&mut shard.parts, &mut staging, par);
+            shard.pack_crossers(me, layout, &staging, outbox);
+            shard.sort_ws.put_pong(staging);
             t.elapsed()
         })?;
         Ok(outs.into_iter().sum())
@@ -1445,6 +1521,65 @@ mod tests {
         let mut single = Simulation::new(wedge_cfg());
         single.run(30);
         assert_eq!(sharded.state_hash(), single.state_hash());
+    }
+
+    /// Capacity of every column of the merged view.
+    fn view_capacity(sim: &Simulation) -> usize {
+        let p = &sim.view.parts;
+        let fx = [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2].map(|c| c.capacity());
+        fx.iter().sum::<usize>() + p.perm.capacity() + p.rng.capacity() + p.cell.capacity()
+    }
+
+    /// Each section of a snapshot, by tag.
+    fn sections(bytes: &[u8]) -> std::collections::HashMap<[u8; 4], &[u8]> {
+        let body = &bytes[..bytes.len() - 8];
+        let (mut out, mut at) = (std::collections::HashMap::new(), 24);
+        while at < body.len() {
+            let tag: [u8; 4] = body[at..at + 4].try_into().unwrap();
+            let len = u64::from_le_bytes(body[at + 4..at + 12].try_into().unwrap()) as usize;
+            out.insert(tag, &body[at + 12..at + 12 + len]);
+            at += 12 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn the_shards_are_the_only_resident_copy() {
+        let mut single = Simulation::new(wedge_cfg());
+        single.run(10);
+        let bytes = single.save_state();
+        let mut resharded = Simulation::new(wedge_cfg());
+        resharded.run(10);
+        resharded.reshard(4);
+        let mut resumed = Simulation::resume(wedge_cfg(), &bytes, 4).unwrap();
+        let cycles = single.diagnostics().plunger_cycles;
+        single.run(30);
+        assert!(
+            single.diagnostics().plunger_cycles > cycles,
+            "no withdrawal"
+        );
+        let single_save = single.save_state();
+        let want = sections(&single_save);
+        for sim in [&mut resharded, &mut resumed] {
+            assert_eq!(view_capacity(sim), 0, "a fresh 4-shard engine holds a view");
+            sim.run(30);
+            let (hash, saved) = (sim.state_hash(), sim.save_state());
+            assert_eq!(view_capacity(sim), 0, "streaming the outputs built a view");
+            assert_eq!(hash, single.state_hash());
+            let got = sections(&saved);
+            for tag in [*b"CORE", *b"PART", *b"BNDS"] {
+                assert_eq!(got[&tag], want[&tag], "{}", String::from_utf8_lossy(&tag));
+            }
+            assert!(got.contains_key(b"SHRD") && !want.contains_key(b"SHRD"));
+            // Only `canonical()` builds the view, and the next merge
+            // reuses its buffers.
+            assert_eq!(sim.canonical().particles().x, single.particles().x);
+            let cap = view_capacity(sim);
+            assert!(cap > 0);
+            sim.step();
+            sim.canonical();
+            assert_eq!(view_capacity(sim), cap);
+        }
     }
 
     #[test]

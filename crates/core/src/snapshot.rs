@@ -42,7 +42,7 @@
 //! field-by-field in the repository's `STATE.md` handbook.  Any change to
 //! it must bump [`dsmc_state::FORMAT_VERSION`].
 
-use super::shard::cuts_span;
+use super::shard::{cuts_span, CanonicalRuns};
 use super::Simulation;
 use crate::config::SimConfig;
 use crate::particles::ParticleStore;
@@ -70,12 +70,17 @@ const SEC_SSMP: [u8; 4] = *b"SSMP";
 /// shard count.
 const SEC_SHRD: [u8; 4] = *b"SHRD";
 
-fn write_fx_column(s: &mut dsmc_state::Section<'_>, col: &[Fx]) {
-    s.u64(col.len() as u64);
-    for v in col {
-        s.i32(v.raw());
-    }
-}
+/// The seven fixed-point particle columns, in the order both the `PART`
+/// section and the state hash lay them out.
+const FX_COLUMNS: [fn(&ParticleStore) -> &[Fx]; 7] = [
+    |p| &p.x,
+    |p| &p.y,
+    |p| &p.u,
+    |p| &p.v,
+    |p| &p.w,
+    |p| &p.r1,
+    |p| &p.r2,
+];
 
 fn read_fx_column(c: &mut Cursor<'_>, n: usize) -> Result<Vec<Fx>, StateError> {
     let raw = c.vec_i32()?;
@@ -92,11 +97,10 @@ impl Simulation {
     /// windows — the same bytes at every shard count — plus, at several
     /// shards, the advisory `SHRD` manifest.
     ///
-    /// Needs `&mut self` only to merge several shards' canonical view
-    /// first; the merge is a pure copy, so saving never perturbs the
-    /// trajectory and checkpoints can be taken at any cadence.
-    pub fn save_state(&mut self) -> Vec<u8> {
-        self.sync_canonical();
+    /// Several shards stream their rows in canonical order, run by run,
+    /// instead of merging a copy; saving reads only, so it never perturbs
+    /// the trajectory and checkpoints can be taken at any cadence.
+    pub fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new(self.cfg.fingerprint());
         {
             let mut s = w.section(SEC_CORE);
@@ -112,23 +116,29 @@ impl Simulation {
                 s.u64(k);
             }
         }
-        let canon = self.canon();
+        let canon = CanonicalRuns::of(&self.shards);
         {
-            let p = &canon.parts;
+            let n = canon.len() as u64;
             let mut s = w.section(SEC_PART);
-            s.u64(p.len() as u64);
-            for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
-                write_fx_column(&mut s, col);
+            s.u64(n);
+            for col in FX_COLUMNS {
+                s.u64(n);
+                for v in canon.column(col) {
+                    s.i32(v.raw());
+                }
             }
-            s.u64(p.len() as u64);
-            for perm in &p.perm {
+            s.u64(n);
+            for perm in canon.column(|p| &p.perm) {
                 s.u16(perm.packed());
             }
-            s.u64(p.len() as u64);
-            for rng in &p.rng {
+            s.u64(n);
+            for rng in canon.column(|p| &p.rng) {
                 s.u32(rng.state());
             }
-            s.vec_u32(&p.cell);
+            s.u64(n);
+            for &cell in canon.column(|p| &p.cell) {
+                s.u32(cell);
+            }
         }
         {
             let mut s = w.section(SEC_BNDS);
@@ -172,7 +182,7 @@ impl Simulation {
     }
 
     /// [`Simulation::save_state`] straight to a file.
-    pub fn save_state_to(&mut self, path: impl AsRef<Path>) -> Result<(), StateError> {
+    pub fn save_state_to(&self, path: impl AsRef<Path>) -> Result<(), StateError> {
         // Atomic replacement: a crash mid-save leaves the previous
         // checkpoint intact instead of a torn file (see STATE.md,
         // "Crash safety & retention").
@@ -374,29 +384,28 @@ impl Simulation {
     /// trajectories from here on (same config assumed); the restart tests
     /// and the `wedge-restart` scenario compare exactly this value.
     ///
-    /// Needs `&mut self` only to merge several shards' canonical view
-    /// first, so every shard count hashes into the same space.
-    pub fn state_hash(&mut self) -> u64 {
-        self.sync_canonical();
-        let canon = self.canon();
+    /// Several shards stream their rows in canonical order, as
+    /// [`Simulation::save_state`] does, so every shard count hashes into
+    /// the same space.
+    pub fn state_hash(&self) -> u64 {
+        let canon = CanonicalRuns::of(&self.shards);
         let mut h = Fnv64::new();
-        let p = &canon.parts;
-        h.u64(p.len() as u64);
-        for col in [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2] {
-            for v in col {
+        h.u64(canon.len() as u64);
+        for col in FX_COLUMNS {
+            for v in canon.column(col) {
                 h.i32(v.raw());
             }
         }
-        for perm in &p.perm {
+        for perm in canon.column(|p| &p.perm) {
             h.write(&perm.packed().to_le_bytes());
         }
-        for rng in &p.rng {
+        for rng in canon.column(|p| &p.rng) {
             h.u32(rng.state());
         }
-        for &cell in &p.cell {
+        for &cell in canon.column(|p| &p.cell) {
             h.u32(cell);
         }
-        for &b in &canon.bounds {
+        for &b in canon.bounds.iter() {
             h.u32(b);
         }
         h.u64(self.steps);
@@ -457,7 +466,7 @@ mod tests {
         let mut sim = Simulation::new(SimConfig::small_test());
         sim.run(23);
         let bytes = sim.save_state();
-        let mut back = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
+        let back = Simulation::resume(SimConfig::small_test(), &bytes, 1).unwrap();
         assert_eq!(back.state_hash(), sim.state_hash());
         assert_eq!(back.particles().x, sim.particles().x);
         assert_eq!(back.particles().rng, sim.particles().rng);
@@ -623,6 +632,25 @@ mod tests {
             );
         }
         assert!(Simulation::resume(SimConfig::small_test(), &bytes, 4).is_ok());
+    }
+
+    #[test]
+    fn a_segment_past_the_grid_is_refused_before_the_reshard() {
+        // The last segment renamed to cell `total_cells`, still sorted and
+        // resealed by the writer: the shard owner table has no entry for
+        // it, so the resume must refuse it before scattering.
+        let mut sim = Simulation::new(SimConfig::small_test());
+        sim.run(5);
+        let mut bad = Simulation::resume(SimConfig::small_test(), &sim.save_state(), 1).unwrap();
+        let total = bad.total_cells();
+        let d = &mut bad.shards[0];
+        let last = d.bounds[d.bounds.len() - 2] as usize;
+        d.parts.cell[last..].fill(total);
+        let bytes = bad.save_state();
+        assert!(matches!(
+            Simulation::resume(SimConfig::small_test(), &bytes, 4),
+            Err(StateError::Malformed("cell index beyond the grid"))
+        ));
     }
 
     #[test]

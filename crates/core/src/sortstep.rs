@@ -71,6 +71,19 @@ impl SortWorkspace {
         self.radix.input_pairs(n)
     }
 
+    /// Lend out the rank's second pair buffer (see
+    /// [`SortScratch::take_pong`]): an exchanging shard stages its
+    /// slot-order pairs there between the move and the merge.
+    pub fn take_pong(&mut self) -> Vec<u64> {
+        self.radix.take_pong()
+    }
+
+    /// Return the buffer [`SortWorkspace::take_pong`] lent out, before the
+    /// next rank.
+    pub fn put_pong(&mut self, pong: Vec<u64>) {
+        self.radix.put_pong(pong);
+    }
+
     /// The occupied cell id of every segment the last rank emitted, one
     /// per segment of the bounds it wrote.
     pub(crate) fn seg_cells(&self) -> &[u32] {

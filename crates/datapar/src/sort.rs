@@ -192,6 +192,19 @@ impl SortScratch {
         &mut self.pairs
     }
 
+    /// Lend out the second pair buffer, whose contents no rank reads
+    /// across calls: a caller may stage its own pairs there between ranks
+    /// and hand it back with [`SortScratch::put_pong`] before the next.
+    pub fn take_pong(&mut self) -> Vec<u64> {
+        core::mem::take(&mut self.pong)
+    }
+
+    /// Return the buffer [`SortScratch::take_pong`] lent out (or any other
+    /// of the same use); the next rank overwrites its contents.
+    pub fn put_pong(&mut self, pong: Vec<u64>) {
+        self.pong = pong;
+    }
+
     /// Number of pairs in the input buffer: what the last
     /// [`SortScratch::input_pairs`] sized it to, and the `n` every rank
     /// sorts.

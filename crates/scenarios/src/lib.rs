@@ -389,7 +389,7 @@ pub struct Finished {
 impl Finished {
     /// The finished run of `sim` with the metrics extracted from it (no
     /// surface, no series: the protocols that have them fill them in).
-    pub fn of(sim: &mut Simulation, metrics: Vec<Metric>) -> Self {
+    pub fn of(sim: &Simulation, metrics: Vec<Metric>) -> Self {
         Self {
             metrics,
             surface: None,
@@ -442,15 +442,19 @@ pub struct RunOptions {
 /// steady-state value is pinned by the goldens rather than by theory.
 pub(crate) fn conservation_metrics(sim: &Simulation, d0: &Diagnostics) -> Vec<Metric> {
     let d = sim.diagnostics();
-    let count_drift = (d.n_flow + d.n_reservoir) as f64 - (d0.n_flow + d0.n_reservoir) as f64;
+    // `d0` may come from an adopted checkpoint journal: sums and
+    // differences against it are taken wide, so a damaged baseline reads
+    // as a blown metric instead of an overflow.
+    let population = |d: &Diagnostics| d.n_flow as u128 + d.n_reservoir as u128;
+    let count_drift = population(&d) as f64 - population(d0) as f64;
     let one = dsmc_fixed::Fx::ONE_RAW as f64;
-    let energy_per_particle = d.energy_raw as f64 / (d.n_flow + d.n_reservoir) as f64 / (one * one);
+    let energy_per_particle = d.energy_raw as f64 / population(&d) as f64 / (one * one);
     let sigma_raw = sim.freestream().sigma() * one;
     let collision_walk = 4.0 * (d.collisions as f64).sqrt();
     let exit_walk = 6.0 * sigma_raw * (d.exited.max(1) as f64).sqrt();
     let budget = collision_walk + exit_walk + 1000.0;
     let worst = (2..5)
-        .map(|k| (d.momentum_raw[k] - d0.momentum_raw[k]).abs() as f64)
+        .map(|k| (d.momentum_raw[k] as i128 - d0.momentum_raw[k] as i128).abs() as f64)
         .fold(0.0, f64::max);
     vec![
         Metric {
@@ -552,7 +556,7 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
                     value: bytes.len() as f64 / a.n_particles() as f64,
                 },
             ]);
-            Finished::of(&mut a, metrics)
+            Finished::of(&a, metrics)
         }
         CaseKind::Sweep(_) => {
             return Err(StateError::Malformed(

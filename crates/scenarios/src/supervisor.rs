@@ -621,7 +621,7 @@ fn die_hard() -> ! {
 fn save_checkpoint(
     store: &CheckpointStore,
     cfg: &SimConfig,
-    sim: &mut Simulation,
+    sim: &Simulation,
     protocol: &dyn Protocol,
     step: u64,
 ) -> Result<(), StateError> {
@@ -820,7 +820,7 @@ pub fn supervise(
                     "checkpoint save failed (injected I/O error); continuing on retained checkpoints",
                 );
             } else {
-                match save_checkpoint(&store, &cfg, &mut sim, protocol, s) {
+                match save_checkpoint(&store, &cfg, &sim, protocol, s) {
                     Ok(()) => {
                         report.checkpoints_written += 1;
                     }

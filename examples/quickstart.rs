@@ -38,7 +38,7 @@ fn main() {
     // having stopped).
     let snapshot = sim.save_state();
     let t_resume = Instant::now();
-    let mut warm = Simulation::resume(cfg, &snapshot, 1).expect("own snapshot resumes");
+    let warm = Simulation::resume(cfg, &snapshot, 1).expect("own snapshot resumes");
     let resume_seconds = t_resume.elapsed().as_secs_f64();
     assert_eq!(warm.state_hash(), sim.state_hash(), "resume is bit-exact");
     println!(

@@ -137,6 +137,14 @@ pub fn plain_tunnel(cfg: &SimConfig, settle: u64, total: u64) -> Simulation {
     sim
 }
 
+/// Re-seal a `dsmc_state` container's trailing checksum after an edit, so
+/// the decoders behind the checksum see the damage.
+pub fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let seal = dsmc_state::fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&seal.to_le_bytes());
+}
+
 /// An empty-on-arrival temporary directory, unique to this process.
 pub fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dsmc_{tag}_{}", std::process::id()));
@@ -250,7 +258,7 @@ pub fn check_supervised_handoff(tag: &str, exec: ExecMode) {
     opts.max_recoveries = 5;
     opts.faults = FaultPlan::none();
     let mut protocol = TunnelProtocol::new(small_case(SETTLE, TOTAL), Scale::Quick);
-    let (mut sim, report) = supervise(&cfg, &mut protocol, &opts).expect("second arm");
+    let (sim, report) = supervise(&cfg, &mut protocol, &opts).expect("second arm");
     assert_eq!(
         report.resumed_at_start,
         Some(30),
@@ -265,7 +273,7 @@ pub fn check_supervised_handoff(tag: &str, exec: ExecMode) {
     );
 
     let snapshot = sim.save_state();
-    let mut one = Engine::resume_sharded(cfg, &snapshot, 1).expect("resume at one shard");
+    let one = Engine::resume_sharded(cfg, &snapshot, 1).expect("resume at one shard");
     assert!(matches!(one, Engine::Sharded(_)));
     assert_eq!(one.state_hash(), want);
     assert_eq!(one.repartitions(), sim.repartitions());

@@ -11,7 +11,7 @@ use dsmc_scenarios::campaign::load_journal;
 use dsmc_scenarios::{
     campaign, run_campaign, CampaignOptions, CampaignSpec, RunSpec, RunStatus, Scale, Sleeper,
 };
-use integration_tests::{subprocess_hash, tmp_dir, wedge_dirty_cfg};
+use integration_tests::{reseal, subprocess_hash, tmp_dir, wedge_dirty_cfg};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -136,8 +136,7 @@ fn mutate_and_reseal(bytes: &mut [u8], n: usize, at: &[u64; 5], flip: &[u8; 5]) 
     for k in 0..n {
         bytes[(at[k] % body as u64) as usize] ^= flip[k];
     }
-    let seal = dsmc_state::fnv1a64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&seal.to_le_bytes());
+    reseal(bytes);
 }
 
 proptest! {
@@ -151,7 +150,7 @@ proptest! {
         let mut sim = Simulation::new(cfg.clone());
         sim.run(steps);
         let bytes = sim.save_state();
-        let mut back = Simulation::resume(cfg, &bytes, 1).expect("round trip");
+        let back = Simulation::resume(cfg, &bytes, 1).expect("round trip");
         prop_assert_eq!(back.state_hash(), sim.state_hash());
         prop_assert_eq!(&back.particles().x, &sim.particles().x);
         prop_assert_eq!(&back.particles().u, &sim.particles().u);

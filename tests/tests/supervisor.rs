@@ -13,9 +13,12 @@ use dsmc_scenarios::{
     SuperviseError, SuperviseOptions, SuperviseOutcome, SupervisorReport, TransientCase,
     TransientPoint, TransientProtocol, TunnelCase, TunnelProtocol,
 };
+use dsmc_state::store::CheckpointStore;
 use integration_tests::{
-    find_value, helper_command, plain_tunnel, small_case, tmp_dir, wedge_dirty_cfg,
+    find_value, helper_command, plain_tunnel, reseal, small_case, tmp_dir, wedge_dirty_cfg,
 };
+use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// The step protocol every in-process test here drives: settle, open the
 /// sampling window, average to the end.
@@ -143,7 +146,7 @@ fn opts_in(tag: &str) -> SuperviseOptions {
 fn supervised_hash(opts: &SuperviseOptions) -> (u64, SupervisorReport) {
     let cfg = wedge_dirty_cfg(7);
     let mut protocol = TunnelProtocol::new(small_case(SETTLE, TOTAL), Scale::Quick);
-    let (mut sim, report) =
+    let (sim, report) =
         supervise(&cfg, &mut protocol, opts).unwrap_or_else(|e| panic!("supervise failed: {e}\n"));
     (sim.state_hash(), report)
 }
@@ -379,7 +382,7 @@ fn transient_windows_survive_recovery_bit_exactly() {
     let mut opts = opts_in("transient");
     opts.faults = FaultPlan::at(27, Fault::Crash);
     let mut protocol = TransientProtocol::new(case, Scale::Quick);
-    let (mut sim, report) = supervise(&cfg, &mut protocol, &opts).expect("supervise");
+    let (sim, report) = supervise(&cfg, &mut protocol, &opts).expect("supervise");
     assert_eq!(report.outcome, SuperviseOutcome::Recovered(1));
     assert_eq!(sim.state_hash(), ref_hash, "transient trajectory diverged");
     assert_eq!(
@@ -458,7 +461,7 @@ fn journal_naming_an_unknown_metric_is_skipped_and_the_scan_falls_through() {
     // Our case again, now 5 windows: 50 is skipped, 40 is adopted, and the
     // finished series is the uninterrupted one.
     let mut protocol = TransientProtocol::with_windows(ours, 5);
-    let (mut sim, report) = supervise(&cfg, &mut protocol, &opts).expect("second arm");
+    let (sim, report) = supervise(&cfg, &mut protocol, &opts).expect("second arm");
     assert!(skipped_as_foreign(&report, 50), "{}", report.render_log());
     assert_eq!(report.resumed_at_start, Some(40), "{}", report.render_log());
     assert_eq!(sim.state_hash(), ref_sim.state_hash());
@@ -468,6 +471,116 @@ fn journal_naming_an_unknown_metric_is_skipped_and_the_scan_falls_through() {
             .collect()
     };
     assert_eq!(series(&protocol.points), series(&reference.points));
+}
+
+/// The small tunnel as a 4 × 5-step transient: its journal carries the
+/// baseline diagnostics and every closed window's named metrics.
+fn small_test_transient() -> TransientCase {
+    TransientCase {
+        config: SimConfig::small_test,
+        window_steps: 5,
+        ..small_transient()
+    }
+}
+
+/// A real supervisor checkpoint of [`small_test_transient`] at step 10
+/// (two windows journalled), and the byte range of its `JRNL` section —
+/// tag, length and payload.
+fn journal_checkpoint() -> &'static (Vec<u8>, std::ops::Range<usize>) {
+    static CKPT: OnceLock<(Vec<u8>, std::ops::Range<usize>)> = OnceLock::new();
+    CKPT.get_or_init(|| {
+        let opts = opts_in("journal_source");
+        let mut protocol = TransientProtocol::new(small_test_transient(), Scale::Quick);
+        supervise(&SimConfig::small_test(), &mut protocol, &opts).expect("source run");
+        let store = CheckpointStore::new(&opts.ckpt_dir, &*opts.stem, opts.keep).expect("store");
+        let bytes = std::fs::read(store.path_for(10)).expect("the step-10 checkpoint");
+        let _ = std::fs::remove_dir_all(&opts.ckpt_dir);
+        let body = bytes.len() - 8;
+        let mut at = 24;
+        while at < body {
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            if bytes[at..at + 4] == *b"JRNL" {
+                return (bytes.clone(), at..at + 12 + len);
+            }
+            at += 12 + len;
+        }
+        panic!("a supervisor checkpoint carries a JRNL section")
+    })
+}
+
+/// Supervise [`small_test_transient`] from a store holding only `ckpt`,
+/// as its step-10 checkpoint.
+fn supervise_from_planted(
+    tag: &str,
+    ckpt: &[u8],
+) -> (Simulation, SupervisorReport, TransientProtocol) {
+    let opts = opts_in(tag);
+    let store = CheckpointStore::new(&opts.ckpt_dir, &*opts.stem, opts.keep).expect("store");
+    store.save(10, ckpt).expect("plant the candidate");
+    let mut protocol = TransientProtocol::new(small_test_transient(), Scale::Quick);
+    let (sim, report) = supervise(&SimConfig::small_test(), &mut protocol, &opts)
+        .expect("a planted candidate never stops the run");
+    let _ = std::fs::remove_dir_all(&opts.ckpt_dir);
+    (sim, report, protocol)
+}
+
+proptest! {
+    /// The journal is the supervisor checkpoint's last decoder: one to
+    /// three bytes of a real checkpoint's `JRNL` section flipped and the
+    /// trailer re-sealed, offered to a fresh run as the only candidate
+    /// in its store.  The run either adopts it or skips it with a typed
+    /// "candidate invalid" note and cold-starts — and finishes either way.
+    #[test]
+    fn prop_damaged_journals_are_adopted_or_skipped(
+        n_edits in 1usize..=3,
+        at in proptest::array::uniform5(any::<u64>()),
+        flip in proptest::array::uniform5(1u8..=255),
+    ) {
+        let (ckpt, jrnl) = journal_checkpoint();
+        let mut bytes = ckpt.clone();
+        for k in 0..n_edits {
+            bytes[jrnl.start + (at[k] % jrnl.len() as u64) as usize] ^= flip[k];
+        }
+        reseal(&mut bytes);
+        let (_, report, _) = supervise_from_planted("journal_fuzz", &bytes);
+        match report.resumed_at_start {
+            Some(step) => prop_assert_eq!(step, 10),
+            None => prop_assert!(
+                report.log.iter().any(|l| l.contains("candidate invalid")),
+                "{}",
+                report.render_log()
+            ),
+        }
+        prop_assert_eq!(report.final_step, 20);
+    }
+}
+
+/// A journal the adopt path accepts can still carry a baseline no run
+/// produced: the top bit of both population counts and of one momentum
+/// component set, resealed.  The run adopts it and its metrics read the
+/// damage as drift — they do not overflow.
+#[test]
+fn an_adopted_extreme_baseline_reads_as_drift() {
+    let (ckpt, jrnl) = journal_checkpoint();
+    let mut bytes = ckpt.clone();
+    // JRNL payload: steps, n_flow, n_reservoir, … (u64 each), then the
+    // energy halves and the 5-component momentum vector.
+    let payload = jrnl.start + 12;
+    for field in [1, 2] {
+        bytes[payload + 8 * field + 7] ^= 0x80;
+    }
+    let momentum_w = payload + 8 * 10 + 8 + 8 * 2;
+    bytes[momentum_w + 7] ^= 0x80;
+    reseal(&mut bytes);
+    let (mut sim, report, mut protocol) = supervise_from_planted("extreme_baseline", &bytes);
+    assert_eq!(report.resumed_at_start, Some(10), "{}", report.render_log());
+    let finished = protocol.finish(&mut sim);
+    let metric = |name| {
+        let m = finished.metrics.iter().find(|m| m.name == name);
+        m.expect("a conservation metric").value
+    };
+    assert!(metric("particle_count_drift") < -1e19);
+    assert!(metric("momentum_drift_budget_frac") > 1e9);
 }
 
 /// Registry-level acceptance (release-only: a debug tunnel run costs ~a
@@ -537,7 +650,7 @@ fn kill9_cfg() -> SimConfig {
 fn helper_supervised_kill9_run() {
     let dir = std::env::var("SUPERVISOR_CKPT_DIR").expect("SUPERVISOR_CKPT_DIR not set");
     if std::env::var("SUPERVISOR_PLAIN").is_ok() {
-        let mut sim = plain_tunnel(&kill9_cfg(), KILL9_SETTLE as u64, KILL9_TOTAL as u64);
+        let sim = plain_tunnel(&kill9_cfg(), KILL9_SETTLE as u64, KILL9_TOTAL as u64);
         println!("SUPER_HASH={:#018x}", sim.state_hash());
         return;
     }
@@ -545,7 +658,7 @@ fn helper_supervised_kill9_run() {
     opts.checkpoint_every = 10;
     opts.sentinel_every = 10;
     let mut protocol = TunnelProtocol::new(small_case(KILL9_SETTLE, KILL9_TOTAL), Scale::Quick);
-    let (mut sim, report) = supervise(&kill9_cfg(), &mut protocol, &opts).expect("supervise");
+    let (sim, report) = supervise(&kill9_cfg(), &mut protocol, &opts).expect("supervise");
     if let Some(step) = report.resumed_at_start {
         println!("SUPER_RESUMED={step}");
     }

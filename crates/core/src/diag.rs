@@ -12,11 +12,13 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Substep {
     /// The single-sweep move phase: motion + boundary + cell refresh +
-    /// key pack, one traversal (the paper's
-    /// sub-steps 1 and 2, plus the sort's pair-build sweep).
+    /// key pack, one traversal (the paper's sub-steps 1 and 2, plus the
+    /// sort's key packing), and on a withdrawal step the refill, which
+    /// keys the reservoir rows the sweep left.
     Move,
     /// The randomised cell-key sort (sub-step 3's first half): the rank +
-    /// send only — pair building happens inside [`Substep::Move`].
+    /// send, and a sharded engine's exchange (see [`SortSplit`]) — key
+    /// packing happens inside [`Substep::Move`].
     Sort,
     /// Selection of collision partners (sub-step 3's second half).
     Select,
@@ -30,9 +32,9 @@ pub enum Substep {
 /// [`StepTimings::sort`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SortSplit {
-    /// The sharded engine's crosser pack and pair merge (and, on its
-    /// withdrawal steps, the separate pair build that precedes the pack).
-    /// Zero on the single-domain engine, which exchanges nothing.
+    /// The sharded engine's crosser pack (after the refill on a withdrawal
+    /// step) and pair merge.  Zero on the single-domain engine, which
+    /// exchanges nothing.
     pub exchange: Duration,
     /// The rank: pairs in, router addresses and segment bounds out.
     pub rank: Duration,
@@ -129,9 +131,9 @@ impl StepTimings {
 
     /// The paper's four buckets as fractions summing to 1:
     /// `[motion+boundary, sort, select, collide]`.  The move phase covers
-    /// motion + boundary *and* the sort's key build; it is reported in
+    /// motion + boundary *and* the sort's key packing; it is reported in
     /// the first bucket, which therefore slightly overstates that bucket
-    /// (by the pair-build share).
+    /// (by the key-packing share).
     pub fn paper_buckets(&self) -> [f64; 4] {
         let tot = self.total_algorithmic().as_secs_f64();
         if tot == 0.0 {

@@ -8,7 +8,7 @@ use crate::init;
 use crate::movephase::{self, KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
 use crate::sample::{FieldAccumulator, SampledField};
-use crate::sortstep::key_bits_for;
+use crate::sortstep::{self, key_bits_for};
 use crate::surface::{SurfaceAccumulator, SurfaceField};
 use dsmc_datapar::Par;
 use dsmc_fixed::{Fx, Rounding};
@@ -170,9 +170,21 @@ impl Simulation {
             &sim.fs,
             &sim.volumes,
         );
-        domain.decisions.reserve(domain.parts.len());
-        // Establish sorted order once so `bounds` is valid before step 1.
-        domain.rank_from_scratch(&sim, Par::Pool);
+        let n = domain.parts.len();
+        domain.decisions.reserve(n);
+        // Establish sorted order once so `bounds` is valid before step 1:
+        // key every row, then rank.
+        sortstep::key_rows(
+            &mut domain.parts,
+            &sim.tunnel,
+            sim.res_base,
+            sim.res,
+            sim.cfg.jitter_bits,
+            sim.rng_mode,
+            domain.sort_ws.input_pairs(n),
+            0..n as u32,
+        );
+        domain.rank(&sim, false, Par::Pool);
         sim.shards[0] = domain;
         Ok(sim)
     }
@@ -266,15 +278,14 @@ impl Simulation {
     /// One single-sweep move phase (see [`crate::movephase`]) over `parts`
     /// — one shard's columns, which on one shard are all of them —
     /// monomorphised over the body: advance, resolve boundaries, refresh
-    /// cells and, when `keys` is given, pack the jittered sort pairs, in
-    /// one traversal dispatched by the
-    /// per-cell geometry classification.  `bounds` is the previous step's
-    /// segment table.
+    /// cells and pack the jittered sort pairs `keys` asks for, in one
+    /// traversal dispatched by the per-cell geometry classification.
+    /// `bounds` is the previous step's segment table.
     fn move_sweep(
         &self,
         parts: &mut ParticleStore,
         bounds: &[u32],
-        keys: Option<KeyPack<'_>>,
+        keys: KeyPack<'_>,
         scratch: &mut MoveScratch,
         par: Par,
     ) -> MoveOutcome {
@@ -294,7 +305,7 @@ impl Simulation {
         body: &B,
         parts: &mut ParticleStore,
         bounds: &[u32],
-        keys: Option<KeyPack<'_>>,
+        keys: KeyPack<'_>,
         scratch: &mut MoveScratch,
         par: Par,
     ) -> MoveOutcome {

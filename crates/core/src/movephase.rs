@@ -4,7 +4,7 @@
 //! The paper's step streams every particle column through memory three
 //! separate times before the sort even ranks anything: advect
 //! (`motion::advect`), wall/body/plunger resolve (`boundary::enforce`),
-//! and the cell-refresh + key-packing sweep (`sortstep::build_pairs`).
+//! and the cell-refresh + key-packing sweep (`sortstep::sort_particles`).
 //! Per-particle, those three are independent — every draw comes from the
 //! particle's own generator, every write touches only its own slots — so
 //! they fuse into a single sweep that reads and writes the position and
@@ -33,10 +33,13 @@
 //! — draws happen only on actual wall hits, exits, and (Explicit mode) the
 //! per-particle jitter, in the same per-stream order — so trajectories
 //! are **bit-identical** to `dsmc_baselines::TwoStepSim` and golden
-//! metrics never re-record.  On the rare plunger-withdrawal step the engine runs
-//! this sweep *without* key packing (the refill repositions reservoir
-//! particles after the sweep, which would invalidate packed keys) and
-//! falls back to the separate pair-build sweep.
+//! metrics never re-record.  On a plunger-withdrawal step the sweep
+//! still keys every particle it leaves in the flow, but *defers* every
+//! one whose post-move cell is in the reservoir
+//! ([`KeyPack::defer_reservoir`]): those are the rows the refill census
+//! collects, and the refill may reposition them, drawing from their own
+//! streams, before their key is due.  The census keys them after the
+//! refill (`sortstep::key_rows`), into the same pair buffer.
 
 use crate::boundary::{diffuse_reemit_one, exit_redraw_one, resolve_flow_one, BoundaryParams};
 use crate::config::{RngMode, WallModel};
@@ -130,6 +133,10 @@ pub struct KeyPack<'a> {
     pub jitter_bits: u32,
     /// Where the jitter comes from.
     pub rng_mode: RngMode,
+    /// Leave the pair of every particle whose post-move cell is in the
+    /// reservoir untouched (a plunger-withdrawal step: the refill keys
+    /// them once it has moved the ones it takes).
+    pub defer_reservoir: bool,
 }
 
 /// Raw column pointers for disjoint-range parallel access.  Each chunk
@@ -155,7 +162,9 @@ unsafe impl Sync for Cols {}
 /// Constant per-sweep configuration shared by every chunk task.
 #[derive(Clone, Copy)]
 struct SweepCfg {
-    pack: bool,
+    /// The first post-move cell whose pair the sweep leaves unpacked: the
+    /// reservoir base on a withdrawal step, past every cell otherwise.
+    defer_from: u32,
     jitter_bits: u32,
     dirty: bool,
     halo_raw: u32,
@@ -167,11 +176,11 @@ struct SweepCfg {
 }
 
 /// The fused move phase.  `bounds` is the previous step's segment table
-/// (the array must still be in that sorted order); `keys` is `Some` on
-/// ordinary steps and `None` on plunger-withdrawal steps.  The chunks run
-/// as rayon tasks where `par` forks, in chunk order on this thread
-/// otherwise; [`radix_chunk_len`] sizes the chunks either way, and the
-/// outcome does not depend on the grid.
+/// (the array must still be in that sorted order); `keys` says where the
+/// packed pairs go and whether the reservoir rows wait for the refill.
+/// The chunks run as rayon tasks where `par` forks, in chunk order on
+/// this thread otherwise; [`radix_chunk_len`] sizes the chunks either way,
+/// and the outcome does not depend on the grid.
 #[allow(clippy::too_many_arguments)]
 pub fn move_phase<B: Body + ?Sized>(
     parts: &mut ParticleStore,
@@ -181,7 +190,7 @@ pub fn move_phase<B: Body + ?Sized>(
     bounds: &[u32],
     res_w: Fx,
     res_h: Fx,
-    keys: Option<KeyPack<'_>>,
+    keys: KeyPack<'_>,
     scratch: &mut MoveScratch,
     par: Par,
 ) -> MoveOutcome {
@@ -234,23 +243,15 @@ pub fn move_phase<B: Body + ?Sized>(
     scratch.stats.clear();
     scratch.stats.resize(n_chunks, ChunkStats::default());
 
-    let (pack, jitter_bits, dirty, pairs_ptr) = match keys {
-        Some(k) => {
-            assert_eq!(k.pairs.len(), n, "pair buffer must cover the population");
-            (
-                true,
-                k.jitter_bits,
-                matches!(k.rng_mode, RngMode::DirtyBits),
-                k.pairs.as_mut_ptr(),
-            )
-        }
-        None => (false, 0, false, core::ptr::null_mut()),
-    };
-
+    assert_eq!(keys.pairs.len(), n, "pair buffer must cover the population");
     let cfg = SweepCfg {
-        pack,
-        jitter_bits,
-        dirty,
+        defer_from: if keys.defer_reservoir {
+            p.res_base
+        } else {
+            u32::MAX
+        },
+        jitter_bits: keys.jitter_bits,
+        dirty: matches!(keys.rng_mode, RngMode::DirtyBits),
         halo_raw: Fx::from_f64(classifier.halo()).raw() as u32,
         diffuse: matches!(p.walls, WallModel::Diffuse { .. }),
         res_w,
@@ -268,7 +269,7 @@ pub fn move_phase<B: Body + ?Sized>(
         r2: parts.r2.as_mut_ptr(),
         rng: parts.rng.as_mut_ptr(),
         cell: parts.cell.as_mut_ptr(),
-        pairs: pairs_ptr,
+        pairs: keys.pairs.as_mut_ptr(),
         stats: scratch.stats.as_mut_ptr(),
     };
     let runs = &scratch.runs[..];
@@ -343,8 +344,8 @@ unsafe fn sweep_chunk<B: Body + ?Sized>(
     unsafe { cols.stats.add(c).write(st) };
 }
 
-/// Pack the jittered `(key, index)` pair.  No-op when the sweep runs
-/// key-less (withdrawal steps).
+/// Pack the jittered `(key, index)` pair — unless the particle's new
+/// cell is deferred to the refill (a reservoir cell on a withdrawal step).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn emit_key(
@@ -356,7 +357,7 @@ unsafe fn emit_key(
     cols: &Cols,
     cfg: SweepCfg,
 ) {
-    if !cfg.pack {
+    if cell >= cfg.defer_from {
         return;
     }
     let jitter = if cfg.jitter_bits == 0 {
@@ -453,7 +454,7 @@ unsafe fn geom_loop<B: Body + ?Sized, const DO_BODY: bool>(
 
 /// One particle through the full move: advect, resolve, re-emit/redraw,
 /// refresh, pack.  Byte-identical to the separate-phase reference's
-/// motion → boundary → build_pairs sequence for this particle.
+/// motion → boundary → keying sequence for this particle.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn geom_one<B: Body + ?Sized, const DO_BODY: bool>(
@@ -590,9 +591,9 @@ mod tests {
         (s, out.bounds)
     }
 
-    /// The contract: one move_phase sweep == advect + enforce +
-    /// build-pairs of the reference path, bit for bit — state, packed
-    /// pairs, and exit tally.
+    /// The contract: one move_phase sweep == advect + enforce + keying
+    /// every row of the reference path, bit for bit — state, packed pairs,
+    /// and exit tally.
     fn check_matches_reference(body: &dyn Body, walls: WallModel, rng_mode: RngMode) {
         let tunnel = Tunnel::new(48, 32);
         let res = ResLayout::for_cells(64);
@@ -635,7 +636,7 @@ mod tests {
         let jb = 6u32;
         let n = fused.len();
         let mut ref_ws = sortstep::SortWorkspace::new();
-        sortstep::build_pairs(
+        sortstep::key_rows(
             &mut reference,
             &tunnel,
             p.res_base,
@@ -643,7 +644,7 @@ mod tests {
             jb,
             rng_mode,
             ref_ws.input_pairs(n),
-            Par::Pool,
+            0..n as u32,
         );
 
         // Fused: one sweep.
@@ -657,11 +658,12 @@ mod tests {
             &bounds,
             Fx::from_int(res.w as i32),
             Fx::from_int(res.h as i32),
-            Some(KeyPack {
+            KeyPack {
                 pairs: ws.input_pairs(n),
                 jitter_bits: jb,
                 rng_mode,
-            }),
+                defer_reservoir: false,
+            },
             &mut scratch,
             Par::Pool,
         );
@@ -705,6 +707,9 @@ mod tests {
         check_matches_reference(&wedge, WallModel::Specular, RngMode::Explicit);
     }
 
+    /// The speed tally, on a withdrawal-step sweep: every pair whose
+    /// particle lands in the reservoir is left for the refill, untouched,
+    /// and every other is packed.
     #[test]
     fn tracks_the_speed_bound() {
         let tunnel = Tunnel::new(48, 32);
@@ -731,6 +736,7 @@ mod tests {
                 .max()
                 .unwrap();
         let mut scratch = MoveScratch::new();
+        let mut pairs = vec![u64::MAX; s.len()];
         let out = move_phase(
             &mut s,
             &p,
@@ -739,11 +745,25 @@ mod tests {
             &bounds,
             Fx::from_int(res.w as i32),
             Fx::from_int(res.h as i32),
-            None,
+            KeyPack {
+                pairs: &mut pairs,
+                jitter_bits: 6,
+                rng_mode: RngMode::Explicit,
+                defer_reservoir: true,
+            },
             &mut scratch,
             Par::Inline,
         );
         assert_eq!(out.max_speed_raw, want);
+        let deferred = s.cell.iter().filter(|&&c| c >= p.res_base).count();
+        assert!(deferred > 0 && deferred < s.len(), "both kinds of row");
+        for (i, (&pair, &cell)) in pairs.iter().zip(&s.cell).enumerate() {
+            assert_eq!(
+                pair == u64::MAX,
+                cell >= p.res_base,
+                "row {i} in cell {cell}: deferred exactly when in the reservoir"
+            );
+        }
         assert!(
             (out.max_speed_raw as f64) < classifier.halo() * (1 << Fx::FRAC_BITS) as f64,
             "test velocities obey the halo invariant"
@@ -794,11 +814,12 @@ mod tests {
             &[0, 1],
             res_w,
             res_h,
-            Some(KeyPack {
+            KeyPack {
                 pairs: ws.input_pairs(1),
                 jitter_bits: 4,
                 rng_mode: RngMode::Explicit,
-            }),
+                defer_reservoir: false,
+            },
             &mut MoveScratch::new(),
             Par::Inline,
         );

@@ -23,11 +23,13 @@
 //! Everything else follows from maintaining that subsequence invariant:
 //!
 //! * **Move** runs per shard, keyed: each particle's jittered `(key,
-//!   slot)` pair is packed where it stands (on plunger-withdrawal steps
-//!   the sweep is key-less and the pairs are built after the refill).  One
-//!   shard packs straight into its sort workspace; several stage their
-//!   pairs in slot order in the rank's idle second pair buffer, which the
-//!   merge below reshapes and hands back before the rank.
+//!   slot)` pair is packed where it stands — on a plunger-withdrawal step,
+//!   each one the sweep leaves in the flow; the rows it parks in the
+//!   reservoir wait for the refill below.  One shard packs straight into
+//!   its sort workspace; several stage their pairs in slot order in the
+//!   rank's idle second pair buffer, which the merge below reshapes and
+//!   hands back before the rank, and pack their crossers in the same
+//!   closure (after the refill on a withdrawal step).
 //!   Per-particle arithmetic and RNG draws are position-independent, and
 //!   the shared surface-flux window uses the same relaxed-atomic
 //!   discipline as the field accumulators, so concurrent shards never race
@@ -62,7 +64,10 @@
 //! * **Plunger refill** (the one genuinely global boundary event) takes a
 //!   canonical census: the post-move reservoir-parked slots of all shards,
 //!   merged by previous cell — the exact array order the reference
-//!   [`crate::boundary`] refill scans.
+//!   [`crate::boundary`] refill scans.  The census rows are exactly the
+//!   ones the sweep left unkeyed, and the refill draws only from their own
+//!   streams, so once it has moved the ones it takes it keys them all
+//!   (`sortstep::key_rows`) into the pairs the sweep packed.
 //!
 //! The integration suite pins the contract: `shard_counts_agree_bitwise`
 //! (proptest over seeds, bodies and RNG modes, shard counts from 1 to one
@@ -340,7 +345,7 @@ impl Shard {
     /// the order (see [`sortstep::rank_and_send`]: `repair` when the rank
     /// may repair last step's order), then keep the emitted segment cells.
     /// Returns where the time went and whether the repair ranked.
-    fn rank(&mut self, base: &Simulation, repair: bool, par: Par) -> (SortSplit, bool) {
+    pub(super) fn rank(&mut self, base: &Simulation, repair: bool, par: Par) -> (SortSplit, bool) {
         let ranked = sortstep::rank_and_send(
             &mut self.parts,
             base.key_bits,
@@ -355,15 +360,6 @@ impl Shard {
         self.seg_cell.clear();
         self.seg_cell.extend_from_slice(self.sort_ws.seg_cells());
         ranked
-    }
-
-    /// Refresh cells, pack the jittered pairs in their own sweep and rank
-    /// from scratch: one domain's sort at construction and on withdrawal
-    /// steps, whose refill repositions particles after the move sweep.
-    pub(super) fn rank_from_scratch(&mut self, base: &Simulation, par: Par) -> SortSplit {
-        let pairs = self.sort_ws.input_pairs(self.parts.len());
-        base.build_pairs(&mut self.parts, pairs, par);
-        self.rank(base, false, par).0
     }
 
     /// The source half of the exchange.  Scan the post-move cell column
@@ -581,6 +577,14 @@ impl Simulation {
     /// RNG is consumed, no particle is reordered — so the trajectory is
     /// the same at every shard count.
     pub fn reshard(&mut self, n_shards: usize) {
+        self.reshard_with(n_shards, None);
+    }
+
+    /// [`Simulation::reshard`], cutting at `stored` instead when it holds
+    /// cuts for exactly the clamped shard count (a checkpoint's manifest;
+    /// the caller has checked that they span the tunnel), so a resume
+    /// scatters once.
+    pub(super) fn reshard_with(&mut self, n_shards: usize, stored: Option<Vec<u32>>) {
         let w = self.tunnel.width;
         let n_shards = n_shards.clamp(1, w as usize);
         self.fold_col_load();
@@ -588,10 +592,10 @@ impl Simulation {
             1 => self.shards.pop().expect("one shard"),
             _ => self.take_canonical(),
         };
-        let cuts = if self.col_load.iter().all(|&l| l == 0) {
-            uniform_cuts(w as usize, n_shards)
-        } else {
-            balanced_cuts(&self.col_load, n_shards)
+        let cuts = match stored {
+            Some(cuts) if cuts.len() == n_shards + 1 => cuts,
+            _ if self.col_load.iter().all(|&l| l == 0) => uniform_cuts(w as usize, n_shards),
+            _ => balanced_cuts(&self.col_load, n_shards),
         };
         let total_cells = self.total_cells();
         self.layout = ShardLayout::new(cuts, w, self.res_base, total_cells);
@@ -861,7 +865,7 @@ impl Simulation {
         let t = Instant::now();
         let withdraw = self.plunger.will_withdraw();
         let n = shards.iter().map(|s| s.parts.len()).sum();
-        let (out, pack_wall) = self.move_shards(shards, exec, exchange.as_mut(), !withdraw)?;
+        let (out, pack_wall) = self.move_shards(shards, exec, exchange.as_mut(), withdraw)?;
         // The budget decision, made once from the summed sweep counts (the
         // exchange migrates particles between shards but never changes a
         // cell index, so the sum is exact post-exchange too).  Withdrawal
@@ -869,8 +873,15 @@ impl Simulation {
         let repair = !withdraw
             && self.movers_within_budget(out.movers, n)
             && !exchange.as_ref().is_some_and(|x| x.repartitioned);
-        if let Some(void_end) = self.fold_move(&out) {
-            debug_assert!(withdraw, "will_withdraw must predict the advance");
+        let void_end = self.fold_move(&out);
+        // A wrong guess would rank the reservoir rows the sweep left
+        // unkeyed, or leave them for a refill that never comes.
+        assert_eq!(
+            void_end.is_some(),
+            withdraw,
+            "will_withdraw must predict the advance"
+        );
+        if let Some(void_end) = void_end {
             self.introduced += self.refill_from_census(shards, void_end) as u64;
         }
         // The pack is exchange work: its share of the move phase's wall
@@ -878,17 +889,16 @@ impl Simulation {
         self.timings
             .add(Substep::Move, t.elapsed().saturating_sub(pack_wall));
 
-        // 3a) The rest of the exchange and the per-shard sorts.  Withdrawal
-        // steps could not pack in the move phase (the refill had yet to
-        // reposition reservoir particles), so several shards build their
-        // pairs and pack here first.
+        // 3a) The rest of the exchange and the per-shard sorts.  On a
+        // withdrawal step the crossers waited for the refill, which places
+        // some of them, so several shards pack them here first.
         let t = Instant::now();
         let mut cpu = SortSplit::default();
         if let (true, Some(x)) = (withdraw, exchange.as_mut()) {
-            cpu.exchange += self.pack_after_refill(shards, exec, x)?;
+            cpu.exchange += pack_after_refill(shards, exec, x)?;
         }
         let outbox = exchange.as_ref().map(|x| &*x.outbox);
-        cpu += self.sort_shards(shards, exec, outbox, withdraw, repair)?;
+        cpu += self.sort_shards(shards, exec, outbox, repair)?;
         let wall = t.elapsed();
         let mut split = cpu.scaled_to(wall);
         split.exchange += pack_wall;
@@ -943,19 +953,20 @@ impl Simulation {
     /// the workers' outcomes, so the totals are independent of both the
     /// decomposition and the scheduling.
     ///
-    /// On ordinary steps (`keyed`) each sweep packs every particle's pair
-    /// where it stands, drawing the jitter in the sweep: one shard into its
-    /// sort workspace, several into their staged slot-order pairs, each
-    /// packing its crossers in the same closure.  Withdrawal steps sweep
-    /// key-less.  The second
-    /// return value is the pack's share of the phase's wall time, split
-    /// from the sweep's in the proportion the workers measured.
+    /// Each sweep packs every particle's pair where it stands, drawing the
+    /// jitter in the sweep: one shard into its sort workspace, several into
+    /// their staged slot-order pairs, each packing its crossers in the same
+    /// closure.  On a `withdraw` step the sweep leaves the rows it parks in
+    /// the reservoir for the refill to key, and the crossers wait for the
+    /// refill too.  The second return value is the pack's share of the
+    /// phase's wall time, split from the sweep's in the proportion the
+    /// workers measured.
     fn move_shards(
         &self,
         shards: &mut [Shard],
         exec: &ShardExec,
         exchange: Option<&mut Exchange<'_>>,
-        keyed: bool,
+        withdraw: bool,
     ) -> Result<(MoveOutcome, Duration), ShardExecError> {
         let t = Instant::now();
         let jitter_bits = self.cfg.jitter_bits;
@@ -970,21 +981,20 @@ impl Simulation {
             let t = Instant::now();
             let n = shard.parts.len();
             // Several shards stage their pairs in the rank's idle buffer.
-            let mut staging = (keyed && layout.is_some()).then(|| shard.sort_ws.take_pong());
-            let keys = keyed.then(|| {
-                let pairs = match &mut staging {
-                    Some(staging) => {
-                        staging.resize(n, 0);
-                        &mut staging[..]
-                    }
-                    None => shard.sort_ws.input_pairs(n),
-                };
-                KeyPack {
-                    pairs,
-                    jitter_bits,
-                    rng_mode: self.rng_mode,
+            let mut staging = layout.map(|_| shard.sort_ws.take_pong());
+            let pairs = match &mut staging {
+                Some(staging) => {
+                    staging.resize(n, 0);
+                    &mut staging[..]
                 }
-            });
+                None => shard.sort_ws.input_pairs(n),
+            };
+            let keys = KeyPack {
+                pairs,
+                jitter_bits,
+                rng_mode: self.rng_mode,
+                defer_reservoir: withdraw,
+            };
             let out = self.move_sweep(
                 &mut shard.parts,
                 &shard.bounds,
@@ -994,7 +1004,9 @@ impl Simulation {
             );
             let sweep = t.elapsed();
             if let (Some(staging), Some(layout)) = (staging, layout) {
-                shard.pack_crossers(me, layout, &staging, outbox);
+                if !withdraw {
+                    shard.pack_crossers(me, layout, &staging, outbox);
+                }
                 shard.sort_ws.put_pong(staging);
             }
             (out, sweep, t.elapsed() - sweep)
@@ -1020,54 +1032,15 @@ impl Simulation {
         Ok((total, pack_wall))
     }
 
-    /// Withdrawal steps over several shards: the refill has now
-    /// repositioned its reservoir particles, so every shard builds its
-    /// pairs in a sweep of their own (jitter drawn in slot order, one draw
-    /// per particle, as the reference does) and packs its crossers.
-    /// Returns the time spent, summed over shards.
-    fn pack_after_refill(
-        &self,
-        shards: &mut [Shard],
-        exec: &ShardExec,
-        x: &mut Exchange<'_>,
-    ) -> Result<Duration, ShardExecError> {
-        let layout = x.layout;
-        let mut lanes: Vec<_> = shards.iter_mut().zip(x.outbox.iter_mut()).collect();
-        let outs = exec.run_phase(&mut lanes, "sort", |me, (shard, outbox), par| {
-            let t = Instant::now();
-            let mut staging = shard.sort_ws.take_pong();
-            staging.resize(shard.parts.len(), 0);
-            self.build_pairs(&mut shard.parts, &mut staging, par);
-            shard.pack_crossers(me, layout, &staging, outbox);
-            shard.sort_ws.put_pong(staging);
-            t.elapsed()
-        })?;
-        Ok(outs.into_iter().sum())
-    }
-
-    /// Refresh cells and pack the jittered `(key, slot)` pairs of `parts`
-    /// in a sweep of their own (see [`sortstep::build_pairs`]).
-    fn build_pairs(&self, parts: &mut ParticleStore, pairs: &mut [u64], par: Par) {
-        let (tunnel, res_base, res) = (&self.tunnel, self.res_base, self.res);
-        let jitter_bits = self.cfg.jitter_bits;
-        sortstep::build_pairs(
-            parts,
-            tunnel,
-            res_base,
-            res,
-            jitter_bits,
-            self.rng_mode,
-            pairs,
-            par,
-        );
-    }
-
     /// The plunger refill through a canonical census: the shards' pre-move
     /// segments merged by cell (previous cells partition across shards),
     /// each scanned for post-move reservoir parking — on one shard, the
     /// array in order.  That is the order `boundary::refill_void` scans,
     /// and the selection arithmetic and per-particle x/y draws match it
-    /// verbatim.  Returns how many particles entered the void.
+    /// verbatim.  Then every census row — each one the sweep left unkeyed —
+    /// is keyed into the buffer the sweep packed: the rank's input at one
+    /// shard, the staged pairs at several.  Returns how many particles
+    /// entered the void.
     fn refill_from_census(&mut self, shards: &mut [Shard], void_end: Fx) -> u32 {
         let h = self.tunnel.height as f64;
         let need = (self.cfg.n_per_cell * void_end.to_f64() * h).round() as usize;
@@ -1084,9 +1057,6 @@ impl Simulation {
         }
         let avail = self.census.len();
         let take = need.min(avail);
-        if take == 0 {
-            return 0;
-        }
         let stride = (avail as f64 / take as f64).max(1.0);
         let void_f = void_end.to_f64();
         for k in 0..take {
@@ -1102,6 +1072,30 @@ impl Simulation {
             // the freestream sample.
             parts.cell[i] = self.tunnel.cell_index(x, y);
         }
+        let several = shards.len() > 1;
+        for (s, shard) in shards.iter_mut().enumerate() {
+            let rows = (self.census.iter())
+                .filter(|&&(owner, _)| owner as usize == s)
+                .map(|&(_, i)| i);
+            let mut staged = several.then(|| shard.sort_ws.take_pong());
+            let pairs = match &mut staged {
+                Some(staged) => &mut staged[..],
+                None => shard.sort_ws.input_pairs(shard.parts.len()),
+            };
+            sortstep::key_rows(
+                &mut shard.parts,
+                &self.tunnel,
+                self.res_base,
+                self.res,
+                self.cfg.jitter_bits,
+                self.rng_mode,
+                pairs,
+                rows,
+            );
+            if let Some(staged) = staged {
+                shard.sort_ws.put_pong(staged);
+            }
+        }
         take as u32
     }
 
@@ -1111,8 +1105,8 @@ impl Simulation {
     /// now owns, so the stable rank emits the canonical order restricted to
     /// the shard, and its send — reading the residents and the arrivals
     /// behind them, writing only the live rows — is the one copy any
-    /// particle takes this step.  One shard ranks the pairs its sweep
-    /// packed, or on a withdrawal step builds them and ranks from scratch.
+    /// particle takes this step.  One shard ranks the pairs its sweep (and,
+    /// on a withdrawal step, the refill) packed.
     ///
     /// `repair` (the caller's budget decision) lets the rank repair the
     /// previous order instead of re-ranking; both paths produce
@@ -1126,7 +1120,6 @@ impl Simulation {
         shards: &mut [Shard],
         exec: &ShardExec,
         outbox: Option<&[Vec<Outbox>]>,
-        withdraw: bool,
         repair: bool,
     ) -> Result<SortSplit, ShardExecError> {
         let base = &*self;
@@ -1136,11 +1129,7 @@ impl Simulation {
                 shard.merge_arrivals(me, outbox);
             }
             let exchange = t.elapsed();
-            let (split, repaired) = if withdraw && outbox.is_none() {
-                (shard.rank_from_scratch(base, par), false)
-            } else {
-                shard.rank(base, repair, par)
-            };
+            let (split, repaired) = shard.rank(base, repair, par);
             let took = (!shard.parts.is_empty()).then_some(repaired);
             (took, SortSplit { exchange, ..split })
         })?;
@@ -1155,6 +1144,26 @@ impl Simulation {
         }
         Ok(cpu)
     }
+}
+
+/// Withdrawal steps over several shards: the refill has placed the rows it
+/// took and keyed every row the sweep left, so each shard now packs its
+/// crossers.  Returns the time spent, summed over shards.
+fn pack_after_refill(
+    shards: &mut [Shard],
+    exec: &ShardExec,
+    x: &mut Exchange<'_>,
+) -> Result<Duration, ShardExecError> {
+    let layout = x.layout;
+    let mut lanes: Vec<_> = shards.iter_mut().zip(x.outbox.iter_mut()).collect();
+    let outs = exec.run_phase(&mut lanes, "sort", |me, (shard, outbox), _par| {
+        let t = Instant::now();
+        let staging = shard.sort_ws.take_pong();
+        shard.pack_crossers(me, layout, &staging, outbox);
+        shard.sort_ws.put_pong(staging);
+        t.elapsed()
+    })?;
+    Ok(outs.into_iter().sum())
 }
 
 /// Merge all shards' fresh segment tables by cell into a running global

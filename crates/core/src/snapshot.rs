@@ -353,8 +353,8 @@ impl Simulation {
         // Re-arm the classifier against the stored speed bound (rebuilds
         // only if the flow had outgrown the config-derived halo).
         sim.track_halo(max_speed_raw);
-        sim.reshard(n_shards);
 
+        let mut stored_cuts = None;
         if r.has_section(SEC_SHRD) {
             let mut c = r.section(SEC_SHRD)?;
             let stored_shards = c.u32()? as usize;
@@ -369,10 +369,11 @@ impl Simulation {
                 return Err(StateError::Malformed("sharded manifest inconsistent"));
             }
             sim.repartitions = repartitions;
-            // Warm-start the stored cuts; `set_cuts` refuses (and changes
-            // nothing for) a manifest taken at another shard count.
-            sim.set_cuts(&cuts);
+            stored_cuts = Some(cuts);
         }
+        // Warm-start the stored cuts if they were taken at this shard
+        // count; the reshard falls back to balanced ones otherwise.
+        sim.reshard_with(n_shards, stored_cuts);
         Ok(sim)
     }
 

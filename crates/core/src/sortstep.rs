@@ -7,6 +7,14 @@
 //! cell* between steps so the same partners do not collide repeatedly
 //! ("…otherwise the situation arises where the same partners collide
 //! repeatedly leading to correlated velocity distributions").
+//!
+//! The key is packed once per particle per step.  The move sweep
+//! (`crate::movephase`) packs it where the particle stands; on a
+//! plunger-withdrawal step it leaves the reservoir-parked rows, which the
+//! refill may reposition, and the refill census keys exactly those after
+//! the refill (`key_rows`, which also keys the whole population at
+//! construction).  One rank and one send ([`rank_and_send`]) follow
+//! either way.
 
 use crate::config::{ResLayout, RngMode};
 use crate::diag::SortSplit;
@@ -66,7 +74,8 @@ impl SortWorkspace {
     }
 
     /// The `(key, index)` pair buffer the rank reads, sized for `n` pairs:
-    /// what the move sweep, `build_pairs` or the exchange's merge packs.
+    /// what the move sweep (with `key_rows` after a refill) or the
+    /// exchange's merge packs.
     pub fn input_pairs(&mut self, n: usize) -> &mut [u64] {
         self.radix.input_pairs(n)
     }
@@ -92,27 +101,9 @@ impl SortWorkspace {
 }
 
 /// Refresh a particle's cell index from its position (reservoir particles
-/// index into the reservoir box; flow particles into the tunnel grid).
-#[inline(always)]
-fn refresh_cell(
-    cell: &mut u32,
-    x: dsmc_fixed::Fx,
-    y: dsmc_fixed::Fx,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-) -> u32 {
-    let c = if *cell >= res_base {
-        res_base + res.cell(x, y)
-    } else {
-        tunnel.cell_index(x, y)
-    };
-    *cell = c;
-    c
-}
-
-/// The per-particle jittered sort key: scaled cell index plus random
-/// low bits ("a random number less than the scale factor is added").
+/// index into the reservoir box; flow particles into the tunnel grid) and
+/// return its jittered sort key: scaled cell index plus random low bits
+/// ("a random number less than the scale factor is added").
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn jittered_key(
@@ -127,7 +118,12 @@ fn jittered_key(
     jitter_bits: u32,
     rng_mode: RngMode,
 ) -> u32 {
-    let c = refresh_cell(cell, x, y, tunnel, res_base, res);
+    let c = if *cell >= res_base {
+        res_base + res.cell(x, y)
+    } else {
+        tunnel.cell_index(x, y)
+    };
+    *cell = c;
     let jitter = if jitter_bits == 0 {
         0
     } else {
@@ -143,20 +139,15 @@ fn jittered_key(
     (c << jitter_bits) | jitter
 }
 
-/// Refresh cell indices from positions and pack the `(key, index)` pair
-/// words for the rank, in one elementwise sweep (all VPs active): what the
-/// move sweep does on ordinary steps, as a phase of its own for the initial
-/// sort and for withdrawal steps, whose refill repositions particles after
-/// the sweep.  The engine never materialises a separate key column.
-///
-/// Specialised per [`RngMode`], because each mode leaves a whole column
-/// out of the sweep: `Explicit` jitter comes from the per-particle
-/// generator and never reads `u`; `DirtyBits` jitter comes from the low
-/// position/velocity bits and never touches the generator column.  The
-/// produced keys (and all RNG state evolution) are bit-identical to the
-/// generic [`jittered_key`] the reference [`sort_particles`] still uses.
+/// Refresh the cells of `rows` from their positions and pack their
+/// jittered `(key, row)` pairs into `pairs` (the slots `rows` names; the
+/// rest are left as they are), through the reference [`jittered_key`].
+/// The move sweep packs every other row: this keys the whole population
+/// once at construction, and on a withdrawal step the reservoir-parked
+/// rows the sweep left for after the refill.  Each row draws from its own
+/// stream only, so the order of `rows` does not matter.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_pairs(
+pub(crate) fn key_rows(
     parts: &mut ParticleStore,
     tunnel: &Tunnel,
     res_base: u32,
@@ -164,91 +155,23 @@ pub(crate) fn build_pairs(
     jitter_bits: u32,
     rng_mode: RngMode,
     pairs: &mut [u64],
-    par: Par,
+    rows: impl IntoIterator<Item = u32>,
 ) {
-    match rng_mode {
-        RngMode::Explicit => {
-            build_pairs_explicit(parts, tunnel, res_base, res, jitter_bits, pairs, par)
-        }
-        RngMode::DirtyBits => {
-            build_pairs_dirty(parts, tunnel, res_base, res, jitter_bits, pairs, par)
-        }
-    }
-}
-
-/// `Explicit` sweep: positions + cells + generators; the `u` column stays
-/// cold.
-fn build_pairs_explicit(
-    parts: &mut ParticleStore,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-    jitter_bits: u32,
-    pairs: &mut [u64],
-    par: Par,
-) {
-    let xs = &parts.x;
-    let ys = &parts.y;
-    let fill = |i: usize, pair: &mut u64, cell: &mut u32, rng: &mut dsmc_rng::XorShift32| {
-        let c = refresh_cell(cell, xs[i], ys[i], tunnel, res_base, res);
-        let jitter = if jitter_bits == 0 {
-            0
-        } else {
-            rng.next_bits(jitter_bits)
-        };
-        *pair = pack_pair((c << jitter_bits) | jitter, i);
-    };
-    if !par.forks(parts.len()) {
-        for (i, (pair, (cell, rng))) in pairs
-            .iter_mut()
-            .zip(parts.cell.iter_mut().zip(parts.rng.iter_mut()))
-            .enumerate()
-        {
-            fill(i, pair, cell, rng);
-        }
-    } else {
-        pairs
-            .par_iter_mut()
-            .zip(parts.cell.par_iter_mut())
-            .zip(parts.rng.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, ((pair, cell), rng))| fill(i, pair, cell, rng));
-    }
-}
-
-/// `DirtyBits` sweep: positions + cells + the `u` column; the generator
-/// column stays cold (and its state provably unchanged).
-fn build_pairs_dirty(
-    parts: &mut ParticleStore,
-    tunnel: &Tunnel,
-    res_base: u32,
-    res: ResLayout,
-    jitter_bits: u32,
-    pairs: &mut [u64],
-    par: Par,
-) {
-    let xs = &parts.x;
-    let ys = &parts.y;
-    let us = &parts.u;
-    let fill = |i: usize, pair: &mut u64, cell: &mut u32| {
-        let c = refresh_cell(cell, xs[i], ys[i], tunnel, res_base, res);
-        let jitter = if jitter_bits == 0 {
-            0
-        } else {
-            (xs[i].raw() as u32 ^ (us[i].raw() as u32).rotate_left(5)) & ((1 << jitter_bits) - 1)
-        };
-        *pair = pack_pair((c << jitter_bits) | jitter, i);
-    };
-    if !par.forks(parts.len()) {
-        for (i, (pair, cell)) in pairs.iter_mut().zip(parts.cell.iter_mut()).enumerate() {
-            fill(i, pair, cell);
-        }
-    } else {
-        pairs
-            .par_iter_mut()
-            .zip(parts.cell.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, (pair, cell))| fill(i, pair, cell));
+    for i in rows {
+        let i = i as usize;
+        let key = jittered_key(
+            &mut parts.cell[i],
+            parts.x[i],
+            parts.y[i],
+            parts.u[i],
+            &mut parts.rng[i],
+            tunnel,
+            res_base,
+            res,
+            jitter_bits,
+            rng_mode,
+        );
+        pairs[i] = pack_pair(key, i);
     }
 }
 
@@ -273,7 +196,8 @@ fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u
 /// The back half of the sort phase — one rank, one send — for every
 /// shard.  The pairs are already in the workspace's buffer
 /// ([`SortWorkspace::input_pairs`]): the single-sweep move phase
-/// (`crate::movephase`) packed them, or `build_pairs` did, or the
+/// (`crate::movephase`) packed them — with `key_rows` filling the rows
+/// it left on a withdrawal step, or every row at construction — or the
 /// exchange's merge wrote them there.  Either rank counts every digit it
 /// scatters.  Their index fields name rows of `parts`; they need not be a
 /// permutation of it (see `send`).
@@ -360,7 +284,7 @@ pub fn rank_and_send(
 /// build a key column, materialise the permutation with
 /// [`sort_perm_by_key`], gather the ten columns one at a time, then sweep
 /// the sorted `cell` column for its segment bounds.  Identical results to
-/// `build_pairs` + [`rank_and_send`] for identical inputs — the unit test
+/// `key_rows` + [`rank_and_send`] for identical inputs — the unit test
 /// below and the integration suites assert it — but allocates per call.
 ///
 /// `key_bits` callers compute once from the cell count and jitter width via
@@ -577,10 +501,10 @@ mod tests {
 
     #[test]
     fn specialised_pair_build_matches_reference_for_both_rng_modes() {
-        // The per-RngMode `build_pairs` specialisations skip a column each
-        // (Explicit: `u`; DirtyBits: the generator) but must produce the
-        // same sorted state — and the same generator evolution — as the
-        // generic jittered-key path the reference sort uses.
+        // The engine's construction sort — `key_rows` over every row, then
+        // the one rank and send — must produce the same sorted state, and
+        // the same generator evolution, as the reference sort under either
+        // jitter source.
         for mode in [RngMode::Explicit, RngMode::DirtyBits] {
             let tunnel = Tunnel::new(12, 9);
             let res = ResLayout::for_cells(16);
@@ -589,16 +513,16 @@ mod tests {
             let mut reference = fused.clone();
             let mut ws = SortWorkspace::new();
             let (mut bounds, mut order) = (Vec::new(), Vec::new());
-            let pairs = ws.input_pairs(fused.len());
-            build_pairs(
+            let n = fused.len();
+            key_rows(
                 &mut fused,
                 &tunnel,
                 tunnel.n_cells(),
                 res,
                 6,
                 mode,
-                pairs,
-                Par::Pool,
+                ws.input_pairs(n),
+                0..n as u32,
             );
             let total_cells = tunnel.n_cells() + res.total();
             let (_, repaired) = rank_and_send(

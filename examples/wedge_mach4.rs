@@ -71,7 +71,7 @@ fn main() {
     let t = sim.timings();
     let sort = t.sort.as_secs_f64();
     println!(
-        "inside the sort: rank {:.0}% | send {:.0}%  (the rest is the withdrawal steps' pair build)",
+        "inside the sort: rank {:.0}% | send {:.0}%  (a sharded engine's exchange is the rest)",
         t.sort_rank.as_secs_f64() / sort * 100.0,
         t.sort_send.as_secs_f64() / sort * 100.0
     );

@@ -279,8 +279,24 @@ pub fn check_supervised_handoff(tag: &str, exec: ExecMode) {
     assert_eq!(one.repartitions(), sim.repartitions());
 }
 
+/// The final `state_hash` of every registry scenario that reports one, at
+/// QUICK scale — the trajectories' fixed point, the values
+/// `scenarios --all --quick` prints.  A change that means to move a
+/// trajectory re-records this table and says so; any other change must
+/// leave it as it is.
+pub const QUICK_STATE_HASHES: &[(&str, u64)] = &[
+    ("wedge-paper", 0x1c099ad774e2e828),
+    ("wedge-rarefied", 0x55c2358ab32684b3),
+    ("flat-plate", 0x936e3c92369cdbe0),
+    ("forward-step", 0x4d1029731f424f8f),
+    ("cylinder", 0x5437292285a95a07),
+    ("cylinder-startup", 0xcb561cdbec71200a),
+    ("wedge-restart", 0x6801f297abcac078),
+];
+
 /// Every registry scenario at QUICK scale runs identically under each of
-/// `arms` as under `reference`: each arm passes its goldens and
+/// `arms` as under `reference`: the reference lands on its
+/// [`QUICK_STATE_HASHES`] entry, and each arm passes its goldens and
 /// reproduces the reference's `state_hash` and every metric to the bit.
 /// The one non-physics metric, the snapshot's byte size, grows with the
 /// advisory sharded manifest, so it compares only at the reference's own
@@ -296,6 +312,15 @@ pub fn check_registry_invariance(reference: &RunOptions, arms: &[RunOptions]) {
             continue;
         }
         let want = run_with(s, Scale::Quick, reference).expect("reference run");
+        let pinned = QUICK_STATE_HASHES
+            .iter()
+            .find(|(name, _)| *name == s.name)
+            .map(|&(_, hash)| hash);
+        assert_eq!(
+            want.state_hash, pinned,
+            "{}: the reference run left its pinned state_hash",
+            s.name
+        );
         for arm in arms {
             let tag = format!("{} at {} shards, {}", s.name, arm.shards, arm.exec);
             let o = run_with(s, Scale::Quick, arm).expect("arm run");

@@ -117,8 +117,9 @@ proptest! {
 
 /// Run the same config through the engine and the separate-phase oracle
 /// and demand bit-identical trajectories, bounds, orders and ledgers.
-/// `steps` spans several plunger cycles, so the move phase's key-less
-/// withdrawal fallback is exercised along with the ordinary fused steps.
+/// `steps` spans several plunger cycles, so withdrawal steps — the sweep
+/// leaving the reservoir rows to the refill census, which keys them after
+/// the refill — are exercised along with the ordinary fused steps.
 fn check_pipelines_agree(cfg: SimConfig, steps: usize) -> Simulation {
     let mut fused = Simulation::new(cfg.clone());
     let mut two_step = TwoStepSim::new(cfg);
@@ -145,10 +146,10 @@ fn pipelines_produce_identical_trajectories() {
 }
 
 /// The wide grid (15 cell bits, chunked population) on every rank path:
-/// ordinary steps repair the sweep's pairs, the withdrawal step builds its
-/// own pairs and ranks them from scratch, and a second engine pinned to the
-/// full rank runs the chunked rank on every ordinary step; all must land on
-/// the oracle's state.  `sharding.rs` runs the same config at 4 shards.
+/// ordinary steps repair the sweep's pairs, the withdrawal step ranks the
+/// pairs the sweep and the refill keyed from scratch, and a second engine
+/// pinned to the full rank runs the chunked rank on every ordinary step;
+/// all must land on the oracle's state.  `sharding.rs` runs the same config at 4 shards.
 #[test]
 fn wide_grid_matches_two_step_on_every_rank_path() {
     let cfg = integration_tests::wide_grid_config();
@@ -225,7 +226,14 @@ fn fused_move_matches_two_step_across_geometries() {
     for body in &bodies {
         for walls in [WallModel::Specular, WallModel::Diffuse { t_wall: 2.0 }] {
             for rng_mode in [RngMode::Explicit, RngMode::DirtyBits] {
-                check_pipelines_agree(grid_config(body.clone(), walls, rng_mode, 11), steps);
+                let sim =
+                    check_pipelines_agree(grid_config(body.clone(), walls, rng_mode, 11), steps);
+                // The withdrawal step keys the reservoir rows after the
+                // refill, under either jitter source: it must be in the run.
+                assert!(
+                    sim.diagnostics().plunger_cycles >= 1,
+                    "{body:?} / {walls:?} / {rng_mode:?}: no withdrawal in {steps} steps"
+                );
             }
         }
     }
@@ -312,7 +320,7 @@ const DETERMINISM_STEPS: usize = 30;
 /// `RAYON_NUM_THREADS` and prints one combined state hash covering both
 /// an empty tunnel and a body-bearing diffuse-wall workload — the latter
 /// drives the fused move phase through all four dispatch kinds (free,
-/// walls-only, full-resolve, reservoir) plus its withdrawal fallback.
+/// walls-only, full-resolve, reservoir) plus its withdrawal steps.
 #[test]
 #[ignore = "helper: spawned by determinism_across_thread_counts"]
 fn helper_print_state_hash() {

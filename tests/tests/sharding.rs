@@ -40,8 +40,8 @@ proptest! {
 }
 
 /// The exchange through everything that reshapes it at once: plunger
-/// withdrawals (key-less sweep, refill, pairs built and crossers packed
-/// afterwards), a `set_cuts` move to a maximally skewed layout mid-run and
+/// withdrawals (the sweep leaves the reservoir rows unkeyed, the refill
+/// keys them, and the crossers are packed afterwards), a `set_cuts` move to a maximally skewed layout mid-run and
 /// the weighted repartition that follows it (most of a shard crosses in
 /// one step), under both jitter sources and both executors.  The whole
 /// run — hash, ledgers, mover sums, population — must equal the

@@ -57,8 +57,8 @@ fn resume_equals_straight_on_the_dirty_wedge() {
 #[test]
 fn resume_equals_straight_across_a_plunger_withdrawal() {
     // small_test withdraws every ~9-10 steps; straddle several cycles so
-    // the refill path (the sweep's key-less fallback) is crossed by the
-    // resumed arm too.
+    // the refill path (the sweep leaves the reservoir rows for the refill
+    // to key) is crossed by the resumed arm too.
     check_resume_equals_straight(SimConfig::small_test(), 5, 40);
 }
 

@@ -1,8 +1,8 @@
 //! The separate-phase reference step: the test oracle for the engine.
 //!
 //! The engine's step fuses motion, boundaries, cell refresh and key
-//! packing into one sweep, ranks incrementally, and selects and collides
-//! in one traversal.  [`TwoStepSim`] runs the same time step the way the
+//! packing into one sweep, ranks with one counting sort, and selects and
+//! collides in one traversal.  [`TwoStepSim`] runs the same time step the way the
 //! paper lists it — one whole-population phase after another — by calling
 //! the per-phase reference kernels `dsmc-core` keeps public and pins its
 //! own unit tests against: [`motion::advect`], [`boundary::enforce`]

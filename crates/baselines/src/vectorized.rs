@@ -6,7 +6,7 @@
 //! is our stand-in: the *same physics* — motion, walls/body/plunger/
 //! reservoir, pairwise selection, 5-vector collisions — implemented the way
 //! one tunes for a single fast core: array-of-structs particles, a counting
-//! sort by cell (no jittered radix rank), in-cell Fisher–Yates for partner
+//! sort by cell (no jittered key), in-cell Fisher–Yates for partner
 //! decorrelation, no parallel machinery at all.
 //!
 //! The benchmark's `baselines.parallel_over_serial` compares it with the

@@ -112,22 +112,10 @@ pub struct Simulation {
     exited: u64,
     introduced: u64,
     plunger_cycles: u64,
-    // Temporal-coherence sort ledger: which rank path each step
-    // took, and the move sweep's mover counts that drive the choice.
-    sort_incremental_steps: u64,
-    sort_full_steps: u64,
+    // The move sweep's mover counts over ordinary steps.
     mover_sum: u64,
     mover_particle_sum: u64,
-    mover_threshold: f64,
 }
-
-/// Default mover-fraction ceiling for the incremental rank.  The repair's
-/// cost is nearly mover-independent (its scatter and per-segment sorts
-/// touch every particle regardless), so the ceiling exists to bound the
-/// serial counting-sort scatter on highly-parallel hosts, not to protect
-/// single-core throughput; the benchmark's `core.sort.mover_fraction`
-/// records the measured fraction the default is judged against.
-pub const DEFAULT_MOVER_THRESHOLD: f64 = 0.5;
 
 /// Which particle column [`Simulation::inject_fault`] corrupts.
 ///
@@ -184,7 +172,7 @@ impl Simulation {
             domain.sort_ws.input_pairs(n),
             0..n as u32,
         );
-        domain.rank(&sim, false, Par::Pool);
+        domain.rank(&sim, Par::Pool);
         sim.shards[0] = domain;
         Ok(sim)
     }
@@ -267,11 +255,8 @@ impl Simulation {
             exited: 0,
             introduced: 0,
             plunger_cycles: 0,
-            sort_incremental_steps: 0,
-            sort_full_steps: 0,
             mover_sum: 0,
             mover_particle_sum: 0,
-            mover_threshold: DEFAULT_MOVER_THRESHOLD,
         }
     }
 
@@ -358,19 +343,14 @@ impl Simulation {
                 self.plunger_cycles += 1;
                 Some(void_end)
             }
-            _ => None,
+            _ => {
+                // Movers over ordinary steps, against the population the
+                // dispatch counts cover once each.
+                self.mover_sum += out.movers as u64;
+                self.mover_particle_sum += out.by_kind.iter().sum::<u64>();
+                None
+            }
         }
-    }
-
-    /// The temporal-coherence decision of an ordinary (non-withdrawal)
-    /// step.  The sweep's mover count is the exact number of particles
-    /// whose cell changed this step and the sole budget authority: record
-    /// it against the population `n` and say whether the incremental rank
-    /// may run.  Per-particle sums, so independent of any decomposition.
-    fn movers_within_budget(&mut self, movers: u32, n: usize) -> bool {
-        self.mover_sum += movers as u64;
-        self.mover_particle_sum += n as u64;
-        movers <= (self.mover_threshold * n as f64) as u32
     }
 
     /// Fold one select + collide phase — one outcome per shard — into the
@@ -543,30 +523,17 @@ impl Simulation {
         caps
     }
 
-    /// Rank paths taken so far, one count per non-empty shard per step:
-    /// `(incremental, full)`.  Full counts withdrawal steps, threshold
-    /// overruns and a sharded engine's just-repartitioned steps.
+    /// `(steps, 0)`: every rank is the one counting sort.  Kept for the
+    /// benchmark's adapter, which reads it as `(incremental, full)`.
     pub fn sort_path_counts(&self) -> (u64, u64) {
-        (self.sort_incremental_steps, self.sort_full_steps)
+        (self.steps, 0)
     }
 
     /// Mover statistics from the move sweep: `(movers,
     /// particle-steps)` summed over ordinary (non-withdrawal) steps —
-    /// divide for the mean mover fraction the threshold is judged
-    /// against.
+    /// divide for the mean mover fraction.
     pub fn mover_stats(&self) -> (u64, u64) {
         (self.mover_sum, self.mover_particle_sum)
-    }
-
-    /// Override the mover-fraction ceiling above which the incremental
-    /// rank falls back to the full radix sort (default
-    /// [`DEFAULT_MOVER_THRESHOLD`]).  Outputs are pinned bit-identical on
-    /// both sides of the crossing, so this is a pure performance knob —
-    /// tests drive it to force path transitions, and `0.0` (no step with a
-    /// mover fits the budget) is how they build a full-rank-every-step
-    /// reference arm.
-    pub fn set_mover_threshold(&mut self, threshold: f64) {
-        self.mover_threshold = threshold;
     }
 
     /// The geometry-aware cell classification driving the move phase's
@@ -776,56 +743,33 @@ mod tests {
     }
 
     #[test]
-    fn incremental_sort_engages_and_matches_full() {
-        // A/B the two rank algorithms over enough steps to cross several
-        // plunger withdrawals: trajectories must be bitwise identical, and
-        // the incremental path must actually carry the steady-state steps
-        // (not silently fall back every time).
-        let mut a = Simulation::new(SimConfig::small_test());
-        let mut b = Simulation::new(SimConfig::small_test());
-        b.set_mover_threshold(0.0);
-        a.run(60);
-        b.run(60);
-        assert_eq!(a.particles().x, b.particles().x);
-        assert_eq!(a.particles().y, b.particles().y);
-        assert_eq!(a.particles().u, b.particles().u);
-        assert_eq!(a.particles().v, b.particles().v);
-        assert_eq!(a.particles().w, b.particles().w);
-        assert_eq!(a.particles().cell, b.particles().cell);
-        assert_eq!(a.segment_bounds(), b.segment_bounds());
-        assert_eq!(a.last_sort_order(), b.last_sort_order());
-        assert_eq!(a.diagnostics().collisions, b.diagnostics().collisions);
-        let (inc_a, full_a) = a.sort_path_counts();
-        assert!(inc_a > 40, "incremental path barely engaged: {inc_a}");
-        assert_eq!(
-            full_a as usize + inc_a as usize,
-            60,
-            "every step takes exactly one rank path"
+    fn mover_stats_count_ordinary_steps_only() {
+        // Over enough steps to cross several plunger withdrawals, the
+        // mover sums grow on ordinary steps only — by the sweep's movers,
+        // against the population it swept — and every step is one rank.
+        let mut sim = Simulation::new(SimConfig::small_test());
+        let mut want_psum = 0u64;
+        for _ in 0..60 {
+            let n = sim.n_particles() as u64;
+            let (movers, _) = sim.mover_stats();
+            let cycles = sim.diagnostics().plunger_cycles;
+            sim.step();
+            let (movers_after, psum_after) = sim.mover_stats();
+            if sim.diagnostics().plunger_cycles == cycles {
+                want_psum += n;
+                assert!(movers_after > movers, "an ordinary step with no mover");
+            } else {
+                assert_eq!(movers_after, movers, "a withdrawal step counted movers");
+            }
+            assert_eq!(psum_after, want_psum);
+        }
+        assert!(
+            sim.diagnostics().plunger_cycles > 0,
+            "no withdrawal crossed"
         );
-        let (inc_b, full_b) = b.sort_path_counts();
-        assert_eq!(inc_b, 0, "a zero budget must never take the repair path");
-        assert_eq!(full_b, 60);
-        // Mover accounting ran on every ordinary step, on both arms.
-        let (movers, psum) = a.mover_stats();
-        assert!(psum > 0 && movers > 0 && movers < psum);
-        assert_eq!(a.mover_stats(), b.mover_stats());
-    }
-
-    #[test]
-    fn threshold_zero_forces_the_full_path_without_changing_state() {
-        // Budget 0 rejects every step with at least one mover, driving the
-        // fallback; the trajectory must not notice.
-        let mut inc = Simulation::new(SimConfig::small_test());
-        inc.set_mover_threshold(0.0);
-        let mut full = Simulation::new(SimConfig::small_test());
-        inc.run(40);
-        full.run(40);
-        assert_eq!(inc.particles().x, full.particles().x);
-        assert_eq!(inc.particles().cell, full.particles().cell);
-        assert_eq!(inc.segment_bounds(), full.segment_bounds());
-        let (i, f) = inc.sort_path_counts();
-        assert_eq!(i, 0, "zero budget must reject the repair every step");
-        assert_eq!(f, 40);
+        let (movers, psum) = sim.mover_stats();
+        assert!(movers < psum);
+        assert_eq!(sim.sort_path_counts(), (60, 0));
     }
 
     #[test]

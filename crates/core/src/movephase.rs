@@ -45,7 +45,7 @@ use crate::boundary::{diffuse_reemit_one, exit_redraw_one, resolve_flow_one, Bou
 use crate::config::{RngMode, WallModel};
 use crate::motion::wrap;
 use crate::particles::ParticleStore;
-use dsmc_datapar::{pack_pair, radix_chunk_len, Par};
+use dsmc_datapar::{pack_pair, Par};
 use dsmc_fixed::Fx;
 use dsmc_geom::{Body, CellClassifier, Plunger};
 use dsmc_rng::XorShift32;
@@ -118,10 +118,10 @@ pub struct MoveOutcome {
     /// Reservoir]`.
     pub by_kind: [u64; 4],
     /// Particles whose cell index changed during this sweep ("movers") —
-    /// the temporal-coherence signal the incremental sort path keys its
-    /// full-radix fallback on.  Counted from the cell column the sweep
-    /// rewrites anyway, so the tally is near-free; like the other stats it
-    /// is an order-independent sum, identical for any thread count.
+    /// the benchmark's `core.sort.mover_fraction`.  Counted from the cell
+    /// column the sweep rewrites anyway, so the tally is near-free; like
+    /// the other stats it is an order-independent sum, identical for any
+    /// thread count.
     pub movers: u32,
 }
 
@@ -175,11 +175,19 @@ struct SweepCfg {
     n: usize,
 }
 
+/// The sweep's chunk width for `n` particles: four chunks per pool
+/// thread, at least 4096 particles each.  A work-size choice only; the
+/// outcome never depends on it.
+fn sweep_chunk_len(n: usize) -> usize {
+    let threads = rayon::current_num_threads().max(1);
+    n.div_ceil(threads * 4).max(4096)
+}
+
 /// The fused move phase.  `bounds` is the previous step's segment table
 /// (the array must still be in that sorted order); `keys` says where the
 /// packed pairs go and whether the reservoir rows wait for the refill.
 /// The chunks run as rayon tasks where `par` forks, in chunk order on
-/// this thread otherwise; [`radix_chunk_len`] sizes the chunks either way,
+/// this thread otherwise; `sweep_chunk_len` sizes the chunks either way,
 /// and the outcome does not depend on the grid.
 #[allow(clippy::too_many_arguments)]
 pub fn move_phase<B: Body + ?Sized>(
@@ -238,7 +246,7 @@ pub fn move_phase<B: Body + ?Sized>(
         out.by_kind[run.kind as usize] += (run.end - run.start) as u64;
     }
 
-    let chunk = radix_chunk_len(n);
+    let chunk = sweep_chunk_len(n);
     let n_chunks = n.div_ceil(chunk);
     scratch.stats.clear();
     scratch.stats.resize(n_chunks, ChunkStats::default());

@@ -312,6 +312,11 @@ impl Sentinel {
 /// The Q8.23 speed bound, raw: six cells per step.  Below it a move keeps
 /// a tunnel coordinate under 249 + 6 < 256 and a collision's `mean ± rel`
 /// under 12; healthy flow (validated `c_m < 0.5`) sits far below it.
+///
+/// The step does not enforce it: no move or collision clamps a velocity.
+/// It is an accepted statistical bound — at a validated `c_m < 0.5` it
+/// lies at least 12 σ out — and only the sentinel's check 5 and
+/// `Simulation::resume` test it.
 pub const MAX_SPEED_RAW: u32 = 6 << Fx::FRAC_BITS;
 
 impl Simulation {

@@ -80,7 +80,7 @@
 //!
 //! # Weighted repartition
 //!
-//! The radix sort's segment bounds are a free per-cell census.  At the top
+//! The rank's segment bounds are a free per-cell census.  At the top
 //! of each step the engine folds them into per-column flow loads; when
 //! the heaviest shard exceeds [`REPARTITION_THRESHOLD`] × the mean, the
 //! column cuts are re-drawn by balanced prefix sums.  Because ownership is
@@ -94,8 +94,8 @@
 //! [`crate::config::ExecMode`] selects how the per-shard phases run:
 //! `Serial` steps every shard on the coordinator thread (the executable
 //! spec), `Threaded` fans each phase out over scoped worker threads,
-//! joining at the three coordinator barriers — the census merge, the
-//! global sort-budget decision and the segment-parity prefix; the exchange
+//! joining at the three coordinator barriers — the repartition check, the
+//! census merge and the segment-parity prefix; the exchange
 //! runs inside the move and sort phases, on the workers.  When those
 //! workers are at least two and at least as many as the rayon pool's
 //! threads, each runs its shard's primitives inline — the shards are then
@@ -342,16 +342,13 @@ impl Shard {
     }
 
     /// Rank the pairs in the sort workspace and send the particles through
-    /// the order (see [`sortstep::rank_and_send`]: `repair` when the rank
-    /// may repair last step's order), then keep the emitted segment cells.
-    /// Returns where the time went and whether the repair ranked.
-    pub(super) fn rank(&mut self, base: &Simulation, repair: bool, par: Par) -> (SortSplit, bool) {
-        let ranked = sortstep::rank_and_send(
+    /// the order (see [`sortstep::rank_and_send`]), then keep the emitted
+    /// segment cells.  Returns where the time went.
+    pub(super) fn rank(&mut self, base: &Simulation, par: Par) -> SortSplit {
+        let split = sortstep::rank_and_send(
             &mut self.parts,
             base.key_bits,
             base.cfg.jitter_bits,
-            base.total_cells(),
-            repair,
             &mut self.sort_ws,
             &mut self.bounds,
             &mut self.order,
@@ -359,7 +356,7 @@ impl Shard {
         );
         self.seg_cell.clear();
         self.seg_cell.extend_from_slice(self.sort_ws.seg_cells());
-        ranked
+        split
     }
 
     /// The source half of the exchange.  Scan the post-move cell column
@@ -717,14 +714,13 @@ impl Simulation {
     /// worker panics unwind normally and this never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
         let several = self.shards.len() > 1;
-        let mut repartitioned = false;
         if several {
             self.dirty = true;
             // The repartition check is free (it reads the last sort's
             // census) and the cuts steer nothing but this step's routing;
             // its time is move-phase time.
             let t = Instant::now();
-            repartitioned = self.maybe_repartition();
+            self.maybe_repartition();
             self.timings.add(Substep::Move, t.elapsed());
         }
         let mut shards = std::mem::take(&mut self.shards);
@@ -733,7 +729,6 @@ impl Simulation {
         let exchange = several.then_some(Exchange {
             layout: &layout,
             outbox: &mut outbox,
-            repartitioned,
         });
         let exec = self.exec;
         let stepped = self.step_shards(&mut shards, &exec, exchange);
@@ -747,14 +742,12 @@ impl Simulation {
     /// cuts are consulted only by this step's routing, whose merge is keyed
     /// by previous cells under the old sorted order — so new cuts just send
     /// more particles through the exchange and never touch the trajectory.
-    /// Returns whether the cuts actually changed — the signal that pins
-    /// this step's sorts to the full radix path.
-    fn maybe_repartition(&mut self) -> bool {
+    fn maybe_repartition(&mut self) {
         let s_count = self.shards.len();
         self.fold_col_load();
         let total: u64 = self.col_load.iter().sum();
         if total == 0 {
-            return false;
+            return;
         }
         let mut max_load = 0u64;
         for s in 0..s_count {
@@ -763,15 +756,13 @@ impl Simulation {
             max_load = max_load.max(self.col_load[lo..hi].iter().sum());
         }
         if (max_load as f64) <= REPARTITION_THRESHOLD * (total as f64 / s_count as f64) {
-            return false;
+            return;
         }
         let cuts = balanced_cuts(&self.col_load, s_count);
         if cuts != self.layout.cuts {
             self.layout.set_cuts(cuts);
             self.repartitions += 1;
-            return true;
         }
-        false
     }
 
     /// Fold the shards' segment tables into per-column flow loads.
@@ -836,12 +827,10 @@ impl Simulation {
 }
 
 /// What a step over several shards needs besides the shards: the ownership
-/// map the crossers are routed by, the outboxes they travel in, and whether
-/// the cuts just moved (which pins the full rank).
+/// map the crossers are routed by, and the outboxes they travel in.
 struct Exchange<'a> {
     layout: &'a ShardLayout,
     outbox: &'a mut [Vec<Outbox>],
-    repartitioned: bool,
 }
 
 /// The one step path.
@@ -864,15 +853,7 @@ impl Simulation {
         // 1+2) Per-shard move sweeps, then the global boundary bookkeeping.
         let t = Instant::now();
         let withdraw = self.plunger.will_withdraw();
-        let n = shards.iter().map(|s| s.parts.len()).sum();
         let (out, pack_wall) = self.move_shards(shards, exec, exchange.as_mut(), withdraw)?;
-        // The budget decision, made once from the summed sweep counts (the
-        // exchange migrates particles between shards but never changes a
-        // cell index, so the sum is exact post-exchange too).  Withdrawal
-        // and just-repartitioned steps rank from scratch.
-        let repair = !withdraw
-            && self.movers_within_budget(out.movers, n)
-            && !exchange.as_ref().is_some_and(|x| x.repartitioned);
         let void_end = self.fold_move(&out);
         // A wrong guess would rank the reservoir rows the sweep left
         // unkeyed, or leave them for a refill that never comes.
@@ -898,7 +879,7 @@ impl Simulation {
             cpu.exchange += pack_after_refill(shards, exec, x)?;
         }
         let outbox = exchange.as_ref().map(|x| &*x.outbox);
-        cpu += self.sort_shards(shards, exec, outbox, repair)?;
+        cpu += self.sort_shards(shards, exec, outbox)?;
         let wall = t.elapsed();
         let mut split = cpu.scaled_to(wall);
         split.exchange += pack_wall;
@@ -1106,40 +1087,27 @@ impl Simulation {
     /// the shard, and its send — reading the residents and the arrivals
     /// behind them, writing only the live rows — is the one copy any
     /// particle takes this step.  One shard ranks the pairs its sweep (and,
-    /// on a withdrawal step, the refill) packed.
-    ///
-    /// `repair` (the caller's budget decision) lets the rank repair the
-    /// previous order instead of re-ranking; both paths produce
-    /// bit-identical orders.  Each worker returns which rank path its shard
-    /// took (`None` for an empty shard) and where its time went; the path
-    /// counters reduce on the coordinator in shard order, so the ledgers
-    /// match the serial executor exactly, and the durations come back
-    /// summed.
+    /// on a withdrawal step, the refill) packed.  Each worker returns where
+    /// its time went; the durations come back summed.
     fn sort_shards(
-        &mut self,
+        &self,
         shards: &mut [Shard],
         exec: &ShardExec,
         outbox: Option<&[Vec<Outbox>]>,
-        repair: bool,
     ) -> Result<SortSplit, ShardExecError> {
-        let base = &*self;
         let outs = exec.run_phase(shards, "sort", |me, shard, par| {
             let t = Instant::now();
             if let Some(outbox) = outbox {
                 shard.merge_arrivals(me, outbox);
             }
             let exchange = t.elapsed();
-            let (split, repaired) = shard.rank(base, repair, par);
-            let took = (!shard.parts.is_empty()).then_some(repaired);
-            (took, SortSplit { exchange, ..split })
+            SortSplit {
+                exchange,
+                ..shard.rank(self, par)
+            }
         })?;
         let mut cpu = SortSplit::default();
-        for (took, split) in outs {
-            match took {
-                Some(true) => self.sort_incremental_steps += 1,
-                Some(false) => self.sort_full_steps += 1,
-                None => {}
-            }
+        for split in outs {
             cpu += split;
         }
         Ok(cpu)
@@ -1277,27 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_incremental_engages_and_matches_full_mode() {
-        let mut a = sharded(wedge_cfg(), 3);
-        // Budget 0: every step with a mover ranks from scratch.
-        let mut b = sharded(wedge_cfg(), 3);
-        b.set_mover_threshold(0.0);
-        a.run(50);
-        b.run(50);
-        assert_eq!(
-            a.state_hash(),
-            b.state_hash(),
-            "sharded rank paths must be bit-identical"
-        );
-        let (inc, full) = a.sort_path_counts();
-        assert!(inc > 0, "sharded repair path never engaged");
-        assert!(full > 0, "withdrawal steps must pin the full path");
-        let (inc_b, _) = b.sort_path_counts();
-        assert_eq!(inc_b, 0, "a zero budget must never take the repair path");
-        assert_eq!(a.mover_stats(), b.mover_stats());
-    }
-
-    #[test]
     fn owner_maps_every_cell_to_exactly_one_shard() {
         let layout = ShardLayout::new(vec![0, 3, 7, 16], 16, 16 * 12, 16 * 12 + 8);
         for cell in 0..16 * 12 {
@@ -1429,47 +1376,25 @@ mod tests {
     }
 
     #[test]
-    fn repartition_steps_pin_the_full_path_and_stay_bit_identical() {
+    fn repartition_steps_stay_bit_identical() {
         // A maximally skewed start forces early repartitions; the
-        // just-repartitioned steps must take the full radix path (the
-        // incremental counter freezes while they do) and the trajectory
-        // must match the full-rank-every-step run (budget 0) bit for bit
-        // through both transitions — incremental → full → incremental.
-        let skewed = |mut s: Simulation| {
-            let w = s.tunnel.width;
-            assert!(s.set_cuts(&[0, 1, 2, 3, w]));
-            s
-        };
-        let mut inc = skewed(sharded(wedge_cfg(), 4));
-        let mut full = skewed(sharded(wedge_cfg(), 4));
-        full.set_mover_threshold(0.0);
-        let mut saw_repartition_fallback = false;
-        for _ in 0..30 {
-            let reparts_before = inc.repartitions();
-            let (inc_before, full_before) = inc.sort_path_counts();
-            inc.step();
-            full.step();
-            let (inc_after, full_after) = inc.sort_path_counts();
-            if inc.repartitions() > reparts_before {
-                assert_eq!(
-                    inc_after, inc_before,
-                    "a just-repartitioned step must not take the repair path"
-                );
-                assert!(full_after > full_before);
-                saw_repartition_fallback = true;
-            }
-        }
+        // trajectory must match the single-domain run bit for bit through
+        // them.
+        let mut skewed = sharded(wedge_cfg(), 4);
+        let w = skewed.tunnel.width;
+        assert!(skewed.set_cuts(&[0, 1, 2, 3, w]));
+        let mut single = Simulation::new(wedge_cfg());
+        skewed.run(30);
+        single.run(30);
         assert!(
-            saw_repartition_fallback,
+            skewed.repartitions() > 0,
             "the skewed start never triggered a repartition step"
         );
         assert_eq!(
-            inc.state_hash(),
-            full.state_hash(),
-            "trajectories diverged across the repartition fallback"
+            skewed.state_hash(),
+            single.state_hash(),
+            "trajectories diverged across the repartitions"
         );
-        let (inc_total, _) = inc.sort_path_counts();
-        assert!(inc_total > 0, "repair path never resumed after repartition");
     }
 
     #[test]
@@ -1513,7 +1438,6 @@ mod tests {
             t.run(40);
             assert_eq!(t.state_hash(), want_hash, "{workers} workers diverged");
             assert_eq!(t.diagnostics(), want_diag);
-            assert_eq!(t.sort_path_counts(), reference.sort_path_counts());
         }
     }
 

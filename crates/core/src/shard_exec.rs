@@ -5,8 +5,8 @@
 //! This is a child module of `shard.rs` so the phase closures can borrow
 //! the private `Shard` state directly.  The shape is deliberately
 //! fork-join *per phase*, not a long-lived message-passing pool: the
-//! sharded step already synchronizes at three coordinator barriers (plunger
-//! census merge, the global sort-budget decision, and the segment-parity
+//! sharded step already synchronizes at three coordinator barriers (the
+//! repartition check, the plunger census merge, and the segment-parity
 //! prefix), so a phase is exactly the span between
 //! two barriers and `std::thread::scope` gives workers free borrowing of
 //! the coordinator's state for that span.
@@ -30,9 +30,9 @@
 //! state — with the single exception of the field/surface
 //! accumulators, whose integer-atomic `fetch_add`s are exact and
 //! order-independent.  Every quantity that
-//! feeds back into the trajectory (mover counts, sort-path decisions,
-//! census merges, parities) is reduced by the coordinator in shard-index
-//! order from the returned per-shard values.  Scheduling therefore cannot
+//! feeds back into the trajectory or a ledger (census merges, parities,
+//! mover counts) is reduced by the coordinator in shard-index order from
+//! the returned per-shard values.  Scheduling therefore cannot
 //! reorder anything observable; `tests/tests/shard_exec.rs` pins the
 //! claim across shard × worker × thread-count matrices.
 

@@ -13,16 +13,15 @@
 //! plunger-withdrawal step it leaves the reservoir-parked rows, which the
 //! refill may reposition, and the refill census keys exactly those after
 //! the refill (`key_rows`, which also keys the whole population at
-//! construction).  One rank and one send ([`rank_and_send`]) follow
-//! either way.
+//! construction).  One rank — the one stable counting sort — and one send
+//! ([`rank_and_send`]) follow either way.
 
 use crate::config::{ResLayout, RngMode};
 use crate::diag::SortSplit;
 use crate::particles::ParticleStore;
 use dsmc_datapar::{
-    fill_cells_from_bounds, incremental_rank, pack_pair,
-    sort_order_and_bounds_from_pairs_cells_with, sort_perm_by_key, IncrementalScratch, Par,
-    SortScratch,
+    fill_cells_from_bounds, pack_pair, sort_order_and_bounds_from_pairs_cells, sort_perm_by_key,
+    Par, SortScratch,
 };
 use dsmc_geom::Tunnel;
 use rayon::prelude::*;
@@ -39,15 +38,14 @@ pub struct SortOutput {
     pub order: Vec<u32>,
 }
 
-/// Caller-owned working state of the sort phase: the radix rank's pair and
-/// histogram buffers, the repair's two small tables, and the occupied cell
-/// id of every segment the last rank emitted.  Owned by each shard (a
-/// `Simulation`'s one domain included) so repeated steps reuse every byte.
+/// Caller-owned working state of the sort phase: the rank's pair buffers
+/// and counting tables, and the occupied cell id of every segment the last
+/// rank emitted.  Owned by each shard (a `Simulation`'s one domain
+/// included) so repeated steps reuse every byte.
 #[derive(Debug, Default)]
 pub struct SortWorkspace {
-    radix: SortScratch,
+    rank: SortScratch,
     seg_cells: Vec<u32>,
-    inc: IncrementalScratch,
 }
 
 impl SortWorkspace {
@@ -56,41 +54,31 @@ impl SortWorkspace {
         Self::default()
     }
 
-    /// Capacities of the owned buffers `[pairs, pong, hists, offsets,
-    /// seg-cells, inc-counts, inc-jitter]` — asserted stable by the
-    /// zero-allocation tests.
-    pub fn capacities(&self) -> [usize; 7] {
-        let [pairs, pong, hists, offsets] = self.radix.capacities();
-        let [inc_counts, inc_jitter] = self.inc.capacities();
-        [
-            pairs,
-            pong,
-            hists,
-            offsets,
-            self.seg_cells.capacity(),
-            inc_counts,
-            inc_jitter,
-        ]
+    /// Capacities of the owned buffers `[pairs, pong, jitter, cells,
+    /// seg-cells]` — asserted stable by the zero-allocation tests.
+    pub fn capacities(&self) -> [usize; 5] {
+        let [pairs, pong, jitter, cells] = self.rank.capacities();
+        [pairs, pong, jitter, cells, self.seg_cells.capacity()]
     }
 
     /// The `(key, index)` pair buffer the rank reads, sized for `n` pairs:
     /// what the move sweep (with `key_rows` after a refill) or the
     /// exchange's merge packs.
     pub fn input_pairs(&mut self, n: usize) -> &mut [u64] {
-        self.radix.input_pairs(n)
+        self.rank.input_pairs(n)
     }
 
     /// Lend out the rank's second pair buffer (see
     /// [`SortScratch::take_pong`]): an exchanging shard stages its
     /// slot-order pairs there between the move and the merge.
     pub fn take_pong(&mut self) -> Vec<u64> {
-        self.radix.take_pong()
+        self.rank.take_pong()
     }
 
     /// Return the buffer [`SortWorkspace::take_pong`] lent out, before the
     /// next rank.
     pub fn put_pong(&mut self, pong: Vec<u64>) {
-        self.radix.put_pong(pong);
+        self.rank.put_pong(pong);
     }
 
     /// The occupied cell id of every segment the last rank emitted, one
@@ -198,86 +186,53 @@ fn send(parts: &mut ParticleStore, order: &[u32], bounds: &[u32], seg_cells: &[u
 /// ([`SortWorkspace::input_pairs`]): the single-sweep move phase
 /// (`crate::movephase`) packed them — with `key_rows` filling the rows
 /// it left on a withdrawal step, or every row at construction — or the
-/// exchange's merge wrote them there.  Either rank counts every digit it
-/// scatters.  Their index fields name rows of `parts`; they need not be a
-/// permutation of it (see `send`).
+/// exchange's merge wrote them there.  Their index fields name rows of
+/// `parts`; they need not be a permutation of it (see `send`).
 ///
-/// **Rank.**  With `repair`, first try [`dsmc_datapar::incremental_rank`]:
-/// two serial counting passes that repair last step's order instead of
-/// re-ranking from scratch.  The caller asks for it only when the pairs sit
-/// in the *previous* sorted order — what the move sweep packs over the
-/// sorted array it walks, and what the exchange's merge builds by
-/// construction — and is also the mover-budget authority: it decides
-/// from the sweep's own mover count whether to ask at all.
-/// `incremental_rank` reads its previous-structure arguments as a
-/// freshness gate only, and freshness is that precondition, so it is
-/// handed the one-run structure that always passes.  The repair declines —
-/// touching none of the outputs or the pairs — when a pair's cell field is
-/// out of `total_cells` range; then, and without `repair`, the chunked
-/// radix rank runs, with the (jitter passes, cell pass) digit split whose
-/// cell-pass histogram doubles as the per-cell population table.  Either
-/// way the segment bounds *and their occupied cell ids* come out of the
-/// rank itself, bit for bit the same.  `SimConfig::try_validated` keeps
-/// every grid within the cell-field width the rank takes
+/// **Rank.**  [`sort_order_and_bounds_from_pairs_cells`], the one stable
+/// counting sort: the jitter digit, then the cell field, whose counting
+/// table hands back the segment bounds *and their occupied cell ids*.  It
+/// sorts whatever pairs it is given, in whatever order, so every step and
+/// the construction take it alike.  `SimConfig::try_validated` keeps every
+/// grid within the cell-field width the rank takes
 /// (`dsmc_datapar::MAX_CELL_BITS`), so it never refuses the layout.
 ///
 /// **Send.**  Nine gathers; the sorted `cell` column is run-length coded by
 /// `(bounds, seg_cells)`.
 ///
-/// `par` says whether the chunked rank passes, the gathers and the cell
-/// refill may fork into the rayon pool; the repair is serial either way.
+/// `par` says whether the gathers and the cell refill may fork into the
+/// rayon pool; the rank is serial either way.
 ///
-/// Returns the time the rank and the send took, and whether the repair
-/// ranked.  `key_bits` callers compute once from the cell count and jitter
-/// width via [`key_bits_for`].
-#[allow(clippy::too_many_arguments)]
+/// Returns the time the rank and the send took.  `key_bits` callers
+/// compute once from the cell count and jitter width via [`key_bits_for`].
 pub fn rank_and_send(
     parts: &mut ParticleStore,
     key_bits: u32,
     jitter_bits: u32,
-    total_cells: u32,
-    repair: bool,
     ws: &mut SortWorkspace,
     bounds: &mut Vec<u32>,
     order: &mut Vec<u32>,
     par: Par,
-) -> (SortSplit, bool) {
+) -> SortSplit {
     let t = Instant::now();
-    let n = ws.radix.input_len() as u32;
-    let repaired = repair
-        && incremental_rank(
-            jitter_bits,
-            total_cells,
-            &[0, n],
-            &[0],
-            false,
-            &mut ws.radix,
-            &mut ws.inc,
-            order,
-            bounds,
-            &mut ws.seg_cells,
-        );
-    if !repaired {
-        let took = sort_order_and_bounds_from_pairs_cells_with(
-            key_bits - jitter_bits,
-            jitter_bits,
-            &mut ws.radix,
-            order,
-            bounds,
-            &mut ws.seg_cells,
-            par,
-        );
-        assert!(took, "a validated grid fits the rank's cell field");
-    }
+    let took = sort_order_and_bounds_from_pairs_cells(
+        key_bits - jitter_bits,
+        jitter_bits,
+        &mut ws.rank,
+        order,
+        bounds,
+        &mut ws.seg_cells,
+        false,
+    );
+    assert!(took, "a validated grid fits the rank's cell field");
     let rank = t.elapsed();
     let t = Instant::now();
     send(parts, order, bounds, &ws.seg_cells, par);
-    let split = SortSplit {
+    SortSplit {
         rank,
         send: t.elapsed(),
         ..SortSplit::default()
-    };
-    (split, repaired)
+    }
 }
 
 /// The reference sort phase (what `dsmc_baselines::TwoStepSim` runs):
@@ -524,19 +479,15 @@ mod tests {
                 ws.input_pairs(n),
                 0..n as u32,
             );
-            let total_cells = tunnel.n_cells() + res.total();
-            let (_, repaired) = rank_and_send(
+            rank_and_send(
                 &mut fused,
                 kb,
                 6,
-                total_cells,
-                false,
                 &mut ws,
                 &mut bounds,
                 &mut order,
                 Par::Pool,
             );
-            assert!(!repaired);
             let out = sort_particles(&mut reference, &tunnel, tunnel.n_cells(), res, 6, kb, mode);
             assert_eq!(fused.cell, reference.cell, "{mode:?} cells");
             assert_eq!(fused.x, reference.x, "{mode:?} x");

@@ -7,8 +7,8 @@
 //! actually use, for shared-memory machines:
 //!
 //! * the **sort** — a *rank* ([`sort_order_and_bounds_from_pairs_cells`],
-//!   and [`incremental_rank`] when the order barely changed) whose output
-//!   the engine *sends* its columns through with [`apply_perm`] and
+//!   one stable counting sort of the packed cell keys) whose output the
+//!   engine *sends* its columns through with [`apply_perm`] and
 //!   [`fill_cells_from_bounds`]; the backbone of the collision-partner
 //!   machinery and the source of the algorithm's perfect dynamic load
 //!   balance.  [`sort_perm_by_key`] and [`segment_bounds_from_sorted`] are
@@ -21,8 +21,9 @@
 //! * the plus-**scan** ([`scan_add_exclusive_u32`]) and the **pack** built
 //!   on it ([`pack_indices`], stream compaction).
 //!
-//! Every primitive runs sequentially below [`PAR_THRESHOLD`] and
-//! rayon-parallel above it, with bit-identical results — the primitives
+//! The rank is serial at every size.  Every other primitive runs
+//! sequentially below [`PAR_THRESHOLD`] and rayon-parallel above it, with
+//! bit-identical results — the primitives
 //! only use associative integer operations and data-determined disjoint
 //! writes, so chunking does not change outcomes.  Module [`seq`] holds the
 //! sequential references; property tests enforce the equivalence.  The
@@ -85,7 +86,6 @@ pub use scan::scan_add_exclusive_u32;
 pub use segments::{par_segment_runs_mut, par_segments_mut};
 pub use segscan::segment_bounds_from_sorted;
 pub use sort::{
-    fill_cells_from_bounds, incremental_rank, pack_pair, radix_chunk_len,
-    sort_order_and_bounds_from_pairs_cells, sort_order_and_bounds_from_pairs_cells_with,
+    fill_cells_from_bounds, incremental_rank, pack_pair, sort_order_and_bounds_from_pairs_cells,
     sort_perm_by_key, DisjointWrites, IncrementalScratch, SortScratch, MAX_CELL_BITS,
 };

@@ -2,8 +2,9 @@
 //!
 //! After the sort, the particles of one cell occupy one contiguous run of
 //! the array; everything downstream (selection, collision, sampling)
-//! addresses cells through the run boundaries.  The engine's rank emits
-//! them for free ([`crate::sort_order_and_bounds_from_pairs_cells`]); this
+//! addresses cells through the run boundaries.  The rank emits them for
+//! free from its per-cell counting table
+//! ([`crate::sort_order_and_bounds_from_pairs_cells`]); this
 //! is the stand-alone form — compare every key with its left neighbour —
 //! that the separate-phase reference sort and the rank's own tests use.
 

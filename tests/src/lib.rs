@@ -11,6 +11,7 @@
 //! [`check_skewed_repartition`]): a knob is an argument, not a copy.
 
 use dsmc_engine::config::WallModel;
+use dsmc_engine::particles::ParticleStore;
 use dsmc_engine::{BodySpec, Engine, ExecMode, RngMode, SampledField, SimConfig, Simulation};
 use dsmc_flowfield::shock::{wedge_metrics, ShockMetrics};
 use dsmc_scenarios::{
@@ -53,7 +54,7 @@ pub fn paper_metrics(field: &SampledField) -> Option<ShockMetrics> {
 
 /// The widest grid the identity suites run: a 200 × 100 tunnel is 20 600
 /// cells with its reservoir — a 15-bit cell field, past the paper grid's 13
-/// — and one particle per cell puts the population on the chunked side of
+/// — and one particle per cell puts the population on the forking side of
 /// `dsmc_datapar::PAR_THRESHOLD`.  The unit plunger trigger makes six steps
 /// cross a withdrawal.
 pub fn wide_grid_config() -> SimConfig {
@@ -174,6 +175,20 @@ pub fn assert_same_run(tag: &str, a: &mut Simulation, b: &mut Simulation) {
         b.n_particles(),
         "{tag}: particles lost or duplicated"
     );
+}
+
+/// Every column of two particle stores, bit for bit.
+pub fn assert_stores_equal(a: &ParticleStore, b: &ParticleStore) {
+    assert_eq!(a.x, b.x, "x columns differ");
+    assert_eq!(a.y, b.y, "y columns differ");
+    assert_eq!(a.u, b.u, "u columns differ");
+    assert_eq!(a.v, b.v, "v columns differ");
+    assert_eq!(a.w, b.w, "w columns differ");
+    assert_eq!(a.r1, b.r1, "r1 columns differ");
+    assert_eq!(a.r2, b.r2, "r2 columns differ");
+    assert_eq!(a.perm, b.perm, "perm columns differ");
+    assert_eq!(a.rng, b.rng, "rng columns differ");
+    assert_eq!(a.cell, b.cell, "cell columns differ");
 }
 
 /// The libtest arguments that run exactly one `#[ignore]`d helper test.

@@ -14,7 +14,7 @@ use dsmc_engine::particles::ParticleStore;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation};
 use dsmc_fixed::Fx;
 use dsmc_rng::XorShift32;
-use integration_tests::{subprocess_hash, WIDE_GRID_STEPS};
+use integration_tests::{assert_stores_equal, subprocess_hash, WIDE_GRID_STEPS};
 use proptest::prelude::*;
 
 /// A store with `n` particles whose every column is distinct pseudo-random
@@ -34,19 +34,6 @@ fn random_store(n: usize, seed: u32) -> ParticleStore {
         );
     }
     s
-}
-
-fn assert_stores_equal(a: &ParticleStore, b: &ParticleStore) {
-    assert_eq!(a.x, b.x, "x columns differ");
-    assert_eq!(a.y, b.y, "y columns differ");
-    assert_eq!(a.u, b.u, "u columns differ");
-    assert_eq!(a.v, b.v, "v columns differ");
-    assert_eq!(a.w, b.w, "w columns differ");
-    assert_eq!(a.r1, b.r1, "r1 columns differ");
-    assert_eq!(a.r2, b.r2, "r2 columns differ");
-    assert_eq!(a.perm, b.perm, "perm columns differ");
-    assert_eq!(a.rng, b.rng, "rng columns differ");
-    assert_eq!(a.cell, b.cell, "cell columns differ");
 }
 
 /// The engine's rank must emit exactly what the separate-phase oracle
@@ -95,15 +82,15 @@ fn check_fused_matches_two_step(n: usize, seed: u32, cell_bits: u32, jitter_bits
 
 #[test]
 fn fused_send_matches_reference_large() {
-    // Above PAR_THRESHOLD: exercises the chunked radix, at the paper
-    // grid's layout, at the widest cell field and without jitter.
+    // Above PAR_THRESHOLD: at the paper grid's layout, at the widest cell
+    // field and without jitter.
     check_fused_matches_two_step(40_000, 7, 13, 8);
     check_fused_matches_two_step(100_000, 8, 16, 12);
     check_fused_matches_two_step(20_000, 9, 6, 0);
 }
 
 proptest! {
-    // Below PAR_THRESHOLD: the comparison-sort path.
+    // Below PAR_THRESHOLD, every cell and jitter width validation admits.
     #[test]
     fn prop_fused_send_matches_reference(
         n in 0usize..500,
@@ -145,25 +132,17 @@ fn pipelines_produce_identical_trajectories() {
     check_pipelines_agree(SimConfig::small_test(), 40);
 }
 
-/// The wide grid (15 cell bits, chunked population) on every rank path:
-/// ordinary steps repair the sweep's pairs, the withdrawal step ranks the
-/// pairs the sweep and the refill keyed from scratch, and a second engine
-/// pinned to the full rank runs the chunked rank on every ordinary step;
-/// all must land on the oracle's state.  `sharding.rs` runs the same config at 4 shards.
+/// The wide grid (15 cell bits, a population past PAR_THRESHOLD) on every
+/// way pairs reach the rank: the construction's shuffled keys, the sweep's
+/// on ordinary steps, and the sweep's plus the refill's on the withdrawal
+/// step; all must land on the oracle's state.  `sharding.rs` runs the same
+/// config at 4 shards.
 #[test]
 fn wide_grid_matches_two_step_on_every_rank_path() {
     let cfg = integration_tests::wide_grid_config();
-    let fused = check_pipelines_agree(cfg.clone(), WIDE_GRID_STEPS);
+    let fused = check_pipelines_agree(cfg, WIDE_GRID_STEPS);
     assert!(fused.n_particles() >= dsmc_datapar::PAR_THRESHOLD);
     assert!(fused.diagnostics().plunger_cycles >= 1, "no withdrawal");
-    let (repaired, full) = fused.sort_path_counts();
-    assert!(repaired > 0 && full > 0, "paths: {repaired} / {full}");
-
-    let mut full_rank = Simulation::new(cfg);
-    full_rank.set_mover_threshold(0.0);
-    full_rank.run(WIDE_GRID_STEPS);
-    assert_eq!(full_rank.sort_path_counts().0, 0);
-    assert_eq!(full_rank.state_hash(), fused.state_hash());
 }
 
 /// The largest grid `try_validated` admits — 249 × 127 with a 255-row

@@ -66,11 +66,11 @@ fn exchange_survives_withdrawals_and_a_forced_repartition() {
     }
 }
 
-/// The chunked radix and the parallel gather under the exchange: the
-/// benchmark's own wedge configuration, where each of four shards holds
-/// several times `PAR_THRESHOLD` particles, so the rank runs its chunked
-/// passes and the send its parallel gathers on pair arrays whose index
-/// fields are not their positions (arrivals sit at the tail).  Thirty
+/// The parallel gather under the exchange: the benchmark's own wedge
+/// configuration, where each of four shards holds several times
+/// `PAR_THRESHOLD` particles, so the send runs its parallel gathers on
+/// pair arrays whose index fields are not their positions (arrivals sit
+/// at the tail).  Thirty
 /// steps cross a withdrawal.  Both executors: `Serial` forks those
 /// primitives into the rayon pool, two `Threaded` workers run them inline
 /// whenever the pool has at most two threads (`RAYON_NUM_THREADS` 1 or 2)
@@ -105,8 +105,7 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
 /// The benchmark adapter's two one-shard spellings are one engine: a
 /// snapshot resumed as `Engine::Single` and as `Engine::Sharded` at one
 /// shard, stepped across a plunger withdrawal, agrees on the state and on
-/// every ledger — which rank path each step took included, from the first
-/// resumed step on.  The variant pins are the adapter's contract.
+/// every ledger.  The variant pins are the adapter's contract.
 #[test]
 fn one_shard_engines_agree_on_every_ledger() {
     let cfg = wedge_dirty_cfg(5);
@@ -118,12 +117,8 @@ fn one_shard_engines_agree_on_every_ledger() {
     assert!(matches!(single, Engine::Single(_)));
     assert!(matches!(sharded, Engine::Sharded(_)));
     let cycles = single.diagnostics().plunger_cycles;
-    for step in 0..40 {
-        single.step();
-        sharded.step();
-        let paths = (single.sort_path_counts(), sharded.sort_path_counts());
-        assert_eq!(paths.0, paths.1, "rank paths after resumed step {step}");
-    }
+    single.run(40);
+    sharded.run(40);
     assert!(
         single.diagnostics().plunger_cycles > cycles,
         "the run must cross a withdrawal"
@@ -132,8 +127,8 @@ fn one_shard_engines_agree_on_every_ledger() {
 }
 
 /// The wide grid (`pipeline.rs` pins it to the oracle): 15 cell bits, and
-/// shards small enough that each ranks on the comparison-sort path while
-/// the single-domain reference runs the chunked one.
+/// shards small enough that each sends on the sequential arm of the
+/// primitives while the single-domain reference forks.
 #[test]
 fn wide_grid_is_shard_count_invariant() {
     let cfg = integration_tests::wide_grid_config();

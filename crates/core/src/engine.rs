@@ -18,7 +18,7 @@ use dsmc_geom::{
 };
 use dsmc_kinetics::{FreeStream, SelectionTable};
 use shard::{exec::ShardExec, Outbox, Shard, ShardLayout};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Concrete body shape for the monomorphised boundary pass: resolving a
@@ -67,14 +67,10 @@ pub struct Simulation {
     /// block: at one shard the canonical sorted state itself, at several
     /// the canonical array restricted to each shard's cells.
     shards: Vec<Shard>,
-    /// At several shards, the canonical view [`Simulation::canonical`]
-    /// merges the shards into on demand; empty until first asked for (the
-    /// shards are the resident state), stale while `dirty`.  Unused at one
-    /// shard.
-    view: Shard,
-    /// True when the view does not hold the shards' current state: they
-    /// have stepped past it, or were scattered since it was merged.
-    dirty: bool,
+    /// At several shards, a cache of the canonical (one-domain) array for
+    /// the column readers: merged on their first read, dropped by every
+    /// step and scatter.  Unused at one shard.
+    view: OnceLock<Shard>,
     layout: ShardLayout,
     /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
     /// source fills its row in the move phase (after the refill on
@@ -232,8 +228,7 @@ impl Simulation {
             sel,
             volumes,
             shards: vec![Shard::new(total_cells as usize)],
-            view: Shard::default(),
-            dirty: false,
+            view: OnceLock::new(),
             layout: ShardLayout::new(vec![0, tunnel.width], tunnel.width, res_base, total_cells),
             outbox: Vec::new(),
             col_load: Vec::new(),
@@ -506,20 +501,22 @@ impl Simulation {
     }
 
     /// Capacities of every buffer the sort/send hot path owns, in a fixed
+    /// order: the refill census, then every shard's buffers in shard
     /// order.  The zero-allocation test asserts these are stable across
     /// steps once the simulation has warmed up.
     pub fn hot_path_capacities(&self) -> Vec<usize> {
-        let d = self.canon();
-        let mut caps = vec![
-            d.decisions.capacity(),
-            d.bounds.capacity(),
-            d.order.capacity(),
-            d.seg_cell.capacity(),
-            self.census.capacity(),
-        ];
-        caps.extend(d.sort_ws.capacities());
-        caps.extend(d.parts.back_buffer_capacities());
-        caps.extend(d.move_scratch.capacities());
+        let mut caps = vec![self.census.capacity()];
+        for d in &self.shards {
+            caps.extend([
+                d.decisions.capacity(),
+                d.bounds.capacity(),
+                d.order.capacity(),
+                d.seg_cell.capacity(),
+            ]);
+            caps.extend(d.sort_ws.capacities());
+            caps.extend(d.parts.back_buffer_capacities());
+            caps.extend(d.move_scratch.capacities());
+        }
         caps
     }
 
@@ -570,7 +567,7 @@ impl Simulation {
     /// at every shard count.
     pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
         let total = self.total_cells();
-        let mut merged = (self.shards.len() > 1).then(|| self.take_canonical());
+        let mut merged = (self.shards.len() > 1).then(|| self.take_merged());
         let parts = match &mut merged {
             Some(canon) => &mut canon.parts,
             None => &mut self.shards[0].parts,
@@ -623,23 +620,35 @@ impl Simulation {
     }
 
     /// The particle store in canonical sorted order (read access for
-    /// analysis tools).  Panics on a stepped multi-shard engine whose view
-    /// has not been merged: call [`Simulation::canonical`] first.
+    /// analysis tools).  Several shards merge into a cached view on the
+    /// first read after a step (see [`shard`]).
     pub fn particles(&self) -> &ParticleStore {
         &self.canon().parts
     }
 
-    /// Segment bounds of the current sorted order (fresh view required,
-    /// as for [`Simulation::particles`]).
+    /// Segment bounds of the current sorted order (merged like
+    /// [`Simulation::particles`]).
     pub fn segment_bounds(&self) -> &[u32] {
         &self.canon().bounds
     }
 
     /// The permutation applied by the most recent sort (`new[i] =
-    /// old[order[i]]`) — consumed by the CM-2 communication analysis
-    /// (fresh view required, as for [`Simulation::particles`]).
+    /// old[order[i]]`) — consumed by the CM-2 communication analysis.
+    /// Panics at several shards: each shard's order names its own slots,
+    /// so no canonical permutation exists there.
     pub fn last_sort_order(&self) -> &[u32] {
-        &self.canon().order
+        assert_eq!(
+            self.shards.len(),
+            1,
+            "last_sort_order needs one shard: several shards' orders name their own slots"
+        );
+        &self.shards[0].order
+    }
+
+    /// Each shard's particle columns and segment bounds, in shard order:
+    /// what the sentinel scans in place of a merged view.
+    pub(crate) fn shard_states(&self) -> impl Iterator<Item = (&ParticleStore, &[u32])> {
+        self.shards.iter().map(|s| (&s.parts, &s.bounds[..]))
     }
 
     /// Total number of particles (flow + reservoir), summed over shards.

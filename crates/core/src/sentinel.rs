@@ -35,7 +35,9 @@
 //!    increasing across segments; every cached `cell[i]` equals the cell
 //!    *derived from the particle's position* ([`ResLayout`] in the
 //!    reservoir), which catches a corrupted singleton segment; no speed
-//!    reaches [`MAX_SPEED_RAW`].  `Simulation::resume` runs it too.
+//!    reaches [`MAX_SPEED_RAW`].  Several shards are checked one by one,
+//!    each on its own segment table and owning every segment's cell.
+//!    `Simulation::resume` runs it too.
 //!
 //! All checks are read-only and consume no RNG draws: a supervised run
 //! and an unsupervised run share bit-identical trajectories, which is
@@ -119,7 +121,8 @@ pub enum SentinelError {
     SegmentsBroken {
         /// What specifically failed.
         what: &'static str,
-        /// Offending index (particle or segment, per `what`).
+        /// Offending index (particle or segment, per `what`) within its
+        /// shard.
         index: usize,
     },
 }
@@ -289,16 +292,15 @@ impl Sentinel {
                 bound_raw: self.halo_bound_raw,
             });
         }
-        // Fresh column scan: catches corruption the engine has not
-        // stepped over yet (only u/v — the advecting components the
-        // tracked max also watches; w corruption shows in the ledgers).
-        let p = sim.particles();
-        let mut max_raw: u32 = 0;
-        for i in 0..p.len() {
-            let u = p.u[i].raw().unsigned_abs();
-            let v = p.v[i].raw().unsigned_abs();
-            max_raw = max_raw.max(u).max(v);
-        }
+        // Fresh column scan over every shard's store: catches corruption
+        // the engine has not stepped over yet (only u/v — the advecting
+        // components the tracked max also watches; w corruption shows in
+        // the ledgers).
+        let max_raw = (sim.shard_states())
+            .flat_map(|(p, _)| p.u.iter().chain(&p.v))
+            .map(|c| c.raw().unsigned_abs())
+            .max()
+            .unwrap_or(0);
         if max_raw > self.halo_bound_raw {
             return Err(SentinelError::VelocityHaloExceeded {
                 max_raw,
@@ -322,53 +324,58 @@ pub const MAX_SPEED_RAW: u32 = 6 << Fx::FRAC_BITS;
 impl Simulation {
     /// Check 5 of the module docs — the sentinel's segment check and the
     /// one `Simulation::resume` runs on a decoded state: the first broken
-    /// invariant and its particle or segment index, or `None`.
+    /// invariant and its particle or segment index within its shard, or
+    /// `None`.  Run per shard, it also checks that the shard owns each
+    /// segment's cell: cells partition, so that is the merged array's check.
     pub(crate) fn sorted_state_fault(&self) -> Option<(&'static str, usize)> {
         const BOUNDS: &str = "segment bounds inconsistent with the population";
         const ORDER: &str = "particle order is not a sorted segment table";
-        let bounds = self.segment_bounds();
-        let p = self.particles();
-        let n = p.len();
-        if bounds.first() != Some(&0) || bounds.last() != Some(&(n as u32)) {
-            return Some((BOUNDS, 0));
-        }
         let total = self.total_cells();
-        let mut prev_cell: Option<u32> = None;
-        for (s, w) in bounds.windows(2).enumerate() {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            if lo >= hi {
-                return Some((BOUNDS, s));
-            }
-            let cell = p.cell[lo];
-            if cell >= total {
-                return Some(("cell index beyond the grid", s));
-            }
-            if prev_cell.is_some_and(|prev| cell <= prev) {
-                return Some((ORDER, s));
-            }
-            prev_cell = Some(cell);
-            if let Some(i) = (lo..hi).find(|&i| p.cell[i] != cell) {
-                return Some((ORDER, i));
-            }
-        }
         let cfg = self.config();
         let res = ResLayout::for_cells(cfg.reservoir_cells);
         let res_base = self.reservoir_base();
-        let v = [&p.u, &p.v, &p.w, &p.r1, &p.r2];
-        for i in 0..n {
-            // Flow cells row-major in the tunnel, reservoir cells in the box.
-            let (base, w, h) = if p.cell[i] < res_base {
-                (0, cfg.tunnel_w, cfg.tunnel_h)
-            } else {
-                (res_base, res.w, res.h)
-            };
-            let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
-            let inside = ix >= 0 && iy >= 0 && (ix as u32) < w && (iy as u32) < h;
-            if !inside || p.cell[i] != base + iy as u32 * w + ix as u32 {
-                return Some(("particle position disagrees with its cell", i));
+        for (me, (p, bounds)) in self.shard_states().enumerate() {
+            let n = p.len();
+            if bounds.first() != Some(&0) || bounds.last() != Some(&(n as u32)) {
+                return Some((BOUNDS, 0));
             }
-            if v.iter().any(|c| c[i].raw().unsigned_abs() >= MAX_SPEED_RAW) {
-                return Some(("velocity beyond the Q8.23 speed bound", i));
+            let mut prev_cell: Option<u32> = None;
+            for (s, w) in bounds.windows(2).enumerate() {
+                let (lo, hi) = (w[0] as usize, w[1] as usize);
+                if lo >= hi {
+                    return Some((BOUNDS, s));
+                }
+                let cell = p.cell[lo];
+                if cell >= total {
+                    return Some(("cell index beyond the grid", s));
+                }
+                if self.layout().owner(cell) != me {
+                    return Some(("segment cell owned by another shard", s));
+                }
+                if prev_cell.is_some_and(|prev| cell <= prev) {
+                    return Some((ORDER, s));
+                }
+                prev_cell = Some(cell);
+                if let Some(i) = (lo..hi).find(|&i| p.cell[i] != cell) {
+                    return Some((ORDER, i));
+                }
+            }
+            let v = [&p.u, &p.v, &p.w, &p.r1, &p.r2];
+            for i in 0..n {
+                // Flow cells row-major in the tunnel, reservoir cells in the box.
+                let (base, w, h) = if p.cell[i] < res_base {
+                    (0, cfg.tunnel_w, cfg.tunnel_h)
+                } else {
+                    (res_base, res.w, res.h)
+                };
+                let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
+                let inside = ix >= 0 && iy >= 0 && (ix as u32) < w && (iy as u32) < h;
+                if !inside || p.cell[i] != base + iy as u32 * w + ix as u32 {
+                    return Some(("particle position disagrees with its cell", i));
+                }
+                if v.iter().any(|c| c[i].raw().unsigned_abs() >= MAX_SPEED_RAW) {
+                    return Some(("velocity beyond the Q8.23 speed bound", i));
+                }
             }
         }
         None

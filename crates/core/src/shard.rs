@@ -112,21 +112,20 @@
 //! a typed [`exec::ShardExecError`] from [`Simulation::try_step`]
 //! instead of unwinding through (or aborting) the coordinator.
 //!
-//! # The canonical view and freshness
+//! # The shards are the state
 //!
-//! Several shards are the only resident copy of the particle state; the
-//! canonical (one-domain) array is rebuilt only on demand, by a lazy
-//! k-way merge by cell — a pure copy, no RNG.  One rule says who reads
-//! what: the exact integer ledgers ([`Simulation::diagnostics`],
-//! [`Simulation::n_particles`], [`Simulation::n_flow`]) sum over the
-//! shards under `&self`; the order-bearing outputs
-//! ([`Simulation::state_hash`], [`Simulation::save_state`]) stream from
-//! the shards under `&self`, walking the merge once for the canonical
-//! `(shard, rows)` runs (`CanonicalRuns`); only
-//! [`Simulation::canonical`] and [`Simulation::inject_fault`] build the
-//! merged view, and a freshly resharded engine has none; and the column
-//! readers ([`Simulation::particles`] and its siblings) panic on a stale
-//! view rather than return it.
+//! Several shards are the only resident copy of the particle state, and
+//! every reader walks them under `&self`: the exact integer ledgers
+//! ([`Simulation::diagnostics`], [`Simulation::n_particles`],
+//! [`Simulation::n_flow`]) and the sentinel's scans fold per shard; the
+//! order-bearing outputs ([`Simulation::state_hash`],
+//! [`Simulation::save_state`]) stream from the shards, walking the merge
+//! once for the canonical `(shard, rows)` runs (`CanonicalRuns`).  The
+//! merged (one-domain) array is only a cache for the column readers
+//! ([`Simulation::particles`], [`Simulation::segment_bounds`]): a k-way
+//! merge by cell — a pure copy, no RNG — built on their first read after
+//! a step, and dropped by the next step or scatter, so it can never be
+//! stale.
 //!
 //! # Checkpoints
 //!
@@ -564,8 +563,28 @@ impl<'a> CanonicalRuns<'a> {
     }
 }
 
+/// The canonical (single-domain) array of `shards`, copied into one shard
+/// run by run — a pure copy, no RNG.  Each segment's cell is the cell of
+/// its first row, so the columns, bounds and segment cells are exactly
+/// what one shard's sort would have produced.
+fn merged(shards: &[Shard]) -> Shard {
+    let canon = CanonicalRuns::of(shards);
+    let mut view = Shard::default();
+    view.parts.reserve(canon.len());
+    for (s, rows) in &canon.runs {
+        view.parts.extend_range(&shards[*s].parts, rows.clone());
+    }
+    view.bounds = canon.bounds.into_owned();
+    let (bounds, cells) = (&view.bounds, &view.parts.cell);
+    view.seg_cell = (bounds[..bounds.len() - 1].iter())
+        .map(|&b| cells[b as usize])
+        .collect();
+    debug_assert!(view.parts.check_coherent());
+    view
+}
+
 /// The column-block decomposition: how many shards, where the cuts are,
-/// and the canonical view several shards merge into on demand.
+/// and the cached view several shards merge into for the column readers.
 impl Simulation {
     /// Re-decompose the engine into `n_shards` column blocks, clamped to
     /// `[1, tunnel width]`, at a step boundary.  The initial cuts are
@@ -587,7 +606,7 @@ impl Simulation {
         self.fold_col_load();
         let canon = match self.shards.len() {
             1 => self.shards.pop().expect("one shard"),
-            _ => self.take_canonical(),
+            _ => self.take_merged(),
         };
         let cuts = match stored {
             Some(cuts) if cuts.len() == n_shards + 1 => cuts,
@@ -611,24 +630,26 @@ impl Simulation {
     }
 
     /// The canonical particle domain: the one shard, or the view several
-    /// merged into — which the column readers may only read fresh.
+    /// merge into on its first read since the last step or scatter.
     pub(super) fn canon(&self) -> &Shard {
-        assert!(
-            !self.dirty,
-            "the shards have stepped past the canonical view: call canonical() first"
-        );
         match &self.shards[..] {
             [one] => one,
-            _ => &self.view,
+            shards => self.view.get_or_init(|| merged(shards)),
         }
+    }
+
+    /// The canonical domain of several shards as one owned shard: the
+    /// cached view if a column reader built one, else a fresh merge.  No
+    /// view is left behind.
+    pub(super) fn take_merged(&mut self) -> Shard {
+        self.view.take().unwrap_or_else(|| merged(&self.shards))
     }
 
     /// Scatter a canonical domain into the shards, segment by segment to
     /// the owner of its cell, writing each shard's segment table in the
     /// same walk.  A pure copy — no RNG is consumed, no particle is
     /// reordered — so the subsequence invariant holds by construction.  The
-    /// shards are then the only copy of the state: the view is dropped, and
-    /// stays unbuilt until [`Simulation::canonical`] asks for it.
+    /// shards are then the only copy of the state: any view is dropped.
     pub(super) fn scatter(&mut self, canon: &Shard) {
         let segments = || {
             (canon.seg_cell.iter().enumerate())
@@ -653,54 +674,13 @@ impl Simulation {
             shard.bounds.push(shard.parts.len() as u32);
             shard.seg_cell.push(cell);
         }
-        self.view = Shard::default();
-        self.dirty = true;
+        self.view.take();
     }
 
-    /// The canonical domain of several shards, merged and taken out of the
-    /// view (which is left empty).
-    pub(super) fn take_canonical(&mut self) -> Shard {
-        self.sync_canonical();
-        std::mem::take(&mut self.view)
-    }
-
-    /// Merge the shards back into the canonical view (pure copy, no RNG)
-    /// if they have stepped past it.  Segments are merged by cell —
-    /// ownership makes the order total — so the rebuilt columns and bounds
-    /// are exactly what one shard's sort would have produced.
-    pub(super) fn sync_canonical(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        let total = self.n_particles();
-        let (shards, view) = (&self.shards, &mut self.view);
-        view.parts.clear();
-        view.parts.reserve(total);
-        view.bounds.clear();
-        view.bounds.push(0);
-        view.seg_cell.clear();
-        let pos = &mut self.merge_pos;
-        pos.clear();
-        pos.resize(shards.len(), 0);
-        while let Some((s, j)) = next_merged_segment(shards, pos) {
-            let shard = &shards[s];
-            let rows = shard.bounds[j] as usize..shard.bounds[j + 1] as usize;
-            view.parts.extend_range(&shard.parts, rows);
-            view.bounds.push(view.parts.len() as u32);
-            view.seg_cell.push(shard.seg_cell[j]);
-        }
-        debug_assert_eq!(view.parts.len(), total, "merge lost particles");
-        debug_assert!(view.parts.check_coherent());
-        self.dirty = false;
-    }
-
-    /// The canonical view of the current state, merging several shards
-    /// first if they have stepped past it: what sentinels check, protocols
-    /// probe and analysis tools read through the column readers.  The
-    /// only builder of a sharded engine's view, which then keeps its
-    /// capacity for the next merge.
-    pub fn canonical(&mut self) -> &Simulation {
-        self.sync_canonical();
+    /// The engine itself: the shards are the state, and every reader takes
+    /// `&Simulation`.  Kept only for the benchmark adapter, which still
+    /// spells its reads `canonical().…`.
+    pub fn canonical(&self) -> &Simulation {
         self
     }
 
@@ -713,9 +693,9 @@ impl Simulation {
     /// (supervisors recover from the last checkpoint).  Under `Serial`
     /// worker panics unwind normally and this never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
+        self.view.take();
         let several = self.shards.len() > 1;
         if several {
-            self.dirty = true;
             // The repartition check is free (it reads the last sort's
             // census) and the cuts steer nothing but this step's routing;
             // its time is move-phase time.
@@ -813,7 +793,7 @@ impl Simulation {
             return false;
         }
         if self.shards.len() > 1 {
-            let canon = self.take_canonical();
+            let canon = self.take_merged();
             self.layout.set_cuts(cuts.to_vec());
             self.scatter(&canon);
         }
@@ -1230,6 +1210,7 @@ mod tests {
     use super::*;
     use crate::config::{BodySpec, RngMode};
     use crate::engine::FaultTarget;
+    use crate::sentinel::Sentinel;
 
     fn sharded(cfg: SimConfig, n_shards: usize) -> Simulation {
         let mut sim = Simulation::new(cfg);
@@ -1456,9 +1437,10 @@ mod tests {
         assert_eq!(sharded.state_hash(), single.state_hash());
     }
 
-    /// Capacity of every column of the merged view.
+    /// Capacity of every column of the merged view (0 when none is built).
     fn view_capacity(sim: &Simulation) -> usize {
-        let p = &sim.view.parts;
+        let Some(view) = sim.view.get() else { return 0 };
+        let p = &view.parts;
         let fx = [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2].map(|c| c.capacity());
         fx.iter().sum::<usize>() + p.perm.capacity() + p.rng.capacity() + p.cell.capacity()
     }
@@ -1486,6 +1468,7 @@ mod tests {
         resharded.reshard(4);
         let mut resumed = Simulation::resume(wedge_cfg(), &bytes, 4).unwrap();
         let cycles = single.diagnostics().plunger_cycles;
+        single.begin_sampling();
         single.run(30);
         assert!(
             single.diagnostics().plunger_cycles > cycles,
@@ -1493,26 +1476,64 @@ mod tests {
         );
         let single_save = single.save_state();
         let want = sections(&single_save);
+        let want_hash = single.state_hash();
+        let want_field = single.finish_sampling();
+        let want_surface = single.finish_surface_sampling().expect("wedge has facets");
         for sim in [&mut resharded, &mut resumed] {
             assert_eq!(view_capacity(sim), 0, "a fresh 4-shard engine holds a view");
+            // Everything a supervised run reads walks the shards: no
+            // reader builds a view.  Only a step or a scatter drops one, so
+            // a 0 after a run of readers covers each of them.
+            let sentinel = Sentinel::arm(sim);
+            assert_eq!(view_capacity(sim), 0, "arming the sentinel built a view");
+            sim.begin_sampling();
             sim.run(30);
+            sentinel.check(sim).expect("healthy run");
+            assert_eq!(view_capacity(sim), 0, "the sentinel check built a view");
+            assert_eq!(sim.diagnostics(), single.diagnostics());
+            assert!(sim.freestream().sigma() > 0.0);
             let (hash, saved) = (sim.state_hash(), sim.save_state());
             assert_eq!(view_capacity(sim), 0, "streaming the outputs built a view");
-            assert_eq!(hash, single.state_hash());
+            assert_eq!(hash, want_hash);
             let got = sections(&saved);
-            for tag in [*b"CORE", *b"PART", *b"BNDS"] {
+            for tag in [*b"CORE", *b"PART", *b"BNDS", *b"FSMP"] {
                 assert_eq!(got[&tag], want[&tag], "{}", String::from_utf8_lossy(&tag));
             }
             assert!(got.contains_key(b"SHRD") && !want.contains_key(b"SHRD"));
-            // Only `canonical()` builds the view, and the next merge
-            // reuses its buffers.
-            assert_eq!(sim.canonical().particles().x, single.particles().x);
-            let cap = view_capacity(sim);
-            assert!(cap > 0);
+            assert_eq!(sim.finish_sampling().density, want_field.density);
+            let surface = sim.finish_surface_sampling().expect("wedge has facets");
+            assert_eq!(surface.cp, want_surface.cp);
+            assert_eq!(view_capacity(sim), 0, "closing the windows built a view");
+            // A column read builds the view; a step drops it, and the next
+            // read rebuilds it bitwise as one domain would hold it.
+            assert_eq!(sim.particles().x, single.particles().x);
+            assert!(view_capacity(sim) > 0);
+            let mut reference = Simulation::resume(wedge_cfg(), &sim.save_state(), 1).unwrap();
             sim.step();
-            sim.canonical();
-            assert_eq!(view_capacity(sim), cap);
+            assert_eq!(view_capacity(sim), 0, "a step kept the view");
+            reference.step();
+            let (got, want) = (sim.canon(), reference.canon());
+            assert_eq!(got.parts.x, want.parts.x);
+            assert_eq!(got.parts.u, want.parts.u);
+            assert_eq!(got.parts.rng, want.parts.rng);
+            assert_eq!(got.parts.cell, want.parts.cell);
+            assert_eq!(got.bounds, want.bounds);
+            assert_eq!(got.seg_cell, want.seg_cell);
+            assert_eq!(sim.state_hash(), reference.state_hash());
         }
+    }
+
+    #[test]
+    fn the_segment_check_refuses_a_segment_held_by_a_shard_that_does_not_own_it() {
+        let mut sim = sharded(wedge_cfg(), 4);
+        sim.run(5);
+        assert_eq!(sim.sorted_state_fault(), None);
+        // Move the cuts without scattering: the shards now hold cells
+        // their layout gives to another shard.
+        let w = sim.tunnel.width;
+        sim.layout.set_cuts(vec![0, 1, 2, 3, w]);
+        let (what, _) = sim.sorted_state_fault().expect("ownership broken");
+        assert_eq!(what, "segment cell owned by another shard");
     }
 
     #[test]

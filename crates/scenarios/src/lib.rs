@@ -539,7 +539,7 @@ pub fn run_with(s: &Scenario, scale: Scale, opts: &RunOptions) -> Result<RunOutc
             a.run(tail);
             b.run(tail);
             let resume_exact = a.state_hash() == b.state_hash();
-            let mut metrics = conservation_metrics(a.canonical(), &d0);
+            let mut metrics = conservation_metrics(&a, &d0);
             metrics.extend([
                 // Both pinned at exactly 1.0: restore fidelity at the
                 // checkpoint, and bit-identity after running on.

@@ -775,7 +775,7 @@ mod tests {
             sim.step();
             let field = sim.finish_sampling();
             let surf = sim.finish_surface_sampling();
-            let emitted: Vec<&str> = (t.probe)(sim.canonical(), &field, surf.as_ref())
+            let emitted: Vec<&str> = (t.probe)(&sim, &field, surf.as_ref())
                 .iter()
                 .map(|m| m.name)
                 .collect();

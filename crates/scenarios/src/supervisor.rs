@@ -313,8 +313,8 @@ pub trait Protocol {
     /// Total steps of the run (the loop visits boundaries `0..=total`).
     fn total_steps(&self) -> u64;
     /// Perform boundary-`step` transitions (idempotent).  The engine may
-    /// be sharded; protocols read physics through
-    /// [`Simulation::canonical`].
+    /// be sharded; protocols read its ledgers and sampled fields, which
+    /// are the same at every shard count.
     fn at_step(&mut self, sim: &mut Simulation, step: u64);
     /// Serialise journal state into the checkpoint container.
     fn export_journal(&self, sec: &mut Section<'_>);
@@ -437,17 +437,13 @@ impl Protocol for TunnelProtocol {
         let d0 = self.d0.expect("baseline captured at the first boundary");
         let field = sim.finish_sampling();
         let surface = sim.finish_surface_sampling();
-        // Metric extraction reads the canonical single-domain view:
-        // identical whether the run was sharded or not.
-        let mut metrics = conservation_metrics(sim.canonical(), &d0);
+        // Metric extraction reads ledgers and sampled fields: identical
+        // whether the run was sharded or not.
+        let mut metrics = conservation_metrics(sim, &d0);
         if let Some(surf) = &surface {
-            metrics.extend(surface_metrics(sim.canonical(), surf));
+            metrics.extend(surface_metrics(sim, surf));
         }
-        metrics.extend((self.case.extract)(
-            sim.canonical(),
-            &field,
-            surface.as_ref(),
-        ));
+        metrics.extend((self.case.extract)(sim, &field, surface.as_ref()));
         Finished {
             surface,
             ..Finished::of(sim, metrics)
@@ -504,7 +500,7 @@ impl Protocol for TransientProtocol {
                 let surf = sim.finish_surface_sampling();
                 self.points.push(TransientPoint {
                     step_end: step,
-                    values: (self.case.probe)(sim.canonical(), &field, surf.as_ref()),
+                    values: (self.case.probe)(sim, &field, surf.as_ref()),
                 });
             }
         }
@@ -568,7 +564,7 @@ impl Protocol for TransientProtocol {
 
     fn finish(&mut self, sim: &mut Simulation) -> Finished {
         let d0 = self.d0.expect("baseline captured at the first boundary");
-        let mut metrics = conservation_metrics(sim.canonical(), &d0);
+        let mut metrics = conservation_metrics(sim, &d0);
         metrics.extend((self.case.extract)(&self.points));
         Finished {
             transient: Some(std::mem::take(&mut self.points)),
@@ -685,9 +681,9 @@ fn restore_or_cold_start(
             Ok(sim)
         })();
         match restored {
-            Ok(mut sim) => {
+            Ok(sim) => {
                 if let Some(sen) = sentinel {
-                    if let Err(e) = sen.check(sim.canonical()) {
+                    if let Err(e) = sen.check(&sim) {
                         report.note(
                             step,
                             format!("recovery: candidate fails sentinel ({e}), skipping"),
@@ -749,7 +745,7 @@ pub fn supervise(
         report.resumed_at_start = Some(step);
         report.note(step, "startup: resumed from checkpoint");
     }
-    let sentinel = Sentinel::arm(sim.canonical());
+    let sentinel = Sentinel::arm(&sim);
     let mut s = sim.diagnostics().steps;
     let mut fail_next_save = false;
 
@@ -806,7 +802,7 @@ pub fn supervise(
         let mut fault_cause: Option<String> = None;
         if due_sentinel {
             report.sentinel_checks += 1;
-            if let Err(e) = sentinel.check(sim.canonical()) {
+            if let Err(e) = sentinel.check(&sim) {
                 fault_cause = Some(format!("sentinel trip: {e}"));
             }
         }

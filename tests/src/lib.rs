@@ -166,7 +166,7 @@ pub fn skewed_cuts(n_shards: usize, w: u32) -> Vec<u32> {
 /// The one comparison of two runs of one config: `state_hash`, every
 /// ledger in `diagnostics()`, the per-particle mover sums, and the
 /// population summed over `a`'s shards.
-pub fn assert_same_run(tag: &str, a: &mut Simulation, b: &mut Simulation) {
+pub fn assert_same_run(tag: &str, a: &Simulation, b: &Simulation) {
     assert_eq!(a.state_hash(), b.state_hash(), "{tag}: state_hash");
     assert_eq!(a.diagnostics(), b.diagnostics(), "{tag}: diagnostics");
     assert_eq!(a.mover_stats(), b.mover_stats(), "{tag}: mover sums");
@@ -368,7 +368,7 @@ pub fn check_registry_invariance(reference: &RunOptions, arms: &[RunOptions]) {
 /// worker-resolution clamp: `workers.min(shards)` threads actually run.
 pub fn check_skewed_repartition(
     cfg: &SimConfig,
-    reference: &mut Simulation,
+    reference: &Simulation,
     shards: usize,
     (before, after): (usize, usize),
 ) {
@@ -393,5 +393,5 @@ pub fn check_skewed_repartition(
             "{tag}: the skewed layout never triggered a repartition"
         );
     }
-    assert_same_run(&tag, &mut sharded, reference);
+    assert_same_run(&tag, &sharded, reference);
 }

@@ -7,13 +7,17 @@
 use dsmc_engine::sentinel::{Sentinel, SentinelError};
 use dsmc_engine::{FaultTarget, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::{registry, Scale};
-use integration_tests::wedge_dirty_cfg;
+use integration_tests::{at_shards, wedge_dirty_cfg};
 use proptest::prelude::*;
 
 proptest! {
     /// No false positives: arm at cold start, step a random healthy run,
     /// re-check at every window boundary.  Any seed, any length, both
-    /// rng modes, body or empty tunnel — the sentinel must stay silent.
+    /// rng modes, body or empty tunnel, at one shard and at four — the
+    /// sentinel must stay silent.  The 4-shard run is forced onto
+    /// maximally skewed cuts half-way, so the per-shard ownership check
+    /// must hold through a `set_cuts` and the weighted repartition that
+    /// follows it.
     #[test]
     fn prop_sentinels_never_trip_on_healthy_runs(
         seed in 1u64..=40,
@@ -29,13 +33,19 @@ proptest! {
             c
         };
         cfg.rng_mode = if dirty { RngMode::DirtyBits } else { RngMode::Explicit };
-        let mut sim = Simulation::new(cfg);
-        let sentinel = Sentinel::arm(&sim);
-        for s in 1..=steps {
-            sim.step();
-            if s % 5 == 0 || s == steps {
-                if let Err(e) = sentinel.check(&sim) {
-                    prop_assert!(false, "false positive at step {s}: {e}");
+        for shards in [1usize, 4] {
+            let mut sim = at_shards(cfg.clone(), shards);
+            let sentinel = Sentinel::arm(&sim);
+            for s in 1..=steps {
+                sim.step();
+                if shards > 1 && s == steps.div_ceil(2) {
+                    let w = sim.tunnel().width;
+                    prop_assert!(sim.set_cuts(&[0, 1, 2, 3, w]));
+                }
+                if s % 5 == 0 || s == steps {
+                    if let Err(e) = sentinel.check(&sim) {
+                        prop_assert!(false, "false positive at step {s}, {shards} shards: {e}");
+                    }
                 }
             }
         }
@@ -73,32 +83,34 @@ fn sentinels_stay_silent_across_the_registry_at_quick_scale() {
 /// Detection latency harness: run healthy to `inject_at`, corrupt one
 /// column, keep stepping — the trip must land at the *first* window
 /// boundary after the injection (within one sampling window), with the
-/// error class matching the corruption.
+/// error class matching the corruption, at one shard and at four.
 fn assert_caught_within_one_window(
     target: FaultTarget,
     steps_after_injection: u64,
     classify: fn(&SentinelError) -> bool,
 ) {
-    let mut sim = Simulation::new(wedge_dirty_cfg(23));
-    let sentinel = Sentinel::arm(&sim);
-    for _ in 0..15 {
-        sim.step();
-    }
-    sentinel
-        .check(&sim)
-        .expect("healthy at the injection point");
-    let what = sim.inject_fault(target, 0x5EED);
-    for _ in 0..steps_after_injection {
-        sim.step();
-    }
-    // `steps_after_injection` keeps us inside the window ending at 20.
-    assert!(15 + steps_after_injection <= 20);
-    match sentinel.check(&sim) {
-        Err(e) => assert!(
-            classify(&e),
-            "corruption ({what}) caught by the wrong check: {e}"
-        ),
-        Ok(()) => panic!("corruption ({what}) not caught within one window"),
+    for shards in [1usize, 4] {
+        let mut sim = at_shards(wedge_dirty_cfg(23), shards);
+        let sentinel = Sentinel::arm(&sim);
+        for _ in 0..15 {
+            sim.step();
+        }
+        sentinel
+            .check(&sim)
+            .expect("healthy at the injection point");
+        let what = sim.inject_fault(target, 0x5EED);
+        for _ in 0..steps_after_injection {
+            sim.step();
+        }
+        // `steps_after_injection` keeps us inside the window ending at 20.
+        assert!(15 + steps_after_injection <= 20);
+        match sentinel.check(&sim) {
+            Err(e) => assert!(
+                classify(&e),
+                "corruption ({what}) at {shards} shards caught by the wrong check: {e}"
+            ),
+            Ok(()) => panic!("corruption ({what}) at {shards} shards not caught within one window"),
+        }
     }
 }
 

@@ -32,13 +32,13 @@ proptest! {
         reference.run(steps);
         let mut serial = at_shards(cfg.clone(), shards);
         serial.run(steps);
-        assert_same_run(&format!("serial spec at {shards} shards"), &mut serial, &mut reference);
+        assert_same_run(&format!("serial spec at {shards} shards"), &serial, &reference);
         for workers in [1usize, 2, 4] {
             cfg.exec = ExecMode::Threaded { workers };
             let mut threaded = at_shards(cfg.clone(), shards);
             threaded.run(steps);
             let tag = format!("{workers} workers at {shards} shards");
-            assert_same_run(&tag, &mut threaded, &mut reference);
+            assert_same_run(&tag, &threaded, &reference);
         }
     }
 
@@ -59,7 +59,7 @@ proptest! {
         reference.run(2 * HALF);
         for workers in [1usize, 2, 4] {
             cfg.exec = ExecMode::Threaded { workers };
-            check_skewed_repartition(&cfg, &mut reference, 4, (HALF, HALF));
+            check_skewed_repartition(&cfg, &reference, 4, (HALF, HALF));
         }
     }
 }
@@ -85,7 +85,7 @@ fn fifty_step_matrix_is_bit_identical_through_withdrawals_and_repartitions() {
     for shards in [1usize, 2, 4] {
         for workers in [1usize, 2, 4] {
             cfg.exec = ExecMode::Threaded { workers };
-            check_skewed_repartition(&cfg, &mut reference, shards, (half, MATRIX_STEPS - half));
+            check_skewed_repartition(&cfg, &reference, shards, (half, MATRIX_STEPS - half));
         }
     }
 }

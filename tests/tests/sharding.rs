@@ -9,8 +9,8 @@
 use dsmc_engine::{Engine, ExecMode, RngMode, SimConfig, Simulation};
 use dsmc_scenarios::RunOptions;
 use integration_tests::{
-    assert_same_run, at_shards, check_registry_invariance, check_skewed_repartition,
-    check_supervised_handoff, drawn_cfg, wedge_dirty_cfg,
+    assert_same_run, assert_stores_equal, at_shards, check_registry_invariance,
+    check_skewed_repartition, check_supervised_handoff, drawn_cfg, wedge_dirty_cfg,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ proptest! {
         for shards in [1usize, 2, 3, 4, 8, 16] {
             let mut sharded = at_shards(cfg.clone(), shards);
             sharded.run(steps);
-            assert_same_run(&format!("{shards} shards"), &mut sharded, &mut reference);
+            assert_same_run(&format!("{shards} shards"), &sharded, &reference);
         }
     }
 }
@@ -61,7 +61,7 @@ fn exchange_survives_withdrawals_and_a_forced_repartition() {
         );
         for exec in [ExecMode::Serial, ExecMode::Threaded { workers: 2 }] {
             cfg.exec = exec;
-            check_skewed_repartition(&cfg, &mut reference, 4, (BEFORE, AFTER));
+            check_skewed_repartition(&cfg, &reference, 4, (BEFORE, AFTER));
         }
     }
 }
@@ -98,7 +98,7 @@ fn exchange_is_bit_identical_where_the_chunked_paths_run() {
                 .all(|&n| n >= dsmc_datapar::PAR_THRESHOLD),
             "{exec:?}: every shard must be on the chunked paths: {populations:?}"
         );
-        assert_same_run(&format!("{exec:?}"), &mut sharded, &mut reference);
+        assert_same_run(&format!("{exec:?}"), &sharded, &reference);
     }
 }
 
@@ -123,7 +123,7 @@ fn one_shard_engines_agree_on_every_ledger() {
         single.diagnostics().plunger_cycles > cycles,
         "the run must cross a withdrawal"
     );
-    assert_same_run("one shard", &mut sharded, &mut single);
+    assert_same_run("one shard", &sharded, &single);
 }
 
 /// The wide grid (`pipeline.rs` pins it to the oracle): 15 cell bits, and
@@ -138,12 +138,11 @@ fn wide_grid_is_shard_count_invariant() {
     reference.run(integration_tests::WIDE_GRID_STEPS);
     sharded.run(integration_tests::WIDE_GRID_STEPS);
     assert!(reference.diagnostics().plunger_cycles >= 1);
-    assert_same_run("wide grid", &mut sharded, &mut reference);
+    assert_same_run("wide grid", &sharded, &reference);
 }
 
-/// The freshness rule's cheap half: the ledgers are exact integer sums
-/// over the shards, so a 4-shard engine's `diagnostics()` — never merged
-/// into the canonical view — equals the single-domain run's after every
+/// The ledgers are exact integer sums over the shards, so a 4-shard
+/// engine's `diagnostics()` equals the single-domain run's after every
 /// step, across a plunger withdrawal.
 #[test]
 fn unsynced_diagnostics_match_the_single_domain_run_every_step() {
@@ -161,20 +160,43 @@ fn unsynced_diagnostics_match_the_single_domain_run_every_step() {
         assert_eq!(sharded.n_particles(), reference.n_particles());
     }
     assert!(reference.diagnostics().plunger_cycles >= 1, "no withdrawal");
-    // The order-bearing outputs stream from the shards and agree too; the
-    // column readers need the merged view.
+    // The order-bearing outputs stream from the shards and agree too.
     assert_eq!(sharded.state_hash(), reference.state_hash());
-    assert_eq!(sharded.canonical().particles().x, reference.particles().x);
+    assert_eq!(sharded.particles().x, reference.particles().x);
 }
 
-/// The freshness rule's other half: a column reader on a stepped
-/// multi-shard engine refuses the stale view instead of returning it.
+/// The shards are the state: at every shard count the column readers of
+/// a stepped engine read its current state — several shards rebuild the
+/// merged view after every step — and equal the single-domain run's,
+/// across a withdrawal.
 #[test]
-#[should_panic(expected = "the shards have stepped past the canonical view")]
-fn column_readers_refuse_a_stale_multi_shard_view() {
-    let mut sharded = at_shards(wedge_dirty_cfg(3), 4);
+fn column_readers_read_the_current_state_at_any_shard_count() {
+    let cfg = wedge_dirty_cfg(3);
+    for shards in [1usize, 3, 4] {
+        let mut reference = Simulation::new(cfg.clone());
+        let mut sharded = at_shards(cfg.clone(), shards);
+        for step in 0..30 {
+            reference.step();
+            sharded.step();
+            if step % 3 == 0 {
+                assert_stores_equal(sharded.particles(), reference.particles());
+                let bounds = sharded.segment_bounds();
+                let tag = format!("{shards} shards, step {step}");
+                assert_eq!(bounds, reference.segment_bounds(), "{tag}");
+            }
+        }
+        assert!(reference.diagnostics().plunger_cycles >= 1, "no withdrawal");
+    }
+}
+
+/// Several shards' sort orders name their own slots: there is no
+/// canonical permutation to return, so the reader refuses.
+#[test]
+#[should_panic(expected = "last_sort_order needs one shard")]
+fn last_sort_order_refuses_several_shards() {
+    let mut sharded = at_shards(wedge_dirty_cfg(3), 2);
     sharded.step();
-    let _ = sharded.particles();
+    let _ = sharded.last_sort_order();
 }
 
 /// Every registry scenario at QUICK scale is shard-count invariant:

@@ -46,6 +46,7 @@
 use crate::config::{ResLayout, WallModel};
 use crate::diag::Diagnostics;
 use crate::engine::Simulation;
+use crate::particles::ParticleStore;
 use dsmc_fixed::Fx;
 
 /// Tunable trip thresholds; [`SentinelThresholds::default`] matches the
@@ -121,8 +122,9 @@ pub enum SentinelError {
     SegmentsBroken {
         /// What specifically failed.
         what: &'static str,
-        /// Offending index (particle or segment, per `what`) within its
-        /// shard.
+        /// Offending index (particle or segment, per `what`) in the
+        /// canonical (single-domain) order, so one fault reports one
+        /// index at every shard count.
         index: usize,
     },
 }
@@ -321,61 +323,82 @@ impl Sentinel {
 /// `Simulation::resume` test it.
 pub const MAX_SPEED_RAW: u32 = 6 << Fx::FRAC_BITS;
 
+/// Where check 5 found a fault within one shard: a segment of its table
+/// or a row of its store.
+#[derive(Clone, Copy)]
+pub(crate) enum FaultAt {
+    /// Segment index within the shard.
+    Segment(usize),
+    /// Particle row within the shard.
+    Row(usize),
+}
+
 impl Simulation {
     /// Check 5 of the module docs — the sentinel's segment check and the
     /// one `Simulation::resume` runs on a decoded state: the first broken
-    /// invariant and its particle or segment index within its shard, or
-    /// `None`.  Run per shard, it also checks that the shard owns each
-    /// segment's cell: cells partition, so that is the merged array's check.
+    /// invariant and its particle or segment index in the canonical
+    /// order, or `None`.  Run per shard, it also checks that the shard
+    /// owns each segment's cell: cells partition, so that is the merged
+    /// array's check.
     pub(crate) fn sorted_state_fault(&self) -> Option<(&'static str, usize)> {
+        let (what, me, at) = (self.shard_states().enumerate()).find_map(|(me, (p, bounds))| {
+            (self.shard_fault(me, p, bounds)).map(|(what, at)| (what, me, at))
+        })?;
+        Some((what, self.canonical_index(me, at)))
+    }
+
+    fn shard_fault(
+        &self,
+        me: usize,
+        p: &ParticleStore,
+        bounds: &[u32],
+    ) -> Option<(&'static str, FaultAt)> {
         const BOUNDS: &str = "segment bounds inconsistent with the population";
         const ORDER: &str = "particle order is not a sorted segment table";
         let total = self.total_cells();
         let cfg = self.config();
         let res = ResLayout::for_cells(cfg.reservoir_cells);
         let res_base = self.reservoir_base();
-        for (me, (p, bounds)) in self.shard_states().enumerate() {
-            let n = p.len();
-            if bounds.first() != Some(&0) || bounds.last() != Some(&(n as u32)) {
-                return Some((BOUNDS, 0));
+        let n = p.len();
+        if bounds.first() != Some(&0) || bounds.last() != Some(&(n as u32)) {
+            return Some((BOUNDS, FaultAt::Segment(0)));
+        }
+        let mut prev_cell: Option<u32> = None;
+        for (s, w) in bounds.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            if lo >= hi {
+                return Some((BOUNDS, FaultAt::Segment(s)));
             }
-            let mut prev_cell: Option<u32> = None;
-            for (s, w) in bounds.windows(2).enumerate() {
-                let (lo, hi) = (w[0] as usize, w[1] as usize);
-                if lo >= hi {
-                    return Some((BOUNDS, s));
-                }
-                let cell = p.cell[lo];
-                if cell >= total {
-                    return Some(("cell index beyond the grid", s));
-                }
-                if self.layout().owner(cell) != me {
-                    return Some(("segment cell owned by another shard", s));
-                }
-                if prev_cell.is_some_and(|prev| cell <= prev) {
-                    return Some((ORDER, s));
-                }
-                prev_cell = Some(cell);
-                if let Some(i) = (lo..hi).find(|&i| p.cell[i] != cell) {
-                    return Some((ORDER, i));
-                }
+            let cell = p.cell[lo];
+            if cell >= total {
+                return Some(("cell index beyond the grid", FaultAt::Segment(s)));
             }
-            let v = [&p.u, &p.v, &p.w, &p.r1, &p.r2];
-            for i in 0..n {
-                // Flow cells row-major in the tunnel, reservoir cells in the box.
-                let (base, w, h) = if p.cell[i] < res_base {
-                    (0, cfg.tunnel_w, cfg.tunnel_h)
-                } else {
-                    (res_base, res.w, res.h)
-                };
-                let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
-                let inside = ix >= 0 && iy >= 0 && (ix as u32) < w && (iy as u32) < h;
-                if !inside || p.cell[i] != base + iy as u32 * w + ix as u32 {
-                    return Some(("particle position disagrees with its cell", i));
-                }
-                if v.iter().any(|c| c[i].raw().unsigned_abs() >= MAX_SPEED_RAW) {
-                    return Some(("velocity beyond the Q8.23 speed bound", i));
-                }
+            if self.layout().owner(cell) != me {
+                return Some(("segment cell owned by another shard", FaultAt::Segment(s)));
+            }
+            if prev_cell.is_some_and(|prev| cell <= prev) {
+                return Some((ORDER, FaultAt::Segment(s)));
+            }
+            prev_cell = Some(cell);
+            if let Some(i) = (lo..hi).find(|&i| p.cell[i] != cell) {
+                return Some((ORDER, FaultAt::Row(i)));
+            }
+        }
+        let v = [&p.u, &p.v, &p.w, &p.r1, &p.r2];
+        for i in 0..n {
+            // Flow cells row-major in the tunnel, reservoir cells in the box.
+            let (base, w, h) = if p.cell[i] < res_base {
+                (0, cfg.tunnel_w, cfg.tunnel_h)
+            } else {
+                (res_base, res.w, res.h)
+            };
+            let (ix, iy) = (p.x[i].floor_int(), p.y[i].floor_int());
+            let inside = ix >= 0 && iy >= 0 && (ix as u32) < w && (iy as u32) < h;
+            if !inside || p.cell[i] != base + iy as u32 * w + ix as u32 {
+                return Some(("particle position disagrees with its cell", FaultAt::Row(i)));
+            }
+            if v.iter().any(|c| c[i].raw().unsigned_abs() >= MAX_SPEED_RAW) {
+                return Some(("velocity beyond the Q8.23 speed bound", FaultAt::Row(i)));
             }
         }
         None

@@ -150,6 +150,7 @@ use crate::config::{ConfigError, SimConfig};
 use crate::diag::{SortSplit, Substep};
 use crate::movephase::{KeyPack, MoveOutcome, MoveScratch};
 use crate::particles::ParticleStore;
+use crate::sentinel::FaultAt;
 use crate::sortstep::{self, SortWorkspace};
 use dsmc_datapar::{pack_pair, Par};
 use dsmc_fixed::Fx;
@@ -586,6 +587,32 @@ fn merged(shards: &[Shard]) -> Shard {
 /// The column-block decomposition: how many shards, where the cuts are,
 /// and the cached view several shards merge into for the column readers.
 impl Simulation {
+    /// Where segment or row `at` of shard `me` sits in the canonical
+    /// (single-domain) order: its index in the shard plus the segments or
+    /// rows the other shards hold in lower cells.  The sentinel's fault
+    /// path only; a shard without a segment table (a decoded state before
+    /// its first sort) reports its own index.
+    pub(crate) fn canonical_index(&self, me: usize, at: FaultAt) -> usize {
+        let own = &self.shards[me];
+        let (local, seg) = match at {
+            FaultAt::Segment(s) => (s, s),
+            FaultAt::Row(i) => (i, own.bounds.partition_point(|&b| b as usize <= i) - 1),
+        };
+        let Some(&cell) = own.seg_cell.get(seg) else {
+            return local;
+        };
+        let below = (self.shards.iter().enumerate())
+            .filter(|&(t, _)| t != me)
+            .map(|(_, shard)| {
+                let k = shard.seg_cell.partition_point(|&c| c < cell);
+                match at {
+                    FaultAt::Segment(_) => k,
+                    FaultAt::Row(_) => shard.bounds[k] as usize,
+                }
+            });
+        local + below.sum::<usize>()
+    }
+
     /// Re-decompose the engine into `n_shards` column blocks, clamped to
     /// `[1, tunnel width]`, at a step boundary.  The initial cuts are
     /// weighted by the current per-column populations, so a shock that

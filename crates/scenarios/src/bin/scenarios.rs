@@ -165,6 +165,22 @@ fn run_and_record(s: &Scenario, scale: Scale, opts: &RunOptions) -> bool {
     outcome.passed
 }
 
+/// The supervisor's lines in a supervised run's printed result: a run that
+/// auto-resumed says from which step.
+fn supervisor_summary(report: &SupervisorReport) -> String {
+    let mut out = String::new();
+    if let Some(step) = report.resumed_at_start {
+        out.push_str(&format!("  resumed from checkpoint at step {step}\n"));
+    }
+    out.push_str(&format!(
+        "  supervisor: {} ({} recoveries, {} checkpoints)\n",
+        report.outcome.label(),
+        report.recoveries.len(),
+        report.checkpoints_written
+    ));
+    out
+}
+
 fn supervise_and_record(s: &Scenario, scale: Scale, opts: &SuperviseOptions) -> bool {
     println!(
         "running {} at {} scale under supervision (checkpoints in {})…",
@@ -175,12 +191,7 @@ fn supervise_and_record(s: &Scenario, scale: Scale, opts: &SuperviseOptions) -> 
     match run_supervised(s, scale, opts) {
         Ok((outcome, report)) => {
             record_outcome(s, &outcome, Some(&report));
-            println!(
-                "  supervisor: {} ({} recoveries, {} checkpoints)",
-                report.outcome.label(),
-                report.recoveries.len(),
-                report.checkpoints_written
-            );
+            print!("{}", supervisor_summary(&report));
             artifacts::record(
                 &format!("BENCH_supervisor_{}.log", s.name),
                 report.render_log().as_bytes(),
@@ -222,8 +233,9 @@ const EXIT_CODES_HELP: &str = "exit codes:\n\
 
 fn main() {
     // Child processes spawned by the campaign executor re-enter this very
-    // executable with their argv in the environment; nothing else in the
-    // process sets that variable, so this is a no-op for human callers.
+    // executable with their task's path in the environment; nothing else
+    // in the process sets that variable, so this is a no-op for human
+    // callers.
     if let Some(code) = dsmc_scenarios::campaign::maybe_worker_from_env() {
         std::process::exit(code);
     }
@@ -721,4 +733,34 @@ fn campaign_main(args: &[String]) -> ! {
         j.pretty().as_bytes(),
     );
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsmc_scenarios::SuperviseOutcome;
+
+    #[test]
+    fn supervisor_summary_says_when_a_run_resumed() {
+        let mut report = SupervisorReport {
+            outcome: SuperviseOutcome::Completed,
+            recoveries: Vec::new(),
+            checkpoints_written: 1,
+            save_errors: 0,
+            sentinel_checks: 0,
+            resumed_at_start: None,
+            final_step: 1000,
+            log: Vec::new(),
+        };
+        assert_eq!(
+            supervisor_summary(&report),
+            "  supervisor: completed (0 recoveries, 1 checkpoints)\n"
+        );
+        report.resumed_at_start = Some(1000);
+        assert_eq!(
+            supervisor_summary(&report),
+            "  resumed from checkpoint at step 1000\n  \
+             supervisor: completed (0 recoveries, 1 checkpoints)\n"
+        );
+    }
 }

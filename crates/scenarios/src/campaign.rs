@@ -27,26 +27,29 @@
 //! * runs that resolve to the *same* `SimConfig::fingerprint()` share a
 //!   warm-start checkpoint cache (and exact duplicates are `Skipped`,
 //!   adopting the first run's results) — retries and resumed campaigns
-//!   restart from the victim's own checkpoints instead of from cold.
+//!   restart from the victim's own checkpoints instead of from cold;
+//! * one codec carries a run: the journal holds one [`RunRecord`] (spec,
+//!   then outcome) per run; the executor hands a worker its spec, scale,
+//!   checkpoint directory and cadence, result path, execution mode and
+//!   injected faults as a [`WorkerTask`] container named by
+//!   [`WORKER_ENV`], and the worker answers with a journal of its one run.
 //!
 //! Every policy branch is pinned by a deterministic
 //! [`crate::CampaignFaultPlan`] (kill worker k at attempt a, stall to
 //! force a timeout, corrupt its cached checkpoint), not by prose.
 
-use crate::fault::{
-    damage_newest, CampaignFault, CampaignFaultPlan, CheckpointDamage, Fault, FaultPlan,
-};
+use crate::fault::{damage_newest, CampaignFault, CampaignFaultPlan, CheckpointDamage, Fault};
 use crate::json;
 use crate::supervisor::{
     backoff_with_jitter, ProtocolOverride, Sleeper, BACKOFF_BASE_MS, BACKOFF_CAP_MS, POLL_MS,
 };
 use crate::{
-    at_density, check_goldens, find, run_supervised_config, CaseKind, CheckResult, Metric,
-    RunOutcome, Scale, Scenario, SuperviseError, SuperviseOptions, SupervisorReport, SweepCase,
+    at_density, check_goldens, find, run_supervised_config, CaseKind, CheckResult, Metric, Scale,
+    Scenario, SuperviseError, SuperviseOptions, SuperviseOutcome, SweepCase,
 };
 use dsmc_engine::{SimConfig, StateError};
 use dsmc_state::store::{atomic_write, CheckpointStore};
-use dsmc_state::{Fnv64, Reader, Writer};
+use dsmc_state::{Cursor, Fnv64, Reader, Section, Writer};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -54,8 +57,10 @@ use std::time::{Duration, Instant};
 const SEC_CAMPAIGN: [u8; 4] = *b"CAMP";
 /// Journal layout version (bump on incompatible change).
 const JOURNAL_VERSION: u32 = 1;
-/// Environment variable carrying a worker's argv (tab-separated); when
-/// set, the `scenarios` binary becomes a campaign worker.
+/// Section tag of a worker's task container.
+const SEC_TASK: [u8; 4] = *b"TASK";
+/// Environment variable carrying the path of a worker's task container;
+/// when set, the `scenarios` binary becomes a campaign worker.
 pub const WORKER_ENV: &str = "DSMC_CAMPAIGN_WORKER";
 
 // ---------------------------------------------------------------------------
@@ -590,8 +595,94 @@ fn scale_from_code(c: u32) -> Result<Scale, StateError> {
     }
 }
 
+/// Write `Some(v)` as flag 1 and `v`, `None` as flag 0 and a zero word.
+fn write_opt(sec: &mut Section<'_>, v: Option<u64>) {
+    sec.u32(v.is_some() as u32);
+    sec.u64(v.unwrap_or(0));
+}
+
+fn read_opt(c: &mut Cursor<'_>) -> Result<Option<u64>, StateError> {
+    let present = c.u32()? == 1;
+    let v = c.u64()?;
+    Ok(present.then_some(v))
+}
+
+/// A count, then each `(name, value)` as a string and the value's bits.
+fn write_pairs(sec: &mut Section<'_>, pairs: &[(String, f64)]) {
+    sec.u64(pairs.len() as u64);
+    for (k, v) in pairs {
+        sec.str(k);
+        sec.u64(v.to_bits());
+    }
+}
+
+fn read_pairs(c: &mut Cursor<'_>) -> Result<Vec<(String, f64)>, StateError> {
+    let n = c.u64()?;
+    (0..n)
+        .map(|_| Ok((c.str()?, f64::from_bits(c.u64()?))))
+        .collect()
+}
+
+/// One run's spec, as the journal and a worker's task both store it.
+fn write_spec(sec: &mut Section<'_>, s: &RunSpec) {
+    sec.str(&s.label);
+    sec.str(&s.scenario);
+    sec.u64(s.shards as u64);
+    write_opt(sec, s.seed);
+    write_pairs(sec, &s.overrides);
+}
+
+fn read_spec(c: &mut Cursor<'_>) -> Result<RunSpec, StateError> {
+    Ok(RunSpec {
+        label: c.str()?,
+        scenario: c.str()?,
+        shards: (c.u64()? as usize).max(1),
+        seed: read_opt(c)?,
+        overrides: read_pairs(c)?,
+    })
+}
+
+/// One run record: its spec, then its outcome.  The journal holds one
+/// per run, a worker's result file exactly one.
+fn write_record(sec: &mut Section<'_>, r: &RunRecord) {
+    write_spec(sec, &r.spec);
+    sec.u32(r.status.code());
+    sec.u32(r.attempts);
+    sec.u32(r.worker_recoveries);
+    sec.u32((r.passed as u32) | ((r.cache_hit as u32) << 1));
+    sec.u64(r.cache_saved_steps);
+    write_opt(sec, r.state_hash);
+    sec.u64(r.wall_seconds.to_bits());
+    sec.str(&r.last_error);
+    sec.str(&r.artifact);
+    write_pairs(sec, &r.metrics);
+}
+
+fn read_record(c: &mut Cursor<'_>) -> Result<RunRecord, StateError> {
+    let spec = read_spec(c)?;
+    let status = RunStatus::from_code(c.u32()?)?;
+    let attempts = c.u32()?;
+    let worker_recoveries = c.u32()?;
+    let flags = c.u32()?;
+    Ok(RunRecord {
+        spec,
+        status,
+        attempts,
+        worker_recoveries,
+        passed: flags & 1 != 0,
+        cache_hit: flags & 2 != 0,
+        cache_saved_steps: c.u64()?,
+        state_hash: read_opt(c)?,
+        wall_seconds: f64::from_bits(c.u64()?),
+        last_error: c.str()?,
+        artifact: c.str()?,
+        metrics: read_pairs(c)?,
+    })
+}
+
 /// Atomically persist the journal (called on every state change, so a
 /// `kill -9` of the executor itself loses at most the in-flight attempt).
+/// A worker writes its result as a journal of its one run.
 fn save_journal(
     path: &Path,
     fingerprint: u64,
@@ -607,48 +698,7 @@ fn save_journal(
         sec.u32(scale_code(scale));
         sec.u64(runs.len() as u64);
         for r in runs {
-            sec.str(&r.spec.label);
-            sec.str(&r.spec.scenario);
-            sec.u64(r.spec.shards as u64);
-            match r.spec.seed {
-                Some(s) => {
-                    sec.u32(1);
-                    sec.u64(s);
-                }
-                None => {
-                    sec.u32(0);
-                    sec.u64(0);
-                }
-            }
-            sec.u64(r.spec.overrides.len() as u64);
-            for (k, v) in &r.spec.overrides {
-                sec.str(k);
-                sec.u64(v.to_bits());
-            }
-            sec.u32(r.status.code());
-            sec.u32(r.attempts);
-            sec.u32(r.worker_recoveries);
-            let flags = (r.passed as u32) | ((r.cache_hit as u32) << 1);
-            sec.u32(flags);
-            sec.u64(r.cache_saved_steps);
-            match r.state_hash {
-                Some(h) => {
-                    sec.u32(1);
-                    sec.u64(h);
-                }
-                None => {
-                    sec.u32(0);
-                    sec.u64(0);
-                }
-            }
-            sec.u64(r.wall_seconds.to_bits());
-            sec.str(&r.last_error);
-            sec.str(&r.artifact);
-            sec.u64(r.metrics.len() as u64);
-            for (k, v) in &r.metrics {
-                sec.str(k);
-                sec.u64(v.to_bits());
-            }
+            write_record(&mut sec, r);
         }
     }
     atomic_write(path, &w.finish())
@@ -661,67 +711,70 @@ pub fn load_journal(path: &Path) -> Result<(u64, String, Scale, Vec<RunRecord>),
     let bytes = std::fs::read(path)?;
     let r = Reader::new(&bytes)?;
     let mut c = r.section(SEC_CAMPAIGN)?;
-    let version = c.u32()?;
-    if version != JOURNAL_VERSION {
+    if c.u32()? != JOURNAL_VERSION {
         return Err(CampaignError::State(StateError::Malformed(
             "unknown campaign journal version",
         )));
     }
     let name = c.str()?;
     let scale = scale_from_code(c.u32()?)?;
-    let n = c.u64()? as usize;
-    let mut runs = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let label = c.str()?;
-        let scenario = c.str()?;
-        let shards = c.u64()? as usize;
-        let has_seed = c.u32()? == 1;
-        let seed_v = c.u64()?;
-        let n_over = c.u64()? as usize;
-        let mut overrides = Vec::with_capacity(n_over.min(64));
-        for _ in 0..n_over {
-            let k = c.str()?;
-            overrides.push((k, f64::from_bits(c.u64()?)));
-        }
-        let status = RunStatus::from_code(c.u32()?)?;
-        let attempts = c.u32()?;
-        let worker_recoveries = c.u32()?;
-        let flags = c.u32()?;
-        let cache_saved_steps = c.u64()?;
-        let has_hash = c.u32()? == 1;
-        let hash_v = c.u64()?;
-        let wall_seconds = f64::from_bits(c.u64()?);
-        let last_error = c.str()?;
-        let artifact = c.str()?;
-        let n_metrics = c.u64()? as usize;
-        let mut metrics = Vec::with_capacity(n_metrics.min(256));
-        for _ in 0..n_metrics {
-            let k = c.str()?;
-            metrics.push((k, f64::from_bits(c.u64()?)));
-        }
-        runs.push(RunRecord {
-            spec: RunSpec {
-                scenario,
-                seed: has_seed.then_some(seed_v),
-                overrides,
-                shards: shards.max(1),
-                label,
-            },
-            status,
-            attempts,
-            worker_recoveries,
-            passed: flags & 1 != 0,
-            cache_hit: flags & 2 != 0,
-            cache_saved_steps,
-            state_hash: has_hash.then_some(hash_v),
-            wall_seconds,
-            last_error,
-            artifact,
-            metrics,
-        });
-    }
+    let n = c.u64()?;
+    let runs = (0..n)
+        .map(|_| read_record(&mut c))
+        .collect::<Result<Vec<_>, _>>()?;
     c.done()?;
     Ok((r.fingerprint(), name, scale, runs))
+}
+
+/// What one worker attempt runs: the container the executor writes to
+/// `logs/<tag>.attempt<k>.task` before the spawn and names in
+/// [`WORKER_ENV`].
+#[derive(Debug, PartialEq)]
+pub struct WorkerTask {
+    run: RunSpec,
+    scale: Scale,
+    ckpt_dir: PathBuf,
+    checkpoint_every: u64,
+    out: PathBuf,
+    exec: dsmc_engine::ExecMode,
+    kill_at: Vec<u64>,
+    stall_at: Vec<u64>,
+}
+
+impl WorkerTask {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new(0);
+        {
+            let mut sec = w.section(SEC_TASK);
+            write_spec(&mut sec, &self.run);
+            sec.u32(scale_code(self.scale));
+            sec.str(&self.ckpt_dir.display().to_string());
+            sec.u64(self.checkpoint_every);
+            sec.str(&self.out.display().to_string());
+            sec.str(&self.exec.to_string());
+            sec.vec_u64(&self.kill_at);
+            sec.vec_u64(&self.stall_at);
+        }
+        w.finish()
+    }
+
+    /// Decode a task container; any damage is a typed error.
+    pub fn decode(bytes: &[u8]) -> Result<Self, StateError> {
+        let r = Reader::new(bytes)?;
+        let mut c = r.section(SEC_TASK)?;
+        let task = Self {
+            run: read_spec(&mut c)?,
+            scale: scale_from_code(c.u32()?)?,
+            ckpt_dir: c.str()?.into(),
+            checkpoint_every: c.u64()?,
+            out: c.str()?.into(),
+            exec: (c.str()?.parse()).map_err(|_| StateError::Malformed("unknown exec mode"))?,
+            kill_at: c.vec_u64()?,
+            stall_at: c.vec_u64()?,
+        };
+        c.done()?;
+        Ok(task)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -744,8 +797,8 @@ pub struct CampaignOptions {
     pub max_attempts: u32,
     /// Checkpoint cadence workers run with (the warm-start cache grain).
     pub checkpoint_every: u64,
-    /// Per-shard phase execution every worker runs under (forwarded as
-    /// `--exec-threads`).  Execution layout, not work identity: outside
+    /// Per-shard phase execution every worker runs under (carried in its
+    /// task).  Execution layout, not work identity: outside
     /// both the spec fingerprint and the journal, and bit-identical at
     /// any setting, so resuming a campaign under a different mode is safe.
     pub exec: dsmc_engine::ExecMode,
@@ -757,8 +810,9 @@ pub struct CampaignOptions {
     /// bin re-enters itself through [`WORKER_ENV`]; a test harness names
     /// its own test binary here).
     pub worker_exe: Option<PathBuf>,
-    /// Arguments placed *before* the env-carried worker argv (a test
-    /// harness selects its worker helper test with these).
+    /// Arguments the worker executable is started with; its task travels
+    /// in [`WORKER_ENV`] (a test harness selects its worker helper test
+    /// with these).
     pub worker_args: Vec<String>,
 }
 
@@ -907,13 +961,6 @@ fn sanitize(label: &str) -> String {
             }
         })
         .collect()
-}
-
-/// How one attempt ended, from the executor's chair.
-enum AttemptEnd {
-    Success(WorkerResult),
-    Hung,
-    Failed(String),
 }
 
 /// One in-flight worker.
@@ -1067,8 +1114,7 @@ pub fn run_campaign(
             match spawn_attempt(spec, opts, i, attempt, &cache_dirs[i], &mut plan) {
                 Ok(a) => active.push(a),
                 Err(msg) => {
-                    let terminal = settle_failure(&mut runs[i], max_attempts, false, msg, opts, fp);
-                    let _ = terminal;
+                    settle_failure(&mut runs[i], max_attempts, false, msg, opts, fp);
                     save_journal(&journal_path, fp, &spec.name, spec.scale, &runs)?;
                 }
             }
@@ -1102,43 +1148,35 @@ pub fn run_campaign(
                 continue;
             }
             let mut a = active.swap_remove(k);
-            let end = if exited.is_none() && timed_out {
+            let r = &mut runs[a.run];
+            let hung = exited.is_none();
+            let end = if hung {
                 let _ = a.child.kill();
                 let _ = a.child.wait();
-                AttemptEnd::Hung
+                Err(format!(
+                    "attempt {} exceeded the {:.0}s timeout and was killed",
+                    r.attempts,
+                    opts.timeout.as_secs_f64()
+                ))
             } else {
-                classify_exit(&a.result_path, &a.stderr_path)
+                attempt_result(&a.result_path, &a.stderr_path)
             };
-            let i = a.run;
             match end {
-                AttemptEnd::Success(res) => {
-                    let r = &mut runs[i];
-                    r.worker_recoveries = res.recoveries;
-                    r.passed = res.passed;
-                    r.state_hash = res.state_hash;
-                    r.cache_hit = res.resumed_step.is_some();
-                    r.cache_saved_steps = res.resumed_step.unwrap_or(0);
-                    r.wall_seconds = res.wall_seconds;
-                    r.metrics = res.metrics;
-                    r.artifact = a.result_path.display().to_string();
-                    r.last_error = String::new();
-                    r.status = if r.attempts == 1 && res.recoveries == 0 {
+                Ok(res) => {
+                    let status = if r.attempts == 1 && res.worker_recoveries == 0 {
                         RunStatus::Completed
                     } else {
                         RunStatus::Recovered
                     };
+                    *r = RunRecord {
+                        spec: r.spec.clone(),
+                        status,
+                        attempts: r.attempts,
+                        artifact: a.result_path.display().to_string(),
+                        ..res
+                    };
                 }
-                AttemptEnd::Hung => {
-                    let note = format!(
-                        "attempt {} exceeded the {:.0}s timeout and was killed",
-                        runs[i].attempts,
-                        opts.timeout.as_secs_f64()
-                    );
-                    settle_failure(&mut runs[i], max_attempts, true, note, opts, fp);
-                }
-                AttemptEnd::Failed(msg) => {
-                    settle_failure(&mut runs[i], max_attempts, false, msg, opts, fp);
-                }
+                Err(note) => settle_failure(r, max_attempts, hung, note, opts, fp),
             }
             save_journal(&journal_path, fp, &spec.name, spec.scale, &runs)?;
         }
@@ -1161,7 +1199,7 @@ fn settle_failure(
     note: String,
     opts: &CampaignOptions,
     fp: u64,
-) -> bool {
+) {
     r.last_error = note;
     if r.attempts >= max_attempts {
         r.status = if hung {
@@ -1169,13 +1207,11 @@ fn settle_failure(
         } else {
             RunStatus::Quarantined
         };
-        true
     } else {
         let salt = fp ^ fnv_label(&r.spec.label);
         let ms = backoff_with_jitter(BACKOFF_BASE_MS, BACKOFF_CAP_MS, r.attempts, salt);
         opts.sleeper.sleep(ms);
         r.status = RunStatus::Pending;
-        false
     }
 }
 
@@ -1195,53 +1231,27 @@ fn spawn_attempt(
 ) -> Result<Active, String> {
     let run = &spec.runs[i];
     let tag = sanitize(&run.label);
-    let result_path = opts.dir.join("results").join(format!("{tag}.txt"));
-    let stdout_path = opts
-        .dir
-        .join("logs")
-        .join(format!("{tag}.attempt{attempt}.stdout"));
-    let stderr_path = opts
-        .dir
-        .join("logs")
-        .join(format!("{tag}.attempt{attempt}.stderr"));
+    let result_path = opts.dir.join("results").join(format!("{tag}.run"));
+    let log = |ext: &str| (opts.dir.join("logs")).join(format!("{tag}.attempt{attempt}.{ext}"));
+    let (task_path, stdout_path, stderr_path) = (log("task"), log("stdout"), log("stderr"));
     // A stale result from an earlier attempt must never be read as this
     // attempt's verdict.
     let _ = std::fs::remove_file(&result_path);
 
-    let mut wargs: Vec<String> = vec![
-        "--scenario".into(),
-        run.scenario.clone(),
-        "--scale".into(),
-        spec.scale.label().into(),
-        "--shards".into(),
-        run.shards.max(1).to_string(),
-        "--ckpt-dir".into(),
-        cache_dir.display().to_string(),
-        "--checkpoint-every".into(),
-        opts.checkpoint_every.max(1).to_string(),
-        "--exec-threads".into(),
-        opts.exec.to_string(),
-        "--out".into(),
-        result_path.display().to_string(),
-    ];
-    if let Some(seed) = run.seed {
-        wargs.push("--seed".into());
-        wargs.push(seed.to_string());
-    }
-    for (k, v) in &run.overrides {
-        wargs.push("--set".into());
-        wargs.push(format!("{k}={v}"));
-    }
+    let mut task = WorkerTask {
+        run: run.clone(),
+        scale: spec.scale,
+        ckpt_dir: cache_dir.to_path_buf(),
+        checkpoint_every: opts.checkpoint_every,
+        out: result_path.clone(),
+        exec: opts.exec,
+        kill_at: Vec::new(),
+        stall_at: Vec::new(),
+    };
     for fault in plan.take((i, attempt)) {
         match fault {
-            CampaignFault::Kill { at_step } => {
-                wargs.push("--kill-at-step".into());
-                wargs.push(at_step.to_string());
-            }
-            CampaignFault::Stall { at_step } => {
-                wargs.push("--stall-at-step".into());
-                wargs.push(at_step.to_string());
-            }
+            CampaignFault::Kill { at_step } => task.kill_at.push(at_step),
+            CampaignFault::Stall { at_step } => task.stall_at.push(at_step),
             CampaignFault::CorruptCheckpoint => {
                 if let Ok(store) = CheckpointStore::new(cache_dir, "run", usize::MAX) {
                     damage_newest(&store, CheckpointDamage::FlipByte);
@@ -1249,6 +1259,10 @@ fn spawn_attempt(
             }
         }
     }
+    // Read once by the child spawned next; a resumed executor writes a
+    // fresh task per attempt, so no fsync.
+    std::fs::write(&task_path, task.encode())
+        .map_err(|e| format!("cannot write worker task: {e}"))?;
 
     let exe = match &opts.worker_exe {
         Some(p) => p.clone(),
@@ -1260,7 +1274,7 @@ fn spawn_attempt(
         std::fs::File::create(&stderr_path).map_err(|e| format!("cannot open worker log: {e}"))?;
     let child = std::process::Command::new(&exe)
         .args(&opts.worker_args)
-        .env(WORKER_ENV, wargs.join("\t"))
+        .env(WORKER_ENV, &task_path)
         .stdin(std::process::Stdio::null())
         .stdout(stdout)
         .stderr(stderr)
@@ -1275,20 +1289,23 @@ fn spawn_attempt(
     })
 }
 
-fn classify_exit(result_path: &Path, stderr_path: &Path) -> AttemptEnd {
-    match std::fs::read_to_string(result_path) {
-        Ok(text) => match parse_result(&text) {
-            Ok(res) if res.outcome != "abandoned" => AttemptEnd::Success(res),
-            Ok(res) => AttemptEnd::Failed(format!(
-                "worker abandoned the run after {} recoveries",
-                res.recoveries
-            )),
-            Err(msg) => AttemptEnd::Failed(format!("unreadable worker result: {msg}")),
-        },
-        Err(_) => AttemptEnd::Failed(format!(
+/// A finished worker's verdict: its result record when it completed or
+/// recovered, else why the attempt failed.
+fn attempt_result(result_path: &Path, stderr_path: &Path) -> Result<RunRecord, String> {
+    match load_journal(result_path).map(|(.., runs)| <[RunRecord; 1]>::try_from(runs)) {
+        Ok(Ok([res])) if matches!(res.status, RunStatus::Completed | RunStatus::Recovered) => {
+            Ok(res)
+        }
+        Ok(Ok([res])) => Err(res.last_error),
+        Ok(Err(runs)) => Err(format!(
+            "unreadable worker result: {} run records, expected one",
+            runs.len()
+        )),
+        Err(CampaignError::Io(_)) => Err(format!(
             "worker died without a result; stderr tail: {}",
             stderr_tail(stderr_path)
         )),
+        Err(e) => Err(format!("unreadable worker result: {e}")),
     }
 }
 
@@ -1306,222 +1323,74 @@ fn stderr_tail(path: &Path) -> String {
 // Worker
 // ---------------------------------------------------------------------------
 
-/// Parsed worker result file (flat `key=value` lines written through
-/// [`atomic_write`] so the executor never reads a torn verdict).
-#[derive(Clone, Debug, Default)]
-pub struct WorkerResult {
-    /// Supervisor outcome label (`completed`/`recovered`/`abandoned`).
-    pub outcome: String,
-    /// Golden verdict (vacuously true for parameterised runs).
-    pub passed: bool,
-    /// Final `state_hash`.
-    pub state_hash: Option<u64>,
-    /// In-worker supervisor recoveries.
-    pub recoveries: u32,
-    /// Step the run auto-resumed from at startup (warm cache start).
-    pub resumed_step: Option<u64>,
-    /// Wall-clock seconds of the run.
-    pub wall_seconds: f64,
-    /// Extracted metrics.
-    pub metrics: Vec<(String, f64)>,
-}
-
-fn render_result(outcome: &RunOutcome, report: &SupervisorReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("outcome={}\n", report.outcome.label()));
-    out.push_str(&format!("passed={}\n", outcome.passed));
-    if let Some(h) = outcome.state_hash {
-        out.push_str(&format!("state_hash={h:#018x}\n"));
-    }
-    out.push_str(&format!("recoveries={}\n", report.recoveries.len()));
-    if let Some(step) = report.resumed_at_start {
-        out.push_str(&format!("resumed_step={step}\n"));
-    }
-    out.push_str(&format!("wall_seconds={}\n", outcome.wall_seconds));
-    for m in &outcome.metrics {
-        out.push_str(&format!("metric {}={}\n", m.name, m.value));
-    }
-    out
-}
-
-/// Parse a worker result file.
-pub fn parse_result(text: &str) -> Result<WorkerResult, String> {
-    let mut res = WorkerResult::default();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("bad result line `{line}`"))?;
-        match key {
-            "outcome" => res.outcome = value.into(),
-            "passed" => res.passed = value == "true",
-            "state_hash" => {
-                let v = value.trim_start_matches("0x");
-                res.state_hash = Some(
-                    u64::from_str_radix(v, 16).map_err(|_| format!("bad state_hash `{value}`"))?,
-                );
-            }
-            "recoveries" => {
-                res.recoveries = value
-                    .parse()
-                    .map_err(|_| format!("bad recoveries `{value}`"))?
-            }
-            "resumed_step" => {
-                res.resumed_step = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad resumed_step `{value}`"))?,
-                )
-            }
-            "wall_seconds" => {
-                res.wall_seconds = value
-                    .parse()
-                    .map_err(|_| format!("bad wall_seconds `{value}`"))?
-            }
-            m if m.starts_with("metric ") => {
-                let name = m["metric ".len()..].trim().to_string();
-                let v: f64 = value.parse().map_err(|_| format!("bad metric `{line}`"))?;
-                res.metrics.push((name, v));
-            }
-            other => return Err(format!("unknown result key `{other}`")),
-        }
-    }
-    if res.outcome.is_empty() {
-        return Err("result has no outcome line".into());
-    }
-    Ok(res)
-}
-
 /// If [`WORKER_ENV`] is set, run as a campaign worker and return its
 /// exit code; otherwise `None`.  The `scenarios` bin (and the test
 /// harness's worker helper) calls this before normal argument parsing.
+///
+/// The worker runs the task's scenario supervised, writes its result
+/// through [`atomic_write`] as a journal of its one run (status
+/// `Completed`/`Recovered`, or `Pending` with `last_error` set when the
+/// supervisor abandoned the run), and exits `0` ok, `2` golden drift,
+/// `3` abandoned, `1` config/usage error.
 pub fn maybe_worker_from_env() -> Option<i32> {
-    let argv = std::env::var(WORKER_ENV).ok()?;
-    let args: Vec<String> = argv.split('\t').map(String::from).collect();
-    Some(worker_main(&args))
+    let task = std::env::var_os(WORKER_ENV)?;
+    Some(run_worker(Path::new(&task)).unwrap_or_else(|msg| {
+        eprintln!("campaign worker: {msg}");
+        1
+    }))
 }
 
-/// Campaign worker entry point: run one supervised scenario per the
-/// tab-separated argv the executor passed through [`WORKER_ENV`], write
-/// the result file atomically, and exit `0` ok, `2` golden drift, `3`
-/// abandoned, `1` config/usage error.
-pub fn worker_main(args: &[String]) -> i32 {
-    match worker_inner(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("campaign worker: {msg}");
-            1
-        }
+fn run_worker(task_path: &Path) -> Result<i32, String> {
+    let bytes = std::fs::read(task_path).map_err(|e| format!("cannot read task: {e}"))?;
+    let task = WorkerTask::decode(&bytes).map_err(|e| format!("bad task: {e}"))?;
+    let (s, cfg, po, pristine) =
+        resolved_config(&task.run, task.scale).map_err(|e| e.to_string())?;
+    let mut sopts = SuperviseOptions::new(task.ckpt_dir, "run");
+    sopts.checkpoint_every = task.checkpoint_every.max(1);
+    sopts.shards = task.run.shards.max(1);
+    sopts.exec = task.exec;
+    for &step in &task.kill_at {
+        sopts.faults = sopts.faults.and(step, Fault::KillHard);
     }
-}
-
-fn worker_inner(args: &[String]) -> Result<i32, String> {
-    let mut run = RunSpec::new("", "worker");
-    let mut scale = Scale::Quick;
-    let mut ckpt_dir: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut checkpoint_every = 100u64;
-    let mut exec = dsmc_engine::ExecMode::default();
-    let mut faults = FaultPlan::none();
-    let mut it = args.iter();
-    let next = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scenario" => run.scenario = next(&mut it, a)?,
-            "--scale" => {
-                scale = match next(&mut it, a)?.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                }
-            }
-            "--seed" => {
-                run.seed = Some(
-                    next(&mut it, a)?
-                        .parse()
-                        .map_err(|_| "bad --seed".to_string())?,
-                )
-            }
-            "--shards" => {
-                run.shards = next(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?
-            }
-            "--set" => {
-                let kv = next(&mut it, a)?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set needs key=value, got `{kv}`"))?;
-                run.overrides.push((
-                    k.trim().into(),
-                    v.trim()
-                        .parse()
-                        .map_err(|_| format!("bad --set value `{v}`"))?,
-                ));
-            }
-            "--ckpt-dir" => ckpt_dir = Some(PathBuf::from(next(&mut it, a)?)),
-            "--checkpoint-every" => {
-                checkpoint_every = next(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "bad --checkpoint-every".to_string())?
-            }
-            "--exec-threads" => {
-                exec = next(&mut it, a)?
-                    .parse()
-                    .map_err(|e| format!("--exec-threads {e}"))?
-            }
-            "--out" => out = Some(PathBuf::from(next(&mut it, a)?)),
-            "--kill-at-step" => {
-                let s: u64 = next(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "bad --kill-at-step".to_string())?;
-                faults = faults.and(s, Fault::KillHard);
-            }
-            "--stall-at-step" => {
-                let s: u64 = next(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "bad --stall-at-step".to_string())?;
-                faults = faults.and(s, Fault::Stall);
-            }
-            other => return Err(format!("unknown worker flag `{other}`")),
-        }
+    for &step in &task.stall_at {
+        sopts.faults = sopts.faults.and(step, Fault::Stall);
     }
-    let ckpt_dir = ckpt_dir.ok_or("worker needs --ckpt-dir")?;
-    let out = out.ok_or("worker needs --out")?;
-    if run.scenario.is_empty() {
-        return Err("worker needs --scenario".into());
-    }
-
-    let (s, cfg, po, pristine) = resolved_config(&run, scale).map_err(|e| e.to_string())?;
-    let mut sopts = SuperviseOptions::new(ckpt_dir, "run");
-    sopts.checkpoint_every = checkpoint_every.max(1);
-    sopts.shards = run.shards.max(1);
-    sopts.exec = exec;
-    sopts.faults = faults;
-    match run_supervised_config(s, scale, &cfg, po, pristine, &sopts) {
+    let mut res = RunRecord::fresh(&task.run);
+    let code = match run_supervised_config(s, task.scale, &cfg, po, pristine, &sopts) {
         Ok((outcome, report)) => {
-            atomic_write(&out, render_result(&outcome, &report).as_bytes())
-                .map_err(|e| format!("cannot write result: {e}"))?;
-            Ok(if outcome.passed { 0 } else { 2 })
+            res.status = match report.outcome {
+                SuperviseOutcome::Completed => RunStatus::Completed,
+                _ => RunStatus::Recovered,
+            };
+            res.worker_recoveries = report.recoveries.len() as u32;
+            res.passed = outcome.passed;
+            res.state_hash = outcome.state_hash;
+            res.cache_hit = report.resumed_at_start.is_some();
+            res.cache_saved_steps = report.resumed_at_start.unwrap_or(0);
+            res.wall_seconds = outcome.wall_seconds;
+            res.metrics = (outcome.metrics.iter())
+                .map(|m| (m.name.to_string(), m.value))
+                .collect();
+            if outcome.passed {
+                0
+            } else {
+                2
+            }
         }
         Err(SuperviseError::Abandoned(report)) => {
-            let text = format!(
-                "outcome=abandoned\npassed=false\nrecoveries={}\n",
+            res.worker_recoveries = report.recoveries.len() as u32;
+            res.last_error = format!(
+                "worker abandoned the run after {} recoveries",
                 report.recoveries.len()
             );
-            atomic_write(&out, text.as_bytes()).map_err(|e| format!("cannot write result: {e}"))?;
             eprint!("{}", report.render_log());
-            Ok(3)
+            3
         }
-        Err(e) => Err(e.to_string()),
-    }
+        Err(e) => return Err(e.to_string()),
+    };
+    save_journal(&task.out, 0, &task.run.label, task.scale, &[res])
+        .map_err(|e| format!("cannot write result: {e}"))?;
+    Ok(code)
 }
 
 // ---------------------------------------------------------------------------
@@ -1828,22 +1697,64 @@ mod tests {
     }
 
     #[test]
-    fn worker_result_round_trips() {
-        let text = "outcome=recovered\npassed=true\nstate_hash=0x00000000deadbeef\n\
-                    recoveries=2\nresumed_step=400\nwall_seconds=1.5\nmetric shock_angle_err_deg=0.37\n";
-        let res = parse_result(text).expect("parses");
-        assert_eq!(res.outcome, "recovered");
-        assert!(res.passed);
-        assert_eq!(res.state_hash, Some(0xDEADBEEF));
-        assert_eq!(res.recoveries, 2);
-        assert_eq!(res.resumed_step, Some(400));
-        assert_eq!(res.wall_seconds, 1.5);
-        assert_eq!(res.metrics, vec![("shock_angle_err_deg".to_string(), 0.37)]);
-        assert!(
-            parse_result("passed=true\n").is_err(),
-            "outcome is mandatory"
+    fn task_and_result_round_trip_through_the_run_codec() {
+        use dsmc_engine::ExecMode;
+        // demo_spec's first run has an override and no seed, its second a
+        // seed and no override.
+        let spec = demo_spec();
+        for (run, exec, kill_at) in [
+            (&spec.runs[0], ExecMode::Threaded { workers: 2 }, vec![800]),
+            (&spec.runs[1], ExecMode::Serial, vec![]),
+        ] {
+            let task = WorkerTask {
+                run: run.clone().sharded(3),
+                scale: Scale::Full,
+                ckpt_dir: "campaign/cache/fp00000000deadbeef".into(),
+                checkpoint_every: 100,
+                out: "campaign/results/a.run".into(),
+                exec,
+                kill_at,
+                stall_at: vec![500],
+            };
+            assert_eq!(WorkerTask::decode(&task.encode()).expect("decodes"), task);
+        }
+        assert!(WorkerTask::decode(&[0; 40]).is_err());
+
+        let dir = std::env::temp_dir().join(format!("dsmc_campaign_result_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.run");
+        let mut res = RunRecord::fresh(&spec.runs[1]);
+        res.status = RunStatus::Recovered;
+        res.worker_recoveries = 2;
+        res.passed = true;
+        res.cache_hit = true;
+        res.cache_saved_steps = 400;
+        res.state_hash = Some(0xDEADBEEF);
+        res.wall_seconds = 1.5;
+        res.metrics = vec![("shock_angle_err_deg".into(), 0.37), ("cd".into(), -1e-9)];
+        save_journal(&path, 0, "b", Scale::Quick, std::slice::from_ref(&res)).unwrap();
+        match attempt_result(&path, &dir.join("none.stderr")) {
+            Ok(back) => {
+                assert_eq!(back.spec, res.spec);
+                assert_eq!(back.status, RunStatus::Recovered);
+                assert_eq!(back.worker_recoveries, 2);
+                assert!(back.passed && back.cache_hit);
+                assert_eq!(back.cache_saved_steps, 400);
+                assert_eq!(back.state_hash, Some(0xDEADBEEF));
+                assert_eq!(back.wall_seconds, 1.5);
+                assert_eq!(back.metrics, res.metrics);
+            }
+            Err(why) => panic!("a recovered record is a successful attempt: {why}"),
+        }
+        res.status = RunStatus::Pending;
+        res.last_error = "worker abandoned the run after 2 recoveries".into();
+        save_journal(&path, 0, "b", Scale::Quick, std::slice::from_ref(&res)).unwrap();
+        assert_eq!(
+            attempt_result(&path, &dir.join("none.stderr")).map(|_| ()),
+            Err(res.last_error.clone()),
+            "a pending record is a failed attempt"
         );
-        assert!(parse_result("bogus line\n").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -83,12 +83,14 @@ fn sentinels_stay_silent_across_the_registry_at_quick_scale() {
 /// Detection latency harness: run healthy to `inject_at`, corrupt one
 /// column, keep stepping — the trip must land at the *first* window
 /// boundary after the injection (within one sampling window), with the
-/// error class matching the corruption, at one shard and at four.
+/// error class matching the corruption, at one shard and at four.  Returns
+/// the two trips, one shard's first.
 fn assert_caught_within_one_window(
     target: FaultTarget,
     steps_after_injection: u64,
     classify: fn(&SentinelError) -> bool,
-) {
+) -> Vec<SentinelError> {
+    let mut trips = Vec::new();
     for shards in [1usize, 4] {
         let mut sim = at_shards(wedge_dirty_cfg(23), shards);
         let sentinel = Sentinel::arm(&sim);
@@ -105,13 +107,17 @@ fn assert_caught_within_one_window(
         // `steps_after_injection` keeps us inside the window ending at 20.
         assert!(15 + steps_after_injection <= 20);
         match sentinel.check(&sim) {
-            Err(e) => assert!(
-                classify(&e),
-                "corruption ({what}) at {shards} shards caught by the wrong check: {e}"
-            ),
+            Err(e) => {
+                assert!(
+                    classify(&e),
+                    "corruption ({what}) at {shards} shards caught by the wrong check: {e}"
+                );
+                trips.push(e);
+            }
             Ok(()) => panic!("corruption ({what}) at {shards} shards not caught within one window"),
         }
     }
+    trips
 }
 
 /// Out-of-plane velocity block corruption: pure ledger damage (no single
@@ -139,12 +145,17 @@ fn u_spike_is_caught_by_the_halo_bound_within_one_window() {
 
 /// Cell-index corruption self-heals at the next move phase (the sweep
 /// recomputes the column), so it must be caught *at* the boundary it is
-/// injected on — zero steps of grace — by the segment-consistency scan.
+/// injected on — zero steps of grace — by the segment-consistency scan,
+/// which names the same canonical index at one shard and at four.
 #[test]
 fn cell_rotation_is_caught_immediately_by_the_segment_scan() {
-    assert_caught_within_one_window(FaultTarget::CellIndex, 0, |e| {
+    let trips = assert_caught_within_one_window(FaultTarget::CellIndex, 0, |e| {
         matches!(e, SentinelError::SegmentsBroken { .. })
     });
+    assert_eq!(
+        trips[0], trips[1],
+        "the segment scan depends on the shard count"
+    );
 }
 
 /// The exact-count invariant: physically removing a particle from every

@@ -7,9 +7,9 @@
 
 use dsmc_engine::config::WallModel;
 use dsmc_engine::{BodySpec, RngMode, SimConfig, Simulation, StateError};
-use dsmc_scenarios::campaign::load_journal;
+use dsmc_scenarios::campaign::{load_journal, WorkerTask};
 use dsmc_scenarios::{
-    campaign, run_campaign, CampaignOptions, CampaignSpec, RunSpec, RunStatus, Scale, Sleeper,
+    run_campaign, CampaignOptions, CampaignSpec, RunSpec, RunStatus, Scale, Sleeper,
 };
 use integration_tests::{reseal, subprocess_hash, tmp_dir, wedge_dirty_cfg};
 use proptest::prelude::*;
@@ -90,14 +90,15 @@ fn resume_mid_sampling_window_reduces_to_the_same_fields() {
     assert_eq!(ss.force_x, sb.force_x);
 }
 
-/// A journal as `run_campaign` writes it, for the decoder fuzz below:
-/// three runs — one seeded with overrides, its duplicate, one at two
-/// shards — whose worker executable does not exist, so each primary
-/// burns its two attempts and the journal holds quarantine and duplicate
-/// records with their error text.
-fn campaign_journal() -> &'static [u8] {
-    static JOURNAL: OnceLock<Vec<u8>> = OnceLock::new();
-    JOURNAL.get_or_init(|| {
+/// A journal and a worker task as `run_campaign` writes them, for the
+/// decoder fuzz below: three runs — one seeded with overrides, its
+/// duplicate, one at two shards — whose worker executable does not
+/// exist, so each primary burns its two attempts and the journal holds
+/// quarantine and duplicate records with their error text.  The task is
+/// the seeded run's first attempt, written before its spawn failed.
+fn campaign_files() -> &'static (Vec<u8>, Vec<u8>) {
+    static FILES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    FILES.get_or_init(|| {
         let dir = tmp_dir("fuzz_journal");
         let mut opts = CampaignOptions::new(dir.clone());
         opts.worker_exe = Some(dir.join("no-such-worker"));
@@ -122,9 +123,11 @@ fn campaign_journal() -> &'static [u8] {
         let report = run_campaign(&spec, &opts).expect("the campaign itself runs");
         assert_eq!(report.count(RunStatus::Quarantined), 2);
         assert_eq!(report.count(RunStatus::Skipped), 1);
-        let bytes = std::fs::read(dir.join("campaign.journal")).expect("journal written");
+        let journal = std::fs::read(dir.join("campaign.journal")).expect("journal written");
+        let task = std::fs::read(dir.join("logs/a.attempt1.task")).expect("task written");
+        WorkerTask::decode(&task).expect("the written task decodes");
         let _ = std::fs::remove_dir_all(&dir);
-        bytes
+        (journal, task)
     })
 }
 
@@ -189,9 +192,11 @@ proptest! {
     /// and stepped three times; the same for one to three bytes of the
     /// snapshot's header fields alone (bytes 8..24: version, fingerprint,
     /// section count); one to three resealed bytes of a real campaign
-    /// journal through `load_journal`; and text built from the campaign
-    /// formats' own tokens through the spec and worker-result parsers.
-    /// Each input is a typed `Err` or a clean run.
+    /// journal through `load_journal` (whose run reader also reads a
+    /// worker's result) and of a real worker task through
+    /// `WorkerTask::decode`; and text built from the spec format's own
+    /// tokens through its parser.  Each input is a typed `Err` or a clean
+    /// run.
     #[test]
     fn prop_decoders_never_panic(
         n_edits in 1usize..=3,
@@ -201,6 +206,7 @@ proptest! {
         tokens in proptest::collection::vec(any::<usize>(), 0..40),
         header_at in proptest::array::uniform5(8u64..24),
         journal_at in proptest::array::uniform5(any::<u64>()),
+        task_at in proptest::array::uniform5(any::<u64>()),
     ) {
         let cfg = SimConfig::small_test();
         let mut sim = Simulation::new(cfg.clone());
@@ -220,25 +226,28 @@ proptest! {
             resumed.run(3);
         }
 
-        let mut journal = campaign_journal().to_vec();
+        let (journal, task) = campaign_files();
+        let mut journal = journal.clone();
         mutate_and_reseal(&mut journal, n_edits, &journal_at, &flip);
         let path = tmp_dir("fuzz_journal_case").with_extension("journal");
         std::fs::write(&path, &journal).expect("write the mutated journal");
         let _ = load_journal(&path);
         let _ = std::fs::remove_file(&path);
 
+        let mut task = task.clone();
+        mutate_and_reseal(&mut task, n_edits, &task_at, &flip);
+        let _ = WorkerTask::decode(&task);
+
         let vocab: Vec<&str> = TEXT_VOCAB.split('|').collect();
         let text: String = tokens.iter().map(|&t| vocab[t % vocab.len()]).collect();
         let _ = CampaignSpec::parse(&text);
-        let _ = campaign::parse_result(&text);
     }
 }
 
-/// The vocabulary of the campaign spec and worker-result formats, plus
-/// the separators and values that make their parsers branch, `|`-separated.
+/// The vocabulary of the campaign spec format, plus the separators and
+/// values that make its parser branch, `|`-separated.
 const TEXT_VOCAB: &str = "name|scale|quick|full|[run]|scenario|wedge-paper|label|seed|shards|\
-    set |mach|metric |outcome|completed|passed|true|state_hash|recoveries|resumed_step|\
-    wall_seconds|0x|=| = |\n|#|-|0|7|ffff|18446744073709551616|1e999|NaN|.|é| ";
+    set |mach|=| = |\n|#|-|0|7|ffff|18446744073709551616|1e999|NaN|.|é| ";
 
 #[test]
 fn config_fingerprint_mismatches_are_typed() {

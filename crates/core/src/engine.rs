@@ -17,8 +17,9 @@ use dsmc_geom::{
     Wedge,
 };
 use dsmc_kinetics::{FreeStream, SelectionTable};
-use shard::{exec::ShardExec, Outbox, Shard, ShardLayout};
-use std::sync::{Arc, OnceLock};
+use shard::{exec::ShardExec, CanonicalRuns, Outbox, Shard, ShardLayout};
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Concrete body shape for the monomorphised boundary pass: resolving a
@@ -67,10 +68,6 @@ pub struct Simulation {
     /// block: at one shard the canonical sorted state itself, at several
     /// the canonical array restricted to each shard's cells.
     shards: Vec<Shard>,
-    /// At several shards, a cache of the canonical (one-domain) array for
-    /// the column readers: merged on their first read, dropped by every
-    /// step and scatter.  Unused at one shard.
-    view: OnceLock<Shard>,
     layout: ShardLayout,
     /// `outbox[src][dst]`: this step's crossers from `src` to `dst`.  A
     /// source fills its row in the move phase (after the refill on
@@ -228,7 +225,6 @@ impl Simulation {
             sel,
             volumes,
             shards: vec![Shard::new(total_cells as usize)],
-            view: OnceLock::new(),
             layout: ShardLayout::new(vec![0, tunnel.width], tunnel.width, res_base, total_cells),
             outbox: Vec::new(),
             col_load: Vec::new(),
@@ -562,30 +558,35 @@ impl Simulation {
     /// consumed, so an uninterrupted reference run and a
     /// corrupt-then-recover run share trajectories exactly.  Returns a
     /// human-readable description of what was damaged (for recovery
-    /// logs).  Applied on the canonical state (several shards merge first
-    /// and re-scatter after), so the sentinel-visible damage is the same
-    /// at every shard count.
+    /// logs).  The damage is placed by canonical row, and lands in place
+    /// on whichever shard holds that row, so the sentinel-visible damage is
+    /// the same at every shard count and nothing is copied or re-scattered.
     pub fn inject_fault(&mut self, target: FaultTarget, salt: u64) -> String {
         let total = self.total_cells();
-        let mut merged = (self.shards.len() > 1).then(|| self.take_merged());
-        let parts = match &mut merged {
-            Some(canon) => &mut canon.parts,
-            None => &mut self.shards[0].parts,
-        };
-        let n = parts.len();
+        let n = self.n_particles();
         assert!(n > 0, "cannot inject a fault into an empty simulation");
         let start = (salt as usize) % n;
-        let what = match target {
+        let block = match target {
+            FaultTarget::OutOfPlaneVelocity => (n / 64).clamp(32.min(n), n),
+            _ => 1,
+        };
+        // `(shard, row)` of canonical rows `start..`, wrapping at `n`.
+        let rows: Vec<_> = (CanonicalRuns::of(&self.shards).rows())
+            .cycle()
+            .skip(start)
+            .take(block)
+            .collect();
+        let (s, i) = rows[0];
+        match target {
             FaultTarget::OutOfPlaneVelocity => {
                 // +4 cells/step of w over a block: a deterministic
                 // momentum-ledger jolt (and an energy jolt in small
                 // populations).  w does not advect 2-D motion, so the
                 // damage persists until a sentinel looks at the ledgers.
                 const KICK: i32 = 1 << 25;
-                let block = (n / 64).clamp(32.min(n), n);
-                for k in 0..block {
-                    let i = (start + k) % n;
-                    parts.w[i] = Fx::from_raw(parts.w[i].raw().saturating_add(KICK));
+                for (s, i) in rows {
+                    let w = &mut self.shards[s].parts.w[i];
+                    *w = Fx::from_raw(w.raw().saturating_add(KICK));
                 }
                 format!("w += 4.0 c/s over {block} particles from slot {start}")
             }
@@ -594,7 +595,7 @@ impl Simulation {
                 // bound for every registry config, yet slow enough that a
                 // few move phases neither overflow positions nor matter.
                 const SPIKE: i32 = 1 << 25;
-                parts.u[start] = Fx::from_raw(SPIKE);
+                self.shards[s].parts.u[i] = Fx::from_raw(SPIKE);
                 format!("u := 4.0 c/s on particle {start}")
             }
             FaultTarget::CellIndex => {
@@ -603,15 +604,11 @@ impl Simulation {
                 // so this class self-heals after one step — inject it at
                 // a sentinel boundary to model a stale cache caught in
                 // the act.
-                let old = parts.cell[start];
-                parts.cell[start] = (old + 1) % total;
+                let old = self.shards[s].parts.cell[i];
+                self.shards[s].parts.cell[i] = (old + 1) % total;
                 format!("cell {old} -> {} on particle {start}", (old + 1) % total)
             }
-        };
-        if let Some(canon) = merged {
-            self.scatter(&canon);
         }
-        what
     }
 
     /// Reset the timing accumulators (e.g. after warm-up).
@@ -620,16 +617,21 @@ impl Simulation {
     }
 
     /// The particle store in canonical sorted order (read access for
-    /// analysis tools).  Several shards merge into a cached view on the
-    /// first read after a step (see [`shard`]).
-    pub fn particles(&self) -> &ParticleStore {
-        &self.canon().parts
+    /// analysis tools and tests): the one shard's, borrowed, or at several
+    /// shards a copy scattered from them for this call — the caller drops
+    /// it, so the shards stay the only resident copy (see [`shard`]).
+    pub fn particles(&self) -> Cow<'_, ParticleStore> {
+        match &self.shards[..] {
+            [one] => Cow::Borrowed(&one.parts),
+            shards => Cow::Owned(shard::scatter(shards, 1, |_| 0).swap_remove(0).parts),
+        }
     }
 
-    /// Segment bounds of the current sorted order (merged like
-    /// [`Simulation::particles`]).
-    pub fn segment_bounds(&self) -> &[u32] {
-        &self.canon().bounds
+    /// Segment bounds of the current sorted order: the one shard's,
+    /// borrowed, or at several shards the running prefix of their segments
+    /// in canonical order, built for this call.
+    pub fn segment_bounds(&self) -> Cow<'_, [u32]> {
+        CanonicalRuns::of(&self.shards).bounds
     }
 
     /// The permutation applied by the most recent sort (`new[i] =
@@ -646,7 +648,7 @@ impl Simulation {
     }
 
     /// Each shard's particle columns and segment bounds, in shard order:
-    /// what the sentinel scans in place of a merged view.
+    /// what the sentinel scans in place of a canonical copy.
     pub(crate) fn shard_states(&self) -> impl Iterator<Item = (&ParticleStore, &[u32])> {
         self.shards.iter().map(|s| (&s.parts, &s.bounds[..]))
     }

@@ -120,12 +120,13 @@
 //! [`Simulation::n_flow`]) and the sentinel's scans fold per shard; the
 //! order-bearing outputs ([`Simulation::state_hash`],
 //! [`Simulation::save_state`]) stream from the shards, walking the merge
-//! once for the canonical `(shard, rows)` runs (`CanonicalRuns`).  The
-//! merged (one-domain) array is only a cache for the column readers
-//! ([`Simulation::particles`], [`Simulation::segment_bounds`]): a k-way
-//! merge by cell — a pure copy, no RNG — built on their first read after
-//! a step, and dropped by the next step or scatter, so it can never be
-//! stale.
+//! once for the canonical `(shard, rows)` runs (`CanonicalRuns`).  One
+//! routine copies rows between shards: `scatter` walks the old shards'
+//! segments in that order straight into the new ones (a pure copy, no
+//! RNG), so a re-decomposition builds no canonical copy on the way.  The
+//! column readers ([`Simulation::particles`],
+//! [`Simulation::segment_bounds`]) borrow at one shard and build a copy
+//! for the call at several.
 //!
 //! # Checkpoints
 //!
@@ -133,7 +134,8 @@
 //! bytes at every shard count, streamed from the shards) plus, at several
 //! shards, an advisory `SHRD` manifest: shard count, column cuts,
 //! per-shard populations, repartition count.  [`Simulation::resume`]
-//! scatters the canonical state, segment by segment, under *any* shard
+//! decodes the canonical state into one shard and scatters it, segment by
+//! segment, under *any* shard
 //! count and warm-starts the stored cuts only when the counts match, so a
 //! checkpoint taken at S shards resumes bit-exactly at S′.  The manifest is outside both the config fingerprint and the
 //! state hash (execution layout, not physics).
@@ -562,30 +564,49 @@ impl<'a> CanonicalRuns<'a> {
             .iter()
             .flat_map(move |(s, rows)| &col(&shards[*s].parts)[rows.clone()])
     }
-}
 
-/// The canonical (single-domain) array of `shards`, copied into one shard
-/// run by run — a pure copy, no RNG.  Each segment's cell is the cell of
-/// its first row, so the columns, bounds and segment cells are exactly
-/// what one shard's sort would have produced.
-fn merged(shards: &[Shard]) -> Shard {
-    let canon = CanonicalRuns::of(shards);
-    let mut view = Shard::default();
-    view.parts.reserve(canon.len());
-    for (s, rows) in &canon.runs {
-        view.parts.extend_range(&shards[*s].parts, rows.clone());
+    /// Where each canonical row lives, `(shard, row)`, in canonical order.
+    pub(super) fn rows(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        (self.runs.iter()).flat_map(|(s, rows)| rows.clone().map(move |i| (*s, i)))
     }
-    view.bounds = canon.bounds.into_owned();
-    let (bounds, cells) = (&view.bounds, &view.parts.cell);
-    view.seg_cell = (bounds[..bounds.len() - 1].iter())
-        .map(|&b| cells[b as usize])
-        .collect();
-    debug_assert!(view.parts.check_coherent());
-    view
 }
 
-/// The column-block decomposition: how many shards, where the cuts are,
-/// and the cached view several shards merge into for the column readers.
+/// Copy the canonical array `from` holds into `n` fresh shards, segment by
+/// segment to `owner(cell)`, writing their segment tables in the same
+/// walk: the one routine that copies rows between shards.  A pure copy, no
+/// RNG; each shard reserves its population plus the eighth of headroom
+/// `extend_range` would take on growing.
+pub(super) fn scatter(from: &[Shard], n: usize, owner: impl Fn(u32) -> usize) -> Vec<Shard> {
+    let segments = || {
+        let mut pos = vec![0; from.len()];
+        std::iter::from_fn(move || {
+            let (s, j) = next_merged_segment(from, &mut pos)?;
+            let (src, b) = (&from[s], &from[s].bounds);
+            Some((src, src.seg_cell[j], b[j] as usize..b[j + 1] as usize))
+        })
+    };
+    let mut pops = vec![0; n];
+    for (_, cell, rows) in segments() {
+        pops[owner(cell)] += rows.len();
+    }
+    let mut to: Vec<Shard> = (pops.into_iter())
+        .map(|pop| {
+            let mut shard = Shard::default();
+            shard.parts.reserve(pop + pop / 8);
+            shard.bounds.push(0);
+            shard
+        })
+        .collect();
+    for (src, cell, rows) in segments() {
+        let shard = &mut to[owner(cell)];
+        shard.parts.extend_range(&src.parts, rows);
+        shard.bounds.push(shard.parts.len() as u32);
+        shard.seg_cell.push(cell);
+    }
+    to
+}
+
+/// The column-block decomposition: how many shards and where the cuts are.
 impl Simulation {
     /// Where segment or row `at` of shard `me` sits in the canonical
     /// (single-domain) order: its index in the shard plus the segments or
@@ -626,15 +647,11 @@ impl Simulation {
     /// [`Simulation::reshard`], cutting at `stored` instead when it holds
     /// cuts for exactly the clamped shard count (a checkpoint's manifest;
     /// the caller has checked that they span the tunnel), so a resume
-    /// scatters once.
+    /// scatters once.  One shard staying one is kept as it is.
     pub(super) fn reshard_with(&mut self, n_shards: usize, stored: Option<Vec<u32>>) {
         let w = self.tunnel.width;
         let n_shards = n_shards.clamp(1, w as usize);
         self.fold_col_load();
-        let canon = match self.shards.len() {
-            1 => self.shards.pop().expect("one shard"),
-            _ => self.take_merged(),
-        };
         let cuts = match stored {
             Some(cuts) if cuts.len() == n_shards + 1 => cuts,
             _ if self.col_load.iter().all(|&l| l == 0) => uniform_cuts(w as usize, n_shards),
@@ -646,62 +663,10 @@ impl Simulation {
         self.outbox = (0..n_shards)
             .map(|_| (0..n_shards).map(|_| Outbox::default()).collect())
             .collect();
-        if n_shards == 1 {
-            self.shards = vec![canon];
-        } else {
-            self.shards = (0..n_shards)
-                .map(|_| Shard::new(total_cells as usize))
-                .collect();
-            self.scatter(&canon);
+        if n_shards > 1 || self.shards.len() > 1 {
+            let layout = &self.layout;
+            self.shards = scatter(&self.shards, n_shards, |cell| layout.owner(cell));
         }
-    }
-
-    /// The canonical particle domain: the one shard, or the view several
-    /// merge into on its first read since the last step or scatter.
-    pub(super) fn canon(&self) -> &Shard {
-        match &self.shards[..] {
-            [one] => one,
-            shards => self.view.get_or_init(|| merged(shards)),
-        }
-    }
-
-    /// The canonical domain of several shards as one owned shard: the
-    /// cached view if a column reader built one, else a fresh merge.  No
-    /// view is left behind.
-    pub(super) fn take_merged(&mut self) -> Shard {
-        self.view.take().unwrap_or_else(|| merged(&self.shards))
-    }
-
-    /// Scatter a canonical domain into the shards, segment by segment to
-    /// the owner of its cell, writing each shard's segment table in the
-    /// same walk.  A pure copy — no RNG is consumed, no particle is
-    /// reordered — so the subsequence invariant holds by construction.  The
-    /// shards are then the only copy of the state: any view is dropped.
-    pub(super) fn scatter(&mut self, canon: &Shard) {
-        let segments = || {
-            (canon.seg_cell.iter().enumerate())
-                .map(|(j, &c)| (c, canon.bounds[j] as usize..canon.bounds[j + 1] as usize))
-        };
-        let mut pops = vec![0; self.shards.len()];
-        for (cell, rows) in segments() {
-            pops[self.layout.owner(cell)] += rows.len();
-        }
-        for (shard, pop) in self.shards.iter_mut().zip(pops) {
-            // The eighth of headroom `extend_range` would take on growing.
-            shard.parts.clear();
-            shard.parts.reserve(pop + pop / 8);
-            shard.bounds.clear();
-            shard.bounds.push(0);
-            shard.seg_cell.clear();
-            shard.order.clear();
-        }
-        for (cell, rows) in segments() {
-            let shard = &mut self.shards[self.layout.owner(cell)];
-            shard.parts.extend_range(&canon.parts, rows);
-            shard.bounds.push(shard.parts.len() as u32);
-            shard.seg_cell.push(cell);
-        }
-        self.view.take();
     }
 
     /// The engine itself: the shards are the state, and every reader takes
@@ -720,7 +685,6 @@ impl Simulation {
     /// (supervisors recover from the last checkpoint).  Under `Serial`
     /// worker panics unwind normally and this never returns `Err`.
     pub fn try_step(&mut self) -> Result<(), ShardExecError> {
-        self.view.take();
         let several = self.shards.len() > 1;
         if several {
             // The repartition check is free (it reads the last sort's
@@ -812,17 +776,17 @@ impl Simulation {
     /// Replace the column cuts (a test/experimentation hook: e.g. start
     /// maximally skewed to force the weighted repartition mid-run).  Like
     /// the repartition itself this is trajectory-neutral — the shards are
-    /// merged, re-cut and re-scattered, a pure copy that consumes no RNG.
-    /// Returns `false` (and changes nothing) unless `cuts` has `n_shards +
-    /// 1` strictly-ascending entries spanning `0..=tunnel_w`.
+    /// re-cut and scattered from the old ones, a pure copy that consumes no
+    /// RNG.  Returns `false` (and changes nothing) unless `cuts` has
+    /// `n_shards + 1` strictly-ascending entries spanning `0..=tunnel_w`.
     pub fn set_cuts(&mut self, cuts: &[u32]) -> bool {
         if cuts.len() != self.shards.len() + 1 || !cuts_span(cuts, self.tunnel.width) {
             return false;
         }
         if self.shards.len() > 1 {
-            let canon = self.take_merged();
             self.layout.set_cuts(cuts.to_vec());
-            self.scatter(&canon);
+            let layout = &self.layout;
+            self.shards = scatter(&self.shards, self.shards.len(), |cell| layout.owner(cell));
         }
         true
     }
@@ -1464,12 +1428,39 @@ mod tests {
         assert_eq!(sharded.state_hash(), single.state_hash());
     }
 
-    /// Capacity of every column of the merged view (0 when none is built).
-    fn view_capacity(sim: &Simulation) -> usize {
-        let Some(view) = sim.view.get() else { return 0 };
-        let p = &view.parts;
+    /// Capacity of each of a store's ten columns.
+    fn column_capacities(p: &ParticleStore) -> Vec<usize> {
         let fx = [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2].map(|c| c.capacity());
-        fx.iter().sum::<usize>() + p.perm.capacity() + p.rng.capacity() + p.cell.capacity()
+        let rest = [p.perm.capacity(), p.rng.capacity(), p.cell.capacity()];
+        fx.into_iter().chain(rest).collect()
+    }
+
+    /// Every column, summed over the shards, holds at most each row once
+    /// plus the eighth of headroom a scatter reserves: no second copy.
+    fn assert_one_copy(sim: &Simulation, after: &str) {
+        let n = sim.n_particles();
+        for k in 0..10 {
+            let cap: usize = (sim.shards.iter())
+                .map(|s| column_capacities(&s.parts)[k])
+                .sum();
+            assert!(
+                cap <= n + n / 8 + sim.n_shards(),
+                "after {after}: column {k} holds {cap} rows for {n} particles"
+            );
+        }
+    }
+
+    /// The two domains hold the same columns and segment tables, bitwise.
+    fn assert_same_rows(got: &Shard, want: &Shard, what: &str) {
+        let (g, w) = (&got.parts, &want.parts);
+        let fx =
+            |p: &ParticleStore| [&p.x, &p.y, &p.u, &p.v, &p.w, &p.r1, &p.r2].map(|c| c.clone());
+        assert_eq!(fx(g), fx(w), "{what}: an Fx column differs");
+        assert_eq!(g.perm, w.perm, "{what}: perm");
+        assert_eq!(g.rng, w.rng, "{what}: rng");
+        assert_eq!(g.cell, w.cell, "{what}: cell");
+        assert_eq!(got.bounds, want.bounds, "{what}: bounds");
+        assert_eq!(got.seg_cell, want.seg_cell, "{what}: seg_cell");
     }
 
     /// Each section of a snapshot, by tag.
@@ -1493,7 +1484,9 @@ mod tests {
         let mut resharded = Simulation::new(wedge_cfg());
         resharded.run(10);
         resharded.reshard(4);
+        assert_one_copy(&resharded, "reshard(4)");
         let mut resumed = Simulation::resume(wedge_cfg(), &bytes, 4).unwrap();
+        assert_one_copy(&resumed, "resume(.., 4)");
         let cycles = single.diagnostics().plunger_cycles;
         single.begin_sampling();
         single.run(30);
@@ -1507,20 +1500,14 @@ mod tests {
         let want_field = single.finish_sampling();
         let want_surface = single.finish_surface_sampling().expect("wedge has facets");
         for sim in [&mut resharded, &mut resumed] {
-            assert_eq!(view_capacity(sim), 0, "a fresh 4-shard engine holds a view");
-            // Everything a supervised run reads walks the shards: no
-            // reader builds a view.  Only a step or a scatter drops one, so
-            // a 0 after a run of readers covers each of them.
+            // Everything a supervised run reads walks the shards.
             let sentinel = Sentinel::arm(sim);
-            assert_eq!(view_capacity(sim), 0, "arming the sentinel built a view");
             sim.begin_sampling();
             sim.run(30);
             sentinel.check(sim).expect("healthy run");
-            assert_eq!(view_capacity(sim), 0, "the sentinel check built a view");
             assert_eq!(sim.diagnostics(), single.diagnostics());
             assert!(sim.freestream().sigma() > 0.0);
             let (hash, saved) = (sim.state_hash(), sim.save_state());
-            assert_eq!(view_capacity(sim), 0, "streaming the outputs built a view");
             assert_eq!(hash, want_hash);
             let got = sections(&saved);
             for tag in [*b"CORE", *b"PART", *b"BNDS", *b"FSMP"] {
@@ -1530,24 +1517,39 @@ mod tests {
             assert_eq!(sim.finish_sampling().density, want_field.density);
             let surface = sim.finish_surface_sampling().expect("wedge has facets");
             assert_eq!(surface.cp, want_surface.cp);
-            assert_eq!(view_capacity(sim), 0, "closing the windows built a view");
-            // A column read builds the view; a step drops it, and the next
-            // read rebuilds it bitwise as one domain would hold it.
+            // A re-cut scatters from the shards, a column read copies for
+            // the call alone, and a fault lands in place: none leaves a
+            // second copy behind.
+            let w = sim.tunnel.width;
+            assert!(sim.set_cuts(&[0, 1, 2, 3, w]));
+            assert_one_copy(sim, "set_cuts");
             assert_eq!(sim.particles().x, single.particles().x);
-            assert!(view_capacity(sim) > 0);
+            assert_eq!(sim.segment_bounds(), single.segment_bounds());
+            assert_one_copy(sim, "a column read");
+            sim.inject_fault(FaultTarget::OutOfPlaneVelocity, 7);
+            assert_one_copy(sim, "inject_fault");
+            // A step after the re-cut keeps the canonical array bitwise as
+            // one domain would hold it.
             let mut reference = Simulation::resume(wedge_cfg(), &sim.save_state(), 1).unwrap();
             sim.step();
-            assert_eq!(view_capacity(sim), 0, "a step kept the view");
             reference.step();
-            let (got, want) = (sim.canon(), reference.canon());
-            assert_eq!(got.parts.x, want.parts.x);
-            assert_eq!(got.parts.u, want.parts.u);
-            assert_eq!(got.parts.rng, want.parts.rng);
-            assert_eq!(got.parts.cell, want.parts.cell);
-            assert_eq!(got.bounds, want.bounds);
-            assert_eq!(got.seg_cell, want.seg_cell);
+            let got = scatter(&sim.shards, 1, |_| 0);
+            assert_same_rows(&got[0], &reference.shards[0], "a step after set_cuts");
             assert_eq!(sim.state_hash(), reference.state_hash());
         }
+    }
+
+    #[test]
+    fn a_reshard_round_trip_is_bitwise() {
+        let mut sim = Simulation::new(wedge_cfg());
+        sim.run(15);
+        let want = scatter(&sim.shards, 1, |_| 0);
+        let w = sim.tunnel.width as usize;
+        for n in [4, 3, w, 1] {
+            sim.reshard(n);
+            assert_eq!(sim.n_shards(), n);
+        }
+        assert_same_rows(&sim.shards[0], &want[0], "1 -> 4 -> 3 -> width -> 1");
     }
 
     #[test]
@@ -1565,13 +1567,38 @@ mod tests {
 
     #[test]
     fn fault_injection_is_identical_on_the_canonical_view() {
-        let mut single = Simulation::new(SimConfig::small_test());
-        let mut sharded = sharded(SimConfig::small_test(), 2);
-        single.run(20);
-        sharded.run(20);
-        let m1 = single.inject_fault(FaultTarget::StreamwiseVelocity, 99);
-        let m2 = sharded.inject_fault(FaultTarget::StreamwiseVelocity, 99);
-        assert_eq!(m1, m2);
-        assert_eq!(sharded.state_hash(), single.state_hash());
+        let targets = [
+            FaultTarget::OutOfPlaneVelocity,
+            FaultTarget::StreamwiseVelocity,
+            FaultTarget::CellIndex,
+        ];
+        for target in targets {
+            for shards in [2, 4] {
+                let mut single = Simulation::new(SimConfig::small_test());
+                single.run(20);
+                // One salt inside the array, one whose block wraps its end.
+                for salt in [99, single.n_particles() as u64 - 3] {
+                    let tag = format!("{target:?} at {shards} shards, salt {salt}");
+                    let mut one = Simulation::new(SimConfig::small_test());
+                    let mut several = sharded(SimConfig::small_test(), shards);
+                    one.run(20);
+                    several.run(20);
+                    let pops = several.shard_populations();
+                    let caps: Vec<_> = (several.shards.iter())
+                        .map(|s| column_capacities(&s.parts))
+                        .collect();
+                    let m1 = one.inject_fault(target, salt);
+                    let m2 = several.inject_fault(target, salt);
+                    assert_eq!(m1, m2, "{tag}");
+                    assert_eq!(several.state_hash(), one.state_hash(), "{tag}");
+                    // Damaged in place: nothing was re-scattered.
+                    assert_eq!(several.shard_populations(), pops, "{tag}");
+                    let after: Vec<_> = (several.shards.iter())
+                        .map(|s| column_capacities(&s.parts))
+                        .collect();
+                    assert_eq!(after, caps, "{tag}");
+                }
+            }
+        }
     }
 }

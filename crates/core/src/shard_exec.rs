@@ -100,7 +100,7 @@ impl ShardExec {
         let workers = mode.resolved_workers(n_shards);
         Self {
             workers,
-            par: resolve_par(mode, workers, rayon::current_num_threads()),
+            par: resolve_par(workers, rayon::current_num_threads()),
             serial: mode == ExecMode::Serial,
         }
     }
@@ -197,10 +197,10 @@ impl ShardExec {
 
 /// The one-layer rule: a phase's primitives run inline exactly when the
 /// phases fan out over at least two workers and those workers are at
-/// least as many as the rayon pool's threads.  `Serial`, a run that
-/// resolves to one worker and a pool wider than the workers keep forking.
-fn resolve_par(mode: ExecMode, workers: usize, pool_threads: usize) -> Par {
-    if mode != ExecMode::Serial && workers >= 2 && workers >= pool_threads {
+/// least as many as the rayon pool's threads.  One worker (what `Serial`
+/// always resolves to) and a pool wider than the workers keep forking.
+fn resolve_par(workers: usize, pool_threads: usize) -> Par {
+    if workers >= 2 && workers >= pool_threads {
         Par::Inline
     } else {
         Par::Pool
@@ -309,22 +309,24 @@ mod tests {
     #[test]
     fn primitives_run_inline_only_when_the_workers_cover_the_pool() {
         let threaded = |workers| ExecMode::Threaded { workers };
-        // Serial is the executable spec: it forks whatever the widths.
+        // Serial is the executable spec: it resolves to one worker at any
+        // shard count, so it forks whatever the widths.
         for pool in [1usize, 2, 4] {
-            assert_eq!(resolve_par(ExecMode::Serial, 1, pool), Par::Pool);
+            let workers = ExecMode::Serial.resolved_workers(4);
+            assert_eq!(resolve_par(workers, pool), Par::Pool);
         }
         // One worker fans nothing out.
         for pool in [1usize, 2, 4] {
-            assert_eq!(resolve_par(threaded(1), 1, pool), Par::Pool);
+            assert_eq!(resolve_par(1, pool), Par::Pool);
         }
         // Workers >= max(2, pool threads): inline.
-        assert_eq!(resolve_par(threaded(2), 2, 1), Par::Inline);
-        assert_eq!(resolve_par(threaded(2), 2, 2), Par::Inline);
-        assert_eq!(resolve_par(threaded(4), 4, 4), Par::Inline);
-        assert_eq!(resolve_par(threaded(0), 4, 2), Par::Inline);
+        assert_eq!(resolve_par(2, 1), Par::Inline);
+        assert_eq!(resolve_par(2, 2), Par::Inline);
+        assert_eq!(resolve_par(4, 4), Par::Inline);
+        assert_eq!(resolve_par(4, 2), Par::Inline);
         // Fewer workers than pool threads: the pool keeps its work.
-        assert_eq!(resolve_par(threaded(2), 2, 4), Par::Pool);
-        assert_eq!(resolve_par(threaded(3), 3, 4), Par::Pool);
+        assert_eq!(resolve_par(2, 4), Par::Pool);
+        assert_eq!(resolve_par(3, 4), Par::Pool);
 
         // The executor applies the rule to the workers it resolved (the
         // shard count clamps them) and to this process's pool, and hands
@@ -338,7 +340,7 @@ mod tests {
             (threaded(4), 1),
         ] {
             let exec = ShardExec::new(mode, shards);
-            let want = resolve_par(mode, exec.workers(), pool);
+            let want = resolve_par(exec.workers(), pool);
             assert_eq!(exec.par, want, "{mode:?} at {shards} shards");
             let mut items = vec![0u8; shards];
             let seen = exec

@@ -91,7 +91,7 @@ fn measure_point(
     for _ in 0..measure {
         sim.step();
         f_sort_acc += offchip_sort_fraction(sim.last_sort_order(), vp.max(1));
-        f_pair_acc += offchip_pair_fraction(sim.segment_bounds(), vp.max(1));
+        f_pair_acc += offchip_pair_fraction(&sim.segment_bounds(), vp.max(1));
     }
     let wall = t0.elapsed();
     let d1 = sim.diagnostics();

@@ -574,9 +574,15 @@ impl RunRecord {
     }
 
     /// Total recoveries the campaign performed for this run: executor
-    /// retries plus in-worker supervisor recoveries.
+    /// retries plus in-worker supervisor recoveries, counted only once the
+    /// run has finished — a run that never came back recovered nothing.
     pub fn recoveries(&self) -> u32 {
-        self.attempts.saturating_sub(1) + self.worker_recoveries
+        match self.status {
+            RunStatus::Completed | RunStatus::Recovered => {
+                self.attempts.saturating_sub(1) + self.worker_recoveries
+            }
+            _ => 0,
+        }
     }
 }
 
@@ -1694,6 +1700,19 @@ mod tests {
             other => panic!("expected JournalMismatch, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_a_finished_run_counts_its_retries_as_recoveries() {
+        let spec = demo_spec();
+        let mut r = RunRecord::fresh(&spec.runs[0]);
+        r.attempts = 2;
+        r.worker_recoveries = 1;
+        r.status = RunStatus::Quarantined;
+        r.last_error = "unknown override key `machh`".into();
+        assert_eq!(r.recoveries(), 0, "both attempts died");
+        r.status = RunStatus::Recovered;
+        assert_eq!(r.recoveries(), 2);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn check_pipelines_agree(cfg: SimConfig, steps: usize) -> Simulation {
     let mut two_step = TwoStepSim::new(cfg);
     fused.run(steps);
     two_step.run(steps);
-    assert_stores_equal(fused.particles(), two_step.particles());
+    assert_stores_equal(&fused.particles(), two_step.particles());
     assert_eq!(fused.segment_bounds(), two_step.segment_bounds());
     assert_eq!(fused.last_sort_order(), two_step.last_sort_order());
     let (df, dt) = (fused.diagnostics(), two_step.diagnostics());

@@ -166,8 +166,8 @@ fn unsynced_diagnostics_match_the_single_domain_run_every_step() {
 }
 
 /// The shards are the state: at every shard count the column readers of
-/// a stepped engine read its current state — several shards rebuild the
-/// merged view after every step — and equal the single-domain run's,
+/// a stepped engine read its current state — several shards build a
+/// canonical copy on every read — and equal the single-domain run's,
 /// across a withdrawal.
 #[test]
 fn column_readers_read_the_current_state_at_any_shard_count() {
@@ -179,7 +179,7 @@ fn column_readers_read_the_current_state_at_any_shard_count() {
             reference.step();
             sharded.step();
             if step % 3 == 0 {
-                assert_stores_equal(sharded.particles(), reference.particles());
+                assert_stores_equal(&sharded.particles(), &reference.particles());
                 let bounds = sharded.segment_bounds();
                 let tag = format!("{shards} shards, step {step}");
                 assert_eq!(bounds, reference.segment_bounds(), "{tag}");

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 /// `sim` (at any shard count) against the oracle: every particle column,
 /// the segment bounds, and the physical ledgers.
 fn assert_matches_oracle(tag: &str, sim: &Simulation, oracle: &TwoStepSim) {
-    assert_stores_equal(sim.particles(), oracle.particles());
+    assert_stores_equal(&sim.particles(), oracle.particles());
     assert_eq!(
         sim.segment_bounds(),
         oracle.segment_bounds(),
